@@ -54,22 +54,35 @@ class ByteClassMap:
         return {klass: totals[klass] / grand for klass in CLASSES}
 
 
+def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
+    """Lowest ``i`` such that ``blob[i:]`` tiles completely with padding units.
+
+    Scans back from the end. Whether ``blob[i:]`` tiles depends only on
+    the next ``L`` positions (``L`` the longest unit), so once ``L``
+    positions in a row fail, no earlier one can succeed and the scan stops.
+    """
+    n = len(blob)
+    if not alphabet:
+        return n
+    longest = max(len(unit) for unit in alphabet)
+    ok = bytearray(n + 1)
+    ok[n] = 1
+    lowest = n
+    for i in range(n - 1, -1, -1):
+        if lowest > i + longest:
+            break
+        for unit in alphabet:
+            j = i + len(unit)
+            if j <= n and ok[j] and blob.startswith(unit, i):
+                ok[i] = 1
+                lowest = i
+                break
+    return lowest
+
+
 def parses_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
     """True when ``blob`` tiles completely with padding units."""
-    if not blob:
-        return True
-    if not alphabet:
-        return False
-    n = len(blob)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for i in range(n):
-        if not reach[i]:
-            continue
-        for unit in alphabet:
-            if blob.startswith(unit, i):
-                reach[i + len(unit)] = True
-    return reach[n]
+    return padding_suffix_start(blob, alphabet) == 0
 
 
 def _gap_runs(

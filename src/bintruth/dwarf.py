@@ -3,8 +3,9 @@
 Walks compile units in .debug_info, resolving only what the pipeline
 consumes: subprogram names (through specification/abstract_origin chains),
 entry addresses, high-pc in both its address and constant flavors,
-discontiguous ranges, declaration coordinates, noreturn flags, and formal
-parameters. Everything else is skipped via a data-driven form catalog.
+discontiguous ranges, declaration coordinates and noreturn flags. Every
+attribute is decoded by its form so the walk can step over it; no other
+attribute is read. Inlined copies yield diagnostics but never records.
 
 Malformed debug data never propagates as an exception: the reader returns
 whatever parsed cleanly plus an error diagnostic.
@@ -12,8 +13,9 @@ whatever parsed cleanly plus an error diagnostic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import elf
 from .model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
@@ -27,9 +29,7 @@ from .model import (
 DW_TAG_compile_unit = 0x11
 DW_TAG_subprogram = 0x2E
 DW_TAG_inlined_subroutine = 0x1D
-DW_TAG_formal_parameter = 0x05
 
-DW_AT_location = 0x02
 DW_AT_name = 0x03
 DW_AT_low_pc = 0x11
 DW_AT_high_pc = 0x12
@@ -127,20 +127,10 @@ def sleb_decode(blob: bytes, pos: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, slots=True)
-class ParameterRecord:
-    """One formal parameter: its name and whether it kept a location."""
-
-    name: str
-    has_location: bool
-
-
-@dataclass(frozen=True, slots=True)
 class DebugFunctionRecord:
     """A function as debug info describes it.
 
-    ``end_exclusive`` is None when the producer recorded no extent;
-    ``is_inlined_copy`` marks inlined instances, which are never function
-    starts of their own.
+    ``end_exclusive`` is None when the producer recorded no extent.
     """
 
     name: str
@@ -149,15 +139,6 @@ class DebugFunctionRecord:
     decl_file: str
     decl_line: int
     noreturn: bool
-    is_inlined_copy: bool
-    parameters: tuple[ParameterRecord, ...] = ()
-
-
-def parameter_summary(record: DebugFunctionRecord) -> tuple[int, int]:
-    """(declared, located) parameter counts for one record."""
-    declared = len(record.parameters)
-    located = sum(1 for p in record.parameters if p.has_location)
-    return declared, located
 
 
 def resolve_high_pc(
@@ -257,7 +238,6 @@ class _Die:
     # or ("sec_ref", off) markers, string/address indices to ("strx", n)
     # and ("addrx", n) until unit bases are known.
     attrs: dict[int, tuple[int, object]]
-    children: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -287,11 +267,11 @@ class _Unit:
     rnglists_base: int = 12
 
 
-def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, bool, list]]:
-    """abbrev code -> (tag, has_children, [(attr, form, implicit), ...])."""
+def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, list]]:
+    """abbrev code -> (tag, [(attr, form, implicit), ...])."""
     if offset >= len(blob):
         raise MalformedDebugDataError(f"abbrev offset {offset:#x} out of range")
-    table: dict[int, tuple[int, bool, list]] = {}
+    table: dict[int, tuple[int, list]] = {}
     pos = offset
     while True:
         code, pos = uleb_decode(blob, pos)
@@ -300,8 +280,7 @@ def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, bool, 
         tag, pos = uleb_decode(blob, pos)
         if pos >= len(blob):
             raise MalformedDebugDataError("abbrev entry truncated")
-        has_children = blob[pos] != 0
-        pos += 1
+        pos += 1  # the has-child flag: DIEs are read flat, not as a tree
         pairs: list[tuple[int, int, int | None]] = []
         while True:
             attr, pos = uleb_decode(blob, pos)
@@ -312,7 +291,7 @@ def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, bool, 
             if form == 0x21:  # implicit_const carries its value in the abbrev
                 implicit, pos = sleb_decode(blob, pos)
             pairs.append((attr, form, implicit))
-        table[code] = (tag, has_children, pairs)
+        table[code] = (tag, pairs)
 
 
 def _read_form(
@@ -488,30 +467,22 @@ def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[
         aux=aux,
     )
 
-    stack: list[int] = []
     while cur.pos < unit_end:
         die_off = cur.pos
         code = cur.uleb()
-        if code == 0:
-            if stack:
-                stack.pop()
+        if code == 0:  # end of a sibling chain
             continue
         if code not in abbrevs:
             raise MalformedDebugDataError(f"abbrev code {code} not in table")
-        tag, has_children, pairs = abbrevs[code]
+        tag, pairs = abbrevs[code]
         attrs: dict[int, tuple[int, object]] = {}
         for attr, form, implicit in pairs:
             eff_form, value = _read_form(cur, form, unit, implicit)
             if attr:
                 attrs[attr] = (eff_form, value)
-        die = _Die(tag=tag, attrs=attrs)
-        unit.dies[die_off] = die
+        unit.dies[die_off] = _Die(tag=tag, attrs=attrs)
         if unit.root < 0:
             unit.root = die_off
-        if stack:
-            unit.dies[stack[-1]].children.append(die_off)
-        if has_children:
-            stack.append(die_off)
     if unit.root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
     _materialize_indices(unit)
@@ -628,13 +599,6 @@ def _nth(blobs: list[bytes], i: int) -> bytes:
     return blobs[min(i, len(blobs) - 1)]
 
 
-def _exec_section_of(image: BinaryImage, addr: int):
-    for sec in image.sections:
-        if sec.allocated and sec.size > 0 and sec.contains(addr):
-            return sec
-    return None
-
-
 def _unit_records(
     unit: _Unit, image: BinaryImage, diagnostics: list[Diagnostic]
 ) -> list[DebugFunctionRecord]:
@@ -668,52 +632,17 @@ def _unit_records(
             return cu_name, decl_line
         return f"file#{file_idx}", decl_line
 
-    def parameters_of(die: _Die) -> tuple[ParameterRecord, ...]:
-        own = [
-            unit.dies[c]
-            for c in die.children
-            if unit.dies[c].tag == DW_TAG_formal_parameter
-        ]
-        if not own:
-            for link in (DW_AT_abstract_origin, DW_AT_specification):
-                if link in die.attrs:
-                    origin = _deref(unit, die.attrs[link][1])
-                    if origin is not None:
-                        return parameters_of(origin)
-            return ()
-        out = []
-        for p in own:
-            out.append(
-                ParameterRecord(
-                    name=resolved_name(p),
-                    has_location=DW_AT_location in p.attrs,
-                )
-            )
-        return tuple(out)
-
     def extent(die: _Die, name: str) -> tuple[int, int | None] | None:
-        """(low_pc, end_exclusive) or None when the DIE has no addresses."""
-        low_raw = die.attrs.get(DW_AT_low_pc)
-        if low_raw is not None and isinstance(low_raw[1], int):
-            low = low_raw[1]
-            high_raw = die.attrs.get(DW_AT_high_pc)
-            if high_raw is None:
-                if DW_AT_ranges in die.attrs:
-                    pairs = _resolve_ranges(unit, die, cu_base)
-                    if pairs:
-                        lo = min(p[0] for p in pairs)
-                        hi = max(p[1] for p in pairs)
-                        diagnostics.append(
-                            Diagnostic(
-                                "warning",
-                                GT_DISCONTIGUOUS_RANGE,
-                                f"{name or '<anonymous>'} at {lo:#x} spans "
-                                f"{len(pairs)} ranges; using the hull",
-                                span=(lo, hi - lo),
-                            )
-                        )
-                        return lo, hi
-                return low, None
+        """(low_pc, end_exclusive) or None when the DIE has no addresses.
+
+        A low/high pair wins; otherwise a non-empty range list gives its
+        hull; otherwise a bare low_pc gives an open extent.
+        """
+        low = die.attrs.get(DW_AT_low_pc, (0, None))[1]
+        if not isinstance(low, int):
+            low = None
+        high_raw = die.attrs.get(DW_AT_high_pc)
+        if low is not None and high_raw is not None:
             form, value = high_raw
             if not isinstance(value, int):
                 raise MalformedDebugDataError("non-integer high pc")
@@ -723,7 +652,10 @@ def _unit_records(
                 klass = "constant"
             else:
                 raise MalformedDebugDataError(f"high pc form {form:#x}")
-            end = resolve_high_pc(low, klass, value, unit.addr_size * 8)
+            try:
+                end = resolve_high_pc(low, klass, value, unit.addr_size * 8)
+            except OverflowError as exc:
+                raise MalformedDebugDataError(str(exc)) from None
             return low, end
         if DW_AT_ranges in die.attrs:
             pairs = _resolve_ranges(unit, die, cu_base)
@@ -740,7 +672,7 @@ def _unit_records(
                     )
                 )
                 return lo, hi
-        return None
+        return None if low is None else (low, None)
 
     records: list[DebugFunctionRecord] = []
     for die in unit.dies.values():
@@ -767,7 +699,7 @@ def _unit_records(
             )
             continue
         low, end = span
-        sec = _exec_section_of(image, low)
+        sec = elf.section_of(image, low)
         if sec is None or not sec.executable:
             diagnostics.append(
                 Diagnostic(
@@ -778,6 +710,8 @@ def _unit_records(
                     span=(low, 0),
                 )
             )
+        if inlined:
+            continue  # an inlined copy is never a function start of its own
         noreturn_val = attr_value(die, DW_AT_noreturn)
         decl_file, decl_line = decl_coords(die)
         records.append(
@@ -788,8 +722,6 @@ def _unit_records(
                 decl_file=decl_file,
                 decl_line=decl_line,
                 noreturn=bool(noreturn_val),
-                is_inlined_copy=inlined,
-                parameters=parameters_of(die),
             )
         )
     return records
@@ -837,10 +769,9 @@ def extract_debug_functions(
             rnglists=_nth(rnglists_blobs, i),
         )
         pos = 0
+        data_end = len(blob.rstrip(b"\0"))  # zero padding may follow the last unit
         try:
-            while pos < len(blob):
-                if blob[pos:].count(0) == len(blob) - pos:
-                    break  # zero padding after the last unit
+            while pos < data_end:
                 unit, pos = _parse_unit(blob, pos, little, aux)
                 records.extend(_unit_records(unit, image, diagnostics))
         except MalformedDebugDataError as exc:

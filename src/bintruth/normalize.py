@@ -283,12 +283,11 @@ def resolve_boundaries(works: list[_Working]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     ordered = sorted(works, key=lambda w: w.start)
     for i, work in enumerate(ordered):
-        next_start: int | None = None
-        for other in ordered[i + 1 :]:
-            if other.section is work.section:
-                next_start = other.start
-                break
-        limit = work.section.end if next_start is None else next_start
+        # Allocated sections never overlap, so a section's functions sit
+        # next to each other in start order.
+        nxt = ordered[i + 1] if i + 1 < len(ordered) else None
+        same = nxt is not None and nxt.section is work.section
+        limit = nxt.start if same else work.section.end
         if work.size > 0:
             declared = work.start + work.size
             end = min(declared, limit)
@@ -339,15 +338,7 @@ def trim_padding(
             )
             continue
         n = len(region)
-        ok = [False] * (n + 1)
-        ok[n] = True
-        for i in range(n - 1, -1, -1):
-            for unit in alphabet:
-                j = i + len(unit)
-                if j <= n and ok[j] and region.startswith(unit, i):
-                    ok[i] = True
-                    break
-        lowest = next(i for i in range(n + 1) if ok[i])
+        lowest = byteclass.padding_suffix_start(region, alphabet)
         # Never trim an entry point away, and keep at least one byte.
         floor = max(max(e - work.start for e in work.entries) + 1, 1)
         trimmed = work.start + min(max(lowest, floor), n)
@@ -397,8 +388,6 @@ def match_debug_records(
             names.setdefault(alias, work)
 
     for record in records:
-        if record.is_inlined_copy:
-            continue
         target = by_entry.get(record.low_pc)
         if target is None and tolerance > 0:
             for delta in range(1, tolerance + 1):

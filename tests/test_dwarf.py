@@ -7,7 +7,6 @@ from bintruth import dwarf, elf, forge
 from bintruth.dwarf import (
     DebugFunctionRecord,
     extract_debug_functions,
-    parameter_summary,
     resolve_high_pc,
     sleb_decode,
     sleb_encode,
@@ -100,6 +99,23 @@ def test_high_pc_past_the_ceiling_overflows():
         resolve_high_pc((1 << 64) - 8, "constant", 9)
 
 
+def test_high_pc_overflow_in_the_binary_is_malformed_debug_data():
+    spec = _single_fn_spec(DwarfFuncSpec(highpc_form="data4"), 4, word_size=32)
+    raw = bytearray(emit(spec))
+    info = next(s for s in elf.parse_image(bytes(raw)).sections if s.name == ".debug_info")
+    blob = raw[info.file_offset : info.file_offset + info.size]
+    pair = struct.pack("<II", 0x401000, 16)  # low_pc addr, high_pc data4
+    assert blob.count(pair) == 1
+    at = info.file_offset + blob.index(pair) + 4
+    struct.pack_into("<I", raw, at, 0xFFFFFFF0)
+    records, diags = extract_debug_functions(elf.parse_image(bytes(raw)))
+    assert records == []
+    (error,) = diags
+    assert error.code == GT_MALFORMED_DEBUG_DATA
+    assert error.severity == "error"
+    assert "32-bit address space" in error.message
+
+
 # --- encodings that must agree ---------------------------------------------
 
 
@@ -173,14 +189,14 @@ def test_name_resolves_through_reference_chains(via):
     assert not any(d.code == GT_SUBPROGRAM_NO_ADDRESS for d in diags)
 
 
-def test_parameters_and_their_locations_are_counted():
+def test_parameter_children_do_not_change_the_record():
     params = (("argc", True), ("argv", True), ("unused", False))
-    spec = _single_fn_spec(DwarfFuncSpec(params=params), 4)
-    image = elf.parse_image(emit(spec))
-    records, _diags = extract_debug_functions(image)
-    (rec,) = records
-    assert [p.name for p in rec.parameters] == ["argc", "argv", "unused"]
-    assert parameter_summary(rec) == (3, 2)
+    plain = elf.parse_image(emit(_single_fn_spec(DwarfFuncSpec(), 4)))
+    with_params = elf.parse_image(emit(_single_fn_spec(DwarfFuncSpec(params=params), 4)))
+    assert len(with_params.raw) > len(plain.raw)  # the parameter DIEs are there
+    records, diags = extract_debug_functions(with_params)
+    assert [r.name for r in records] == ["solo"]
+    assert (records, diags) == extract_debug_functions(plain)
 
 
 def test_noreturn_attribute_is_read():
@@ -190,25 +206,33 @@ def test_noreturn_attribute_is_read():
     assert records[0].noreturn
 
 
-def test_inlined_copies_are_flagged_not_confused():
+def _inline_site_image(low: int, high: int) -> BinaryImage:
     text = SectionSpec(".text", 0x401000, executable=True)
     host = FunctionSpec("host", 0, forge._fixed_body(32), dwarf=(DwarfFuncSpec(),))
     tiny = FunctionSpec("tiny", 32, forge._fixed_body(8), dwarf=(DwarfFuncSpec(),))
     spec = BinarySpec(
         sections=(text,),
         functions=(host, tiny),
-        inline_sites=(
-            forge.InlineSiteSpec(host="host", origin="tiny", low=0x401008, high=0x401010),
-        ),
+        inline_sites=(forge.InlineSiteSpec(host="host", origin="tiny", low=low, high=high),),
     )
-    image = elf.parse_image(emit(spec))
-    records, _diags = extract_debug_functions(image)
-    inlined = [r for r in records if r.is_inlined_copy]
-    concrete = [r for r in records if not r.is_inlined_copy]
-    assert len(inlined) == 1
-    assert inlined[0].name == "tiny"  # resolved through the origin link
-    assert inlined[0].low_pc == 0x401008
-    assert {r.name for r in concrete} == {"host", "tiny"}
+    return elf.parse_image(emit(spec))
+
+
+def test_inlined_copies_yield_no_record():
+    records, diags = extract_debug_functions(_inline_site_image(0x401008, 0x401010))
+    assert sorted((r.name, r.low_pc) for r in records) == [
+        ("host", 0x401000),
+        ("tiny", 0x401020),
+    ]
+    assert diags == []
+
+
+def test_inlined_copies_outside_code_still_warn():
+    records, diags = extract_debug_functions(_inline_site_image(0x900000, 0x900008))
+    assert {r.name for r in records} == {"host", "tiny"}
+    (warning,) = diags
+    assert warning.code == GT_DEBUG_OUTSIDE_EXEC
+    assert "tiny" in warning.message  # named through the origin link
 
 
 def test_missing_debug_info_is_one_warning(preset_images):
@@ -336,7 +360,7 @@ def test_duplicated_debug_sections_pair_by_position():
 
 
 def test_records_hash_by_content():
-    a = DebugFunctionRecord("f", 0x10, 0x20, "a.c", 3, False, False, ())
-    b = DebugFunctionRecord("f", 0x10, 0x20, "a.c", 3, False, False, ())
+    a = DebugFunctionRecord("f", 0x10, 0x20, "a.c", 3, False)
+    b = DebugFunctionRecord("f", 0x10, 0x20, "a.c", 3, False)
     assert a == b
     assert len({a, b}) == 1

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpuscheck
-from bintruth import elf, forge, normalize
+import oracles
+from bintruth import byteclass, elf, forge, normalize
 from bintruth.dwarf import DebugFunctionRecord
 from bintruth.forge import (
     BinarySpec,
@@ -295,6 +296,48 @@ def test_trim_skips_machines_without_an_alphabet():
     assert fn.end_exclusive_trimmed == fn.end_exclusive_raw
 
 
+_LONGEST_UNIT = max(len(unit) for unit in normalize.padding_alphabet("x86_64"))
+# Runs of bytes that no padding unit starts with, longer than any unit, so
+# a backward scan has to give up before reaching the front of the blob.
+_JUNK_RUNS = st.lists(
+    st.sampled_from(b"\x31\x55\xc3\xe8"),
+    min_size=_LONGEST_UNIT + 1,
+    max_size=2 * _LONGEST_UNIT + 2,
+).map(bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(
+        st.one_of(
+            st.sampled_from(normalize.padding_alphabet("x86_64")),
+            _JUNK_RUNS,
+            st.binary(min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    entry_pick=st.integers(min_value=0),
+)
+def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
+    alphabet = normalize.padding_alphabet("x86_64")
+    blob = b"".join(parts)
+    start = byteclass.padding_suffix_start(blob, alphabet)
+    assert (start == 0) == oracles.tiles_as_padding(blob, alphabet)
+    assert oracles.tiles_as_padding(blob[start:], alphabet)
+    assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, alphabet, (0,))
+
+    second = entry_pick % len(blob)
+    syms = [_func("f", TEXT.vaddr, len(blob))]
+    image = _trimmable_image(blob)
+    works, _ = dedupe_aliases(syms, image)
+    works[0].entries = sorted({TEXT.vaddr, TEXT.vaddr + second})
+    resolve_boundaries(works)
+    trim_padding(works, image, alphabet)
+    kept = oracles.suffix_trim(blob, alphabet, (0, second))
+    assert works[0].end_trimmed == TEXT.vaddr + kept
+
+
 def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
     bss = SectionRecord(".bss", 0x402000, 0x100, True, True, True, None)
     syms = [_func("ghost", 0x402000, 16)]
@@ -351,8 +394,6 @@ def _record(name, low, **kw):
         decl_file="src.c",
         decl_line=3,
         noreturn=False,
-        is_inlined_copy=False,
-        parameters=(),
     )
     base.update(kw)
     return DebugFunctionRecord(**base)
@@ -383,14 +424,6 @@ def test_matching_tolerance_bridges_small_offsets():
     relaxed = match_debug_records(works, [_record("f", 0x401002)], 2)
     assert relaxed == []
     assert works[0].provenance == {"symtab", "dwarf"}
-
-
-def test_matching_ignores_inlined_copies():
-    works = _works(("f", 0x401000, 8))
-    diags = match_debug_records(
-        works, [_record("g", 0x401004, is_inlined_copy=True)], 0
-    )
-    assert diags == []
 
 
 def test_unmatched_record_marks_the_truth_incomplete():

@@ -5,9 +5,10 @@ Subcommands: ``extract`` builds ground-truth documents from binaries,
 compares two documents, ``corpus`` aggregates scores over a directory,
 and ``fixtures`` materializes the bundled test binaries.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input
-(parse, schema, digest), 3 incomplete ground truth, 4 documents differ
-(``diff`` only).
+Exit codes: 0 success, 1 usage error (including a bad option value), 2
+unreadable or invalid input (parse, schema, digest), 3 incomplete ground
+truth, 4 documents differ (``diff`` only). Any other exception is a bug
+and propagates.
 """
 from __future__ import annotations
 
@@ -27,16 +28,19 @@ EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 EXIT_DIFFERENT = 4
 
+# Only failures caused by what the user handed in; anything else is a bug
+# and surfaces as a traceback instead of "invalid input".
 _INPUT_ERRORS = (
     OSError,
+    UnicodeDecodeError,
     elf.ElfFormatError,
     interchange.SchemaError,
+    normalize.CallEdgeError,
     scoring.DigestMismatchError,
     scoring.MissingSizesError,
     scoring.DomainMismatchError,
     scoring.EmptyCorpusError,
     forge.UnknownPresetError,
-    ValueError,
 )
 
 
@@ -45,6 +49,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _threshold(text: str) -> str:
+    try:
+        scoring.canonical_threshold(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number like 0.96 or 24/25"
+        ) from None
+    return text
 
 
 def _build_parser() -> _Parser:
@@ -75,7 +95,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--start-mismatch-tolerance",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="bytes of slack when matching debug info to symbols",
@@ -101,6 +121,7 @@ def _build_parser() -> _Parser:
     _add_policy_args(p)
     p.add_argument(
         "--threshold",
+        type=_threshold,
         action="append",
         default=[],
         metavar="F",

@@ -623,7 +623,8 @@ def _unit_records(
     def decl_coords(die: _Die) -> tuple[str, int]:
         file_idx = attr_value(die, DW_AT_decl_file)
         line = attr_value(die, DW_AT_decl_line)
-        decl_line = line if isinstance(line, int) else 0
+        # sdata and implicit_const can be negative, flag forms decode to bool.
+        decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
             return "", decl_line
         # Indexes 0 and 1 name the primary source file in every version
@@ -659,6 +660,10 @@ def _unit_records(
             return low, end
         if DW_AT_ranges in die.attrs:
             pairs = _resolve_ranges(unit, die, cu_base)
+            if any(hi < lo for lo, hi in pairs):
+                raise MalformedDebugDataError(
+                    f"range list of {name or '<anonymous>'} ends before it starts"
+                )
             if pairs:
                 lo = min(p[0] for p in pairs)
                 hi = max(p[1] for p in pairs)

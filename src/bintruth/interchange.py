@@ -2,16 +2,21 @@
 
 The same input always serializes to byte-identical output: keys are
 sorted, indentation is fixed, addresses are lowercase ``0x`` hex,
-lengths and counts are decimal, and nothing carries a timestamp. Every
-load and dump passes schema validation, so malformed files fail loudly
-at the boundary instead of deep inside scoring.
+lengths and counts are decimal, and nothing carries a timestamp.
+
+The four ``*_SCHEMA`` dicts are the published contract. Every load is
+checked against its schema by :func:`_check`, and a loaded ground-truth
+document must also satisfy the invariants :func:`build_ground_truth`
+guarantees, so malformed files fail loudly at the boundary instead of
+deep inside scoring. Dumps are not re-checked: the program builds them
+from objects whose inputs were checked where they entered, and the test
+suite holds emitted output to the schemas.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-
-import jsonschema
 
 from . import __version__
 from .byteclass import ByteClassMap, ByteRun
@@ -21,6 +26,7 @@ from .normalize import (
     GroundTruthDocument,
     GroundTruthFunction,
     RunConfig,
+    is_complete,
 )
 from .scoring import CorpusSummary, ScoreResult, ToolReport
 
@@ -324,24 +330,105 @@ def _hex(value: int) -> str:
     return f"0x{value:x}"
 
 
-def _validate(payload: dict, schema: dict) -> None:
-    try:
-        jsonschema.validate(payload, schema)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(exc.message) from exc
+# The JSON Schema keywords the schemas above use; _check handles exactly these.
+SCHEMA_KEYWORDS = frozenset(
+    {
+        "type",
+        "properties",
+        "required",
+        "additionalProperties",
+        "items",
+        "minItems",
+        "maxItems",
+        "enum",
+        "const",
+        "pattern",
+        "minimum",
+    }
+)
+
+# "integer" precedes "number" so that _kind names an int "integer".
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+    "null": type(None),
+}
 
 
-def _dump(payload: dict, schema: dict) -> str:
-    _validate(payload, schema)
+def _is(value: object, kind: str) -> bool:
+    if isinstance(value, bool):  # JSON true is no number, though True == 1
+        return kind == "boolean"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _kind(value: object) -> str:
+    return next(kind for kind in _JSON_TYPES if _is(value, kind))
+
+
+def _same(value: object, expected: object) -> bool:
+    return type(value) is type(expected) and value == expected
+
+
+def _check(value: object, schema: dict, where: str) -> None:
+    """Raise SchemaError unless ``value`` satisfies ``schema``.
+
+    Matches JSON Schema for the keywords in SCHEMA_KEYWORDS, except that
+    a float never counts as an integer and ``enum``/``const`` compare
+    types as well as values (``32.0`` is not ``32``).
+    """
+    kinds = schema.get("type")
+    if kinds is not None:
+        kinds = (kinds,) if isinstance(kinds, str) else kinds
+        if not any(_is(value, kind) for kind in kinds):
+            raise SchemaError(
+                f"{where}: expected {' or '.join(kinds)}, got {_kind(value)}"
+            )
+    if "const" in schema and not _same(value, schema["const"]):
+        raise SchemaError(f"{where}: expected {schema['const']!r}, got {value!r}")
+    if "enum" in schema and not any(_same(value, o) for o in schema["enum"]):
+        raise SchemaError(f"{where}: {value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, str):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise SchemaError(
+                f"{where}: {value!r} does not match {schema['pattern']!r}"
+            )
+    elif _is(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise SchemaError(f"{where}: {value!r} is below {schema['minimum']}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise SchemaError(f"{where}: needs at least {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise SchemaError(f"{where}: allows at most {schema['maxItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{where}[{i}]")
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise SchemaError(f"{where}: missing {key!r}")
+        for key, item in value.items():
+            if key in properties:
+                _check(item, properties[key], f"{where}.{key}")
+            elif schema.get("additionalProperties") is False:
+                raise SchemaError(f"{where}: unexpected key {key!r}")
+
+
+def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _load(text: str, schema: dict) -> dict:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    _validate(payload, schema)
+    _check(payload, schema, "$")
     return payload
 
 
@@ -413,7 +500,7 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
         ],
         "complete": doc.complete,
     }
-    return _dump(payload, GROUND_TRUTH_SCHEMA)
+    return _dump(payload)
 
 
 def _machine_from_label(label: str) -> tuple[str, int]:
@@ -428,6 +515,17 @@ def _machine_from_label(label: str) -> tuple[str, int]:
 
 def document_from_json(text: str) -> GroundTruthDocument:
     payload = _load(text, GROUND_TRUTH_SCHEMA)
+    try:
+        doc = _document(payload)
+    except SchemaError:
+        raise
+    except ValueError as exc:  # a model invariant the schema cannot state
+        raise SchemaError(str(exc)) from exc
+    _check_document(doc)
+    return doc
+
+
+def _document(payload: dict) -> GroundTruthDocument:
     machine, machine_code = _machine_from_label(payload["binary"]["machine"])
     functions = []
     for fn in payload["functions"]:
@@ -481,6 +579,28 @@ def document_from_json(text: str) -> GroundTruthDocument:
     )
 
 
+def _check_document(doc: GroundTruthDocument) -> None:
+    """The invariants :func:`build_ground_truth` guarantees."""
+    for fn in doc.functions:
+        if not fn.entry_points[-1] < fn.end_exclusive_trimmed <= fn.end_exclusive_raw:
+            raise SchemaError(
+                f"function {fn.canonical_name!r}: needs every entry < "
+                "end_trimmed <= end_raw"
+            )
+    end = 0
+    for run in doc.byte_classes.runs:
+        if run.start < end:
+            raise SchemaError(
+                f"byte run at {run.start:#x} overlaps or precedes the run before it"
+            )
+        end = run.end
+    if doc.complete != is_complete(doc.diagnostics):
+        raise SchemaError(
+            "complete must be true exactly when no error-severity "
+            "GT_INCOMPLETE_EXCLUDED diagnostic is present"
+        )
+
+
 def report_to_json(report: ToolReport) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -501,7 +621,7 @@ def report_to_json(report: ToolReport) -> str:
             }
             for run in report.predicted_byte_classes.runs
         ]
-    return _dump(payload, TOOL_REPORT_SCHEMA)
+    return _dump(payload)
 
 
 def report_from_json(text: str) -> ToolReport:
@@ -552,7 +672,7 @@ def score_to_json(result: ScoreResult) -> str:
         ],
         "warnings": list(result.warnings),
     }
-    return _dump(payload, SCORE_SCHEMA)
+    return _dump(payload)
 
 
 def corpus_to_json(summary: CorpusSummary) -> str:
@@ -575,4 +695,4 @@ def corpus_to_json(summary: CorpusSummary) -> str:
             for label, _value, share in summary.below
         ],
     }
-    return _dump(payload, CORPUS_SCHEMA)
+    return _dump(payload)

@@ -8,7 +8,9 @@ through diagnostics; nothing raises past :func:`build_ground_truth`.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 
 from . import byteclass, elf
@@ -61,14 +63,17 @@ def _load_name_list(filename: str) -> tuple[str, ...]:
     return parse_name_list(text)
 
 
+@cache
 def default_noreturn_seeds() -> tuple[str, ...]:
     return _load_name_list("noreturn.txt")
 
 
+@cache
 def default_scaffold_names() -> tuple[str, ...]:
     return _load_name_list("scaffold.txt")
 
 
+@cache
 def padding_alphabet(machine: str) -> tuple[bytes, ...]:
     """Padding units for the machine; empty means no trimming happens."""
     if machine not in ("x86", "x86_64"):
@@ -87,6 +92,10 @@ def padding_alphabet(machine: str) -> tuple[bytes, ...]:
     return tuple(units)
 
 
+class CallEdgeError(ValueError):
+    """A call-edge line is not two non-negative addresses."""
+
+
 def parse_call_edges(text: str) -> tuple[tuple[int, int], ...]:
     """Caller/callee address pairs, one per line, '#' starts a comment."""
     edges = []
@@ -96,8 +105,15 @@ def parse_call_edges(text: str) -> tuple[tuple[int, int], ...]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two addresses")
-        edges.append((int(parts[0], 0), int(parts[1], 0)))
+            raise CallEdgeError(f"line {lineno}: expected two addresses")
+        try:
+            caller, callee = (int(part, 0) for part in parts)
+        except ValueError:
+            message = f"line {lineno}: {line!r} is not two addresses"
+            raise CallEdgeError(message) from None
+        if caller < 0 or callee < 0:
+            raise CallEdgeError(f"line {lineno}: addresses cannot be negative")
+        edges.append((caller, callee))
     return tuple(edges)
 
 
@@ -162,6 +178,13 @@ class GroundTruthDocument:
     byte_classes: ByteClassMap
     diagnostics: tuple[Diagnostic, ...]
     complete: bool
+
+
+def is_complete(diagnostics: Iterable[Diagnostic]) -> bool:
+    """Complete means no error-severity GT_INCOMPLETE_EXCLUDED diagnostic."""
+    return not any(
+        d.severity == "error" and d.code == GT_INCOMPLETE_EXCLUDED for d in diagnostics
+    )
 
 
 @dataclass(slots=True)
@@ -529,10 +552,6 @@ def build_ground_truth(
     ]
     byte_map = byteclass.classify_bytes(image, spans, alphabet)
 
-    complete = not any(
-        d.severity == "error" and d.code == GT_INCOMPLETE_EXCLUDED
-        for d in diagnostics
-    )
     return GroundTruthDocument(
         binary=BinarySummary(
             source_path=image.source_path,
@@ -544,5 +563,5 @@ def build_ground_truth(
         functions=_freeze(works),
         byte_classes=byte_map,
         diagnostics=tuple(diagnostics),
-        complete=complete,
+        complete=is_complete(diagnostics),
     )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bintruth import forge, interchange
+import bintruth
+from bintruth import byteclass, forge, interchange
 from bintruth.cli import main
 from bintruth.scoring import ToolReport
 
@@ -55,6 +60,61 @@ def test_bad_choice_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["score", "a.json", "b.json", "--policy", "vibes"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("threshold", ["abc", "1/0"])
+def test_bad_threshold_is_a_usage_error(tmp_path, capsys, threshold):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(tmp_path), "--threshold", threshold])
+    assert exc.value.code == 1
+    assert "--threshold" in capsys.readouterr().err
+
+
+def test_internal_failures_are_not_reported_as_invalid_input(tmp_path, monkeypatch):
+    def overlapping(*_args):
+        raise byteclass.OverlapError("two spans claim one byte")
+
+    monkeypatch.setattr(byteclass, "classify_bytes", overlapping)
+    with pytest.raises(byteclass.OverlapError):
+        main(["extract", str(write_binary(tmp_path, "listing1"))])
+
+
+# Runs the CLI in a fresh interpreter in which importing jsonschema fails.
+_WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None
+from pathlib import Path
+from bintruth import cli, interchange
+from bintruth.scoring import ToolReport
+
+out = Path(sys.argv[1])
+codes = [cli.main(["fixtures", "-o", str(out), "--preset", "listing2"])]
+truth = out / "listing2.truth.json"
+codes.append(cli.main(["extract", str(out / "listing2.bin"), "-o", str(truth)]))
+doc = interchange.document_from_json(truth.read_text())
+preds = tuple((f.start, f.end_exclusive_trimmed - f.start) for f in doc.functions)
+report = out / "listing2.report.json"
+report.write_text(
+    interchange.report_to_json(ToolReport("t", "1", doc.binary.content_digest, preds))
+)
+codes.append(cli.main(["score", str(truth), str(report)]))
+codes.append(cli.main(["corpus", str(out)]))
+sys.exit(max(codes))
+"""
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    src = str(Path(bintruth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_JSONSCHEMA, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"fraction_perfect"' in proc.stdout
 
 
 # --- extract ----------------------------------------------------------------
@@ -132,6 +192,24 @@ def test_extract_garbage_is_an_input_error(tmp_path, capsys):
     path.write_bytes(b"not an object file, not even close")
     code, _out, _err = run(capsys, "extract", str(path))
     assert code == 2
+
+
+def test_extract_negative_tolerance_is_a_usage_error(tmp_path, capsys):
+    binary = write_binary(tmp_path, "listing1")
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", str(binary), "--start-mismatch-tolerance", "-1"])
+    assert exc.value.code == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_extract_negative_call_edge_is_an_input_error(tmp_path, capsys):
+    binary = write_binary(tmp_path, "listing1")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("-5 16\n")
+    code, out, err = run(capsys, "extract", str(binary), "--call-edges", str(edges))
+    assert code == 2
+    assert out == ""
+    assert "line 1: addresses cannot be negative" in err
 
 
 # --- score -------------------------------------------------------------------
@@ -221,6 +299,15 @@ def test_score_digest_mismatch_is_an_input_error(tmp_path, capsys, preset_docs):
     code, _out, err = run(capsys, "score", str(truth), str(report))
     assert code == 2
     assert "digest" in err.lower()
+
+
+def test_score_non_utf8_truth_is_an_input_error(tmp_path, capsys, preset_docs):
+    truth = tmp_path / "listing1.truth.json"
+    truth.write_bytes(b"\xff\xfe{}")
+    report = write_report(tmp_path, preset_docs["listing1"], "listing1")
+    code, _out, err = run(capsys, "score", str(truth), str(report))
+    assert code == 2
+    assert "utf-8" in err
 
 
 # --- diff ----------------------------------------------------------------------

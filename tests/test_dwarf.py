@@ -1,9 +1,11 @@
+import json
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
+from jsonschema import Draft202012Validator
 
-from bintruth import dwarf, elf, forge
+from bintruth import dwarf, elf, forge, normalize
 from bintruth.dwarf import (
     DebugFunctionRecord,
     extract_debug_functions,
@@ -14,6 +16,7 @@ from bintruth.dwarf import (
     uleb_encode,
 )
 from bintruth.forge import BinarySpec, DwarfFuncSpec, FunctionSpec, SectionSpec, emit
+from bintruth.interchange import GROUND_TRUTH_SCHEMA, document_to_json
 from bintruth.model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
@@ -176,6 +179,49 @@ def test_range_lists_collapse_to_their_hull(version):
     assert len(hull) == 1
     assert hull[0].severity == "warning"
     assert hull[0].span == (0x401000, 0x10)
+
+
+def _assert_document_validates(image: BinaryImage) -> None:
+    records, diags = extract_debug_functions(image)
+    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    payload = json.loads(document_to_json(doc))
+    Draft202012Validator(GROUND_TRUTH_SCHEMA).validate(payload)
+
+
+@pytest.mark.parametrize("version", [3, 4, 5])
+def test_inverted_range_pair_is_malformed_debug_data(version):
+    spec = _single_fn_spec(DwarfFuncSpec(ranges=((0x401008, 0x401000),)), version)
+    image = elf.parse_image(emit(spec))
+    records, diags = extract_debug_functions(image)
+    assert records == []
+    (error,) = diags  # no hull warning with a negative length
+    assert error.code == GT_MALFORMED_DEBUG_DATA
+    assert error.severity == "error"
+    assert "ends before it starts" in error.message
+    _assert_document_validates(image)
+
+
+def _decl_line_image(form: int) -> BinaryImage:
+    """A one-function image whose decl_line byte 0x7b is read as ``form``."""
+    raw = bytearray(emit(_single_fn_spec(DwarfFuncSpec(decl_line=0x7B), 4)))
+    abbrev = next(
+        s for s in elf.parse_image(bytes(raw)).sections if s.name == ".debug_abbrev"
+    )
+    blob = raw[abbrev.file_offset : abbrev.file_offset + abbrev.size]
+    pair = bytes([0x3B, 0x0F])  # DW_AT_decl_line, DW_FORM_udata
+    assert blob.count(pair) == 1
+    raw[abbrev.file_offset + blob.index(pair) + 1] = form
+    return elf.parse_image(bytes(raw))
+
+
+# sdata reads 0x7b as -5; flag reads it as True.
+@pytest.mark.parametrize("form", [0x0D, 0x0C], ids=["sdata", "flag"])
+def test_decl_line_that_is_negative_or_boolean_reads_as_zero(form):
+    image = _decl_line_image(form)
+    (rec,), _diags = extract_debug_functions(image)
+    assert type(rec.decl_line) is int
+    assert rec.decl_line == 0
+    _assert_document_validates(image)
 
 
 @pytest.mark.parametrize("via", ["specification", "abstract_origin"])

@@ -111,14 +111,83 @@ def test_schema_rejects_damage(preset_docs):
     def start_drift(p):
         p["functions"][0]["start"] = "0x999"
 
-    for edit in (missing, extra, bad_hex, bad_digest, bad_version, start_drift):
+    def three_address_edge(p):
+        p["meta"]["config"]["call_edges"] = [["0x1", "0x2", "0x3"]]
+
+    def bool_version(p):
+        p["schema_version"] = True  # True == 1 in Python, not in JSON
+
+    def bool_length(p):
+        p["byte_classes"][0]["length"] = True
+
+    def trimmed_past_raw(p):  # would let a perfect report score below 1
+        p["functions"][0]["end_trimmed"] = "0x80b41d1"
+
+    def entry_past_trimmed(p):
+        p["functions"][0]["end_trimmed"] = "0x80b41c8"
+
+    def unknown_flag(p):
+        p["functions"][0]["flags"] = ["puffin"]
+
+    def unsorted_entries(p):
+        fn = p["functions"][0]
+        fn["entries"].reverse()
+        fn["start"] = fn["entries"][0]
+
+    def unknown_code(p):
+        p["diagnostics"][0]["code"] = "GT_PUFFIN"
+
+    def bad_machine_code(p):
+        p["binary"]["machine"] = "other(x)"
+
+    def overlapping_runs(p):
+        p["byte_classes"][1]["start"] = "0x80b41bf"
+
+    def unsorted_runs(p):
+        p["byte_classes"].reverse()
+
+    def incomplete_without_error(p):
+        p["complete"] = False
+
+    def complete_with_exclusion(p):
+        p["diagnostics"].append(
+            {
+                "severity": "error",
+                "code": "GT_INCOMPLETE_EXCLUDED",
+                "message": "excluded",
+                "span": None,
+            }
+        )
+
+    for edit in (
+        missing,
+        extra,
+        bad_hex,
+        bad_digest,
+        bad_version,
+        start_drift,
+        three_address_edge,
+        bool_version,
+        bool_length,
+        trimmed_past_raw,
+        entry_past_trimmed,
+        unknown_flag,
+        unsorted_entries,
+        unknown_code,
+        bad_machine_code,
+        overlapping_runs,
+        unsorted_runs,
+        incomplete_without_error,
+        complete_with_exclusion,
+    ):
         with pytest.raises(SchemaError):
             document_from_json(_mutate(text, edit))
 
 
 def test_non_json_input_is_a_schema_error():
-    with pytest.raises(SchemaError, match="not valid JSON"):
-        document_from_json("{broken")
+    for text in ("{broken", "[" * 100_000):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            document_from_json(text)
 
 
 def test_unrecognized_machine_label_is_rejected(preset_docs):

@@ -82,6 +82,18 @@ def test_parse_call_edges_accepts_hex_and_decimal():
 def test_parse_call_edges_rejects_malformed_lines():
     with pytest.raises(ValueError, match="line 1"):
         parse_call_edges("0x10\n")
+    for text, message in (
+        ("0x10 0x20\n-5 16\n", "line 2: addresses cannot be negative"),
+        ("main 0x10\n", "line 1: 'main 0x10' is not two addresses"),
+    ):
+        with pytest.raises(normalize.CallEdgeError, match=message):
+            parse_call_edges(text)
+
+
+def test_data_files_are_read_once():
+    assert normalize.default_noreturn_seeds() is normalize.default_noreturn_seeds()
+    assert normalize.default_scaffold_names() is normalize.default_scaffold_names()
+    assert normalize.padding_alphabet("x86") is normalize.padding_alphabet("x86")
 
 
 def test_default_lists_are_nonempty():

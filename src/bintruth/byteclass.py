@@ -1,9 +1,9 @@
-"""Byte-level classification of allocated sections.
+"""Byte-level classification of mapped sections.
 
-Every allocated byte lands in exactly one run: ``code`` and ``padding``
-inside resolved function boundaries are certain; bytes between functions
-are only ever labeled heuristically, and honestly stay ``gap_unknown``
-when they do not parse as padding.
+Every mapped byte (allocated, outside ``.tbss``) lands in exactly one run:
+``code`` and ``padding`` inside resolved function boundaries are certain;
+bytes between functions are only ever labeled heuristically, and honestly
+stay ``gap_unknown`` when they do not parse as padding.
 """
 from __future__ import annotations
 
@@ -108,7 +108,7 @@ def classify_bytes(
     spans: list[tuple[int, int, int]],
     alphabet: tuple[bytes, ...],
 ) -> ByteClassMap:
-    """Tile the allocated sections given (start, trimmed end, raw end) spans.
+    """Tile the mapped sections given (start, trimmed end, raw end) spans.
 
     Spans landing outside executable sections are ignored here; the
     pipeline reports those separately. Overlapping spans raise
@@ -123,7 +123,7 @@ def classify_bytes(
 
     runs: list[ByteRun] = []
     for sec in image.sections:
-        if not sec.allocated or sec.size == 0:
+        if not sec.mapped:
             continue
         if not sec.executable:
             runs.append(ByteRun(sec.vaddr, sec.size, "data", "certain"))

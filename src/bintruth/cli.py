@@ -340,7 +340,10 @@ def _score_pair(
 ) -> scoring.ScoreResult:
     truth = interchange.document_from_json(Path(truth_path).read_text())
     report = interchange.report_from_json(Path(report_path).read_text())
-    return scoring.score_functions(truth, report, policy)
+    try:
+        return scoring.score_functions(truth, report, policy)
+    except scoring.IncompleteTruthRejectedError as exc:
+        raise scoring.IncompleteTruthRejectedError(f"{truth_path}: {exc}") from None
 
 
 def _corpus_table(summary: scoring.CorpusSummary) -> str:

@@ -3,17 +3,28 @@
 Walks compile units in .debug_info, resolving only what the pipeline
 consumes: subprogram names (through specification/abstract_origin chains),
 entry addresses, high-pc in both its address and constant flavors,
-discontiguous ranges, declaration coordinates and noreturn flags. Every
-attribute is decoded by its form so the walk can step over it; no other
-attribute is read. Inlined copies yield diagnostics but never records.
+discontiguous ranges, declaration coordinates and noreturn flags. Inlined
+copies yield diagnostics but never records.
+
+Only the first DIE of a unit and the DIEs tagged compile_unit, subprogram
+or inlined_subroutine are decoded. Every other DIE is stepped over by a
+skip plan compiled once per abbrev code from one form catalog, which gives
+each form's width; the walk records where each skipped DIE starts, and a
+specification or abstract_origin link that lands on one decodes it then.
+A skipped DIE is still bounds-checked (a read past the section end, an
+unterminated string, an unknown form, a runaway LEB128), but what its
+attributes point at is not: a .debug_str offset out of range in a
+variable's name no longer makes the unit unreadable, as it would if the
+DIE were decoded.
 
 Malformed debug data never propagates as an exception: the reader returns
 whatever parsed cleanly plus an error diagnostic.
 """
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import elf
 from .model import (
@@ -162,34 +173,32 @@ def resolve_high_pc(
     return end
 
 
+_UINT_READERS = {
+    little: {
+        width: struct.Struct(("<" if little else ">") + code)
+        for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    }
+    for little in (True, False)
+}
+
+
 class _Cursor:
     """Sequential reader over one section blob."""
 
-    __slots__ = ("blob", "pos", "end_char")
+    __slots__ = ("blob", "pos", "readers")
 
     def __init__(self, blob: bytes, pos: int, little_endian: bool):
         self.blob = blob
         self.pos = pos
-        self.end_char = "<" if little_endian else ">"
+        self.readers = _UINT_READERS[little_endian]
 
-    def _fixed(self, fmt: str, width: int) -> int:
+    def uint(self, width: int) -> int:
+        """Unsigned integer of 1, 2, 4 or 8 bytes."""
         if self.pos + width > len(self.blob):
             raise MalformedDebugDataError("fixed-width read past end of unit")
-        value = struct.unpack_from(self.end_char + fmt, self.blob, self.pos)[0]
+        value = self.readers[width].unpack_from(self.blob, self.pos)[0]
         self.pos += width
         return value
-
-    def u8(self) -> int:
-        return self._fixed("B", 1)
-
-    def u16(self) -> int:
-        return self._fixed("H", 2)
-
-    def u32(self) -> int:
-        return self._fixed("I", 4)
-
-    def u64(self) -> int:
-        return self._fixed("Q", 8)
 
     def uleb(self) -> int:
         value, self.pos = uleb_decode(self.blob, self.pos)
@@ -215,11 +224,9 @@ class _Cursor:
         return out
 
     def address(self, addr_size: int) -> int:
-        if addr_size == 4:
-            return self.u32()
-        if addr_size == 8:
-            return self.u64()
-        raise MalformedDebugDataError(f"address size {addr_size}")
+        if addr_size not in (4, 8):
+            raise MalformedDebugDataError(f"address size {addr_size}")
+        return self.uint(addr_size)
 
 
 def _str_at(blob: bytes, off: int, what: str) -> str:
@@ -229,6 +236,80 @@ def _str_at(blob: bytes, off: int, what: str) -> str:
     if end < 0:
         end = len(blob)
     return blob[off:end].decode("utf-8", errors="replace")
+
+
+# The form catalog: the width of each form's value in .debug_info. A width
+# >= 0 is a fixed byte count; the negative kinds are read to learn theirs.
+# Indirect (0x16) is missing because only decoding its real form sizes it.
+_LEB = -1  # one LEB128 number
+_CSTR = -2  # a NUL-terminated string
+_BLOCK1, _BLOCK2, _BLOCK4, _BLOCK_LEB = -3, -4, -5, -6  # a length, then bytes
+_BLOCK_LENGTHS = {_BLOCK1: 1, _BLOCK2: 2, _BLOCK4: 4}
+
+
+@functools.cache
+def _form_widths(version: int, addr_size: int) -> dict[int, int]:
+    """form -> width in a unit of this version and address size."""
+    return {
+        0x01: addr_size,  # addr
+        0x03: _BLOCK2,
+        0x04: _BLOCK4,
+        0x05: 2,  # data2
+        0x06: 4,  # data4
+        0x07: 8,  # data8
+        0x08: _CSTR,  # string
+        0x09: _BLOCK_LEB,
+        0x0A: _BLOCK1,
+        0x0B: 1,  # data1
+        0x0C: 1,  # flag
+        0x0D: _LEB,  # sdata
+        0x0E: 4,  # strp
+        0x0F: _LEB,  # udata
+        # DWARF 2 made ref_addr address-sized; later versions offset-sized.
+        0x10: addr_size if version == 2 else 4,
+        0x11: 1,  # ref1
+        0x12: 2,  # ref2
+        0x13: 4,  # ref4
+        0x14: 8,  # ref8
+        0x15: _LEB,  # ref_udata
+        0x17: 4,  # sec_offset
+        0x18: _BLOCK_LEB,  # exprloc
+        0x19: 0,  # flag_present
+        0x1A: _LEB,  # strx
+        0x1B: _LEB,  # addrx
+        0x1C: 4,  # ref_sup4
+        0x1D: 4,  # strp_sup
+        0x1E: 16,  # data16
+        0x1F: 4,  # line_strp
+        0x20: 8,  # ref_sig8
+        0x21: 0,  # implicit_const: the value sits in the abbrev
+        0x22: _LEB,  # loclistx
+        0x23: _LEB,  # rnglistx
+        0x24: 8,  # ref_sup8
+        0x25: 1,  # strx1
+        0x26: 2,  # strx2
+        0x27: 3,  # strx3
+        0x28: 4,  # strx4
+        0x29: 1,  # addrx1
+        0x2A: 2,  # addrx2
+        0x2B: 3,  # addrx3
+        0x2C: 4,  # addrx4
+    }
+
+
+# Forms whose value is a marker until unit bases or DIE offsets resolve it.
+_MARKERS = {
+    0x10: "sec_ref",
+    **dict.fromkeys((0x11, 0x12, 0x13, 0x14, 0x15), "cu_ref"),
+    **dict.fromkeys((0x1A, 0x1D, 0x25, 0x26, 0x27, 0x28), "strx"),
+    **dict.fromkeys((0x1B, 0x29, 0x2A, 0x2B, 0x2C), "addrx"),
+}
+
+# The tags whose DIEs the walk decodes; any other DIE is stepped over and
+# decoded only when a specification or abstract_origin link lands on it.
+_DECODED_TAGS = frozenset(
+    {DW_TAG_compile_unit, DW_TAG_subprogram, DW_TAG_inlined_subroutine}
+)
 
 
 @dataclass(slots=True)
@@ -253,25 +334,53 @@ class _Aux:
     rnglists: bytes
 
 
+# abbrev code -> (tag, [(attr, form, implicit), ...], skip plan or None)
+_Abbrevs = dict[int, tuple[int, list, tuple[int, ...] | None]]
+
+
 @dataclass(slots=True)
 class _Unit:
     version: int
     addr_size: int
     cu_start: int
-    dies: dict[int, _Die]
-    root: int
     little_endian: bool
     aux: _Aux
+    info: bytes
+    abbrevs: _Abbrevs
+    widths: dict[int, int]
+    dies: dict[int, _Die] = field(default_factory=dict)  # decoded, by offset
+    skipped: set[int] = field(default_factory=set)  # offsets of the others
+    root: int = -1
     addr_base: int = 8
     str_base: int = 8
     rnglists_base: int = 12
 
 
-def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, list]]:
-    """abbrev code -> (tag, [(attr, form, implicit), ...])."""
+def _skip_plan(pairs: list, widths: dict[int, int]) -> tuple[int, ...] | None:
+    """The widths of a DIE's attributes with fixed runs merged into one.
+
+    None when a form has no width in the catalog: such DIEs are decoded.
+    """
+    plan: list[int] = []
+    for _attr, form, _implicit in pairs:
+        width = widths.get(form)
+        if width is None:
+            return None
+        if width >= 0 and plan and plan[-1] >= 0:
+            plan[-1] += width
+        else:
+            plan.append(width)
+    return tuple(plan)
+
+
+def _parse_abbrev_table(blob: bytes, offset: int, widths: dict[int, int]) -> _Abbrevs:
+    """abbrev code -> (tag, [(attr, form, implicit), ...], skip plan).
+
+    The skip plan is None for the tags the walk decodes.
+    """
     if offset >= len(blob):
         raise MalformedDebugDataError(f"abbrev offset {offset:#x} out of range")
-    table: dict[int, tuple[int, list]] = {}
+    table: _Abbrevs = {}
     pos = offset
     while True:
         code, pos = uleb_decode(blob, pos)
@@ -291,104 +400,86 @@ def _parse_abbrev_table(blob: bytes, offset: int) -> dict[int, tuple[int, list]]
             if form == 0x21:  # implicit_const carries its value in the abbrev
                 implicit, pos = sleb_decode(blob, pos)
             pairs.append((attr, form, implicit))
-        table[code] = (tag, pairs)
+        plan = None if tag in _DECODED_TAGS else _skip_plan(pairs, widths)
+        table[code] = (tag, pairs, plan)
 
 
 def _read_form(
     cur: _Cursor, form: int, unit: _Unit, implicit: int | None
 ) -> tuple[int, object]:
     """Decode one attribute value; returns (effective form, value)."""
-    aux = unit.aux
-    if form == 0x16:  # indirect: real form precedes the value
-        real = cur.uleb()
-        return _read_form(cur, real, unit, implicit)
-    if form == 0x01:
-        return form, cur.address(unit.addr_size)
-    if form == 0x03:
-        return form, cur.raw(cur.u16())
-    if form == 0x04:
-        return form, cur.raw(cur.u32())
-    if form == 0x05:
-        return form, cur.u16()
-    if form == 0x06:
-        return form, cur.u32()
-    if form == 0x07:
-        return form, cur.u64()
-    if form == 0x08:
-        return form, cur.cstr()
-    if form == 0x09:
-        return form, cur.raw(cur.uleb())
-    if form == 0x0A:
-        return form, cur.raw(cur.u8())
-    if form == 0x0B:
-        return form, cur.u8()
-    if form == 0x0C:
-        return form, bool(cur.u8())
-    if form == 0x0D:
-        return form, cur.sleb()
+    while form == 0x16:  # indirect: the real form precedes the value
+        form = cur.uleb()
+    width = unit.widths.get(form)
+    if width is None:
+        raise MalformedDebugDataError(f"unknown form {form:#x}")
+    value: object
+    if width == _LEB:
+        value = cur.sleb() if form == 0x0D else cur.uleb()
+    elif width == _CSTR:
+        value = cur.cstr()
+    elif width == _BLOCK_LEB:
+        value = cur.raw(cur.uleb())
+    elif width < 0:
+        value = cur.raw(cur.uint(_BLOCK_LENGTHS[width]))
+    elif width in (1, 2, 4, 8):
+        value = cur.uint(width)
+    elif width == 3:  # strx3 and addrx3
+        value = int.from_bytes(cur.raw(3), "little")
+    else:  # data16, and the zero-width forms below
+        value = cur.raw(width)
+    marker = _MARKERS.get(form)
+    if marker is not None:
+        return form, (marker, value)
     if form == 0x0E:
-        return form, _str_at(aux.debug_str, cur.u32(), ".debug_str")
-    if form == 0x0F:
-        return form, cur.uleb()
-    if form == 0x10:
-        # DWARF2 made ref_addr address-sized; later versions offset-sized.
-        off = cur.address(unit.addr_size) if unit.version == 2 else cur.u32()
-        return form, ("sec_ref", off)
-    if form == 0x11:
-        return form, ("cu_ref", cur.u8())
-    if form == 0x12:
-        return form, ("cu_ref", cur.u16())
-    if form == 0x13:
-        return form, ("cu_ref", cur.u32())
-    if form == 0x14:
-        return form, ("cu_ref", cur.u64())
-    if form == 0x15:
-        return form, ("cu_ref", cur.uleb())
-    if form == 0x17:
-        return form, cur.u32()
-    if form == 0x18:
-        return form, cur.raw(cur.uleb())
+        return form, _str_at(unit.aux.debug_str, value, ".debug_str")  # type: ignore
+    if form == 0x1F:
+        return form, _str_at(unit.aux.line_str, value, ".debug_line_str")  # type: ignore
+    if form == 0x0C:
+        return form, bool(value)
     if form == 0x19:
         return form, True
-    if form == 0x1A:
-        return form, ("strx", cur.uleb())
-    if form == 0x1B:
-        return form, ("addrx", cur.uleb())
-    if form == 0x1C:
-        return form, cur.u32()
-    if form == 0x1D:
-        return form, ("strx", cur.u32())
-    if form == 0x1E:
-        return form, cur.raw(16)
-    if form == 0x1F:
-        return form, _str_at(aux.line_str, cur.u32(), ".debug_line_str")
-    if form == 0x20:
-        return form, cur.u64()
     if form == 0x21:
         return form, implicit if implicit is not None else 0
-    if form == 0x22:
-        return form, cur.uleb()
-    if form == 0x23:
-        return form, cur.uleb()
-    if form == 0x24:
-        return form, cur.u64()
-    if form == 0x25:
-        return form, ("strx", cur.u8())
-    if form == 0x26:
-        return form, ("strx", cur.u16())
-    if form == 0x27:
-        return form, ("strx", int.from_bytes(cur.raw(3), "little"))
-    if form == 0x28:
-        return form, ("strx", cur.u32())
-    if form == 0x29:
-        return form, ("addrx", cur.u8())
-    if form == 0x2A:
-        return form, ("addrx", cur.u16())
-    if form == 0x2B:
-        return form, ("addrx", int.from_bytes(cur.raw(3), "little"))
-    if form == 0x2C:
-        return form, ("addrx", cur.u32())
-    raise MalformedDebugDataError(f"unknown form {form:#x}")
+    return form, value
+
+
+def _read_attrs(cur: _Cursor, pairs: list, unit: _Unit) -> dict[int, tuple]:
+    attrs: dict[int, tuple[int, object]] = {}
+    for attr, form, implicit in pairs:
+        eff_form, value = _read_form(cur, form, unit, implicit)
+        if attr:
+            attrs[attr] = (eff_form, value)
+    return attrs
+
+
+def _skip(blob: bytes, pos: int, plan: tuple[int, ...], readers: dict) -> int:
+    """The position after attributes laid out as ``plan`` from ``pos``.
+
+    Does no bounds checks: the result may lie past the end of ``blob``, and
+    a length or terminator read past it raises IndexError, ValueError or
+    struct.error.
+    """
+    for width in plan:
+        if width >= 0:
+            pos += width
+        elif width == _LEB:
+            while blob[pos] & 0x80:
+                pos += 1
+            pos += 1
+        elif width == _CSTR:
+            pos = blob.index(0, pos) + 1
+        elif width == _BLOCK_LEB:
+            length = blob[pos]
+            if length < 0x80:
+                pos += length + 1
+            else:
+                length, pos = uleb_decode(blob, pos)
+                pos += length
+        else:
+            size = _BLOCK_LENGTHS[width]
+            pos += size + readers[size].unpack_from(blob, pos)[0]
+    return pos
 
 
 def _indexed_addr(unit: _Unit, index: int) -> int:
@@ -413,80 +504,117 @@ def _indexed_str(unit: _Unit, index: int) -> str:
     return _str_at(unit.aux.debug_str, str_off, ".debug_str")
 
 
+def _resolve_indices(unit: _Unit, die: _Die) -> None:
+    """Replace a decoded DIE's strx/addrx markers by what they index."""
+    for attr, (form, value) in list(die.attrs.items()):
+        if isinstance(value, tuple):
+            kind, idx = value
+            if kind == "strx":
+                die.attrs[attr] = (form, _indexed_str(unit, idx))
+            elif kind == "addrx":
+                die.attrs[attr] = (form, _indexed_addr(unit, idx))
+
+
+def _offset_value(value: object, what: str) -> int:
+    """A section offset from an attribute whose form may not hold one."""
+    if not isinstance(value, int):
+        raise MalformedDebugDataError(f"{what} is not an offset")
+    return value
+
+
 def _materialize_indices(unit: _Unit) -> None:
-    """Replace strx/addrx markers once the unit's base offsets are known."""
-    root_attrs = unit.dies[unit.root].attrs
-    if DW_AT_addr_base in root_attrs:
-        unit.addr_base = root_attrs[DW_AT_addr_base][1]  # type: ignore[assignment]
-    if DW_AT_str_offsets_base in root_attrs:
-        unit.str_base = root_attrs[DW_AT_str_offsets_base][1]  # type: ignore[assignment]
-    if DW_AT_rnglists_base in root_attrs:
-        unit.rnglists_base = root_attrs[DW_AT_rnglists_base][1]  # type: ignore[assignment]
+    """Read the unit's base offsets, then resolve every decoded DIE."""
+    attrs = unit.dies[unit.root].attrs
+    if DW_AT_addr_base in attrs:
+        unit.addr_base = _offset_value(attrs[DW_AT_addr_base][1], "addr_base")
+    if DW_AT_str_offsets_base in attrs:
+        unit.str_base = _offset_value(attrs[DW_AT_str_offsets_base][1], "str_offsets_base")
+    if DW_AT_rnglists_base in attrs:
+        unit.rnglists_base = _offset_value(attrs[DW_AT_rnglists_base][1], "rnglists_base")
     for die in unit.dies.values():
-        for attr, (form, value) in list(die.attrs.items()):
-            if isinstance(value, tuple) and len(value) == 2:
-                kind, idx = value
-                if kind == "strx":
-                    die.attrs[attr] = (form, _indexed_str(unit, idx))
-                elif kind == "addrx":
-                    die.attrs[attr] = (form, _indexed_addr(unit, idx))
+        _resolve_indices(unit, die)
 
 
 def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[_Unit, int]:
-    """Parse one compile unit starting at ``pos``; returns (unit, next pos)."""
+    """Parse one compile unit starting at ``pos``; returns (unit, next pos).
+
+    Decodes the first DIE and every DIE of a tag in _DECODED_TAGS; steps
+    over the others by their skip plans and records where they start.
+    """
     cur = _Cursor(blob, pos, little_endian)
-    length = cur.u32()
+    length = cur.uint(4)
     if length >= 0xFFFFFFF0:
         raise MalformedDebugDataError("64-bit DWARF units are not supported")
     unit_end = cur.pos + length
     if unit_end > len(blob):
         raise MalformedDebugDataError("unit length extends past .debug_info")
-    version = cur.u16()
+    version = cur.uint(2)
     if version < 2 or version > 5:
         raise MalformedDebugDataError(f"DWARF version {version}")
     if version == 5:
-        unit_type = cur.u8()
+        unit_type = cur.uint(1)
         if unit_type != DW_UT_compile:
             raise MalformedDebugDataError(f"unit type {unit_type:#x}")
-        addr_size = cur.u8()
-        abbrev_off = cur.u32()
+        addr_size = cur.uint(1)
+        abbrev_off = cur.uint(4)
     else:
-        abbrev_off = cur.u32()
-        addr_size = cur.u8()
+        abbrev_off = cur.uint(4)
+        addr_size = cur.uint(1)
     if addr_size not in (4, 8):
         raise MalformedDebugDataError(f"address size {addr_size}")
 
-    abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off)
-    unit = _Unit(
-        version=version,
-        addr_size=addr_size,
-        cu_start=pos,
-        dies={},
-        root=-1,
-        little_endian=little_endian,
-        aux=aux,
-    )
-
-    while cur.pos < unit_end:
-        die_off = cur.pos
-        code = cur.uleb()
+    widths = _form_widths(version, addr_size)
+    abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, widths)
+    unit = _Unit(version, addr_size, pos, little_endian, aux, blob, abbrevs, widths)
+    dies, skipped, readers = unit.dies, unit.skipped, cur.readers
+    blob_end = len(blob)
+    pos = cur.pos
+    while pos < unit_end:
+        die_off = pos
+        code = blob[pos]
+        if code < 0x80:
+            pos += 1
+        else:
+            code, pos = uleb_decode(blob, pos)
         if code == 0:  # end of a sibling chain
             continue
-        if code not in abbrevs:
+        entry = abbrevs.get(code)
+        if entry is None:
             raise MalformedDebugDataError(f"abbrev code {code} not in table")
-        tag, pairs = abbrevs[code]
-        attrs: dict[int, tuple[int, object]] = {}
-        for attr, form, implicit in pairs:
-            eff_form, value = _read_form(cur, form, unit, implicit)
-            if attr:
-                attrs[attr] = (eff_form, value)
-        unit.dies[die_off] = _Die(tag=tag, attrs=attrs)
-        if unit.root < 0:
-            unit.root = die_off
+        tag, pairs, plan = entry
+        if plan is None or unit.root < 0:
+            cur.pos = pos
+            dies[die_off] = _Die(tag, _read_attrs(cur, pairs, unit))
+            pos = cur.pos
+            if unit.root < 0:
+                unit.root = die_off
+            continue
+        try:
+            end = _skip(blob, pos, plan, readers)
+        except (IndexError, ValueError, struct.error):
+            end = blob_end + 1
+        if end > blob_end:
+            # Decoding reads the same widths, so it raises what the skip hit.
+            cur.pos = pos
+            _read_attrs(cur, pairs, unit)
+        skipped.add(die_off)
+        pos = end
     if unit.root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
     _materialize_indices(unit)
     return unit, unit_end
+
+
+def _die_at(unit: _Unit, off: int) -> _Die | None:
+    """The DIE that starts at ``off``, decoded now if the walk skipped it."""
+    die = unit.dies.get(off)
+    if die is None and off in unit.skipped:
+        code, pos = uleb_decode(unit.info, off)
+        tag, pairs, _plan = unit.abbrevs[code]
+        attrs = _read_attrs(_Cursor(unit.info, pos, unit.little_endian), pairs, unit)
+        die = unit.dies[off] = _Die(tag, attrs)
+        _resolve_indices(unit, die)
+    return die
 
 
 def _deref(unit: _Unit, marker: object) -> _Die | None:
@@ -494,10 +622,10 @@ def _deref(unit: _Unit, marker: object) -> _Die | None:
         return None
     kind, off = marker
     if kind == "cu_ref":
-        return unit.dies.get(unit.cu_start + off)
+        return _die_at(unit, unit.cu_start + off)
     if kind == "sec_ref":
         # Same-section reference; units parsed from one blob share offsets.
-        return unit.dies.get(off)
+        return _die_at(unit, off)
     return None
 
 
@@ -541,7 +669,7 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
     cur = _Cursor(blob, offset, unit.little_endian)
     pairs: list[tuple[int, int]] = []
     while True:
-        kind = cur.u8()
+        kind = cur.uint(1)
         if kind == RLE_END_OF_LIST:
             return pairs
         if kind == RLE_BASE_ADDRESSX:
@@ -571,6 +699,7 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
 
 def _resolve_ranges(unit: _Unit, die: _Die, cu_base: int) -> list[tuple[int, int]]:
     form, value = die.attrs[DW_AT_ranges]
+    value = _offset_value(value, "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
             blob = unit.aux.rnglists
@@ -680,7 +809,8 @@ def _unit_records(
         return None if low is None else (low, None)
 
     records: list[DebugFunctionRecord] = []
-    for die in unit.dies.values():
+    # Following a link may decode a skipped DIE into unit.dies.
+    for die in list(unit.dies.values()):
         if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
             continue
         inlined = die.tag == DW_TAG_inlined_subroutine

@@ -51,6 +51,7 @@ SHT_DYNSYM = 11
 SHF_WRITE = 0x1
 SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
+SHF_TLS = 0x400
 
 STT_OBJECT = 1
 STT_FUNC = 2
@@ -217,13 +218,12 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 writable=bool(sh_flags & SHF_WRITE),
                 allocated=allocated,
                 file_offset=sh_off if file_backed else None,
+                tls=bool(sh_flags & SHF_TLS),
             )
         )
 
-    # Allocated sections must not overlap in virtual address space.
-    spans = sorted(
-        (s.vaddr, s.end, s.name) for s in sections if s.allocated and s.size > 0
-    )
+    # Mapped sections must not overlap in virtual address space.
+    spans = sorted((s.vaddr, s.end, s.name) for s in sections if s.mapped)
     for (a_lo, a_hi, a_name), (b_lo, _b_hi, b_name) in zip(spans, spans[1:]):
         if b_lo < a_hi:
             raise MalformedElfError(
@@ -308,9 +308,10 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
 
 
 def section_of(image: BinaryImage, addr: int) -> SectionRecord | None:
-    """The unique allocated section containing ``addr``, or ``None``."""
+    """The unique mapped section containing ``addr``, or ``None``."""
     for sec in image.sections:
-        if sec.allocated and sec.size > 0 and sec.contains(addr):
+        # The inline range test goes first: it is the cheapest to fail.
+        if sec.vaddr <= addr < sec.vaddr + sec.size and sec.mapped:
             return sec
     return None
 

@@ -116,6 +116,7 @@ class SectionSpec:
     executable: bool = False
     writable: bool = False
     allocated: bool = True
+    tls: bool = False  # a "nobits" TLS section (.tbss) takes no address space
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,7 +336,7 @@ def _validate(spec: BinarySpec) -> None:
         if sec.kind == "nobits" and sec.content:
             raise InvalidSpecError(f"nobits section {sec.name!r} carries content")
         size = _section_size(spec, sec)
-        if sec.allocated and size > 0:
+        if sec.allocated and size > 0 and not (sec.tls and sec.kind == "nobits"):
             spans.append((sec.vaddr, sec.vaddr + size, sec.name))
     spans.sort()
     for (a_lo, a_hi, a_n), (b_lo, _h, b_n) in zip(spans, spans[1:]):
@@ -681,6 +682,7 @@ def emit(spec: BinarySpec) -> bytes:
                 (0x2 if sec.allocated else 0)
                 | (0x1 if sec.writable else 0)
                 | (0x4 if sec.executable else 0)
+                | (0x400 if sec.tls else 0)
             )
             size = _section_size(spec, sec)
             headers.append(

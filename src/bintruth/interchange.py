@@ -373,50 +373,76 @@ def _same(value: object, expected: object) -> bool:
     return type(value) is type(expected) and value == expected
 
 
+class _Mismatch(Exception):
+    """A schema failure on its way up to _check, gathering its JSON path."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+        self.path: list[str] = []  # innermost step first
+
+
 def _check(value: object, schema: dict, where: str) -> None:
     """Raise SchemaError unless ``value`` satisfies ``schema``.
 
     Matches JSON Schema for the keywords in SCHEMA_KEYWORDS, except that
     a float never counts as an integer and ``enum``/``const`` compare
-    types as well as values (``32.0`` is not ``32``).
+    types as well as values (``32.0`` is not ``32``). The message starts
+    with the failing node's JSON path below ``where``.
     """
+    try:
+        _walk(value, schema)
+    except _Mismatch as exc:
+        path = where + "".join(reversed(exc.path))
+        raise SchemaError(f"{path}: {exc.message}") from None
+
+
+def _walk(value: object, schema: dict) -> None:
     kinds = schema.get("type")
     if kinds is not None:
-        kinds = (kinds,) if isinstance(kinds, str) else kinds
-        if not any(_is(value, kind) for kind in kinds):
-            raise SchemaError(
-                f"{where}: expected {' or '.join(kinds)}, got {_kind(value)}"
-            )
+        if isinstance(kinds, str):
+            kinds = (kinds,)
+        for kind in kinds:
+            if _is(value, kind):
+                break
+        else:
+            raise _Mismatch(f"expected {' or '.join(kinds)}, got {_kind(value)}")
     if "const" in schema and not _same(value, schema["const"]):
-        raise SchemaError(f"{where}: expected {schema['const']!r}, got {value!r}")
+        raise _Mismatch(f"expected {schema['const']!r}, got {value!r}")
     if "enum" in schema and not any(_same(value, o) for o in schema["enum"]):
-        raise SchemaError(f"{where}: {value!r} is not one of {schema['enum']!r}")
+        raise _Mismatch(f"{value!r} is not one of {schema['enum']!r}")
     if isinstance(value, str):
         if "pattern" in schema and not re.search(schema["pattern"], value):
-            raise SchemaError(
-                f"{where}: {value!r} does not match {schema['pattern']!r}"
-            )
+            raise _Mismatch(f"{value!r} does not match {schema['pattern']!r}")
     elif _is(value, "number"):
         if "minimum" in schema and value < schema["minimum"]:
-            raise SchemaError(f"{where}: {value!r} is below {schema['minimum']}")
+            raise _Mismatch(f"{value!r} is below {schema['minimum']}")
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            raise SchemaError(f"{where}: needs at least {schema['minItems']} items")
+            raise _Mismatch(f"needs at least {schema['minItems']} items")
         if len(value) > schema.get("maxItems", len(value)):
-            raise SchemaError(f"{where}: allows at most {schema['maxItems']} items")
+            raise _Mismatch(f"allows at most {schema['maxItems']} items")
         if "items" in schema:
             for i, item in enumerate(value):
-                _check(item, schema["items"], f"{where}[{i}]")
+                try:
+                    _walk(item, schema["items"])
+                except _Mismatch as exc:
+                    exc.path.append(f"[{i}]")
+                    raise
     elif isinstance(value, dict):
         properties = schema.get("properties", {})
         for key in schema.get("required", ()):
             if key not in value:
-                raise SchemaError(f"{where}: missing {key!r}")
+                raise _Mismatch(f"missing {key!r}")
         for key, item in value.items():
             if key in properties:
-                _check(item, properties[key], f"{where}.{key}")
+                try:
+                    _walk(item, properties[key])
+                except _Mismatch as exc:
+                    exc.path.append(f".{key}")
+                    raise
             elif schema.get("additionalProperties") is False:
-                raise SchemaError(f"{where}: unexpected key {key!r}")
+                raise _Mismatch(f"unexpected key {key!r}")
 
 
 def _dump(payload: dict) -> str:

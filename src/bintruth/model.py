@@ -78,7 +78,7 @@ class SectionRecord:
     """One section of the binary.
 
     ``file_offset`` is ``None`` for sections without file-backed content
-    (NOBITS, e.g. ``.bss``).
+    (NOBITS, e.g. ``.bss``). ``tls`` marks thread-local sections.
     """
 
     name: str
@@ -88,9 +88,23 @@ class SectionRecord:
     writable: bool
     allocated: bool
     file_offset: int | None
+    tls: bool = False
 
     def contains(self, addr: int) -> bool:
         return self.vaddr <= addr < self.vaddr + self.size
+
+    @property
+    def mapped(self) -> bool:
+        """Whether the section takes non-empty address space in the image.
+
+        A NOBITS TLS section (``.tbss``) does not: it only sizes each
+        thread's block, and its address may overlap the next section.
+        """
+        return (
+            self.allocated
+            and self.size > 0
+            and not (self.tls and self.file_offset is None)
+        )
 
     @property
     def end(self) -> int:
@@ -153,15 +167,13 @@ class BinaryImage:
     def bytes_at(self, addr: int, length: int) -> bytes:
         """Raw bytes for ``[addr, addr + length)``.
 
-        Succeeds iff the range lies inside one allocated, file-backed
+        Succeeds iff the range lies inside one mapped, file-backed
         section; raises :class:`NoBytesError` otherwise.
         """
         if length < 0:
             raise NoBytesError(f"negative length {length}")
         for sec in self.sections:
-            if not sec.allocated or sec.size == 0:
-                continue
-            if sec.vaddr <= addr and addr + length <= sec.end:
+            if sec.vaddr <= addr and addr + length <= sec.end and sec.mapped:
                 if sec.file_offset is None:
                     raise NoBytesError(
                         f"section {sec.name!r} has no file-backed content"

@@ -126,6 +126,23 @@ class RunConfig:
     noreturn_seeds: tuple[str, ...] | None = None  # None loads the defaults
     call_edges: tuple[tuple[int, int], ...] | None = None
 
+    def __post_init__(self) -> None:
+        tolerance = self.start_mismatch_tolerance
+        if type(tolerance) is not int or tolerance < 0:
+            raise ValueError(
+                "start_mismatch_tolerance must be a non-negative int, "
+                f"not {tolerance!r}"
+            )
+        for edge in self.call_edges or ():
+            try:
+                caller, callee = edge
+            except (TypeError, ValueError):
+                caller = callee = None
+            if not all(type(a) is int and a >= 0 for a in (caller, callee)):
+                raise CallEdgeError(
+                    f"call edge {edge!r} is not two non-negative int addresses"
+                )
+
     def seeds(self) -> tuple[str, ...]:
         if self.noreturn_seeds is None:
             return default_noreturn_seeds()

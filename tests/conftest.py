@@ -1,4 +1,4 @@
-"""Shared fixtures plus the acceptance-result banner.
+"""Shared fixtures, the Hypothesis profile and the acceptance-result banner.
 
 Preset binaries and their ground-truth documents are built once per
 session; criterion outcomes from test_acceptance.py are collected and
@@ -7,8 +7,13 @@ printed as one line each at the end of the run.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from bintruth import dwarf, elf, forge, normalize
+
+# Every run draws the same examples, and none of them has a deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _CRITERIA: dict[int, tuple[str, str]] = {}
 

@@ -394,6 +394,16 @@ def test_corpus_parallel_matches_serial(tmp_path, capsys, preset_docs):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_names_the_incomplete_truth_file(tmp_path, capsys, preset_docs, jobs):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "stripped"))
+    code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
+    assert code == 3
+    assert out == ""
+    truth = directory / "stripped.truth.json"
+    assert err == f"corpus: {truth}: ground truth is incomplete; refusing to score against it\n"
+
+
 def test_corpus_missing_report_is_an_input_error(tmp_path, capsys, preset_docs):
     directory = _corpus_dir(tmp_path, preset_docs)
     (directory / "listing2.report.json").unlink()

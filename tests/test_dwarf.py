@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import json
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from bintruth import dwarf, elf, forge, normalize
@@ -24,6 +26,7 @@ from bintruth.model import (
     GT_NO_DEBUG_INFO,
     GT_SUBPROGRAM_NO_ADDRESS,
     BinaryImage,
+    Diagnostic,
     SectionRecord,
     digest_binary,
 )
@@ -410,3 +413,273 @@ def test_records_hash_by_content():
     b = DebugFunctionRecord("f", 0x10, 0x20, "a.c", 3, False)
     assert a == b
     assert len({a, b}) == 1
+
+
+# --- hand-assembled units: skipped DIEs and lazy decoding --------------------
+
+TAG_CU, TAG_SUBPROGRAM, TAG_VARIABLE = 0x11, 0x2E, 0x34
+AT_LOCATION, AT_NAME, AT_LOW_PC, AT_HIGH_PC = 0x02, 0x03, 0x11, 0x12
+AT_CONST_VALUE, AT_ABSTRACT_ORIGIN, AT_DECL_FILE, AT_DECL_LINE = 0x1C, 0x31, 0x3A, 0x3B
+AT_SPECIFICATION, AT_TYPE, AT_RANGES, AT_STR_OFFSETS_BASE = 0x47, 0x49, 0x55, 0x72
+FORM_ADDR, FORM_DATA2, FORM_DATA4, FORM_STRING, FORM_DATA1 = 0x01, 0x05, 0x06, 0x08, 0x0B
+FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
+FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
+
+# Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
+ABBREVS = {
+    1: (TAG_CU, [(AT_NAME, FORM_STRING), (AT_STR_OFFSETS_BASE, FORM_SEC_OFFSET)]),
+    2: (
+        TAG_SUBPROGRAM,
+        [(AT_SPECIFICATION, FORM_REF4), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    3: (
+        TAG_SUBPROGRAM,
+        [(AT_ABSTRACT_ORIGIN, FORM_REF4), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    4: (  # skip plan: 5 fixed bytes, LEB, 6 fixed bytes, LEB-length block
+        TAG_VARIABLE,
+        [
+            (AT_NAME, FORM_STRP),
+            (AT_DECL_FILE, FORM_DATA1),
+            (AT_DECL_LINE, FORM_UDATA),
+            (AT_TYPE, FORM_REF4),
+            (AT_CONST_VALUE, FORM_DATA2),
+            (AT_LOCATION, FORM_EXPRLOC),
+        ],
+    ),
+    5: (TAG_VARIABLE, [(AT_NAME, FORM_STRX1)]),
+    6: (TAG_VARIABLE, [(AT_NAME, FORM_STRING)]),
+    7: (TAG_VARIABLE, [(AT_NAME, FORM_INDIRECT)]),
+    8: (TAG_VARIABLE, [(AT_SPECIFICATION, FORM_REF4)]),
+    9: (TAG_VARIABLE, [(AT_NAME, 0x7F)]),  # no such form
+    # Offsets in forms that cannot hold one.
+    10: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_STRING)]),
+    11: (TAG_CU, [(AT_STR_OFFSETS_BASE, FORM_STRING)]),
+}
+DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
+# A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
+STR_OFFSETS = struct.pack("<IHHI", 8, 5, 0, 1)
+
+
+def _abbrev_blob() -> bytes:
+    out = b""
+    for code, (tag, pairs) in ABBREVS.items():
+        out += uleb_encode(code) + uleb_encode(tag) + b"\x00"
+        for attr, form in pairs:
+            out += uleb_encode(attr) + uleb_encode(form)
+        out += b"\x00\x00"
+    return out + b"\x00"
+
+
+def _ref(value: int) -> bytes:
+    return struct.pack("<I", value)
+
+
+def _die(code: int, *values: bytes) -> bytes:
+    return uleb_encode(code) + b"".join(values)
+
+
+def _subprogram(code: int, target: int) -> bytes:
+    """A subprogram at 0x401000 of 16 bytes linked to the DIE at ``target``."""
+    return _die(code, _ref(target), struct.pack("<QI", 0x401000, 16))
+
+
+CU_DIE = _die(1, b"t.c\x00", _ref(8))
+_VARIABLE_TAIL = b"\x01" + uleb_encode(300) + _ref(0) + b"\x07\x00" + b"\x02\x91\x6c"
+NAMED = {  # a skipped DIE named "target" in each of four ways
+    "strp": _die(4, _ref(1), _VARIABLE_TAIL),
+    "strx1": _die(5, b"\x00"),
+    "string": _die(6, b"target\x00"),
+    "indirect": _die(7, uleb_encode(FORM_STRING), b"target\x00"),
+}
+BAD_STRP = _die(4, _ref(0x9999), _VARIABLE_TAIL)
+
+
+def _offset(dies: list[bytes], index: int, version: int = 4) -> int:
+    """Offset of ``dies[index]``: unit length, then a 7-byte (v4) or 8-byte header."""
+    return 4 + (7 if version == 4 else 8) + sum(len(d) for d in dies[:index])
+
+
+def _unit_image(dies: list[bytes], version: int = 4, terminate: bool = True) -> BinaryImage:
+    if version == 4:
+        header = struct.pack("<HIB", 4, 0, 8)
+    else:
+        header = struct.pack("<HBBI", 5, 1, 8, 0)
+    body = header + b"".join(dies) + (b"\x00" if terminate else b"")
+    return _synthetic_image(
+        [
+            (".debug_info", struct.pack("<I", len(body)) + body),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_str", DEBUG_STR),
+            (".debug_str_offsets", STR_OFFSETS),
+        ]
+    )
+
+
+def _only_error(diags: list[Diagnostic]) -> str:
+    (error,) = diags
+    assert error.code == GT_MALFORMED_DEBUG_DATA
+    assert error.severity == "error"
+    return error.message
+
+
+@pytest.mark.parametrize("form", sorted(NAMED))
+def test_specification_into_a_skipped_die_takes_its_name(form):
+    version = 5 if form == "strx1" else 4
+    dies = [CU_DIE, NAMED[form]]
+    dies.append(_subprogram(2, _offset(dies, 1, version)))
+    records, diags = extract_debug_functions(_unit_image(dies, version))
+    assert diags == []
+    (rec,) = records
+    assert (rec.name, rec.low_pc, rec.end_exclusive) == ("target", 0x401000, 0x401010)
+    # The other attributes are inherited as well.
+    assert (rec.decl_file, rec.decl_line) == (("t.c", 300) if form == "strp" else ("", 0))
+
+
+def test_abstract_origin_chain_through_skipped_dies_resolves():
+    dies = [CU_DIE, NAMED["strp"]]
+    dies.append(_die(8, _ref(_offset(dies, 1))))  # skipped, specification -> named
+    dies.append(_subprogram(3, _offset(dies, 2)))  # abstract_origin -> the link
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert diags == []
+    assert [r.name for r in records] == ["target"]
+
+
+@pytest.mark.parametrize("delta", [1, 5, 0x900])
+def test_reference_where_no_die_starts_names_nothing(delta):
+    dies = [CU_DIE, NAMED["string"]]
+    dies.append(_subprogram(2, _offset(dies, 1) + delta))  # mid-DIE or past the unit
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert diags == []
+    assert [(r.name, r.low_pc) for r in records] == [("", 0x401000)]
+
+
+def test_damage_in_an_unread_skipped_die_keeps_the_unit():
+    # The decoding reader reported this unit as malformed; a skipped DIE's
+    # string offset is never followed, so the unit's record survives.
+    dies = [CU_DIE, BAD_STRP, NAMED["string"]]
+    dies.append(_subprogram(2, _offset(dies, 2)))
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert diags == []
+    assert [r.name for r in records] == ["target"]
+
+
+def test_damage_in_a_referenced_skipped_die_is_malformed():
+    dies = [CU_DIE, BAD_STRP]
+    dies.append(_subprogram(2, _offset(dies, 1)))
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert records == []
+    assert ".debug_str offset 0x9999 out of range" in _only_error(diags)
+
+
+# NAMED["strp"] is code(1) strp(4) data1(1) udata 300 (2) ref4(4) data2(2)
+# exprloc length(1) data(2); the cuts land in every step of its skip plan.
+_CUTS = [(1, "fixed-width read"), (5, "fixed-width read"), (6, "uleb128")]
+_CUTS += [(7, "uleb128"), (8, "fixed-width read"), (13, "fixed-width read")]
+_CUTS += [(14, "uleb128"), (15, "block read"), (16, "block read")]
+
+
+@pytest.mark.parametrize(("kept", "message"), _CUTS)
+def test_skipped_die_cut_at_the_section_end_is_malformed(kept, message):
+    dies = [CU_DIE, NAMED["strp"][:kept]]
+    records, diags = extract_debug_functions(_unit_image(dies, terminate=False))
+    assert records == []
+    assert message in _only_error(diags)
+
+
+def test_skipped_string_cut_at_the_section_end_is_malformed():
+    dies = [CU_DIE, NAMED["string"][:4]]
+    _records, diags = extract_debug_functions(_unit_image(dies, terminate=False))
+    assert "unterminated string" in _only_error(diags)
+
+
+@pytest.mark.parametrize(
+    ("die", "message"),
+    [(_die(9, b"x"), "unknown form 0x7f"), (_die(42), "abbrev code 42 not in table")],
+)
+def test_unreadable_skipped_die_is_malformed(die, message):
+    records, diags = extract_debug_functions(_unit_image([CU_DIE, die]))
+    assert records == []
+    assert message in _only_error(diags)
+
+
+@pytest.mark.parametrize(
+    "dies",
+    [[CU_DIE, _die(10, b"f\x00", b"0x40\x00")], [_die(11, b"8\x00"), NAMED["strx1"]]],
+    ids=["ranges", "str_offsets_base"],
+)
+def test_offset_in_a_string_form_is_malformed(dies):
+    records, diags = extract_debug_functions(_unit_image(dies, 5))
+    assert records == []
+    assert "is not an offset" in _only_error(diags)
+
+
+@functools.cache
+def _fuzz_base(version: int) -> tuple[BinaryImage, dict[str, tuple[int, int]]]:
+    """A forged image whose DWARF has skipped DIEs, links, ranges and an inline site."""
+    text = SectionSpec(".text", 0x401000, executable=True)
+    functions = (
+        FunctionSpec(
+            "host",
+            0,
+            forge._fixed_body(32),
+            dwarf=(DwarfFuncSpec(noreturn=True, params=(("argc", True), ("argv", False))),),
+        ),
+        FunctionSpec(
+            "tiny",
+            32,
+            forge._fixed_body(16),
+            dwarf=(DwarfFuncSpec(name_via="specification", decl_line=300),),
+        ),
+        FunctionSpec(
+            "split",
+            48,
+            forge._fixed_body(16),
+            dwarf=(
+                DwarfFuncSpec(
+                    name_via="abstract_origin",
+                    ranges=((0x401030, 0x401038), (0x40103C, 0x401040)),
+                ),
+            ),
+        ),
+    )
+    spec = BinarySpec(
+        sections=(text,),
+        functions=functions,
+        inline_sites=(forge.InlineSiteSpec("host", "tiny", 0x401008, 0x401010),),
+        word_size=64,
+        dwarf_versions=(version,),
+        cu_names=("fuzz.c",),
+    )
+    image = elf.parse_image(emit(spec))
+    spans = {s.name: (s.file_offset, s.size) for s in image.sections}
+    return image, spans
+
+
+@pytest.mark.parametrize("version", [4, 5])
+def test_fuzz_base_images_read_cleanly(version):
+    image, _spans = _fuzz_base(version)
+    records, diags = extract_debug_functions(image)
+    assert sorted(r.name for r in records) == ["host", "split", "tiny"]
+    assert [d.code for d in diags] == [GT_DISCONTIGUOUS_RANGE]
+
+
+@settings(max_examples=400)
+@given(
+    version=st.sampled_from([4, 5]),
+    section=st.sampled_from([".debug_info", ".debug_abbrev"]),
+    flips=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_flipped_debug_bytes_yield_only_records_and_diagnostics(version, section, flips):
+    image, spans = _fuzz_base(version)
+    offset, size = spans[section]
+    raw = bytearray(image.raw)
+    for at, mask in flips:
+        raw[offset + at % size] ^= mask
+    records, diags = extract_debug_functions(dataclasses.replace(image, raw=bytes(raw)))
+    assert all(isinstance(r, DebugFunctionRecord) for r in records)
+    assert all(isinstance(d, Diagnostic) for d in diags)

@@ -316,3 +316,52 @@ def test_section_of_picks_the_allocated_owner(preset_images):
     sec = elf.section_of(image, 0x401000)
     assert sec is not None and sec.name == ".text"
     assert elf.section_of(image, 0x1) is None
+
+
+# --- thread-local sections --------------------------------------------------
+
+
+def _tls_spec(tbss_tls=True):
+    """A linker-style TLS layout: .tbss shares its address with .init_array."""
+    text = SectionSpec(".text", 0x401000, executable=True)
+    tdata = SectionSpec(".tdata", 0x403000, content=b"\x01" * 8, writable=True, tls=True)
+    tbss = SectionSpec(
+        ".tbss", 0x403008, kind="nobits", size=0x20, writable=True, tls=tbss_tls
+    )
+    init_array = SectionSpec(".init_array", 0x403008, content=b"\x00" * 8, writable=True)
+    fn = FunctionSpec("main", 0, forge._fixed_body(16))
+    return BinarySpec(
+        sections=(text, tdata, tbss, init_array), functions=(fn,), word_size=64
+    )
+
+
+def test_tbss_takes_no_address_space(build_doc):
+    data = emit(_tls_spec())
+    image = elf.parse_image(data)
+    by_name = {s.name: s for s in image.sections}
+    tbss, tdata = by_name[".tbss"], by_name[".tdata"]
+    assert tbss.tls and tbss.allocated and tbss.file_offset is None
+    assert not tbss.mapped
+    assert tdata.tls and tdata.mapped  # .tdata holds the initial image
+    assert elf.section_of(image, 0x403008).name == ".init_array"
+    doc = build_doc(data)
+    assert doc.complete
+    data_runs = [
+        (r.start, r.length) for r in doc.byte_classes.runs if r.klass == "data"
+    ]
+    assert data_runs == [(0x403000, 16)]  # .tdata and .init_array, merged
+
+
+def test_tbss_overlap_needs_the_tls_flag():
+    with pytest.raises(forge.InvalidSpecError, match="overlap"):
+        emit(_tls_spec(tbss_tls=False))
+    data = bytearray(emit(_tls_spec()))
+    shoff, entsize = _shoff_and_entsize(data)
+    idx = _section_header_index(bytes(data), ".tbss")
+    # sh_flags:Q follows sh_name:I sh_type:I in a 64-bit header.
+    flags_at = shoff + idx * entsize + 8
+    flags = struct.unpack_from("<Q", data, flags_at)[0]
+    assert flags & elf.SHF_TLS
+    struct.pack_into("<Q", data, flags_at, flags & ~elf.SHF_TLS)
+    with pytest.raises(elf.MalformedElfError, match="overlap"):
+        elf.parse_image(bytes(data))

@@ -184,6 +184,50 @@ def test_schema_rejects_damage(preset_docs):
             document_from_json(_mutate(text, edit))
 
 
+@pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        (
+            ("functions", 0, "entries", 1),
+            "0X80B41C8",
+            "$.functions[0].entries[1]: '0X80B41C8' does not match '^0x[0-9a-f]+$'",
+        ),
+        (("binary", "digest_hex"), None, "$.binary: missing 'digest_hex'"),
+        (("puffin",), 1, "$: unexpected key 'puffin'"),
+        (
+            ("byte_classes", 0, "length"),
+            True,
+            "$.byte_classes[0].length: expected integer, got boolean",
+        ),
+        (
+            ("diagnostics", 0, "span", "start"),
+            5,
+            "$.diagnostics[0].span.start: expected string, got integer",
+        ),
+        (
+            ("diagnostics", 0, "span"),
+            5,
+            "$.diagnostics[0].span: expected object or null, got integer",
+        ),
+        (("functions", 0, "source", "line"), -1, "$.functions[0].source.line: -1 is below 0"),
+    ],
+)
+def test_schema_errors_name_the_json_path(preset_docs, path, value, message):
+    def edit(payload):
+        *parents, last = path
+        for step in parents:
+            payload = payload[step]
+        if value is None:
+            del payload[last]
+        else:
+            payload[last] = value
+
+    text = _mutate(document_to_json(preset_docs["listing1"]), edit)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == message
+
+
 def test_non_json_input_is_a_schema_error():
     for text in ("{broken", "[" * 100_000):
         with pytest.raises(SchemaError, match="not valid JSON"):

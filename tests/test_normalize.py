@@ -90,6 +90,41 @@ def test_parse_call_edges_rejects_malformed_lines():
             parse_call_edges(text)
 
 
+@pytest.mark.parametrize(
+    ("fields", "error"),
+    [
+        ({"start_mismatch_tolerance": -1}, ValueError),
+        ({"start_mismatch_tolerance": True}, ValueError),
+        ({"start_mismatch_tolerance": 1.0}, ValueError),
+        ({"call_edges": ((-5, 16),)}, normalize.CallEdgeError),
+        ({"call_edges": ((16, True),)}, normalize.CallEdgeError),
+        ({"call_edges": (("0x10", 16),)}, normalize.CallEdgeError),
+        ({"call_edges": ((1, 2, 3),)}, normalize.CallEdgeError),
+        ({"call_edges": (16,)}, normalize.CallEdgeError),
+    ],
+    ids=[
+        "negative-tolerance",
+        "bool-tolerance",
+        "float-tolerance",
+        "negative-address",
+        "bool-address",
+        "str-address",
+        "three-addresses",
+        "bare-address",
+    ],
+)
+def test_run_config_refuses_what_a_document_cannot_hold(fields, error):
+    # Refused where the config is built, so no document ever carries it.
+    with pytest.raises(error):
+        RunConfig(**fields)
+
+
+def test_run_config_accepts_valid_fields():
+    config = RunConfig(start_mismatch_tolerance=3, call_edges=((0, 0x401000),))
+    assert config.call_edges == ((0, 0x401000),)
+    assert RunConfig(call_edges=()).call_edges == ()
+
+
 def test_data_files_are_read_once():
     assert normalize.default_noreturn_seeds() is normalize.default_noreturn_seeds()
     assert normalize.default_scaffold_names() is normalize.default_scaffold_names()

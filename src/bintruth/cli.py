@@ -231,9 +231,17 @@ def _score_table(result: scoring.ScoreResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load(loader, path: str):
+    """``loader`` applied to the text of ``path``; a file it refuses is named."""
+    try:
+        return loader(Path(path).read_text())
+    except (interchange.SchemaError, UnicodeDecodeError) as exc:
+        raise interchange.SchemaError(f"{path}: {exc}") from None
+
+
 def _cmd_score(args: argparse.Namespace) -> int:
-    truth = interchange.document_from_json(Path(args.truth).read_text())
-    report = interchange.report_from_json(Path(args.report).read_text())
+    truth = _load(interchange.document_from_json, args.truth)
+    report = _load(interchange.report_from_json, args.report)
     try:
         result = scoring.score_functions(truth, report, _policy_from(args))
     except scoring.IncompleteTruthRejectedError as exc:
@@ -309,8 +317,8 @@ def _diff_documents(left, right) -> dict:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    left = interchange.document_from_json(Path(args.left).read_text())
-    right = interchange.document_from_json(Path(args.right).read_text())
+    left = _load(interchange.document_from_json, args.left)
+    right = _load(interchange.document_from_json, args.right)
     changes = _diff_documents(left, right)
     if args.format == "json":
         sys.stdout.write(json.dumps(changes, sort_keys=True, indent=2) + "\n")
@@ -338,8 +346,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _score_pair(
     truth_path: str, report_path: str, policy: scoring.MatchPolicy
 ) -> scoring.ScoreResult:
-    truth = interchange.document_from_json(Path(truth_path).read_text())
-    report = interchange.report_from_json(Path(report_path).read_text())
+    truth = _load(interchange.document_from_json, truth_path)
+    report = _load(interchange.report_from_json, report_path)
     try:
         return scoring.score_functions(truth, report, policy)
     except scoring.IncompleteTruthRejectedError as exc:

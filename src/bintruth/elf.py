@@ -44,6 +44,8 @@ ELFCLASS64 = 2
 ELFDATA2LSB = 1
 ELFDATA2MSB = 2
 
+ET_REL = 1
+
 SHT_NOBITS = 8
 SHT_SYMTAB = 2
 SHT_DYNSYM = 11
@@ -80,7 +82,8 @@ class UnsupportedClassError(ElfFormatError):
 
 
 class UnsupportedFormatError(ElfFormatError):
-    """Recognizably PE or Mach-O input; only ELF is supported."""
+    """Recognizably PE or Mach-O input, or an ELF relocatable object whose
+    sections overlap; only linked ELF images are supported."""
 
 
 class MalformedElfError(ElfFormatError):
@@ -148,7 +151,7 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
     if len(data) < 16 + hdr_size:
         raise TruncatedError("ELF header truncated")
     (
-        _e_type,
+        e_type,
         e_machine,
         _e_version,
         _e_entry,
@@ -226,6 +229,11 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
     spans = sorted((s.vaddr, s.end, s.name) for s in sections if s.mapped)
     for (a_lo, a_hi, a_name), (b_lo, _b_hi, b_name) in zip(spans, spans[1:]):
         if b_lo < a_hi:
+            if e_type == ET_REL:
+                raise UnsupportedFormatError(
+                    f"relocatable object: sections {a_name!r} and {b_name!r} "
+                    "have no link-time addresses; only linked ELF is supported"
+                )
             raise MalformedElfError(
                 f"allocated sections {a_name!r} and {b_name!r} overlap"
             )

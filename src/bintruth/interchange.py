@@ -5,7 +5,9 @@ sorted, indentation is fixed, addresses are lowercase ``0x`` hex,
 lengths and counts are decimal, and nothing carries a timestamp.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
-checked against its schema by :func:`_check`, and a loaded ground-truth
+checked against its schema by :func:`_check`, which compiles each schema
+once per process into a tree of checkers (a pattern's ``$`` matches only
+at the end of the string, as in ECMA-262), and a loaded ground-truth
 document must also satisfy the invariants :func:`build_ground_truth`
 guarantees, so malformed files fail loudly at the boundary instead of
 deep inside scoring. Dumps are not re-checked: the program builds them
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .byteclass import ByteClassMap, ByteRun
@@ -346,31 +350,31 @@ SCHEMA_KEYWORDS = frozenset(
         "minimum",
     }
 )
+_ARRAY_KEYWORDS = frozenset({"items", "minItems", "maxItems"})
+_OBJECT_KEYWORDS = frozenset({"properties", "required", "additionalProperties"})
 
-# "integer" precedes "number" so that _kind names an int "integer".
+# The exact Python types json.loads gives each JSON type: a bool is no number.
 _JSON_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "integer": (int,),
     "number": (int, float),
-    "boolean": bool,
-    "null": type(None),
+    "boolean": (bool,),
+    "null": (type(None),),
+}
+# The JSON type a message names for each of those Python types.
+_KINDS = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
 }
 
-
-def _is(value: object, kind: str) -> bool:
-    if isinstance(value, bool):  # JSON true is no number, though True == 1
-        return kind == "boolean"
-    return isinstance(value, _JSON_TYPES[kind])
-
-
-def _kind(value: object) -> str:
-    return next(kind for kind in _JSON_TYPES if _is(value, kind))
-
-
-def _same(value: object, expected: object) -> bool:
-    return type(value) is type(expected) and value == expected
+_Checker = Callable[[object], None]
 
 
 class _Mismatch(Exception):
@@ -385,64 +389,236 @@ class _Mismatch(Exception):
 def _check(value: object, schema: dict, where: str) -> None:
     """Raise SchemaError unless ``value`` satisfies ``schema``.
 
-    Matches JSON Schema for the keywords in SCHEMA_KEYWORDS, except that
-    a float never counts as an integer and ``enum``/``const`` compare
-    types as well as values (``32.0`` is not ``32``). The message starts
-    with the failing node's JSON path below ``where``.
+    ``value`` is what ``json.loads`` returns. Each schema is compiled once
+    into a tree of checkers, one closure per node that makes only the
+    checks the node declares. It matches JSON Schema for the keywords in
+    SCHEMA_KEYWORDS, with three rules stricter than jsonschema's: a float
+    never counts as an integer; ``enum``/``const`` compare types as well
+    as values (``32.0`` is not ``32``); and a pattern's ``$`` matches only
+    at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
+    address). The message starts with the failing node's JSON path below
+    ``where``.
     """
     try:
-        _walk(value, schema)
+        _checker(schema)(value)
     except _Mismatch as exc:
         path = where + "".join(reversed(exc.path))
         raise SchemaError(f"{path}: {exc.message}") from None
 
 
-def _walk(value: object, schema: dict) -> None:
+# Checkers by schema identity. Each entry holds its schema, so no id is
+# reused while it is cached, and the published schemas compile once.
+_COMPILED: dict[int, tuple[dict, _Checker]] = {}
+
+
+def _checker(schema: dict) -> _Checker:
+    entry = _COMPILED.get(id(schema))
+    if entry is None:
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
+    return entry[1]
+
+
+def _compile(schema: dict) -> _Checker:
+    """A checker making the checks ``schema`` declares, in a fixed order.
+
+    Type, const and enum come first. Then, by the value's type: pattern
+    (string); minimum (number); item counts, then items (array); or
+    required keys, then each key in the value's own order (object).
+    """
     kinds = schema.get("type")
+    if isinstance(kinds, str):
+        kinds = [kinds]
+    types = expected = None
     if kinds is not None:
-        if isinstance(kinds, str):
-            kinds = (kinds,)
-        for kind in kinds:
-            if _is(value, kind):
-                break
-        else:
-            raise _Mismatch(f"expected {' or '.join(kinds)}, got {_kind(value)}")
-    if "const" in schema and not _same(value, schema["const"]):
-        raise _Mismatch(f"expected {schema['const']!r}, got {value!r}")
-    if "enum" in schema and not any(_same(value, o) for o in schema["enum"]):
-        raise _Mismatch(f"{value!r} is not one of {schema['enum']!r}")
-    if isinstance(value, str):
-        if "pattern" in schema and not re.search(schema["pattern"], value):
-            raise _Mismatch(f"{value!r} does not match {schema['pattern']!r}")
-    elif _is(value, "number"):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise _Mismatch(f"{value!r} is below {schema['minimum']}")
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            raise _Mismatch(f"needs at least {schema['minItems']} items")
-        if len(value) > schema.get("maxItems", len(value)):
-            raise _Mismatch(f"allows at most {schema['maxItems']} items")
-        if "items" in schema:
-            for i, item in enumerate(value):
+        types = frozenset(t for kind in kinds for t in _JSON_TYPES[kind])
+        expected = " or ".join(kinds)
+    # Each body checks values of its own Python types and, given ``types``,
+    # also refuses a value of any type outside them.
+    bodies = []
+    if "pattern" in schema:
+        bodies.append(((str,), partial(_string_checker, schema["pattern"])))
+    if "minimum" in schema:
+        bodies.append(((int, float), partial(_number_checker, schema["minimum"])))
+    if schema.keys() & _ARRAY_KEYWORDS:
+        bodies.append(((list,), partial(_array_checker, schema)))
+    if schema.keys() & _OBJECT_KEYWORDS:
+        bodies.append(((dict,), partial(_object_checker, schema)))
+    if types is not None:
+        bodies = [(reads, make) for reads, make in bodies if types.intersection(reads)]
+    guards = []
+    if "const" in schema:
+        guards.append(_const_checker(schema["const"]))
+    if "enum" in schema:
+        guards.append(_enum_checker(schema["enum"]))
+    if not guards and len(bodies) == 1:
+        return bodies[0][1](types, expected)  # the type check folds into the body
+    if types is not None:
+        guards.insert(0, _type_checker(types, expected))
+    checks = guards + [make(None, None) for _, make in bodies]
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(value: object) -> None:
+        for each in checks:
+            each(value)
+
+    return check
+
+
+def _wrong_type(expected: str, value: object) -> _Mismatch:
+    kind = _KINDS.get(type(value), type(value).__name__)
+    return _Mismatch(f"expected {expected}, got {kind}")
+
+
+def _type_checker(types: frozenset, expected: str) -> _Checker:
+    def check(value: object) -> None:
+        if type(value) not in types:
+            raise _wrong_type(expected, value)
+
+    return check
+
+
+def _const_checker(const: object) -> _Checker:
+    kind = type(const)
+
+    def check(value: object) -> None:
+        if type(value) is not kind or value != const:
+            raise _Mismatch(f"expected {const!r}, got {value!r}")
+
+    return check
+
+
+def _enum_checker(options: list) -> _Checker:
+    members = frozenset((type(option), option) for option in options)
+
+    def check(value: object) -> None:
+        try:
+            if (type(value), value) in members:
+                return
+        except TypeError:  # an array or object, which no enum of scalars holds
+            pass
+        raise _Mismatch(f"{value!r} is not one of {options!r}")
+
+    return check
+
+
+def _ecma_regex(pattern: str) -> re.Pattern:
+    """``pattern`` compiled so that ``$`` matches only at the end of the
+    string, as in ECMA-262; Python's ``$`` also matches before a final
+    newline, and ``\\Z`` is ECMA's ``$``."""
+    out, escaped, in_class = [], False, False
+    for char in pattern:
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif in_class:
+            in_class = char != "]"
+        elif char == "[":
+            in_class = True
+        elif char == "$":
+            char = r"\Z"
+        out.append(char)
+    return re.compile("".join(out))
+
+
+def _string_checker(
+    pattern: str, types: frozenset | None, expected: str | None
+) -> _Checker:
+    search = _ecma_regex(pattern).search
+
+    def check(value: object) -> None:
+        if type(value) is str:
+            if search(value) is None:
+                raise _Mismatch(f"{value!r} does not match {pattern!r}")
+        elif types is not None and type(value) not in types:
+            raise _wrong_type(expected, value)
+
+    return check
+
+
+def _number_checker(
+    minimum: int, types: frozenset | None, expected: str | None
+) -> _Checker:
+    numbers = frozenset((int, float))
+    if types is not None:
+        numbers &= types
+
+    def check(value: object) -> None:
+        if type(value) in numbers:
+            if value < minimum:
+                raise _Mismatch(f"{value!r} is below {minimum}")
+        elif types is not None and type(value) not in types:
+            raise _wrong_type(expected, value)
+
+    return check
+
+
+def _array_checker(
+    schema: dict, types: frozenset | None, expected: str | None
+) -> _Checker:
+    least = schema.get("minItems", 0)
+    most = schema.get("maxItems")
+    items = _checker(schema["items"]) if "items" in schema else None
+
+    def check(value: object) -> None:
+        if type(value) is list:
+            if len(value) < least:
+                raise _Mismatch(f"needs at least {least} items")
+            if most is not None and len(value) > most:
+                raise _Mismatch(f"allows at most {most} items")
+            if items is not None:
                 try:
-                    _walk(item, schema["items"])
+                    for i, item in enumerate(value):
+                        items(item)
                 except _Mismatch as exc:
                     exc.path.append(f"[{i}]")
                     raise
-    elif isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise _Mismatch(f"missing {key!r}")
-        for key, item in value.items():
-            if key in properties:
-                try:
-                    _walk(item, properties[key])
-                except _Mismatch as exc:
-                    exc.path.append(f".{key}")
-                    raise
-            elif schema.get("additionalProperties") is False:
-                raise _Mismatch(f"unexpected key {key!r}")
+        elif types is not None and type(value) not in types:
+            raise _wrong_type(expected, value)
+
+    return check
+
+
+class _OpenProperties(dict):
+    """The property checkers of an object schema that allows other keys."""
+
+    def __missing__(self, key: str) -> _Checker:
+        return _accept
+
+
+def _accept(value: object) -> None:
+    pass
+
+
+def _object_checker(
+    schema: dict, types: frozenset | None, expected: str | None
+) -> _Checker:
+    properties = {
+        key: _checker(sub) for key, sub in schema.get("properties", {}).items()
+    }
+    if schema.get("additionalProperties") is not False:
+        properties = _OpenProperties(properties)
+    required = tuple(schema.get("required", ()))
+    needed = frozenset(required)
+
+    def check(value: object) -> None:
+        if type(value) is dict:
+            if not value.keys() >= needed:
+                missing = next(key for key in required if key not in value)
+                raise _Mismatch(f"missing {missing!r}")
+            try:
+                for key, item in value.items():
+                    properties[key](item)
+            except KeyError:  # only a closed schema lacks a checker for a key
+                raise _Mismatch(f"unexpected key {key!r}") from None
+            except _Mismatch as exc:
+                exc.path.append(f".{key}")
+                raise
+        elif types is not None and type(value) not in types:
+            raise _wrong_type(expected, value)
+
+    return check
 
 
 def _dump(payload: dict) -> str:

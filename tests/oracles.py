@@ -6,6 +6,7 @@ None of it imports the modules under test beyond plain data types.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 
@@ -144,3 +145,91 @@ def float_metrics(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     if precision + recall == 0:
         return precision, recall, 0.0
     return precision, recall, 2 * precision * recall / (precision + recall)
+
+
+# --- interchange schemas --------------------------------------------------------
+
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+    "null": type(None),
+}
+
+
+def _is(value: object, kind: str) -> bool:
+    if isinstance(value, bool):  # JSON true is no number, though True == 1
+        return kind == "boolean"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _kind(value: object) -> str:
+    return next(kind for kind in _JSON_TYPES if _is(value, kind))
+
+
+def _same(value: object, expected: object) -> bool:
+    return type(value) is type(expected) and value == expected
+
+
+def _search(pattern: str, value: str) -> bool:
+    # Every ``$`` in the published patterns is an anchor. ECMA-262 anchors it
+    # at the end of the string only; Python's ``$`` also before a final
+    # newline, and ``\Z`` is ECMA's ``$``.
+    return re.search(pattern.replace("$", r"\Z"), value) is not None
+
+
+def schema_failure(value: object, schema: dict, where: str = "$") -> str | None:
+    """The first failure of ``value`` against ``schema`` as ``path: message``,
+    or None when it passes, by re-reading the schema dict at every node."""
+    path: list[str] = []
+
+    def walk(value: object, schema: dict) -> str | None:
+        kinds = schema.get("type")
+        if kinds is not None:
+            if isinstance(kinds, str):
+                kinds = (kinds,)
+            if not any(_is(value, kind) for kind in kinds):
+                return f"expected {' or '.join(kinds)}, got {_kind(value)}"
+        if "const" in schema and not _same(value, schema["const"]):
+            return f"expected {schema['const']!r}, got {value!r}"
+        if "enum" in schema and not any(_same(value, o) for o in schema["enum"]):
+            return f"{value!r} is not one of {schema['enum']!r}"
+        if isinstance(value, str):
+            if "pattern" in schema and not _search(schema["pattern"], value):
+                return f"{value!r} does not match {schema['pattern']!r}"
+        elif _is(value, "number"):
+            if "minimum" in schema and value < schema["minimum"]:
+                return f"{value!r} is below {schema['minimum']}"
+        elif isinstance(value, list):
+            if len(value) < schema.get("minItems", 0):
+                return f"needs at least {schema['minItems']} items"
+            if len(value) > schema.get("maxItems", len(value)):
+                return f"allows at most {schema['maxItems']} items"
+            if "items" in schema:
+                for i, item in enumerate(value):
+                    failure = walk(item, schema["items"])
+                    if failure is not None:
+                        path.append(f"[{i}]")
+                        return failure
+        elif isinstance(value, dict):
+            properties = schema.get("properties", {})
+            for key in schema.get("required", ()):
+                if key not in value:
+                    return f"missing {key!r}"
+            for key, item in value.items():
+                if key in properties:
+                    failure = walk(item, properties[key])
+                    if failure is not None:
+                        path.append(f".{key}")
+                        return failure
+                elif schema.get("additionalProperties") is False:
+                    return f"unexpected key {key!r}"
+        return None
+
+    failure = walk(value, schema)
+    if failure is None:
+        return None
+    return where + "".join(reversed(path)) + ": " + failure

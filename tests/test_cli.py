@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bintruth
-from bintruth import byteclass, forge, interchange
+from bintruth import byteclass, elf, forge, interchange
 from bintruth.cli import main
 from bintruth.scoring import ToolReport
 
@@ -194,6 +195,30 @@ def test_extract_garbage_is_an_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_extract_relocatable_object_is_an_input_error(tmp_path, capsys):
+    spec = forge.BinarySpec(
+        sections=(
+            forge.SectionSpec(".text", 0x401000, executable=True),
+            forge.SectionSpec(".data", 0x402000, content=b"\xaa" * 8, writable=True),
+        ),
+        functions=(forge.FunctionSpec("main", 0, b"\x89\xc8\xc3"),),
+        word_size=64,
+    )
+    data = bytearray(forge.emit(spec))
+    (shoff,) = struct.unpack_from("<Q", data, 40)
+    (entsize,) = struct.unpack_from("<H", data, 58)
+    for i, section in enumerate(elf.parse_image(bytes(data)).sections):
+        if section.allocated:  # sh_addr := 0, as in a .o file
+            struct.pack_into("<Q", data, shoff + i * entsize + 16, 0)
+    struct.pack_into("<H", data, 16, elf.ET_REL)
+    path = tmp_path / "main.o"
+    path.write_bytes(bytes(data))
+    code, out, err = run(capsys, "extract", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bintruth extract: relocatable object: ")
+
+
 def test_extract_negative_tolerance_is_a_usage_error(tmp_path, capsys):
     binary = write_binary(tmp_path, "listing1")
     with pytest.raises(SystemExit) as exc:
@@ -310,7 +335,50 @@ def test_score_non_utf8_truth_is_an_input_error(tmp_path, capsys, preset_docs):
     assert "utf-8" in err
 
 
+def _damage_first_start(path):
+    """Upper-case functions[0].start of the file; return the schema message."""
+    payload = json.loads(path.read_text())
+    start = payload["functions"][0]["start"].upper()
+    payload["functions"][0]["start"] = start
+    path.write_text(json.dumps(payload))
+    return f"$.functions[0].start: {start!r} does not match '^0x[0-9a-f]+$'"
+
+
+@pytest.mark.parametrize("damaged", ["truth", "report"])
+def test_score_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs, damaged):
+    doc = preset_docs["listing1"]
+    paths = {
+        "truth": write_truth(tmp_path, doc, "l1"),
+        "report": write_report(tmp_path, doc, "l1"),
+    }
+    message = _damage_first_start(paths[damaged])
+    code, out, err = run(capsys, "score", str(paths["truth"]), str(paths["report"]))
+    assert code == 2
+    assert out == ""
+    assert err == f"bintruth score: {paths[damaged]}: {message}\n"
+
+
+def test_score_names_a_report_that_is_not_utf8(tmp_path, capsys, preset_docs):
+    truth = write_truth(tmp_path, preset_docs["listing1"], "l1")
+    report = tmp_path / "l1.report.json"
+    report.write_bytes(b"\xff\xfe{}")
+    code, _out, err = run(capsys, "score", str(truth), str(report))
+    assert code == 2
+    assert err.startswith(f"bintruth score: {report}: 'utf-8' codec can't decode")
+
+
 # --- diff ----------------------------------------------------------------------
+
+
+def test_diff_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs):
+    doc = preset_docs["listing1"]
+    left = write_truth(tmp_path, doc, "a")
+    right = write_truth(tmp_path, doc, "b")
+    message = _damage_first_start(right)
+    code, out, err = run(capsys, "diff", str(left), str(right))
+    assert code == 2
+    assert out == ""
+    assert err == f"bintruth diff: {right}: {message}\n"
 
 
 def test_diff_identical_documents(tmp_path, capsys, preset_docs):
@@ -402,6 +470,17 @@ def test_corpus_names_the_incomplete_truth_file(tmp_path, capsys, preset_docs, j
     assert out == ""
     truth = directory / "stripped.truth.json"
     assert err == f"corpus: {truth}: ground truth is incomplete; refusing to score against it\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_corpus_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs, jobs):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+    truth = directory / "listing2.truth.json"
+    message = _damage_first_start(truth)
+    code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"bintruth corpus: {truth}: {message}\n"
 
 
 def test_corpus_missing_report_is_an_input_error(tmp_path, capsys, preset_docs):

@@ -5,7 +5,9 @@ re-check what it dumps. These tests hold both halves to the published
 schemas with ``jsonschema`` (a test-only dependency): what the program
 emits validates, the checker handles every keyword the schemas use, and
 on mutated files the checker agrees with ``jsonschema`` while the
-loaders raise nothing but ``SchemaError``.
+loaders raise nothing but ``SchemaError``. On the same mutants the
+compiled checker gives the message of the schema interpreter in
+``oracles.schema_failure``, word for word.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from bintruth import dwarf, elf, forge, normalize
+import oracles
+from bintruth import dwarf, elf, forge, interchange, normalize
 from bintruth.byteclass import ByteClassMap, ByteRun
 from bintruth.interchange import (
     CORPUS_SCHEMA,
@@ -246,3 +249,46 @@ def test_booleans_are_not_numbers():
         assert not Draft202012Validator(schema).is_valid(value)
         with pytest.raises(SchemaError):
             _check(value, schema, "$")
+
+
+@st.composite
+def compound_mutants(draw):
+    """A mutant with up to two more edits on the nodes along its edit's path,
+    so that one node can fail two checks and their order shows."""
+    kind, _label, path, _edit, payload = draw(mutants())
+    for _ in range(draw(st.integers(0, 2))):
+        choices = [
+            (at, edit)
+            for at, node in _nodes(payload)
+            if at == path[: len(at)]
+            for edit in _edits(at, node)
+        ]
+        at, edit = draw(st.sampled_from(choices))
+        payload = _apply(payload, at, edit)
+    return kind, payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(compound_mutants())
+def test_checker_messages_match_the_reference(mutant):
+    kind, payload = mutant
+    expected = oracles.schema_failure(payload, SCHEMAS[kind], "$")
+    try:
+        _check(payload, SCHEMAS[kind], "$")
+    except SchemaError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+def test_schemas_compile_once(monkeypatch):
+    texts = {kind: text for kind, _label, text in emitted() if kind in LOADERS}
+    for kind, loader in LOADERS.items():
+        loader(texts[kind])
+
+    def compile_again(schema):
+        raise AssertionError("a schema was compiled twice")
+
+    monkeypatch.setattr(interchange, "_compile", compile_again)
+    for kind, loader in LOADERS.items():
+        loader(texts[kind])

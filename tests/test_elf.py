@@ -95,6 +95,21 @@ def test_overlapping_allocated_sections_are_malformed():
         elf.parse_image(bytes(data))
 
 
+def test_relocatable_object_at_address_zero_is_unsupported():
+    # As in a .o file, every allocated section sits at address 0.
+    data = bytearray(emit(_two_section_spec()))
+    shoff, entsize = _shoff_and_entsize(data)
+    for name in (".text", ".data"):
+        idx = _section_header_index(bytes(data), name)
+        struct.pack_into("<Q", data, shoff + idx * entsize + 16, 0)
+    assert struct.unpack_from("<H", data, 16)[0] == 2  # e_type: ET_EXEC
+    with pytest.raises(elf.MalformedElfError, match="overlap"):
+        elf.parse_image(bytes(data))
+    struct.pack_into("<H", data, 16, elf.ET_REL)
+    with pytest.raises(elf.UnsupportedFormatError, match="relocatable object"):
+        elf.parse_image(bytes(data))
+
+
 def test_allocated_content_past_eof_is_truncated():
     data = bytearray(emit(_two_section_spec()))
     shoff, entsize = _shoff_and_entsize(data)

@@ -8,6 +8,7 @@ from bintruth.byteclass import ByteClassMap, ByteRun
 from bintruth.interchange import (
     SCHEMA_VERSION,
     SchemaError,
+    _check,
     corpus_to_json,
     document_from_json,
     document_to_json,
@@ -137,6 +138,16 @@ def test_schema_rejects_damage(preset_docs):
     def unknown_code(p):
         p["diagnostics"][0]["code"] = "GT_PUFFIN"
 
+    # A pattern's $ matches at the very end only, not before a final newline.
+    def newline_after_address(p):
+        p["functions"][0]["end_raw"] += "\n"
+
+    def newline_after_digest(p):
+        p["binary"]["digest_hex"] += "\n"
+
+    def newline_after_code(p):
+        p["diagnostics"][0]["code"] += "\n"
+
     def bad_machine_code(p):
         p["binary"]["machine"] = "other(x)"
 
@@ -174,6 +185,9 @@ def test_schema_rejects_damage(preset_docs):
         unknown_flag,
         unsorted_entries,
         unknown_code,
+        newline_after_address,
+        newline_after_digest,
+        newline_after_code,
         bad_machine_code,
         overlapping_runs,
         unsorted_runs,
@@ -226,6 +240,48 @@ def test_schema_errors_name_the_json_path(preset_docs, path, value, message):
     with pytest.raises(SchemaError) as exc:
         document_from_json(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("pattern", "value", "message"),
+    [
+        ("^0x[0-9a-f]+$", "0x10", None),
+        ("^0x[0-9a-f]+$", "0x10\n", "$: '0x10\\n' does not match '^0x[0-9a-f]+$'"),
+        ("^GT_[A-Z_]+$", "GT_X\n", "$: 'GT_X\\n' does not match '^GT_[A-Z_]+$'"),
+        ("^[0-9]+$", "13\n", "$: '13\\n' does not match '^[0-9]+$'"),
+        # An escaped $ and a $ in a class are literal dollars, not anchors.
+        ("^a\\$$", "a$", None),
+        ("^a\\$$", "a$\n", "$: 'a$\\n' does not match '^a\\\\$$'"),
+        ("^[$]+$", "$$", None),
+        ("^[$]+$", "$$\n", "$: '$$\\n' does not match '^[$]+$'"),
+    ],
+)
+def test_pattern_dollar_matches_only_at_the_end(pattern, value, message):
+    schema = {"type": "string", "pattern": pattern}
+    if message is None:
+        _check(value, schema, "$")
+    else:
+        with pytest.raises(SchemaError) as exc:
+            _check(value, schema, "$")
+        assert str(exc.value) == message
+
+
+def test_item_counts_are_checked_before_items(preset_docs):
+    def edit(payload):
+        payload["meta"]["config"]["call_edges"] = [["0X1", "0x2", "0x3"]]
+
+    text = _mutate(document_to_json(preset_docs["listing1"]), edit)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == "$.meta.config.call_edges[0]: allows at most 2 items"
+
+
+def test_open_object_schemas_accept_other_keys():
+    schema = {"type": "object", "properties": {"a": {"type": "integer"}}}
+    _check({"b": "x", "a": 1}, schema, "$")
+    with pytest.raises(SchemaError) as exc:
+        _check({"b": 1, "a": "x"}, schema, "$")
+    assert str(exc.value) == "$.a: expected integer, got string"
 
 
 def test_non_json_input_is_a_schema_error():

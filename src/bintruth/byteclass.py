@@ -43,16 +43,6 @@ class ByteRun:
 class ByteClassMap:
     runs: tuple[ByteRun, ...]
 
-    def coverage_stats(self) -> dict[str, float]:
-        """Fraction of mapped bytes per class; zeros for an empty map."""
-        totals = dict.fromkeys(CLASSES, 0)
-        for run in self.runs:
-            totals[run.klass] += run.length
-        grand = sum(totals.values())
-        if grand == 0:
-            return dict.fromkeys(CLASSES, 0.0)
-        return {klass: totals[klass] / grand for klass in CLASSES}
-
 
 def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
     """Lowest ``i`` such that ``blob[i:]`` tiles completely with padding units.
@@ -94,12 +84,9 @@ def _gap_runs(
 ) -> list[ByteRun]:
     if end <= start:
         return []
-    if sec.file_offset is None:
-        return [ByteRun(start, end - start, "gap_unknown", "heuristic")]
-    blob = image.raw[
-        sec.file_offset + (start - sec.vaddr) : sec.file_offset + (end - sec.vaddr)
-    ]
-    klass = "padding" if parses_as_padding(blob, alphabet) else "gap_unknown"
+    blob = image.section_bytes(sec, start, end)
+    padding = blob is not None and parses_as_padding(blob, alphabet)
+    klass = "padding" if padding else "gap_unknown"
     return [ByteRun(start, end - start, klass, "heuristic")]
 
 

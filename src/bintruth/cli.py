@@ -13,7 +13,6 @@ and propagates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +53,12 @@ class _Parser(argparse.ArgumentParser):
 def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
 
 
@@ -127,7 +132,13 @@ def _build_parser() -> _Parser:
         metavar="F",
         help="report the share of binaries with f1 below F (repeatable)",
     )
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="score pairs in at most N processes, never more than there are pairs",
+    )
     p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("fixtures", help="write bundled test binaries")
@@ -321,7 +332,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     right = _load(interchange.document_from_json, args.right)
     changes = _diff_documents(left, right)
     if args.format == "json":
-        sys.stdout.write(json.dumps(changes, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(interchange.dump_json(changes))
     else:
         if changes["identical"]:
             print("documents are identical")
@@ -380,9 +391,11 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return EXIT_INPUT
         pairs.append((str(truth_path), str(report_path)))
     policy = _policy_from(args)
+    # A pool starts all of its workers at once, needed or not.
+    workers = min(args.jobs, len(pairs))
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(
                     pool.map(
                         _score_pair,

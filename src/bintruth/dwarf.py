@@ -77,34 +77,6 @@ class MalformedDebugDataError(ValueError):
     """Debug info that cannot be decoded (bad form, truncated unit, ...)."""
 
 
-def uleb_encode(value: int) -> bytes:
-    """Unsigned LEB128."""
-    if value < 0:
-        raise ValueError("uleb encodes non-negative values only")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def sleb_encode(value: int) -> bytes:
-    """Signed LEB128."""
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        sign = byte & 0x40
-        if (value == 0 and not sign) or (value == -1 and sign):
-            out.append(byte)
-            return bytes(out)
-        out.append(byte | 0x80)
-
-
 def uleb_decode(blob: bytes, pos: int) -> tuple[int, int]:
     """Decode unsigned LEB128 at ``pos``; returns (value, next position)."""
     result = 0

@@ -9,14 +9,16 @@ units, which the readers must then round-trip.
 Named presets reproduce the small pathological layouts the harness is
 judged against; :func:`generate_corpus` derives randomized fixtures with
 per-function quirks plus the ground truth each one must normalize to.
+
+The forge keeps its own ELF and DWARF constants and encoders rather than
+sharing the reader's, so a reader bug cannot cancel out in a round trip.
 """
 from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
-
-from .dwarf import uleb_encode
 
 DW_TAG_compile_unit = 0x11
 DW_TAG_subprogram = 0x2E
@@ -36,6 +38,7 @@ DW_AT_specification = 0x47
 DW_AT_ranges = 0x55
 DW_AT_noreturn = 0x87
 
+# The forms the writer emits and their DW_FORM codes.
 _FORM_CODES = {
     "addr": 0x01,
     "data1": 0x0B,
@@ -44,15 +47,33 @@ _FORM_CODES = {
     "data8": 0x07,
     "udata": 0x0F,
     "string": 0x08,
-    "flag": 0x0C,
     "flag_present": 0x19,
     "exprloc": 0x18,
-    "block1": 0x0A,
     "ref4": 0x13,
     "sec_offset": 0x17,
 }
 
+# Fixed-width forms and their struct codes; "addr" follows the unit's
+# address size.
+_FIXED_FORMS = {
+    "data1": "B",
+    "data2": "H",
+    "data4": "I",
+    "data8": "Q",
+    "ref4": "I",
+    "sec_offset": "I",
+}
+
 _CONSTANT_HIGHPC = ("data1", "data2", "data4", "data8", "udata")
+_HIGHPC_FORMS = ("addr", "none") + _CONSTANT_HIGHPC
+
+# How a subprogram names itself: directly, or through a reference to a
+# separate DIE carrying the name and this marker attribute.
+_NAME_VIA = {
+    "direct": None,
+    "specification": (DW_AT_specification, (DW_AT_declaration, "flag_present", True)),
+    "abstract_origin": (DW_AT_abstract_origin, (DW_AT_inline, "udata", 1)),
+}
 
 
 class InvalidSpecError(ValueError):
@@ -182,6 +203,21 @@ class BinarySpec:
         return frozenset(out)
 
 
+def uleb_encode(value: int) -> bytes:
+    """Unsigned LEB128."""
+    if value < 0:
+        raise ValueError("uleb encodes non-negative values only")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
 class _StrTab:
     """Classic ELF string table: NUL-led, deduplicating."""
 
@@ -203,116 +239,61 @@ class _WDie:
     children: list["_WDie"] = field(default_factory=list)
 
 
-class DwarfUnitWriter:
-    """Serializes one compile unit into .debug_info + .debug_abbrev bytes."""
+def _serialize_unit(
+    root: _WDie, version: int, addr_size: int, end: str, abbrev_offset: int
+) -> tuple[bytes, bytes]:
+    """(.debug_info unit bytes, .debug_abbrev table bytes) for one unit.
 
-    def __init__(self, version: int, addr_size: int, little_endian: bool):
-        if version < 2 or version > 5:
-            raise InvalidSpecError(f"cannot emit DWARF version {version}")
-        self.version = version
-        self.addr_size = addr_size
-        self.end = "<" if little_endian else ">"
-        self.root: _WDie | None = None
+    Abbrev codes are given out in the order the DIE walk first meets each
+    shape (tag, children, attribute forms).
+    """
+    fixed = {form: end + code for form, code in _FIXED_FORMS.items()}
+    fixed["addr"] = end + ("I" if addr_size == 4 else "Q")
+    if version == 5:
+        head = struct.pack(end + "HBBI", version, 0x01, addr_size, abbrev_offset)
+    else:
+        head = struct.pack(end + "HIB", version, abbrev_offset, addr_size)
+    body = bytearray(head)
+    codes: dict[tuple, int] = {}
+    offsets: dict[int, int] = {}
+    fixups: list[tuple[int, _WDie]] = []
 
-    def _abbrevs(self, die: _WDie, table: dict, order: list) -> None:
+    def walk(die: _WDie) -> None:
+        offsets[id(die)] = len(body)
         key = (die.tag, bool(die.children), tuple((a, f) for a, f, _ in die.attrs))
-        if key not in table:
-            table[key] = len(table) + 1
-            order.append(key)
-        for child in die.children:
-            self._abbrevs(child, table, order)
-
-    def _encode_value(self, form: str, value, out: bytearray, fixups, offsets) -> None:
-        e = self.end
-        if form == "addr":
-            out += struct.pack(e + ("I" if self.addr_size == 4 else "Q"), value)
-        elif form == "data1":
-            out += struct.pack("B", value)
-        elif form == "data2":
-            out += struct.pack(e + "H", value)
-        elif form == "data4":
-            out += struct.pack(e + "I", value)
-        elif form == "data8":
-            out += struct.pack(e + "Q", value)
-        elif form == "udata":
-            out += uleb_encode(value)
-        elif form == "string":
-            out += str(value).encode() + b"\x00"
-        elif form == "flag":
-            out += struct.pack("B", 1 if value else 0)
-        elif form == "flag_present":
-            pass
-        elif form in ("exprloc",):
-            out += uleb_encode(len(value)) + bytes(value)
-        elif form == "block1":
-            out += struct.pack("B", len(value)) + bytes(value)
-        elif form == "ref4":
-            fixups.append((len(out), value))  # value is the target _WDie
-            out += b"\x00\x00\x00\x00"
-        elif form == "sec_offset":
-            out += struct.pack(e + "I", value)
-        else:
-            raise InvalidSpecError(f"cannot emit form {form!r}")
-
-    def _encode_die(self, die: _WDie, codes: dict, out: bytearray, fixups, offsets):
-        offsets[id(die)] = len(out)
-        key = (die.tag, bool(die.children), tuple((a, f) for a, f, _ in die.attrs))
-        out += uleb_encode(codes[key])
+        body.extend(uleb_encode(codes.setdefault(key, len(codes) + 1)))
         for _attr, form, value in die.attrs:
-            self._encode_value(form, value, out, fixups, offsets)
+            if form == "ref4":
+                fixups.append((len(body), value))  # value is the target _WDie
+                value = 0
+            if form in fixed:
+                body.extend(struct.pack(fixed[form], value))
+            elif form == "udata":
+                body.extend(uleb_encode(value))
+            elif form == "string":
+                body.extend(value.encode() + b"\x00")
+            elif form == "exprloc":
+                body.extend(uleb_encode(len(value)) + value)
+            # flag_present takes no bytes.
         if die.children:
             for child in die.children:
-                self._encode_die(child, codes, out, fixups, offsets)
-            out += b"\x00"
+                walk(child)
+            body.append(0)
 
-    def serialize(self, abbrev_offset: int) -> tuple[bytes, bytes]:
-        """(.debug_info unit bytes, .debug_abbrev table bytes)."""
-        if self.root is None:
-            raise InvalidSpecError("unit has no root DIE")
-        codes: dict = {}
-        order: list = []
-        self._abbrevs(self.root, codes, order)
+    walk(root)
+    for pos, target in fixups:
+        # ref4 holds a unit-relative offset; the 4-byte length prefix
+        # is part of the unit, hence the +4.
+        struct.pack_into(end + "I", body, pos, offsets[id(target)] + 4)
 
-        abbrev = bytearray()
-        for key in order:
-            tag, has_children, pairs = key
-            abbrev += uleb_encode(codes[key])
-            abbrev += uleb_encode(tag)
-            abbrev += struct.pack("B", 1 if has_children else 0)
-            for attr, form in pairs:
-                abbrev += uleb_encode(attr) + uleb_encode(_FORM_CODES[form])
-            abbrev += b"\x00\x00"
-        abbrev += b"\x00"
-
-        body = bytearray()
-        fixups: list[tuple[int, _WDie]] = []
-        offsets: dict[int, int] = {}
-        if self.version == 5:
-            header_tail = struct.pack(
-                self.end + "HBBI", self.version, 0x01, self.addr_size, abbrev_offset
-            )
-        else:
-            header_tail = struct.pack(
-                self.end + "HIB", self.version, abbrev_offset, self.addr_size
-            )
-        body += header_tail
-        self._encode_die(self.root, codes, body, fixups, offsets)
-        for pos, target in fixups:
-            # ref4 holds a unit-relative offset; the 4-byte length prefix
-            # is part of the unit, hence the +4.
-            struct.pack_into(self.end + "I", body, pos, offsets[id(target)] + 4)
-        unit = struct.pack(self.end + "I", len(body)) + bytes(body)
-        return unit, bytes(abbrev)
-
-
-def _machine_for(spec: BinarySpec) -> int:
-    if spec.machine_code is not None:
-        return spec.machine_code
-    return 62 if spec.word_size == 64 else 3
-
-
-def _function_span(fn: FunctionSpec) -> tuple[int, int]:
-    return fn.offset, fn.offset + len(fn.body) + len(fn.pad_after)
+    abbrev = bytearray()
+    for (tag, has_children, pairs), code in codes.items():
+        abbrev += uleb_encode(code) + uleb_encode(tag) + bytes([has_children])
+        for attr, form in pairs:
+            abbrev += uleb_encode(attr) + uleb_encode(_FORM_CODES[form])
+        abbrev += b"\x00\x00"
+    abbrev += b"\x00"
+    return struct.pack(end + "I", len(body)) + bytes(body), bytes(abbrev)
 
 
 def _symbol_size(fn: FunctionSpec) -> int:
@@ -325,32 +306,58 @@ def _symbol_size(fn: FunctionSpec) -> int:
     return len(fn.body)
 
 
-def _validate(spec: BinarySpec) -> None:
-    names = [s.name for s in spec.sections]
-    if len(set(names)) != len(names):
+def _first_overlap(spans: list[tuple[int, int, str]]) -> tuple[str, str] | None:
+    spans.sort()
+    for (_lo, a_hi, a_name), (b_lo, _hi, b_name) in zip(spans, spans[1:]):
+        if b_lo < a_hi:
+            return a_name, b_name
+    return None
+
+
+def _validate(spec: BinarySpec) -> dict[str, int]:
+    """Refuse a spec that cannot be laid out; return each section's size."""
+    if spec.word_size not in (32, 64):
+        raise InvalidSpecError(f"word size {spec.word_size}")
+    sections = {s.name: s for s in spec.sections}
+    if len(sections) != len(spec.sections):
         raise InvalidSpecError("duplicate section names")
+    # A section without an explicit size ends where its content or its
+    # last function does.
+    sizes = {s.name: len(s.content) for s in spec.sections}
+    for fn in spec.functions:
+        if fn.section in sizes:
+            span_end = fn.offset + len(fn.body) + len(fn.pad_after)
+            sizes[fn.section] = max(sizes[fn.section], span_end)
     spans = []
     for sec in spec.sections:
         if sec.kind not in ("progbits", "nobits"):
             raise InvalidSpecError(f"section kind {sec.kind!r}")
         if sec.kind == "nobits" and sec.content:
             raise InvalidSpecError(f"nobits section {sec.name!r} carries content")
-        size = _section_size(spec, sec)
+        if sec.size is not None:
+            sizes[sec.name] = sec.size
+        size = sizes[sec.name]
         if sec.allocated and size > 0 and not (sec.tls and sec.kind == "nobits"):
             spans.append((sec.vaddr, sec.vaddr + size, sec.name))
-    spans.sort()
-    for (a_lo, a_hi, a_n), (b_lo, _h, b_n) in zip(spans, spans[1:]):
-        if b_lo < a_hi:
-            raise InvalidSpecError(f"sections {a_n!r} and {b_n!r} overlap")
+    overlap = _first_overlap(spans)
+    if overlap:
+        raise InvalidSpecError("sections {!r} and {!r} overlap".format(*overlap))
 
     by_section: dict[str, list[tuple[int, int, str]]] = {}
+    described: set[tuple[str, int]] = set()  # (function, unit) with a DIE
     for fn in spec.functions:
-        if fn.section not in names:
+        sec = sections.get(fn.section)
+        if sec is None:
             raise InvalidSpecError(f"{fn.name!r} placed in unknown section")
+        if sec.kind == "nobits":
+            raise InvalidSpecError(
+                f"{fn.name!r} placed in nobits section {sec.name!r}, "
+                "which has no bytes for its body"
+            )
         if not fn.body:
             raise InvalidSpecError(f"{fn.name!r} has an empty body")
-        lo, hi = _function_span(fn)
-        by_section.setdefault(fn.section, []).append((lo, hi, fn.name))
+        span_end = fn.offset + len(fn.body) + len(fn.pad_after)
+        by_section.setdefault(fn.section, []).append((fn.offset, span_end, fn.name))
         twin = fn.trailing_dot_twin
         if twin is not None and not 0 < twin.offset < len(fn.body):
             raise InvalidSpecError(f"{fn.name!r} twin entry outside the body")
@@ -358,136 +365,97 @@ def _validate(spec: BinarySpec) -> None:
             if d.unit >= len(spec.dwarf_versions):
                 raise InvalidSpecError(f"{fn.name!r} references missing unit {d.unit}")
             version = spec.dwarf_versions[d.unit]
+            if not 2 <= version <= 5:
+                raise InvalidSpecError(f"cannot emit DWARF version {version}")
             if d.highpc_form in _CONSTANT_HIGHPC and version < 4:
                 raise InvalidSpecError(
                     f"constant-class high pc needs version 4+, unit has {version}"
                 )
-            if d.highpc_form != "none" and d.highpc_form not in _FORM_CODES:
+            if d.highpc_form not in _HIGHPC_FORMS:
                 raise InvalidSpecError(f"high pc form {d.highpc_form!r}")
-    for sec_name, spans2 in by_section.items():
-        spans2.sort()
-        for (a_lo, a_hi, a_n), (b_lo, _h, b_n) in zip(spans2, spans2[1:]):
-            if b_lo < a_hi:
-                raise InvalidSpecError(
-                    f"functions {a_n!r} and {b_n!r} overlap in {sec_name}"
-                )
-
-
-def _section_size(spec: BinarySpec, sec: SectionSpec) -> int:
-    if sec.size is not None:
-        return sec.size
-    size = len(sec.content)
-    for fn in spec.functions:
-        if fn.section == sec.name:
-            size = max(size, _function_span(fn)[1])
-    return size
+            if d.name_via not in _NAME_VIA:
+                raise InvalidSpecError(f"name_via {d.name_via!r}")
+            described.add((fn.name, d.unit))
+    for sec_name, fn_spans in by_section.items():
+        overlap = _first_overlap(fn_spans)
+        if overlap:
+            raise InvalidSpecError(
+                "functions {!r} and {!r} overlap in {}".format(*overlap, sec_name)
+            )
+    for site in spec.inline_sites:
+        if not {(site.host, site.unit), (site.origin, site.unit)} <= described:
+            raise InvalidSpecError(
+                f"inline site {site.origin!r} in {site.host!r} has no DIEs"
+            )
+    if spec.emit_symtab:
+        for extra in spec.extra_symbols:
+            if extra.section not in sections:
+                raise InvalidSpecError(f"symbol {extra.name!r} in unknown section")
+    return sizes
 
 
 def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
     """Assemble the .debug_* section contents, keyed by section name."""
-    used_units = sorted(
-        {d.unit for fn in spec.functions for d in fn.dwarf}
-        | {site.unit for site in spec.inline_sites}
-    )
-    if not used_units:
+    members: dict[int, list[tuple[FunctionSpec, DwarfFuncSpec]]] = {}
+    for fn in spec.functions:
+        for d in fn.dwarf:
+            members.setdefault(d.unit, []).append((fn, d))
+    if not members:
         return {}
-    little = spec.endianness == "little"
+    e = "<" if spec.endianness == "little" else ">"
     addr_size = spec.word_size // 8
+    pair = struct.Struct(e + ("II" if addr_size == 4 else "QQ"))
     top = (1 << spec.word_size) - 1
 
     info = bytearray()
     abbrev = bytearray()
     ranges = bytearray()
     rnglists = bytearray()
-    rng_header_done = False
-
-    for u in used_units:
+    for u in sorted(members):
         version = spec.dwarf_versions[u]
-        writer = DwarfUnitWriter(version, addr_size, little)
         cu_name = spec.cu_names[u] if u < len(spec.cu_names) else f"src{u}.c"
-        members = [
-            (fn, d) for fn in spec.functions for d in fn.dwarf if d.unit == u
-        ]
-        lows = [vaddr_of(fn) for fn, _ in members]
         root = _WDie(
             DW_TAG_compile_unit,
             [
                 (DW_AT_name, "string", cu_name),
-                (DW_AT_low_pc, "addr", min(lows) if lows else 0),
+                (DW_AT_low_pc, "addr", min(vaddr_of(fn) for fn, _ in members[u])),
             ],
         )
-        writer.root = root
         subprogram_of: dict[str, _WDie] = {}
-        for fn, d in members:
+        for fn, d in members[u]:
             low = vaddr_of(fn)
-            attrs: list[tuple[int, str, object]] = []
-            support: list[_WDie] = []
-            if d.name_via == "direct":
-                attrs.append((DW_AT_name, "string", fn.name))
-            elif d.name_via == "specification":
-                decl = _WDie(
-                    DW_TAG_subprogram,
-                    [
-                        (DW_AT_name, "string", fn.name),
-                        (DW_AT_declaration, "flag_present", True),
-                    ],
-                )
-                support.append(decl)
-                attrs.append((DW_AT_specification, "ref4", decl))
-            elif d.name_via == "abstract_origin":
-                abstract = _WDie(
-                    DW_TAG_subprogram,
-                    [
-                        (DW_AT_name, "string", fn.name),
-                        (DW_AT_inline, "udata", 1),
-                    ],
-                )
-                support.append(abstract)
-                attrs.append((DW_AT_abstract_origin, "ref4", abstract))
+            via = _NAME_VIA[d.name_via]
+            if via is None:
+                attrs = [(DW_AT_name, "string", fn.name)]
             else:
-                raise InvalidSpecError(f"name_via {d.name_via!r}")
+                ref_attr, marker = via
+                named = _WDie(DW_TAG_subprogram, [(DW_AT_name, "string", fn.name)])
+                named.attrs.append(marker)
+                root.children.append(named)
+                attrs = [(ref_attr, "ref4", named)]
 
-            if d.ranges is not None:
-                if version >= 5:
-                    if not rng_header_done:
-                        rnglists += struct.pack(
-                            ("<" if little else ">") + "IHBBI", 0, 5, addr_size, 0, 0
-                        )
-                        rng_header_done = True
-                    off = len(rnglists)
-                    pack_addr = ("<" if little else ">") + (
-                        "I" if addr_size == 4 else "Q"
-                    )
-                    for lo, hi in d.ranges:
-                        rnglists += b"\x06"  # start_end
-                        rnglists += struct.pack(pack_addr, lo) + struct.pack(
-                            pack_addr, hi
-                        )
-                    rnglists += b"\x00"
-                    attrs.append((DW_AT_ranges, "sec_offset", off))
-                else:
-                    off = len(ranges)
-                    pack_addr = ("<" if little else ">") + (
-                        "I" if addr_size == 4 else "Q"
-                    )
-                    # Base selector pinning the base to zero keeps the
-                    # pairs absolute.
-                    ranges += struct.pack(pack_addr, top) + struct.pack(pack_addr, 0)
-                    for lo, hi in d.ranges:
-                        ranges += struct.pack(pack_addr, lo) + struct.pack(
-                            pack_addr, hi
-                        )
-                    ranges += struct.pack(pack_addr, 0) * 2
-                    form = "sec_offset" if version >= 4 else "data4"
-                    attrs.append((DW_AT_ranges, form, off))
+            if d.ranges is not None and version >= 5:
+                if not rnglists:  # the section's one header
+                    rnglists += struct.pack(e + "IHBBI", 0, 5, addr_size, 0, 0)
+                attrs.append((DW_AT_ranges, "sec_offset", len(rnglists)))
+                for lo, hi in d.ranges:
+                    rnglists += b"\x06" + pair.pack(lo, hi)  # DW_RLE_start_end
+                rnglists += b"\x00"
+            elif d.ranges is not None:
+                form = "sec_offset" if version >= 4 else "data4"
+                attrs.append((DW_AT_ranges, form, len(ranges)))
+                # Base selector pinning the base to zero keeps the
+                # pairs absolute.
+                ranges += pair.pack(top, 0)
+                for lo, hi in d.ranges:
+                    ranges += pair.pack(lo, hi)
+                ranges += pair.pack(0, 0)
             else:
                 attrs.append((DW_AT_low_pc, "addr", low))
                 if d.highpc_form == "addr":
                     attrs.append((DW_AT_high_pc, "addr", low + len(fn.body)))
-                elif d.highpc_form in _CONSTANT_HIGHPC:
-                    attrs.append((DW_AT_high_pc, d.highpc_form, len(fn.body)))
                 elif d.highpc_form != "none":
-                    raise InvalidSpecError(f"high pc form {d.highpc_form!r}")
+                    attrs.append((DW_AT_high_pc, d.highpc_form, len(fn.body)))
             if d.noreturn:
                 attrs.append((DW_AT_noreturn, "flag_present", True))
             attrs.append((DW_AT_decl_file, "data1", 1))
@@ -495,40 +463,30 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
 
             die = _WDie(DW_TAG_subprogram, attrs)
             for pname, has_loc in d.params:
-                p_attrs: list[tuple[int, str, object]] = [
-                    (DW_AT_name, "string", pname)
-                ]
+                p_attrs: list[tuple[int, str, object]] = [(DW_AT_name, "string", pname)]
                 if has_loc:
                     # DW_OP_reg1; any one-byte expression will do.
                     p_attrs.append((DW_AT_location, "exprloc", b"\x51"))
                 die.children.append(_WDie(DW_TAG_formal_parameter, p_attrs))
             subprogram_of[fn.name] = die
-            root.children.extend(support)
             root.children.append(die)
 
         for site in spec.inline_sites:
-            if site.unit != u:
-                continue
-            host = subprogram_of.get(site.host)
-            origin = subprogram_of.get(site.origin)
-            if host is None or origin is None:
-                raise InvalidSpecError(
-                    f"inline site {site.origin!r} in {site.host!r} has no DIEs"
+            if site.unit == u:
+                subprogram_of[site.host].children.append(
+                    _WDie(
+                        DW_TAG_inlined_subroutine,
+                        [
+                            (DW_AT_abstract_origin, "ref4", subprogram_of[site.origin]),
+                            (DW_AT_low_pc, "addr", site.low),
+                            (DW_AT_high_pc, "addr", site.high),
+                        ],
+                    )
                 )
-            host.children.append(
-                _WDie(
-                    DW_TAG_inlined_subroutine,
-                    [
-                        (DW_AT_abstract_origin, "ref4", origin),
-                        (DW_AT_low_pc, "addr", site.low),
-                        (DW_AT_high_pc, "addr", site.high),
-                    ],
-                )
-            )
 
-        unit_bytes, abbrev_bytes = writer.serialize(len(abbrev))
-        info += unit_bytes
-        abbrev += abbrev_bytes
+        unit, table = _serialize_unit(root, version, addr_size, e, len(abbrev))
+        info += unit
+        abbrev += table
 
     out = {".debug_info": bytes(info), ".debug_abbrev": bytes(abbrev)}
     if ranges:
@@ -544,227 +502,130 @@ _KIND_CODES = {"other": 0, "object": 1, "function": 2}
 
 def emit(spec: BinarySpec) -> bytes:
     """Render the spec to ELF bytes."""
-    _validate(spec)
+    sizes = _validate(spec)
     is64 = spec.word_size == 64
-    if spec.word_size not in (32, 64):
-        raise InvalidSpecError(f"word size {spec.word_size}")
     little = spec.endianness == "little"
     e = "<" if little else ">"
-
-    section_vaddr = {s.name: s.vaddr for s in spec.sections}
+    by_name = {s.name: s for s in spec.sections}
 
     def vaddr_of(fn: FunctionSpec) -> int:
-        return section_vaddr[fn.section] + fn.offset
+        return by_name[fn.section].vaddr + fn.offset
 
     # Section contents; functions overlay their home section.
-    contents: dict[str, bytes] = {}
+    contents: dict[str, bytes | bytearray] = {}
     for sec in spec.sections:
-        if sec.kind == "nobits":
-            continue
-        size = _section_size(spec, sec)
-        buf = bytearray(size)
-        buf[: len(sec.content)] = sec.content
-        for fn in spec.functions:
-            if fn.section != sec.name:
-                continue
-            blob = fn.body + fn.pad_after
-            buf[fn.offset : fn.offset + len(blob)] = blob
-        contents[sec.name] = bytes(buf)
+        if sec.kind != "nobits":
+            contents[sec.name] = bytearray(sizes[sec.name])
+            contents[sec.name][: len(sec.content)] = sec.content
+    for fn in spec.functions:
+        blob = fn.body + fn.pad_after
+        contents[fn.section][fn.offset : fn.offset + len(blob)] = blob
 
     debug = _build_dwarf(spec, vaddr_of)
 
-    # Section list: null, user sections, .shstrtab, symbol tables, debug.
-    order: list[str] = [s.name for s in spec.sections]
-    section_index = {name: i + 1 for i, name in enumerate(order)}
-
-    # Symbol table: null entry, locals first, then global/weak.
-    sym_entries: list[tuple[str, int, int, int, int, int]] = []
+    # Section list: null, user sections, symbol tables, debug, .shstrtab.
+    order = [s.name for s in spec.sections]
+    user_index = {name: i + 1 for i, name in enumerate(order)}
     if spec.emit_symtab:
-        raw_syms: list[tuple[str, int, int, str, str, int]] = []
+        # Rows of (name, value, size, kind, binding, section).
+        rows = []
         for fn in spec.functions:
             if not fn.emit_symbol:
                 continue
-            shndx = section_index[fn.section]
-            raw_syms.append(
-                (fn.name, vaddr_of(fn), _symbol_size(fn), "function", fn.binding, shndx)
-            )
+            low, size, home = vaddr_of(fn), _symbol_size(fn), fn.section
+            rows.append((fn.name, low, size, "function", fn.binding, home))
             twin = fn.trailing_dot_twin
             if twin is not None:
                 t_size = twin.size
                 if t_size is None:
                     t_size = len(fn.body) - twin.offset
-                raw_syms.append(
-                    (
-                        fn.name + ".",
-                        vaddr_of(fn) + twin.offset,
-                        t_size,
-                        "function",
-                        fn.binding,
-                        shndx,
-                    )
-                )
+                twin_row = (low + twin.offset, t_size, "function", fn.binding, home)
+                rows.append((fn.name + ".", *twin_row))
             for alias, binding in fn.aliases:
-                raw_syms.append(
-                    (alias, vaddr_of(fn), _symbol_size(fn), "function", binding, shndx)
-                )
-        for extra in spec.extra_symbols:
-            if extra.section not in section_index:
-                raise InvalidSpecError(f"symbol {extra.name!r} in unknown section")
-            raw_syms.append(
-                (
-                    extra.name,
-                    section_vaddr[extra.section] + extra.offset,
-                    extra.size,
-                    extra.kind,
-                    extra.binding,
-                    section_index[extra.section],
-                )
-            )
-        locals_first = [s for s in raw_syms if s[4] == "local"] + [
-            s for s in raw_syms if s[4] != "local"
-        ]
+                rows.append((alias, low, size, "function", binding, home))
+        for x in spec.extra_symbols:
+            value = by_name[x.section].vaddr + x.offset
+            rows.append((x.name, value, x.size, x.kind, x.binding, x.section))
+        rows.sort(key=lambda row: row[4] != "local")  # locals first, stably
         strtab = _StrTab()
-        for name, value, size, kind, binding, shndx in locals_first:
-            info = (_BIND_CODES[binding] << 4) | _KIND_CODES[kind]
-            sym_entries.append((strtab.add(name), value, size, info, 0, shndx))
-        local_count = 1 + sum(1 for s in locals_first if s[4] == "local")
+        sym = struct.Struct(e + ("IBBHQQ" if is64 else "IIIBBH"))
+        symtab = bytearray(sym.size)  # null symbol
+        for name, value, size, kind, binding, sec_name in rows:
+            st_info = (_BIND_CODES[binding] << 4) | _KIND_CODES[kind]
+            st_name, shndx = strtab.add(name), user_index[sec_name]
+            if is64:
+                symtab += sym.pack(st_name, st_info, 0, shndx, value, size)
+            else:
+                symtab += sym.pack(st_name, value, size, st_info, 0, shndx)
+        local_count = 1 + sum(1 for row in rows if row[4] == "local")
+        contents[".symtab"] = symtab
+        contents[".strtab"] = strtab.blob
         order += [".symtab", ".strtab"]
     order += sorted(debug)
     order.append(".shstrtab")
     section_index = {name: i + 1 for i, name in enumerate(order)}
-
-    if spec.emit_symtab:
-        sym_fmt = e + ("IBBHQQ" if is64 else "IIIBBH")
-        symtab_blob = bytearray(struct.calcsize(sym_fmt))  # null symbol
-        for st_name, value, size, info, other, shndx in sym_entries:
-            if is64:
-                symtab_blob += struct.pack(
-                    sym_fmt, st_name, info, other, shndx, value, size
-                )
-            else:
-                symtab_blob += struct.pack(
-                    sym_fmt, st_name, value, size, info, other, shndx
-                )
-        contents[".symtab"] = bytes(symtab_blob)
-        contents[".strtab"] = bytes(strtab.blob)
     contents.update(debug)
-
     shstrtab = _StrTab()
     name_offsets = {name: shstrtab.add(name) for name in order}
-    contents[".shstrtab"] = bytes(shstrtab.blob)
+    contents[".shstrtab"] = shstrtab.blob
 
     ehdr_size = 64 if is64 else 52
     blob = bytearray(ehdr_size)
     offsets: dict[str, int] = {}
-    spec_by_name = {s.name: s for s in spec.sections}
     for name in order:
-        sec = spec_by_name.get(name)
+        sec = by_name.get(name)
         if sec is not None and sec.kind == "nobits":
             offsets[name] = len(blob)
             continue
-        while len(blob) % 16:
-            blob += b"\x00"
+        blob += bytes(-len(blob) % 16)
         offsets[name] = len(blob)
         blob += contents[name]
-    while len(blob) % 8:
-        blob += b"\x00"
+    blob += bytes(-len(blob) % 8)
     e_shoff = len(blob)
 
-    sh_fmt = e + ("IIQQQQIIQQ" if is64 else "IIIIIIIIII")
-    entsize = struct.calcsize(sh_fmt)
-    sym_entsize = 24 if is64 else 16
-    headers = [struct.pack(sh_fmt, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
+    # One row per section header after the null one: (type, flags, addr,
+    # size, link, info, addralign, entsize).
+    sh = struct.Struct(e + ("IIQQQQIIQQ" if is64 else "IIIIIIIIII"))
+    headers = bytearray(sh.size)  # null section header
     for name in order:
-        sec = spec_by_name.get(name)
+        sec = by_name.get(name)
         if sec is not None:
-            sh_type = 8 if sec.kind == "nobits" else 1
             flags = (
                 (0x2 if sec.allocated else 0)
                 | (0x1 if sec.writable else 0)
                 | (0x4 if sec.executable else 0)
                 | (0x400 if sec.tls else 0)
             )
-            size = _section_size(spec, sec)
-            headers.append(
-                struct.pack(
-                    sh_fmt,
-                    name_offsets[name],
-                    sh_type,
-                    flags,
-                    sec.vaddr,
-                    offsets[name],
-                    size,
-                    0,
-                    0,
-                    16,
-                    0,
-                )
-            )
+            sh_type = 8 if sec.kind == "nobits" else 1
+            row = (sh_type, flags, sec.vaddr, sizes[name], 0, 0, 16, 0)
         elif name == ".symtab":
-            headers.append(
-                struct.pack(
-                    sh_fmt,
-                    name_offsets[name],
-                    2,
-                    0,
-                    0,
-                    offsets[name],
-                    len(contents[name]),
-                    section_index[".strtab"],
-                    local_count,
-                    8 if is64 else 4,
-                    sym_entsize,
-                )
-            )
+            link = section_index[".strtab"]
+            align, entsize = (8, 24) if is64 else (4, 16)
+            row = (2, 0, 0, len(contents[name]), link, local_count, align, entsize)
         else:  # plain string/debug sections
             sh_type = 3 if name in (".strtab", ".shstrtab") else 1
-            headers.append(
-                struct.pack(
-                    sh_fmt,
-                    name_offsets[name],
-                    sh_type,
-                    0,
-                    0,
-                    offsets[name],
-                    len(contents[name]),
-                    0,
-                    0,
-                    1,
-                    0,
-                )
-            )
-    blob += b"".join(headers)
+            row = (sh_type, 0, 0, len(contents[name]), 0, 0, 1, 0)
+        sh_type, flags, addr, *tail = row
+        headers += sh.pack(
+            name_offsets[name], sh_type, flags, addr, offsets[name], *tail
+        )
+    blob += headers
 
     exec_sections = [s for s in spec.sections if s.executable]
     e_entry = exec_sections[0].vaddr if exec_sections else 0
-    ident = bytearray(16)
-    ident[:4] = b"\x7fELF"
-    ident[4] = 2 if is64 else 1
-    ident[5] = 1 if little else 2
-    ident[6] = 1
-    ehdr_fmt = e + ("HHIQQQIHHHHHH" if is64 else "HHIIIIIHHHHHH")
-    struct.pack_into(
-        ehdr_fmt,
-        blob,
-        16,
-        2,  # ET_EXEC
-        _machine_for(spec),
-        1,
-        e_entry,
-        0,
-        e_shoff,
-        0,
-        ehdr_size,
-        0,
-        0,
-        entsize,
-        len(headers),
-        section_index[".shstrtab"],
+    machine = spec.machine_code
+    if machine is None:
+        machine = 62 if is64 else 3
+    ident = b"\x7fELF" + bytes([2 if is64 else 1, 1 if little else 2, 1]) + bytes(9)
+    ehdr = struct.pack(
+        e + ("HHIQQQIHHHHHH" if is64 else "HHIIIIIHHHHHH"),
+        *(2, machine, 1),  # e_type ET_EXEC, e_machine, e_version
+        *(e_entry, 0, e_shoff),  # e_entry, e_phoff, e_shoff
+        *(0, ehdr_size, 0, 0),  # e_flags, e_ehsize, e_phentsize, e_phnum
+        *(sh.size, len(order) + 1, section_index[".shstrtab"]),  # e_sh*
     )
-    blob[:16] = ident
+    blob[:ehdr_size] = ident + ehdr
     return bytes(blob)
-
-
 # x86 bytes that are neither return instructions nor padding-alphabet
 # prefixes, safe as function-body filler.
 _FILLER = bytes([0x89, 0x41, 0x53, 0x31, 0x50, 0x58, 0x8B, 0x01, 0x48, 0x83])
@@ -777,10 +638,7 @@ def _body(rng: random.Random, length: int) -> bytes:
 
 
 def _fixed_body(length: int) -> bytes:
-    out = bytearray()
-    while len(out) < length - 1:
-        out.append(_FILLER[len(out) % len(_FILLER)])
-    return bytes(out[: length - 1]) + b"\xc3"
+    return bytes(_FILLER[i % len(_FILLER)] for i in range(length - 1)) + b"\xc3"
 
 
 def _preset_listing1() -> BinarySpec:
@@ -977,6 +835,53 @@ def _junk_fill(rng: random.Random, length: int) -> bytes:
     return bytes(rng.choice(_JUNK) for _ in range(length))
 
 
+def _expectation(
+    fn: FunctionSpec, base: int, cu_name: str, group: str | None, diag: Counter
+) -> ExpectedFunction:
+    """What ``fn``, placed ``base`` into ``.text``, must normalize to.
+
+    Counts the diagnostics its quirk raises into ``diag``.
+    """
+    start = base + fn.offset
+    body_end = start + len(fn.body)
+    entries = (start,)
+    aliases = tuple(alias for alias, _binding in fn.aliases)
+    flags = set()
+    if fn.trailing_dot_twin:
+        flags.add("multi_entry")
+        entries = (start, start + fn.trailing_dot_twin.offset)
+        aliases = (fn.name + ".",) + aliases
+        diag["GT_MULTI_ENTRY_MERGED"] += 1
+    if fn.aliases:
+        flags.add("merged_alias")
+        diag["GT_ALIAS_MERGED"] += 1
+    end_raw = body_end
+    if fn.icc_size_includes_padding or fn.omit_size:
+        end_raw += len(fn.pad_after)
+    if fn.omit_size:
+        diag["GT_MISSING_SIZE"] += 1
+    if end_raw > body_end:
+        diag["GT_PADDING_TRIMMED"] += 1
+    if any(d.noreturn for d in fn.dwarf):
+        flags.add("noreturn")
+    if ".." in fn.name:
+        flags.add("specialized")
+    if not fn.dwarf:
+        flags.add("compiler_inserted")
+    return ExpectedFunction(
+        canonical=fn.name,
+        start=start,
+        entries=entries,
+        end_raw=end_raw,
+        end_trimmed=body_end,
+        flags=frozenset(flags),
+        aliases=aliases,
+        group=group,
+        provenance=frozenset({"symtab", "dwarf"} if fn.dwarf else {"symtab"}),
+        source=(cu_name, fn.dwarf[0].decl_line) if fn.dwarf else None,
+    )
+
+
 def generate_corpus(
     seed: int, count: int, quirk_mix: dict[str, int] | None = None
 ) -> list[CorpusFixture]:
@@ -1006,124 +911,66 @@ def generate_corpus(
             quirks[-1] = "plain"
 
         functions: list[FunctionSpec] = []
-        plans: list[dict] = []
+        expected: list[ExpectedFunction] = []
+        diag: Counter[str] = Counter()
         offset = 0
-        serial = 0
-        for quirk in quirks:
-            body = _body(rng, rng.randint(8, 40))
+        for serial, quirk in enumerate(quirks):
             name = f"fn_{index}_{serial}"
-            serial += 1
+            body = _body(rng, rng.randint(8, 40))
             gap_style = rng.choice(("none", "pad", "junk"))
             if quirk == "omit_size" and gap_style == "junk":
                 gap_style = "pad"
-            gap_len = 0 if gap_style == "none" else rng.randint(1, 12)
             gap = b""
-            if gap_style == "pad":
-                gap = _pad_fill(rng, gap_len)
-            elif gap_style == "junk":
-                gap = _junk_fill(rng, gap_len)
+            if gap_style != "none":
+                fill = _pad_fill if gap_style == "pad" else _junk_fill
+                gap = fill(rng, rng.randint(1, 12))
 
-            dwarf: tuple[DwarfFuncSpec, ...] = (DwarfFuncSpec(decl_line=serial),)
-            plan = {
-                "quirk": quirk,
-                "name": name,
-                "offset": offset,
-                "body": body,
-                "gap": gap,
-            }
-            if quirk == "plain":
-                fn = FunctionSpec(name, offset, body, pad_after=gap, dwarf=dwarf)
-            elif quirk == "trailing_dot_twin":
+            dwarf = DwarfFuncSpec(decl_line=serial + 1)
+            extra: dict = {}
+            if quirk == "trailing_dot_twin":
                 split = rng.randint(2, len(body) - 2)
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    symbol_size=split,
-                    trailing_dot_twin=TwinSpec(offset=split),
-                    pad_after=gap,
-                    dwarf=dwarf,
-                )
+                extra = {"symbol_size": split, "trailing_dot_twin": TwinSpec(split)}
             elif quirk == "alias":
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    binding="global",
-                    aliases=((name + "_alias", "weak"),),
-                    pad_after=gap,
-                    dwarf=dwarf,
-                )
+                extra = {"binding": "global", "aliases": ((name + "_alias", "weak"),)}
             elif quirk == "icc_size_includes_padding":
-                if not gap or gap_style != "pad":
+                if gap_style != "pad":
                     gap = _pad_fill(rng, rng.randint(1, 12))
-                    plan["gap"] = gap
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    pad_after=gap,
-                    icc_size_includes_padding=True,
-                    dwarf=dwarf,
-                )
+                extra = {"icc_size_includes_padding": True}
             elif quirk == "omit_size":
-                fn = FunctionSpec(
-                    name, offset, body, omit_size=True, pad_after=gap, dwarf=dwarf
-                )
+                extra = {"omit_size": True}
             elif quirk == "dwarf_highpc_constant":
                 form = rng.choice(("data2", "data4", "udata"))
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    pad_after=gap,
-                    dwarf=(DwarfFuncSpec(highpc_form=form, decl_line=serial),),
-                )
-            elif quirk == "dwarf_highpc_address":
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    pad_after=gap,
-                    dwarf=(DwarfFuncSpec(highpc_form="addr", decl_line=serial),),
-                )
+                dwarf = DwarfFuncSpec(highpc_form=form, decl_line=serial + 1)
             elif quirk == "dwarf_noreturn":
-                fn = FunctionSpec(
-                    name,
-                    offset,
-                    body,
-                    pad_after=gap,
-                    dwarf=(DwarfFuncSpec(noreturn=True, decl_line=serial),),
-                )
-            elif quirk == "no_dwarf":
-                fn = FunctionSpec(name, offset, body, pad_after=gap, dwarf=())
-            elif quirk == "specialization_clone":
-                fn = FunctionSpec(name, offset, body, pad_after=gap, dwarf=dwarf)
-            else:
-                raise InvalidSpecError(quirk)
+                dwarf = DwarfFuncSpec(noreturn=True, decl_line=serial + 1)
+            # "dwarf_highpc_address" is the default high-pc form.
+            fn = FunctionSpec(
+                name,
+                offset,
+                body,
+                pad_after=gap,
+                dwarf=() if quirk == "no_dwarf" else (dwarf,),
+                **extra,
+            )
+            clone = quirk == "specialization_clone"
+            group = name if clone else None
             functions.append(fn)
-            plans.append(plan)
+            expected.append(_expectation(fn, text_base, cu_name, group, diag))
             offset += len(body) + len(gap)
 
-            if quirk == "specialization_clone":
+            if clone:
                 clone_body = _body(rng, rng.randint(8, 24))
-                clone = FunctionSpec(
+                fn = FunctionSpec(
                     f"{name}..0",
                     offset,
                     clone_body,
-                    dwarf=(DwarfFuncSpec(decl_line=serial),),
+                    dwarf=(DwarfFuncSpec(decl_line=serial + 1),),
                 )
-                functions.append(clone)
-                plans.append(
-                    {
-                        "quirk": "clone_member",
-                        "name": f"{name}..0",
-                        "offset": offset,
-                        "body": clone_body,
-                        "gap": b"",
-                    }
-                )
+                functions.append(fn)
+                expected.append(_expectation(fn, text_base, cu_name, group, diag))
                 offset += len(clone_body)
+        if not any(fn.dwarf for fn in functions):
+            diag["GT_NO_DEBUG_INFO"] += 1
 
         text = SectionSpec(".text", text_base, executable=True)
         rodata = SectionSpec(
@@ -1146,79 +993,6 @@ def generate_corpus(
             word_size=word_size,
             cu_names=(cu_name,),
         )
-        has_dwarf = any(fn.dwarf for fn in spec.functions)
-
-        expected: list[ExpectedFunction] = []
-        diag: dict[str, int] = {}
-
-        def bump(code: str, n: int = 1) -> None:
-            diag[code] = diag.get(code, 0) + n
-
-        if not has_dwarf:
-            bump("GT_NO_DEBUG_INFO")
-        for plan in plans:
-            quirk = plan["quirk"]
-            name = plan["name"]
-            start = text_base + plan["offset"]
-            body_end = start + len(plan["body"])
-            gap = plan["gap"]
-            flags: set[str] = set()
-            provenance = {"symtab"}
-            entries = (start,)
-            aliases: tuple[str, ...] = ()
-            group = None
-            end_raw = body_end
-            end_trimmed = body_end
-            source: tuple[str, int] | None = None
-            fn_spec = next(f for f in functions if f.name == name)
-            if fn_spec.dwarf:
-                provenance.add("dwarf")
-                source = (cu_name, fn_spec.dwarf[0].decl_line)
-            elif has_dwarf:
-                flags.add("compiler_inserted")
-
-            if quirk == "trailing_dot_twin":
-                flags.add("multi_entry")
-                split = fn_spec.symbol_size
-                entries = (start, start + split)
-                aliases = (name + ".",)
-                bump("GT_MULTI_ENTRY_MERGED")
-            elif quirk == "alias":
-                flags.add("merged_alias")
-                aliases = (name + "_alias",)
-                bump("GT_ALIAS_MERGED")
-            elif quirk == "icc_size_includes_padding":
-                end_raw = body_end + len(gap)
-                bump("GT_PADDING_TRIMMED")
-            elif quirk == "omit_size":
-                end_raw = body_end + len(gap)
-                bump("GT_MISSING_SIZE")
-                if gap:
-                    bump("GT_PADDING_TRIMMED")
-            elif quirk == "dwarf_noreturn":
-                flags.add("noreturn")
-            elif quirk in ("specialization_clone", "clone_member"):
-                base = name.rsplit("..", 1)[0]
-                group = base
-                if quirk == "clone_member":
-                    flags.add("specialized")
-            if not has_dwarf:
-                flags.add("compiler_inserted")
-            expected.append(
-                ExpectedFunction(
-                    canonical=name,
-                    start=start,
-                    entries=entries,
-                    end_raw=end_raw,
-                    end_trimmed=end_trimmed,
-                    flags=frozenset(flags),
-                    aliases=aliases,
-                    group=group,
-                    provenance=frozenset(provenance),
-                    source=source,
-                )
-            )
-
         expected.sort(key=lambda f: f.start)
         fixtures.append(
             CorpusFixture(

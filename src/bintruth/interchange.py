@@ -223,6 +223,12 @@ _METRIC = {
     "required": ["exact", "approx"],
     "additionalProperties": False,
 }
+_METRICS = {
+    "type": "object",
+    "properties": {"precision": _METRIC, "recall": _METRIC, "f1": _METRIC},
+    "required": ["precision", "recall", "f1"],
+    "additionalProperties": False,
+}
 
 SCORE_SCHEMA = {
     "type": "object",
@@ -248,16 +254,7 @@ SCORE_SCHEMA = {
             "required": ["true_positives", "false_positives", "false_negatives"],
             "additionalProperties": False,
         },
-        "metrics": {
-            "type": "object",
-            "properties": {
-                "precision": _METRIC,
-                "recall": _METRIC,
-                "f1": _METRIC,
-            },
-            "required": ["precision", "recall", "f1"],
-            "additionalProperties": False,
-        },
+        "metrics": _METRICS,
         "mismatches": {
             "type": "array",
             "items": {
@@ -291,26 +288,8 @@ CORPUS_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "n": {"type": "integer", "minimum": 1},
-        "micro": {
-            "type": "object",
-            "properties": {
-                "precision": _METRIC,
-                "recall": _METRIC,
-                "f1": _METRIC,
-            },
-            "required": ["precision", "recall", "f1"],
-            "additionalProperties": False,
-        },
-        "macro": {
-            "type": "object",
-            "properties": {
-                "precision": _METRIC,
-                "recall": _METRIC,
-                "f1": _METRIC,
-            },
-            "required": ["precision", "recall", "f1"],
-            "additionalProperties": False,
-        },
+        "micro": _METRICS,
+        "macro": _METRICS,
         "fraction_perfect": _METRIC,
         "below": {
             "type": "array",
@@ -621,7 +600,8 @@ def _object_checker(
     return check
 
 
-def _dump(payload: dict) -> str:
+def dump_json(payload: dict) -> str:
+    """The one deterministic text form of every JSON payload bintruth writes."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -648,6 +628,35 @@ def _config_payload(config: RunConfig) -> dict:
 
 def _metric_payload(value: Fraction) -> dict:
     return {"exact": str(value), "approx": float(value)}
+
+
+def _metrics_payload(precision: Fraction, recall: Fraction, f1: Fraction) -> dict:
+    return {
+        "precision": _metric_payload(precision),
+        "recall": _metric_payload(recall),
+        "f1": _metric_payload(f1),
+    }
+
+
+def _runs_payload(byte_map: ByteClassMap) -> list[dict]:
+    return [
+        {
+            "start": _hex(run.start),
+            "length": run.length,
+            "class": run.klass,
+            "confidence": run.confidence,
+        }
+        for run in byte_map.runs
+    ]
+
+
+def _byte_map(runs: list[dict]) -> ByteClassMap:
+    return ByteClassMap(
+        runs=tuple(
+            ByteRun(int(r["start"], 16), r["length"], r["class"], r["confidence"])
+            for r in runs
+        )
+    )
 
 
 def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) -> str:
@@ -680,15 +689,7 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
             "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
         },
         "functions": functions,
-        "byte_classes": [
-            {
-                "start": _hex(run.start),
-                "length": run.length,
-                "class": run.klass,
-                "confidence": run.confidence,
-            }
-            for run in doc.byte_classes.runs
-        ],
+        "byte_classes": _runs_payload(doc.byte_classes),
         "diagnostics": [
             {
                 "severity": d.severity,
@@ -702,7 +703,7 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
         ],
         "complete": doc.complete,
     }
-    return _dump(payload)
+    return dump_json(payload)
 
 
 def _machine_from_label(label: str) -> tuple[str, int]:
@@ -751,10 +752,6 @@ def _document(payload: dict) -> GroundTruthDocument:
                 else (fn["source"]["file"], fn["source"]["line"]),
             )
         )
-    runs = tuple(
-        ByteRun(int(r["start"], 16), r["length"], r["class"], r["confidence"])
-        for r in payload["byte_classes"]
-    )
     diagnostics = tuple(
         Diagnostic(
             d["severity"],
@@ -775,7 +772,7 @@ def _document(payload: dict) -> GroundTruthDocument:
             machine_code=machine_code,
         ),
         functions=tuple(functions),
-        byte_classes=ByteClassMap(runs=runs),
+        byte_classes=_byte_map(payload["byte_classes"]),
         diagnostics=diagnostics,
         complete=payload["complete"],
     )
@@ -814,28 +811,15 @@ def report_to_json(report: ToolReport) -> str:
         ],
     }
     if report.predicted_byte_classes is not None:
-        payload["byte_classes"] = [
-            {
-                "start": _hex(run.start),
-                "length": run.length,
-                "class": run.klass,
-                "confidence": run.confidence,
-            }
-            for run in report.predicted_byte_classes.runs
-        ]
-    return _dump(payload)
+        payload["byte_classes"] = _runs_payload(report.predicted_byte_classes)
+    return dump_json(payload)
 
 
 def report_from_json(text: str) -> ToolReport:
     payload = _load(text, TOOL_REPORT_SCHEMA)
     byte_classes = None
     if payload.get("byte_classes") is not None:
-        byte_classes = ByteClassMap(
-            runs=tuple(
-                ByteRun(int(r["start"], 16), r["length"], r["class"], r["confidence"])
-                for r in payload["byte_classes"]
-            )
-        )
+        byte_classes = _byte_map(payload["byte_classes"])
     return ToolReport(
         tool_name=payload["tool"]["name"],
         tool_version=payload["tool"]["version"],
@@ -863,38 +847,30 @@ def score_to_json(result: ScoreResult) -> str:
             "false_positives": result.false_positives,
             "false_negatives": result.false_negatives,
         },
-        "metrics": {
-            "precision": _metric_payload(result.precision),
-            "recall": _metric_payload(result.recall),
-            "f1": _metric_payload(result.f1),
-        },
+        "metrics": _metrics_payload(result.precision, result.recall, result.f1),
         "mismatches": [
             {"kind": m.kind, "address": _hex(m.address), "detail": m.detail}
             for m in result.mismatches
         ],
         "warnings": list(result.warnings),
     }
-    return _dump(payload)
+    return dump_json(payload)
 
 
 def corpus_to_json(summary: CorpusSummary) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n": summary.n,
-        "micro": {
-            "precision": _metric_payload(summary.micro_precision),
-            "recall": _metric_payload(summary.micro_recall),
-            "f1": _metric_payload(summary.micro_f1),
-        },
-        "macro": {
-            "precision": _metric_payload(summary.macro_precision),
-            "recall": _metric_payload(summary.macro_recall),
-            "f1": _metric_payload(summary.macro_f1),
-        },
+        "micro": _metrics_payload(
+            summary.micro_precision, summary.micro_recall, summary.micro_f1
+        ),
+        "macro": _metrics_payload(
+            summary.macro_precision, summary.macro_recall, summary.macro_f1
+        ),
         "fraction_perfect": _metric_payload(summary.fraction_perfect),
         "below": [
             {"threshold": label, "fraction": _metric_payload(share)}
             for label, _value, share in summary.below
         ],
     }
-    return _dump(payload)
+    return dump_json(payload)

@@ -49,10 +49,6 @@ DIAGNOSTIC_CODES = frozenset({
 })
 
 
-class NoBytesError(LookupError):
-    """Raised when a virtual-address range has no file-backed content."""
-
-
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One auditable extraction or normalization event.
@@ -89,9 +85,6 @@ class SectionRecord:
     allocated: bool
     file_offset: int | None
     tls: bool = False
-
-    def contains(self, addr: int) -> bool:
-        return self.vaddr <= addr < self.vaddr + self.size
 
     @property
     def mapped(self) -> bool:
@@ -164,23 +157,15 @@ class BinaryImage:
     raw: bytes = field(repr=False)
     parse_diagnostics: tuple[Diagnostic, ...] = ()
 
-    def bytes_at(self, addr: int, length: int) -> bytes:
-        """Raw bytes for ``[addr, addr + length)``.
+    def section_bytes(self, sec: SectionRecord, start: int, end: int) -> bytes | None:
+        """The file bytes of ``[start, end)``, a range inside ``sec``.
 
-        Succeeds iff the range lies inside one mapped, file-backed
-        section; raises :class:`NoBytesError` otherwise.
+        ``None`` when the section has no bytes in the file (NOBITS).
         """
-        if length < 0:
-            raise NoBytesError(f"negative length {length}")
-        for sec in self.sections:
-            if sec.vaddr <= addr and addr + length <= sec.end and sec.mapped:
-                if sec.file_offset is None:
-                    raise NoBytesError(
-                        f"section {sec.name!r} has no file-backed content"
-                    )
-                off = sec.file_offset + (addr - sec.vaddr)
-                return self.raw[off : off + length]
-        raise NoBytesError(f"range [{addr:#x}, {addr + length:#x}) not mapped")
+        if sec.file_offset is None:
+            return None
+        base = sec.file_offset - sec.vaddr
+        return self.raw[base + start : base + end]
 
 
 def digest_binary(data: bytes) -> bytes:

@@ -25,7 +25,6 @@ from .model import (
     GT_START_MISMATCH,
     BinaryImage,
     Diagnostic,
-    NoBytesError,
     SectionRecord,
     SymbolRecord,
 )
@@ -78,18 +77,7 @@ def padding_alphabet(machine: str) -> tuple[bytes, ...]:
     """Padding units for the machine; empty means no trimming happens."""
     if machine not in ("x86", "x86_64"):
         return ()
-    text = (
-        resources.files("bintruth")
-        .joinpath("data")
-        .joinpath("padding-x86.txt")
-        .read_text()
-    )
-    units = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            units.append(bytes.fromhex(line))
-    return tuple(units)
+    return tuple(bytes.fromhex(unit) for unit in _load_name_list("padding-x86.txt"))
 
 
 class CallEdgeError(ValueError):
@@ -363,17 +351,15 @@ def trim_padding(
     for work in works:
         if not alphabet:
             continue
-        length = work.end_raw - work.start
-        try:
-            region = image.bytes_at(work.start, length)
-        except NoBytesError:
+        region = image.section_bytes(work.section, work.start, work.end_raw)
+        if region is None:
             diagnostics.append(
                 Diagnostic(
                     "error",
                     GT_INCOMPLETE_EXCLUDED,
                     f"bytes of {work.canonical!r} at {work.start:#x} are not "
                     "in the file; padding cannot be inspected",
-                    span=(work.start, length),
+                    span=(work.start, work.end_raw - work.start),
                 )
             )
             continue

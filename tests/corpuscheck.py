@@ -10,6 +10,7 @@ import random
 from collections import Counter
 
 from bintruth import dwarf, elf, normalize
+from oracles import NoBytesError, bytes_at, tiles_as_padding
 
 
 def build_document(data: bytes, config=None):
@@ -52,14 +53,13 @@ def invariant_failures(image, doc) -> list[str]:
         if fn.end_exclusive_trimmed == fn.end_exclusive_raw:
             continue
         try:
-            tail = image.bytes_at(
+            tail = bytes_at(
+                image,
                 fn.end_exclusive_trimmed,
                 fn.end_exclusive_raw - fn.end_exclusive_trimmed,
             )
-        except Exception:  # nobits tails already carry a diagnostic
+        except NoBytesError:  # nobits tails already carry a diagnostic
             continue
-        from oracles import tiles_as_padding
-
         if not tiles_as_padding(tail, alphabet):
             out.append(f"{fn.canonical_name}: trimmed tail is not padding")
     return out

@@ -25,6 +25,52 @@ def tiles_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
     return solvable(0)
 
 
+class NoBytesError(LookupError):
+    """A virtual-address range has no file-backed content."""
+
+
+def bytes_at(image, addr: int, length: int) -> bytes:
+    """Raw bytes of ``[addr, addr + length)``, found by scanning every section.
+
+    Succeeds iff the range lies inside one mapped, file-backed section;
+    raises :class:`NoBytesError` otherwise.
+    """
+    if length < 0:
+        raise NoBytesError(f"negative length {length}")
+    for sec in image.sections:
+        if sec.vaddr <= addr and addr + length <= sec.end and sec.mapped:
+            if sec.file_offset is None:
+                raise NoBytesError(f"section {sec.name!r} has no file-backed content")
+            off = sec.file_offset + (addr - sec.vaddr)
+            return image.raw[off : off + length]
+    raise NoBytesError(f"range [{addr:#x}, {addr + length:#x}) not mapped")
+
+
+def coverage_stats(byte_map) -> dict[str, float]:
+    """Fraction of mapped bytes per class; zeros for an empty map."""
+    classes = ("code", "padding", "data", "gap_unknown")
+    totals = dict.fromkeys(classes, 0)
+    for run in byte_map.runs:
+        totals[run.klass] += run.length
+    grand = sum(totals.values())
+    if grand == 0:
+        return dict.fromkeys(classes, 0.0)
+    return {klass: totals[klass] / grand for klass in classes}
+
+
+def sleb_encode(value: int) -> bytes:
+    """Signed LEB128."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        sign = byte & 0x40
+        if (value == 0 and not sign) or (value == -1 and sign):
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
+
+
 def suffix_trim(
     region: bytes, alphabet: tuple[bytes, ...], entry_offsets: tuple[int, ...]
 ) -> int:

@@ -31,7 +31,7 @@ def test_coverage_stats_sum_to_one():
         ByteRun(60, 20, "padding", "certain"),
         ByteRun(80, 20, "data", "certain"),
     )
-    stats = ByteClassMap(runs).coverage_stats()
+    stats = oracles.coverage_stats(ByteClassMap(runs))
     assert stats["code"] == 0.6
     assert stats["padding"] == 0.2
     assert stats["data"] == 0.2
@@ -39,7 +39,7 @@ def test_coverage_stats_sum_to_one():
 
 
 def test_coverage_stats_of_an_empty_map_are_zero():
-    stats = ByteClassMap(()).coverage_stats()
+    stats = oracles.coverage_stats(ByteClassMap(()))
     assert set(stats.values()) == {0.0}
 
 
@@ -185,7 +185,7 @@ def test_gap_classification_is_honest():
     junk_gap = by_start[0x40100B]
     assert (nop_gap.klass, nop_gap.confidence) == ("padding", "heuristic")
     assert (junk_gap.klass, junk_gap.confidence) == ("gap_unknown", "heuristic")
-    assert image.bytes_at(0x40100B, 5) == b"\xea" * 5
+    assert oracles.bytes_at(image, 0x40100B, 5) == b"\xea" * 5
 
 
 def test_adjacent_runs_of_one_kind_merge():

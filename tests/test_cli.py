@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bintruth
-from bintruth import byteclass, elf, forge, interchange
+from bintruth import byteclass, cli, elf, forge, interchange
 from bintruth.cli import main
 from bintruth.scoring import ToolReport
 
@@ -460,6 +460,43 @@ def test_corpus_parallel_matches_serial(tmp_path, capsys, preset_docs):
     code, parallel, _err = run(capsys, "corpus", str(directory), "--jobs", "2")
     assert code == 0
     assert parallel == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(tmp_path), "--jobs", jobs])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("stems", "started"), [(("listing1",), []), (("listing1", "listing2"), [2])]
+)
+def test_corpus_starts_no_more_workers_than_pairs(
+    tmp_path, capsys, preset_docs, monkeypatch, stems, started
+):
+    pools = []
+
+    class InlinePool:  # records the pool size, starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    directory = _corpus_dir(tmp_path, preset_docs, stems)
+    code, out, _err = run(capsys, "corpus", str(directory), "--jobs", "8")
+    assert code == 0
+    assert json.loads(out)["n"] == len(stems)
+    assert pools == started
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+from oracles import sleb_encode
 from bintruth import dwarf, elf, forge, normalize
 from bintruth.dwarf import (
     DebugFunctionRecord,
     extract_debug_functions,
     resolve_high_pc,
     sleb_decode,
-    sleb_encode,
     uleb_decode,
+)
+from bintruth.forge import (
+    BinarySpec,
+    DwarfFuncSpec,
+    FunctionSpec,
+    SectionSpec,
+    emit,
     uleb_encode,
 )
-from bintruth.forge import BinarySpec, DwarfFuncSpec, FunctionSpec, SectionSpec, emit
 from bintruth.interchange import GROUND_TRUTH_SCHEMA, document_to_json
 from bintruth.model import (
     GT_DEBUG_OUTSIDE_EXEC,

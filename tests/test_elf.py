@@ -1,8 +1,10 @@
+import functools
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bintruth import elf, forge
+from bintruth import dwarf, elf, forge, interchange, normalize
 from bintruth.forge import (
     BinarySpec,
     ExtraSymbolSpec,
@@ -380,3 +382,82 @@ def test_tbss_overlap_needs_the_tls_flag():
     struct.pack_into("<Q", data, flags_at, flags & ~elf.SHF_TLS)
     with pytest.raises(elf.MalformedElfError, match="overlap"):
         elf.parse_image(bytes(data))
+
+
+# --- layout-aware fuzzing ---------------------------------------------------
+
+
+@functools.cache
+def _fuzz_images() -> tuple[bytes, ...]:
+    presets = [emit(forge.preset(name)) for name in sorted(forge.PRESETS)]
+    corpus = [f.data for f in forge.generate_corpus(seed=11, count=4)]
+    return (*presets, *corpus)
+
+
+def _field_tables(data: bytes) -> list[list[list[tuple[int, str]]]]:
+    """Fields to mutate, located by reading the headers directly.
+
+    Returns groups of tables of fields, each field a (file offset, struct
+    code) pair: the ELF header; the section headers, grouped by sh_type
+    so that the one symbol-table header is drawn as often as all PROGBITS
+    headers together; and the symbol-table rows. The forge writes no
+    program headers, so there are none to mutate.
+    """
+    is64 = data[elf.EI_CLASS] == elf.ELFCLASS64
+    end = "<" if data[elf.EI_DATA] == elf.ELFDATA2LSB else ">"
+    ehdr = "HHIQQQIHHHHHH" if is64 else "HHIIIIIHHHHHH"
+    shdr = "IIQQQQIIQQ" if is64 else "IIIIIIIIII"
+    sym = "IBBHQQ" if is64 else "IIIBBH"
+
+    def fields(fmt: str, base: int) -> list[tuple[int, str]]:
+        out = []
+        for code in fmt:
+            out.append((base, code))
+            base += struct.calcsize(end + code)
+        return out
+
+    values = struct.unpack_from(end + ehdr, data, 16)
+    e_shoff, e_shentsize, e_shnum = values[5], values[10], values[11]
+    by_type: dict[int, list] = {}
+    rows = []
+    for i in range(e_shnum):
+        at = e_shoff + i * e_shentsize
+        _n, sh_type, _f, _a, sh_off, sh_size, *_rest = struct.unpack_from(
+            end + shdr, data, at
+        )
+        by_type.setdefault(sh_type, []).append(fields(shdr, at))
+        if sh_type == elf.SHT_SYMTAB:
+            entsize = struct.calcsize(end + sym)
+            for n in range(sh_size // entsize):
+                rows.append(fields(sym, sh_off + n * entsize))
+    return [[fields(ehdr, 16)], *by_type.values(), rows]
+
+
+@st.composite
+def _elf_mutants(draw) -> bytes:
+    data = bytearray(draw(st.sampled_from(_fuzz_images())))
+    groups = [group for group in _field_tables(bytes(data)) if group]
+    end = "<" if data[elf.EI_DATA] == elf.ELFDATA2LSB else ">"
+    for _ in range(draw(st.integers(1, 3))):
+        table = draw(st.sampled_from(draw(st.sampled_from(groups))))
+        offset, code = draw(st.sampled_from(table))
+        bits = 8 * struct.calcsize(code)
+        (old,) = struct.unpack_from(end + code, data, offset)
+        boundary = [0, 1, (1 << bits) - 1, elf.SHN_LORESERVE, old - 1, old + 1]
+        value = draw(st.sampled_from(boundary))
+        struct.pack_into(end + code, data, offset, value % (1 << bits))
+    return bytes(data)
+
+
+@settings(max_examples=400)
+@given(_elf_mutants())
+def test_mutated_headers_fail_typed_or_load(data):
+    """Boundary values in any header or symbol field end in a typed
+    ElfFormatError or in a document that survives dump and load."""
+    try:
+        image = elf.parse_image(data)
+    except elf.ElfFormatError:
+        return
+    records, diags = dwarf.extract_debug_functions(image)
+    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    assert interchange.document_from_json(interchange.document_to_json(doc)) == doc

@@ -9,6 +9,7 @@ from bintruth.forge import (
     DwarfFuncSpec,
     ExtraSymbolSpec,
     FunctionSpec,
+    InlineSiteSpec,
     InvalidSpecError,
     SectionSpec,
     TwinSpec,
@@ -148,6 +149,42 @@ def one_function(**kwargs):
                 extra_symbols=(ExtraSymbolSpec("blob", ".data", 0),),
             ),
             "unknown section",
+        ),
+        (
+            BinarySpec(
+                sections=(TEXT, SectionSpec(".bss", 0x402000, kind="nobits", size=32)),
+                functions=(
+                    FunctionSpec("ghost", 0, b"\x55\x48\x89\xe5\xc3", section=".bss"),
+                ),
+            ),
+            "nobits section",
+        ),
+        (
+            BinarySpec(
+                sections=(TEXT,),
+                functions=(FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),),
+                dwarf_versions=(6,),
+            ),
+            "DWARF version 6",
+        ),
+        (
+            BinarySpec(
+                sections=(TEXT,),
+                functions=(
+                    FunctionSpec(
+                        "f", 0, b"\xc3", dwarf=(DwarfFuncSpec(name_via="linkage"),)
+                    ),
+                ),
+            ),
+            "name_via",
+        ),
+        (
+            BinarySpec(
+                sections=(TEXT,),
+                functions=(FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),),
+                inline_sites=(InlineSiteSpec("f", "g", 0x401000, 0x401001),),
+            ),
+            "has no DIEs",
         ),
     ],
 )

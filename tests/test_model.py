@@ -2,12 +2,12 @@ import hashlib
 
 import pytest
 
+from bintruth.elf import section_of
 from bintruth.model import (
     DIAGNOSTIC_CODES,
     GT_MISSING_SIZE,
     BinaryImage,
     Diagnostic,
-    NoBytesError,
     SectionRecord,
     SymbolRecord,
     digest_binary,
@@ -39,10 +39,11 @@ def test_diagnostic_span_is_optional():
 
 def test_section_contains_and_end():
     sec = SectionRecord(".text", 0x1000, 0x20, True, False, True, 64)
-    assert sec.contains(0x1000)
-    assert sec.contains(0x101F)
-    assert not sec.contains(0x1020)
-    assert not sec.contains(0xFFF)
+    img = _image((sec,), bytes(128))
+    assert section_of(img, 0x1000) is sec
+    assert section_of(img, 0x101F) is sec
+    assert section_of(img, 0x1020) is None
+    assert section_of(img, 0xFFF) is None
     assert sec.end == 0x1020
 
 
@@ -75,33 +76,14 @@ def _image(sections, raw):
     )
 
 
-def test_bytes_at_reads_file_backed_content():
+def test_section_bytes_slice_the_file_or_are_none():
     raw = bytes(range(64))
-    sec = SectionRecord(".text", 0x1000, 16, True, False, True, file_offset=8)
-    img = _image((sec,), raw)
-    assert img.bytes_at(0x1000, 4) == bytes([8, 9, 10, 11])
-    assert img.bytes_at(0x100C, 4) == bytes([20, 21, 22, 23])
-
-
-def test_bytes_at_rejects_unmapped_and_straddling_ranges():
-    raw = bytes(64)
-    a = SectionRecord(".a", 0x1000, 16, True, False, True, 0)
-    b = SectionRecord(".b", 0x1010, 16, True, False, True, 16)
-    img = _image((a, b), raw)
-    with pytest.raises(NoBytesError):
-        img.bytes_at(0x0, 1)
-    # Contiguous sections still do not satisfy a single-section read.
-    with pytest.raises(NoBytesError):
-        img.bytes_at(0x100C, 8)
-
-
-def test_bytes_at_rejects_nobits_and_negative_length():
+    text = SectionRecord(".text", 0x1000, 16, True, False, True, file_offset=8)
     bss = SectionRecord(".bss", 0x2000, 32, False, True, True, file_offset=None)
-    img = _image((bss,), b"")
-    with pytest.raises(NoBytesError, match="no file-backed"):
-        img.bytes_at(0x2000, 4)
-    with pytest.raises(NoBytesError, match="negative"):
-        img.bytes_at(0x2000, -1)
+    img = _image((text, bss), raw)
+    assert img.section_bytes(text, 0x1000, 0x1004) == bytes([8, 9, 10, 11])
+    assert img.section_bytes(text, 0x100C, 0x1010) == bytes([20, 21, 22, 23])
+    assert img.section_bytes(bss, 0x2000, 0x2004) is None
 
 
 def test_digest_binary_is_sha256():

@@ -345,6 +345,11 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
 
     by_section: dict[str, list[tuple[int, int, str]]] = {}
     described: set[tuple[str, int]] = set()  # (function, unit) with a DIE
+    # The sections emit writes itself: a user section of the same name
+    # would get a second header over the generated bytes.
+    generated = {".shstrtab"}
+    if spec.emit_symtab:
+        generated |= {".symtab", ".strtab"}
     for fn in spec.functions:
         sec = sections.get(fn.section)
         if sec is None:
@@ -376,12 +381,18 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
             if d.name_via not in _NAME_VIA:
                 raise InvalidSpecError(f"name_via {d.name_via!r}")
             described.add((fn.name, d.unit))
+            generated |= {".debug_info", ".debug_abbrev"}
+            if d.ranges is not None:
+                generated.add(".debug_rnglists" if version >= 5 else ".debug_ranges")
     for sec_name, fn_spans in by_section.items():
         overlap = _first_overlap(fn_spans)
         if overlap:
             raise InvalidSpecError(
                 "functions {!r} and {!r} overlap in {}".format(*overlap, sec_name)
             )
+    clash = sorted(generated.intersection(sections))
+    if clash:
+        raise InvalidSpecError(f"section {clash[0]!r} is one the forge writes itself")
     for site in spec.inline_sites:
         if not {(site.host, site.unit), (site.origin, site.unit)} <= described:
             raise InvalidSpecError(

@@ -2,7 +2,11 @@
 
 The same input always serializes to byte-identical output: keys are
 sorted, indentation is fixed, addresses are lowercase ``0x`` hex,
-lengths and counts are decimal, and nothing carries a timestamp.
+lengths and counts are decimal, and nothing carries a timestamp. Every
+payload is written by :func:`dump_json`, whose text is byte for byte the
+standard ``json`` encoder's with ``sort_keys=True, indent=2`` plus a
+newline; NaN and infinity, which that encoder would write as non-JSON
+tokens, are refused.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`, which compiles each schema
@@ -17,10 +21,12 @@ suite holds emitted output to the schemas.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .byteclass import ByteClassMap, ByteRun
@@ -601,8 +607,53 @@ def _object_checker(
 
 
 def dump_json(payload: dict) -> str:
-    """The one deterministic text form of every JSON payload bintruth writes."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The one deterministic text form of every JSON payload bintruth writes.
+
+    Byte for byte what the standard ``json`` encoder writes with
+    ``sort_keys=True, indent=2``, plus a newline, but without the
+    pure-Python encoder that any ``indent`` selects there. Only the exact
+    types ``json.loads`` gives back are written: a ``dict`` with ``str``
+    keys, ``list``, ``str``, ``int``, finite ``float``, ``True``, ``False``
+    and ``None``. NaN and infinity raise ``ValueError``; any other type,
+    a subclass of one of these among them, and a key that is not a
+    ``str`` raise ``TypeError``.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` starts each of its lines."""
+    kind = type(value)  # exact types: True is no int, and no subclass slips by
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _string refuses a key that is not a str, as sorted refuses mixed keys.
+        members = [
+            _string(key) + ": " + _encode(value[key], inner) for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float {value!r} is not JSON")
+        return float.__repr__(value)
+    raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
 
 
 def _load(text: str, schema: dict) -> dict:

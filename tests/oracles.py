@@ -6,6 +6,7 @@ None of it imports the modules under test beyond plain data types.
 """
 from __future__ import annotations
 
+import json
 import re
 from functools import lru_cache
 
@@ -279,3 +280,8 @@ def schema_failure(value: object, schema: dict, where: str = "$") -> str | None:
     if failure is None:
         return None
     return where + "".join(reversed(path)) + ": " + failure
+
+
+def reference_dump(payload: object) -> str:
+    """The published text form of a JSON payload, by the standard encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

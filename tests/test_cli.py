@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bintruth
+import oracles
 from bintruth import byteclass, cli, elf, forge, interchange
 from bintruth.cli import main
 from bintruth.scoring import ToolReport
@@ -567,3 +568,52 @@ def test_fixtures_unknown_preset_is_an_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert "mystery" in err
+
+
+# --- the text form of every writer ---------------------------------------------
+
+
+def test_every_json_writer_prints_the_published_text(
+    tmp_path, capsys, preset_bytes, preset_docs, build_doc
+):
+    from bintruth.normalize import RunConfig
+
+    outputs = {}
+    fixtures = forge.generate_corpus(seed=3, count=4)
+    binaries = [tmp_path / f"{fixture.name}.bin" for fixture in fixtures]
+    for path, fixture in zip(binaries, fixtures):
+        path.write_bytes(fixture.data)
+    _code, outputs["extract"], _err = run(capsys, "extract", str(binaries[0]))
+    (tmp_path / "truth").mkdir()
+    run(capsys, "extract", *map(str, binaries), "-o", str(tmp_path / "truth"))
+    for truth in sorted((tmp_path / "truth").iterdir()):
+        outputs[f"extract -o {truth.name}"] = truth.read_text()
+
+    # A wrong boundary gives non-trivial ratios and a mismatch list.
+    doc = preset_docs["listing2"]
+    preds = [(fn.start, fn.end_exclusive_trimmed - fn.start) for fn in doc.functions]
+    preds[0] = (preds[0][0], preds[0][1] + 1)
+    directory = _corpus_dir(tmp_path, preset_docs)
+    write_report(directory, doc, "listing2", preds)
+    truth = directory / "listing2.truth.json"
+    report = directory / "listing2.report.json"
+    _code, outputs["score"], _err = run(
+        capsys, "score", str(truth), str(report), "--format", "json"
+    )
+    _code, outputs["corpus"], _err = run(
+        capsys, "corpus", str(directory), "--threshold", "0.96"
+    )
+
+    merged = write_truth(tmp_path, build_doc(preset_bytes["listing1"]), "a")
+    split = write_truth(
+        tmp_path,
+        build_doc(preset_bytes["listing1"], RunConfig(merge_multi_entry=False)),
+        "b",
+    )
+    _code, outputs["diff"], _err = run(
+        capsys, "diff", str(merged), str(split), "--format", "json"
+    )
+
+    assert len(outputs) == 4 + len(fixtures)
+    for writer, text in outputs.items():
+        assert text == oracles.reference_dump(json.loads(text)), writer

@@ -27,6 +27,25 @@ def one_function(**kwargs):
     return BinarySpec(sections=(TEXT,), functions=(fn,), word_size=64)
 
 
+def _user_section(name):
+    return SectionSpec(name, 0, content=b"user bytes\x00", allocated=False)
+
+
+def _ranged(version):
+    ranges = ((0x401000, 0x401001),)
+    fn = FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(ranges=ranges),))
+    return {"functions": (fn,), "dwarf_versions": (version,)}
+
+
+_DESCRIBED = {"functions": (FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),)}
+
+
+def _clash(name, **fields):
+    """A spec giving a section named like one emit writes itself."""
+    spec = BinarySpec(sections=(TEXT, _user_section(name)), **fields)
+    return spec, f"'{name}' is one the forge writes"
+
+
 # --- spec validation ----------------------------------------------------------
 
 
@@ -186,11 +205,41 @@ def one_function(**kwargs):
             ),
             "has no DIEs",
         ),
+        _clash(".shstrtab"),
+        _clash(".shstrtab", emit_symtab=False),
+        _clash(".symtab"),
+        _clash(".strtab"),
+        _clash(".debug_info", **_DESCRIBED),
+        _clash(".debug_abbrev", **_DESCRIBED),
+        _clash(".debug_ranges", **_ranged(4)),
+        _clash(".debug_rnglists", **_ranged(5)),
     ],
 )
 def test_bad_specs_are_rejected(spec, message):
     with pytest.raises(InvalidSpecError, match=message):
         emit(spec)
+
+
+@pytest.mark.parametrize(
+    ("name", "spec_fields"),
+    [
+        (".symtab", {"emit_symtab": False}),
+        (".strtab", {"emit_symtab": False}),
+        (".debug_info", {}),
+        (".debug_ranges", _ranged(5)),
+        (".debug_rnglists", _ranged(4)),
+    ],
+    ids=[
+        "symtab-no-symtab", "strtab-no-symtab", "debug_info-no-dwarf",
+        "debug_ranges-v5", "debug_rnglists-v4",
+    ],
+)
+def test_user_sections_may_take_names_the_forge_leaves_free(name, spec_fields):
+    spec = BinarySpec(sections=(TEXT, _user_section(name)), **spec_fields)
+    image = parse_image(emit(spec))
+    [section] = [sec for sec in image.sections if sec.name == name]
+    start = section.file_offset
+    assert image.raw[start : start + section.size] == b"user bytes\x00"
 
 
 def test_word_size_must_be_32_or_64():

@@ -1,8 +1,12 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bintruth import forge
 from bintruth.byteclass import ByteClassMap, ByteRun
 from bintruth.interchange import (
@@ -12,6 +16,7 @@ from bintruth.interchange import (
     corpus_to_json,
     document_from_json,
     document_to_json,
+    dump_json,
     report_from_json,
     report_to_json,
     score_to_json,
@@ -391,3 +396,60 @@ def test_corpus_summary_serialization(preset_docs):
         {"threshold": "0.96", "fraction": {"exact": "3/4", "approx": 0.75}}
     ]
     assert payload["micro"]["precision"]["exact"] == "25/28"
+
+
+# --- the text form -------------------------------------------------------------
+
+# Control characters, non-ASCII, astral and lone surrogates, and the
+# characters JSON escapes; Hypothesis adds every other code point.
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/', "\u00e9\u2028", "\U0001f600", "\ud800", "\udfff\ud800"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 2**200, True, 1, False, 0])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1.0, 1e-7, 1e308])
+    | _TEXT
+)
+_PAYLOADS = st.recursive(
+    _SCALARS | st.just({}) | st.just([]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200)
+@given(_PAYLOADS)
+@example({"a": [True, 1, False, 0, None], "b": {"c": {}, "d": [[], {}]}})
+@example([[[{}]], {"\ud800": {"": []}}])
+def test_dump_is_the_standard_encoders_text(payload):
+    assert dump_json(payload) == oracles.reference_dump(payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        (1, 2),
+        {1},
+        b"bytes",
+        Fraction(1, 3),
+        {1: "int key"},
+        {"a": 1, 2: "mixed keys"},
+    ],
+    ids=[
+        "nan", "inf", "-inf", "tuple", "set", "bytes", "fraction",
+        "int-key", "mixed-keys",
+    ],
+)
+def test_dump_refuses_what_is_not_json(value):
+    with pytest.raises((ValueError, TypeError)):
+        dump_json(value)
+    with pytest.raises((ValueError, TypeError)):
+        dump_json({"nested": [{"deeper": value}]})

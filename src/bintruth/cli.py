@@ -151,7 +151,7 @@ def _build_parser() -> _Parser:
         help=f"one of: {', '.join(sorted(forge.PRESETS))} (repeatable)",
     )
     p.add_argument("--seed", type=int, metavar="N", help="randomized corpus seed")
-    p.add_argument("--count", type=int, default=10, metavar="K")
+    p.add_argument("--count", type=_positive_int, default=10, metavar="K")
     return parser
 
 
@@ -280,7 +280,8 @@ def _diff_documents(left, right) -> dict:
         changes["binary"].append("digest")
     if left.binary.word_size != right.binary.word_size:
         changes["binary"].append("word_size")
-    if left.binary.machine != right.binary.machine:
+    # The code decides the label: a name from MACHINE_NAMES or other(code).
+    if left.binary.machine_code != right.binary.machine_code:
         changes["binary"].append("machine")
     if left.complete != right.complete:
         changes["complete"] = [left.complete, right.complete]
@@ -296,22 +297,9 @@ def _diff_documents(left, right) -> dict:
             {"start": f"0x{start:x}", "name": lefts[start].canonical_name}
         )
     for start in sorted(lefts.keys() & rights.keys()):
-        a, b = lefts[start], rights[start]
-        fields = [
-            name
-            for name, l_val, r_val in (
-                ("name", a.canonical_name, b.canonical_name),
-                ("entries", a.entry_points, b.entry_points),
-                ("end_raw", a.end_exclusive_raw, b.end_exclusive_raw),
-                ("end_trimmed", a.end_exclusive_trimmed, b.end_exclusive_trimmed),
-                ("aliases", a.aliases, b.aliases),
-                ("group", a.specialization_group, b.specialization_group),
-                ("flags", a.flags, b.flags),
-                ("provenance", a.provenance, b.provenance),
-                ("source", a.source, b.source),
-            )
-            if l_val != r_val
-        ]
+        a = interchange.function_payload(lefts[start])
+        b = interchange.function_payload(rights[start])
+        fields = [key for key in a if key != "start" and a[key] != b[key]]
         if fields:
             changes["functions"]["changed"].append(
                 {"start": f"0x{start:x}", "fields": fields}
@@ -375,7 +363,7 @@ def _corpus_table(summary: scoring.CorpusSummary) -> str:
         f"perfect         {summary.fraction_perfect} "
         f"({float(summary.fraction_perfect):.4f})",
     ]
-    for label, _value, share in summary.below:
+    for label, share in summary.below:
         lines.append(f"f1 < {label:10} {share} ({float(share):.4f})")
     return "\n".join(lines) + "\n"
 

@@ -124,27 +124,6 @@ class DebugFunctionRecord:
     noreturn: bool
 
 
-def resolve_high_pc(
-    low_pc: int, form_class: str, value: int, address_bits: int = 64
-) -> int:
-    """Exclusive end address from a high-pc attribute.
-
-    Address-class forms already hold the end; constant-class forms hold an
-    offset from ``low_pc``. Raises OverflowError when the sum leaves the
-    address space.
-    """
-    if form_class == "address":
-        return value
-    if form_class != "constant":
-        raise ValueError(f"unknown high-pc form class {form_class!r}")
-    end = low_pc + value
-    if end > 1 << address_bits:
-        raise OverflowError(
-            f"high pc {end:#x} exceeds {address_bits}-bit address space"
-        )
-    return end
-
-
 _UINT_READERS = {
     little: {
         width: struct.Struct(("<" if little else ">") + code)
@@ -202,12 +181,10 @@ class _Cursor:
 
 
 def _str_at(blob: bytes, off: int, what: str) -> str:
-    if off >= len(blob):
+    text = elf._cstr(blob, off)
+    if text is None:
         raise MalformedDebugDataError(f"{what} offset {off:#x} out of range")
-    end = blob.find(b"\x00", off)
-    if end < 0:
-        end = len(blob)
-    return blob[off:end].decode("utf-8", errors="replace")
+    return text
 
 
 # The form catalog: the width of each form's value in .debug_info. A width
@@ -397,7 +374,7 @@ def _read_form(
     elif width in (1, 2, 4, 8):
         value = cur.uint(width)
     elif width == 3:  # strx3 and addrx3
-        value = int.from_bytes(cur.raw(3), "little")
+        value = int.from_bytes(cur.raw(3), "little" if unit.little_endian else "big")
     else:  # data16, and the zero-width forms below
         value = cur.raw(width)
     marker = _MARKERS.get(form)
@@ -454,26 +431,22 @@ def _skip(blob: bytes, pos: int, plan: tuple[int, ...], readers: dict) -> int:
     return pos
 
 
+def _table_entry(
+    unit: _Unit, blob: bytes, base: int, index: int, width: int, message: str
+) -> int:
+    """Entry ``index`` of the ``width``-byte table at ``base`` in ``blob``;
+    past the end, raises ``message`` formatted with the index."""
+    off = base + index * width
+    if off + width > len(blob):
+        raise MalformedDebugDataError(message.format(index))
+    return _UINT_READERS[unit.little_endian][width].unpack_from(blob, off)[0]
+
+
 def _indexed_addr(unit: _Unit, index: int) -> int:
-    blob = unit.aux.addr
-    off = unit.addr_base + index * unit.addr_size
-    if off + unit.addr_size > len(blob):
-        raise MalformedDebugDataError(f".debug_addr index {index} out of range")
-    return int.from_bytes(
-        blob[off : off + unit.addr_size],
-        "little" if unit.little_endian else "big",
+    return _table_entry(
+        unit, unit.aux.addr, unit.addr_base, index, unit.addr_size,
+        ".debug_addr index {} out of range",
     )
-
-
-def _indexed_str(unit: _Unit, index: int) -> str:
-    blob = unit.aux.str_offsets
-    off = unit.str_base + index * 4
-    if off + 4 > len(blob):
-        raise MalformedDebugDataError(f".debug_str_offsets index {index} out of range")
-    str_off = int.from_bytes(
-        blob[off : off + 4], "little" if unit.little_endian else "big"
-    )
-    return _str_at(unit.aux.debug_str, str_off, ".debug_str")
 
 
 def _resolve_indices(unit: _Unit, die: _Die) -> None:
@@ -482,14 +455,20 @@ def _resolve_indices(unit: _Unit, die: _Die) -> None:
         if isinstance(value, tuple):
             kind, idx = value
             if kind == "strx":
-                die.attrs[attr] = (form, _indexed_str(unit, idx))
+                str_off = _table_entry(
+                    unit, unit.aux.str_offsets, unit.str_base, idx, 4,
+                    ".debug_str_offsets index {} out of range",
+                )
+                text = _str_at(unit.aux.debug_str, str_off, ".debug_str")
+                die.attrs[attr] = (form, text)
             elif kind == "addrx":
                 die.attrs[attr] = (form, _indexed_addr(unit, idx))
 
 
 def _offset_value(value: object, what: str) -> int:
-    """A section offset from an attribute whose form may not hold one."""
-    if not isinstance(value, int):
+    """A section offset from an attribute whose form may not hold one
+    (or whose sdata value is negative, which would index from the end)."""
+    if not isinstance(value, int) or value < 0:
         raise MalformedDebugDataError(f"{what} is not an offset")
     return value
 
@@ -674,12 +653,9 @@ def _resolve_ranges(unit: _Unit, die: _Die, cu_base: int) -> list[tuple[int, int
     value = _offset_value(value, "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
-            blob = unit.aux.rnglists
-            off = unit.rnglists_base + value * 4
-            if off + 4 > len(blob):
-                raise MalformedDebugDataError("rnglistx index out of range")
-            rel = int.from_bytes(
-                blob[off : off + 4], "little" if unit.little_endian else "big"
+            rel = _table_entry(
+                unit, unit.aux.rnglists, unit.rnglists_base, value, 4,
+                "rnglistx index out of range",
             )
             return _ranges_v5(unit, unit.rnglists_base + rel, cu_base)
         return _ranges_v5(unit, value, cu_base)
@@ -745,19 +721,18 @@ def _unit_records(
             low = None
         high_raw = die.attrs.get(DW_AT_high_pc)
         if low is not None and high_raw is not None:
-            form, value = high_raw
-            if not isinstance(value, int):
+            form, end = high_raw
+            if not isinstance(end, int):
                 raise MalformedDebugDataError("non-integer high pc")
-            if form in ADDRESS_FORMS:
-                klass = "address"
-            elif form in CONSTANT_FORMS:
-                klass = "constant"
-            else:
+            if form in CONSTANT_FORMS:  # an offset from low_pc
+                end += low
+                bits = unit.addr_size * 8
+                if end > 1 << bits:
+                    raise MalformedDebugDataError(
+                        f"high pc {end:#x} exceeds {bits}-bit address space"
+                    )
+            elif form not in ADDRESS_FORMS:
                 raise MalformedDebugDataError(f"high pc form {form:#x}")
-            try:
-                end = resolve_high_pc(low, klass, value, unit.addr_size * 8)
-            except OverflowError as exc:
-                raise MalformedDebugDataError(str(exc)) from None
             return low, end
         if DW_AT_ranges in die.attrs:
             pairs = _resolve_ranges(unit, die, cu_base)

@@ -50,7 +50,6 @@ SHT_NOBITS = 8
 SHT_SYMTAB = 2
 SHT_DYNSYM = 11
 
-SHF_WRITE = 0x1
 SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
 SHF_TLS = 0x400
@@ -62,7 +61,6 @@ STB_GLOBAL = 1
 STB_WEAK = 2
 
 SHN_UNDEF = 0
-SHN_LORESERVE = 0xFF00
 
 
 class ElfFormatError(ValueError):
@@ -218,7 +216,6 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 vaddr=sh_addr,
                 size=sh_size,
                 executable=bool(sh_flags & SHF_EXECINSTR),
-                writable=bool(sh_flags & SHF_WRITE),
                 allocated=allocated,
                 file_offset=sh_off if file_backed else None,
                 tls=bool(sh_flags & SHF_TLS),
@@ -245,7 +242,7 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
     symbols: list[SymbolRecord] = []
     seen: set[tuple[str, int]] = set()
     for table_type in (SHT_SYMTAB, SHT_DYNSYM):
-        for idx, sh in enumerate(raw_sections):
+        for sh in raw_sections:
             (sh_name, sh_type, _f, _addr, sh_off, sh_size, sh_link, _i, _a, sh_ent) = sh
             if sh_type != table_type:
                 continue
@@ -267,9 +264,9 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
             for n in range(1, count):  # index 0 is the reserved null symbol
                 entry = struct.unpack_from(sym_fmt, data, sh_off + n * sym_entsize)
                 if is64:
-                    st_name, st_info, _st_other, st_shndx, st_value, st_size = entry
+                    st_name, st_info, _st_other, _st_shndx, st_value, st_size = entry
                 else:
-                    st_name, st_value, st_size, st_info, _st_other, st_shndx = entry
+                    st_name, st_value, st_size, st_info, _st_other, _st_shndx = entry
                 name = _cstr(strtab, st_name)
                 if name is None:
                     name = f"<bad-strtab:{st_name}>"
@@ -284,11 +281,6 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 if table_type == SHT_DYNSYM and (name, st_value) in seen:
                     continue
                 seen.add((name, st_value))
-                section_index: int | None = st_shndx
-                if st_shndx == SHN_UNDEF or st_shndx >= SHN_LORESERVE:
-                    section_index = None
-                elif st_shndx >= len(raw_sections):
-                    section_index = None
                 symbols.append(
                     SymbolRecord(
                         name=name,
@@ -296,7 +288,6 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                         size=st_size,
                         kind=_kind_name(st_info & 0xF),
                         binding=_binding_name(st_info >> 4),
-                        section_index=section_index,
                     )
                 )
 

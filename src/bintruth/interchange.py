@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .byteclass import ByteClassMap, ByteRun
-from .model import Diagnostic, machine_label
+from .model import MACHINE_NAMES, Diagnostic, machine_label
 from .normalize import (
     BinarySummary,
     GroundTruthDocument,
@@ -710,26 +710,26 @@ def _byte_map(runs: list[dict]) -> ByteClassMap:
     )
 
 
+def function_payload(fn: GroundTruthFunction) -> dict:
+    """The JSON object of one ground-truth function, keys in document order."""
+    return {
+        "name": fn.canonical_name,
+        "entries": [_hex(e) for e in fn.entry_points],
+        "start": _hex(fn.start),
+        "end_raw": _hex(fn.end_exclusive_raw),
+        "end_trimmed": _hex(fn.end_exclusive_trimmed),
+        "aliases": list(fn.aliases),
+        "group": fn.specialization_group,
+        "flags": sorted(fn.flags),
+        "provenance": sorted(fn.provenance),
+        "source": None
+        if fn.source is None
+        else {"file": fn.source[0], "line": fn.source[1]},
+    }
+
+
 def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) -> str:
     config = config or RunConfig()
-    functions = []
-    for fn in doc.functions:
-        functions.append(
-            {
-                "name": fn.canonical_name,
-                "entries": [_hex(e) for e in fn.entry_points],
-                "start": _hex(fn.start),
-                "end_raw": _hex(fn.end_exclusive_raw),
-                "end_trimmed": _hex(fn.end_exclusive_trimmed),
-                "aliases": list(fn.aliases),
-                "group": fn.specialization_group,
-                "flags": sorted(fn.flags),
-                "provenance": sorted(fn.provenance),
-                "source": None
-                if fn.source is None
-                else {"file": fn.source[0], "line": fn.source[1]},
-            }
-        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "meta": {"generator": GENERATOR, "config": _config_payload(config)},
@@ -739,7 +739,7 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
             "word_size": doc.binary.word_size,
             "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
         },
-        "functions": functions,
+        "functions": [function_payload(fn) for fn in doc.functions],
         "byte_classes": _runs_payload(doc.byte_classes),
         "diagnostics": [
             {
@@ -757,13 +757,20 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
     return dump_json(payload)
 
 
+_MACHINE_CODES = {name: code for code, name in MACHINE_NAMES.items()}
+# Canonical ASCII decimal of at most five digits; e_machine is 16 bits.
+_OTHER_MACHINE = re.compile(r"other\((0|[1-9][0-9]{0,4})\)")
+
+
 def _machine_from_label(label: str) -> tuple[str, int]:
-    if label == "x86":
-        return "x86", 3
-    if label == "x86_64":
-        return "x86_64", 62
-    if label.startswith("other(") and label.endswith(")"):
-        return "other", int(label[6:-1])
+    """The (machine, code) pair whose :func:`machine_label` is ``label``."""
+    if label in _MACHINE_CODES:
+        return label, _MACHINE_CODES[label]
+    match = _OTHER_MACHINE.fullmatch(label)
+    if match:
+        code = int(match[1])
+        if code < 1 << 16 and code not in MACHINE_NAMES:
+            return "other", code
     raise SchemaError(f"unrecognized machine label {label!r}")
 
 
@@ -861,16 +868,11 @@ def report_to_json(report: ToolReport) -> str:
             for start, size in report.predicted_functions
         ],
     }
-    if report.predicted_byte_classes is not None:
-        payload["byte_classes"] = _runs_payload(report.predicted_byte_classes)
     return dump_json(payload)
 
 
 def report_from_json(text: str) -> ToolReport:
     payload = _load(text, TOOL_REPORT_SCHEMA)
-    byte_classes = None
-    if payload.get("byte_classes") is not None:
-        byte_classes = _byte_map(payload["byte_classes"])
     return ToolReport(
         tool_name=payload["tool"]["name"],
         tool_version=payload["tool"]["version"],
@@ -878,7 +880,6 @@ def report_from_json(text: str) -> ToolReport:
         predicted_functions=tuple(
             (int(f["start"], 16), f["size"]) for f in payload["functions"]
         ),
-        predicted_byte_classes=byte_classes,
     )
 
 
@@ -921,7 +922,7 @@ def corpus_to_json(summary: CorpusSummary) -> str:
         "fraction_perfect": _metric_payload(summary.fraction_perfect),
         "below": [
             {"threshold": label, "fraction": _metric_payload(share)}
-            for label, _value, share in summary.below
+            for label, share in summary.below
         ],
     }
     return dump_json(payload)

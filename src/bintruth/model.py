@@ -81,7 +81,6 @@ class SectionRecord:
     vaddr: int
     size: int
     executable: bool
-    writable: bool
     allocated: bool
     file_offset: int | None
     tls: bool = False
@@ -117,7 +116,6 @@ class SymbolRecord:
     size: int
     kind: str
     binding: str
-    section_index: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SYMBOL_KINDS:
@@ -143,7 +141,7 @@ class BinaryImage:
     """A parsed binary: sections, symbols, and the raw bytes behind them.
 
     ``sections`` mirrors the section header table in order (index 0 is the
-    null section), so symbol section indexes resolve directly.
+    null section).
     """
 
     source_path: str

@@ -76,7 +76,6 @@ class ToolReport:
     tool_version: str
     binary_digest: bytes
     predicted_functions: tuple[tuple[int, int | None], ...]
-    predicted_byte_classes: ByteClassMap | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,17 +124,6 @@ def _finish(
 ) -> ScoreResult:
     if tp == 0 and fp == 0 and fn == 0:
         warnings.append("EMPTY_COMPARISON")
-        return ScoreResult(
-            0,
-            0,
-            0,
-            Fraction(1),
-            Fraction(1),
-            Fraction(1),
-            tuple(mismatches),
-            policy,
-            tuple(warnings),
-        )
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
     return ScoreResult(
@@ -318,8 +306,8 @@ class CorpusSummary:
     macro_recall: Fraction
     macro_f1: Fraction
     fraction_perfect: Fraction
-    # (threshold label, threshold, share of binaries with f1 below it)
-    below: tuple[tuple[str, Fraction, Fraction], ...]
+    # (threshold label, share of binaries with f1 below the threshold)
+    below: tuple[tuple[str, Fraction], ...]
 
 
 def canonical_threshold(threshold: float | str | Fraction) -> tuple[str, Fraction]:
@@ -355,7 +343,7 @@ def corpus_aggregate(
     for raw in thresholds:
         label, value = canonical_threshold(raw)
         share = Fraction(sum(1 for r in results if r.f1 < value), n)
-        below.append((label, value, share))
+        below.append((label, share))
     return CorpusSummary(
         n=n,
         micro_precision=micro_p,

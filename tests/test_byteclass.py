@@ -144,7 +144,7 @@ def test_nobits_data_sections_are_data(small_corpus):
 def test_fileless_executable_gaps_stay_unknown():
     from bintruth.model import BinaryImage, SectionRecord, digest_binary
 
-    sec = SectionRecord(".textbss", 0x500000, 0x40, True, False, True, None)
+    sec = SectionRecord(".textbss", 0x500000, 0x40, True, True, None)
     image = BinaryImage(
         source_path="mem",
         content_digest=digest_binary(b""),

@@ -417,6 +417,22 @@ def test_diff_reports_what_changed(tmp_path, capsys, preset_bytes, build_doc):
     ]
 
 
+def test_diff_names_a_machine_change(tmp_path, capsys, build_doc):
+    def doc_for(machine_code):
+        spec = forge.BinarySpec(
+            sections=(forge.SectionSpec(".text", 0x401000, executable=True),),
+            functions=(forge.FunctionSpec("f", 0, b"\x89\xc8\xc3"),),
+            machine_code=machine_code,
+        )
+        return build_doc(forge.emit(spec))
+
+    left = write_truth(tmp_path, doc_for(40), "a")
+    right = write_truth(tmp_path, doc_for(183), "b")
+    code, out, _err = run(capsys, "diff", str(left), str(right))
+    assert code == 4
+    assert out == "binary.digest differs\nbinary.machine differs\n"
+
+
 # --- corpus ---------------------------------------------------------------------
 
 
@@ -548,6 +564,16 @@ def test_fixtures_single_preset(tmp_path, capsys):
     )
     assert code == 0
     assert [p.name for p in out_dir.iterdir()] == ["scaffold.bin"]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fixtures_count_below_one_is_a_usage_error(tmp_path, capsys, count):
+    out_dir = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "-o", str(out_dir), "--seed", "3", "--count", count])
+    assert exc.value.code == 1
+    assert "--count" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_fixtures_randomized_corpus(tmp_path, capsys):

@@ -21,7 +21,6 @@ from jsonschema import Draft202012Validator
 
 import oracles
 from bintruth import dwarf, elf, forge, interchange, normalize
-from bintruth.byteclass import ByteClassMap, ByteRun
 from bintruth.interchange import (
     CORPUS_SCHEMA,
     GROUND_TRUTH_SCHEMA,
@@ -71,7 +70,7 @@ def _report_for(doc, stub: bool = False) -> ToolReport:
 
 @cache
 def emitted() -> tuple[tuple[str, str, str], ...]:
-    """(kind, label, text) for every payload kind the program writes."""
+    """(kind, label, text) for every payload kind the program writes or reads."""
     out = []
     docs = {name: _build(forge.emit(forge.preset(name))) for name in forge.PRESETS}
     for name, doc in docs.items():
@@ -87,14 +86,18 @@ def emitted() -> tuple[tuple[str, str, str], ...]:
     out.append(("document", "configured", document_to_json(docs["listing1"], config)))
 
     listing2 = docs["listing2"]
-    runs = ByteClassMap((ByteRun(0x1000, 16, "code", "certain"),))
     reports = {
         "plain": _report_for(listing2),
         "stub": _report_for(listing2, stub=True),
-        "sizeless": ToolReport("finder", "2", b"\x11" * 32, ((0x1000, None),), runs),
+        "sizeless": ToolReport("finder", "2", b"\x11" * 32, ((0x1000, None),)),
     }
     for label, report in reports.items():
         out.append(("report", label, report_to_json(report)))
+    # No writer emits a report's byte classes, but the schema admits them.
+    classified = json.loads(report_to_json(reports["sizeless"]))
+    run = {"start": "0x1000", "length": 16, "class": "code", "confidence": "certain"}
+    classified["byte_classes"] = [run]
+    out.append(("report", "byte_classes", json.dumps(classified)))
 
     stripped = docs["stripped"]
     results = [

@@ -12,7 +12,6 @@ from bintruth import dwarf, elf, forge, normalize
 from bintruth.dwarf import (
     DebugFunctionRecord,
     extract_debug_functions,
-    resolve_high_pc,
     sleb_decode,
     uleb_decode,
 )
@@ -92,40 +91,38 @@ def test_uleb_decode_rejects_truncation():
 # --- high-pc resolution ----------------------------------------------------
 
 
-def test_high_pc_address_class_is_verbatim():
-    assert resolve_high_pc(0x1000, "address", 0x1040) == 0x1040
-
-
-def test_high_pc_constant_class_is_an_offset():
-    assert resolve_high_pc(0x1000, "constant", 0x40) == 0x1040
-
-
-def test_high_pc_may_end_exactly_at_the_address_ceiling():
-    assert resolve_high_pc(0xFFFFFFF0, "constant", 0x10, 32) == 1 << 32
-
-
-def test_high_pc_past_the_ceiling_overflows():
-    with pytest.raises(OverflowError):
-        resolve_high_pc(0xFFFFFFF0, "constant", 0x11, 32)
-    with pytest.raises(OverflowError):
-        resolve_high_pc((1 << 64) - 8, "constant", 9)
-
-
-def test_high_pc_overflow_in_the_binary_is_malformed_debug_data():
-    spec = _single_fn_spec(DwarfFuncSpec(highpc_form="data4"), 4, word_size=32)
+@pytest.mark.parametrize(
+    ("form", "high_pc", "end"),
+    [
+        ("addr", 0x401040, 0x401040),
+        ("data4", 0x40, 0x401040),
+        ("data4", (1 << 32) - 0x401000, 1 << 32),
+        ("data4", (1 << 32) - 0x401000 + 1, None),
+    ],
+    ids=["address-verbatim", "constant-offset", "ends-at-ceiling", "one-past-ceiling"],
+)
+def test_high_pc_overflow_in_the_binary_is_malformed_debug_data(form, high_pc, end):
+    """An address-class high pc is the end; a constant one is an offset from
+    low_pc, and a sum past the 32-bit address space is malformed."""
+    spec = _single_fn_spec(DwarfFuncSpec(highpc_form=form), 4, word_size=32)
     raw = bytearray(emit(spec))
     info = next(s for s in elf.parse_image(bytes(raw)).sections if s.name == ".debug_info")
     blob = raw[info.file_offset : info.file_offset + info.size]
-    pair = struct.pack("<II", 0x401000, 16)  # low_pc addr, high_pc data4
+    forged_high = 0x401010 if form == "addr" else 16
+    pair = struct.pack("<II", 0x401000, forged_high)  # low_pc addr, then high_pc
     assert blob.count(pair) == 1
     at = info.file_offset + blob.index(pair) + 4
-    struct.pack_into("<I", raw, at, 0xFFFFFFF0)
+    struct.pack_into("<I", raw, at, high_pc)
     records, diags = extract_debug_functions(elf.parse_image(bytes(raw)))
+    if end is not None:
+        assert diags == []
+        assert [(r.low_pc, r.end_exclusive) for r in records] == [(0x401000, end)]
+        return
     assert records == []
     (error,) = diags
     assert error.code == GT_MALFORMED_DEBUG_DATA
     assert error.severity == "error"
-    assert "32-bit address space" in error.message
+    assert "high pc 0x100000001 exceeds 32-bit address space" in error.message
 
 
 # --- encodings that must agree ---------------------------------------------
@@ -303,7 +300,7 @@ def test_debug_record_outside_executable_sections_is_flagged():
     image = elf.parse_image(data)
     # Re-point .text at a non-executable copy of itself.
     patched = tuple(
-        SectionRecord(s.name, s.vaddr, s.size, False, s.writable, s.allocated, s.file_offset)
+        SectionRecord(s.name, s.vaddr, s.size, False, s.allocated, s.file_offset)
         if s.name == ".text"
         else s
         for s in image.sections
@@ -349,24 +346,26 @@ def test_damage_in_a_later_unit_keeps_earlier_records():
     assert errors[0].severity == "error"
 
 
-def _synthetic_image(sections_and_blobs: list[tuple[str, bytes]]) -> BinaryImage:
+def _synthetic_image(
+    sections_and_blobs: list[tuple[str, bytes]], endianness: str = "little"
+) -> BinaryImage:
     """An image whose raw bytes are exactly the given named blobs."""
     text_size = 0x40
     raw = bytearray(b"\x90" * text_size)
     sections = [
-        SectionRecord("", 0, 0, False, False, False, None),
-        SectionRecord(".text", 0x401000, text_size, True, False, True, 0),
+        SectionRecord("", 0, 0, False, False, None),
+        SectionRecord(".text", 0x401000, text_size, True, True, 0),
     ]
     for name, blob in sections_and_blobs:
         sections.append(
-            SectionRecord(name, 0, len(blob), False, False, False, len(raw))
+            SectionRecord(name, 0, len(blob), False, False, len(raw))
         )
         raw += blob
     return BinaryImage(
         source_path="synthetic",
         content_digest=digest_binary(bytes(raw)),
         word_size=64,
-        endianness="little",
+        endianness=endianness,
         machine="x86_64",
         machine_code=62,
         sections=tuple(sections),
@@ -430,6 +429,8 @@ AT_SPECIFICATION, AT_TYPE, AT_RANGES, AT_STR_OFFSETS_BASE = 0x47, 0x49, 0x55, 0x
 FORM_ADDR, FORM_DATA2, FORM_DATA4, FORM_STRING, FORM_DATA1 = 0x01, 0x05, 0x06, 0x08, 0x0B
 FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
 FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
+AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
+FORM_RNGLISTX = 0x23
 
 # Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
 ABBREVS = {
@@ -461,6 +462,21 @@ ABBREVS = {
     # Offsets in forms that cannot hold one.
     10: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_STRING)]),
     11: (TAG_CU, [(AT_STR_OFFSETS_BASE, FORM_STRING)]),
+    # Three-byte indexes, and the unit bases they index from.
+    12: (TAG_CU, [(AT_STR_OFFSETS_BASE, FORM_SEC_OFFSET), (AT_ADDR_BASE, FORM_SEC_OFFSET)]),
+    13: (
+        TAG_SUBPROGRAM,
+        [(AT_NAME, FORM_STRX3), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    14: (
+        TAG_SUBPROGRAM,
+        [(AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDRX3), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    # Offsets that sdata makes negative.
+    15: (TAG_CU, [(AT_STR_OFFSETS_BASE, FORM_SDATA)]),
+    16: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_SDATA)]),
+    # A range list named by its index in the unit's offset table.
+    17: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_RNGLISTX)]),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
@@ -618,6 +634,81 @@ def test_offset_in_a_string_form_is_malformed(dies):
     records, diags = extract_debug_functions(_unit_image(dies, 5))
     assert records == []
     assert "is not an offset" in _only_error(diags)
+
+
+@pytest.mark.parametrize(
+    ("dies", "what"),
+    [
+        ([CU_DIE, _die(16, b"f\x00", sleb_encode(-100))], "ranges"),
+        (
+            [
+                _die(15, sleb_encode(-4)),
+                _die(13, b"\x00\x00\x00", struct.pack("<QI", 0x401000, 16)),
+            ],
+            "str_offsets_base",
+        ),
+    ],
+    ids=["ranges", "str_offsets_base"],
+)
+def test_negative_offset_is_malformed(dies, what):
+    records, diags = extract_debug_functions(_unit_image(dies, 5))
+    assert records == []
+    assert f"{what} is not an offset" in _only_error(diags)
+
+
+def _indexed_unit_image(subprogram: bytes, order: str = "little") -> BinaryImage:
+    """A DWARF 5 unit whose string and address tables hold entries 0 and 1."""
+    e = "<" if order == "little" else ">"
+    cu = _die(12, struct.pack(e + "II", 8, 8))  # str_offsets_base, addr_base
+    body = struct.pack(e + "HBBI", 5, 1, 8, 0) + cu + subprogram + b"\x00"
+    return _synthetic_image(
+        [
+            (".debug_info", struct.pack(e + "I", len(body)) + body),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_str", b"\x00nope\x00func\x00"),
+            # Each table: an 8-byte header, then entries 0 and 1.
+            (".debug_str_offsets", struct.pack(e + "IHHII", 12, 5, 0, 1, 6)),
+            (".debug_addr", struct.pack(e + "IHBBQQ", 20, 5, 8, 0, 0x401020, 0x401000)),
+        ],
+        endianness=order,
+    )
+
+
+@pytest.mark.parametrize(
+    ("subprogram", "message"),
+    [
+        (
+            _die(13, b"\x02\x00\x00", struct.pack("<QI", 0x401000, 16)),
+            ".debug_str_offsets index 2 out of range",
+        ),
+        (
+            _die(14, b"f\x00", b"\x02\x00\x00", struct.pack("<I", 16)),
+            ".debug_addr index 2 out of range",
+        ),
+        (_die(17, b"f\x00", b"\x00"), "rnglistx index out of range"),
+    ],
+    ids=["strx", "addrx", "rnglistx"],
+)
+def test_index_past_its_table_is_malformed(subprogram, message):
+    records, diags = extract_debug_functions(_indexed_unit_image(subprogram))
+    assert records == []
+    assert _only_error(diags).endswith(f": {message}")
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("form", ["strx3", "addrx3"])
+def test_three_byte_indexes_read_in_the_units_byte_order(form, order):
+    e = "<" if order == "little" else ">"
+    index_1 = (1).to_bytes(3, order)
+    if form == "strx3":
+        subprogram = _die(13, index_1, struct.pack(e + "QI", 0x401000, 16))
+    else:
+        subprogram = _die(14, b"func\x00", index_1, struct.pack(e + "I", 16))
+    records, diags = extract_debug_functions(_indexed_unit_image(subprogram, order))
+    assert diags == []
+    assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [
+        ("func", 0x401000, 0x401010)
+    ]
 
 
 @functools.cache

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from bintruth import forge
-from bintruth.byteclass import ByteClassMap, ByteRun
 from bintruth.interchange import (
     SCHEMA_VERSION,
     SchemaError,
@@ -296,29 +295,54 @@ def test_non_json_input_is_a_schema_error():
 
 
 def test_unrecognized_machine_label_is_rejected(preset_docs):
+    """Only what machine_label writes loads: a name, or other(N) for a
+    16-bit N in canonical ASCII decimal that has no name."""
     text = document_to_json(preset_docs["listing1"])
+    for label in (
+        "z80",
+        "other(+5)",
+        "other( 5)",
+        "other(5_0)",
+        "other(05)",
+        "other(\u0663)",  # ARABIC-INDIC DIGIT THREE
+        "other(4\u0660)",  # 4, then ARABIC-INDIC DIGIT ZERO
+        "other(-1)",
+        "other(65536)",
+        "other(3)",
+        "other(62)",
+    ):
 
-    def weird(p):
-        p["binary"]["machine"] = "z80"
+        def weird(p):
+            p["binary"]["machine"] = label
 
-    with pytest.raises(SchemaError, match="machine label"):
-        document_from_json(_mutate(text, weird))
+        with pytest.raises(SchemaError, match="machine label"):
+            document_from_json(_mutate(text, weird))
+    for label in ("other(0)", "other(40)", "other(65535)"):
+
+        def named(p):
+            p["binary"]["machine"] = label
+
+        loaded = _mutate(text, named)
+        assert document_to_json(document_from_json(loaded)) == oracles.reference_dump(
+            json.loads(loaded)
+        )
 
 
 # --- tool reports -------------------------------------------------------------
 
 
 def test_reports_round_trip():
-    report = ToolReport(
-        tool_name="finder",
-        tool_version="2.1",
-        binary_digest=DIGEST,
-        predicted_functions=((0x1000, 16), (0x2000, None)),
-        predicted_byte_classes=ByteClassMap(
-            (ByteRun(0x1000, 16, "code", "certain"),)
-        ),
-    )
-    assert report_from_json(report_to_json(report)) == report
+    report = ToolReport("finder", "2.1", DIGEST, ((0x1000, 16), (0x2000, None)))
+    text = report_to_json(report)
+    assert report_from_json(text) == report
+    # A report's byte classes are checked against the schema, not scored.
+    payload = json.loads(text)
+    run = {"start": "0x1000", "length": 16, "class": "code", "confidence": "certain"}
+    payload["byte_classes"] = [run]
+    assert report_from_json(json.dumps(payload)) == report
+    run["class"] = "puffin"
+    with pytest.raises(SchemaError, match=r"\$\.byte_classes\[0\]\.class"):
+        report_from_json(json.dumps(payload))
 
 
 def test_reports_without_byte_classes_round_trip():

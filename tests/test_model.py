@@ -38,7 +38,7 @@ def test_diagnostic_span_is_optional():
 
 
 def test_section_contains_and_end():
-    sec = SectionRecord(".text", 0x1000, 0x20, True, False, True, 64)
+    sec = SectionRecord(".text", 0x1000, 0x20, True, True, 64)
     img = _image((sec,), bytes(128))
     assert section_of(img, 0x1000) is sec
     assert section_of(img, 0x101F) is sec
@@ -78,8 +78,8 @@ def _image(sections, raw):
 
 def test_section_bytes_slice_the_file_or_are_none():
     raw = bytes(range(64))
-    text = SectionRecord(".text", 0x1000, 16, True, False, True, file_offset=8)
-    bss = SectionRecord(".bss", 0x2000, 32, False, True, True, file_offset=None)
+    text = SectionRecord(".text", 0x1000, 16, True, True, file_offset=8)
+    bss = SectionRecord(".bss", 0x2000, 32, False, True, file_offset=None)
     img = _image((text, bss), raw)
     assert img.section_bytes(text, 0x1000, 0x1004) == bytes([8, 9, 10, 11])
     assert img.section_bytes(text, 0x100C, 0x1010) == bytes([20, 21, 22, 23])

@@ -41,7 +41,7 @@ from bintruth.normalize import (
     trim_padding,
 )
 
-TEXT = SectionRecord(".text", 0x401000, 0x1000, True, False, True, 0)
+TEXT = SectionRecord(".text", 0x401000, 0x1000, True, True, 0)
 
 
 def _image_with(symbols, sections=(TEXT,), raw=None):
@@ -63,7 +63,7 @@ def _image_with(symbols, sections=(TEXT,), raw=None):
 
 
 def _func(name, value, size, binding="local"):
-    return SymbolRecord(name, value, size, "function", binding, 0)
+    return SymbolRecord(name, value, size, "function", binding)
 
 
 # --- name lists and call edges ----------------------------------------------
@@ -229,7 +229,7 @@ def test_merge_requires_the_dot_name():
 
 
 def test_merge_does_not_cross_sections():
-    text2 = SectionRecord(".text2", 0x402000, 0x1000, True, False, True, 0x1000)
+    text2 = SectionRecord(".text2", 0x402000, 0x1000, True, True, 0x1000)
     syms = [_func("f", 0x401FF8, 8), _func("f.", 0x402000, 8)]
     works, _ = dedupe_aliases(syms, _image_with(syms, (TEXT, text2)))
     merged, _ = merge_fallthrough_entries(works)
@@ -270,7 +270,7 @@ def test_boundaries_for_the_last_function_use_the_section_end():
 
 
 def test_boundaries_ignore_other_sections_for_next_start():
-    text2 = SectionRecord(".text2", 0x402000, 0x100, True, False, True, 0x1000)
+    text2 = SectionRecord(".text2", 0x402000, 0x100, True, True, 0x1000)
     syms = [_func("a", 0x401000, 0), _func("b", 0x402010, 8)]
     works, _ = dedupe_aliases(syms, _image_with(syms, (TEXT, text2)))
     resolve_boundaries(works)
@@ -386,7 +386,7 @@ def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
 
 
 def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
-    bss = SectionRecord(".bss", 0x402000, 0x100, True, True, True, None)
+    bss = SectionRecord(".bss", 0x402000, 0x100, True, True, None)
     syms = [_func("ghost", 0x402000, 16)]
     image = _image_with(syms, (TEXT, bss))
     works, _ = dedupe_aliases(syms, image)

@@ -328,9 +328,8 @@ def test_thresholds_use_exact_comparison():
     assert results[0].f1 == Fraction(24, 25)
     assert results[1].f1 == Fraction(18, 19)
     summary = corpus_aggregate(results, thresholds=(0.96,))
-    ((label, value, share),) = summary.below
+    ((label, share),) = summary.below
     assert label == "0.96"
-    assert value == Fraction(24, 25)
     # Only 18/19 is strictly below; 24/25 equals the threshold.
     assert share == Fraction(1, 3)
 

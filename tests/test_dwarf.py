@@ -91,38 +91,61 @@ def test_uleb_decode_rejects_truncation():
 # --- high-pc resolution ----------------------------------------------------
 
 
+def _forge_high_pc(form, low_pc, high_pc, word_size=32):
+    """Extract a one-function binary whose low/high pc pair is overwritten."""
+    spec = _single_fn_spec(DwarfFuncSpec(highpc_form=form), 4, word_size=word_size)
+    raw = bytearray(emit(spec))
+    info = next(s for s in elf.parse_image(bytes(raw)).sections if s.name == ".debug_info")
+    blob = raw[info.file_offset : info.file_offset + info.size]
+    addr = "I" if word_size == 32 else "Q"
+    high = addr if form == "addr" else "I"
+    layout = f"<{addr}{high}"  # low_pc addr, then high_pc
+    forged_high = 0x401010 if form == "addr" else 16
+    pair = struct.pack(layout, 0x401000, forged_high)
+    assert blob.count(pair) == 1
+    at = info.file_offset + blob.index(pair)
+    struct.pack_into(layout, raw, at, low_pc, high_pc)
+    return extract_debug_functions(elf.parse_image(bytes(raw)))
+
+
 @pytest.mark.parametrize(
     ("form", "high_pc", "end"),
     [
         ("addr", 0x401040, 0x401040),
         ("data4", 0x40, 0x401040),
         ("data4", (1 << 32) - 0x401000, 1 << 32),
-        ("data4", (1 << 32) - 0x401000 + 1, None),
     ],
-    ids=["address-verbatim", "constant-offset", "ends-at-ceiling", "one-past-ceiling"],
+    ids=["address-verbatim", "constant-offset", "ends-at-ceiling"],
 )
-def test_high_pc_overflow_in_the_binary_is_malformed_debug_data(form, high_pc, end):
+def test_high_pc_in_the_binary_resolves(form, high_pc, end):
     """An address-class high pc is the end; a constant one is an offset from
-    low_pc, and a sum past the 32-bit address space is malformed."""
-    spec = _single_fn_spec(DwarfFuncSpec(highpc_form=form), 4, word_size=32)
-    raw = bytearray(emit(spec))
-    info = next(s for s in elf.parse_image(bytes(raw)).sections if s.name == ".debug_info")
-    blob = raw[info.file_offset : info.file_offset + info.size]
-    forged_high = 0x401010 if form == "addr" else 16
-    pair = struct.pack("<II", 0x401000, forged_high)  # low_pc addr, then high_pc
-    assert blob.count(pair) == 1
-    at = info.file_offset + blob.index(pair) + 4
-    struct.pack_into("<I", raw, at, high_pc)
-    records, diags = extract_debug_functions(elf.parse_image(bytes(raw)))
-    if end is not None:
-        assert diags == []
-        assert [(r.low_pc, r.end_exclusive) for r in records] == [(0x401000, end)]
-        return
+    low_pc, and may end exactly at the top of the address space."""
+    records, diags = _forge_high_pc(form, 0x401000, high_pc)
+    assert diags == []
+    assert [(r.low_pc, r.end_exclusive) for r in records] == [(0x401000, end)]
+
+
+def test_high_pc_past_the_ceiling_overflows():
+    """One byte past the address ceiling is malformed debug data."""
+    cases = [
+        (32, 0x401000, (1 << 32) - 0x401000 + 1, "high pc 0x100000001 exceeds 32-bit"),
+        (64, (1 << 64) - 8, 9, "high pc 0x10000000000000001 exceeds 64-bit"),
+    ]
+    for word_size, low_pc, high_pc, message in cases:
+        records, diags = _forge_high_pc("data4", low_pc, high_pc, word_size)
+        assert records == []
+        (error,) = diags
+        assert error.code == GT_MALFORMED_DEBUG_DATA
+        assert message in error.message
+
+
+def test_high_pc_overflow_in_the_binary_is_malformed_debug_data():
+    records, diags = _forge_high_pc("data4", 0x401000, 0xFFFFFFF0)
     assert records == []
     (error,) = diags
     assert error.code == GT_MALFORMED_DEBUG_DATA
     assert error.severity == "error"
-    assert "high pc 0x100000001 exceeds 32-bit address space" in error.message
+    assert "32-bit address space" in error.message
 
 
 # --- encodings that must agree ---------------------------------------------

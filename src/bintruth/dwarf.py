@@ -11,14 +11,18 @@ or inlined_subroutine are decoded. Every other DIE is stepped over by a
 skip plan compiled once per abbrev code from one form catalog, which gives
 each form's width; the walk records where each skipped DIE starts, and a
 specification or abstract_origin link that lands on one decodes it then.
-A skipped DIE is still bounds-checked (a read past the section end, an
-unterminated string, an unknown form, a runaway LEB128), but what its
-attributes point at is not: a .debug_str offset out of range in a
-variable's name no longer makes the unit unreadable, as it would if the
-DIE were decoded.
+Every DIE is bounds-checked (a read past the section end, an unterminated
+string, an unknown form, a runaway LEB128).
+
+Decoding keeps each attribute's raw value; ``_value`` gives it its meaning
+when the pipeline reads it, resolving string offsets and string and
+address indexes against their sections then. So what an attribute points
+at is checked only if it is read: a .debug_str offset out of range in a
+variable's name or a function's linkage name leaves the unit readable.
 
 Malformed debug data never propagates as an exception: the reader returns
-whatever parsed cleanly plus an error diagnostic.
+the records of every unit before the damaged one, plus an error
+diagnostic naming where that unit starts.
 """
 from __future__ import annotations
 
@@ -174,11 +178,6 @@ class _Cursor:
         self.pos = end + 1
         return out
 
-    def address(self, addr_size: int) -> int:
-        if addr_size not in (4, 8):
-            raise MalformedDebugDataError(f"address size {addr_size}")
-        return self.uint(addr_size)
-
 
 def _str_at(blob: bytes, off: int, what: str) -> str:
     text = elf._cstr(blob, off)
@@ -246,13 +245,10 @@ def _form_widths(version: int, addr_size: int) -> dict[int, int]:
     }
 
 
-# Forms whose value is a marker until unit bases or DIE offsets resolve it.
-_MARKERS = {
-    0x10: "sec_ref",
-    **dict.fromkeys((0x11, 0x12, 0x13, 0x14, 0x15), "cu_ref"),
-    **dict.fromkeys((0x1A, 0x1D, 0x25, 0x26, 0x27, 0x28), "strx"),
-    **dict.fromkeys((0x1B, 0x29, 0x2A, 0x2B, 0x2C), "addrx"),
-}
+_STRX_FORMS = frozenset({0x1A, 0x25, 0x26, 0x27, 0x28})
+_ADDRX_FORMS = ADDRESS_FORMS - {0x01}
+# ref1, ref2, ref4, ref8 and ref_udata: offsets from the unit's start.
+_UNIT_REF_FORMS = frozenset({0x11, 0x12, 0x13, 0x14, 0x15})
 
 # The tags whose DIEs the walk decodes; any other DIE is stepped over and
 # decoded only when a specification or abstract_origin link lands on it.
@@ -264,10 +260,7 @@ _DECODED_TAGS = frozenset(
 @dataclass(slots=True)
 class _Die:
     tag: int
-    # attr -> (form, decoded value); references decode to ("cu_ref", off)
-    # or ("sec_ref", off) markers, string/address indices to ("strx", n)
-    # and ("addrx", n) until unit bases are known.
-    attrs: dict[int, tuple[int, object]]
+    attrs: dict[int, tuple[int, object]]  # attr -> (form, raw value)
 
 
 @dataclass(slots=True)
@@ -356,7 +349,7 @@ def _parse_abbrev_table(blob: bytes, offset: int, widths: dict[int, int]) -> _Ab
 def _read_form(
     cur: _Cursor, form: int, unit: _Unit, implicit: int | None
 ) -> tuple[int, object]:
-    """Decode one attribute value; returns (effective form, value)."""
+    """Decode one attribute's raw value; returns (effective form, value)."""
     while form == 0x16:  # indirect: the real form precedes the value
         form = cur.uleb()
     width = unit.widths.get(form)
@@ -375,21 +368,10 @@ def _read_form(
         value = cur.uint(width)
     elif width == 3:  # strx3 and addrx3
         value = int.from_bytes(cur.raw(3), "little" if unit.little_endian else "big")
-    else:  # data16, and the zero-width forms below
+    elif form == 0x21:
+        value = implicit if implicit is not None else 0
+    else:  # data16 and flag_present
         value = cur.raw(width)
-    marker = _MARKERS.get(form)
-    if marker is not None:
-        return form, (marker, value)
-    if form == 0x0E:
-        return form, _str_at(unit.aux.debug_str, value, ".debug_str")  # type: ignore
-    if form == 0x1F:
-        return form, _str_at(unit.aux.line_str, value, ".debug_line_str")  # type: ignore
-    if form == 0x0C:
-        return form, bool(value)
-    if form == 0x19:
-        return form, True
-    if form == 0x21:
-        return form, implicit if implicit is not None else 0
     return form, value
 
 
@@ -449,20 +431,30 @@ def _indexed_addr(unit: _Unit, index: int) -> int:
     )
 
 
-def _resolve_indices(unit: _Unit, die: _Die) -> None:
-    """Replace a decoded DIE's strx/addrx markers by what they index."""
-    for attr, (form, value) in list(die.attrs.items()):
-        if isinstance(value, tuple):
-            kind, idx = value
-            if kind == "strx":
-                str_off = _table_entry(
-                    unit, unit.aux.str_offsets, unit.str_base, idx, 4,
-                    ".debug_str_offsets index {} out of range",
-                )
-                text = _str_at(unit.aux.debug_str, str_off, ".debug_str")
-                die.attrs[attr] = (form, text)
-            elif kind == "addrx":
-                die.attrs[attr] = (form, _indexed_addr(unit, idx))
+def _value(unit: _Unit, form: int, raw: object) -> object:
+    """What an attribute that ``form`` encodes as ``raw`` means.
+
+    String offsets and string and address indexes resolve against the
+    unit's sections and bases, and raise MalformedDebugDataError when they
+    land outside them; flags become bools; any other value is ``raw``.
+    """
+    if form == 0x0E:  # strp
+        return _str_at(unit.aux.debug_str, raw, ".debug_str")  # type: ignore
+    if form == 0x1F:  # line_strp
+        return _str_at(unit.aux.line_str, raw, ".debug_line_str")  # type: ignore
+    if form in _STRX_FORMS:
+        str_off = _table_entry(
+            unit, unit.aux.str_offsets, unit.str_base, raw, 4,  # type: ignore
+            ".debug_str_offsets index {} out of range",
+        )
+        return _str_at(unit.aux.debug_str, str_off, ".debug_str")
+    if form in _ADDRX_FORMS:
+        return _indexed_addr(unit, raw)  # type: ignore
+    if form == 0x0C:  # flag
+        return bool(raw)
+    if form == 0x19:  # flag_present
+        return True
+    return raw
 
 
 def _offset_value(value: object, what: str) -> int:
@@ -473,17 +465,19 @@ def _offset_value(value: object, what: str) -> int:
     return value
 
 
-def _materialize_indices(unit: _Unit) -> None:
-    """Read the unit's base offsets, then resolve every decoded DIE."""
+def _read_bases(unit: _Unit) -> None:
+    """Read the unit's base offsets from its root DIE."""
     attrs = unit.dies[unit.root].attrs
     if DW_AT_addr_base in attrs:
-        unit.addr_base = _offset_value(attrs[DW_AT_addr_base][1], "addr_base")
+        unit.addr_base = _offset_value(_value(unit, *attrs[DW_AT_addr_base]), "addr_base")
     if DW_AT_str_offsets_base in attrs:
-        unit.str_base = _offset_value(attrs[DW_AT_str_offsets_base][1], "str_offsets_base")
+        unit.str_base = _offset_value(
+            _value(unit, *attrs[DW_AT_str_offsets_base]), "str_offsets_base"
+        )
     if DW_AT_rnglists_base in attrs:
-        unit.rnglists_base = _offset_value(attrs[DW_AT_rnglists_base][1], "rnglists_base")
-    for die in unit.dies.values():
-        _resolve_indices(unit, die)
+        unit.rnglists_base = _offset_value(
+            _value(unit, *attrs[DW_AT_rnglists_base]), "rnglists_base"
+        )
 
 
 def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[_Unit, int]:
@@ -552,7 +546,7 @@ def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[
         pos = end
     if unit.root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
-    _materialize_indices(unit)
+    _read_bases(unit)
     return unit, unit_end
 
 
@@ -564,19 +558,15 @@ def _die_at(unit: _Unit, off: int) -> _Die | None:
         tag, pairs, _plan = unit.abbrevs[code]
         attrs = _read_attrs(_Cursor(unit.info, pos, unit.little_endian), pairs, unit)
         die = unit.dies[off] = _Die(tag, attrs)
-        _resolve_indices(unit, die)
     return die
 
 
-def _deref(unit: _Unit, marker: object) -> _Die | None:
-    if not (isinstance(marker, tuple) and len(marker) == 2):
-        return None
-    kind, off = marker
-    if kind == "cu_ref":
-        return _die_at(unit, unit.cu_start + off)
-    if kind == "sec_ref":
-        # Same-section reference; units parsed from one blob share offsets.
-        return _die_at(unit, off)
+def _deref(unit: _Unit, form: int, raw: object) -> _Die | None:
+    """The DIE a reference attribute names, or None for any other form."""
+    if form in _UNIT_REF_FORMS:
+        return _die_at(unit, unit.cu_start + raw)  # type: ignore
+    if form == 0x10:  # ref_addr: units parsed from one blob share offsets
+        return _die_at(unit, raw)  # type: ignore
     return None
 
 
@@ -590,7 +580,7 @@ def _inherited(unit: _Unit, die: _Die, attr: int) -> tuple[int, object] | None:
         nxt: _Die | None = None
         for link in (DW_AT_specification, DW_AT_abstract_origin):
             if link in current.attrs:
-                nxt = _deref(unit, current.attrs[link][1])
+                nxt = _deref(unit, *current.attrs[link])
                 break
         if nxt is None or id(nxt) in seen:
             return None
@@ -605,8 +595,8 @@ def _ranges_v4(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
     top = (1 << (unit.addr_size * 8)) - 1
     pairs: list[tuple[int, int]] = []
     while True:
-        start = cur.address(unit.addr_size)
-        end = cur.address(unit.addr_size)
+        start = cur.uint(unit.addr_size)
+        end = cur.uint(unit.addr_size)
         if start == top:
             base = end
             continue
@@ -637,20 +627,20 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
             e = cur.uleb()
             pairs.append((base + s, base + e))
         elif kind == RLE_BASE_ADDRESS:
-            base = cur.address(unit.addr_size)
+            base = cur.uint(unit.addr_size)
         elif kind == RLE_START_END:
-            s = cur.address(unit.addr_size)
-            pairs.append((s, cur.address(unit.addr_size)))
+            s = cur.uint(unit.addr_size)
+            pairs.append((s, cur.uint(unit.addr_size)))
         elif kind == RLE_START_LENGTH:
-            s = cur.address(unit.addr_size)
+            s = cur.uint(unit.addr_size)
             pairs.append((s, s + cur.uleb()))
         else:
             raise MalformedDebugDataError(f"range list entry kind {kind:#x}")
 
 
 def _resolve_ranges(unit: _Unit, die: _Die, cu_base: int) -> list[tuple[int, int]]:
-    form, value = die.attrs[DW_AT_ranges]
-    value = _offset_value(value, "ranges")
+    form, raw = die.attrs[DW_AT_ranges]
+    value = _offset_value(_value(unit, form, raw), "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
             rel = _table_entry(
@@ -679,27 +669,24 @@ def _nth(blobs: list[bytes], i: int) -> bytes:
 def _unit_records(
     unit: _Unit, image: BinaryImage, diagnostics: list[Diagnostic]
 ) -> list[DebugFunctionRecord]:
-    root = unit.dies[unit.root]
-    cu_name = ""
-    if DW_AT_name in root.attrs:
-        cu_name = str(root.attrs[DW_AT_name][1])
-    cu_base = 0
-    if DW_AT_low_pc in root.attrs:
-        low = root.attrs[DW_AT_low_pc][1]
-        if isinstance(low, int):
-            cu_base = low
+    def read(got: tuple[int, object] | None) -> object:
+        """The meaning of a looked-up (form, raw value), or None if absent."""
+        return None if got is None else _value(unit, *got)
 
-    def attr_value(die: _Die, attr: int):
-        got = _inherited(unit, die, attr)
-        return None if got is None else got[1]
+    root = unit.dies[unit.root]
+    cu_name = read(root.attrs.get(DW_AT_name))
+    cu_name = "" if cu_name is None else str(cu_name)
+    cu_base = read(root.attrs.get(DW_AT_low_pc))
+    if not isinstance(cu_base, int):
+        cu_base = 0
 
     def resolved_name(die: _Die) -> str:
-        value = attr_value(die, DW_AT_name)
-        return str(value) if isinstance(value, str) else ""
+        value = read(_inherited(unit, die, DW_AT_name))
+        return value if isinstance(value, str) else ""
 
     def decl_coords(die: _Die) -> tuple[str, int]:
-        file_idx = attr_value(die, DW_AT_decl_file)
-        line = attr_value(die, DW_AT_decl_line)
+        file_idx = read(_inherited(unit, die, DW_AT_decl_file))
+        line = read(_inherited(unit, die, DW_AT_decl_line))
         # sdata and implicit_const can be negative, flag forms decode to bool.
         decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
@@ -716,12 +703,12 @@ def _unit_records(
         A low/high pair wins; otherwise a non-empty range list gives its
         hull; otherwise a bare low_pc gives an open extent.
         """
-        low = die.attrs.get(DW_AT_low_pc, (0, None))[1]
+        low = read(die.attrs.get(DW_AT_low_pc))
         if not isinstance(low, int):
             low = None
-        high_raw = die.attrs.get(DW_AT_high_pc)
-        if low is not None and high_raw is not None:
-            form, end = high_raw
+        high = die.attrs.get(DW_AT_high_pc)
+        if low is not None and high is not None:
+            form, end = high[0], read(high)
             if not isinstance(end, int):
                 raise MalformedDebugDataError("non-integer high pc")
             if form in CONSTANT_FORMS:  # an offset from low_pc
@@ -768,7 +755,7 @@ def _unit_records(
                 continue
             # Declarations and abstract instances legitimately lack
             # addresses; only concrete definitions are worth a note.
-            if die.attrs.get(DW_AT_declaration, (0, False))[1]:
+            if read(die.attrs.get(DW_AT_declaration)):
                 continue
             if DW_AT_inline in die.attrs:
                 continue
@@ -794,7 +781,7 @@ def _unit_records(
             )
         if inlined:
             continue  # an inlined copy is never a function start of its own
-        noreturn_val = attr_value(die, DW_AT_noreturn)
+        noreturn = read(_inherited(unit, die, DW_AT_noreturn))
         decl_file, decl_line = decl_coords(die)
         records.append(
             DebugFunctionRecord(
@@ -803,7 +790,7 @@ def _unit_records(
                 end_exclusive=end,
                 decl_file=decl_file,
                 decl_line=decl_line,
-                noreturn=bool(noreturn_val),
+                noreturn=bool(noreturn),
             )
         )
     return records
@@ -815,8 +802,9 @@ def extract_debug_functions(
     """All function records debug info yields for ``image``.
 
     Absent debug info is an expected state (stripped binary) and reports
-    GT_NO_DEBUG_INFO; malformed data reports GT_MALFORMED_DEBUG_DATA and
-    returns whatever units parsed before the damage.
+    GT_NO_DEBUG_INFO; malformed data reports GT_MALFORMED_DEBUG_DATA with
+    the start of the damaged unit and returns the records and diagnostics
+    of the units before it.
     """
     info_blobs = _section_blobs(image, ".debug_info")
     diagnostics: list[Diagnostic] = []
@@ -854,14 +842,17 @@ def extract_debug_functions(
         data_end = len(blob.rstrip(b"\0"))  # zero padding may follow the last unit
         try:
             while pos < data_end:
-                unit, pos = _parse_unit(blob, pos, little, aux)
-                records.extend(_unit_records(unit, image, diagnostics))
+                unit, end = _parse_unit(blob, pos, little, aux)
+                unit_diagnostics: list[Diagnostic] = []
+                records.extend(_unit_records(unit, image, unit_diagnostics))
+                diagnostics.extend(unit_diagnostics)
+                pos = end
         except MalformedDebugDataError as exc:
             diagnostics.append(
                 Diagnostic(
                     "error",
                     GT_MALFORMED_DEBUG_DATA,
-                    f"debug info unreadable past offset {pos:#x}: {exc}",
+                    f"debug info unreadable from the unit at offset {pos:#x}: {exc}",
                 )
             )
     return records, diagnostics

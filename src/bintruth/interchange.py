@@ -377,7 +377,8 @@ def _check(value: object, schema: dict, where: str) -> None:
     ``value`` is what ``json.loads`` returns. Each schema is compiled once
     into a tree of checkers, one closure per node that makes only the
     checks the node declares. It matches JSON Schema for the keywords in
-    SCHEMA_KEYWORDS, with three rules stricter than jsonschema's: a float
+    SCHEMA_KEYWORDS, and refuses to compile an object schema that allows
+    other keys. Three rules are stricter than jsonschema's: a float
     never counts as an integer; ``enum``/``const`` compare types as well
     as values (``32.0`` is not ``32``); and a pattern's ``$`` matches only
     at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
@@ -565,25 +566,14 @@ def _array_checker(
     return check
 
 
-class _OpenProperties(dict):
-    """The property checkers of an object schema that allows other keys."""
-
-    def __missing__(self, key: str) -> _Checker:
-        return _accept
-
-
-def _accept(value: object) -> None:
-    pass
-
-
 def _object_checker(
     schema: dict, types: frozenset | None, expected: str | None
 ) -> _Checker:
+    if schema.get("additionalProperties") is not False:
+        raise ValueError("an object schema must set additionalProperties to false")
     properties = {
         key: _checker(sub) for key, sub in schema.get("properties", {}).items()
     }
-    if schema.get("additionalProperties") is not False:
-        properties = _OpenProperties(properties)
     required = tuple(schema.get("required", ()))
     needed = frozenset(required)
 
@@ -595,7 +585,7 @@ def _object_checker(
             try:
                 for key, item in value.items():
                     properties[key](item)
-            except KeyError:  # only a closed schema lacks a checker for a key
+            except KeyError:  # a key the schema does not name
                 raise _Mismatch(f"unexpected key {key!r}") from None
             except _Mismatch as exc:
                 exc.path.append(f".{key}")

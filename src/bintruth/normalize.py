@@ -19,6 +19,7 @@ from .dwarf import DebugFunctionRecord
 from .model import (
     GT_ALIAS_MERGED,
     GT_INCOMPLETE_EXCLUDED,
+    GT_MALFORMED_DEBUG_DATA,
     GT_MULTI_ENTRY_MERGED,
     GT_PADDING_TRIMMED,
     GT_SIZE_OVERLAP,
@@ -506,9 +507,23 @@ def build_ground_truth(
     config: RunConfig | None = None,
     extra_diagnostics: tuple[Diagnostic, ...] = (),
 ) -> GroundTruthDocument:
-    """Run the whole pipeline over one parsed binary."""
+    """Run the whole pipeline over one parsed binary.
+
+    A GT_MALFORMED_DEBUG_DATA among ``extra_diagnostics`` makes the truth
+    incomplete: the functions the unread units describe go unmatched.
+    """
     config = config or RunConfig()
-    diagnostics: list[Diagnostic] = list(extra_diagnostics)
+    diagnostics: list[Diagnostic] = []
+    for diag in extra_diagnostics:
+        diagnostics.append(diag)
+        if diag.code == GT_MALFORMED_DEBUG_DATA:
+            diagnostics.append(
+                Diagnostic(
+                    "error",
+                    GT_INCOMPLETE_EXCLUDED,
+                    "debug info is partly unreadable; truth is incomplete",
+                )
+            )
     diagnostics.extend(image.parse_diagnostics)
 
     symbols, diags = elf.function_symbols(image)

@@ -27,6 +27,7 @@ from bintruth.interchange import GROUND_TRUTH_SCHEMA, document_to_json
 from bintruth.model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
+    GT_INCOMPLETE_EXCLUDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_NO_DEBUG_INFO,
     GT_SUBPROGRAM_NO_ADDRESS,
@@ -228,6 +229,18 @@ def test_inverted_range_pair_is_malformed_debug_data(version):
     assert error.severity == "error"
     assert "ends before it starts" in error.message
     _assert_document_validates(image)
+
+
+def test_unreadable_debug_info_makes_truth_incomplete():
+    spec = _single_fn_spec(DwarfFuncSpec(ranges=((0x401008, 0x401000),)), 4)
+    image = elf.parse_image(emit(spec))
+    records, diags = extract_debug_functions(image)
+    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    assert not doc.complete
+    assert [(d.severity, d.code) for d in doc.diagnostics[:2]] == [
+        ("error", GT_MALFORMED_DEBUG_DATA),
+        ("error", GT_INCOMPLETE_EXCLUDED),
+    ]
 
 
 def _decl_line_image(form: int) -> BinaryImage:
@@ -453,7 +466,7 @@ FORM_ADDR, FORM_DATA2, FORM_DATA4, FORM_STRING, FORM_DATA1 = 0x01, 0x05, 0x06, 0
 FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
 FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
-FORM_RNGLISTX = 0x23
+FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP = 0x23, 0x6E, 0x1D
 
 # Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
 ABBREVS = {
@@ -500,6 +513,19 @@ ABBREVS = {
     16: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_SDATA)]),
     # A range list named by its index in the unit's offset table.
     17: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_RNGLISTX)]),
+    # Subprograms with a .debug_str offset in an unread and in a read attribute.
+    18: (
+        TAG_SUBPROGRAM,
+        [
+            (AT_NAME, FORM_STRING),
+            (AT_LINKAGE_NAME, FORM_STRP),
+            (AT_LOW_PC, FORM_ADDR),
+            (AT_HIGH_PC, FORM_DATA4),
+        ],
+    ),
+    19: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)]),
+    # A name in a supplementary file's string table.
+    20: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRP_SUP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)]),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
@@ -545,15 +571,23 @@ def _offset(dies: list[bytes], index: int, version: int = 4) -> int:
     return 4 + (7 if version == 4 else 8) + sum(len(d) for d in dies[:index])
 
 
-def _unit_image(dies: list[bytes], version: int = 4, terminate: bool = True) -> BinaryImage:
+def _unit(dies: list[bytes], version: int = 4, terminate: bool = True) -> bytes:
     if version == 4:
         header = struct.pack("<HIB", 4, 0, 8)
     else:
         header = struct.pack("<HBBI", 5, 1, 8, 0)
     body = header + b"".join(dies) + (b"\x00" if terminate else b"")
+    return struct.pack("<I", len(body)) + body
+
+
+def _unit_image(dies: list[bytes], version: int = 4, terminate: bool = True) -> BinaryImage:
+    return _info_image(_unit(dies, version, terminate))
+
+
+def _info_image(info: bytes) -> BinaryImage:
     return _synthetic_image(
         [
-            (".debug_info", struct.pack("<I", len(body)) + body),
+            (".debug_info", info),
             (".debug_abbrev", _abbrev_blob()),
             (".debug_str", DEBUG_STR),
             (".debug_str_offsets", STR_OFFSETS),
@@ -600,13 +634,54 @@ def test_reference_where_no_die_starts_names_nothing(delta):
 
 
 def test_damage_in_an_unread_skipped_die_keeps_the_unit():
-    # The decoding reader reported this unit as malformed; a skipped DIE's
-    # string offset is never followed, so the unit's record survives.
+    # A string offset is followed only when its attribute is read, and
+    # nothing reads the skipped variable's name: the unit's record survives.
     dies = [CU_DIE, BAD_STRP, NAMED["string"]]
     dies.append(_subprogram(2, _offset(dies, 2)))
     records, diags = extract_debug_functions(_unit_image(dies))
     assert diags == []
     assert [r.name for r in records] == ["target"]
+
+
+_IN_TEXT = struct.pack("<QI", 0x401000, 16)  # low_pc, then a 16-byte high_pc
+
+
+def test_damage_in_an_unread_attribute_keeps_the_record():
+    dies = [CU_DIE, _die(18, b"f\x00", _ref(0x9999), _IN_TEXT)]  # the linkage name
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert diags == []
+    assert [(r.name, r.low_pc) for r in records] == [("f", 0x401000)]
+
+
+def test_damage_in_a_read_attribute_is_malformed():
+    records, diags = extract_debug_functions(
+        _unit_image([CU_DIE, _die(19, _ref(0x9999), _IN_TEXT)])
+    )
+    assert records == []
+    assert _only_error(diags) == (
+        "debug info unreadable from the unit at offset 0x0: "
+        ".debug_str offset 0x9999 out of range"
+    )
+
+
+def test_a_supplementary_string_names_nothing():
+    """strp_sup points into a supplementary file, not at a string index."""
+    dies = [CU_DIE, _die(20, _ref(0), _IN_TEXT)]
+    records, diags = extract_debug_functions(_unit_image(dies, version=5))
+    assert diags == []
+    assert [(r.name, r.low_pc) for r in records] == [("", 0x401000)]
+
+
+def test_a_damaged_unit_is_named_and_leaves_no_diagnostics():
+    first = _unit([CU_DIE, _die(18, b"first\x00", _ref(1), _IN_TEXT)])
+    # A subprogram outside executable code warns, then a bad name fails the unit.
+    far = _die(18, b"far\x00", _ref(1), struct.pack("<QI", 0x900000, 16))
+    second = _unit([CU_DIE, far, _die(19, _ref(0x9999), _IN_TEXT)])
+    records, diags = extract_debug_functions(_info_image(first + second + first))
+    assert [r.name for r in records] == ["first"]
+    assert _only_error(diags).startswith(
+        f"debug info unreadable from the unit at offset {len(first):#x}: "
+    )
 
 
 def test_damage_in_a_referenced_skipped_die_is_malformed():

@@ -280,12 +280,12 @@ def test_item_counts_are_checked_before_items(preset_docs):
     assert str(exc.value) == "$.meta.config.call_edges[0]: allows at most 2 items"
 
 
-def test_open_object_schemas_accept_other_keys():
+def test_open_object_schemas_are_refused():
+    """Every published schema is closed; the checker compiles no other kind."""
     schema = {"type": "object", "properties": {"a": {"type": "integer"}}}
-    _check({"b": "x", "a": 1}, schema, "$")
-    with pytest.raises(SchemaError) as exc:
-        _check({"b": 1, "a": "x"}, schema, "$")
-    assert str(exc.value) == "$.a: expected integer, got string"
+    with pytest.raises(ValueError, match="additionalProperties") as exc:
+        _check({"a": 1}, schema, "$")
+    assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
 
 
 def test_non_json_input_is_a_schema_error():

@@ -6,13 +6,25 @@ entry addresses, high-pc in both its address and constant flavors,
 discontiguous ranges, declaration coordinates and noreturn flags. Inlined
 copies yield diagnostics but never records.
 
-Only the first DIE of a unit and the DIEs tagged compile_unit, subprogram
-or inlined_subroutine are decoded. Every other DIE is stepped over by a
-skip plan compiled once per abbrev code from one form catalog, which gives
-each form's width; the walk records where each skipped DIE starts, and a
-specification or abstract_origin link that lands on one decodes it then.
-Every DIE is bounds-checked (a read past the section end, an unterminated
-string, an unknown form, a runaway LEB128).
+One compiler, ``_compile_plan``, turns each abbrev into a plan from one
+form catalog, which gives each form's width. A plan that decodes reads
+only the kinds in ``_READ_ATTRS``, the 14 ``DW_AT_*`` constants below: a
+run of fixed-width forms is one cached ``struct.Struct`` whose unread
+members are pad bytes, a variable-width form nothing reads is stepped
+over at its skip width, and flag_present and implicit_const read as
+constants. Only the first DIE of a unit and the DIEs tagged compile_unit,
+subprogram or inlined_subroutine are decoded; every other DIE is stepped
+over by a plan that reads nothing, which is a plain int when its forms
+are all fixed. The walk records where each skipped DIE starts, and a
+specification or abstract_origin link that lands on one decodes it then
+by its decode plan.
+
+Plans check no bounds as they go. A DIE whose planned read fails, or ends
+past the section, is read again by the full decoder (``_read_attrs``),
+which raises what it hit: a read past the section end, an unterminated
+string or a runaway LEB128. That decoder also reads the DIEs whose abbrev
+has a form with no width in the catalog (indirect, or an unknown form,
+which it refuses).
 
 Decoding keeps each attribute's raw value; ``_value`` gives it its meaning
 when the pipeline reads it, resolving string offsets and string and
@@ -20,9 +32,11 @@ address indexes against their sections then. So what an attribute points
 at is checked only if it is read: a .debug_str offset out of range in a
 variable's name or a function's linkage name leaves the unit readable.
 
-Malformed debug data never propagates as an exception: the reader returns
-the records of every unit before the damaged one, plus an error
-diagnostic naming where that unit starts.
+Malformed debug data never propagates as an exception. Damage found while
+resolving a unit's records drops that unit's records and diagnostics and
+reports an error naming where the unit starts; the reader then goes on
+with the next unit. Damage that stops the walk of a unit stops the reader
+there, with the same error.
 """
 from __future__ import annotations
 
@@ -59,6 +73,17 @@ DW_AT_str_offsets_base = 0x72
 DW_AT_addr_base = 0x73
 DW_AT_rnglists_base = 0x74
 DW_AT_noreturn = 0x87
+
+# The attributes a decoded DIE keeps: every one the pipeline looks up.
+_READ_ATTRS = frozenset(
+    {
+        DW_AT_name, DW_AT_low_pc, DW_AT_high_pc, DW_AT_inline,
+        DW_AT_abstract_origin, DW_AT_decl_file, DW_AT_decl_line,
+        DW_AT_declaration, DW_AT_specification, DW_AT_ranges,
+        DW_AT_str_offsets_base, DW_AT_addr_base, DW_AT_rnglists_base,
+        DW_AT_noreturn,
+    }
+)
 
 DW_UT_compile = 0x01
 
@@ -171,12 +196,16 @@ class _Cursor:
         return out
 
     def cstr(self) -> str:
-        end = self.blob.find(b"\x00", self.pos)
-        if end < 0:
-            raise MalformedDebugDataError("unterminated string")
-        out = self.blob[self.pos : end].decode("utf-8", errors="replace")
-        self.pos = end + 1
+        out, self.pos = _cstr_at(self.blob, self.pos)
         return out
+
+
+def _cstr_at(blob: bytes, pos: int) -> tuple[str, int]:
+    """The NUL-terminated string at ``pos`` and the position after it."""
+    end = blob.find(b"\x00", pos)
+    if end < 0:
+        raise MalformedDebugDataError("unterminated string")
+    return blob[pos:end].decode("utf-8", errors="replace"), end + 1
 
 
 def _str_at(blob: bytes, off: int, what: str) -> str:
@@ -276,8 +305,17 @@ class _Aux:
     rnglists: bytes
 
 
-# abbrev code -> (tag, [(attr, form, implicit), ...], skip plan or None)
-_Abbrevs = dict[int, tuple[int, list, tuple[int, ...] | None]]
+# A plan is None when a form has no width in the catalog: the full
+# decoder reads such DIEs. A skip plan is a tuple of steps, or an int when
+# every form is fixed. A decode plan is (constants, steps): ``constants``
+# holds (attr, (form, raw value)) for the read flag_present and
+# implicit_const attributes. A step is a width to step over (a skip width
+# kind when negative), a fixed run (struct.Struct, attrs, forms) whose
+# unread members are pad bytes, or a variable-width read (reader, attr,
+# form), ``reader(blob, pos)`` giving (raw value, next position).
+_Plan = int | tuple | None
+# abbrev code -> (tag, ((attr, form, implicit), ...), plan, decode plan?)
+_Abbrevs = dict[int, tuple[int, tuple, _Plan, bool]]
 
 
 @dataclass(slots=True)
@@ -298,27 +336,96 @@ class _Unit:
     rnglists_base: int = 12
 
 
-def _skip_plan(pairs: list, widths: dict[int, int]) -> tuple[int, ...] | None:
-    """The widths of a DIE's attributes with fixed runs merged into one.
+_Struct = struct.Struct
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q", 16: "16s"}
 
-    None when a form has no width in the catalog: such DIEs are decoded.
+
+def _reader(width: int, form: int, little_endian: bool):
+    """(blob, pos) -> (raw value, next position) for a read form of ``width``
+    that no struct format holds: LEB128, strings, blocks, 3-byte indexes."""
+    if width == _LEB:
+        return sleb_decode if form == 0x0D else uleb_decode
+    if width == _CSTR:
+        return _cstr_at
+    if width == 3:  # strx3 and addrx3
+        order = "little" if little_endian else "big"
+        return lambda blob, pos: (int.from_bytes(blob[pos : pos + 3], order), pos + 3)
+
+    def block(blob: bytes, pos: int) -> tuple[bytes, int]:
+        if width == _BLOCK_LEB:
+            length, pos = uleb_decode(blob, pos)
+        else:
+            size = _BLOCK_LENGTHS[width]
+            length = _UINT_READERS[little_endian][size].unpack_from(blob, pos)[0]
+            pos += size
+        return blob[pos : pos + length], pos + length
+
+    return block
+
+
+def _fixed_step(run: list, little_endian: bool) -> list:
+    """The step for a run of fixed-width attributes, given as (width, attr
+    or None when unread, form): one struct whose unread members are pad
+    bytes, or the run's width when it reads nothing."""
+    read = [(attr, form) for _width, attr, form in run if attr is not None]
+    if not read:
+        total = sum(width for width, _attr, _form in run)
+        return [total] if total else []
+    fmt, pad = "<" if little_endian else ">", 0
+    for width, attr, _form in run:
+        if attr is None:
+            pad += width
+            continue
+        fmt += (f"{pad}x" if pad else "") + _STRUCT_CODES[width]
+        pad = 0
+    attrs, forms = zip(*read)
+    return [(_Struct(fmt + (f"{pad}x" if pad else "")), attrs, forms)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _compile_plan(
+    pairs: tuple, version: int, addr_size: int, little_endian: bool, decode: bool
+) -> _Plan:
+    """The plan for DIEs of an abbrev whose attributes are ``pairs``.
+
+    A decode plan reads the attributes in _READ_ATTRS; one listed twice is
+    read at its last place, whose value the full decoder keeps. A skip plan
+    (``decode`` false) reads nothing.
     """
-    plan: list[int] = []
-    for _attr, form, _implicit in pairs:
+    widths = _form_widths(version, addr_size)
+    last = {attr: i for i, (attr, _form, _implicit) in enumerate(pairs)}
+    constants: list = []
+    steps: list = []
+    run: list = []  # the fixed-width attributes since the last variable one
+    for i, (attr, form, implicit) in enumerate(pairs):
         width = widths.get(form)
         if width is None:
             return None
-        if width >= 0 and plan and plan[-1] >= 0:
-            plan[-1] += width
+        read = decode and attr in _READ_ATTRS and last[attr] == i
+        if width == 0:  # flag_present and implicit_const
+            if read:
+                constants.append((attr, (form, implicit if form == 0x21 else b"")))
+        elif width > 0 and not (read and width == 3):
+            run.append((width, attr if read else None, form))
         else:
-            plan.append(width)
-    return tuple(plan)
+            steps += _fixed_step(run, little_endian)
+            run = []
+            steps.append((_reader(width, form, little_endian), attr, form) if read else width)
+    steps += _fixed_step(run, little_endian)
+    if decode:
+        return tuple(constants), tuple(steps)
+    if all(step.__class__ is int and step >= 0 for step in steps):
+        return sum(steps)
+    return tuple(steps)
 
 
-def _parse_abbrev_table(blob: bytes, offset: int, widths: dict[int, int]) -> _Abbrevs:
-    """abbrev code -> (tag, [(attr, form, implicit), ...], skip plan).
+def _parse_abbrev_table(
+    blob: bytes, offset: int, version: int, addr_size: int, little_endian: bool
+) -> _Abbrevs:
+    """abbrev code -> (tag, ((attr, form, implicit), ...), plan, decode).
 
-    The skip plan is None for the tags the walk decodes.
+    The plan decodes (``decode``) for the tags the walk decodes and skips
+    for the others.
     """
     if offset >= len(blob):
         raise MalformedDebugDataError(f"abbrev offset {offset:#x} out of range")
@@ -342,8 +449,10 @@ def _parse_abbrev_table(blob: bytes, offset: int, widths: dict[int, int]) -> _Ab
             if form == 0x21:  # implicit_const carries its value in the abbrev
                 implicit, pos = sleb_decode(blob, pos)
             pairs.append((attr, form, implicit))
-        plan = None if tag in _DECODED_TAGS else _skip_plan(pairs, widths)
-        table[code] = (tag, pairs, plan)
+        frozen = tuple(pairs)
+        decode = tag in _DECODED_TAGS
+        plan = _compile_plan(frozen, version, addr_size, little_endian, decode)
+        table[code] = (tag, frozen, plan, decode)
 
 
 def _read_form(
@@ -375,7 +484,7 @@ def _read_form(
     return form, value
 
 
-def _read_attrs(cur: _Cursor, pairs: list, unit: _Unit) -> dict[int, tuple]:
+def _read_attrs(cur: _Cursor, pairs: tuple, unit: _Unit) -> dict[int, tuple]:
     attrs: dict[int, tuple[int, object]] = {}
     for attr, form, implicit in pairs:
         eff_form, value = _read_form(cur, form, unit, implicit)
@@ -384,33 +493,66 @@ def _read_attrs(cur: _Cursor, pairs: list, unit: _Unit) -> dict[int, tuple]:
     return attrs
 
 
-def _skip(blob: bytes, pos: int, plan: tuple[int, ...], readers: dict) -> int:
-    """The position after attributes laid out as ``plan`` from ``pos``.
+# What a planned read may raise where it runs past the data; the full
+# decoder then reads the DIE again to raise its own message.
+_PLAN_ERRORS = (IndexError, ValueError, OverflowError, struct.error)
+
+
+def _run(blob: bytes, pos: int, steps: tuple, attrs: dict | None, readers: dict) -> int:
+    """The position after ``steps`` followed from ``pos``; reads store
+    (form, raw value) by attribute in ``attrs``.
 
     Does no bounds checks: the result may lie past the end of ``blob``, and
-    a length or terminator read past it raises IndexError, ValueError or
-    struct.error.
+    a read past it raises one of _PLAN_ERRORS.
     """
-    for width in plan:
-        if width >= 0:
-            pos += width
-        elif width == _LEB:
-            while blob[pos] & 0x80:
+    for step in steps:
+        if step.__class__ is int:
+            if step >= 0:
+                pos += step
+            elif step == _BLOCK_LEB:  # exprloc, the most frequent
+                length = blob[pos]
+                if length < 0x80:
+                    pos += length + 1
+                else:
+                    length, pos = uleb_decode(blob, pos)
+                    pos += length
+            elif step == _LEB:
+                while blob[pos] & 0x80:
+                    pos += 1
                 pos += 1
-            pos += 1
-        elif width == _CSTR:
-            pos = blob.index(0, pos) + 1
-        elif width == _BLOCK_LEB:
-            length = blob[pos]
-            if length < 0x80:
-                pos += length + 1
+            elif step == _CSTR:
+                pos = blob.index(0, pos) + 1
             else:
-                length, pos = uleb_decode(blob, pos)
-                pos += length
+                size = _BLOCK_LENGTHS[step]
+                pos += size + readers[size].unpack_from(blob, pos)[0]
+            continue
+        reader, attr, form = step
+        if reader.__class__ is _Struct:  # a fixed run: attr and form are tuples
+            attrs.update(zip(attr, zip(form, reader.unpack_from(blob, pos))))  # type: ignore
+            pos += reader.size
         else:
-            size = _BLOCK_LENGTHS[width]
-            pos += size + readers[size].unpack_from(blob, pos)[0]
+            value, pos = reader(blob, pos)
+            attrs[attr] = (form, value)  # type: ignore
     return pos
+
+
+def _decode(unit: _Unit, pos: int, pairs: tuple, plan: _Plan) -> tuple[dict, int]:
+    """The attributes of the DIE whose values start at ``pos``, read by its
+    decode ``plan``, and the position after them, which may lie past the
+    data (the walk checks that).
+
+    Without a plan, or when the planned read fails, the full decoder reads
+    the DIE, and raises what it hit.
+    """
+    if plan is not None:
+        constants, steps = plan  # type: ignore
+        attrs = dict(constants)
+        try:
+            return attrs, _run(unit.info, pos, steps, attrs, _UINT_READERS[unit.little_endian])
+        except _PLAN_ERRORS:
+            pass
+    cur = _Cursor(unit.info, pos, unit.little_endian)
+    return _read_attrs(cur, pairs, unit), cur.pos
 
 
 def _table_entry(
@@ -508,11 +650,13 @@ def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[
     if addr_size not in (4, 8):
         raise MalformedDebugDataError(f"address size {addr_size}")
 
+    abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
     widths = _form_widths(version, addr_size)
-    abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, widths)
     unit = _Unit(version, addr_size, pos, little_endian, aux, blob, abbrevs, widths)
-    dies, skipped, readers = unit.dies, unit.skipped, cur.readers
+    dies, readers = unit.dies, cur.readers
+    mark_skipped = unit.skipped.add
     blob_end = len(blob)
+    root = -1
     pos = cur.pos
     while pos < unit_end:
         die_off = pos
@@ -526,38 +670,43 @@ def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[
         entry = abbrevs.get(code)
         if entry is None:
             raise MalformedDebugDataError(f"abbrev code {code} not in table")
-        tag, pairs, plan = entry
-        if plan is None or unit.root < 0:
-            cur.pos = pos
-            dies[die_off] = _Die(tag, _read_attrs(cur, pairs, unit))
-            pos = cur.pos
-            if unit.root < 0:
-                unit.root = die_off
-            continue
-        try:
-            end = _skip(blob, pos, plan, readers)
-        except (IndexError, ValueError, struct.error):
-            end = blob_end + 1
-        if end > blob_end:
-            # Decoding reads the same widths, so it raises what the skip hit.
-            cur.pos = pos
-            _read_attrs(cur, pairs, unit)
-        skipped.add(die_off)
-        pos = end
-    if unit.root < 0:
+        tag, pairs, plan, decode = entry
+        if root < 0:  # the unit's first DIE is decoded whatever its tag
+            root = die_off
+            plan = _compile_plan(pairs, version, addr_size, little_endian, True)
+            decode = True
+        if plan.__class__ is int:
+            pos += plan  # type: ignore
+            mark_skipped(die_off)
+        elif decode or plan is None:
+            attrs, pos = _decode(unit, pos, pairs, plan)
+            dies[die_off] = _Die(tag, attrs)
+        else:
+            try:
+                pos = _run(blob, pos, plan, None, readers)  # type: ignore
+            except _PLAN_ERRORS:
+                pos = blob_end + 1
+            mark_skipped(die_off)
+    if pos > blob_end:
+        # Only the last DIE can have run past the data, and the full decoder
+        # reads the same widths, so it raises what the plan hit.
+        _decode(unit, uleb_decode(blob, die_off)[1], pairs, None)
+    if root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
-    _read_bases(unit)
+    unit.root = root
     return unit, unit_end
 
 
 def _die_at(unit: _Unit, off: int) -> _Die | None:
     """The DIE that starts at ``off``, decoded now if the walk skipped it."""
     die = unit.dies.get(off)
+    # The walk stepped over a skipped DIE inside the data, and its read
+    # plan steps over the same widths, so the read cannot run past it.
     if die is None and off in unit.skipped:
         code, pos = uleb_decode(unit.info, off)
-        tag, pairs, _plan = unit.abbrevs[code]
-        attrs = _read_attrs(_Cursor(unit.info, pos, unit.little_endian), pairs, unit)
-        die = unit.dies[off] = _Die(tag, attrs)
+        tag, pairs, _plan, _decoded = unit.abbrevs[code]
+        plan = _compile_plan(pairs, unit.version, unit.addr_size, unit.little_endian, True)
+        die = unit.dies[off] = _Die(tag, _decode(unit, pos, pairs, plan)[0])
     return die
 
 
@@ -673,6 +822,7 @@ def _unit_records(
         """The meaning of a looked-up (form, raw value), or None if absent."""
         return None if got is None else _value(unit, *got)
 
+    _read_bases(unit)
     root = unit.dies[unit.root]
     cu_name = read(root.attrs.get(DW_AT_name))
     cu_name = "" if cu_name is None else str(cu_name)
@@ -802,9 +952,10 @@ def extract_debug_functions(
     """All function records debug info yields for ``image``.
 
     Absent debug info is an expected state (stripped binary) and reports
-    GT_NO_DEBUG_INFO; malformed data reports GT_MALFORMED_DEBUG_DATA with
-    the start of the damaged unit and returns the records and diagnostics
-    of the units before it.
+    GT_NO_DEBUG_INFO. Malformed data reports GT_MALFORMED_DEBUG_DATA with
+    the start of the damaged unit, whose records and diagnostics are
+    dropped; reading goes on with the next unit unless the damage hides
+    where that starts.
     """
     info_blobs = _section_blobs(image, ".debug_info")
     diagnostics: list[Diagnostic] = []
@@ -840,19 +991,25 @@ def extract_debug_functions(
         )
         pos = 0
         data_end = len(blob.rstrip(b"\0"))  # zero padding may follow the last unit
-        try:
-            while pos < data_end:
+        while pos < data_end:
+            try:
                 unit, end = _parse_unit(blob, pos, little, aux)
-                unit_diagnostics: list[Diagnostic] = []
+            except MalformedDebugDataError as exc:
+                diagnostics.append(_unreadable(pos, exc))
+                break  # where the next unit starts is unknown
+            unit_diagnostics: list[Diagnostic] = []
+            try:
                 records.extend(_unit_records(unit, image, unit_diagnostics))
                 diagnostics.extend(unit_diagnostics)
-                pos = end
-        except MalformedDebugDataError as exc:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    GT_MALFORMED_DEBUG_DATA,
-                    f"debug info unreadable from the unit at offset {pos:#x}: {exc}",
-                )
-            )
+            except MalformedDebugDataError as exc:
+                diagnostics.append(_unreadable(pos, exc))
+            pos = end
     return records, diagnostics
+
+
+def _unreadable(unit_start: int, exc: MalformedDebugDataError) -> Diagnostic:
+    return Diagnostic(
+        "error",
+        GT_MALFORMED_DEBUG_DATA,
+        f"debug info unreadable from the unit at offset {unit_start:#x}: {exc}",
+    )

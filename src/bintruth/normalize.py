@@ -462,16 +462,22 @@ def annotate_noreturn(works: list[_Working], seeds: tuple[str, ...]) -> None:
             work.flags.add("noreturn")
 
 
-def tag_compiler_inserted(works: list[_Working], scaffold: tuple[str, ...]) -> None:
+def tag_compiler_inserted(
+    works: list[_Working], scaffold: tuple[str, ...], debug_unreadable: bool
+) -> None:
     """Flag functions no source line accounts for.
 
     Anything the debug info never mentioned counts, as does anything with
     a runtime-scaffold name; in a binary with no debug info at all that
-    flags every function, which is exactly what the flag claims.
+    flags every function, which is exactly what the flag claims. When
+    some debug info is unreadable (``debug_unreadable``), a function
+    without a debug record may be one the unread part describes, so only
+    scaffold names are flagged.
     """
     scaffold_set = set(scaffold)
     for work in works:
-        if "dwarf" not in work.provenance or work.canonical in scaffold_set:
+        unmentioned = not debug_unreadable and "dwarf" not in work.provenance
+        if unmentioned or work.canonical in scaffold_set:
             work.flags.add("compiler_inserted")
 
 
@@ -510,13 +516,16 @@ def build_ground_truth(
     """Run the whole pipeline over one parsed binary.
 
     A GT_MALFORMED_DEBUG_DATA among ``extra_diagnostics`` makes the truth
-    incomplete: the functions the unread units describe go unmatched.
+    incomplete: the functions the unread units describe go unmatched, and
+    none is flagged compiler_inserted for lacking a debug record.
     """
     config = config or RunConfig()
     diagnostics: list[Diagnostic] = []
+    debug_unreadable = False
     for diag in extra_diagnostics:
         diagnostics.append(diag)
         if diag.code == GT_MALFORMED_DEBUG_DATA:
+            debug_unreadable = True
             diagnostics.append(
                 Diagnostic(
                     "error",
@@ -546,7 +555,7 @@ def build_ground_truth(
         match_debug_records(works, debug_records, config.start_mismatch_tolerance)
     )
     annotate_noreturn(works, config.seeds())
-    tag_compiler_inserted(works, default_scaffold_names())
+    tag_compiler_inserted(works, default_scaffold_names(), debug_unreadable)
     if config.call_edges is not None:
         mark_uncalled(works, config.call_edges)
 

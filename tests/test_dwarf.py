@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +242,9 @@ def test_unreadable_debug_info_makes_truth_incomplete():
         ("error", GT_MALFORMED_DEBUG_DATA),
         ("error", GT_INCOMPLETE_EXCLUDED),
     ]
+    # The unreadable unit describes solo, so nothing shows it compiler-inserted.
+    (solo,) = doc.functions
+    assert "compiler_inserted" not in solo.flags
 
 
 def _decl_line_image(form: int) -> BinaryImage:
@@ -458,7 +462,7 @@ def test_records_hash_by_content():
 
 # --- hand-assembled units: skipped DIEs and lazy decoding --------------------
 
-TAG_CU, TAG_SUBPROGRAM, TAG_VARIABLE = 0x11, 0x2E, 0x34
+TAG_CU, TAG_SUBPROGRAM, TAG_VARIABLE, AT_SIBLING = 0x11, 0x2E, 0x34, 0x01
 AT_LOCATION, AT_NAME, AT_LOW_PC, AT_HIGH_PC = 0x02, 0x03, 0x11, 0x12
 AT_CONST_VALUE, AT_ABSTRACT_ORIGIN, AT_DECL_FILE, AT_DECL_LINE = 0x1C, 0x31, 0x3A, 0x3B
 AT_SPECIFICATION, AT_TYPE, AT_RANGES, AT_STR_OFFSETS_BASE = 0x47, 0x49, 0x55, 0x72
@@ -466,7 +470,7 @@ FORM_ADDR, FORM_DATA2, FORM_DATA4, FORM_STRING, FORM_DATA1 = 0x01, 0x05, 0x06, 0
 FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
 FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
-FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP = 0x23, 0x6E, 0x1D
+FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
 
 # Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
 ABBREVS = {
@@ -526,6 +530,31 @@ ABBREVS = {
     19: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)]),
     # A name in a supplementary file's string table.
     20: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRP_SUP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)]),
+    # Its decode plan: a struct of decl_file, 4 pad bytes and low_pc; a read LEB;
+    # a struct of high_pc; a skipped exprloc; 4 bytes stepped over.
+    21: (
+        TAG_SUBPROGRAM,
+        [
+            (AT_DECL_FILE, FORM_DATA1),
+            (AT_TYPE, FORM_REF4),
+            (AT_LOW_PC, FORM_ADDR),
+            (AT_DECL_LINE, FORM_UDATA),
+            (AT_HIGH_PC, FORM_DATA4),
+            (AT_LOCATION, FORM_EXPRLOC),
+            (AT_SIBLING, FORM_REF4),
+        ],
+    ),
+    22: (TAG_VARIABLE, [(AT_LOCATION, FORM_EXPRLOC), (AT_CONST_VALUE, FORM_BLOCK2)]),
+    # The same attribute twice: the last one counts.
+    23: (
+        TAG_SUBPROGRAM,
+        [
+            (AT_NAME, FORM_STRING),
+            (AT_LOW_PC, FORM_ADDR),
+            (AT_HIGH_PC, FORM_DATA4),
+            (AT_NAME, FORM_STRING),
+        ],
+    ),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
@@ -678,7 +707,8 @@ def test_a_damaged_unit_is_named_and_leaves_no_diagnostics():
     far = _die(18, b"far\x00", _ref(1), struct.pack("<QI", 0x900000, 16))
     second = _unit([CU_DIE, far, _die(19, _ref(0x9999), _IN_TEXT)])
     records, diags = extract_debug_functions(_info_image(first + second + first))
-    assert [r.name for r in records] == ["first"]
+    # The walk found where the damaged unit ends, so the third is read too.
+    assert [r.name for r in records] == ["first", "first"]
     assert _only_error(diags).startswith(
         f"debug info unreadable from the unit at offset {len(first):#x}: "
     )
@@ -705,6 +735,57 @@ def test_skipped_die_cut_at_the_section_end_is_malformed(kept, message):
     records, diags = extract_debug_functions(_unit_image(dies, terminate=False))
     assert records == []
     assert message in _only_error(diags)
+
+
+# A decoded DIE of code 21: code(1) data1(1) ref4(4) addr(8) udata 300 (2)
+# data4(4) exprloc length(1) data(2) ref4(4); the cuts land in every step
+# of its decode plan.
+DECODED = _die(21, b"\x01", _ref(0), struct.pack("<Q", 0x401000), uleb_encode(300))
+DECODED += struct.pack("<I", 16) + b"\x02\x91\x6c" + _ref(0)
+_DECODED_CUTS = [(1, "fixed-width read"), (2, "fixed-width read")]  # the first struct
+_DECODED_CUTS += [(9, "fixed-width read"), (14, "uleb128"), (15, "uleb128")]
+_DECODED_CUTS += [(16, "fixed-width read"), (18, "fixed-width read")]
+_DECODED_CUTS += [(20, "uleb128"), (21, "block read"), (22, "block read")]
+_DECODED_CUTS += [(23, "fixed-width read"), (26, "fixed-width read")]
+
+
+def test_decoded_die_reads_whole():
+    records, diags = extract_debug_functions(_unit_image([CU_DIE, DECODED]))
+    assert diags == []
+    assert [(r.low_pc, r.end_exclusive, r.decl_file, r.decl_line) for r in records] == [
+        (0x401000, 0x401010, "t.c", 300)
+    ]
+
+
+@pytest.mark.parametrize(("kept", "message"), _DECODED_CUTS)
+def test_decoded_die_cut_at_the_section_end_is_malformed(kept, message):
+    dies = [CU_DIE, DECODED[:kept]]
+    records, diags = extract_debug_functions(_unit_image(dies, terminate=False))
+    assert records == []
+    assert message in _only_error(diags)
+
+
+@pytest.mark.parametrize(
+    "die",
+    [
+        _die(22, uleb_encode(2**64), b"\x00\x00"),
+        DECODED[:20] + uleb_encode(2**64) + _ref(0),
+    ],
+    ids=["skipped", "decoded"],
+)
+def test_a_block_longer_than_any_section_is_malformed(die):
+    records, diags = extract_debug_functions(_unit_image([CU_DIE, die]))
+    assert records == []
+    assert "block read past end of unit" in _only_error(diags)
+
+
+def test_an_attribute_given_twice_reads_its_last_value():
+    dies = [CU_DIE, _die(23, b"first\x00", _IN_TEXT, b"last\x00")]
+    image = _unit_image(dies)
+    with mock.patch.object(dwarf, "_compile_plan", lambda *args: None):
+        full = extract_debug_functions(image)
+    assert extract_debug_functions(image) == full
+    assert [r.name for r in full[0]] == ["last"]
 
 
 def test_skipped_string_cut_at_the_section_end_is_malformed():
@@ -859,8 +940,7 @@ def test_fuzz_base_images_read_cleanly(version):
     assert [d.code for d in diags] == [GT_DISCONTIGUOUS_RANGE]
 
 
-@settings(max_examples=400)
-@given(
+_FLIPS = dict(
     version=st.sampled_from([4, 5]),
     section=st.sampled_from([".debug_info", ".debug_abbrev"]),
     flips=st.lists(
@@ -869,12 +949,40 @@ def test_fuzz_base_images_read_cleanly(version):
         max_size=4,
     ),
 )
-def test_flipped_debug_bytes_yield_only_records_and_diagnostics(version, section, flips):
+
+
+def _flipped(version: int, section: str, flips) -> BinaryImage:
     image, spans = _fuzz_base(version)
     offset, size = spans[section]
     raw = bytearray(image.raw)
     for at, mask in flips:
         raw[offset + at % size] ^= mask
-    records, diags = extract_debug_functions(dataclasses.replace(image, raw=bytes(raw)))
+    return dataclasses.replace(image, raw=bytes(raw))
+
+
+@settings(max_examples=400)
+@given(**_FLIPS)
+def test_flipped_debug_bytes_yield_only_records_and_diagnostics(version, section, flips):
+    records, diags = extract_debug_functions(_flipped(version, section, flips))
     assert all(isinstance(r, DebugFunctionRecord) for r in records)
     assert all(isinstance(d, Diagnostic) for d in diags)
+
+
+@settings(max_examples=400)
+@given(**_FLIPS)
+def test_plans_read_what_the_full_decoder_reads(version, section, flips):
+    """With no plan, every DIE goes through the full decoder; the records
+    and diagnostics, error messages included, must not change."""
+    image = _flipped(version, section, flips)
+    planned = extract_debug_functions(image)
+    with mock.patch.object(dwarf, "_compile_plan", lambda *args: None):
+        full = extract_debug_functions(image)
+    assert planned == full
+
+
+def test_the_read_set_is_every_attribute_the_reader_names():
+    """A lookup of an attribute left out of the read set would find it
+    missing from every planned DIE."""
+    named = {value for name, value in vars(dwarf).items() if name.startswith("DW_AT_")}
+    assert len(named) == 14
+    assert dwarf._READ_ATTRS == named

@@ -529,6 +529,24 @@ def test_scaffold_names_are_compiler_inserted_even_with_debug_info():
     assert "compiler_inserted" not in flags["main"]
 
 
+def test_unreadable_debug_info_flags_only_scaffold_names():
+    inverted = DwarfFuncSpec(ranges=((0x401018, 0x401010),))  # fails the only unit
+    spec = BinarySpec(
+        sections=(SectionSpec(".text", 0x401000, executable=True),),
+        functions=(
+            FunctionSpec("_start", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(),)),
+            FunctionSpec("main", 16, forge._fixed_body(16), dwarf=(inverted,)),
+            FunctionSpec("helper", 32, forge._fixed_body(16)),
+        ),
+    )
+    _image, doc = corpuscheck.build_document(emit(spec))
+    assert not doc.complete
+    flags = {f.canonical_name: f.flags for f in doc.functions}
+    assert "compiler_inserted" in flags["_start"]
+    assert "compiler_inserted" not in flags["main"]
+    assert "compiler_inserted" not in flags["helper"]
+
+
 def test_binary_without_debug_info_flags_everything(preset_docs):
     doc = preset_docs["scaffold"]
     assert len(doc.functions) == 9

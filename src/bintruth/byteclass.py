@@ -7,6 +7,7 @@ stay ``gap_unknown`` when they do not parse as padding.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .model import BinaryImage
@@ -44,24 +45,57 @@ class ByteClassMap:
     runs: tuple[ByteRun, ...]
 
 
+@functools.lru_cache(maxsize=64)
+def _tiling_index(
+    alphabet: tuple[bytes, ...],
+) -> tuple[bytes, dict[int, tuple[bytes, ...]], int]:
+    """(every byte of a unit, units by first byte, longest unit length).
+
+    Empty units are dropped: they tile nothing.
+    """
+    units = [unit for unit in alphabet if unit]
+    by_first: dict[int, list[bytes]] = {}
+    for unit in units:
+        by_first.setdefault(unit[0], []).append(unit)
+    return (
+        bytes(set(b"".join(units))),
+        {first: tuple(group) for first, group in by_first.items()},
+        max(map(len, units), default=0),
+    )
+
+
 def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
     """Lowest ``i`` such that ``blob[i:]`` tiles completely with padding units.
 
-    Scans back from the end. Whether ``blob[i:]`` tiles depends only on
-    the next ``L`` positions (``L`` the longest unit), so once ``L``
-    positions in a row fail, no earlier one can succeed and the scan stops.
+    A dynamic program scans back from the end: ``blob[i:]`` tiles when
+    some unit starts at ``i`` and what follows it tiles. Two facts bound
+    the work. Each skips only tries that cannot succeed, so the answer is
+    the one a scan trying every unit at every position gives:
+
+    - A tiling suffix holds only bytes that occur in some unit, so the
+      answer is at least the length of ``blob`` with its trailing unit
+      bytes stripped. The scan stops at that floor, and a blob that does
+      not end in a unit byte returns at once.
+    - Only the units that start with ``blob[i]`` can start a tiling at
+      ``i``, so only they are tried there.
+
+    Whether ``blob[i:]`` tiles depends only on the next ``L`` positions
+    (``L`` the longest unit), so once ``L`` positions in a row fail, no
+    earlier one can succeed and the scan stops there too. The cost is
+    linear in the trailing unit bytes, not in ``len(blob)``.
     """
     n = len(blob)
-    if not alphabet:
+    unit_bytes, by_first, longest = _tiling_index(alphabet)
+    floor = len(blob.rstrip(unit_bytes))
+    if floor == n:
         return n
-    longest = max(len(unit) for unit in alphabet)
     ok = bytearray(n + 1)
     ok[n] = 1
     lowest = n
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, floor - 1, -1):
         if lowest > i + longest:
             break
-        for unit in alphabet:
+        for unit in by_first.get(blob[i], ()):
             j = i + len(unit)
             if j <= n and ok[j] and blob.startswith(unit, i):
                 ok[i] = 1

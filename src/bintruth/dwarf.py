@@ -834,6 +834,12 @@ def _unit_records(
         value = read(_inherited(unit, die, DW_AT_name))
         return value if isinstance(value, str) else ""
 
+    def shown(die: _Die, name: str | None) -> str:
+        """How a diagnostic names ``die``; a None name is resolved only here."""
+        if name is None:
+            name = resolved_name(die)
+        return name or "<anonymous>"
+
     def decl_coords(die: _Die) -> tuple[str, int]:
         file_idx = read(_inherited(unit, die, DW_AT_decl_file))
         line = read(_inherited(unit, die, DW_AT_decl_line))
@@ -847,7 +853,7 @@ def _unit_records(
             return cu_name, decl_line
         return f"file#{file_idx}", decl_line
 
-    def extent(die: _Die, name: str) -> tuple[int, int | None] | None:
+    def extent(die: _Die, name: str | None) -> tuple[int, int | None] | None:
         """(low_pc, end_exclusive) or None when the DIE has no addresses.
 
         A low/high pair wins; otherwise a non-empty range list gives its
@@ -875,7 +881,7 @@ def _unit_records(
             pairs = _resolve_ranges(unit, die, cu_base)
             if any(hi < lo for lo, hi in pairs):
                 raise MalformedDebugDataError(
-                    f"range list of {name or '<anonymous>'} ends before it starts"
+                    f"range list of {shown(die, name)} ends before it starts"
                 )
             if pairs:
                 lo = min(p[0] for p in pairs)
@@ -884,7 +890,7 @@ def _unit_records(
                     Diagnostic(
                         "warning",
                         GT_DISCONTIGUOUS_RANGE,
-                        f"{name or '<anonymous>'} at {lo:#x} spans "
+                        f"{shown(die, name)} at {lo:#x} spans "
                         f"{len(pairs)} ranges; using the hull",
                         span=(lo, hi - lo),
                     )
@@ -898,7 +904,9 @@ def _unit_records(
         if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
             continue
         inlined = die.tag == DW_TAG_inlined_subroutine
-        name = resolved_name(die)
+        # An inlined copy yields no record, so its name is resolved only
+        # if a diagnostic prints it.
+        name = None if inlined else resolved_name(die)
         span = extent(die, name)
         if span is None:
             if inlined:
@@ -913,7 +921,7 @@ def _unit_records(
                 Diagnostic(
                     "info",
                     GT_SUBPROGRAM_NO_ADDRESS,
-                    f"subprogram {name or '<anonymous>'} carries no address; skipped",
+                    f"subprogram {shown(die, name)} carries no address; skipped",
                 )
             )
             continue
@@ -924,7 +932,7 @@ def _unit_records(
                 Diagnostic(
                     "warning",
                     GT_DEBUG_OUTSIDE_EXEC,
-                    f"debug info places {name or '<anonymous>'} at {low:#x}, "
+                    f"debug info places {shown(die, name)} at {low:#x}, "
                     "outside every executable section",
                     span=(low, 0),
                 )

@@ -9,6 +9,7 @@ from bintruth.byteclass import (
     ByteRun,
     OverlapError,
     classify_bytes,
+    padding_suffix_start,
     parses_as_padding,
 )
 
@@ -64,6 +65,19 @@ def test_padding_parse_known_cases(blob, expected):
     assert oracles.tiles_as_padding(blob, ALPHABET) is expected
 
 
+@pytest.mark.parametrize(
+    ("blob", "start"),
+    [
+        (b"\x1f\x00", 1),  # 1f occurs only inside units
+        (b"\x0f\x1f", 2),  # unit bytes that do not tile
+        (b"\xc3" + b"\x00" * 4096, 1),
+        (b"\xc3\x31\xc0\xe8", 4),  # no byte occurs in any unit
+    ],
+)
+def test_padding_suffix_known_cases(blob, start):
+    assert padding_suffix_start(blob, ALPHABET) == start
+
+
 def test_padding_parse_with_no_alphabet_never_matches():
     assert not parses_as_padding(b"\x90", ())
     assert parses_as_padding(b"", ())
@@ -84,6 +98,38 @@ def test_padding_parse_agrees_with_the_recursive_oracle(parts):
     assert parses_as_padding(blob, ALPHABET) == oracles.tiles_as_padding(
         blob, ALPHABET
     )
+
+
+# A small pool, so that units share first bytes and some bytes occur
+# only after a unit's first byte; c3 occurs in no unit.
+_POOL = b"\x00\x0f\x1f\x90"
+_UNIT = st.lists(st.sampled_from(_POOL), min_size=1, max_size=4).map(bytes)
+
+
+@st.composite
+def _alphabet_and_blob(draw):
+    units = tuple(draw(st.lists(_UNIT, max_size=5)))
+    part = st.one_of(
+        st.lists(st.sampled_from(_POOL + b"\xc3"), min_size=1, max_size=3).map(bytes),
+        *([st.sampled_from(units)] if units else []),
+    )
+    return units, b"".join(draw(st.lists(part, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alphabet_and_blob(), st.integers(min_value=0))
+def test_padding_suffix_agrees_with_the_oracle_on_random_alphabets(drawn, at):
+    units, blob = drawn
+    # An empty unit tiles nothing: anywhere in the alphabet, it changes nothing.
+    cut = at % (len(units) + 1)
+    alphabet = units[:cut] + (b"",) + units[cut:]
+    start = padding_suffix_start(blob, alphabet)
+    assert start == padding_suffix_start(blob, units)
+    # The recursive oracle gets the alphabet without the empty unit, on
+    # which it would recurse forever.
+    assert (start == 0) == oracles.tiles_as_padding(blob, units)
+    assert oracles.tiles_as_padding(blob[start:], units)
+    assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, units, (0,))
 
 
 def test_overlapping_spans_are_an_upstream_bug(preset_images):

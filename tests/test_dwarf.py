@@ -463,6 +463,7 @@ def test_records_hash_by_content():
 # --- hand-assembled units: skipped DIEs and lazy decoding --------------------
 
 TAG_CU, TAG_SUBPROGRAM, TAG_VARIABLE, AT_SIBLING = 0x11, 0x2E, 0x34, 0x01
+TAG_INLINED_SUBROUTINE = 0x1D
 AT_LOCATION, AT_NAME, AT_LOW_PC, AT_HIGH_PC = 0x02, 0x03, 0x11, 0x12
 AT_CONST_VALUE, AT_ABSTRACT_ORIGIN, AT_DECL_FILE, AT_DECL_LINE = 0x1C, 0x31, 0x3A, 0x3B
 AT_SPECIFICATION, AT_TYPE, AT_RANGES, AT_STR_OFFSETS_BASE = 0x47, 0x49, 0x55, 0x72
@@ -554,6 +555,11 @@ ABBREVS = {
             (AT_HIGH_PC, FORM_DATA4),
             (AT_NAME, FORM_STRING),
         ],
+    ),
+    # An inlined copy named straight from .debug_str.
+    24: (
+        TAG_INLINED_SUBROUTINE,
+        [(AT_NAME, FORM_STRP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
     ),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
@@ -691,6 +697,20 @@ def test_damage_in_a_read_attribute_is_malformed():
         "debug info unreadable from the unit at offset 0x0: "
         ".debug_str offset 0x9999 out of range"
     )
+
+
+@pytest.mark.parametrize("low", [0x401004, 0x900000], ids=["in_text", "outside"])
+def test_an_inlined_copy_is_named_only_when_a_diagnostic_prints_it(low):
+    """Inside code an inlined copy yields nothing, so its bad name is never read."""
+    inlined = _die(24, _ref(0x9999), struct.pack("<QI", low, 4))
+    dies = [CU_DIE, _die(19, _ref(1), _IN_TEXT), inlined]
+    records, diags = extract_debug_functions(_unit_image(dies))
+    if low == 0x401004:
+        assert diags == []
+        assert [(r.name, r.low_pc) for r in records] == [("target", 0x401000)]
+    else:  # GT_DEBUG_OUTSIDE_EXEC would print the name
+        assert records == []
+        assert _only_error(diags).endswith(".debug_str offset 0x9999 out of range")
 
 
 def test_a_supplementary_string_names_nothing():

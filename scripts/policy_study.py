@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bintruth import dwarf, elf, forge, normalize, scoring  # noqa: E402
+from bintruth import elf, forge, normalize, scoring  # noqa: E402
 
 POLICIES = {
     "strict_trimmed": scoring.MatchPolicy(
@@ -75,10 +75,7 @@ def build_truths(seed: int, count: int):
     docs = []
     for fixture in forge.generate_corpus(seed, count):
         image = elf.parse_image(fixture.data, source_path=fixture.name)
-        records, diags = dwarf.extract_debug_functions(image)
-        doc = normalize.build_ground_truth(
-            image, records, extra_diagnostics=tuple(diags)
-        )
+        doc = normalize.build_ground_truth(image)
         assert doc.complete, fixture.name
         docs.append(doc)
     return docs

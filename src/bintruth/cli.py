@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, dwarf, elf, forge, interchange, normalize, scoring
+from . import __version__, elf, forge, interchange, normalize, scoring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,14 +205,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    stems = Counter(Path(b).stem for b in args.binaries)
+    shared = [f"{stem}.truth.json" for stem, n in sorted(stems.items()) if n > 1]
+    if shared:
+        print(f"extract: binaries share the output {', '.join(shared)}", file=sys.stderr)
+        return EXIT_USAGE
     any_incomplete = False
     for path_str in args.binaries:
         path = Path(path_str)
         image = elf.parse_image(path.read_bytes(), source_path=str(path))
-        records, diags = dwarf.extract_debug_functions(image)
-        doc = normalize.build_ground_truth(
-            image, records, config, extra_diagnostics=tuple(diags)
-        )
+        doc = normalize.build_ground_truth(image, config)
         text = interchange.document_to_json(doc, config)
         if out is None:
             sys.stdout.write(text)
@@ -250,14 +252,19 @@ def _load(loader, path: str):
         raise interchange.SchemaError(f"{path}: {exc}") from None
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    truth = _load(interchange.document_from_json, args.truth)
-    report = _load(interchange.report_from_json, args.report)
+def _score_pair(
+    truth_path: str, report_path: str, policy: scoring.MatchPolicy
+) -> scoring.ScoreResult:
+    truth = _load(interchange.document_from_json, truth_path)
+    report = _load(interchange.report_from_json, report_path)
     try:
-        result = scoring.score_functions(truth, report, _policy_from(args))
+        return scoring.score_functions(truth, report, policy)
     except scoring.IncompleteTruthRejectedError as exc:
-        print(f"score: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+        raise scoring.IncompleteTruthRejectedError(f"{truth_path}: {exc}") from None
+
+
+def _cmd_score(args: argparse.Namespace) -> int:
+    result = _score_pair(args.truth, args.report, _policy_from(args))
     if args.format == "json":
         sys.stdout.write(interchange.score_to_json(result))
     else:
@@ -342,17 +349,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_OK if changes["identical"] else EXIT_DIFFERENT
 
 
-def _score_pair(
-    truth_path: str, report_path: str, policy: scoring.MatchPolicy
-) -> scoring.ScoreResult:
-    truth = _load(interchange.document_from_json, truth_path)
-    report = _load(interchange.report_from_json, report_path)
-    try:
-        return scoring.score_functions(truth, report, policy)
-    except scoring.IncompleteTruthRejectedError as exc:
-        raise scoring.IncompleteTruthRejectedError(f"{truth_path}: {exc}") from None
-
-
 def _corpus_table(summary: scoring.CorpusSummary) -> str:
     lines = [
         f"binaries        {summary.n}",
@@ -381,22 +377,18 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     # A pool starts all of its workers at once, needed or not.
     workers = min(args.jobs, len(pairs))
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        _score_pair,
-                        [t for t, _ in pairs],
-                        [r for _, r in pairs],
-                        [policy] * len(pairs),
-                    )
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(
+                pool.map(
+                    _score_pair,
+                    [t for t, _ in pairs],
+                    [r for _, r in pairs],
+                    [policy] * len(pairs),
                 )
-        else:
-            results = [_score_pair(t, r, policy) for t, r in pairs]
-    except scoring.IncompleteTruthRejectedError as exc:
-        print(f"corpus: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+            )
+    else:
+        results = [_score_pair(t, r, policy) for t, r in pairs]
     summary = scoring.corpus_aggregate(results, tuple(args.threshold))
     if args.format == "json":
         sys.stdout.write(interchange.corpus_to_json(summary))
@@ -436,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"bintruth {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except scoring.IncompleteTruthRejectedError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
 
 
 if __name__ == "__main__":

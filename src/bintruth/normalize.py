@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
 
-from . import byteclass, elf
+from . import byteclass, dwarf, elf
 from .byteclass import ByteClassMap
-from .dwarf import DebugFunctionRecord
 from .model import (
     GT_ALIAS_MERGED,
     GT_INCOMPLETE_EXCLUDED,
@@ -218,7 +217,7 @@ class _Working:
 def dedupe_aliases(
     symbols: list[SymbolRecord], image: BinaryImage
 ) -> tuple[list[_Working], list[Diagnostic]]:
-    """Collapse same-address symbols into one record with aliases."""
+    """Collapse same-address symbols into one record with aliases, in start order."""
     groups: dict[int, list[SymbolRecord]] = {}
     for sym in symbols:
         groups.setdefault(sym.value, []).append(sym)
@@ -265,12 +264,13 @@ def merge_fallthrough_entries(
 ) -> tuple[list[_Working], list[Diagnostic]]:
     """Fold ``name.`` continuation symbols into their parent function.
 
-    A continuation must sit exactly at the parent's declared end within
-    the same section; chains of continuations cascade left to right.
+    ``works`` must be in start order, which the result keeps. A
+    continuation must sit exactly at the parent's declared end within the
+    same section; chains of continuations cascade left to right.
     """
     merged: list[_Working] = []
     diagnostics: list[Diagnostic] = []
-    for work in sorted(works, key=lambda w: w.start):
+    for work in works:
         if merged:
             head = merged[-1]
             tail_name, tail_start, tail_size = head.tail
@@ -306,15 +306,15 @@ def merge_fallthrough_entries(
 def resolve_boundaries(works: list[_Working]) -> list[Diagnostic]:
     """Fix each function's raw exclusive end.
 
-    Declared sizes are clamped by the next function start and by the
-    containing section; missing sizes borrow the next boundary outright.
+    ``works`` must be in start order. Declared sizes are clamped by the
+    next function start and by the containing section; missing sizes
+    borrow the next boundary outright.
     """
     diagnostics: list[Diagnostic] = []
-    ordered = sorted(works, key=lambda w: w.start)
-    for i, work in enumerate(ordered):
+    for i, work in enumerate(works):
         # Allocated sections never overlap, so a section's functions sit
         # next to each other in start order.
-        nxt = ordered[i + 1] if i + 1 < len(ordered) else None
+        nxt = works[i + 1] if i + 1 < len(works) else None
         same = nxt is not None and nxt.section is work.section
         limit = nxt.start if same else work.section.end
         if work.size > 0:
@@ -399,7 +399,7 @@ def cluster_specializations(works: list[_Working]) -> None:
 
 def match_debug_records(
     works: list[_Working],
-    records: list[DebugFunctionRecord],
+    records: list[dwarf.DebugFunctionRecord],
     tolerance: int,
 ) -> list[Diagnostic]:
     """Attach out-of-line debug records to their symbol-table functions."""
@@ -489,8 +489,9 @@ def mark_uncalled(works: list[_Working], edges: tuple[tuple[int, int], ...]) -> 
 
 
 def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
+    """Immutable functions, in the start order ``works`` already has."""
     out = []
-    for work in sorted(works, key=lambda w: w.start):
+    for work in works:
         out.append(
             GroundTruthFunction(
                 canonical_name=work.canonical,
@@ -508,21 +509,19 @@ def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
 
 
 def build_ground_truth(
-    image: BinaryImage,
-    debug_records: list[DebugFunctionRecord],
-    config: RunConfig | None = None,
-    extra_diagnostics: tuple[Diagnostic, ...] = (),
+    image: BinaryImage, config: RunConfig | None = None
 ) -> GroundTruthDocument:
-    """Run the whole pipeline over one parsed binary.
+    """Run the whole pipeline, debug info reader included, over one binary.
 
-    A GT_MALFORMED_DEBUG_DATA among ``extra_diagnostics`` makes the truth
-    incomplete: the functions the unread units describe go unmatched, and
-    none is flagged compiler_inserted for lacking a debug record.
+    A GT_MALFORMED_DEBUG_DATA from the reader makes the truth incomplete:
+    the functions the unread units describe go unmatched, and none is
+    flagged compiler_inserted for lacking a debug record.
     """
     config = config or RunConfig()
+    debug_records, debug_diagnostics = dwarf.extract_debug_functions(image)
     diagnostics: list[Diagnostic] = []
     debug_unreadable = False
-    for diag in extra_diagnostics:
+    for diag in debug_diagnostics:
         diagnostics.append(diag)
         if diag.code == GT_MALFORMED_DEBUG_DATA:
             debug_unreadable = True

@@ -178,7 +178,10 @@ def score_functions(
     consumed = [False] * len(truth.functions)
     tp = fp = 0
     mismatches: list[Mismatch] = []
-    for start, size in sorted(report.predicted_functions):
+    # By start, then size; a missing size sorts first, never compared with a number.
+    for start, size in sorted(
+        report.predicted_functions, key=lambda p: (p[0], p[1] is not None, p[1] or 0)
+    ):
         idx = entry_map.get(start)
         if idx is None or consumed[idx]:
             fp += 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from bintruth import dwarf, elf, forge, normalize
+from bintruth import elf, forge, normalize
 
 # Every run draws the same examples, and none of them has a deadline.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -46,10 +46,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def _build_doc(data: bytes, config=None):
     image = elf.parse_image(data)
-    records, diags = dwarf.extract_debug_functions(image)
-    return normalize.build_ground_truth(
-        image, records, config, extra_diagnostics=tuple(diags)
-    )
+    return normalize.build_ground_truth(image, config)
 
 
 @pytest.fixture(scope="session")

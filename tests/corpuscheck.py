@@ -9,16 +9,13 @@ import dataclasses
 import random
 from collections import Counter
 
-from bintruth import dwarf, elf, normalize
+from bintruth import elf, normalize
 from oracles import NoBytesError, bytes_at, tiles_as_padding
 
 
 def build_document(data: bytes, config=None):
     image = elf.parse_image(data)
-    records, diags = dwarf.extract_debug_functions(image)
-    doc = normalize.build_ground_truth(
-        image, records, config, extra_diagnostics=tuple(diags)
-    )
+    doc = normalize.build_ground_truth(image, config)
     return image, doc
 
 
@@ -108,10 +105,7 @@ def order_independence_failures(data: bytes, shuffle_seed: int) -> list[str]:
     shuffled = list(image.symbols)
     random.Random(shuffle_seed).shuffle(shuffled)
     reordered = dataclasses.replace(image, symbols=tuple(shuffled))
-    records, diags = dwarf.extract_debug_functions(reordered)
-    redone = normalize.build_ground_truth(
-        reordered, records, extra_diagnostics=tuple(diags)
-    )
+    redone = normalize.build_ground_truth(reordered)
     if redone != doc:
         return ["document changed under symbol reordering"]
     return []

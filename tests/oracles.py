@@ -1,29 +1,34 @@
 """Brute-force reference implementations the tests compare against.
 
-Everything here trades speed for obviousness: recursion instead of DP,
-per-byte loops instead of interval walks, nested scans instead of maps.
+Everything here trades speed for obviousness: a search over every
+tiling instead of DP, per-byte loops instead of interval walks, nested
+scans instead of maps.
 None of it imports the modules under test beyond plain data types.
 """
 from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
 
 
 def tiles_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
-    """True when blob splits completely into alphabet units (recursive)."""
+    """True when blob splits completely into alphabet units.
 
-    @lru_cache(maxsize=None)
-    def solvable(pos: int) -> bool:
+    Searches every position a run of units can reach from the start, with
+    an explicit stack so that long blobs do not exhaust Python's; an empty
+    unit reaches no new position and is skipped.
+    """
+    todo, seen = [0], {0}
+    while todo:
+        pos = todo.pop()
         if pos == len(blob):
             return True
-        return any(
-            blob.startswith(unit, pos) and solvable(pos + len(unit))
-            for unit in alphabet
-        )
-
-    return solvable(0)
+        for unit in alphabet:
+            nxt = pos + len(unit)
+            if nxt not in seen and blob.startswith(unit, pos):
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
 
 
 class NoBytesError(LookupError):

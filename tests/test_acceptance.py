@@ -28,10 +28,7 @@ DIGEST = b"\x11" * 32
 
 def _pipeline(data, config=None):
     image = elf.parse_image(data, source_path="mem")
-    records, diags = dwarf.extract_debug_functions(image)
-    return normalize.build_ground_truth(
-        image, records, config, extra_diagnostics=tuple(diags)
-    )
+    return normalize.build_ground_truth(image, config)
 
 
 def _truth(functions, complete=True):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,11 +127,30 @@ def test_padding_suffix_agrees_with_the_oracle_on_random_alphabets(drawn, at):
     alphabet = units[:cut] + (b"",) + units[cut:]
     start = padding_suffix_start(blob, alphabet)
     assert start == padding_suffix_start(blob, units)
-    # The recursive oracle gets the alphabet without the empty unit, on
-    # which it would recurse forever.
-    assert (start == 0) == oracles.tiles_as_padding(blob, units)
-    assert oracles.tiles_as_padding(blob[start:], units)
-    assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, units, (0,))
+    assert (start == 0) == oracles.tiles_as_padding(blob, alphabet)
+    assert oracles.tiles_as_padding(blob[start:], alphabet)
+    assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, alphabet, (0,))
+
+
+def _large_body() -> tuple[bytes, int]:
+    """A 6 KB body as large bodies come: code, a ret, then mixed filler."""
+    rng = random.Random(4096)
+    code = rng.randbytes(5000) + b"\xc3"  # c3 occurs in no unit
+    filler = b"".join(rng.choice(ALPHABET) for _ in range(200))
+    return code + filler, len(code)
+
+
+@pytest.mark.parametrize(
+    ("blob", "start"),
+    [(b"\xc3" + b"\x00" * 4096, 1), _large_body()],
+    ids=["zeros", "mixed"],
+)
+def test_padding_suffix_agrees_with_the_oracle_on_large_bodies(blob, start):
+    assert len(blob) >= 4096
+    assert padding_suffix_start(blob, ALPHABET) == start
+    assert not oracles.tiles_as_padding(blob, ALPHABET)
+    assert oracles.tiles_as_padding(blob[start:], ALPHABET)
+    assert oracles.suffix_trim(blob, ALPHABET, (0,)) == start
 
 
 def test_overlapping_spans_are_an_upstream_bug(preset_images):

@@ -172,6 +172,22 @@ def test_extract_many_binaries_need_a_directory(tmp_path, capsys):
     assert "directory" in err
 
 
+def test_extract_refuses_binaries_that_share_an_output_name(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    first = write_binary(tmp_path / "a", "listing1")
+    second = tmp_path / "b" / "listing1.bin"
+    second.write_bytes(forge.emit(forge.preset("listing2")))
+    out_dir = tmp_path / "truths"
+    out_dir.mkdir()
+    code, _out, err = run(
+        capsys, "extract", str(first), str(second), "-o", str(out_dir)
+    )
+    assert code == 1
+    assert "listing1.truth.json" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_extract_incomplete_binary_exits_3_but_still_writes(tmp_path, capsys):
     binary = write_binary(tmp_path, "stripped")
     out_path = tmp_path / "truth.json"
@@ -310,12 +326,30 @@ def test_score_refuses_incomplete_truth(tmp_path, capsys, preset_docs):
     report = write_report(tmp_path, doc, "s", ())
     code, _out, err = run(capsys, "score", str(truth), str(report))
     assert code == 3
-    assert "incomplete" in err.lower()
+    assert err == f"score: {truth}: ground truth is incomplete; refusing to score against it\n"
     code, out, _err = run(
         capsys, "score", str(truth), str(report), "--accept-incomplete"
     )
     assert code == 0
     assert "INCOMPLETE_TRUTH_ACCEPTED" in json.loads(out)["warnings"]
+
+
+def test_score_ignores_a_missing_size_beside_a_known_one(tmp_path, capsys, preset_docs):
+    doc = preset_docs["listing2"]
+    truth = write_truth(tmp_path, doc, "l2")
+    first = doc.functions[0]
+    exact = tuple(
+        (fn.start, fn.end_exclusive_trimmed - fn.start) for fn in doc.functions
+    )
+    report = write_report(tmp_path, doc, "l2", exact + ((first.start, None),))
+    code, out, _err = run(
+        capsys, "score", str(truth), str(report), "--boundary-rule", "ignore"
+    )
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    assert counts["true_positives"] == len(doc.functions)
+    assert counts["false_positives"] == 1
+    assert counts["false_negatives"] == 0
 
 
 def test_score_digest_mismatch_is_an_input_error(tmp_path, capsys, preset_docs):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import oracles
-from bintruth import dwarf, elf, forge, interchange, normalize
+from bintruth import elf, forge, interchange, normalize
 from bintruth.interchange import (
     CORPUS_SCHEMA,
     GROUND_TRUTH_SCHEMA,
@@ -57,8 +57,7 @@ VALIDATORS = {kind: Draft202012Validator(schema) for kind, schema in SCHEMAS.ite
 
 def _build(data: bytes):
     image = elf.parse_image(data)
-    records, diags = dwarf.extract_debug_functions(image)
-    return normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    return normalize.build_ground_truth(image)
 
 
 def _report_for(doc, stub: bool = False) -> ToolReport:

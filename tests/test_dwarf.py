@@ -213,8 +213,7 @@ def test_range_lists_collapse_to_their_hull(version):
 
 
 def _assert_document_validates(image: BinaryImage) -> None:
-    records, diags = extract_debug_functions(image)
-    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    doc = normalize.build_ground_truth(image)
     payload = json.loads(document_to_json(doc))
     Draft202012Validator(GROUND_TRUTH_SCHEMA).validate(payload)
 
@@ -235,8 +234,7 @@ def test_inverted_range_pair_is_malformed_debug_data(version):
 def test_unreadable_debug_info_makes_truth_incomplete():
     spec = _single_fn_spec(DwarfFuncSpec(ranges=((0x401008, 0x401000),)), 4)
     image = elf.parse_image(emit(spec))
-    records, diags = extract_debug_functions(image)
-    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    doc = normalize.build_ground_truth(image)
     assert not doc.complete
     assert [(d.severity, d.code) for d in doc.diagnostics[:2]] == [
         ("error", GT_MALFORMED_DEBUG_DATA),

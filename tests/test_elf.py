@@ -4,7 +4,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bintruth import dwarf, elf, forge, interchange, normalize
+from bintruth import elf, forge, interchange, normalize
 from bintruth.forge import (
     BinarySpec,
     ExtraSymbolSpec,
@@ -450,6 +450,5 @@ def test_mutated_headers_fail_typed_or_load(data):
         image = elf.parse_image(data)
     except elf.ElfFormatError:
         return
-    records, diags = dwarf.extract_debug_functions(image)
-    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    doc = normalize.build_ground_truth(image)
     assert interchange.document_from_json(interchange.document_to_json(doc)) == doc

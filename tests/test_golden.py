@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from bintruth import dwarf, elf, forge, interchange, normalize
+from bintruth import elf, forge, interchange, normalize
 from bintruth.forge import BinarySpec, DwarfFuncSpec, FunctionSpec, SectionSpec
 
 SOURCE_PATH = "golden/input.elf"
@@ -19,8 +19,7 @@ SOURCE_PATH = "golden/input.elf"
 
 def _document_digest(data: bytes) -> str:
     image = elf.parse_image(data, source_path=SOURCE_PATH)
-    records, diags = dwarf.extract_debug_functions(image)
-    doc = normalize.build_ground_truth(image, records, extra_diagnostics=tuple(diags))
+    doc = normalize.build_ground_truth(image)
     return hashlib.sha256(interchange.document_to_json(doc).encode()).hexdigest()
 
 

@@ -132,6 +132,10 @@ def test_each_function_matches_at_most_once():
     assert result.true_positives == 1
     assert result.false_positives == 1
     assert result.mismatches[0].kind == "spurious_start"
+    # At one start the smaller size is scored first, whatever the report order.
+    result = score_functions(truth, make_report([(0x1000, 9), (0x1000, 8)]))
+    assert result.true_positives == 1
+    assert [m.kind for m in result.mismatches] == ["spurious_start"]
 
 
 def test_missed_functions_are_reported():

@@ -174,34 +174,6 @@ class BinarySpec:
     dwarf_versions: tuple[int, ...] = (4,)
     cu_names: tuple[str, ...] = ()
 
-    @property
-    def quirks(self) -> frozenset[str]:
-        """Names of the irregularities this spec exercises."""
-        out = set()
-        for fn in self.functions:
-            if fn.trailing_dot_twin:
-                out.add("trailing_dot_twin")
-            if fn.aliases:
-                out.add("alias")
-            if fn.icc_size_includes_padding:
-                out.add("icc_size_includes_padding")
-            if fn.omit_size:
-                out.add("omit_size")
-            if ".." in fn.name:
-                out.add("specialization_clone")
-            for d in fn.dwarf:
-                if d.highpc_form in _CONSTANT_HIGHPC:
-                    out.add("dwarf_highpc_constant")
-                if d.noreturn:
-                    out.add("dwarf_noreturn")
-                if d.ranges:
-                    out.add("dwarf_ranges")
-            if not fn.dwarf:
-                out.add("no_dwarf")
-        if not self.emit_symtab:
-            out.add("stripped")
-        return frozenset(out)
-
 
 def uleb_encode(value: int) -> bytes:
     """Unsigned LEB128."""
@@ -802,7 +774,6 @@ class ExpectedFunction:
 class CorpusFixture:
     name: str
     data: bytes
-    spec: BinarySpec
     functions: tuple[ExpectedFunction, ...]
     diagnostic_codes: tuple[tuple[str, int], ...]  # (code, count), sorted
     complete: bool
@@ -893,22 +864,14 @@ def _expectation(
     )
 
 
-def generate_corpus(
-    seed: int, count: int, quirk_mix: dict[str, int] | None = None
-) -> list[CorpusFixture]:
+def generate_corpus(seed: int, count: int) -> list[CorpusFixture]:
     """``count`` randomized fixtures with by-construction ground truth.
 
-    Each function carries exactly one quirk drawn from ``quirk_mix``
-    (weights; defaults exercise every quirk). The returned expectation is
-    what the normalization pipeline must produce under default settings.
+    Each function carries exactly one quirk, drawn by the weights in
+    ``_QUIRK_WEIGHTS``, which exercise every quirk. The returned expectation
+    is what the normalization pipeline must produce under default settings.
     """
-    weights = dict(_QUIRK_WEIGHTS)
-    if quirk_mix:
-        unknown = set(quirk_mix) - set(weights)
-        if unknown:
-            raise InvalidSpecError(f"unknown quirks {sorted(unknown)}")
-        weights.update(quirk_mix)
-    names = list(weights)
+    names, weights = list(_QUIRK_WEIGHTS), list(_QUIRK_WEIGHTS.values())
     rng = random.Random(seed)
     fixtures: list[CorpusFixture] = []
 
@@ -917,7 +880,7 @@ def generate_corpus(
         text_base = 0x08048000 if word_size == 32 else 0x400000
         cu_name = "prog.c"
         n_funcs = rng.randint(3, 8)
-        quirks = rng.choices(names, weights=[weights[n] for n in names], k=n_funcs)
+        quirks = rng.choices(names, weights=weights, k=n_funcs)
         if quirks[-1] == "omit_size":  # a sizeless tail would bind to section end
             quirks[-1] = "plain"
 
@@ -1009,7 +972,6 @@ def generate_corpus(
             CorpusFixture(
                 name=f"fixture_{seed}_{index}",
                 data=emit(spec),
-                spec=spec,
                 functions=tuple(expected),
                 diagnostic_codes=tuple(sorted(diag.items())),
                 complete=True,

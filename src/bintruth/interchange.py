@@ -11,7 +11,9 @@ tokens, are refused.
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`, which compiles each schema
 once per process into a tree of checkers (a pattern's ``$`` matches only
-at the end of the string, as in ECMA-262), and a loaded ground-truth
+at the end of the string, as in ECMA-262). It compiles only the node
+shapes those schemas use and refuses any other shape with ``ValueError``,
+as a bug in the schema, not as bad input. A loaded ground-truth
 document must also satisfy the invariants :func:`build_ground_truth`
 guarantees, so malformed files fail loudly at the boundary instead of
 deep inside scoring. Dumps are not re-checked: the program builds them
@@ -25,7 +27,6 @@ import math
 import re
 from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
@@ -376,14 +377,16 @@ def _check(value: object, schema: dict, where: str) -> None:
 
     ``value`` is what ``json.loads`` returns. Each schema is compiled once
     into a tree of checkers, one closure per node that makes only the
-    checks the node declares. It matches JSON Schema for the keywords in
-    SCHEMA_KEYWORDS, and refuses to compile an object schema that allows
-    other keys. Three rules are stricter than jsonschema's: a float
-    never counts as an integer; ``enum``/``const`` compare types as well
-    as values (``32.0`` is not ``32``); and a pattern's ``$`` matches only
-    at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
-    address). The message starts with the failing node's JSON path below
-    ``where``.
+    checks the node declares. Only the node shapes the published schemas
+    use compile (see :func:`_compile`), and on them the checker matches
+    JSON Schema; any other shape, an object schema that allows other keys
+    among them, raises ``ValueError``, not ``SchemaError``, as a bug in
+    the schema rather than bad input. Three rules are stricter than
+    jsonschema's: a float never counts as an integer; ``enum``/``const``
+    compare types as well as values (``32.0`` is not ``32``); and a
+    pattern's ``$`` matches only at the end of the string, as in ECMA-262
+    (``"0x10\\n"`` is no address). The message starts with the failing
+    node's JSON path below ``where``.
     """
     try:
         _checker(schema)(value)
@@ -405,50 +408,39 @@ def _checker(schema: dict) -> _Checker:
 
 
 def _compile(schema: dict) -> _Checker:
-    """A checker making the checks ``schema`` declares, in a fixed order.
+    """The one checker for the shape of ``schema``'s keys.
 
-    Type, const and enum come first. Then, by the value's type: pattern
-    (string); minimum (number); item counts, then items (array); or
-    required keys, then each key in the value's own order (object).
+    The published schemas use seven node shapes: ``const``, ``enum``, a
+    bare ``type``, and a ``type`` with either a pattern (string), a minimum
+    (number), array keywords or object keywords. The last four checkers
+    fold the type check in; an array's checks item counts before items, an
+    object's required keys before each key in the value's own order. Any
+    other shape, or a keyword that no declared type reads, raises
+    ``ValueError``: it is a bug in the schema, not bad input.
     """
-    kinds = schema.get("type")
-    if isinstance(kinds, str):
-        kinds = [kinds]
-    types = expected = None
-    if kinds is not None:
+    keys = schema.keys()
+    if keys == {"const"}:
+        return _const_checker(schema["const"])
+    if keys == {"enum"}:
+        return _enum_checker(schema["enum"])
+    if "type" in keys:
+        kinds = schema["type"]
+        if isinstance(kinds, str):
+            kinds = [kinds]
         types = frozenset(t for kind in kinds for t in _JSON_TYPES[kind])
         expected = " or ".join(kinds)
-    # Each body checks values of its own Python types and, given ``types``,
-    # also refuses a value of any type outside them.
-    bodies = []
-    if "pattern" in schema:
-        bodies.append(((str,), partial(_string_checker, schema["pattern"])))
-    if "minimum" in schema:
-        bodies.append(((int, float), partial(_number_checker, schema["minimum"])))
-    if schema.keys() & _ARRAY_KEYWORDS:
-        bodies.append(((list,), partial(_array_checker, schema)))
-    if schema.keys() & _OBJECT_KEYWORDS:
-        bodies.append(((dict,), partial(_object_checker, schema)))
-    if types is not None:
-        bodies = [(reads, make) for reads, make in bodies if types.intersection(reads)]
-    guards = []
-    if "const" in schema:
-        guards.append(_const_checker(schema["const"]))
-    if "enum" in schema:
-        guards.append(_enum_checker(schema["enum"]))
-    if not guards and len(bodies) == 1:
-        return bodies[0][1](types, expected)  # the type check folds into the body
-    if types is not None:
-        guards.insert(0, _type_checker(types, expected))
-    checks = guards + [make(None, None) for _, make in bodies]
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(value: object) -> None:
-        for each in checks:
-            each(value)
-
-    return check
+        rest = keys - {"type"}
+        if not rest:
+            return _type_checker(types, expected)
+        if rest == {"pattern"} and str in types:
+            return _string_checker(schema, types, expected)
+        if rest == {"minimum"} and types & {int, float}:
+            return _number_checker(schema, types, expected)
+        if rest <= _ARRAY_KEYWORDS and list in types:
+            return _array_checker(schema, types, expected)
+        if rest <= _OBJECT_KEYWORDS and dict in types:
+            return _object_checker(schema, types, expected)
+    raise ValueError(f"no checker for a schema node with keys {sorted(keys)}")
 
 
 def _wrong_type(expected: str, value: object) -> _Mismatch:
@@ -508,41 +500,35 @@ def _ecma_regex(pattern: str) -> re.Pattern:
     return re.compile("".join(out))
 
 
-def _string_checker(
-    pattern: str, types: frozenset | None, expected: str | None
-) -> _Checker:
+def _string_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
+    pattern = schema["pattern"]
     search = _ecma_regex(pattern).search
 
     def check(value: object) -> None:
         if type(value) is str:
             if search(value) is None:
                 raise _Mismatch(f"{value!r} does not match {pattern!r}")
-        elif types is not None and type(value) not in types:
+        elif type(value) not in types:
             raise _wrong_type(expected, value)
 
     return check
 
 
-def _number_checker(
-    minimum: int, types: frozenset | None, expected: str | None
-) -> _Checker:
-    numbers = frozenset((int, float))
-    if types is not None:
-        numbers &= types
+def _number_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
+    minimum = schema["minimum"]
+    numbers = types & {int, float}
 
     def check(value: object) -> None:
         if type(value) in numbers:
             if value < minimum:
                 raise _Mismatch(f"{value!r} is below {minimum}")
-        elif types is not None and type(value) not in types:
+        elif type(value) not in types:
             raise _wrong_type(expected, value)
 
     return check
 
 
-def _array_checker(
-    schema: dict, types: frozenset | None, expected: str | None
-) -> _Checker:
+def _array_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
     least = schema.get("minItems", 0)
     most = schema.get("maxItems")
     items = _checker(schema["items"]) if "items" in schema else None
@@ -560,15 +546,13 @@ def _array_checker(
                 except _Mismatch as exc:
                     exc.path.append(f"[{i}]")
                     raise
-        elif types is not None and type(value) not in types:
+        elif type(value) not in types:
             raise _wrong_type(expected, value)
 
     return check
 
 
-def _object_checker(
-    schema: dict, types: frozenset | None, expected: str | None
-) -> _Checker:
+def _object_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
     if schema.get("additionalProperties") is not False:
         raise ValueError("an object schema must set additionalProperties to false")
     properties = {
@@ -590,7 +574,7 @@ def _object_checker(
             except _Mismatch as exc:
                 exc.path.append(f".{key}")
                 raise
-        elif types is not None and type(value) not in types:
+        elif type(value) not in types:
             raise _wrong_type(expected, value)
 
     return check
@@ -833,6 +817,12 @@ def _check_document(doc: GroundTruthDocument) -> None:
             raise SchemaError(
                 f"function {fn.canonical_name!r}: needs every entry < "
                 "end_trimmed <= end_raw"
+            )
+    for before, fn in zip(doc.functions, doc.functions[1:]):
+        if fn.start < before.end_exclusive_raw:
+            raise SchemaError(
+                f"function {fn.canonical_name!r} starts before the end_raw "
+                f"of function {before.canonical_name!r}"
             )
     end = 0
     for run in doc.byte_classes.runs:

@@ -105,7 +105,9 @@ def match_counts(
     consumed = [False] * len(truth_functions)
     tp = fp = 0
     boundary_misses = 0
-    for start, size in sorted(predictions):
+    # By start, then size, a missing size first; None never meets an int.
+    ordered = sorted(predictions, key=lambda p: (p[0], p[1] is not None, p[1] or 0))
+    for start, size in ordered:
         hit = None
         for i, fn in enumerate(truth_functions):
             if consumed[i]:

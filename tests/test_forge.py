@@ -253,11 +253,6 @@ def test_unknown_preset_name():
         preset("no-such-fixture")
 
 
-def test_unknown_quirk_weight():
-    with pytest.raises(InvalidSpecError, match="unknown quirks"):
-        generate_corpus(seed=1, count=1, quirk_mix={"level9": 3})
-
-
 # --- determinism --------------------------------------------------------------
 
 
@@ -318,14 +313,6 @@ def test_presets_normalize_end_to_end(name, preset_docs):
     assert doc.complete == (name != "stripped")
 
 
-def test_quirks_property_names_the_irregularities():
-    assert "trailing_dot_twin" in preset("listing1").quirks
-    assert "specialization_clone" in preset("listing2").quirks
-    assert "icc_size_includes_padding" in preset("padding-icc-vs-gcc").quirks
-    assert "dwarf_highpc_constant" in preset("highpc-twins").quirks
-    assert preset("stripped").quirks == {"stripped"}
-
-
 def test_emitted_image_round_trips_through_the_parser():
     spec = one_function(binding="global")
     image = parse_image(emit(spec), source_path="mem")
@@ -353,25 +340,3 @@ def test_corpus_count_and_naming():
         codes = [code for code, _count in fixture.diagnostic_codes]
         assert codes == sorted(codes)
         assert all(count > 0 for _code, count in fixture.diagnostic_codes)
-
-
-def test_quirk_mix_can_silence_every_irregularity():
-    plain_only = {
-        name: 0
-        for name in (
-            "trailing_dot_twin",
-            "specialization_clone",
-            "alias",
-            "icc_size_includes_padding",
-            "omit_size",
-            "dwarf_highpc_constant",
-            "dwarf_highpc_address",
-            "dwarf_noreturn",
-            "no_dwarf",
-        )
-    }
-    for fixture in generate_corpus(seed=8, count=6, quirk_mix=plain_only):
-        assert fixture.spec.quirks == frozenset()
-        for fn in fixture.functions:
-            assert fn.aliases == ()
-            assert len(fn.entries) == 1

@@ -288,10 +288,46 @@ def test_open_object_schemas_are_refused():
     assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "format": "date"},  # would go unenforced
+        {"type": "string", "enum": ["a"]},
+        {"minimum": 0},
+        {"type": "integer", "minimum": 0, "pattern": "^1$"},
+        {"type": "integer", "pattern": "^1$"},  # no declared type reads it
+        {"type": "array", "items": {"type": "string"}, "format": "date"},
+        {"type": "object", "additionalProperties": False, "format": "date"},
+    ],
+)
+def test_unpublished_schema_shapes_are_refused(schema):
+    """The checker compiles only the node shapes the published schemas use."""
+    with pytest.raises(ValueError, match="no checker") as exc:
+        _check("1", schema, "$")
+    assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
+
+
 def test_non_json_input_is_a_schema_error():
     for text in ("{broken", "[" * 100_000):
         with pytest.raises(SchemaError, match="not valid JSON"):
             document_from_json(text)
+
+
+def test_overlapping_functions_are_refused(preset_docs):
+    """Two functions over the same bytes would let an exact report score
+    below 1: one of them is never claimed."""
+    text = document_to_json(preset_docs["listing2"])
+    first = json.loads(text)["functions"][0]["name"]
+
+    def ghost(payload):
+        twin = dict(payload["functions"][0], name="ghost")
+        payload["functions"].insert(1, twin)
+
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(_mutate(text, ghost))
+    assert str(exc.value) == (
+        f"function 'ghost' starts before the end_raw of function {first!r}"
+    )
 
 
 def test_unrecognized_machine_label_is_rejected(preset_docs):

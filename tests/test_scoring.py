@@ -259,6 +259,9 @@ def test_counts_agree_with_the_brute_force_matcher():
             preds.append((rng.randint(0x8000, 0x9000), rng.randint(1, 40)))
         start_rule = rng.choice(("any_entry", "primary_entry_only"))
         boundary_rule = rng.choice(BOUNDARY_RULES)
+        if boundary_rule == "ignore" and preds and rng.random() < 0.5:
+            # One start named twice, once without a size and once with one.
+            preds.append((rng.choice(preds)[0], None))
         policy = MatchPolicy(start_rule=start_rule, boundary_rule=boundary_rule)
         result = score_functions(truth, make_report(preds), policy)
         want = oracles.match_counts(fns, preds, start_rule, boundary_rule)

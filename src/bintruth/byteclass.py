@@ -7,6 +7,7 @@ stay ``gap_unknown`` when they do not parse as padding.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ CONFIDENCES = ("certain", "heuristic")
 
 
 class OverlapError(ValueError):
-    """Two function spans claim the same byte."""
+    """Function spans overlap or are not in start order."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,19 +110,18 @@ def parses_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
     return padding_suffix_start(blob, alphabet) == 0
 
 
-def _gap_runs(
-    image: BinaryImage,
-    sec,
-    start: int,
-    end: int,
-    alphabet: tuple[bytes, ...],
-) -> list[ByteRun]:
+def _append(
+    runs: list[ByteRun], start: int, end: int, klass: str, confidence: str
+) -> None:
+    """Add ``[start, end)`` to ``runs``, extending the last run if it continues it."""
     if end <= start:
-        return []
-    blob = image.section_bytes(sec, start, end)
-    padding = blob is not None and parses_as_padding(blob, alphabet)
-    klass = "padding" if padding else "gap_unknown"
-    return [ByteRun(start, end - start, klass, "heuristic")]
+        return
+    if runs:
+        last = runs[-1]
+        if last.end == start and last.klass == klass and last.confidence == confidence:
+            runs[-1] = ByteRun(last.start, end - last.start, klass, confidence)
+            return
+    runs.append(ByteRun(start, end - start, klass, confidence))
 
 
 def classify_bytes(
@@ -131,51 +131,38 @@ def classify_bytes(
 ) -> ByteClassMap:
     """Tile the mapped sections given (start, trimmed end, raw end) spans.
 
+    ``spans`` must be in start order, as :func:`normalize.build_ground_truth`
+    passes them; a span that starts before the previous one's raw end,
+    whether it overlaps it or comes out of order, raises
+    :class:`OverlapError`, since either is an upstream bug. One pass walks
+    the mapped sections in address order and appends runs already merged.
     Spans landing outside executable sections are ignored here; the
-    pipeline reports those separately. Overlapping spans raise
-    :class:`OverlapError` since they indicate an upstream bug.
+    pipeline reports those separately.
     """
-    ordered = sorted(spans)
-    for (a_start, _a_t, a_raw), (b_start, _b_t, _b_raw) in zip(ordered, ordered[1:]):
+    for (a_start, _a_t, a_raw), (b_start, _b_t, _b_raw) in zip(spans, spans[1:]):
         if b_start < a_raw:
             raise OverlapError(
-                f"spans at {a_start:#x} and {b_start:#x} overlap"
+                f"span at {b_start:#x} starts before the span at {a_start:#x} ends"
             )
 
     runs: list[ByteRun] = []
-    for sec in image.sections:
-        if not sec.mapped:
-            continue
+    i = 0
+    for sec in sorted((s for s in image.sections if s.mapped), key=lambda s: s.vaddr):
         if not sec.executable:
-            runs.append(ByteRun(sec.vaddr, sec.size, "data", "certain"))
+            _append(runs, sec.vaddr, sec.end, "data", "certain")
             continue
+        i = bisect.bisect_left(spans, (sec.vaddr,), lo=i)
+        j = bisect.bisect_left(spans, (sec.end,), lo=i)
         cursor = sec.vaddr
-        for start, trimmed, raw in ordered:
-            if start < sec.vaddr or start >= sec.end:
-                continue
-            runs.extend(_gap_runs(image, sec, cursor, start, alphabet))
-            if trimmed > start:
-                runs.append(ByteRun(start, trimmed - start, "code", "certain"))
-            if raw > trimmed:
-                runs.append(ByteRun(trimmed, raw - trimmed, "padding", "certain"))
+        # An empty span at the section end closes the trailing gap.
+        for start, trimmed, raw in (*spans[i:j], (sec.end, sec.end, sec.end)):
+            if start > cursor:
+                blob = image.section_bytes(sec, cursor, start)
+                padding = blob is not None and parses_as_padding(blob, alphabet)
+                klass = "padding" if padding else "gap_unknown"
+                _append(runs, cursor, start, klass, "heuristic")
+            _append(runs, start, trimmed, "code", "certain")
+            _append(runs, trimmed, raw, "padding", "certain")
             cursor = max(cursor, raw)
-        runs.extend(_gap_runs(image, sec, cursor, sec.end, alphabet))
-
-    runs.sort(key=lambda r: r.start)
-    merged: list[ByteRun] = []
-    for run in runs:
-        if (
-            merged
-            and merged[-1].end == run.start
-            and merged[-1].klass == run.klass
-            and merged[-1].confidence == run.confidence
-        ):
-            merged[-1] = ByteRun(
-                merged[-1].start,
-                merged[-1].length + run.length,
-                run.klass,
-                run.confidence,
-            )
-        else:
-            merged.append(run)
-    return ByteClassMap(runs=tuple(merged))
+        i = j
+    return ByteClassMap(runs=tuple(runs))

@@ -317,14 +317,18 @@ def section_of(image: BinaryImage, addr: int) -> SectionRecord | None:
 
 def function_symbols(
     image: BinaryImage,
-) -> tuple[list[SymbolRecord], list[Diagnostic]]:
-    """Function symbols residing in allocated sections, sorted by (value, name).
+) -> tuple[list[tuple[SymbolRecord, SectionRecord]], list[Diagnostic]]:
+    """Function symbols residing in allocated sections, each with its section.
+
+    This is where start order is decided, once: the pairs come sorted by
+    ``(value, name, binding, size)``, and every later stage keeps that
+    order instead of sorting again.
 
     Skipped symbols (undefined imports, absolute symbols, symbols outside
     every allocated section) and zero-size symbols are reported through
     diagnostics so that no symbol is dropped silently.
     """
-    kept: list[SymbolRecord] = []
+    kept: list[tuple[SymbolRecord, SectionRecord]] = []
     diagnostics: list[Diagnostic] = []
     ordered = sorted(
         (s for s in image.symbols if s.kind == "function"),
@@ -363,5 +367,5 @@ def function_symbols(
                     span=(sym.value, 0),
                 )
             )
-        kept.append(sym)
+        kept.append((sym, sec))
     return kept, diagnostics

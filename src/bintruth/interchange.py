@@ -320,22 +320,6 @@ def _hex(value: int) -> str:
     return f"0x{value:x}"
 
 
-# The JSON Schema keywords the schemas above use; _check handles exactly these.
-SCHEMA_KEYWORDS = frozenset(
-    {
-        "type",
-        "properties",
-        "required",
-        "additionalProperties",
-        "items",
-        "minItems",
-        "maxItems",
-        "enum",
-        "const",
-        "pattern",
-        "minimum",
-    }
-)
 _ARRAY_KEYWORDS = frozenset({"items", "minItems", "maxItems"})
 _OBJECT_KEYWORDS = frozenset({"properties", "required", "additionalProperties"})
 
@@ -415,8 +399,9 @@ def _compile(schema: dict) -> _Checker:
     (number), array keywords or object keywords. The last four checkers
     fold the type check in; an array's checks item counts before items, an
     object's required keys before each key in the value's own order. Any
-    other shape, or a keyword that no declared type reads, raises
-    ``ValueError``: it is a bug in the schema, not bad input.
+    other shape, a ``type`` JSON has not, or a keyword that no declared
+    type reads, raises ``ValueError``: it is a bug in the schema, not bad
+    input.
     """
     keys = schema.keys()
     if keys == {"const"}:
@@ -427,6 +412,10 @@ def _compile(schema: dict) -> _Checker:
         kinds = schema["type"]
         if isinstance(kinds, str):
             kinds = [kinds]
+        if any(kind not in _JSON_TYPES for kind in kinds):
+            raise ValueError(
+                f"no checker for a schema node of type {schema['type']!r}"
+            )
         types = frozenset(t for kind in kinds for t in _JSON_TYPES[kind])
         expected = " or ".join(kinds)
         rest = keys - {"type"}

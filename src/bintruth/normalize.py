@@ -5,6 +5,11 @@ resolution, padding trim, specialization clustering, debug matching,
 noreturn and compiler-inserted annotation, call-edge liveness, byte
 classification, completeness check. Every stage communicates problems
 through diagnostics; nothing raises past :func:`build_ground_truth`.
+
+Start order is decided once, by :func:`elf.function_symbols`, which also
+pairs each symbol with its section. Every stage takes its functions in
+that order and keeps it; none sorts again, and
+:func:`byteclass.classify_bytes` refuses spans out of order.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
+from itertools import groupby
 
 from . import byteclass, dwarf, elf
 from .byteclass import ByteClassMap
@@ -215,26 +221,27 @@ class _Working:
 
 
 def dedupe_aliases(
-    symbols: list[SymbolRecord], image: BinaryImage
+    symbols: list[tuple[SymbolRecord, SectionRecord]],
 ) -> tuple[list[_Working], list[Diagnostic]]:
-    """Collapse same-address symbols into one record with aliases, in start order."""
-    groups: dict[int, list[SymbolRecord]] = {}
-    for sym in symbols:
-        groups.setdefault(sym.value, []).append(sym)
+    """Collapse same-address symbols into one record with aliases.
 
+    ``symbols`` are the (symbol, section) pairs of
+    :func:`elf.function_symbols`, in its start order; only neighbours are
+    compared, and the result keeps that order.
+    """
     works: list[_Working] = []
     diagnostics: list[Diagnostic] = []
-    for value in sorted(groups):
+    for value, group in groupby(symbols, key=lambda pair: pair[0].value):
+        pairs = list(group)
+        section = pairs[0][1]
         members = sorted(
-            groups[value],
+            (sym for sym, _section in pairs),
             key=lambda s: (-_BINDING_RANK.get(s.binding, 0), s.name),
         )
         canonical = members[0]
         size = canonical.size
         if size == 0:
             size = max(m.size for m in members)
-        section = elf.section_of(image, value)
-        assert section is not None  # function_symbols filtered the rest
         aliases = sorted(m.name for m in members[1:])
         work = _Working(
             canonical=canonical.name,
@@ -495,7 +502,7 @@ def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
         out.append(
             GroundTruthFunction(
                 canonical_name=work.canonical,
-                entry_points=tuple(sorted(work.entries)),
+                entry_points=tuple(work.entries),
                 end_exclusive_raw=work.end_raw,
                 end_exclusive_trimmed=work.end_trimmed,
                 aliases=tuple(sorted(work.aliases)),
@@ -537,7 +544,7 @@ def build_ground_truth(
     symbols, diags = elf.function_symbols(image)
     diagnostics.extend(diags)
 
-    works, diags = dedupe_aliases(symbols, image)
+    works, diags = dedupe_aliases(symbols)
     diagnostics.extend(diags)
 
     if config.merge_multi_entry:

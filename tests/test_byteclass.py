@@ -160,6 +160,13 @@ def test_overlapping_spans_are_an_upstream_bug(preset_images):
         classify_bytes(image, spans, ALPHABET)
 
 
+def test_spans_out_of_start_order_are_an_upstream_bug(preset_images):
+    image = preset_images["scaffold"]
+    spans = [(0x401010, 0x401018, 0x401018), (0x401000, 0x401008, 0x401008)]
+    with pytest.raises(OverlapError, match="0x401000.*0x401010"):
+        classify_bytes(image, spans, ALPHABET)
+
+
 def _classes_by_byte(byte_map):
     out = {}
     for run in byte_map.runs:

@@ -149,6 +149,27 @@ def test_extract_no_merge_keeps_the_continuation(tmp_path, capsys):
     assert [fn.canonical_name for fn in doc.functions] == ["fix_syms", "fix_syms."]
 
 
+def test_extract_reads_call_edges_and_noreturn_seeds(tmp_path, capsys):
+    binary = write_binary(tmp_path, "listing2")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0x08055000 0x08058fa0\n")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("operand\n")
+    code, out, _err = run(
+        capsys, "extract", str(binary),
+        "--call-edges", str(edges), "--noreturn-seeds", str(seeds),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    flags = {fn["name"]: fn["flags"] for fn in payload["functions"]}
+    # The one called function is the seed; every other one is uncalled.
+    assert flags.pop("operand") == ["noreturn"]
+    assert len(flags) == 8
+    assert all("uncalled" in f and "noreturn" not in f for f in flags.values())
+    assert payload["meta"]["config"]["call_edges"] == [["0x8055000", "0x8058fa0"]]
+    assert payload["meta"]["config"]["noreturn_seeds"] == ["operand"]
+
+
 def test_extract_many_binaries_into_a_directory(tmp_path, capsys):
     first = write_binary(tmp_path, "listing1")
     second = write_binary(tmp_path, "listing2")

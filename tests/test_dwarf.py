@@ -470,6 +470,7 @@ FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
 FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
 FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
+FORM_REF_ADDR = 0x10
 
 # Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
 ABBREVS = {
@@ -558,6 +559,13 @@ ABBREVS = {
     24: (
         TAG_INLINED_SUBROUTINE,
         [(AT_NAME, FORM_STRP), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    # A range list named by its .debug_rnglists offset.
+    25: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_SEC_OFFSET)]),
+    # A specification link by offset in the whole .debug_info.
+    26: (
+        TAG_SUBPROGRAM,
+        [(AT_SPECIFICATION, FORM_REF_ADDR), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
     ),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
@@ -732,6 +740,16 @@ def test_a_damaged_unit_is_named_and_leaves_no_diagnostics():
     )
 
 
+def test_a_ref_addr_link_in_a_later_unit_takes_its_name():
+    """ref_addr offsets count from the start of .debug_info, not of the unit."""
+    first = _unit([CU_DIE])
+    dies = [CU_DIE, NAMED["string"]]
+    dies.append(_subprogram(26, len(first) + _offset(dies, 1)))
+    records, diags = extract_debug_functions(_info_image(first + _unit(dies)))
+    assert diags == []
+    assert [(r.name, r.low_pc) for r in records] == [("target", 0x401000)]
+
+
 def test_damage_in_a_referenced_skipped_die_is_malformed():
     dies = [CU_DIE, BAD_STRP]
     dies.append(_subprogram(2, _offset(dies, 1)))
@@ -853,8 +871,11 @@ def test_negative_offset_is_malformed(dies, what):
     assert f"{what} is not an offset" in _only_error(diags)
 
 
-def _indexed_unit_image(subprogram: bytes, order: str = "little") -> BinaryImage:
-    """A DWARF 5 unit whose string and address tables hold entries 0 and 1."""
+def _indexed_unit_image(
+    subprogram: bytes, order: str = "little", rnglists: bytes = b""
+) -> BinaryImage:
+    """A DWARF 5 unit whose string and address tables hold entries 0 and 1
+    (address 0 is 0x401020, address 1 is 0x401000)."""
     e = "<" if order == "little" else ">"
     cu = _die(12, struct.pack(e + "II", 8, 8))  # str_offsets_base, addr_base
     body = struct.pack(e + "HBBI", 5, 1, 8, 0) + cu + subprogram + b"\x00"
@@ -866,6 +887,7 @@ def _indexed_unit_image(subprogram: bytes, order: str = "little") -> BinaryImage
             # Each table: an 8-byte header, then entries 0 and 1.
             (".debug_str_offsets", struct.pack(e + "IHHII", 12, 5, 0, 1, 6)),
             (".debug_addr", struct.pack(e + "IHBBQQ", 20, 5, 8, 0, 0x401020, 0x401000)),
+            (".debug_rnglists", rnglists),
         ],
         endianness=order,
     )
@@ -906,6 +928,53 @@ def test_three_byte_indexes_read_in_the_units_byte_order(form, order):
     assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [
         ("func", 0x401000, 0x401010)
     ]
+
+
+# DWARF 5 range-list entries (§2.17.3) and the (low, high) pairs they give;
+# the unit has no low_pc, so its base address starts at 0.
+_RLE_LISTS = {
+    "base_addressx": (
+        b"\x01\x00" + b"\x04\x00\x08" + b"\x01\x01" + b"\x04\x00\x04",
+        [(0x401020, 0x401028), (0x401000, 0x401004)],
+    ),
+    "startx_endx": (b"\x02\x01\x00", [(0x401000, 0x401020)]),
+    "startx_length": (b"\x03\x00\x10", [(0x401020, 0x401030)]),
+    "offset_pair": (
+        b"\x04" + uleb_encode(0x401004) + uleb_encode(0x401008),
+        [(0x401004, 0x401008)],
+    ),
+    "base_address": (
+        b"\x05" + struct.pack("<Q", 0x401010) + b"\x04\x00\x04" + b"\x04\x08\x0c",
+        [(0x401010, 0x401014), (0x401018, 0x40101C)],
+    ),
+    "start_length": (b"\x07" + struct.pack("<Q", 0x401008) + b"\x08", [(0x401008, 0x401010)]),
+    "unknown_kind": (b"\x08", None),
+}
+
+
+@pytest.mark.parametrize("form", ["sec_offset", "rnglistx"])
+@pytest.mark.parametrize("kind", sorted(_RLE_LISTS))
+def test_range_list_entries_decode(kind, form):
+    entries, pairs = _RLE_LISTS[kind]
+    # A 12-byte header, an offset table of one entry, then the list at 16.
+    body = struct.pack("<HBBII", 5, 8, 0, 1, 4) + entries + b"\x00"
+    rnglists = struct.pack("<I", len(body)) + body
+    if form == "sec_offset":
+        subprogram = _die(25, b"f\x00", _ref(16))
+    else:  # index 0 of the table at the default rnglists_base, 12
+        subprogram = _die(17, b"f\x00", b"\x00")
+    image = _indexed_unit_image(subprogram, rnglists=rnglists)
+    records, diags = extract_debug_functions(image)
+    if pairs is None:
+        assert records == []
+        assert _only_error(diags).endswith(": range list entry kind 0x8")
+        return
+    low, high = min(lo for lo, _ in pairs), max(hi for _, hi in pairs)
+    assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [("f", low, high)]
+    (diag,) = diags
+    assert diag.code == GT_DISCONTIGUOUS_RANGE
+    assert f"spans {len(pairs)} ranges" in diag.message
+    assert diag.span == (low, high - low)
 
 
 @functools.cache

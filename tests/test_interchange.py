@@ -298,6 +298,7 @@ def test_open_object_schemas_are_refused():
         {"type": "integer", "pattern": "^1$"},  # no declared type reads it
         {"type": "array", "items": {"type": "string"}, "format": "date"},
         {"type": "object", "additionalProperties": False, "format": "date"},
+        {"type": "strnig"},  # no JSON type
     ],
 )
 def test_unpublished_schema_shapes_are_refused(schema):

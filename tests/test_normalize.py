@@ -142,13 +142,21 @@ def test_default_lists_are_nonempty():
 # --- alias dedup -------------------------------------------------------------
 
 
+def _dedupe(syms, sections=(TEXT,)):
+    """dedupe_aliases over ``syms`` as function_symbols hands them on:
+    sorted, each paired with its section."""
+    image = _image_with(syms, sections)
+    ordered = sorted(syms, key=lambda s: (s.value, s.name, s.binding, s.size))
+    return dedupe_aliases([(s, elf.section_of(image, s.value)) for s in ordered])
+
+
 def test_dedupe_prefers_global_over_weak_over_local():
     syms = [
         _func("impl", 0x401000, 16, "local"),
         _func("api", 0x401000, 16, "global"),
         _func("api_weak", 0x401000, 16, "weak"),
     ]
-    works, diags = dedupe_aliases(syms, _image_with(syms))
+    works, diags = _dedupe(syms)
     (work,) = works
     assert work.canonical == "api"
     assert work.aliases == ["api_weak", "impl"]
@@ -160,7 +168,7 @@ def test_dedupe_prefers_global_over_weak_over_local():
 
 def test_dedupe_ties_break_by_name():
     syms = [_func("zeta", 0x401000, 8, "global"), _func("alpha", 0x401000, 8, "global")]
-    works, _ = dedupe_aliases(syms, _image_with(syms))
+    works, _ = _dedupe(syms)
     assert works[0].canonical == "alpha"
 
 
@@ -169,14 +177,13 @@ def test_dedupe_borrows_size_when_canonical_has_none():
         _func("api", 0x401000, 0, "global"),
         _func("impl", 0x401000, 24, "local"),
     ]
-    works, _ = dedupe_aliases(syms, _image_with(syms))
+    works, _ = _dedupe(syms)
     assert works[0].size == 24
 
 
 def test_dedupe_without_duplicates_is_quiet():
-    syms = [_func("b", 0x401010, 8), _func("a", 0x401000, 8)]
-    works, diags = dedupe_aliases(syms, _image_with(syms))
-    # Start order is fixed here; the later stages never sort again.
+    syms = [_func("a", 0x401000, 8), _func("b", 0x401010, 8)]
+    works, diags = _dedupe(syms)
     assert [w.start for w in works] == [0x401000, 0x401010]
     assert diags == []
     assert all(not w.flags for w in works)
@@ -187,7 +194,7 @@ def test_dedupe_without_duplicates_is_quiet():
 
 def _works(*triples):
     syms = [_func(n, v, s) for n, v, s in triples]
-    works, _ = dedupe_aliases(syms, _image_with(syms))
+    works, _ = _dedupe(syms)
     return works
 
 
@@ -232,7 +239,7 @@ def test_merge_requires_the_dot_name():
 def test_merge_does_not_cross_sections():
     text2 = SectionRecord(".text2", 0x402000, 0x1000, True, True, 0x1000)
     syms = [_func("f", 0x401FF8, 8), _func("f.", 0x402000, 8)]
-    works, _ = dedupe_aliases(syms, _image_with(syms, (TEXT, text2)))
+    works, _ = _dedupe(syms, (TEXT, text2))
     merged, _ = merge_fallthrough_entries(works)
     assert len(merged) == 2
 
@@ -273,7 +280,7 @@ def test_boundaries_for_the_last_function_use_the_section_end():
 def test_boundaries_ignore_other_sections_for_next_start():
     text2 = SectionRecord(".text2", 0x402000, 0x100, True, True, 0x1000)
     syms = [_func("a", 0x401000, 0), _func("b", 0x402010, 8)]
-    works, _ = dedupe_aliases(syms, _image_with(syms, (TEXT, text2)))
+    works, _ = _dedupe(syms, (TEXT, text2))
     resolve_boundaries(works)
     assert works[0].end_raw == TEXT.end  # not clamped by .text2's b
 
@@ -378,7 +385,7 @@ def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
     second = entry_pick % len(blob)
     syms = [_func("f", TEXT.vaddr, len(blob))]
     image = _trimmable_image(blob)
-    works, _ = dedupe_aliases(syms, image)
+    works, _ = _dedupe(syms)
     works[0].entries = sorted({TEXT.vaddr, TEXT.vaddr + second})
     resolve_boundaries(works)
     trim_padding(works, image, alphabet)
@@ -390,7 +397,7 @@ def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
     bss = SectionRecord(".bss", 0x402000, 0x100, True, True, None)
     syms = [_func("ghost", 0x402000, 16)]
     image = _image_with(syms, (TEXT, bss))
-    works, _ = dedupe_aliases(syms, image)
+    works, _ = _dedupe(syms, (TEXT, bss))
     resolve_boundaries(works)
     diags = trim_padding(works, image, normalize.padding_alphabet("x86_64"))
     assert [d.code for d in diags] == [GT_INCOMPLETE_EXCLUDED]
@@ -509,7 +516,7 @@ def test_noreturn_seeds_match_canonical_names_and_aliases():
         _func("impl", 0x401000, 8, "local"),
         _func("abort_alias", 0x401000, 8, "global"),
     ]
-    aliased, _ = dedupe_aliases(syms, _image_with(syms))
+    aliased, _ = _dedupe(syms)
     annotate_noreturn(aliased, ("impl",))
     assert "noreturn" in aliased[0].flags
 

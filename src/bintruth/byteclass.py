@@ -147,7 +147,7 @@ def classify_bytes(
 
     runs: list[ByteRun] = []
     i = 0
-    for sec in sorted((s for s in image.sections if s.mapped), key=lambda s: s.vaddr):
+    for sec in image.mapped_sections:
         if not sec.executable:
             _append(runs, sec.vaddr, sec.end, "data", "certain")
             continue

@@ -11,6 +11,7 @@ References:
 """
 from __future__ import annotations
 
+import bisect
 import struct
 
 from .model import (
@@ -307,10 +308,16 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
 
 
 def section_of(image: BinaryImage, addr: int) -> SectionRecord | None:
-    """The unique mapped section containing ``addr``, or ``None``."""
-    for sec in image.sections:
-        # The inline range test goes first: it is the cheapest to fail.
-        if sec.vaddr <= addr < sec.vaddr + sec.size and sec.mapped:
+    """The unique mapped section containing ``addr``, or ``None``.
+
+    A bisect over the image's mapped sections in address order; they are
+    disjoint, since :func:`parse_image` refuses mapped sections that
+    overlap, so only the last one starting at or before ``addr`` can hold it.
+    """
+    i = bisect.bisect_right(image.mapped_starts, addr) - 1
+    if i >= 0:
+        sec = image.mapped_sections[i]
+        if addr < sec.end:
             return sec
     return None
 

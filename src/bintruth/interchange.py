@@ -9,16 +9,19 @@ newline; NaN and infinity, which that encoder would write as non-JSON
 tokens, are refused.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
-checked against its schema by :func:`_check`, which compiles each schema
-once per process into a tree of checkers (a pattern's ``$`` matches only
-at the end of the string, as in ECMA-262). It compiles only the node
-shapes those schemas use and refuses any other shape with ``ValueError``,
-as a bug in the schema, not as bad input. A loaded ground-truth
-document must also satisfy the invariants :func:`build_ground_truth`
-guarantees, so malformed files fail loudly at the boundary instead of
-deep inside scoring. Dumps are not re-checked: the program builds them
-from objects whose inputs were checked where they entered, and the test
-suite holds emitted output to the schemas.
+checked against its schema by :func:`_check`: a generated acceptor
+decides; the compiled checker explains a rejection. On first use in a
+process, a schema becomes the source of one Python function that only
+returns whether a value passes; on its first rejection, it compiles into
+a tree of checkers that names the first failure by its JSON path (a
+pattern's ``$`` matches only at the end of the string, as in ECMA-262).
+Both are built only for the node shapes those schemas use; any other
+shape raises ``ValueError``, as a bug in the schema, not as bad input. A
+loaded ground-truth document must also satisfy the invariants
+:func:`build_ground_truth` guarantees, so malformed files fail loudly at
+the boundary instead of deep inside scoring. Dumps are not re-checked:
+the program builds them from objects whose inputs were checked where
+they entered, and the test suite holds emitted output to the schemas.
 """
 from __future__ import annotations
 
@@ -345,6 +348,7 @@ _KINDS = {
 }
 
 _Checker = Callable[[object], None]
+_Acceptor = Callable[[object], bool]
 
 
 class _Mismatch(Exception):
@@ -359,29 +363,46 @@ class _Mismatch(Exception):
 def _check(value: object, schema: dict, where: str) -> None:
     """Raise SchemaError unless ``value`` satisfies ``schema``.
 
-    ``value`` is what ``json.loads`` returns. Each schema is compiled once
-    into a tree of checkers, one closure per node that makes only the
-    checks the node declares. Only the node shapes the published schemas
-    use compile (see :func:`_compile`), and on them the checker matches
-    JSON Schema; any other shape, an object schema that allows other keys
-    among them, raises ``ValueError``, not ``SchemaError``, as a bug in
-    the schema rather than bad input. Three rules are stricter than
-    jsonschema's: a float never counts as an integer; ``enum``/``const``
-    compare types as well as values (``32.0`` is not ``32``); and a
-    pattern's ``$`` matches only at the end of the string, as in ECMA-262
-    (``"0x10\\n"`` is no address). The message starts with the failing
-    node's JSON path below ``where``.
+    ``value`` is what ``json.loads`` returns. A generated acceptor decides
+    (see :func:`_generate`); the compiled checker explains a rejection
+    (see :func:`_compile`), and it alone writes schema messages. The
+    acceptor is generated on first use and the checker compiled on the
+    first rejection, each once per schema and process. Only the node
+    shapes the published schemas use are built (see :func:`_shape`), and
+    on them the check matches JSON Schema; any other shape, an object
+    schema that allows other keys among them, raises ``ValueError``, not
+    ``SchemaError``, as a bug in the schema rather than bad input. Three
+    rules are stricter than jsonschema's: a float never counts as an
+    integer; ``enum``/``const`` compare types as well as values (``32.0``
+    is not ``32``); and a pattern's ``$`` matches only at the end of the
+    string, as in ECMA-262 (``"0x10\\n"`` is no address). The message
+    starts with the failing node's JSON path below ``where``; the failure
+    reported is the first in the value's own key order. When the checker
+    finds nothing the acceptor refused, the two disagree: that raises
+    ``RuntimeError``, a bug, never ``SchemaError``.
     """
+    if _acceptor(schema)(value):
+        return
     try:
         _checker(schema)(value)
     except _Mismatch as exc:
         path = where + "".join(reversed(exc.path))
         raise SchemaError(f"{path}: {exc.message}") from None
+    raise RuntimeError(f"{where}: the schema acceptor and checker disagree")
 
 
-# Checkers by schema identity. Each entry holds its schema, so no id is
-# reused while it is cached, and the published schemas compile once.
+# Acceptors and checkers by schema identity. Each entry holds its schema,
+# so no id is reused while it is cached, and the published schemas are
+# built once.
+_ACCEPTORS: dict[int, tuple[dict, _Acceptor]] = {}
 _COMPILED: dict[int, tuple[dict, _Checker]] = {}
+
+
+def _acceptor(schema: dict) -> _Acceptor:
+    entry = _ACCEPTORS.get(id(schema))
+    if entry is None:
+        entry = _ACCEPTORS[id(schema)] = (schema, _generate(schema))
+    return entry[1]
 
 
 def _checker(schema: dict) -> _Checker:
@@ -391,23 +412,23 @@ def _checker(schema: dict) -> _Checker:
     return entry[1]
 
 
-def _compile(schema: dict) -> _Checker:
-    """The one checker for the shape of ``schema``'s keys.
+def _shape(schema: dict) -> tuple[str, frozenset, str]:
+    """The node shape of ``schema``, the Python types its ``type`` admits,
+    and their names as a message gives them.
 
-    The published schemas use seven node shapes: ``const``, ``enum``, a
-    bare ``type``, and a ``type`` with either a pattern (string), a minimum
-    (number), array keywords or object keywords. The last four checkers
-    fold the type check in; an array's checks item counts before items, an
-    object's required keys before each key in the value's own order. Any
-    other shape, a ``type`` JSON has not, or a keyword that no declared
-    type reads, raises ``ValueError``: it is a bug in the schema, not bad
-    input.
+    The published schemas use seven shapes: ``const``, ``enum``, a bare
+    ``type``, and a ``type`` with either a pattern (``string``), a minimum
+    (``number``), array keywords (``array``) or object keywords
+    (``object``), the last always closed by ``additionalProperties:
+    false``. Any other shape, a ``type`` JSON has not, or a keyword that no
+    declared type reads, raises ``ValueError``: it is a bug in the schema,
+    not bad input.
     """
     keys = schema.keys()
     if keys == {"const"}:
-        return _const_checker(schema["const"])
+        return "const", frozenset(), ""
     if keys == {"enum"}:
-        return _enum_checker(schema["enum"])
+        return "enum", frozenset(), ""
     if "type" in keys:
         kinds = schema["type"]
         if isinstance(kinds, str):
@@ -420,16 +441,44 @@ def _compile(schema: dict) -> _Checker:
         expected = " or ".join(kinds)
         rest = keys - {"type"}
         if not rest:
-            return _type_checker(types, expected)
+            return "type", types, expected
         if rest == {"pattern"} and str in types:
-            return _string_checker(schema, types, expected)
+            return "string", types, expected
         if rest == {"minimum"} and types & {int, float}:
-            return _number_checker(schema, types, expected)
+            return "number", types, expected
         if rest <= _ARRAY_KEYWORDS and list in types:
-            return _array_checker(schema, types, expected)
+            return "array", types, expected
         if rest <= _OBJECT_KEYWORDS and dict in types:
-            return _object_checker(schema, types, expected)
+            if schema.get("additionalProperties") is not False:
+                raise ValueError(
+                    "an object schema must set additionalProperties to false"
+                )
+            return "object", types, expected
     raise ValueError(f"no checker for a schema node with keys {sorted(keys)}")
+
+
+def _compile(schema: dict) -> _Checker:
+    """The one checker for the shape of ``schema``'s keys.
+
+    One closure per node makes only the checks the node declares and
+    raises :class:`_Mismatch` at the first failure. The typed checkers
+    fold the type check in; an array's checks item counts before items,
+    an object's required keys before each key in the value's own order.
+    """
+    shape, types, expected = _shape(schema)
+    if shape == "const":
+        return _const_checker(schema["const"])
+    if shape == "enum":
+        return _enum_checker(schema["enum"])
+    if shape == "type":
+        return _type_checker(types, expected)
+    if shape == "string":
+        return _string_checker(schema, types, expected)
+    if shape == "number":
+        return _number_checker(schema, types, expected)
+    if shape == "array":
+        return _array_checker(schema, types, expected)
+    return _object_checker(schema, types, expected)
 
 
 def _wrong_type(expected: str, value: object) -> _Mismatch:
@@ -542,8 +591,6 @@ def _array_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
 
 
 def _object_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
-    if schema.get("additionalProperties") is not False:
-        raise ValueError("an object schema must set additionalProperties to false")
     properties = {
         key: _checker(sub) for key, sub in schema.get("properties", {}).items()
     }
@@ -567,6 +614,143 @@ def _object_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
             raise _wrong_type(expected, value)
 
     return check
+
+
+def _generate(schema: dict) -> _Acceptor:
+    """One Python function that returns whether a value satisfies ``schema``.
+
+    Its source is straight-line code for each node: the type test, the
+    node's own tests, a loop over an array's items, and for an object one
+    key-set test (an equality when every property is required) followed
+    by each property's code. It calls no Python function per value (only
+    a pattern calls its regex) and keeps no JSON path; a ``False`` says
+    only that :func:`_compile`'s checker will find a failure. The source holds nothing but names: every schema constant
+    it tests against is bound in the namespace it is compiled in, so no
+    schema or input text reaches it. Nodes are classified by
+    :func:`_shape`, so generation refuses what compiling refuses.
+    """
+    source = _AcceptorSource()
+    source.emit(schema, "v0", 1)
+    text = "\n".join(["def accept(v0):", *source.lines, "    return True"])
+    namespace = dict(source.constants)
+    exec(compile(text, "<schema acceptor>", "exec"), namespace)
+    return namespace["accept"]
+
+
+class _AcceptorSource:
+    """The lines of a generated acceptor and the constants they read."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.constants: dict[str, object] = {}
+        self.names = 0
+
+    def constant(self, value: object) -> str:
+        name = f"c{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def local(self) -> str:
+        self.names += 1
+        return f"v{self.names}"
+
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def is_type(self, x: str, types: frozenset) -> str:
+        if len(types) == 1:
+            return f"type({x}) is {self.constant(next(iter(types)))}"
+        return f"type({x}) in {self.constant(types)}"
+
+    def not_type(self, x: str, types: frozenset) -> str:
+        if len(types) == 1:
+            return f"type({x}) is not {self.constant(next(iter(types)))}"
+        return f"type({x}) not in {self.constant(types)}"
+
+    def emit(self, schema: dict, x: str, depth: int) -> None:
+        """The lines that return False unless ``x`` satisfies ``schema``."""
+        shape, types, _expected = _shape(schema)
+        if shape == "const":
+            const = schema["const"]
+            kind, value = self.constant(type(const)), self.constant(const)
+            test = f"type({x}) is not {kind} or {x} != {value}"
+        elif shape == "enum":
+            options = schema["enum"]
+            kinds = self.not_type(x, frozenset(type(o) for o in options))
+            members = self.constant(frozenset((type(o), o) for o in options))
+            test = f"{kinds} or (type({x}), {x}) not in {members}"
+        elif shape == "type":
+            test = self.not_type(x, types)
+        else:
+            self._typed(shape, schema, types, x, depth)
+            return
+        self.line(depth, f"if {test}: return False")
+
+    def _typed(
+        self, shape: str, schema: dict, types: frozenset, x: str, depth: int
+    ) -> None:
+        """A node whose own tests apply to one of its types: they run under
+        a test for that type, and any other type must be one ``types`` has."""
+        own = {
+            "string": frozenset({str}),
+            "number": types & {int, float},
+            "array": frozenset({list}),
+            "object": frozenset({dict}),
+        }[shape]
+        outer, self.lines = self.lines, []
+        inner = depth if own == types else depth + 1
+        if shape == "string":
+            search = self.constant(_ecma_regex(schema["pattern"]).search)
+            self.line(inner, f"if {search}({x}) is None: return False")
+        elif shape == "number":
+            minimum = self.constant(schema["minimum"])
+            self.line(inner, f"if {x} < {minimum}: return False")
+        elif shape == "array":
+            self._array(schema, x, inner)
+        else:
+            self._object(schema, x, inner)
+        body, self.lines = self.lines, outer
+        if own == types:
+            self.line(depth, f"if {self.not_type(x, types)}: return False")
+            self.lines += body
+        else:
+            self.line(depth, f"if {self.is_type(x, own)}:")
+            self.lines += body
+            self.line(depth, f"elif {self.not_type(x, types)}: return False")
+
+    def _array(self, schema: dict, x: str, depth: int) -> None:
+        if "minItems" in schema:
+            least = self.constant(schema["minItems"])
+            self.line(depth, f"if len({x}) < {least}: return False")
+        if "maxItems" in schema:
+            most = self.constant(schema["maxItems"])
+            self.line(depth, f"if len({x}) > {most}: return False")
+        if "items" in schema:
+            item = self.local()
+            self.line(depth, f"for {item} in {x}:")
+            self.emit(schema["items"], item, depth + 1)
+
+    def _object(self, schema: dict, x: str, depth: int) -> None:
+        properties = schema.get("properties", {})
+        required = frozenset(schema.get("required", ()))
+        if required == properties.keys():
+            keys = self.constant(required)
+            self.line(depth, f"if {x}.keys() != {keys}: return False")
+        else:
+            if required:
+                needed = self.constant(required)
+                self.line(depth, f"if not {x}.keys() >= {needed}: return False")
+            known = self.constant(frozenset(properties))
+            self.line(depth, f"if not {x}.keys() <= {known}: return False")
+        for key, sub in properties.items():
+            item, name = self.local(), self.constant(key)
+            if key in required:
+                self.line(depth, f"{item} = {x}[{name}]")
+                self.emit(sub, item, depth)
+            else:
+                self.line(depth, f"if {name} in {x}:")
+                self.line(depth + 1, f"{item} = {x}[{name}]")
+                self.emit(sub, item, depth + 1)
 
 
 def dump_json(payload: dict) -> str:
@@ -666,10 +850,10 @@ def _runs_payload(byte_map: ByteClassMap) -> list[dict]:
 
 def _byte_map(runs: list[dict]) -> ByteClassMap:
     return ByteClassMap(
-        runs=tuple(
+        tuple([
             ByteRun(int(r["start"], 16), r["length"], r["class"], r["confidence"])
             for r in runs
-        )
+        ])
     )
 
 
@@ -750,52 +934,52 @@ def document_from_json(text: str) -> GroundTruthDocument:
 
 
 def _document(payload: dict) -> GroundTruthDocument:
-    machine, machine_code = _machine_from_label(payload["binary"]["machine"])
+    binary = payload["binary"]
+    machine, machine_code = _machine_from_label(binary["machine"])
     functions = []
+    append = functions.append
     for fn in payload["functions"]:
-        entries = tuple(int(e, 16) for e in fn["entries"])
+        entries = tuple([int(e, 16) for e in fn["entries"]])
         if int(fn["start"], 16) != entries[0]:
             raise SchemaError(
                 f"function {fn['name']!r}: start disagrees with entries[0]"
             )
-        functions.append(
+        source = fn["source"]
+        append(
             GroundTruthFunction(
-                canonical_name=fn["name"],
-                entry_points=entries,
-                end_exclusive_raw=int(fn["end_raw"], 16),
-                end_exclusive_trimmed=int(fn["end_trimmed"], 16),
-                aliases=tuple(fn["aliases"]),
-                specialization_group=fn["group"],
-                flags=frozenset(fn["flags"]),
-                provenance=frozenset(fn["provenance"]),
-                source=None
-                if fn["source"] is None
-                else (fn["source"]["file"], fn["source"]["line"]),
+                fn["name"],
+                entries,
+                int(fn["end_raw"], 16),
+                int(fn["end_trimmed"], 16),
+                tuple(fn["aliases"]),
+                fn["group"],
+                frozenset(fn["flags"]),
+                frozenset(fn["provenance"]),
+                None if source is None else (source["file"], source["line"]),
             )
         )
-    diagnostics = tuple(
+    diagnostics = tuple([
         Diagnostic(
             d["severity"],
             d["code"],
             d["message"],
-            span=None
-            if d["span"] is None
-            else (int(d["span"]["start"], 16), d["span"]["length"]),
+            None if span is None else (int(span["start"], 16), span["length"]),
         )
         for d in payload["diagnostics"]
-    )
+        for span in (d["span"],)
+    ])
     return GroundTruthDocument(
-        binary=BinarySummary(
-            source_path=payload["binary"]["path"],
-            content_digest=bytes.fromhex(payload["binary"]["digest_hex"]),
-            word_size=payload["binary"]["word_size"],
-            machine=machine,
-            machine_code=machine_code,
+        BinarySummary(
+            binary["path"],
+            bytes.fromhex(binary["digest_hex"]),
+            binary["word_size"],
+            machine,
+            machine_code,
         ),
-        functions=tuple(functions),
-        byte_classes=_byte_map(payload["byte_classes"]),
-        diagnostics=diagnostics,
-        complete=payload["complete"],
+        tuple(functions),
+        _byte_map(payload["byte_classes"]),
+        diagnostics,
+        payload["complete"],
     )
 
 
@@ -842,13 +1026,12 @@ def report_to_json(report: ToolReport) -> str:
 
 def report_from_json(text: str) -> ToolReport:
     payload = _load(text, TOOL_REPORT_SCHEMA)
+    tool = payload["tool"]
     return ToolReport(
-        tool_name=payload["tool"]["name"],
-        tool_version=payload["tool"]["version"],
-        binary_digest=bytes.fromhex(payload["binary_digest_hex"]),
-        predicted_functions=tuple(
-            (int(f["start"], 16), f["size"]) for f in payload["functions"]
-        ),
+        tool["name"],
+        tool["version"],
+        bytes.fromhex(payload["binary_digest_hex"]),
+        tuple([(int(f["start"], 16), f["size"]) for f in payload["functions"]]),
     )
 
 

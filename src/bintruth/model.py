@@ -141,7 +141,9 @@ class BinaryImage:
     """A parsed binary: sections, symbols, and the raw bytes behind them.
 
     ``sections`` mirrors the section header table in order (index 0 is the
-    null section).
+    null section). ``mapped_sections`` holds the mapped ones in address
+    order and ``mapped_starts`` their addresses, sorted once per image for
+    :func:`elf.section_of` and the byte map.
     """
 
     source_path: str
@@ -154,6 +156,15 @@ class BinaryImage:
     symbols: tuple[SymbolRecord, ...]
     raw: bytes = field(repr=False)
     parse_diagnostics: tuple[Diagnostic, ...] = ()
+    mapped_sections: tuple[SectionRecord, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    mapped_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mapped = sorted((s for s in self.sections if s.mapped), key=lambda s: s.vaddr)
+        object.__setattr__(self, "mapped_sections", tuple(mapped))
+        object.__setattr__(self, "mapped_starts", tuple([s.vaddr for s in mapped]))
 
     def section_bytes(self, sec: SectionRecord, start: int, end: int) -> bytes | None:
         """The file bytes of ``[start, end)``, a range inside ``sec``.

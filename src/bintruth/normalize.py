@@ -145,7 +145,11 @@ class RunConfig:
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthFunction:
-    """One normalized function."""
+    """One normalized function.
+
+    ``entry_points`` is a strictly increasing tuple; its first entry is
+    the start.
+    """
 
     canonical_name: str
     entry_points: tuple[int, ...]
@@ -158,14 +162,19 @@ class GroundTruthFunction:
     source: tuple[str, int] | None = None
 
     def __post_init__(self) -> None:
-        if not self.entry_points:
+        entries = self.entry_points
+        if type(entries) is not tuple:
+            raise ValueError(
+                f"entry points must be a tuple, not a {type(entries).__name__}"
+            )
+        if not entries:
             raise ValueError("a function needs at least one entry point")
-        if tuple(sorted(self.entry_points)) != self.entry_points:
-            raise ValueError("entry points must be sorted")
-        bad = self.flags - FUNCTION_FLAGS
-        if bad:
-            raise ValueError(f"unknown flags {sorted(bad)}")
-        if self.provenance - PROVENANCE_KINDS:
+        # Allocates only for a function with several entries.
+        if len(entries) > 1 and any(a >= b for a, b in zip(entries, entries[1:])):
+            raise ValueError("entry points must be sorted, without repeats")
+        if not self.flags <= FUNCTION_FLAGS:
+            raise ValueError(f"unknown flags {sorted(self.flags - FUNCTION_FLAGS)}")
+        if not self.provenance <= PROVENANCE_KINDS:
             raise ValueError("unknown provenance kind")
 
     @property

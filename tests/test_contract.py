@@ -7,7 +7,8 @@ emits validates, the checker handles every keyword the schemas use, and
 on mutated files the checker agrees with ``jsonschema`` while the
 loaders raise nothing but ``SchemaError``. On the same mutants the
 compiled checker gives the message of the schema interpreter in
-``oracles.schema_failure``, word for word.
+``oracles.schema_failure``, word for word, and the generated acceptor
+passes exactly what the compiled checker passes.
 """
 from __future__ import annotations
 
@@ -20,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import oracles
-from bintruth import elf, forge, interchange, normalize
+from bintruth import cli, elf, forge, interchange, normalize
 from bintruth.interchange import (
     CORPUS_SCHEMA,
     GROUND_TRUTH_SCHEMA,
     SCORE_SCHEMA,
     TOOL_REPORT_SCHEMA,
     SchemaError,
+    _acceptor,
     _check,
     _checker,
     corpus_to_json,
@@ -140,8 +142,10 @@ def _subschemas(schema: dict):
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 def test_checker_handles_every_schema_keyword(kind):
     Draft202012Validator.check_schema(SCHEMAS[kind])
-    # Compiling refuses every node shape outside the published ones.
+    # Compiling and generating refuse every node shape outside the
+    # published ones.
     _checker(SCHEMAS[kind])
+    _acceptor(SCHEMAS[kind])
     for sub in _subschemas(SCHEMAS[kind]):
         # The checker knows only the closed form of additionalProperties.
         assert sub.get("additionalProperties", False) is False
@@ -288,10 +292,108 @@ def test_schemas_compile_once(monkeypatch):
     texts = {kind: text for kind, _label, text in emitted() if kind in LOADERS}
     for kind, loader in LOADERS.items():
         loader(texts[kind])
+        with pytest.raises(SchemaError):  # a rejection builds the checker
+            loader(texts[kind].replace('"schema_version": 1', '"schema_version": 2'))
 
     def compile_again(schema):
         raise AssertionError("a schema was compiled twice")
 
+    def generate_again(schema):
+        raise AssertionError("an acceptor was generated twice")
+
     monkeypatch.setattr(interchange, "_compile", compile_again)
+    monkeypatch.setattr(interchange, "_generate", generate_again)
     for kind, loader in LOADERS.items():
         loader(texts[kind])
+        with pytest.raises(SchemaError):
+            loader(texts[kind].replace('"schema_version": 1', '"schema_version": 2'))
+
+
+# --- (d) the generated acceptor decides what the checker passes --------------
+
+
+def _checker_passes(payload, schema: dict) -> bool:
+    try:
+        _checker(schema)(payload)
+    except interchange._Mismatch:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mutants().map(lambda m: (m[0], m[4])), compound_mutants()))
+def test_acceptor_agrees_with_the_checker(mutant):
+    kind, payload = mutant
+    accepted = _acceptor(SCHEMAS[kind])(payload)
+    assert accepted is _checker_passes(payload, SCHEMAS[kind])
+
+
+def test_acceptor_passes_every_emitted_payload():
+    kinds = set()
+    for kind, label, text in emitted():
+        assert _acceptor(SCHEMAS[kind])(json.loads(text)) is True, f"{kind} {label}"
+        kinds.add(kind)
+    assert kinds == set(SCHEMAS)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_acceptor_source_holds_no_schema_text(kind):
+    """Every constant an acceptor tests against is bound in its namespace;
+    its code holds no string or number from the schema."""
+    acceptor = _acceptor(SCHEMAS[kind])
+    assert set(acceptor.__code__.co_consts) <= {None, True, False}
+    assert set(acceptor.__code__.co_names) - {"type", "len", "keys"} <= set(
+        acceptor.__globals__
+    )
+
+
+def test_a_disagreement_is_a_bug_not_bad_input(monkeypatch, tmp_path):
+    doc = _build(forge.emit(forge.preset("listing2")))
+    truth, report = tmp_path / "t.json", tmp_path / "r.json"
+    truth.write_text(document_to_json(doc))
+    report.write_text(report_to_json(_report_for(doc)))
+    monkeypatch.setattr(interchange, "_acceptor", lambda schema: lambda value: False)
+    with pytest.raises(RuntimeError, match="disagree") as exc:
+        _check(json.loads(truth.read_text()), GROUND_TRUTH_SCHEMA, "$")
+    assert not isinstance(exc.value, SchemaError)
+    # The CLI maps only bad input to exit 2; a bug propagates.
+    with pytest.raises(RuntimeError, match="disagree"):
+        cli.main(["score", str(truth), str(report)])
+
+
+def _shuffled(node, rng):
+    """``node`` with the keys of every object in a random order."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {key: _shuffled(node[key], rng) for key in keys}
+    if isinstance(node, list):
+        return [_shuffled(item, rng) for item in node]
+    return node
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_key_order_does_not_change_a_loaded_document(rng):
+    for kind, label, text in emitted():
+        if kind not in LOADERS:
+            continue
+        shuffled = json.dumps(_shuffled(json.loads(text), rng))
+        assert LOADERS[kind](shuffled) == LOADERS[kind](text), label
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_first_failing_key_in_the_file_is_reported(rng):
+    """With two bad values in one object, the message names the one that
+    comes first in the file, as the schema interpreter does."""
+    text = next(t for kind, _l, t in emitted() if kind == "document")
+    payload = json.loads(text)
+    payload["functions"][0]["start"] = "0X1"
+    payload["functions"][0]["end_raw"] = -1
+    payload = _shuffled(payload, rng)
+    first = next(k for k in payload["functions"][0] if k in ("start", "end_raw"))
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(json.dumps(payload))
+    assert str(exc.value) == oracles.schema_failure(payload, GROUND_TRUTH_SCHEMA)
+    assert str(exc.value).startswith(f"$.functions[0].{first}: ")

@@ -382,6 +382,45 @@ def test_tbss_overlap_needs_the_tls_flag():
         elf.parse_image(bytes(data))
 
 
+def _linear_section_of(image, addr):
+    """The reference lookup: the first mapped section, in header order,
+    that holds ``addr``."""
+    for sec in image.sections:
+        if sec.mapped and sec.vaddr <= addr < sec.end:
+            return sec
+    return None
+
+
+@functools.cache
+def _lookup_images() -> tuple:
+    """The fuzzing images and the TLS layout, whose .tbss shares its
+    addresses with .init_array."""
+    return tuple(elf.parse_image(data) for data in (*_fuzz_images(), emit(_tls_spec())))
+
+
+def test_section_of_agrees_with_a_linear_scan_at_every_edge():
+    images = _lookup_images()
+    assert any(not s.mapped and s.tls for image in images for s in image.sections)
+    for image in images:
+        for sec in image.sections:
+            for addr in (sec.vaddr - 1, sec.vaddr, sec.end - 1, sec.end):
+                assert elf.section_of(image, addr) is _linear_section_of(image, addr)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_section_of_agrees_with_a_linear_scan_anywhere(data):
+    image = data.draw(st.sampled_from(_lookup_images()))
+    near = data.draw(st.sampled_from(image.sections))
+    addr = data.draw(
+        st.one_of(
+            st.integers(min_value=near.vaddr - 0x40, max_value=near.end + 0x40),
+            st.integers(min_value=0, max_value=2 * near.end + 0x100),
+        )
+    )
+    assert elf.section_of(image, addr) is _linear_section_of(image, addr)
+
+
 # --- layout-aware fuzzing ---------------------------------------------------
 
 

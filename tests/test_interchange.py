@@ -12,6 +12,8 @@ from bintruth.interchange import (
     SCHEMA_VERSION,
     SchemaError,
     _check,
+    _compile,
+    _generate,
     corpus_to_json,
     document_from_json,
     document_to_json,
@@ -286,6 +288,9 @@ def test_open_object_schemas_are_refused():
     with pytest.raises(ValueError, match="additionalProperties") as exc:
         _check({"a": 1}, schema, "$")
     assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
+    for build in (_compile, _generate):
+        with pytest.raises(ValueError, match="additionalProperties"):
+            build(schema)
 
 
 @pytest.mark.parametrize(
@@ -302,10 +307,14 @@ def test_open_object_schemas_are_refused():
     ],
 )
 def test_unpublished_schema_shapes_are_refused(schema):
-    """The checker compiles only the node shapes the published schemas use."""
+    """The checker compiles, and the acceptor is generated for, only the
+    node shapes the published schemas use."""
     with pytest.raises(ValueError, match="no checker") as exc:
         _check("1", schema, "$")
     assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
+    for build in (_compile, _generate):
+        with pytest.raises(ValueError, match="no checker"):
+            build(schema)
 
 
 def test_non_json_input_is_a_schema_error():
@@ -329,6 +338,19 @@ def test_overlapping_functions_are_refused(preset_docs):
     assert str(exc.value) == (
         f"function 'ghost' starts before the end_raw of function {first!r}"
     )
+
+
+def test_a_repeated_entry_is_refused(preset_docs):
+    """build_ground_truth never repeats an entry; a file that does is bad input."""
+    text = document_to_json(preset_docs["listing2"])
+
+    def repeat(payload):
+        fn = payload["functions"][0]
+        fn["entries"] = [fn["start"], fn["start"]]
+
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(_mutate(text, repeat))
+    assert str(exc.value) == "entry points must be sorted, without repeats"
 
 
 def test_unrecognized_machine_label_is_rejected(preset_docs):

@@ -646,3 +646,13 @@ def test_ground_truth_function_validates_itself():
         GroundTruthFunction("f", (1,), 3, 3, flags=frozenset({"bogus"}))
     with pytest.raises(ValueError, match="provenance"):
         GroundTruthFunction("f", (1,), 3, 3, provenance=frozenset({"psychic"}))
+
+
+def test_entry_points_are_a_strictly_increasing_tuple():
+    assert GroundTruthFunction("f", (0x10, 0x18), 0x20, 0x20).start == 0x10
+    with pytest.raises(ValueError, match="without repeats"):
+        GroundTruthFunction("f", (0x10, 0x10), 0x20, 0x20)
+    with pytest.raises(ValueError, match="without repeats"):
+        GroundTruthFunction("f", (0x10, 0x18, 0x18), 0x20, 0x20)
+    with pytest.raises(ValueError, match="must be a tuple, not a list"):
+        GroundTruthFunction("f", [0x10], 0x20, 0x20)

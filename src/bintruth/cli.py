@@ -272,6 +272,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The fields diff compares, as (JSON key, GroundTruthFunction attribute), in
+# the order of the document schema's function properties; "start" keys the match.
+_FUNCTION_FIELDS = (
+    ("name", "canonical_name"),
+    ("entries", "entry_points"),
+    ("end_raw", "end_exclusive_raw"),
+    ("end_trimmed", "end_exclusive_trimmed"),
+    ("aliases", "aliases"),
+    ("group", "specialization_group"),
+    ("flags", "flags"),
+    ("provenance", "provenance"),
+    ("source", "source"),
+)
+
+
 def _diff_documents(left, right) -> dict:
     changes: dict = {
         "binary": [],
@@ -304,9 +319,10 @@ def _diff_documents(left, right) -> dict:
             {"start": f"0x{start:x}", "name": lefts[start].canonical_name}
         )
     for start in sorted(lefts.keys() & rights.keys()):
-        a = interchange.function_payload(lefts[start])
-        b = interchange.function_payload(rights[start])
-        fields = [key for key in a if key != "start" and a[key] != b[key]]
+        a, b = lefts[start], rights[start]
+        fields = [
+            key for key, attr in _FUNCTION_FIELDS if getattr(a, attr) != getattr(b, attr)
+        ]
         if fields:
             changes["functions"]["changed"].append(
                 {"start": f"0x{start:x}", "fields": fields}

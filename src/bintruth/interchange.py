@@ -3,10 +3,13 @@
 The same input always serializes to byte-identical output: keys are
 sorted, indentation is fixed, addresses are lowercase ``0x`` hex,
 lengths and counts are decimal, and nothing carries a timestamp. Every
-payload is written by :func:`dump_json`, whose text is byte for byte the
-standard ``json`` encoder's with ``sort_keys=True, indent=2`` plus a
-newline; NaN and infinity, which that encoder would write as non-JSON
-tokens, are refused.
+text is byte for byte the standard ``json`` encoder's with
+``sort_keys=True, indent=2`` plus a newline. Reports, scores and corpus
+summaries are written by :func:`dump_json`, which refuses NaN and
+infinity, the non-JSON tokens that encoder would write. A ground-truth
+document is written by :func:`document_to_json` straight from the model,
+one template per record kind (function, byte run, diagnostic), with the
+same bytes.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`: a generated acceptor
@@ -25,6 +28,7 @@ they entered, and the test suite holds emitted output to the schemas.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -754,7 +758,9 @@ class _AcceptorSource:
 
 
 def dump_json(payload: dict) -> str:
-    """The one deterministic text form of every JSON payload bintruth writes.
+    """The deterministic text form of every JSON payload bintruth writes
+    but a ground-truth document, which its own templates write with the
+    same bytes (:func:`document_to_json`).
 
     Byte for byte what the standard ``json`` encoder writes with
     ``sort_keys=True, indent=2``, plus a newline, but without the
@@ -836,18 +842,6 @@ def _metrics_payload(precision: Fraction, recall: Fraction, f1: Fraction) -> dic
     }
 
 
-def _runs_payload(byte_map: ByteClassMap) -> list[dict]:
-    return [
-        {
-            "start": _hex(run.start),
-            "length": run.length,
-            "class": run.klass,
-            "confidence": run.confidence,
-        }
-        for run in byte_map.runs
-    ]
-
-
 def _byte_map(runs: list[dict]) -> ByteClassMap:
     return ByteClassMap(
         tuple([
@@ -857,51 +851,96 @@ def _byte_map(runs: list[dict]) -> ByteClassMap:
     )
 
 
-def function_payload(fn: GroundTruthFunction) -> dict:
-    """The JSON object of one ground-truth function, keys in document order."""
-    return {
-        "name": fn.canonical_name,
-        "entries": [_hex(e) for e in fn.entry_points],
-        "start": _hex(fn.start),
-        "end_raw": _hex(fn.end_exclusive_raw),
-        "end_trimmed": _hex(fn.end_exclusive_trimmed),
-        "aliases": list(fn.aliases),
-        "group": fn.specialization_group,
-        "flags": sorted(fn.flags),
-        "provenance": sorted(fn.provenance),
-        "source": None
-        if fn.source is None
-        else {"file": fn.source[0], "line": fn.source[1]},
-    }
+# A document is written by one template per record kind instead of a
+# payload for dump_json: its record shapes are fixed, so each template
+# spells out dump_json's text (keys sorted, records two levels deep,
+# addresses in hex, strings by _string, integers by int.__repr__).
+_FIELD = "\n      "  # where a record's fields start
+
+
+def _items(items: list[str], newline: str) -> str:
+    """The JSON array whose item texts are ``items``, indented one level
+    below ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _string_set(values: frozenset[str]) -> str:
+    """A function's flags or provenance, sorted, as its JSON array."""
+    return _items([_string(v) for v in sorted(values)], _FIELD)
+
+
+def _function_text(fn: GroundTruthFunction) -> str:
+    source = fn.source
+    if source is not None:
+        source = (
+            f'{{\n        "file": {_string(source[0])},'
+            f'\n        "line": {int.__repr__(source[1])}\n      }}'
+        )
+    group = fn.specialization_group
+    aliases = fn.aliases
+    entries = [f'"0x{e:x}"' for e in fn.entry_points]
+    return (
+        f'{{\n      "aliases": {_items([_string(a) for a in aliases], _FIELD) if aliases else "[]"},'
+        f'\n      "end_raw": "0x{fn.end_exclusive_raw:x}",'
+        f'\n      "end_trimmed": "0x{fn.end_exclusive_trimmed:x}",'
+        f'\n      "entries": {_items(entries, _FIELD)},'
+        f'\n      "flags": {_string_set(fn.flags)},'
+        f'\n      "group": {"null" if group is None else _string(group)},'
+        f'\n      "name": {_string(fn.canonical_name)},'
+        f'\n      "provenance": {_string_set(fn.provenance)},'
+        f'\n      "source": {"null" if source is None else source},'
+        f'\n      "start": "0x{fn.entry_points[0]:x}"\n    }}'
+    )
+
+
+def _diagnostic_text(d: Diagnostic) -> str:
+    span = d.span
+    if span is not None:
+        span = (
+            f'{{\n        "length": {int.__repr__(span[1])},'
+            f'\n        "start": "0x{span[0]:x}"\n      }}'
+        )
+    return (
+        f'{{\n      "code": {_string(d.code)},'
+        f'\n      "message": {_string(d.message)},'
+        f'\n      "severity": {_string(d.severity)},'
+        f'\n      "span": {"null" if span is None else span}\n    }}'
+    )
 
 
 def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) -> str:
+    """The document's text: byte for byte ``dump_json`` of its payload,
+    written by the record templates above."""
     config = config or RunConfig()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {"generator": GENERATOR, "config": _config_payload(config)},
-        "binary": {
-            "path": doc.binary.source_path,
-            "digest_hex": doc.binary.content_digest.hex(),
-            "word_size": doc.binary.word_size,
-            "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
-        },
-        "functions": [function_payload(fn) for fn in doc.functions],
-        "byte_classes": _runs_payload(doc.byte_classes),
-        "diagnostics": [
-            {
-                "severity": d.severity,
-                "code": d.code,
-                "message": d.message,
-                "span": None
-                if d.span is None
-                else {"start": _hex(d.span[0]), "length": d.span[1]},
-            }
-            for d in doc.diagnostics
-        ],
-        "complete": doc.complete,
+    binary = {
+        "path": doc.binary.source_path,
+        "digest_hex": doc.binary.content_digest.hex(),
+        "word_size": doc.binary.word_size,
+        "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
     }
-    return dump_json(payload)
+    meta = {"generator": GENERATOR, "config": _config_payload(config)}
+    runs = [
+        f'{{\n      "class": {_string(r.klass)},'
+        f'\n      "confidence": {_string(r.confidence)},'
+        f'\n      "length": {int.__repr__(r.length)},'
+        f'\n      "start": "0x{r.start:x}"\n    }}'
+        for r in doc.byte_classes.runs
+    ]
+    return "".join([
+        '{\n  "binary": ', _encode(binary, "\n  "),
+        ',\n  "byte_classes": ', _items(runs, "\n  "),
+        ',\n  "complete": ', _encode(doc.complete, ""),
+        ',\n  "diagnostics": ',
+        _items([_diagnostic_text(d) for d in doc.diagnostics], "\n  "),
+        ',\n  "functions": ',
+        _items([_function_text(fn) for fn in doc.functions], "\n  "),
+        ',\n  "meta": ', _encode(meta, "\n  "),
+        f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n',
+    ])
 
 
 _MACHINE_CODES = {name: code for code, name in MACHINE_NAMES.items()}

@@ -292,3 +292,75 @@ def schema_failure(value: object, schema: dict, where: str = "$") -> str | None:
 def reference_dump(payload: object) -> str:
     """The published text form of a JSON payload, by the standard encoder."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_payload(doc, config, generator: str) -> dict:
+    """The JSON payload of a ground-truth document and the config that
+    made it, built field by field from the model objects."""
+
+    def hexa(value: int) -> str:
+        return f"0x{value:x}"
+
+    binary = doc.binary
+    machine = binary.machine
+    if machine == "other":
+        machine = f"other({binary.machine_code})"
+    edges = config.call_edges
+    return {
+        "schema_version": 1,
+        "meta": {
+            "generator": generator,
+            "config": {
+                "merge_multi_entry": config.merge_multi_entry,
+                "start_mismatch_tolerance": config.start_mismatch_tolerance,
+                "noreturn_seeds": list(config.seeds()),
+                "call_edges": None
+                if edges is None
+                else [[hexa(a), hexa(b)] for a, b in edges],
+            },
+        },
+        "binary": {
+            "path": binary.source_path,
+            "digest_hex": binary.content_digest.hex(),
+            "word_size": binary.word_size,
+            "machine": machine,
+        },
+        "functions": [
+            {
+                "name": fn.canonical_name,
+                "entries": [hexa(e) for e in fn.entry_points],
+                "start": hexa(fn.start),
+                "end_raw": hexa(fn.end_exclusive_raw),
+                "end_trimmed": hexa(fn.end_exclusive_trimmed),
+                "aliases": list(fn.aliases),
+                "group": fn.specialization_group,
+                "flags": sorted(fn.flags),
+                "provenance": sorted(fn.provenance),
+                "source": None
+                if fn.source is None
+                else {"file": fn.source[0], "line": fn.source[1]},
+            }
+            for fn in doc.functions
+        ],
+        "byte_classes": [
+            {
+                "start": hexa(run.start),
+                "length": run.length,
+                "class": run.klass,
+                "confidence": run.confidence,
+            }
+            for run in doc.byte_classes.runs
+        ],
+        "diagnostics": [
+            {
+                "severity": d.severity,
+                "code": d.code,
+                "message": d.message,
+                "span": None
+                if d.span is None
+                else {"start": hexa(d.span[0]), "length": d.span[1]},
+            }
+            for d in doc.diagnostics
+        ],
+        "complete": doc.complete,
+    }

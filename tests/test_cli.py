@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -11,6 +12,7 @@ import bintruth
 import oracles
 from bintruth import byteclass, cli, elf, forge, interchange
 from bintruth.cli import main
+from bintruth.normalize import GroundTruthFunction
 from bintruth.scoring import ToolReport
 
 
@@ -470,6 +472,13 @@ def test_diff_reports_what_changed(tmp_path, capsys, preset_bytes, build_doc):
         "aliases",
         "flags",
     ]
+
+
+def test_diff_compares_every_function_field_in_schema_order():
+    keys = [key for key, _attr in cli._FUNCTION_FIELDS]
+    assert keys == [k for k in interchange._FUNCTION["properties"] if k != "start"]
+    attrs = {attr for _key, attr in cli._FUNCTION_FIELDS}
+    assert attrs == {f.name for f in dataclasses.fields(GroundTruthFunction)}
 
 
 def test_diff_names_a_machine_change(tmp_path, capsys, build_doc):

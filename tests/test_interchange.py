@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from bintruth import forge
+from bintruth.byteclass import CLASSES, CONFIDENCES, ByteClassMap, ByteRun
 from bintruth.interchange import (
+    GENERATOR,
     SCHEMA_VERSION,
     SchemaError,
     _check,
@@ -22,7 +24,16 @@ from bintruth.interchange import (
     report_to_json,
     score_to_json,
 )
-from bintruth.normalize import RunConfig
+from bintruth.model import DIAGNOSTIC_CODES, MACHINE_NAMES, SEVERITIES, Diagnostic
+from bintruth.normalize import (
+    FUNCTION_FLAGS,
+    PROVENANCE_KINDS,
+    BinarySummary,
+    GroundTruthDocument,
+    GroundTruthFunction,
+    RunConfig,
+    is_complete,
+)
 from bintruth.scoring import (
     MatchPolicy,
     ToolReport,
@@ -536,3 +547,117 @@ def test_dump_refuses_what_is_not_json(value):
         dump_json(value)
     with pytest.raises((ValueError, TypeError)):
         dump_json({"nested": [{"deeper": value}]})
+
+
+# --- the document writer ---------------------------------------------------------
+
+_ADDRESSES = st.integers(0, 2**64)
+
+
+@st.composite
+def _functions(draw) -> tuple[GroundTruthFunction, ...]:
+    """Functions in start order, each starting at or after the last end_raw."""
+    functions, at = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        start = at + draw(st.integers(0, 2**40))
+        # Strictly increasing entries, then end_trimmed past the last one.
+        steps = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+        entries = tuple(start + sum(steps[:i]) for i in range(len(steps)))
+        end_trimmed = entries[-1] + steps[-1]
+        end_raw = end_trimmed + draw(st.integers(0, 16))
+        source = draw(st.none() | st.tuples(_TEXT, st.integers(0, 2**32)))
+        functions.append(
+            GroundTruthFunction(
+                draw(_TEXT),
+                entries,
+                end_raw,
+                end_trimmed,
+                tuple(draw(st.lists(_TEXT, max_size=3))),
+                draw(st.none() | _TEXT),
+                frozenset(draw(st.sets(st.sampled_from(sorted(FUNCTION_FLAGS))))),
+                frozenset(draw(st.sets(st.sampled_from(sorted(PROVENANCE_KINDS))))),
+                source,
+            )
+        )
+        at = end_raw
+    return tuple(functions)
+
+
+@st.composite
+def _byte_runs(draw) -> ByteClassMap:
+    runs, at = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        start = at + draw(st.integers(0, 2**20))
+        length = draw(st.integers(1, 2**20))
+        runs.append(
+            ByteRun(
+                start,
+                length,
+                draw(st.sampled_from(CLASSES)),
+                draw(st.sampled_from(CONFIDENCES)),
+            )
+        )
+        at = start + length
+    return ByteClassMap(tuple(runs))
+
+
+_DIAGNOSTICS = st.lists(
+    st.builds(
+        Diagnostic,
+        st.sampled_from(SEVERITIES),
+        st.sampled_from(sorted(DIAGNOSTIC_CODES)),
+        _TEXT,
+        st.none() | st.tuples(_ADDRESSES, st.integers(0, 2**32)),
+    ),
+    max_size=4,
+)
+_MACHINES = st.sampled_from([(name, code) for code, name in MACHINE_NAMES.items()]) | (
+    st.integers(0, 2**16 - 1).filter(lambda c: c not in MACHINE_NAMES).map(
+        lambda c: ("other", c)
+    )
+)
+
+
+@st.composite
+def _documents(draw) -> GroundTruthDocument:
+    machine, machine_code = draw(_MACHINES)
+    diagnostics = tuple(draw(_DIAGNOSTICS))
+    return GroundTruthDocument(
+        BinarySummary(
+            draw(_TEXT),
+            draw(st.binary(min_size=32, max_size=32)),
+            draw(st.sampled_from([32, 64])),
+            machine,
+            machine_code,
+        ),
+        draw(_functions()),
+        draw(_byte_runs()),
+        diagnostics,
+        is_complete(diagnostics),
+    )
+
+
+_CONFIGS = st.builds(
+    RunConfig,
+    st.booleans(),
+    st.integers(0, 2**20),
+    st.none() | st.lists(_TEXT, max_size=3).map(tuple),
+    st.none()
+    | st.lists(st.tuples(_ADDRESSES, _ADDRESSES), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=150)
+@given(_documents(), _CONFIGS)
+def test_documents_are_the_reference_dump_of_their_payload(doc, config):
+    text = document_to_json(doc, config)
+    assert text == oracles.reference_dump(oracles.reference_payload(doc, config, GENERATOR))
+    assert document_from_json(text) == doc
+
+
+@pytest.mark.parametrize("name", sorted(forge.PRESETS))
+def test_preset_documents_are_the_reference_dump(name, preset_docs):
+    config = RunConfig(call_edges=((0x401000, 0x401010),))
+    doc = preset_docs[name]
+    text = document_to_json(doc, config)
+    assert text == oracles.reference_dump(oracles.reference_payload(doc, config, GENERATOR))

@@ -4,7 +4,15 @@ Walks compile units in .debug_info, resolving only what the pipeline
 consumes: subprogram names (through specification/abstract_origin chains),
 entry addresses, high-pc in both its address and constant flavors,
 discontiguous ranges, declaration coordinates and noreturn flags. Inlined
-copies yield diagnostics but never records.
+copies yield diagnostics but never records; the concrete subprograms of a
+unit that carry no address are counted in one diagnostic per unit.
+
+Only DWARF 5 compile units (and every unit of an earlier version) yield
+records; partial, type, skeleton and split units are stepped over by
+their length. A ``DW_FORM_ref_addr`` link may land in another compile or
+partial unit of the same blob: that unit is found by bisecting the unit
+starts, parsed when a link first needs it, and its attributes are read
+against its own bases and string tables.
 
 One compiler, ``_compile_plan``, turns each abbrev into a plan from one
 form catalog, which gives each form's width. A plan that decodes reads
@@ -40,6 +48,7 @@ there, with the same error.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import struct
 from dataclasses import dataclass, field
@@ -86,6 +95,12 @@ _READ_ATTRS = frozenset(
 )
 
 DW_UT_compile = 0x01
+DW_UT_partial = 0x03
+# DWARF 5 unit types: compile, type, partial, skeleton, split compile and
+# split type. Only compile units yield records; a ref_addr link may also
+# land in a partial unit. The others are stepped over by their length.
+_UNIT_TYPES = range(0x01, 0x07)
+_LINKED_UNITS = (DW_UT_compile, DW_UT_partial)
 
 # Forms whose value is already the end address, vs. an offset from low_pc.
 ADDRESS_FORMS = frozenset({0x01, 0x1B, 0x29, 0x2A, 0x2B, 0x2C})
@@ -294,7 +309,8 @@ class _Die:
 
 @dataclass(slots=True)
 class _Aux:
-    """Companion section blobs one .debug_info blob resolves against."""
+    """Companion section blobs one .debug_info blob resolves against, and
+    the units of the blob that ref_addr links have reached."""
 
     abbrev: bytes
     debug_str: bytes
@@ -303,6 +319,8 @@ class _Aux:
     addr: bytes
     ranges: bytes
     rnglists: bytes
+    unit_starts: list[int] | None = None  # found on the first link out of a unit
+    linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
 
 
 # A plan is None when a form has no width in the catalog: the full
@@ -323,6 +341,7 @@ class _Unit:
     version: int
     addr_size: int
     cu_start: int
+    unit_end: int
     little_endian: bool
     aux: _Aux
     info: bytes
@@ -622,26 +641,41 @@ def _read_bases(unit: _Unit) -> None:
         )
 
 
-def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[_Unit, int]:
-    """Parse one compile unit starting at ``pos``; returns (unit, next pos).
-
-    Decodes the first DIE and every DIE of a tag in _DECODED_TAGS; steps
-    over the others by their skip plans and records where they start.
-    """
-    cur = _Cursor(blob, pos, little_endian)
-    length = cur.uint(4)
+def _unit_end(blob: bytes, pos: int, little_endian: bool) -> int:
+    """Where the unit whose header starts at ``pos`` ends."""
+    length = _Cursor(blob, pos, little_endian).uint(4)
     if length >= 0xFFFFFFF0:
         raise MalformedDebugDataError("64-bit DWARF units are not supported")
-    unit_end = cur.pos + length
-    if unit_end > len(blob):
+    if pos + 4 + length > len(blob):
         raise MalformedDebugDataError("unit length extends past .debug_info")
+    return pos + 4 + length
+
+
+def _parse_unit(
+    blob: bytes,
+    pos: int,
+    little_endian: bool,
+    aux: _Aux,
+    unit_types: tuple[int, ...] = (DW_UT_compile,),
+) -> tuple[_Unit | None, int]:
+    """Parse the unit starting at ``pos``; returns (unit, next pos).
+
+    A DWARF 5 unit of a type not in ``unit_types`` is stepped over: the
+    unit is None. Decodes the first DIE and every DIE of a tag in
+    _DECODED_TAGS; steps over the others by their skip plans and records
+    where they start.
+    """
+    unit_end = _unit_end(blob, pos, little_endian)
+    cur = _Cursor(blob, pos + 4, little_endian)
     version = cur.uint(2)
     if version < 2 or version > 5:
         raise MalformedDebugDataError(f"DWARF version {version}")
     if version == 5:
         unit_type = cur.uint(1)
-        if unit_type != DW_UT_compile:
+        if unit_type not in _UNIT_TYPES:
             raise MalformedDebugDataError(f"unit type {unit_type:#x}")
+        if unit_type not in unit_types:
+            return None, unit_end
         addr_size = cur.uint(1)
         abbrev_off = cur.uint(4)
     else:
@@ -649,10 +683,13 @@ def _parse_unit(blob: bytes, pos: int, little_endian: bool, aux: _Aux) -> tuple[
         addr_size = cur.uint(1)
     if addr_size not in (4, 8):
         raise MalformedDebugDataError(f"address size {addr_size}")
+    linked = aux.linked.get(pos)
+    if linked is not None:  # parsed already for a link into it
+        return linked, unit_end
 
     abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
     widths = _form_widths(version, addr_size)
-    unit = _Unit(version, addr_size, pos, little_endian, aux, blob, abbrevs, widths)
+    unit = _Unit(version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths)
     dies, readers = unit.dies, cur.readers
     mark_skipped = unit.skipped.add
     blob_end = len(blob)
@@ -710,32 +747,88 @@ def _die_at(unit: _Unit, off: int) -> _Die | None:
     return die
 
 
-def _deref(unit: _Unit, form: int, raw: object) -> _Die | None:
-    """The DIE a reference attribute names, or None for any other form."""
-    if form in _UNIT_REF_FORMS:
-        return _die_at(unit, unit.cu_start + raw)  # type: ignore
-    if form == 0x10:  # ref_addr: units parsed from one blob share offsets
-        return _die_at(unit, raw)  # type: ignore
-    return None
+def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
+    """The compile or partial unit of ``unit``'s blob that holds the
+    .debug_info offset ``off``, or None.
 
-
-def _inherited(unit: _Unit, die: _Die, attr: int) -> tuple[int, object] | None:
-    """Attribute lookup following specification/abstract_origin chains."""
-    seen: set[int] = set()
-    current: _Die | None = die
-    while current is not None:
-        if attr in current.attrs:
-            return current.attrs[attr]
-        nxt: _Die | None = None
-        for link in (DW_AT_specification, DW_AT_abstract_origin):
-            if link in current.attrs:
-                nxt = _deref(unit, *current.attrs[link])
-                break
-        if nxt is None or id(nxt) in seen:
+    Another unit is found by bisecting the unit starts, which one hop over
+    the unit lengths finds on the first link out of a unit, up to the
+    first unit whose length is damaged; it is parsed on first use, with
+    its bases, and kept for the rest of the blob.
+    """
+    if unit.cu_start <= off < unit.unit_end:
+        return unit
+    aux = unit.aux
+    if aux.unit_starts is None:
+        aux.unit_starts = _unit_starts(unit.info, unit.little_endian)
+    i = bisect.bisect_right(aux.unit_starts, off) - 1
+    if i < 0:
+        return None
+    start = aux.unit_starts[i]
+    other = aux.linked.get(start)
+    if other is None:
+        other = _parse_unit(unit.info, start, unit.little_endian, aux, _LINKED_UNITS)[0]
+        if other is None:
             return None
-        seen.add(id(nxt))
-        current = nxt
-    return None
+        _read_bases(other)
+        aux.linked[start] = other
+    return other
+
+
+def _unit_starts(blob: bytes, little_endian: bool) -> list[int]:
+    """Where each unit of ``blob`` starts, up to a damaged unit length."""
+    starts: list[int] = []
+    pos, data_end = 0, len(blob.rstrip(b"\0"))
+    while pos < data_end:
+        try:
+            end = _unit_end(blob, pos, little_endian)
+        except MalformedDebugDataError:
+            break
+        starts.append(pos)
+        pos = end
+    return starts
+
+
+def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
+    """The unit and DIE a reference attribute names; None for any other
+    form, or where no DIE starts."""
+    if form in _UNIT_REF_FORMS:
+        off = unit.cu_start + raw  # type: ignore
+    elif form == 0x10:  # ref_addr: an offset in the whole .debug_info blob
+        off = raw  # type: ignore
+        unit = _linked_unit(unit, off)  # type: ignore
+        if unit is None:
+            return None
+    else:
+        return None
+    die = _die_at(unit, off)
+    return None if die is None else (unit, die)
+
+
+def _inherited(unit: _Unit, die: _Die, attr: int) -> tuple[_Unit, int, object] | None:
+    """Attribute lookup following specification/abstract_origin chains:
+    (the unit that holds the attribute, form, raw value), or None."""
+    seen: set[int] = set()
+    while True:
+        got = die.attrs.get(attr)
+        if got is not None:
+            return unit, got[0], got[1]
+        nxt = None
+        for link in (DW_AT_specification, DW_AT_abstract_origin):
+            if link in die.attrs:
+                nxt = _deref(unit, *die.attrs[link])
+                break
+        if nxt is None or id(nxt[1]) in seen:
+            return None
+        unit, die = nxt
+        seen.add(id(die))
+
+
+def _unit_name(unit: _Unit) -> str:
+    """The DW_AT_name of the unit's root DIE, or ""."""
+    got = unit.dies[unit.root].attrs.get(DW_AT_name)
+    name = None if got is None else _value(unit, *got)
+    return "" if name is None else str(name)
 
 
 def _ranges_v4(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
@@ -822,38 +915,44 @@ def _unit_records(
         """The meaning of a looked-up (form, raw value), or None if absent."""
         return None if got is None else _value(unit, *got)
 
+    def inherited(die: _Die, attr: int) -> object:
+        """The meaning of ``attr`` looked up along ``die``'s links, read
+        against the unit that holds it, or None if absent."""
+        got = _inherited(unit, die, attr)
+        return None if got is None else _value(*got)
+
     _read_bases(unit)
     root = unit.dies[unit.root]
-    cu_name = read(root.attrs.get(DW_AT_name))
-    cu_name = "" if cu_name is None else str(cu_name)
+    cu_name = _unit_name(unit)
     cu_base = read(root.attrs.get(DW_AT_low_pc))
     if not isinstance(cu_base, int):
         cu_base = 0
 
     def resolved_name(die: _Die) -> str:
-        value = read(_inherited(unit, die, DW_AT_name))
+        value = inherited(die, DW_AT_name)
         return value if isinstance(value, str) else ""
 
-    def shown(die: _Die, name: str | None) -> str:
-        """How a diagnostic names ``die``; a None name is resolved only here."""
-        if name is None:
-            name = resolved_name(die)
-        return name or "<anonymous>"
+    def shown(die: _Die) -> str:
+        """How a diagnostic names ``die``."""
+        return resolved_name(die) or "<anonymous>"
 
     def decl_coords(die: _Die) -> tuple[str, int]:
-        file_idx = read(_inherited(unit, die, DW_AT_decl_file))
-        line = read(_inherited(unit, die, DW_AT_decl_line))
+        got = _inherited(unit, die, DW_AT_decl_file)
+        file_idx = None if got is None else _value(*got)
+        line = inherited(die, DW_AT_decl_line)
         # sdata and implicit_const can be negative, flag forms decode to bool.
         decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
             return "", decl_line
-        # Indexes 0 and 1 name the primary source file in every version
-        # this reader accepts; other entries would need the line program.
+        # Indexes 0 and 1 name the primary source file of the unit that
+        # holds the index in every version this reader accepts; other
+        # entries would need the line program.
         if file_idx in (0, 1):
-            return cu_name, decl_line
+            owner = got[0]
+            return (cu_name if owner is unit else _unit_name(owner)), decl_line
         return f"file#{file_idx}", decl_line
 
-    def extent(die: _Die, name: str | None) -> tuple[int, int | None] | None:
+    def extent(die: _Die) -> tuple[int, int | None] | None:
         """(low_pc, end_exclusive) or None when the DIE has no addresses.
 
         A low/high pair wins; otherwise a non-empty range list gives its
@@ -881,7 +980,7 @@ def _unit_records(
             pairs = _resolve_ranges(unit, die, cu_base)
             if any(hi < lo for lo, hi in pairs):
                 raise MalformedDebugDataError(
-                    f"range list of {shown(die, name)} ends before it starts"
+                    f"range list of {shown(die)} ends before it starts"
                 )
             if pairs:
                 lo = min(p[0] for p in pairs)
@@ -890,7 +989,7 @@ def _unit_records(
                     Diagnostic(
                         "warning",
                         GT_DISCONTIGUOUS_RANGE,
-                        f"{shown(die, name)} at {lo:#x} spans "
+                        f"{shown(die)} at {lo:#x} spans "
                         f"{len(pairs)} ranges; using the hull",
                         span=(lo, hi - lo),
                     )
@@ -899,31 +998,23 @@ def _unit_records(
         return None if low is None else (low, None)
 
     records: list[DebugFunctionRecord] = []
+    no_address = 0
     # Following a link may decode a skipped DIE into unit.dies.
     for die in list(unit.dies.values()):
         if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
             continue
         inlined = die.tag == DW_TAG_inlined_subroutine
-        # An inlined copy yields no record, so its name is resolved only
-        # if a diagnostic prints it.
-        name = None if inlined else resolved_name(die)
-        span = extent(die, name)
+        # A name is resolved only for a record or a diagnostic that prints it.
+        span = extent(die)
         if span is None:
-            if inlined:
-                continue
             # Declarations and abstract instances legitimately lack
-            # addresses; only concrete definitions are worth a note.
-            if read(die.attrs.get(DW_AT_declaration)):
-                continue
-            if DW_AT_inline in die.attrs:
-                continue
-            diagnostics.append(
-                Diagnostic(
-                    "info",
-                    GT_SUBPROGRAM_NO_ADDRESS,
-                    f"subprogram {shown(die, name)} carries no address; skipped",
-                )
-            )
+            # addresses; only concrete definitions are counted.
+            if not (
+                inlined
+                or read(die.attrs.get(DW_AT_declaration))
+                or DW_AT_inline in die.attrs
+            ):
+                no_address += 1
             continue
         low, end = span
         sec = elf.section_of(image, low)
@@ -932,23 +1023,32 @@ def _unit_records(
                 Diagnostic(
                     "warning",
                     GT_DEBUG_OUTSIDE_EXEC,
-                    f"debug info places {shown(die, name)} at {low:#x}, "
+                    f"debug info places {shown(die)} at {low:#x}, "
                     "outside every executable section",
                     span=(low, 0),
                 )
             )
         if inlined:
             continue  # an inlined copy is never a function start of its own
-        noreturn = read(_inherited(unit, die, DW_AT_noreturn))
+        noreturn = inherited(die, DW_AT_noreturn)
         decl_file, decl_line = decl_coords(die)
         records.append(
             DebugFunctionRecord(
-                name=name,
+                name=resolved_name(die),
                 low_pc=low,
                 end_exclusive=end,
                 decl_file=decl_file,
                 decl_line=decl_line,
                 noreturn=bool(noreturn),
+            )
+        )
+    if no_address:
+        diagnostics.append(
+            Diagnostic(
+                "info",
+                GT_SUBPROGRAM_NO_ADDRESS,
+                f"{no_address} concrete subprogram(s) of {cu_name or '<anonymous>'} "
+                f"(the unit at offset {unit.cu_start:#x}) carry no address; skipped",
             )
         )
     return records
@@ -1005,6 +1105,9 @@ def extract_debug_functions(
             except MalformedDebugDataError as exc:
                 diagnostics.append(_unreadable(pos, exc))
                 break  # where the next unit starts is unknown
+            if unit is None:  # a unit of another type yields no records
+                pos = end
+                continue
             unit_diagnostics: list[Diagnostic] = []
             try:
                 records.extend(_unit_records(unit, image, unit_diagnostics))

@@ -470,7 +470,7 @@ FORM_STRP, FORM_UDATA, FORM_REF4, FORM_INDIRECT = 0x0E, 0x0F, 0x13, 0x16
 FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
 FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
-FORM_REF_ADDR = 0x10
+FORM_REF_ADDR, FORM_FLAG_PRESENT, AT_INLINE, AT_NORETURN = 0x10, 0x19, 0x20, 0x87
 
 # Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
 ABBREVS = {
@@ -567,6 +567,26 @@ ABBREVS = {
         TAG_SUBPROGRAM,
         [(AT_SPECIFICATION, FORM_REF_ADDR), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
     ),
+    # A concrete instance linked to its abstract origin by ref_addr.
+    27: (
+        TAG_SUBPROGRAM,
+        [(AT_ABSTRACT_ORIGIN, FORM_REF_ADDR), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+    ),
+    # An abstract instance named by string index, with coordinates and noreturn.
+    28: (
+        TAG_SUBPROGRAM,
+        [
+            (AT_NAME, FORM_STRX1),
+            (AT_DECL_FILE, FORM_DATA1),
+            (AT_DECL_LINE, FORM_UDATA),
+            (AT_NORETURN, FORM_FLAG_PRESENT),
+            (AT_INLINE, FORM_DATA1),
+        ],
+    ),
+    # A unit named by string index through its own offsets table.
+    29: (TAG_CU, [(AT_NAME, FORM_STRX1), (AT_STR_OFFSETS_BASE, FORM_SEC_OFFSET)]),
+    # A concrete subprogram without an address.
+    30: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING)]),
 }
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
@@ -612,11 +632,13 @@ def _offset(dies: list[bytes], index: int, version: int = 4) -> int:
     return 4 + (7 if version == 4 else 8) + sum(len(d) for d in dies[:index])
 
 
-def _unit(dies: list[bytes], version: int = 4, terminate: bool = True) -> bytes:
+def _unit(
+    dies: list[bytes], version: int = 4, terminate: bool = True, unit_type: int = 1
+) -> bytes:
     if version == 4:
         header = struct.pack("<HIB", 4, 0, 8)
     else:
-        header = struct.pack("<HBBI", 5, 1, 8, 0)
+        header = struct.pack("<HBBI", 5, unit_type, 8, 0)
     body = header + b"".join(dies) + (b"\x00" if terminate else b"")
     return struct.pack("<I", len(body)) + body
 
@@ -748,6 +770,100 @@ def test_a_ref_addr_link_in_a_later_unit_takes_its_name():
     records, diags = extract_debug_functions(_info_image(first + _unit(dies)))
     assert diags == []
     assert [(r.name, r.low_pc) for r in records] == [("target", 0x401000)]
+
+
+# Two string offsets tables: the first unit's at the default base 8, with
+# both entries "decoy", and the DWARF 5 unit's at 24: "target", then "b.c".
+_LINKED_STR = b"\x00target\x00decoy\x00b.c\x00"
+_LINKED_STR_OFFSETS = struct.pack("<IHHII", 12, 5, 0, 8, 8) + struct.pack(
+    "<IHHII", 12, 5, 0, 1, 14
+)
+_ABSTRACT = _die(28, b"\x00", b"\x01", uleb_encode(300), b"\x01")  # inline: declared
+_TARGET_UNIT = [_die(29, b"\x01", _ref(24)), _ABSTRACT]
+_PARTIAL_DIES = [CU_DIE, _die(18, b"partial\x00", _ref(1), _IN_TEXT)]
+
+
+def _linked_image(between: bytes, target: int | None = None) -> BinaryImage:
+    """A DWARF 4 unit whose subprogram reaches, by a ref_addr abstract
+    origin, the abstract subprogram of a DWARF 5 unit after ``between``
+    (or the .debug_info offset ``target``)."""
+    if target is None:
+        target = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)])) + len(between)
+        target += _offset(_TARGET_UNIT, 1, version=5)
+    first = _unit([CU_DIE, _die(27, _ref(target), _IN_TEXT)])
+    info = first + between + _unit(_TARGET_UNIT, version=5)
+    return _synthetic_image(
+        [
+            (".debug_info", info),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_str", _LINKED_STR),
+            (".debug_str_offsets", _LINKED_STR_OFFSETS),
+        ]
+    )
+
+
+@pytest.mark.parametrize("unit_type", [2, 3, 4, 5, 6])
+def test_a_ref_addr_link_reads_the_target_against_its_own_unit(unit_type):
+    """Name, coordinates and noreturn come from the other unit, read against
+    its str_offsets_base; a unit of another type between them is stepped
+    over, and a partial unit yields no record."""
+    between = _unit(_PARTIAL_DIES, version=5, unit_type=unit_type)
+    records, diags = extract_debug_functions(_linked_image(between))
+    assert diags == []
+    (rec,) = records
+    assert rec == DebugFunctionRecord("target", 0x401000, 0x401010, "b.c", 300, True)
+
+
+def test_a_ref_addr_link_into_a_partial_unit_takes_its_name():
+    between = _unit(_PARTIAL_DIES, version=5, unit_type=3)
+    first_size = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)]))
+    target = first_size + _offset(_PARTIAL_DIES, 1, version=5)
+    records, diags = extract_debug_functions(_linked_image(between, target))
+    assert diags == []
+    assert [(r.name, r.decl_file) for r in records] == [("partial", "")]
+
+
+@pytest.mark.parametrize("target", [5, 0x900, 2**32 - 1], ids=["mid-die", "past", "top"])
+def test_a_ref_addr_link_outside_every_die_names_nothing(target):
+    records, diags = extract_debug_functions(_linked_image(b"", target))
+    assert diags == []
+    assert [(r.name, r.decl_file, r.noreturn) for r in records] == [("", "", False)]
+
+
+def test_a_ref_addr_link_past_a_damaged_unit_length_names_nothing():
+    """The unit starts are known only up to a damaged length; the walk
+    still reports the damage where it reaches it."""
+    damaged = struct.pack("<I", 0x7FFFFFFF) + b"\x05\x00\x03"
+    records, diags = extract_debug_functions(_linked_image(damaged))
+    assert [r.name for r in records] == [""]
+    assert _only_error(diags).endswith("unit length extends past .debug_info")
+
+
+def test_an_unknown_unit_type_stops_the_blob():
+    between = _unit(_PARTIAL_DIES, version=5, unit_type=0x80)
+    records, diags = extract_debug_functions(_linked_image(between))
+    assert [r.name for r in records] == ["target"]
+    assert _only_error(diags).endswith("unit type 0x80")
+
+
+def test_subprograms_without_an_address_are_counted_once_per_unit():
+    unit = _unit([CU_DIE, _die(30, b"f\x00"), _die(30, b"g\x00"), _ABSTRACT])
+    records, diags = extract_debug_functions(_info_image(unit + _unit([CU_DIE, _die(30, b"h\x00")])))
+    assert records == []
+    assert [(d.severity, d.code, d.message) for d in diags] == [
+        (
+            "info",
+            GT_SUBPROGRAM_NO_ADDRESS,
+            "2 concrete subprogram(s) of t.c (the unit at offset 0x0) "
+            "carry no address; skipped",
+        ),
+        (
+            "info",
+            GT_SUBPROGRAM_NO_ADDRESS,
+            f"1 concrete subprogram(s) of t.c (the unit at offset {len(unit):#x}) "
+            "carry no address; skipped",
+        ),
+    ]
 
 
 def test_damage_in_a_referenced_skipped_die_is_malformed():

@@ -881,10 +881,10 @@ def _function_text(fn: GroundTruthFunction) -> str:
             f'\n        "line": {int.__repr__(source[1])}\n      }}'
         )
     group = fn.specialization_group
-    aliases = fn.aliases
+    aliases = [_string(a) for a in fn.aliases]
     entries = [f'"0x{e:x}"' for e in fn.entry_points]
     return (
-        f'{{\n      "aliases": {_items([_string(a) for a in aliases], _FIELD) if aliases else "[]"},'
+        f'{{\n      "aliases": {_items(aliases, _FIELD)},'
         f'\n      "end_raw": "0x{fn.end_exclusive_raw:x}",'
         f'\n      "end_trimmed": "0x{fn.end_exclusive_trimmed:x}",'
         f'\n      "entries": {_items(entries, _FIELD)},'
@@ -894,6 +894,15 @@ def _function_text(fn: GroundTruthFunction) -> str:
         f'\n      "provenance": {_string_set(fn.provenance)},'
         f'\n      "source": {"null" if source is None else source},'
         f'\n      "start": "0x{fn.entry_points[0]:x}"\n    }}'
+    )
+
+
+def _run_text(r: ByteRun) -> str:
+    return (
+        f'{{\n      "class": {_string(r.klass)},'
+        f'\n      "confidence": {_string(r.confidence)},'
+        f'\n      "length": {int.__repr__(r.length)},'
+        f'\n      "start": "0x{r.start:x}"\n    }}'
     )
 
 
@@ -923,16 +932,10 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
         "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
     }
     meta = {"generator": GENERATOR, "config": _config_payload(config)}
-    runs = [
-        f'{{\n      "class": {_string(r.klass)},'
-        f'\n      "confidence": {_string(r.confidence)},'
-        f'\n      "length": {int.__repr__(r.length)},'
-        f'\n      "start": "0x{r.start:x}"\n    }}'
-        for r in doc.byte_classes.runs
-    ]
     return "".join([
         '{\n  "binary": ', _encode(binary, "\n  "),
-        ',\n  "byte_classes": ', _items(runs, "\n  "),
+        ',\n  "byte_classes": ',
+        _items([_run_text(r) for r in doc.byte_classes.runs], "\n  "),
         ',\n  "complete": ', _encode(doc.complete, ""),
         ',\n  "diagnostics": ',
         _items([_diagnostic_text(d) for d in doc.diagnostics], "\n  "),

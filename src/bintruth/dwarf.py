@@ -689,7 +689,9 @@ def _parse_unit(
 
     abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
     widths = _form_widths(version, addr_size)
-    unit = _Unit(version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths)
+    unit = _Unit(
+        version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths
+    )
     dies, readers = unit.dies, cur.readers
     mark_skipped = unit.skipped.add
     blob_end = len(blob)

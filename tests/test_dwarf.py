@@ -848,7 +848,8 @@ def test_an_unknown_unit_type_stops_the_blob():
 
 def test_subprograms_without_an_address_are_counted_once_per_unit():
     unit = _unit([CU_DIE, _die(30, b"f\x00"), _die(30, b"g\x00"), _ABSTRACT])
-    records, diags = extract_debug_functions(_info_image(unit + _unit([CU_DIE, _die(30, b"h\x00")])))
+    later = _unit([CU_DIE, _die(30, b"h\x00")])
+    records, diags = extract_debug_functions(_info_image(unit + later))
     assert records == []
     assert [(d.severity, d.code, d.message) for d in diags] == [
         (

@@ -23,7 +23,8 @@ over at its skip width, and flag_present and implicit_const read as
 constants. Only the first DIE of a unit and the DIEs tagged compile_unit,
 subprogram or inlined_subroutine are decoded; every other DIE is stepped
 over by a plan that reads nothing, which is a plain int when its forms
-are all fixed. The walk records where each skipped DIE starts, and a
+are all fixed. The walk records where each skipped DIE starts, in rising
+order in one array of 8-byte offsets that a link bisects, and a
 specification or abstract_origin link that lands on one decodes it then
 by its decode plan.
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 import bisect
 import functools
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 from . import elf
@@ -348,7 +350,7 @@ class _Unit:
     abbrevs: _Abbrevs
     widths: dict[int, int]
     dies: dict[int, _Die] = field(default_factory=dict)  # decoded, by offset
-    skipped: set[int] = field(default_factory=set)  # offsets of the others
+    skipped: array = field(default_factory=lambda: array("Q"))  # the others, rising
     root: int = -1
     addr_base: int = 8
     str_base: int = 8
@@ -693,7 +695,7 @@ def _parse_unit(
         version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths
     )
     dies, readers = unit.dies, cur.readers
-    mark_skipped = unit.skipped.add
+    mark_skipped = unit.skipped.append
     blob_end = len(blob)
     root = -1
     pos = cur.pos
@@ -739,13 +741,18 @@ def _parse_unit(
 def _die_at(unit: _Unit, off: int) -> _Die | None:
     """The DIE that starts at ``off``, decoded now if the walk skipped it."""
     die = unit.dies.get(off)
+    if die is not None:
+        return die
+    skipped = unit.skipped
+    i = bisect.bisect_left(skipped, off)
+    if i == len(skipped) or skipped[i] != off:
+        return None
     # The walk stepped over a skipped DIE inside the data, and its read
     # plan steps over the same widths, so the read cannot run past it.
-    if die is None and off in unit.skipped:
-        code, pos = uleb_decode(unit.info, off)
-        tag, pairs, _plan, _decoded = unit.abbrevs[code]
-        plan = _compile_plan(pairs, unit.version, unit.addr_size, unit.little_endian, True)
-        die = unit.dies[off] = _Die(tag, _decode(unit, pos, pairs, plan)[0])
+    code, pos = uleb_decode(unit.info, off)
+    tag, pairs, _plan, _decoded = unit.abbrevs[code]
+    plan = _compile_plan(pairs, unit.version, unit.addr_size, unit.little_endian, True)
+    die = unit.dies[off] = _Die(tag, _decode(unit, pos, pairs, plan)[0])
     return die
 
 

@@ -238,10 +238,13 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
 
     # Symbol tables: .symtab first, then .dynsym rows not already present
     # under the same (name, value); .symtab sizes are the more reliable ones.
+    # Undefined symbols (imports) name no byte of this image: they are
+    # dropped, and the function ones counted in one diagnostic.
     sym_fmt = end + ("IBBHQQ" if is64 else "IIIBBH")
     sym_entsize = struct.calcsize(sym_fmt)
     symbols: list[SymbolRecord] = []
     seen: set[tuple[str, int]] = set()
+    imports = 0
     for table_type in (SHT_SYMTAB, SHT_DYNSYM):
         for sh in raw_sections:
             (sh_name, sh_type, _f, _addr, sh_off, sh_size, sh_link, _i, _a, sh_ent) = sh
@@ -265,9 +268,9 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
             for n in range(1, count):  # index 0 is the reserved null symbol
                 entry = struct.unpack_from(sym_fmt, data, sh_off + n * sym_entsize)
                 if is64:
-                    st_name, st_info, _st_other, _st_shndx, st_value, st_size = entry
+                    st_name, st_info, _st_other, st_shndx, st_value, st_size = entry
                 else:
-                    st_name, st_value, st_size, st_info, _st_other, _st_shndx = entry
+                    st_name, st_value, st_size, st_info, _st_other, st_shndx = entry
                 name = _cstr(strtab, st_name)
                 if name is None:
                     name = f"<bad-strtab:{st_name}>"
@@ -282,15 +285,28 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 if table_type == SHT_DYNSYM and (name, st_value) in seen:
                     continue
                 seen.add((name, st_value))
+                kind = _kind_name(st_info & 0xF)
+                if st_shndx == SHN_UNDEF:
+                    imports += kind == "function"
+                    continue
                 symbols.append(
                     SymbolRecord(
                         name=name,
                         value=st_value,
                         size=st_size,
-                        kind=_kind_name(st_info & 0xF),
+                        kind=kind,
                         binding=_binding_name(st_info >> 4),
                     )
                 )
+    if imports:
+        diagnostics.append(
+            Diagnostic(
+                "info",
+                GT_SYMBOL_OUTSIDE_SECTIONS,
+                f"{imports} undefined function symbols (imports) are outside "
+                "every allocated section; skipped",
+            )
+        )
 
     machine = MACHINE_NAMES.get(e_machine, "other")
     return BinaryImage(
@@ -331,9 +347,10 @@ def function_symbols(
     ``(value, name, binding, size)``, and every later stage keeps that
     order instead of sorting again.
 
-    Skipped symbols (undefined imports, absolute symbols, symbols outside
-    every allocated section) and zero-size symbols are reported through
-    diagnostics so that no symbol is dropped silently.
+    Skipped symbols (absolute symbols and others outside every allocated
+    section) and zero-size symbols are reported through diagnostics so
+    that no symbol is dropped silently; :func:`parse_image` has already
+    dropped undefined imports and counted them in one diagnostic.
     """
     kept: list[tuple[SymbolRecord, SectionRecord]] = []
     diagnostics: list[Diagnostic] = []

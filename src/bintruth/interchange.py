@@ -12,19 +12,20 @@ one template per record kind (function, byte run, diagnostic), with the
 same bytes.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
-checked against its schema by :func:`_check`: a generated acceptor
-decides; the compiled checker explains a rejection. On first use in a
-process, a schema becomes the source of one Python function that only
-returns whether a value passes; on its first rejection, it compiles into
-a tree of checkers that names the first failure by its JSON path (a
-pattern's ``$`` matches only at the end of the string, as in ECMA-262).
-Both are built only for the node shapes those schemas use; any other
-shape raises ``ValueError``, as a bug in the schema, not as bad input. A
-loaded ground-truth document must also satisfy the invariants
-:func:`build_ground_truth` guarantees, so malformed files fail loudly at
-the boundary instead of deep inside scoring. Dumps are not re-checked:
-the program builds them from objects whose inputs were checked where
-they entered, and the test suite holds emitted output to the schemas.
+checked against its schema by :func:`_check`. On first use in a process,
+a schema becomes the source of one Python function, its acceptor, that
+only returns whether a value passes, and it alone decides. Only after a
+refusal does a short interpreter, :func:`_explain`, name the first
+failure by its JSON path (a pattern's ``$`` matches only at the end of
+the string, as in ECMA-262); it descends only into the child that the
+child's own acceptor refuses. Both know only the node shapes those
+schemas use; any other shape raises ``ValueError``, as a bug in the
+schema, not as bad input. A loaded ground-truth document must also
+satisfy the invariants :func:`build_ground_truth` guarantees, so
+malformed files fail loudly at the boundary instead of deep inside
+scoring. Dumps are not re-checked: the program builds them from objects
+whose inputs were checked where they entered, and the test suite holds
+emitted output to the schemas.
 """
 from __future__ import annotations
 
@@ -351,68 +352,46 @@ _KINDS = {
     type(None): "null",
 }
 
-_Checker = Callable[[object], None]
 _Acceptor = Callable[[object], bool]
-
-
-class _Mismatch(Exception):
-    """A schema failure on its way up to _check, gathering its JSON path."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-        self.path: list[str] = []  # innermost step first
 
 
 def _check(value: object, schema: dict, where: str) -> None:
     """Raise SchemaError unless ``value`` satisfies ``schema``.
 
-    ``value`` is what ``json.loads`` returns. A generated acceptor decides
-    (see :func:`_generate`); the compiled checker explains a rejection
-    (see :func:`_compile`), and it alone writes schema messages. The
-    acceptor is generated on first use and the checker compiled on the
-    first rejection, each once per schema and process. Only the node
-    shapes the published schemas use are built (see :func:`_shape`), and
-    on them the check matches JSON Schema; any other shape, an object
-    schema that allows other keys among them, raises ``ValueError``, not
-    ``SchemaError``, as a bug in the schema rather than bad input. Three
-    rules are stricter than jsonschema's: a float never counts as an
-    integer; ``enum``/``const`` compare types as well as values (``32.0``
-    is not ``32``); and a pattern's ``$`` matches only at the end of the
-    string, as in ECMA-262 (``"0x10\\n"`` is no address). The message
-    starts with the failing node's JSON path below ``where``; the failure
-    reported is the first in the value's own key order. When the checker
-    finds nothing the acceptor refused, the two disagree: that raises
-    ``RuntimeError``, a bug, never ``SchemaError``.
+    ``value`` is what ``json.loads`` returns. The schema's generated
+    acceptor decides (see :func:`_generate`); only after it refuses does
+    :func:`_explain` name the first failure, and it alone writes schema
+    messages. Only the node shapes the published schemas use are built
+    (see :func:`_shape`), and on them the check matches JSON Schema; any
+    other shape, an object schema that allows other keys among them,
+    raises ``ValueError``, not ``SchemaError``, as a bug in the schema
+    rather than bad input. Three rules are stricter than jsonschema's: a
+    float never counts as an integer; ``enum``/``const`` compare types as
+    well as values (``32.0`` is not ``32``); and a pattern's ``$`` matches
+    only at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
+    address). The message starts with the failing node's JSON path below
+    ``where``; the failure reported is the first in the value's own key
+    order. When the acceptor refuses what :func:`_explain` finds nothing
+    wrong with, the two disagree: that raises ``RuntimeError``, a bug,
+    never ``SchemaError``.
     """
     if _acceptor(schema)(value):
         return
-    try:
-        _checker(schema)(value)
-    except _Mismatch as exc:
-        path = where + "".join(reversed(exc.path))
-        raise SchemaError(f"{path}: {exc.message}") from None
-    raise RuntimeError(f"{where}: the schema acceptor and checker disagree")
+    failure = _explain(value, schema)
+    if failure is None:
+        raise RuntimeError(f"{where}: the schema acceptor and checker disagree")
+    raise SchemaError(where + failure)
 
 
-# Acceptors and checkers by schema identity. Each entry holds its schema,
-# so no id is reused while it is cached, and the published schemas are
-# built once.
+# Acceptors by schema identity. Each entry holds its schema, so no id is
+# reused while it is cached, and the published schemas are built once.
 _ACCEPTORS: dict[int, tuple[dict, _Acceptor]] = {}
-_COMPILED: dict[int, tuple[dict, _Checker]] = {}
 
 
 def _acceptor(schema: dict) -> _Acceptor:
     entry = _ACCEPTORS.get(id(schema))
     if entry is None:
         entry = _ACCEPTORS[id(schema)] = (schema, _generate(schema))
-    return entry[1]
-
-
-def _checker(schema: dict) -> _Checker:
-    entry = _COMPILED.get(id(schema))
-    if entry is None:
-        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
     return entry[1]
 
 
@@ -461,65 +440,61 @@ def _shape(schema: dict) -> tuple[str, frozenset, str]:
     raise ValueError(f"no checker for a schema node with keys {sorted(keys)}")
 
 
-def _compile(schema: dict) -> _Checker:
-    """The one checker for the shape of ``schema``'s keys.
+def _explain(value: object, schema: dict) -> str | None:
+    """The first failure of ``value`` against ``schema`` as ``"<path below
+    this node>: <message>"``, or None when there is none.
 
-    One closure per node makes only the checks the node declares and
-    raises :class:`_Mismatch` at the first failure. The typed checkers
-    fold the type check in; an array's checks item counts before items,
-    an object's required keys before each key in the value's own order.
+    The message is written only at the failing node. An array's item
+    counts come before its items, an object's required keys before each
+    key in the value's own order. Only the first child that its own
+    acceptor refuses is explained, so a refusal walks the value's
+    accepted parts no more than the acceptors do.
     """
     shape, types, expected = _shape(schema)
+    kind = type(value)
     if shape == "const":
-        return _const_checker(schema["const"])
+        const = schema["const"]
+        if kind is not type(const) or value != const:
+            return f": expected {const!r}, got {value!r}"
+        return None
     if shape == "enum":
-        return _enum_checker(schema["enum"])
-    if shape == "type":
-        return _type_checker(types, expected)
-    if shape == "string":
-        return _string_checker(schema, types, expected)
-    if shape == "number":
-        return _number_checker(schema, types, expected)
-    if shape == "array":
-        return _array_checker(schema, types, expected)
-    return _object_checker(schema, types, expected)
-
-
-def _wrong_type(expected: str, value: object) -> _Mismatch:
-    kind = _KINDS.get(type(value), type(value).__name__)
-    return _Mismatch(f"expected {expected}, got {kind}")
-
-
-def _type_checker(types: frozenset, expected: str) -> _Checker:
-    def check(value: object) -> None:
-        if type(value) not in types:
-            raise _wrong_type(expected, value)
-
-    return check
-
-
-def _const_checker(const: object) -> _Checker:
-    kind = type(const)
-
-    def check(value: object) -> None:
-        if type(value) is not kind or value != const:
-            raise _Mismatch(f"expected {const!r}, got {value!r}")
-
-    return check
-
-
-def _enum_checker(options: list) -> _Checker:
-    members = frozenset((type(option), option) for option in options)
-
-    def check(value: object) -> None:
-        try:
-            if (type(value), value) in members:
-                return
-        except TypeError:  # an array or object, which no enum of scalars holds
-            pass
-        raise _Mismatch(f"{value!r} is not one of {options!r}")
-
-    return check
+        options = schema["enum"]
+        if not any(kind is type(option) and value == option for option in options):
+            return f": {value!r} is not one of {options!r}"
+        return None
+    if shape == "string" and kind is str:
+        if _ecma_regex(schema["pattern"]).search(value) is None:
+            return f": {value!r} does not match {schema['pattern']!r}"
+    elif shape == "number" and kind in types & {int, float}:
+        if value < schema["minimum"]:
+            return f": {value!r} is below {schema['minimum']}"
+    elif shape == "array" and kind is list:
+        if len(value) < schema.get("minItems", 0):
+            return f": needs at least {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", len(value)):
+            return f": allows at most {schema['maxItems']} items"
+        if "items" in schema:
+            sub = schema["items"]
+            accept = _acceptor(sub)
+            for i, item in enumerate(value):
+                if not accept(item):
+                    failure = _explain(item, sub)
+                    return None if failure is None else f"[{i}]{failure}"
+    elif shape == "object" and kind is dict:
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f": missing {key!r}"
+        for key, item in value.items():
+            sub = properties.get(key)
+            if sub is None:
+                return f": unexpected key {key!r}"
+            if not _acceptor(sub)(item):
+                failure = _explain(item, sub)
+                return None if failure is None else f".{key}{failure}"
+    elif kind not in types:
+        return f": expected {expected}, got {_KINDS.get(kind, kind.__name__)}"
+    return None
 
 
 def _ecma_regex(pattern: str) -> re.Pattern:
@@ -542,84 +517,6 @@ def _ecma_regex(pattern: str) -> re.Pattern:
     return re.compile("".join(out))
 
 
-def _string_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
-    pattern = schema["pattern"]
-    search = _ecma_regex(pattern).search
-
-    def check(value: object) -> None:
-        if type(value) is str:
-            if search(value) is None:
-                raise _Mismatch(f"{value!r} does not match {pattern!r}")
-        elif type(value) not in types:
-            raise _wrong_type(expected, value)
-
-    return check
-
-
-def _number_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
-    minimum = schema["minimum"]
-    numbers = types & {int, float}
-
-    def check(value: object) -> None:
-        if type(value) in numbers:
-            if value < minimum:
-                raise _Mismatch(f"{value!r} is below {minimum}")
-        elif type(value) not in types:
-            raise _wrong_type(expected, value)
-
-    return check
-
-
-def _array_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
-    least = schema.get("minItems", 0)
-    most = schema.get("maxItems")
-    items = _checker(schema["items"]) if "items" in schema else None
-
-    def check(value: object) -> None:
-        if type(value) is list:
-            if len(value) < least:
-                raise _Mismatch(f"needs at least {least} items")
-            if most is not None and len(value) > most:
-                raise _Mismatch(f"allows at most {most} items")
-            if items is not None:
-                try:
-                    for i, item in enumerate(value):
-                        items(item)
-                except _Mismatch as exc:
-                    exc.path.append(f"[{i}]")
-                    raise
-        elif type(value) not in types:
-            raise _wrong_type(expected, value)
-
-    return check
-
-
-def _object_checker(schema: dict, types: frozenset, expected: str) -> _Checker:
-    properties = {
-        key: _checker(sub) for key, sub in schema.get("properties", {}).items()
-    }
-    required = tuple(schema.get("required", ()))
-    needed = frozenset(required)
-
-    def check(value: object) -> None:
-        if type(value) is dict:
-            if not value.keys() >= needed:
-                missing = next(key for key in required if key not in value)
-                raise _Mismatch(f"missing {missing!r}")
-            try:
-                for key, item in value.items():
-                    properties[key](item)
-            except KeyError:  # a key the schema does not name
-                raise _Mismatch(f"unexpected key {key!r}") from None
-            except _Mismatch as exc:
-                exc.path.append(f".{key}")
-                raise
-        elif type(value) not in types:
-            raise _wrong_type(expected, value)
-
-    return check
-
-
 def _generate(schema: dict) -> _Acceptor:
     """One Python function that returns whether a value satisfies ``schema``.
 
@@ -628,10 +525,11 @@ def _generate(schema: dict) -> _Acceptor:
     key-set test (an equality when every property is required) followed
     by each property's code. It calls no Python function per value (only
     a pattern calls its regex) and keeps no JSON path; a ``False`` says
-    only that :func:`_compile`'s checker will find a failure. The source holds nothing but names: every schema constant
-    it tests against is bound in the namespace it is compiled in, so no
-    schema or input text reaches it. Nodes are classified by
-    :func:`_shape`, so generation refuses what compiling refuses.
+    only that :func:`_explain` will name a failure. The source holds
+    nothing but names: every schema constant it tests against is bound in
+    the namespace it is compiled in, so no schema or input text reaches
+    it. Nodes are classified by :func:`_shape`, as :func:`_explain`
+    classifies them, so both refuse the same unpublished shapes.
     """
     source = _AcceptorSource()
     source.emit(schema, "v0", 1)

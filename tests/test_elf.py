@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import struct
 
@@ -311,6 +312,33 @@ def test_function_symbols_filters_and_reports():
     assert len(by_code[GT_FUNCTION_NOT_EXECUTABLE]) == 1
     assert by_code[GT_FUNCTION_NOT_EXECUTABLE][0].severity == "warning"
     assert len(by_code[GT_MISSING_SIZE]) == 1
+
+
+def test_undefined_function_symbols_are_one_count():
+    """Imports name no byte of the image: they leave no symbol and one
+    diagnostic that counts the function ones."""
+    extras = (
+        ExtraSymbolSpec("puts", ".text", offset=0, kind="function"),
+        ExtraSymbolSpec("free", ".text", offset=0, kind="function"),
+        ExtraSymbolSpec("environ", ".data", offset=0, kind="object"),
+    )
+    base = emit(dataclasses.replace(_filter_spec(), extra_symbols=extras))
+    data = bytearray(base)
+    image = elf.parse_image(base)
+    symtab = next(s for s in image.sections if s.name == ".symtab")
+    strtab = next(s for s in image.sections if s.name == ".strtab")
+    for row in range(symtab.file_offset, symtab.file_offset + symtab.size, 16):
+        st_name = struct.unpack_from("<I", data, row)[0]
+        name = base[strtab.file_offset + st_name :].split(b"\0", 1)[0]
+        if name in (b"puts", b"free", b"environ"):
+            struct.pack_into("<H", data, row + 14, elf.SHN_UNDEF)  # st_shndx
+    image = elf.parse_image(bytes(data))
+    assert [s.name for s in image.symbols] == ["real"]
+    counts = [d for d in image.parse_diagnostics if d.code == GT_SYMBOL_OUTSIDE_SECTIONS]
+    assert len(counts) == 1
+    assert counts[0].severity == "info"
+    assert counts[0].message.startswith("2 undefined function symbols")
+    assert counts[0].span is None
 
 
 def test_function_symbols_sorted_by_value_then_name():

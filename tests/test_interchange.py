@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bintruth import forge
+from bintruth import forge, interchange
 from bintruth.byteclass import CLASSES, CONFIDENCES, ByteClassMap, ByteRun
 from bintruth.interchange import (
     GENERATOR,
     SCHEMA_VERSION,
     SchemaError,
     _check,
-    _compile,
+    _explain,
     _generate,
     corpus_to_json,
     document_from_json,
@@ -293,15 +293,39 @@ def test_item_counts_are_checked_before_items(preset_docs):
     assert str(exc.value) == "$.meta.config.call_edges[0]: allows at most 2 items"
 
 
+def test_a_refusal_is_explained_only_along_the_failing_path(preset_docs, monkeypatch):
+    """Naming the failure interprets only the nodes on the path to it,
+    however many accepted functions come before it."""
+    explain, calls = interchange._explain, []
+
+    def counted(value, schema):
+        calls.append(schema)
+        return explain(value, schema)
+
+    monkeypatch.setattr(interchange, "_explain", counted)
+    payload = json.loads(document_to_json(preset_docs["listing2"]))
+    fn = payload["functions"][0]
+    for n in (1, 40, 400):
+        payload["functions"] = [dict(fn) for _ in range(n)]
+        payload["functions"][-1]["end_raw"] = fn["end_raw"].replace("0x", "0X")
+        calls.clear()
+        with pytest.raises(SchemaError) as exc:
+            document_from_json(json.dumps(payload))
+        assert str(exc.value).startswith(f"$.functions[{n - 1}].end_raw: ")
+        assert len(calls) == 4  # the document, its functions, one, its end_raw
+
+
 def test_open_object_schemas_are_refused():
-    """Every published schema is closed; the checker compiles no other kind."""
+    """Every published schema is closed; neither the acceptor nor the
+    interpreter knows another kind."""
     schema = {"type": "object", "properties": {"a": {"type": "integer"}}}
     with pytest.raises(ValueError, match="additionalProperties") as exc:
         _check({"a": 1}, schema, "$")
     assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
-    for build in (_compile, _generate):
-        with pytest.raises(ValueError, match="additionalProperties"):
-            build(schema)
+    with pytest.raises(ValueError, match="additionalProperties"):
+        _explain({"a": 1}, schema)
+    with pytest.raises(ValueError, match="additionalProperties"):
+        _generate(schema)
 
 
 @pytest.mark.parametrize(
@@ -318,14 +342,15 @@ def test_open_object_schemas_are_refused():
     ],
 )
 def test_unpublished_schema_shapes_are_refused(schema):
-    """The checker compiles, and the acceptor is generated for, only the
+    """The acceptor is generated for, and the interpreter reads, only the
     node shapes the published schemas use."""
     with pytest.raises(ValueError, match="no checker") as exc:
         _check("1", schema, "$")
     assert not isinstance(exc.value, SchemaError)  # a bug, not bad input
-    for build in (_compile, _generate):
-        with pytest.raises(ValueError, match="no checker"):
-            build(schema)
+    with pytest.raises(ValueError, match="no checker"):
+        _explain("1", schema)
+    with pytest.raises(ValueError, match="no checker"):
+        _generate(schema)
 
 
 def test_non_json_input_is_a_schema_error():

@@ -1071,8 +1071,9 @@ def extract_debug_functions(
     Absent debug info is an expected state (stripped binary) and reports
     GT_NO_DEBUG_INFO. Malformed data reports GT_MALFORMED_DEBUG_DATA with
     the start of the damaged unit, whose records and diagnostics are
-    dropped; reading goes on with the next unit unless the damage hides
-    where that starts.
+    dropped. Damage found while resolving a unit's records leaves reading
+    to go on with the next unit; a unit that does not parse ends the
+    reading of its blob, even when its length was read.
     """
     info_blobs = _section_blobs(image, ".debug_info")
     diagnostics: list[Diagnostic] = []
@@ -1113,7 +1114,7 @@ def extract_debug_functions(
                 unit, end = _parse_unit(blob, pos, little, aux)
             except MalformedDebugDataError as exc:
                 diagnostics.append(_unreadable(pos, exc))
-                break  # where the next unit starts is unknown
+                break  # a unit that does not parse ends this blob
             if unit is None:  # a unit of another type yields no records
                 pos = end
                 continue

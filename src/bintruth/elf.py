@@ -19,7 +19,6 @@ from .model import (
     GT_FUNCTION_NOT_EXECUTABLE,
     GT_MISSING_SIZE,
     GT_SYMBOL_OUTSIDE_SECTIONS,
-    MACHINE_NAMES,
     BinaryImage,
     Diagnostic,
     SectionRecord,
@@ -55,7 +54,6 @@ SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
 SHF_TLS = 0x400
 
-STT_OBJECT = 1
 STT_FUNC = 2
 STB_LOCAL = 0
 STB_GLOBAL = 1
@@ -96,14 +94,6 @@ def _binding_name(bind: int) -> str:
         return "weak"
     # Local and any OS/processor-specific binding rank lowest.
     return "local"
-
-
-def _kind_name(typ: int) -> str:
-    if typ == STT_FUNC:
-        return "function"
-    if typ == STT_OBJECT:
-        return "object"
-    return "other"
 
 
 def _cstr(blob: bytes, off: int) -> str | None:
@@ -238,8 +228,9 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
 
     # Symbol tables: .symtab first, then .dynsym rows not already present
     # under the same (name, value); .symtab sizes are the more reliable ones.
-    # Undefined symbols (imports) name no byte of this image: they are
-    # dropped, and the function ones counted in one diagnostic.
+    # Every row's name is read, and checked, but only defined function symbols
+    # are kept. Undefined ones (imports) name no byte of this image: they are
+    # counted in one diagnostic.
     sym_fmt = end + ("IBBHQQ" if is64 else "IIIBBH")
     sym_entsize = struct.calcsize(sym_fmt)
     symbols: list[SymbolRecord] = []
@@ -285,18 +276,13 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 if table_type == SHT_DYNSYM and (name, st_value) in seen:
                     continue
                 seen.add((name, st_value))
-                kind = _kind_name(st_info & 0xF)
+                if st_info & 0xF != STT_FUNC:
+                    continue
                 if st_shndx == SHN_UNDEF:
-                    imports += kind == "function"
+                    imports += 1
                     continue
                 symbols.append(
-                    SymbolRecord(
-                        name=name,
-                        value=st_value,
-                        size=st_size,
-                        kind=kind,
-                        binding=_binding_name(st_info >> 4),
-                    )
+                    SymbolRecord(name, st_value, st_size, _binding_name(st_info >> 4))
                 )
     if imports:
         diagnostics.append(
@@ -308,13 +294,11 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
             )
         )
 
-    machine = MACHINE_NAMES.get(e_machine, "other")
     return BinaryImage(
         source_path=source_path,
         content_digest=digest_binary(data),
         word_size=64 if is64 else 32,
         endianness=endianness,
-        machine=machine,
         machine_code=e_machine,
         sections=tuple(sections),
         symbols=tuple(symbols),
@@ -355,8 +339,7 @@ def function_symbols(
     kept: list[tuple[SymbolRecord, SectionRecord]] = []
     diagnostics: list[Diagnostic] = []
     ordered = sorted(
-        (s for s in image.symbols if s.kind == "function"),
-        key=lambda s: (s.value, s.name, s.binding, s.size),
+        image.symbols, key=lambda s: (s.value, s.name, s.binding, s.size)
     )
     for sym in ordered:
         sec = section_of(image, sym.value)

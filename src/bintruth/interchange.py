@@ -45,7 +45,6 @@ from .normalize import (
     GroundTruthDocument,
     GroundTruthFunction,
     RunConfig,
-    is_complete,
 )
 from .scoring import CorpusSummary, ScoreResult, ToolReport
 
@@ -708,9 +707,11 @@ def _encode(value, newline: str) -> str:
 
 
 def _load(text: str, schema: dict) -> dict:
+    # A JSONDecodeError is a ValueError, and so is the refusal of an integer
+    # literal too long to convert; a RecursionError is nesting too deep.
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _check(payload, schema, "$")
     return payload
@@ -827,7 +828,7 @@ def document_to_json(doc: GroundTruthDocument, config: RunConfig | None = None) 
         "path": doc.binary.source_path,
         "digest_hex": doc.binary.content_digest.hex(),
         "word_size": doc.binary.word_size,
-        "machine": machine_label(doc.binary.machine, doc.binary.machine_code),
+        "machine": machine_label(doc.binary.machine_code),
     }
     meta = {"generator": GENERATOR, "config": _config_payload(config)}
     return "".join([
@@ -849,15 +850,15 @@ _MACHINE_CODES = {name: code for code, name in MACHINE_NAMES.items()}
 _OTHER_MACHINE = re.compile(r"other\((0|[1-9][0-9]{0,4})\)")
 
 
-def _machine_from_label(label: str) -> tuple[str, int]:
-    """The (machine, code) pair whose :func:`machine_label` is ``label``."""
+def _machine_from_label(label: str) -> int:
+    """The e_machine code whose :func:`machine_label` is ``label``."""
     if label in _MACHINE_CODES:
-        return label, _MACHINE_CODES[label]
+        return _MACHINE_CODES[label]
     match = _OTHER_MACHINE.fullmatch(label)
     if match:
         code = int(match[1])
         if code < 1 << 16 and code not in MACHINE_NAMES:
-            return "other", code
+            return code
     raise SchemaError(f"unrecognized machine label {label!r}")
 
 
@@ -870,12 +871,17 @@ def document_from_json(text: str) -> GroundTruthDocument:
     except ValueError as exc:  # a model invariant the schema cannot state
         raise SchemaError(str(exc)) from exc
     _check_document(doc)
+    if payload["complete"] != doc.complete:  # doc.complete is derived
+        raise SchemaError(
+            "complete must be true exactly when no error-severity "
+            "GT_INCOMPLETE_EXCLUDED diagnostic is present"
+        )
     return doc
 
 
 def _document(payload: dict) -> GroundTruthDocument:
     binary = payload["binary"]
-    machine, machine_code = _machine_from_label(binary["machine"])
+    machine_code = _machine_from_label(binary["machine"])
     functions = []
     append = functions.append
     for fn in payload["functions"]:
@@ -913,13 +919,11 @@ def _document(payload: dict) -> GroundTruthDocument:
             binary["path"],
             bytes.fromhex(binary["digest_hex"]),
             binary["word_size"],
-            machine,
             machine_code,
         ),
         tuple(functions),
         _byte_map(payload["byte_classes"]),
         diagnostics,
-        payload["complete"],
     )
 
 
@@ -944,11 +948,6 @@ def _check_document(doc: GroundTruthDocument) -> None:
                 f"byte run at {run.start:#x} overlaps or precedes the run before it"
             )
         end = run.end
-    if doc.complete != is_complete(doc.diagnostics):
-        raise SchemaError(
-            "complete must be true exactly when no error-severity "
-            "GT_INCOMPLETE_EXCLUDED diagnostic is present"
-        )
 
 
 def report_to_json(report: ToolReport) -> str:

@@ -103,23 +103,19 @@ class SectionRecord:
         return self.vaddr + self.size
 
 
-SYMBOL_KINDS = ("function", "object", "other")
 SYMBOL_BINDINGS = ("local", "global", "weak")
 
 
 @dataclass(frozen=True, slots=True)
 class SymbolRecord:
-    """One symbol-table row.  ``size == 0`` means unknown, never empty."""
+    """One defined function symbol.  ``size == 0`` means unknown, never empty."""
 
     name: str
     value: int
     size: int
-    kind: str
     binding: str
 
     def __post_init__(self) -> None:
-        if self.kind not in SYMBOL_KINDS:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.binding not in SYMBOL_BINDINGS:
             raise ValueError(f"unknown symbol binding {self.binding!r}")
 
@@ -129,11 +125,9 @@ class SymbolRecord:
 MACHINE_NAMES = {3: "x86", 62: "x86_64"}
 
 
-def machine_label(machine: str, machine_code: int) -> str:
-    """Human/JSON form of the machine field, e.g. ``x86`` or ``other(40)``."""
-    if machine == "other":
-        return f"other({machine_code})"
-    return machine
+def machine_label(code: int) -> str:
+    """Human/JSON form of an e_machine code, e.g. ``x86`` or ``other(40)``."""
+    return MACHINE_NAMES.get(code, f"other({code})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,14 +137,14 @@ class BinaryImage:
     ``sections`` mirrors the section header table in order (index 0 is the
     null section). ``mapped_sections`` holds the mapped ones in address
     order and ``mapped_starts`` their addresses, sorted once per image for
-    :func:`elf.section_of` and the byte map.
+    :func:`elf.section_of` and the byte map. ``symbols`` holds the defined
+    function symbols only.
     """
 
     source_path: str
     content_digest: bytes
     word_size: int
     endianness: str
-    machine: str
     machine_code: int
     sections: tuple[SectionRecord, ...]
     symbols: tuple[SymbolRecord, ...]
@@ -165,6 +159,11 @@ class BinaryImage:
         mapped = sorted((s for s in self.sections if s.mapped), key=lambda s: s.vaddr)
         object.__setattr__(self, "mapped_sections", tuple(mapped))
         object.__setattr__(self, "mapped_starts", tuple([s.vaddr for s in mapped]))
+
+    @property
+    def machine(self) -> str:
+        """``x86``, ``x86_64`` or ``other``, named from ``machine_code``."""
+        return MACHINE_NAMES.get(self.machine_code, "other")
 
     def section_bytes(self, sec: SectionRecord, start: int, end: int) -> bytes | None:
         """The file bytes of ``[start, end)``, a range inside ``sec``.

@@ -187,17 +187,7 @@ class BinarySummary:
     source_path: str
     content_digest: bytes
     word_size: int
-    machine: str
     machine_code: int
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruthDocument:
-    binary: BinarySummary
-    functions: tuple[GroundTruthFunction, ...]
-    byte_classes: ByteClassMap
-    diagnostics: tuple[Diagnostic, ...]
-    complete: bool
 
 
 def is_complete(diagnostics: Iterable[Diagnostic]) -> bool:
@@ -205,6 +195,20 @@ def is_complete(diagnostics: Iterable[Diagnostic]) -> bool:
     return not any(
         d.severity == "error" and d.code == GT_INCOMPLETE_EXCLUDED for d in diagnostics
     )
+
+
+@dataclass(frozen=True, slots=True)
+class GroundTruthDocument:
+    """``complete`` is derived from the diagnostics by :func:`is_complete`."""
+
+    binary: BinarySummary
+    functions: tuple[GroundTruthFunction, ...]
+    byte_classes: ByteClassMap
+    diagnostics: tuple[Diagnostic, ...]
+    complete: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "complete", is_complete(self.diagnostics))
 
 
 @dataclass(slots=True)
@@ -599,11 +603,9 @@ def build_ground_truth(
             source_path=image.source_path,
             content_digest=image.content_digest,
             word_size=image.word_size,
-            machine=image.machine,
             machine_code=image.machine_code,
         ),
         functions=_freeze(works),
         byte_classes=byte_map,
         diagnostics=tuple(diagnostics),
-        complete=is_complete(diagnostics),
     )

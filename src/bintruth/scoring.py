@@ -7,7 +7,7 @@ counts as a correct boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .byteclass import ByteClassMap
@@ -89,19 +89,6 @@ class Mismatch:
             raise ValueError(f"unknown mismatch kind {self.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreResult:
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-    precision: Fraction
-    recall: Fraction
-    f1: Fraction
-    mismatches: tuple[Mismatch, ...] = ()
-    policy: MatchPolicy | None = None
-    warnings: tuple[str, ...] = ()
-
-
 def _ratio(num: int, den: int) -> Fraction:
     # A tool that claims nothing has made no false claims.
     return Fraction(1) if den == 0 else Fraction(num, den)
@@ -114,6 +101,29 @@ def f1_score(precision: Fraction, recall: Fraction) -> Fraction:
     return 2 * precision * recall / total
 
 
+@dataclass(frozen=True, slots=True)
+class ScoreResult:
+    """The counts of one comparison; the metrics are derived from them."""
+
+    true_positives: int
+    false_positives: int
+    false_negatives: int
+    mismatches: tuple[Mismatch, ...] = ()
+    policy: MatchPolicy | None = None
+    warnings: tuple[str, ...] = ()
+    precision: Fraction = field(init=False)
+    recall: Fraction = field(init=False)
+    f1: Fraction = field(init=False)
+
+    def __post_init__(self) -> None:
+        tp = self.true_positives
+        precision = _ratio(tp, tp + self.false_positives)
+        recall = _ratio(tp, tp + self.false_negatives)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
+        object.__setattr__(self, "f1", f1_score(precision, recall))
+
+
 def _finish(
     tp: int,
     fp: int,
@@ -124,19 +134,7 @@ def _finish(
 ) -> ScoreResult:
     if tp == 0 and fp == 0 and fn == 0:
         warnings.append("EMPTY_COMPARISON")
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    return ScoreResult(
-        tp,
-        fp,
-        fn,
-        precision,
-        recall,
-        f1_score(precision, recall),
-        tuple(mismatches),
-        policy,
-        tuple(warnings),
-    )
+    return ScoreResult(tp, fp, fn, tuple(mismatches), policy, tuple(warnings))
 
 
 def score_functions(

@@ -302,9 +302,8 @@ def reference_payload(doc, config, generator: str) -> dict:
         return f"0x{value:x}"
 
     binary = doc.binary
-    machine = binary.machine
-    if machine == "other":
-        machine = f"other({binary.machine_code})"
+    code = binary.machine_code
+    machine = {3: "x86", 62: "x86_64"}.get(code, f"other({code})")
     edges = config.call_edges
     return {
         "schema_version": 1,

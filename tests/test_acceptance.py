@@ -31,13 +31,12 @@ def _pipeline(data, config=None):
     return normalize.build_ground_truth(image, config)
 
 
-def _truth(functions, complete=True):
+def _truth(functions):
     return GroundTruthDocument(
-        binary=BinarySummary("mem", DIGEST, 64, "x86_64", 62),
+        binary=BinarySummary("mem", DIGEST, 64, 62),
         functions=tuple(functions),
         byte_classes=ByteClassMap(()),
         diagnostics=(),
-        complete=complete,
     )
 
 

@@ -224,7 +224,6 @@ def test_fileless_executable_gaps_stay_unknown():
         content_digest=digest_binary(b""),
         word_size=64,
         endianness="little",
-        machine="x86_64",
         machine_code=62,
         sections=(sec,),
         symbols=(),

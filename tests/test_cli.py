@@ -425,6 +425,24 @@ def test_score_names_a_report_that_is_not_utf8(tmp_path, capsys, preset_docs):
     assert err.startswith(f"bintruth score: {report}: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize(
+    ("command", "huge_side"), [("score", 0), ("score", 1), ("diff", 1)]
+)
+def test_a_json_integer_too_long_to_convert_exits_2(
+    tmp_path, capsys, preset_docs, command, huge_side
+):
+    doc = preset_docs["listing1"]
+    paths = [write_truth(tmp_path, doc, "l1"), write_report(tmp_path, doc, "l1")]
+    if command == "diff":
+        paths[1] = write_truth(tmp_path, doc, "other")
+    huge = paths[huge_side]
+    huge.write_text('{"schema_version": ' + "1" * 5_000 + "}")
+    code, out, err = run(capsys, command, *map(str, paths))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bintruth {command}: {huge}: not valid JSON: ")
+
+
 # --- diff ----------------------------------------------------------------------
 
 

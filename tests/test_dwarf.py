@@ -404,7 +404,6 @@ def _synthetic_image(
         content_digest=digest_binary(bytes(raw)),
         word_size=64,
         endianness=endianness,
-        machine="x86_64",
         machine_code=62,
         sections=tuple(sections),
         symbols=(),

@@ -159,7 +159,7 @@ def test_elf32_round_trip(preset_images):
     assert image.word_size == 32
     assert image.machine == "x86"
     assert image.machine_code == 3
-    syms = {s.name: s for s in image.symbols if s.kind == "function"}
+    syms = {s.name: s for s in image.symbols}
     assert syms["fix_syms"].value == 0x080B41C0
     assert syms["fix_syms"].size == 8
     assert syms["fix_syms."].value == 0x080B41C8
@@ -264,9 +264,7 @@ def test_dynsym_duplicates_of_symtab_rows_are_dropped():
     )
     assert strtab_idx  # keep the link valid for both tables
     image = elf.parse_image(bytes(data))
-    plain_funcs = [s for s in plain.symbols if s.kind == "function"]
-    patched_funcs = [s for s in image.symbols if s.kind == "function"]
-    assert len(patched_funcs) == len(plain_funcs)
+    assert len(image.symbols) == len(plain.symbols)
 
 
 def test_unknown_binding_ranks_as_local():
@@ -274,8 +272,7 @@ def test_unknown_binding_ranks_as_local():
     off = _first_symbol_entry_offset(bytes(data))
     data[off + 4] = (10 << 4) | elf.STT_FUNC
     image = elf.parse_image(bytes(data))
-    sym = next(s for s in image.symbols if s.kind == "function")
-    assert sym.binding == "local"
+    assert image.symbols[0].binding == "local"
 
 
 # --- function_symbols filtering -------------------------------------------
@@ -314,6 +311,50 @@ def test_function_symbols_filters_and_reports():
     assert len(by_code[GT_MISSING_SIZE]) == 1
 
 
+def _symbol_rows(data: bytes):
+    """(file offset, name) of each .symtab row of a forged ELF32 image."""
+    image = elf.parse_image(data)
+    symtab = next(s for s in image.sections if s.name == ".symtab")
+    strtab = next(s for s in image.sections if s.name == ".strtab")
+    for row in range(symtab.file_offset, symtab.file_offset + symtab.size, 16):
+        st_name = struct.unpack_from("<I", data, row)[0]
+        yield row, data[strtab.file_offset + st_name :].split(b"\0", 1)[0]
+
+
+def _kinds_spec():
+    text = SectionSpec(".text", 0x401000, executable=True)
+    data = SectionSpec(".data", 0x402000, content=b"\xaa" * 16, writable=True)
+    extras = (
+        ExtraSymbolSpec("table", ".data", offset=0, size=8, kind="object"),
+        ExtraSymbolSpec("marker", ".text", offset=4, kind="other"),
+        ExtraSymbolSpec("helper", ".text", offset=8, size=8, kind="function"),
+    )
+    fn = FunctionSpec("main", 0, forge._fixed_body(16))
+    return BinarySpec(sections=(text, data), functions=(fn,), extra_symbols=extras)
+
+
+def test_only_defined_function_symbols_are_built():
+    image = elf.parse_image(emit(_kinds_spec()))
+    assert sorted((s.name, s.value, s.size) for s in image.symbols) == [
+        ("helper", 0x401008, 8),
+        ("main", 0x401000, 16),
+    ]
+
+
+def test_a_bad_object_symbol_name_is_still_reported():
+    """Every row's name is read, not only the rows kept."""
+    base = emit(_kinds_spec())
+    data = bytearray(base)
+    (row,) = [row for row, name in _symbol_rows(base) if name == b"table"]
+    struct.pack_into("<I", data, row, 0xFFFF)  # st_name
+    image = elf.parse_image(bytes(data))
+    assert sorted(s.name for s in image.symbols) == ["helper", "main"]
+    diags = [d for d in image.parse_diagnostics if d.code == GT_BAD_STRING_OFFSET]
+    assert [(d.severity, d.message) for d in diags] == [
+        ("error", "symbol name offset 65535 outside string table")
+    ]
+
+
 def test_undefined_function_symbols_are_one_count():
     """Imports name no byte of the image: they leave no symbol and one
     diagnostic that counts the function ones."""
@@ -324,12 +365,7 @@ def test_undefined_function_symbols_are_one_count():
     )
     base = emit(dataclasses.replace(_filter_spec(), extra_symbols=extras))
     data = bytearray(base)
-    image = elf.parse_image(base)
-    symtab = next(s for s in image.sections if s.name == ".symtab")
-    strtab = next(s for s in image.sections if s.name == ".strtab")
-    for row in range(symtab.file_offset, symtab.file_offset + symtab.size, 16):
-        st_name = struct.unpack_from("<I", data, row)[0]
-        name = base[strtab.file_offset + st_name :].split(b"\0", 1)[0]
+    for row, name in _symbol_rows(base):
         if name in (b"puts", b"free", b"environ"):
             struct.pack_into("<H", data, row + 14, elf.SHN_UNDEF)  # st_shndx
     image = elf.parse_image(bytes(data))

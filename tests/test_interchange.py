@@ -32,7 +32,6 @@ from bintruth.normalize import (
     GroundTruthDocument,
     GroundTruthFunction,
     RunConfig,
-    is_complete,
 )
 from bintruth.scoring import (
     MatchPolicy,
@@ -359,6 +358,41 @@ def test_non_json_input_is_a_schema_error():
             document_from_json(text)
 
 
+@pytest.mark.parametrize("loader", [document_from_json, report_from_json])
+def test_an_integer_too_long_to_convert_is_a_schema_error(loader):
+    """json.loads refuses an integer literal of more than 4,300 digits with
+    a plain ValueError, not a JSONDecodeError."""
+    with pytest.raises(SchemaError, match="^not valid JSON: "):
+        loader('{"schema_version": ' + "1" * 5_000 + "}")
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_the_complete_flag_must_match_the_diagnostics(preset_docs, complete):
+    """The loaded document derives complete from its diagnostics; a file
+    whose own flag says otherwise is refused."""
+    text = document_to_json(preset_docs["listing1"])
+
+    def flip(p):
+        if complete:  # complete stays true beside an exclusion
+            p["diagnostics"].append(
+                {
+                    "severity": "error",
+                    "code": "GT_INCOMPLETE_EXCLUDED",
+                    "message": "excluded",
+                    "span": None,
+                }
+            )
+        else:
+            p["complete"] = False
+
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(_mutate(text, flip))
+    assert str(exc.value) == (
+        "complete must be true exactly when no error-severity "
+        "GT_INCOMPLETE_EXCLUDED diagnostic is present"
+    )
+
+
 def test_overlapping_functions_are_refused(preset_docs):
     """Two functions over the same bytes would let an exact report score
     below 1: one of them is never claimed."""
@@ -636,29 +670,21 @@ _DIAGNOSTICS = st.lists(
     ),
     max_size=4,
 )
-_MACHINES = st.sampled_from([(name, code) for code, name in MACHINE_NAMES.items()]) | (
-    st.integers(0, 2**16 - 1).filter(lambda c: c not in MACHINE_NAMES).map(
-        lambda c: ("other", c)
-    )
-)
+_MACHINES = st.sampled_from(sorted(MACHINE_NAMES)) | st.integers(0, 2**16 - 1)
 
 
 @st.composite
 def _documents(draw) -> GroundTruthDocument:
-    machine, machine_code = draw(_MACHINES)
-    diagnostics = tuple(draw(_DIAGNOSTICS))
     return GroundTruthDocument(
         BinarySummary(
             draw(_TEXT),
             draw(st.binary(min_size=32, max_size=32)),
             draw(st.sampled_from([32, 64])),
-            machine,
-            machine_code,
+            draw(_MACHINES),
         ),
         draw(_functions()),
         draw(_byte_runs()),
-        diagnostics,
-        is_complete(diagnostics),
+        tuple(draw(_DIAGNOSTICS)),
     )
 
 

@@ -47,11 +47,9 @@ def test_section_contains_and_end():
     assert sec.end == 0x1020
 
 
-def test_symbol_record_validates_kind_and_binding():
-    with pytest.raises(ValueError, match="kind"):
-        SymbolRecord("f", 0, 1, "method", "local")
+def test_symbol_record_validates_binding():
     with pytest.raises(ValueError, match="binding"):
-        SymbolRecord("f", 0, 1, "function", "extern")
+        SymbolRecord("f", 0, 1, "extern")
 
 
 @pytest.mark.parametrize(
@@ -59,17 +57,18 @@ def test_symbol_record_validates_kind_and_binding():
     [("x86", 3, "x86"), ("x86_64", 62, "x86_64"), ("other", 40, "other(40)")],
 )
 def test_machine_label(machine, code, label):
-    assert machine_label(machine, code) == label
+    """The label and the image's machine name both derive from the code."""
+    assert machine_label(code) == label
+    assert _image((), b"", code).machine == machine
 
 
-def _image(sections, raw):
+def _image(sections, raw, machine_code=62):
     return BinaryImage(
         source_path="mem",
         content_digest=digest_binary(raw),
         word_size=64,
         endianness="little",
-        machine="x86_64",
-        machine_code=62,
+        machine_code=machine_code,
         sections=sections,
         symbols=(),
         raw=raw,

@@ -16,16 +16,21 @@ from bintruth.forge import (
     emit,
 )
 from bintruth.model import (
+    DIAGNOSTIC_CODES,
     GT_ALIAS_MERGED,
     GT_INCOMPLETE_EXCLUDED,
     GT_MULTI_ENTRY_MERGED,
     GT_PADDING_TRIMMED,
     GT_SIZE_OVERLAP,
     GT_START_MISMATCH,
+    SEVERITIES,
+    Diagnostic,
     SectionRecord,
     SymbolRecord,
 )
 from bintruth.normalize import (
+    BinarySummary,
+    GroundTruthDocument,
     GroundTruthFunction,
     RunConfig,
     annotate_noreturn,
@@ -54,7 +59,6 @@ def _image_with(symbols, sections=(TEXT,), raw=None):
         content_digest=digest_binary(raw),
         word_size=64,
         endianness="little",
-        machine="x86_64",
         machine_code=62,
         sections=tuple(sections),
         symbols=tuple(symbols),
@@ -63,7 +67,7 @@ def _image_with(symbols, sections=(TEXT,), raw=None):
 
 
 def _func(name, value, size, binding="local"):
-    return SymbolRecord(name, value, size, "function", binding)
+    return SymbolRecord(name, value, size, binding)
 
 
 # --- name lists and call edges ----------------------------------------------
@@ -137,6 +141,34 @@ def test_default_lists_are_nonempty():
     assert normalize.padding_alphabet("x86")
     assert normalize.padding_alphabet("x86") == normalize.padding_alphabet("x86_64")
     assert normalize.padding_alphabet("other") == ()
+
+
+# --- the document's derived completeness --------------------------------------
+
+
+def _document(diagnostics):
+    binary = BinarySummary("mem", bytes(32), 64, 62)
+    return GroundTruthDocument(binary, (), byteclass.ByteClassMap(()), diagnostics)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(SEVERITIES), st.sampled_from(sorted(DIAGNOSTIC_CODES))),
+        max_size=4,
+    )
+)
+def test_a_document_is_incomplete_exactly_when_an_error_excludes(pairs):
+    doc = _document(tuple(Diagnostic(sev, code, "m") for sev, code in pairs))
+    assert doc.complete == (("error", GT_INCOMPLETE_EXCLUDED) not in pairs)
+
+
+def test_completeness_cannot_be_set_apart_from_the_diagnostics():
+    doc = _document(())
+    for complete in (True, False):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(doc, complete=complete)
+    with pytest.raises(TypeError):
+        GroundTruthDocument(doc.binary, (), doc.byte_classes, (), complete=False)
 
 
 # --- alias dedup -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from bintruth.byteclass import ByteClassMap, ByteRun
+from bintruth.model import GT_INCOMPLETE_EXCLUDED, Diagnostic
 from bintruth.normalize import BinarySummary, GroundTruthDocument, GroundTruthFunction
 from bintruth.scoring import (
     BOUNDARY_RULES,
@@ -18,6 +19,7 @@ from bintruth.scoring import (
     MissingSizesError,
     ScoreResult,
     ToolReport,
+    _ratio,
     canonical_threshold,
     corpus_aggregate,
     f1_score,
@@ -28,13 +30,15 @@ from bintruth.scoring import (
 DIGEST = b"\x11" * 32
 
 
+_INCOMPLETE = Diagnostic("error", GT_INCOMPLETE_EXCLUDED, "some bytes went unread")
+
+
 def make_truth(functions, complete=True, digest=DIGEST):
     return GroundTruthDocument(
-        binary=BinarySummary("mem", digest, 64, "x86_64", 62),
+        binary=BinarySummary("mem", digest, 64, 62),
         functions=tuple(functions),
         byte_classes=ByteClassMap(()),
-        diagnostics=(),
-        complete=complete,
+        diagnostics=() if complete else (_INCOMPLETE,),
     )
 
 
@@ -311,17 +315,23 @@ def test_byte_class_maps_must_cover_the_same_bytes():
         score_byte_classes(truth, pred)
 
 
+@pytest.mark.parametrize(
+    ("tp", "fp", "fn"), [(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (3, 1, 2)]
+)
+def test_score_metrics_derive_from_the_counts(tp, fp, fn):
+    result = ScoreResult(tp, fp, fn)
+    assert result.precision == _ratio(tp, tp + fp)
+    assert result.recall == _ratio(tp, tp + fn)
+    assert result.f1 == f1_score(result.precision, result.recall)
+    with pytest.raises(TypeError):
+        ScoreResult(tp, fp, fn, precision=Fraction(0))
+
+
 # --- corpus aggregation -------------------------------------------------------
 
 
-def _result(tp, fp, fn):
-    p = Fraction(1) if tp + fp == 0 else Fraction(tp, tp + fp)
-    r = Fraction(1) if tp + fn == 0 else Fraction(tp, tp + fn)
-    return ScoreResult(tp, fp, fn, p, r, f1_score(p, r))
-
-
 def test_micro_pools_counts_and_macro_averages_ratios():
-    results = [_result(1, 0, 0), _result(1, 1, 1)]
+    results = [ScoreResult(1, 0, 0), ScoreResult(1, 1, 1)]
     summary = corpus_aggregate(results)
     assert summary.n == 2
     assert summary.micro_precision == Fraction(2, 3)
@@ -331,7 +341,7 @@ def test_micro_pools_counts_and_macro_averages_ratios():
 
 
 def test_thresholds_use_exact_comparison():
-    results = [_result(12, 1, 0), _result(9, 0, 1), _result(1, 0, 0)]
+    results = [ScoreResult(12, 1, 0), ScoreResult(9, 0, 1), ScoreResult(1, 0, 0)]
     assert results[0].f1 == Fraction(24, 25)
     assert results[1].f1 == Fraction(18, 19)
     summary = corpus_aggregate(results, thresholds=(0.96,))
@@ -345,5 +355,5 @@ def test_aggregating_nothing_is_an_error():
     with pytest.raises(EmptyCorpusError):
         corpus_aggregate([])
     assert isinstance(
-        corpus_aggregate([_result(1, 0, 0)]), CorpusSummary
+        corpus_aggregate([ScoreResult(1, 0, 0)]), CorpusSummary
     )

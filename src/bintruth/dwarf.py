@@ -15,25 +15,31 @@ starts, parsed when a link first needs it, and its attributes are read
 against its own bases and string tables.
 
 One compiler, ``_compile_plan``, turns each abbrev into a plan from one
-form catalog, which gives each form's width. A plan that decodes reads
-only the kinds in ``_READ_ATTRS``, the 14 ``DW_AT_*`` constants below: a
-run of fixed-width forms is one cached ``struct.Struct`` whose unread
-members are pad bytes, a variable-width form nothing reads is stepped
-over at its skip width, and flag_present and implicit_const read as
-constants. Only the first DIE of a unit and the DIEs tagged compile_unit,
-subprogram or inlined_subroutine are decoded; every other DIE is stepped
-over by a plan that reads nothing, which is a plain int when its forms
-are all fixed. The walk records where each skipped DIE starts, in rising
+form catalog, which gives each form's width. A plan is one straight-line
+Python function, generated for the abbrev and compiled with ``exec``. A
+decode reader ``(blob, pos) -> (attrs, pos)`` reads only the kinds in
+``_READ_ATTRS``, the 14 ``DW_AT_*`` constants below: the read members of
+a run of fixed-width forms are one ``struct`` read whose unread members
+are pad bytes, a variable-width form nothing reads is stepped over in
+place, and flag_present and implicit_const read as constants. A skip
+reader ``(blob, pos) -> pos`` reads nothing, and is a plain int when the
+abbrev's forms are all fixed. The source of a reader holds int literals
+and names only: structs, decoders and implicit_const values are bound in
+the namespace it is compiled in, never written into its text. Only the
+first DIE of a unit and the DIEs tagged compile_unit, subprogram or
+inlined_subroutine are decoded; every other DIE is stepped over by its
+skip reader. The walk records where each skipped DIE starts, in rising
 order in one array of 8-byte offsets that a link bisects, and a
 specification or abstract_origin link that lands on one decodes it then
-by its decode plan.
+by its decode reader.
 
-Plans check no bounds as they go. A DIE whose planned read fails, or ends
-past the section, is read again by the full decoder (``_read_attrs``),
-which raises what it hit: a read past the section end, an unterminated
-string or a runaway LEB128. That decoder also reads the DIEs whose abbrev
-has a form with no width in the catalog (indirect, or an unknown form,
-which it refuses).
+Readers check no bounds as they go. A DIE whose read fails, or ends past
+the section, is read again by the full decoder (``_read_attrs``), which
+raises what it hit: a read past the section end, an unterminated string
+or a runaway LEB128. That decoder also reads the DIEs whose abbrev has a
+form with no width in the catalog (indirect, or an unknown form, which it
+refuses) or more attributes than a reader may hold, so that a hostile
+.debug_abbrev cannot make a compile run long.
 
 Decoding keeps each attribute's raw value; ``_value`` gives it its meaning
 when the pipeline reads it, resolving string offsets and string and
@@ -41,11 +47,11 @@ address indexes against their sections then. So what an attribute points
 at is checked only if it is read: a .debug_str offset out of range in a
 variable's name or a function's linkage name leaves the unit readable.
 
-Malformed debug data never propagates as an exception. Damage found while
-resolving a unit's records drops that unit's records and diagnostics and
-reports an error naming where the unit starts; the reader then goes on
-with the next unit. Damage that stops the walk of a unit stops the reader
-there, with the same error.
+Malformed debug data never propagates as an exception. Damage in a unit
+drops that unit's records and diagnostics and reports an error naming
+where the unit starts; the reader then goes on with the next unit, which
+starts where the unit's length says. Only a damaged unit length stops the
+reader, with the same error.
 """
 from __future__ import annotations
 
@@ -53,6 +59,7 @@ import bisect
 import functools
 import struct
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import elf
@@ -325,15 +332,13 @@ class _Aux:
     linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
 
 
-# A plan is None when a form has no width in the catalog: the full
-# decoder reads such DIEs. A skip plan is a tuple of steps, or an int when
-# every form is fixed. A decode plan is (constants, steps): ``constants``
-# holds (attr, (form, raw value)) for the read flag_present and
-# implicit_const attributes. A step is a width to step over (a skip width
-# kind when negative), a fixed run (struct.Struct, attrs, forms) whose
-# unread members are pad bytes, or a variable-width read (reader, attr,
-# form), ``reader(blob, pos)`` giving (raw value, next position).
-_Plan = int | tuple | None
+# A plan is None when a form has no width in the catalog, or when the abbrev
+# lists more than _MAX_PLAN_ATTRS attributes: the full decoder reads such
+# DIEs. A skip plan is the DIEs' width when every form is fixed, else a
+# generated reader ``(blob, pos) -> next position``. A decode plan is a
+# generated reader ``(blob, pos) -> (attrs, next position)``, ``attrs``
+# holding (form, raw value) by attribute for the kinds in _READ_ATTRS.
+_Plan = int | Callable | None
 # abbrev code -> (tag, ((attr, form, implicit), ...), plan, decode plan?)
 _Abbrevs = dict[int, tuple[int, tuple, _Plan, bool]]
 
@@ -357,50 +362,10 @@ class _Unit:
     rnglists_base: int = 12
 
 
-_Struct = struct.Struct
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q", 16: "16s"}
-
-
-def _reader(width: int, form: int, little_endian: bool):
-    """(blob, pos) -> (raw value, next position) for a read form of ``width``
-    that no struct format holds: LEB128, strings, blocks, 3-byte indexes."""
-    if width == _LEB:
-        return sleb_decode if form == 0x0D else uleb_decode
-    if width == _CSTR:
-        return _cstr_at
-    if width == 3:  # strx3 and addrx3
-        order = "little" if little_endian else "big"
-        return lambda blob, pos: (int.from_bytes(blob[pos : pos + 3], order), pos + 3)
-
-    def block(blob: bytes, pos: int) -> tuple[bytes, int]:
-        if width == _BLOCK_LEB:
-            length, pos = uleb_decode(blob, pos)
-        else:
-            size = _BLOCK_LENGTHS[width]
-            length = _UINT_READERS[little_endian][size].unpack_from(blob, pos)[0]
-            pos += size
-        return blob[pos : pos + length], pos + length
-
-    return block
-
-
-def _fixed_step(run: list, little_endian: bool) -> list:
-    """The step for a run of fixed-width attributes, given as (width, attr
-    or None when unread, form): one struct whose unread members are pad
-    bytes, or the run's width when it reads nothing."""
-    read = [(attr, form) for _width, attr, form in run if attr is not None]
-    if not read:
-        total = sum(width for width, _attr, _form in run)
-        return [total] if total else []
-    fmt, pad = "<" if little_endian else ">", 0
-    for width, attr, _form in run:
-        if attr is None:
-            pad += width
-            continue
-        fmt += (f"{pad}x" if pad else "") + _STRUCT_CODES[width]
-        pad = 0
-    attrs, forms = zip(*read)
-    return [(_Struct(fmt + (f"{pad}x" if pad else "")), attrs, forms)]
+# An abbrev of more attributes gets no plan, which bounds the source of a
+# generated reader and the time to compile it.
+_MAX_PLAN_ATTRS = 64
 
 
 @functools.lru_cache(maxsize=4096)
@@ -413,11 +378,11 @@ def _compile_plan(
     read at its last place, whose value the full decoder keeps. A skip plan
     (``decode`` false) reads nothing.
     """
+    if len(pairs) > _MAX_PLAN_ATTRS:
+        return None
     widths = _form_widths(version, addr_size)
     last = {attr: i for i, (attr, _form, _implicit) in enumerate(pairs)}
-    constants: list = []
-    steps: list = []
-    run: list = []  # the fixed-width attributes since the last variable one
+    source = _ReaderSource(little_endian)
     for i, (attr, form, implicit) in enumerate(pairs):
         width = widths.get(form)
         if width is None:
@@ -425,19 +390,125 @@ def _compile_plan(
         read = decode and attr in _READ_ATTRS and last[attr] == i
         if width == 0:  # flag_present and implicit_const
             if read:
-                constants.append((attr, (form, implicit if form == 0x21 else b"")))
-        elif width > 0 and not (read and width == 3):
-            run.append((width, attr if read else None, form))
+                value = (form, implicit if form == 0x21 else b"")
+                source.items.append(f"{attr}: {source.bind(value)}")
+        elif width > 0:
+            source.fixed_form(width, attr, form, read)
         else:
-            steps += _fixed_step(run, little_endian)
-            run = []
-            steps.append((_reader(width, form, little_endian), attr, form) if read else width)
-    steps += _fixed_step(run, little_endian)
-    if decode:
-        return tuple(constants), tuple(steps)
-    if all(step.__class__ is int and step >= 0 for step in steps):
-        return sum(steps)
-    return tuple(steps)
+            source.variable_form(width, attr, form, read)
+    if not decode and not source.lines:
+        return source.offset
+    return source.function(decode)
+
+
+class _ReaderSource:
+    """The lines of one generated reader and the names they read.
+
+    In the source, ``pos`` is where the last variable-width value ended,
+    and ``offset`` counts the fixed bytes since, from which fixed values are
+    read; it is added to ``pos`` only before the next variable-width value.
+    The fixed values read since then wait in ``run`` as (offset, width,
+    name), to be read by one struct whose unread members are pad bytes.
+    The source holds no value from the abbrev but int literals: structs,
+    decoders and constant values are names bound in its namespace.
+    """
+
+    def __init__(self, little_endian: bool):
+        self.order = "<" if little_endian else ">"
+        self.lines: list[str] = []
+        self.items: list[str] = []  # "attr: value" of the decoded attributes
+        self.namespace: dict[str, object] = {
+            "uleb": uleb_decode,
+            "sleb": sleb_decode,
+            "cstr": _cstr_at,
+            "order": "little" if little_endian else "big",
+        }
+        self.offset = 0
+        self.run: list[tuple[int, int, str]] = []
+
+    def bind(self, value: object) -> str:
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def new_value(self, attr: int, form: int) -> str:
+        """The name of a new local that holds ``attr``'s raw value of ``form``."""
+        name = f"v{len(self.items)}"
+        self.items.append(f"{attr}: ({form}, {name})")
+        return name
+
+    def at(self, offset: int) -> str:
+        return f"pos + {offset}" if offset else "pos"
+
+    def fixed_form(self, width: int, attr: int, form: int, read: bool) -> None:
+        if read and width == 3:  # strx3 and addrx3 have no struct code
+            name, at = self.new_value(attr, form), self.offset
+            self.lines.append(
+                f"{name} = int.from_bytes(blob[{self.at(at)}:{self.at(at + 3)}], order)"
+            )
+        elif read:
+            self.run.append((self.offset, width, self.new_value(attr, form)))
+        self.offset += width
+
+    def flush(self) -> None:
+        """Read the run of fixed values."""
+        if not self.run:
+            return
+        fmt, end = self.order, self.run[0][0]
+        for offset, width, _name in self.run:
+            fmt += (f"{offset - end}x" if offset > end else "") + _STRUCT_CODES[width]
+            end = offset + width
+        names = "".join(f"{name}, " for _offset, _width, name in self.run)
+        unpack = self.bind(struct.Struct(fmt).unpack_from)
+        self.lines.append(f"{names}= {unpack}(blob, {self.at(self.run[0][0])})")
+        self.run = []
+
+    def variable_form(self, width: int, attr: int, form: int, read: bool) -> None:
+        self.flush()
+        if self.offset:
+            self.lines.append(f"pos += {self.offset}")
+        self.offset = 0
+        name = self.new_value(attr, form) if read else "n"
+        if width == _LEB and read:
+            self.lines.append(f"{name}, pos = {'sleb' if form == 0x0D else 'uleb'}(blob, pos)")
+        elif width == _LEB:
+            self.lines += ["while blob[pos] & 0x80:", "    pos += 1"]
+            self.offset = 1
+        elif width == _CSTR:
+            self.lines.append(
+                f"{name}, pos = cstr(blob, pos)" if read else "pos = blob.index(0, pos) + 1"
+            )
+        elif width == _BLOCK_LEB and not read:  # exprloc, the most frequent
+            self.lines += [
+                "n = blob[pos]",
+                "if n < 0x80:",
+                "    pos += n + 1",
+                "else:",
+                "    n, pos = uleb(blob, pos)",
+                "    pos += n",
+            ]
+        else:  # a length, then that many bytes
+            if width == _BLOCK_LEB:
+                self.lines.append("n, pos = uleb(blob, pos)")
+            else:
+                size = self.offset = _BLOCK_LENGTHS[width]
+                unpack = self.bind(struct.Struct(self.order + _STRUCT_CODES[size]).unpack_from)
+                self.lines.append(f"n = {unpack}(blob, pos)[0]")
+            start = self.at(self.offset)
+            if read:
+                self.lines.append(f"{name} = blob[{start}:{start} + n]")
+            self.lines.append(f"pos = {start} + n")
+            self.offset = 0
+
+    def function(self, decode: bool):
+        """The reader the lines make, compiled."""
+        self.flush()
+        end = self.at(self.offset)
+        result = f"{{{', '.join(self.items)}}}, {end}" if decode else end
+        body = [*self.lines, f"return {result}"]
+        text = "def reader(blob, pos):\n" + "\n".join(f"    {line}" for line in body)
+        exec(compile(text, "<dwarf reader>", "exec"), self.namespace)
+        return self.namespace["reader"]
 
 
 def _parse_abbrev_table(
@@ -514,47 +585,9 @@ def _read_attrs(cur: _Cursor, pairs: tuple, unit: _Unit) -> dict[int, tuple]:
     return attrs
 
 
-# What a planned read may raise where it runs past the data; the full
+# What a generated reader may raise where it runs past the data; the full
 # decoder then reads the DIE again to raise its own message.
 _PLAN_ERRORS = (IndexError, ValueError, OverflowError, struct.error)
-
-
-def _run(blob: bytes, pos: int, steps: tuple, attrs: dict | None, readers: dict) -> int:
-    """The position after ``steps`` followed from ``pos``; reads store
-    (form, raw value) by attribute in ``attrs``.
-
-    Does no bounds checks: the result may lie past the end of ``blob``, and
-    a read past it raises one of _PLAN_ERRORS.
-    """
-    for step in steps:
-        if step.__class__ is int:
-            if step >= 0:
-                pos += step
-            elif step == _BLOCK_LEB:  # exprloc, the most frequent
-                length = blob[pos]
-                if length < 0x80:
-                    pos += length + 1
-                else:
-                    length, pos = uleb_decode(blob, pos)
-                    pos += length
-            elif step == _LEB:
-                while blob[pos] & 0x80:
-                    pos += 1
-                pos += 1
-            elif step == _CSTR:
-                pos = blob.index(0, pos) + 1
-            else:
-                size = _BLOCK_LENGTHS[step]
-                pos += size + readers[size].unpack_from(blob, pos)[0]
-            continue
-        reader, attr, form = step
-        if reader.__class__ is _Struct:  # a fixed run: attr and form are tuples
-            attrs.update(zip(attr, zip(form, reader.unpack_from(blob, pos))))  # type: ignore
-            pos += reader.size
-        else:
-            value, pos = reader(blob, pos)
-            attrs[attr] = (form, value)  # type: ignore
-    return pos
 
 
 def _decode(unit: _Unit, pos: int, pairs: tuple, plan: _Plan) -> tuple[dict, int]:
@@ -566,10 +599,8 @@ def _decode(unit: _Unit, pos: int, pairs: tuple, plan: _Plan) -> tuple[dict, int
     the DIE, and raises what it hit.
     """
     if plan is not None:
-        constants, steps = plan  # type: ignore
-        attrs = dict(constants)
         try:
-            return attrs, _run(unit.info, pos, steps, attrs, _UINT_READERS[unit.little_endian])
+            return plan(unit.info, pos)  # type: ignore
         except _PLAN_ERRORS:
             pass
     cur = _Cursor(unit.info, pos, unit.little_endian)
@@ -656,18 +687,18 @@ def _unit_end(blob: bytes, pos: int, little_endian: bool) -> int:
 def _parse_unit(
     blob: bytes,
     pos: int,
+    unit_end: int,
     little_endian: bool,
     aux: _Aux,
     unit_types: tuple[int, ...] = (DW_UT_compile,),
-) -> tuple[_Unit | None, int]:
-    """Parse the unit starting at ``pos``; returns (unit, next pos).
+) -> _Unit | None:
+    """Parse the unit that starts at ``pos`` and ends at ``unit_end``.
 
     A DWARF 5 unit of a type not in ``unit_types`` is stepped over: the
     unit is None. Decodes the first DIE and every DIE of a tag in
     _DECODED_TAGS; steps over the others by their skip plans and records
     where they start.
     """
-    unit_end = _unit_end(blob, pos, little_endian)
     cur = _Cursor(blob, pos + 4, little_endian)
     version = cur.uint(2)
     if version < 2 or version > 5:
@@ -677,7 +708,7 @@ def _parse_unit(
         if unit_type not in _UNIT_TYPES:
             raise MalformedDebugDataError(f"unit type {unit_type:#x}")
         if unit_type not in unit_types:
-            return None, unit_end
+            return None
         addr_size = cur.uint(1)
         abbrev_off = cur.uint(4)
     else:
@@ -687,14 +718,14 @@ def _parse_unit(
         raise MalformedDebugDataError(f"address size {addr_size}")
     linked = aux.linked.get(pos)
     if linked is not None:  # parsed already for a link into it
-        return linked, unit_end
+        return linked
 
     abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
     widths = _form_widths(version, addr_size)
     unit = _Unit(
         version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths
     )
-    dies, readers = unit.dies, cur.readers
+    dies = unit.dies
     mark_skipped = unit.skipped.append
     blob_end = len(blob)
     root = -1
@@ -724,7 +755,7 @@ def _parse_unit(
             dies[die_off] = _Die(tag, attrs)
         else:
             try:
-                pos = _run(blob, pos, plan, None, readers)  # type: ignore
+                pos = plan(blob, pos)  # type: ignore
             except _PLAN_ERRORS:
                 pos = blob_end + 1
             mark_skipped(die_off)
@@ -735,7 +766,7 @@ def _parse_unit(
     if root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
     unit.root = root
-    return unit, unit_end
+    return unit
 
 
 def _die_at(unit: _Unit, off: int) -> _Die | None:
@@ -776,7 +807,8 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
     start = aux.unit_starts[i]
     other = aux.linked.get(start)
     if other is None:
-        other = _parse_unit(unit.info, start, unit.little_endian, aux, _LINKED_UNITS)[0]
+        end = _unit_end(unit.info, start, unit.little_endian)
+        other = _parse_unit(unit.info, start, end, unit.little_endian, aux, _LINKED_UNITS)
         if other is None:
             return None
         _read_bases(other)
@@ -1071,9 +1103,9 @@ def extract_debug_functions(
     Absent debug info is an expected state (stripped binary) and reports
     GT_NO_DEBUG_INFO. Malformed data reports GT_MALFORMED_DEBUG_DATA with
     the start of the damaged unit, whose records and diagnostics are
-    dropped. Damage found while resolving a unit's records leaves reading
-    to go on with the next unit; a unit that does not parse ends the
-    reading of its blob, even when its length was read.
+    dropped. Reading goes on with the next unit, whether the damage was in
+    the unit's header, its walk or its records; only a damaged unit length
+    ends the reading of its blob.
     """
     info_blobs = _section_blobs(image, ".debug_info")
     diagnostics: list[Diagnostic] = []
@@ -1111,17 +1143,16 @@ def extract_debug_functions(
         data_end = len(blob.rstrip(b"\0"))  # zero padding may follow the last unit
         while pos < data_end:
             try:
-                unit, end = _parse_unit(blob, pos, little, aux)
+                end = _unit_end(blob, pos, little)
             except MalformedDebugDataError as exc:
                 diagnostics.append(_unreadable(pos, exc))
-                break  # a unit that does not parse ends this blob
-            if unit is None:  # a unit of another type yields no records
-                pos = end
-                continue
+                break  # without its length, no later unit can be found
             unit_diagnostics: list[Diagnostic] = []
             try:
-                records.extend(_unit_records(unit, image, unit_diagnostics))
-                diagnostics.extend(unit_diagnostics)
+                unit = _parse_unit(blob, pos, end, little, aux)
+                if unit is not None:  # a unit of another type yields no records
+                    records.extend(_unit_records(unit, image, unit_diagnostics))
+                    diagnostics.extend(unit_diagnostics)
             except MalformedDebugDataError as exc:
                 diagnostics.append(_unreadable(pos, exc))
             pos = end

@@ -838,11 +838,33 @@ def test_a_ref_addr_link_past_a_damaged_unit_length_names_nothing():
     assert _only_error(diags).endswith("unit length extends past .debug_info")
 
 
-def test_an_unknown_unit_type_stops_the_blob():
-    between = _unit(_PARTIAL_DIES, version=5, unit_type=0x80)
-    records, diags = extract_debug_functions(_linked_image(between))
-    assert [r.name for r in records] == ["target"]
-    assert _only_error(diags).endswith("unit type 0x80")
+def _headed_unit(header: bytes, dies: list[bytes]) -> bytes:
+    body = header + b"".join(dies) + b"\x00"
+    return struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize(
+    ("unit", "message"),
+    [
+        (_unit(_PARTIAL_DIES, version=5, unit_type=0x80), "unit type 0x80"),
+        (_headed_unit(struct.pack("<HIB", 6, 0, 8), [CU_DIE]), "DWARF version 6"),
+        (_headed_unit(struct.pack("<HIB", 4, 0, 3), [CU_DIE]), "address size 3"),
+        (
+            _headed_unit(struct.pack("<HIB", 4, 0x9999, 8), [CU_DIE]),
+            "abbrev offset 0x9999 out of range",
+        ),
+        (_unit([CU_DIE, _die(42)]), "abbrev code 42 not in table"),
+    ],
+    ids=["unit_type", "version", "address_size", "abbrev_offset", "abbrev_code"],
+)
+def test_a_unit_that_does_not_parse_is_stepped_over_by_its_length(unit, message):
+    """Its length is known, so the units after it are still read."""
+    first = _unit([CU_DIE, _die(18, b"first\x00", _ref(1), _IN_TEXT)])
+    records, diags = extract_debug_functions(_info_image(first + unit + first))
+    assert [r.name for r in records] == ["first", "first"]
+    assert _only_error(diags) == (
+        f"debug info unreadable from the unit at offset {len(first):#x}: {message}"
+    )
 
 
 def test_subprograms_without_an_address_are_counted_once_per_unit():
@@ -938,6 +960,186 @@ def test_an_attribute_given_twice_reads_its_last_value():
         full = extract_debug_functions(image)
     assert extract_debug_functions(image) == full
     assert [r.name for r in full[0]] == ["last"]
+
+
+# --- generated readers against the full decoder ----------------------------
+
+AT_DATA_LOCATION, FORM_BLOCK4, FORM_BLOCK, FORM_BLOCK1 = 0x50, 0x04, 0x09, 0x0A
+FORM_DATA16, FORM_IMPLICIT_CONST, FORM_ADDRX, AT_DECLARATION = 0x1E, 0x21, 0x1B, 0x3C
+_LONG_EXPR = uleb_encode(200) + bytes(range(200))  # a length of two LEB bytes
+
+
+def _pairs(*pairs) -> tuple:
+    """(attr, form, implicit) triples; a pair of two has no implicit value."""
+    return tuple((*p, None) if len(p) == 2 else p for p in pairs)
+
+
+_REF_ADDR_PAIRS = _pairs(
+    (AT_TYPE, FORM_REF_ADDR), (AT_SPECIFICATION, FORM_REF_ADDR), (AT_LOW_PC, FORM_ADDR)
+)
+# (version, address size, byte order, attributes, their bytes in .debug_info)
+_AGREEMENT = {
+    "big_endian_three_byte_indexes": (
+        5, 8, "big",
+        _pairs(
+            (AT_NAME, FORM_STRX3), (AT_TYPE, FORM_REF4), (AT_LOW_PC, FORM_ADDRX3),
+            (AT_HIGH_PC, FORM_DATA4), (AT_CONST_VALUE, FORM_STRX3),
+        ),
+        b"\x01\x02\x03" + b"\xaa" * 4 + b"\x00\x01\x02" + b"\x00\x00\x00\x10" + b"\x07" * 3,
+    ),
+    "dwarf2_ref_addr_32": (
+        2, 4, "little",
+        _REF_ADDR_PAIRS,
+        _ref(5) + _ref(0x40) + _ref(0x401000),
+    ),
+    "dwarf2_ref_addr_64": (
+        2, 8, "little",
+        _REF_ADDR_PAIRS,
+        struct.pack("<QQQ", 5, 0x40, 0x401000),
+    ),
+    "dwarf4_ref_addr": (
+        4, 8, "little",
+        _REF_ADDR_PAIRS,
+        _ref(5) + _ref(0x40) + struct.pack("<Q", 0x401000),
+    ),
+    "blocks": (
+        4, 8, "little",
+        _pairs(
+            (AT_NAME, FORM_BLOCK1), (AT_LOCATION, FORM_BLOCK1), (AT_DECL_FILE, FORM_BLOCK2),
+            (AT_CONST_VALUE, FORM_BLOCK2), (AT_RANGES, FORM_BLOCK4),
+            (AT_DATA_LOCATION, FORM_BLOCK4), (AT_LOW_PC, FORM_BLOCK),
+            (AT_TYPE, FORM_BLOCK), (AT_HIGH_PC, FORM_EXPRLOC), (AT_SIBLING, FORM_EXPRLOC),
+        ),
+        b"\x02ab" + b"\x01c" + b"\x03\x00def" + b"\x00\x00" + b"\x01\x00\x00\x00g"
+        + b"\x02\x00\x00\x00hi" + _LONG_EXPR + b"\x00" + _LONG_EXPR + _LONG_EXPR,
+    ),
+    "implicit_const": (
+        5, 8, "little",
+        _pairs(
+            (AT_DECL_LINE, FORM_IMPLICIT_CONST, 300), (AT_TYPE, FORM_IMPLICIT_CONST, 9),
+            (AT_NAME, FORM_STRING), (AT_DECL_FILE, FORM_IMPLICIT_CONST, -7),
+            (AT_DECLARATION, FORM_FLAG_PRESENT),
+        ),
+        b"f\x00",
+    ),
+    "listed_twice": (
+        5, 8, "little",
+        _pairs(
+            (AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDR), (AT_DECL_LINE, FORM_DATA2),
+            (AT_NAME, FORM_STRX1), (AT_DECL_LINE, FORM_UDATA), (AT_LOW_PC, FORM_ADDRX),
+        ),
+        b"first\x00" + struct.pack("<QH", 0x401000, 7) + b"\x01" + uleb_encode(300) + b"\x02",
+    ),
+    "variable_widths": (
+        4, 8, "little",
+        _pairs(
+            (AT_TYPE, FORM_UDATA), (AT_NAME, FORM_STRING), (AT_LOCATION, FORM_STRING),
+            (AT_DECL_LINE, FORM_SDATA), (AT_CONST_VALUE, FORM_SDATA), (AT_DECL_FILE, FORM_UDATA),
+            (AT_SIBLING, FORM_DATA16), (AT_HIGH_PC, FORM_DATA16), (AT_RANGES, FORM_UDATA),
+        ),
+        uleb_encode(2**70) + b"g\x00" + b"loc\x00" + sleb_encode(-300) + sleb_encode(5)
+        + uleb_encode(624485) + bytes(range(16)) + bytes(range(16, 32)) + b"\x05",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AGREEMENT))
+def test_generated_readers_read_what_the_full_decoder_reads(case):
+    version, addr_size, order, pairs, values = _AGREEMENT[case]
+    blob = values + b"\xee" * 4  # the next DIE's bytes must not be read
+    little = order == "little"
+    widths = dwarf._form_widths(version, addr_size)
+    unit = dwarf._Unit(
+        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 7), blob, {}, widths
+    )
+    cur = dwarf._Cursor(blob, 0, little)
+    full = dwarf._read_attrs(cur, pairs, unit)
+    assert cur.pos == len(values)
+    decode = dwarf._compile_plan(pairs, version, addr_size, little, True)
+    assert callable(decode)
+    assert decode(blob, 0) == (
+        {attr: got for attr, got in full.items() if attr in dwarf._READ_ATTRS},
+        len(values),
+    )
+    skip = dwarf._compile_plan(pairs, version, addr_size, little, False)
+    assert (skip if isinstance(skip, int) else skip(blob, 0)) == len(values)
+
+
+def _code_constants(code):
+    for const in code.co_consts:
+        if isinstance(const, tuple):
+            yield from const
+        elif hasattr(const, "co_consts"):
+            yield from _code_constants(const)
+        else:
+            yield const
+
+
+def _readers():
+    """Every generated reader of the hand-assembled and forged abbrev tables."""
+    tables = [(_abbrev_blob(), v, 8, little) for v in (2, 4, 5) for little in (True, False)]
+    for version in (4, 5):
+        image, spans = _fuzz_base(version)
+        offset, size = spans[".debug_abbrev"]
+        tables.append((image.raw[offset : offset + size], version, 8, True))
+    for blob, version, addr_size, little in tables:
+        for _tag, pairs, _plan, _decode in dwarf._parse_abbrev_table(
+            blob, 0, version, addr_size, little
+        ).values():
+            for decode in (True, False):
+                reader = dwarf._compile_plan(pairs, version, addr_size, little, decode)
+                if callable(reader):
+                    yield reader
+    for version, addr_size, order, pairs, _values in _AGREEMENT.values():
+        yield dwarf._compile_plan(pairs, version, addr_size, order == "little", True)
+
+
+def test_reader_source_holds_only_int_literals_and_bound_names():
+    readers = list(_readers())
+    assert len(readers) > 40
+    for reader in readers:
+        code = reader.__code__
+        assert all(c is None or type(c) is int for c in _code_constants(code))
+        assert set(code.co_names) - {"int", "from_bytes", "index"} <= set(reader.__globals__)
+
+
+def test_an_implicit_const_value_is_bound_not_rendered():
+    pairs = _AGREEMENT["implicit_const"][3]
+    reader = dwarf._compile_plan(pairs, 5, 8, True, True)
+    assert not {300, -7, 9} & set(_code_constants(reader.__code__))
+    assert (FORM_IMPLICIT_CONST, -7) in reader.__globals__.values()
+    huge = _pairs((AT_DECL_LINE, FORM_IMPLICIT_CONST, 10**5000))  # has no decimal text
+    assert dwarf._compile_plan(huge, 5, 8, True, True)(b"", 0) == (
+        {AT_DECL_LINE: (FORM_IMPLICIT_CONST, 10**5000)},
+        0,
+    )
+
+
+@pytest.mark.parametrize("tag", [TAG_VARIABLE, TAG_SUBPROGRAM], ids=["skipped", "subprogram"])
+def test_an_abbrev_past_the_size_bound_gets_no_reader(tag):
+    """100,000 udata attributes: the full decoder reads the DIE, and the
+    records are those it gives without any plan."""
+    count = 100_000
+    abbrev = uleb_encode(1) + uleb_encode(TAG_CU) + b"\x00" + bytes([AT_NAME, FORM_STRING])
+    abbrev += b"\x00\x00" + uleb_encode(2) + uleb_encode(tag) + b"\x00"
+    abbrev += bytes([AT_NAME, FORM_STRING, AT_LOW_PC, FORM_ADDR, AT_HIGH_PC, FORM_DATA4])
+    abbrev += bytes([AT_CONST_VALUE, FORM_UDATA]) * count + b"\x00\x00\x00"
+    big = _die(2, b"big\x00", _IN_TEXT, uleb_encode(300) * count)
+    dies = [_die(1, b"t.c\x00"), big, _die(2, b"small\x00", _IN_TEXT, b"\x01" * count)]
+    info = _unit(dies)
+    image = _synthetic_image([(".debug_info", info), (".debug_abbrev", abbrev)])
+    (_tag, pairs, plan, _decode), = [
+        entry for code, entry in dwarf._parse_abbrev_table(abbrev, 0, 4, 8, True).items()
+        if code == 2
+    ]
+    assert len(pairs) == count + 3
+    assert plan is None
+    assert dwarf._compile_plan(pairs, 4, 8, True, True) is None
+    with mock.patch.object(dwarf, "_compile_plan", lambda *args: None):
+        full = extract_debug_functions(image)
+    assert extract_debug_functions(image) == full
+    expected = ["big", "small"] if tag == TAG_SUBPROGRAM else []
+    assert [r.name for r in full[0]] == expected
 
 
 def test_skipped_string_cut_at_the_section_end_is_malformed():

@@ -13,10 +13,11 @@ and propagates.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from . import __version__, elf, forge, interchange, normalize, scoring
@@ -38,7 +39,6 @@ _INPUT_ERRORS = (
     scoring.DigestMismatchError,
     scoring.MissingSizesError,
     scoring.DomainMismatchError,
-    scoring.EmptyCorpusError,
     forge.UnknownPresetError,
 )
 
@@ -137,7 +137,8 @@ def _build_parser() -> _Parser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="score pairs in at most N processes, never more than there are pairs",
+        help="score pairs in at most N processes, this one included, never more "
+        "than there are pairs; each gets a share of near-equal truth-file bytes",
     )
     p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -380,8 +381,101 @@ def _corpus_table(summary: scoring.CorpusSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _shares(sizes: list[int], count: int) -> list[list[int]]:
+    """The indexes of ``sizes`` split into ``count`` shares of near-equal total.
+
+    Largest first, each index goes to the share with the least total so far
+    (the fewest indexes, then the first, on a tie), so no share is empty
+    while ``count <= len(sizes)``. Each share lists its indexes in order.
+    """
+    shares: list[list[int]] = [[] for _ in range(count)]
+    totals = [0] * count
+    for index in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = min(range(count), key=lambda k: (totals[k], len(shares[k])))
+        shares[k].append(index)
+        totals[k] += sizes[index]
+    return [sorted(share) for share in shares]
+
+
+def _score_share(share, policy):
+    """(results, None) for the (index, truth, report) triples of ``share``, or
+    (results so far, (index, exception)) at its first failure."""
+    results = []
+    for index, truth_path, report_path in share:
+        try:
+            results.append(_score_pair(truth_path, report_path, policy))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _send_share(sender, share, policy) -> None:
+    """A child's whole task: score ``share`` and send the outcome as one message."""
+    sender.send(_score_share(share, policy))
+
+
+def _receive(receiver, child):
+    """What ``child`` sent, or None if it exited without sending; then join it."""
+    with receiver:
+        try:
+            message = receiver.recv()
+        except EOFError:
+            message = None
+    child.join()
+    return message
+
+
+def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
+    """The scores of ``pairs`` in input order, from ``min(jobs, len(pairs))``
+    processes, this one included.
+
+    This process scores the share with the largest truth file and each other
+    share goes to one child, which sends everything back as one message. The
+    failure raised is the one with the lowest index, whichever share it is in.
+    """
+    count = min(jobs, len(pairs))
+    if count < 2:
+        return [_score_pair(t, r, policy) for t, r in pairs]
+    shares = [
+        [(i, *pairs[i]) for i in share]
+        for share in _shares([os.path.getsize(t) for t, _ in pairs], count)
+    ]
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = Pipe(duplex=False)
+            with sender:  # the child's copy is then the pipe's only writer
+                child = Process(target=_send_share, args=(sender, share, policy))
+                child.start()
+            children.append((receiver, child))
+        own = _score_share(shares[0], policy)
+    finally:
+        # Read each message before joining its child: a child blocked writing
+        # more than the pipe holds would never exit.
+        messages = [_receive(receiver, child) for receiver, child in children]
+    for share, (_receiver, child), message in zip(shares[1:], children, messages):
+        if message is None:
+            raise RuntimeError(
+                f"corpus: the process scoring {share[0][1]} and the rest of its "
+                f"share exited with code {child.exitcode} without sending results"
+            )
+    results: list = [None] * len(pairs)
+    failures = []
+    for share, (scored, failure) in zip(shares, [own, *messages]):
+        for (index, _truth, _report), result in zip(share, scored):
+            results[index] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 def _cmd_corpus(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
+    if not directory.is_dir():
+        print(f"corpus: {directory}: not a directory", file=sys.stderr)
+        return EXIT_INPUT
     pairs = []
     for truth_path in sorted(directory.glob("*.truth.json")):
         stem = truth_path.name[: -len(".truth.json")]
@@ -390,21 +484,10 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             print(f"corpus: no report for {truth_path.name}", file=sys.stderr)
             return EXIT_INPUT
         pairs.append((str(truth_path), str(report_path)))
-    policy = _policy_from(args)
-    # A pool starts all of its workers at once, needed or not.
-    workers = min(args.jobs, len(pairs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _score_pair,
-                    [t for t, _ in pairs],
-                    [r for _, r in pairs],
-                    [policy] * len(pairs),
-                )
-            )
-    else:
-        results = [_score_pair(t, r, policy) for t, r in pairs]
+    if not pairs:
+        print(f"corpus: {directory}: no <stem>.truth.json files", file=sys.stderr)
+        return EXIT_INPUT
+    results = _score_pairs(pairs, _policy_from(args), args.jobs)
     summary = scoring.corpus_aggregate(results, tuple(args.threshold))
     if args.format == "json":
         sys.stdout.write(interchange.corpus_to_json(summary))

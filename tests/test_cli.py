@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import multiprocessing
 import os
+import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 
 import bintruth
 import oracles
-from bintruth import byteclass, cli, elf, forge, interchange
+from bintruth import byteclass, cli, elf, forge, interchange, scoring
 from bintruth.cli import main
 from bintruth.normalize import GroundTruthFunction
 from bintruth.scoring import ToolReport
@@ -569,46 +572,134 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+# A complete preset for each of seven pairs; every message fits a pipe's buffer.
+_SEVEN = ("listing1", "listing2", "scaffold", "padding-icc-vs-gcc", "highpc-twins") * 2
+
+
 @pytest.mark.parametrize(
-    ("stems", "started"), [(("listing1",), []), (("listing1", "listing2"), [2])]
+    ("pairs", "jobs", "children"),
+    [(7, "1", 0), (1, "8", 0), (2, "8", 1), (7, "3", 2)],
+    ids=["7-pairs-jobs1", "1-pair-jobs8", "2-pairs-jobs8", "7-pairs-jobs3"],
 )
-def test_corpus_starts_no_more_workers_than_pairs(
-    tmp_path, capsys, preset_docs, monkeypatch, stems, started
+def test_corpus_splits_the_pairs_into_shares(
+    tmp_path, capsys, preset_docs, monkeypatch, pairs, jobs, children
 ):
-    pools = []
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for i, name in enumerate(_SEVEN[:pairs]):
+        write_truth(directory, preset_docs[name], f"{i}-{name}")
+        write_report(directory, preset_docs[name], f"{i}-{name}")
+    _code, serial, _err = run(capsys, "corpus", str(directory))
+    started, scored = [], []
+    score_share = cli._score_share
 
-    class InlinePool:  # records the pool size, starts no process
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    class InlineProcess:  # records each start and runs the target there: no process
+        exitcode = 0
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args):
+            self.target, self.args = target, args
 
-        def __exit__(self, *_exc):
-            return False
+        def start(self):
+            started.append(self.args)
+            self.target(*self.args)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    directory = _corpus_dir(tmp_path, preset_docs, stems)
-    code, out, _err = run(capsys, "corpus", str(directory), "--jobs", "8")
+    def recording_score_share(share, policy):
+        scored.append([index for index, _truth, _report in share])
+        return score_share(share, policy)
+
+    monkeypatch.setattr(cli, "Process", InlineProcess)
+    monkeypatch.setattr(cli, "_score_share", recording_score_share)
+    code, out, _err = run(capsys, "corpus", str(directory), "--jobs", jobs)
     assert code == 0
-    assert json.loads(out)["n"] == len(stems)
-    assert pools == started
+    assert out == serial
+    assert len(started) == children
+    if children:
+        # Each child scores the share it was started with (inline, so before
+        # this process scores its own, the last).
+        assert [[i for i, _t, _r in share] for _sender, share, _policy in started] == scored[:-1]
+        assert sorted(i for share in scored for i in share) == list(range(pairs))
+        assert all(share == sorted(share) and share for share in scored)
+    else:
+        assert scored == []  # one process scores the pairs as it always did
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_shares_balance_truth_bytes_largest_first():
+    # A skewed corpus: one large truth file against many small ones.
+    assert cli._shares([1, 1, 100, 1, 1], 2) == [[2], [0, 1, 3, 4]]
+    assert cli._shares([3, 5, 2, 4, 1], 2) == [[1, 2, 4], [0, 3]]
+    # Equal sizes, even zero, still give every share a pair.
+    assert cli._shares([0, 0, 0, 0], 3) == [[0, 3], [1], [2]]
+
+
+def _damage_keeping_size(path):
+    """Upper-case the first hex digit prefix in the file, keeping its size."""
+    path.write_text(path.read_text().replace('"0x', '"0X', 1))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+def test_corpus_names_the_lowest_failure_in_any_share(tmp_path, capsys, preset_docs, jobs):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+    truths = sorted(directory.glob("*.truth.json"))
+    for truth in truths[:2]:
+        _damage_keeping_size(truth)
+    if jobs != "1":
+        shares = cli._shares([t.stat().st_size for t in truths], int(jobs))
+        # The lower failure is in a child's share, the higher in this process's.
+        assert 0 not in shares[0] and 1 in shares[0]
+    code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bintruth corpus: {truths[0]}: ")
+    assert multiprocessing.active_children() == []
+
+
+def test_corpus_reads_a_large_message_after_failing_in_its_own_share(
+    tmp_path, preset_docs
+):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    doc = preset_docs["listing1"]
+    # The child's pair: 3,000 spurious predictions, each with a mismatch.
+    spurious = tuple((0x900000 + 16 * i, 16) for i in range(3000))
+    small = write_truth(directory, doc, "a")
+    write_report(directory, doc, "a", spurious)
+    result = cli._score_pair(str(small), str(directory / "a.report.json"), scoring.MatchPolicy())
+    assert len(pickle.dumps(([result], None))) > 1 << 16
+    # This process's pair: the larger truth file, damaged.
+    large = write_truth(directory, preset_docs["scaffold"], "b")
+    write_report(directory, preset_docs["scaffold"], "b")
+    _damage_keeping_size(large)
+    assert cli._shares([small.stat().st_size, large.stat().st_size], 2) == [[1], [0]]
+    src = str(Path(bintruth.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "bintruth.cli", "corpus", str(directory), "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"bintruth corpus: {large}: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_corpus_names_the_incomplete_truth_file(tmp_path, capsys, preset_docs, jobs):
     directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "stripped"))
+    truth = directory / "stripped.truth.json"
+    if jobs != "1":  # the incomplete truth is in the child's share
+        sizes = [(directory / "listing1.truth.json").stat().st_size, truth.stat().st_size]
+        assert cli._shares(sizes, 2) == [[0], [1]]
     code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
     assert code == 3
     assert out == ""
-    truth = directory / "stripped.truth.json"
     assert err == f"corpus: {truth}: ground truth is incomplete; refusing to score against it\n"
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_corpus_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs, jobs):
     directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
     truth = directory / "listing2.truth.json"
@@ -617,6 +708,50 @@ def test_corpus_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs, job
     assert code == 2
     assert out == ""
     assert err == f"bintruth corpus: {truth}: {message}\n"
+
+
+def _exit_without_sending(_sender, _share, _policy):
+    os._exit(7)
+
+
+def test_a_child_that_sends_nothing_is_a_bug_not_invalid_input(
+    tmp_path, preset_docs, monkeypatch
+):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+    monkeypatch.setattr(cli, "_send_share", _exit_without_sending)
+    # listing2 is the largest truth file, so this process scores it; the
+    # child's share starts with listing1.
+    first = directory / "listing1.truth.json"
+    with pytest.raises(RuntimeError, match=f"scoring {re.escape(str(first))} .* code 7 "):
+        main(["corpus", str(directory), "--jobs", "2"])
+    assert multiprocessing.active_children() == []
+
+
+def test_corpus_under_spawn_matches_serial(tmp_path, capsys, preset_docs):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+    _code, serial, _err = run(capsys, "corpus", str(directory))
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        code, parallel, _err = run(capsys, "corpus", str(directory), "--jobs", "3")
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert code == 0
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("what", ["missing", "file", "empty"])
+def test_corpus_names_a_directory_without_pairs(tmp_path, capsys, what):
+    directory = tmp_path / "corpus"
+    if what == "file":
+        directory.write_text("{}")
+    elif what == "empty":
+        directory.mkdir()
+        (directory / "a.report.json").write_text("{}")
+    code, out, err = run(capsys, "corpus", str(directory), "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"corpus: {directory}: ")
 
 
 def test_corpus_missing_report_is_an_input_error(tmp_path, capsys, preset_docs):

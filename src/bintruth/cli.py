@@ -13,8 +13,8 @@ and propagates.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 from collections import Counter
 from dataclasses import replace
 from multiprocessing import Pipe, Process
@@ -138,7 +138,7 @@ def _build_parser() -> _Parser:
         default=1,
         metavar="N",
         help="score pairs in at most N processes, this one included, never more "
-        "than there are pairs; each gets a share of near-equal truth-file bytes",
+        "than there are pairs; each gets a contiguous share of near-equal count",
     )
     p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -381,37 +381,25 @@ def _corpus_table(summary: scoring.CorpusSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _shares(sizes: list[int], count: int) -> list[list[int]]:
-    """The indexes of ``sizes`` split into ``count`` shares of near-equal total.
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a child process.
 
-    Largest first, each index goes to the share with the least total so far
-    (the fewest indexes, then the first, on a tie), so no share is empty
-    while ``count <= len(sizes)``. Each share lists its indexes in order.
+    A pickled exception loses its traceback, so the child sends it as text
+    and the parent raises the exception from this one.
     """
-    shares: list[list[int]] = [[] for _ in range(count)]
-    totals = [0] * count
-    for index in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        k = min(range(count), key=lambda k: (totals[k], len(shares[k])))
-        shares[k].append(index)
-        totals[k] += sizes[index]
-    return [sorted(share) for share in shares]
 
-
-def _score_share(share, policy):
-    """(results, None) for the (index, truth, report) triples of ``share``, or
-    (results so far, (index, exception)) at its first failure."""
-    results = []
-    for index, truth_path, report_path in share:
-        try:
-            results.append(_score_pair(truth_path, report_path, policy))
-        except Exception as exc:
-            return results, (index, exc)
-    return results, None
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _send_share(sender, share, policy) -> None:
-    """A child's whole task: score ``share`` and send the outcome as one message."""
-    sender.send(_score_share(share, policy))
+    """A child's whole task: score the (truth, report) pairs of ``share`` and
+    send, as one message, their scores or the first failure and its traceback."""
+    try:
+        message = ([_score_pair(t, r, policy) for t, r in share], None, None)
+    except Exception as exc:
+        message = (None, exc, traceback.format_exc())
+    sender.send(message)
 
 
 def _receive(receiver, child):
@@ -429,16 +417,15 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
     """The scores of ``pairs`` in input order, from ``min(jobs, len(pairs))``
     processes, this one included.
 
-    This process scores the share with the largest truth file and each other
-    share goes to one child, which sends everything back as one message. The
-    failure raised is the one with the lowest index, whichever share it is in.
+    The pairs are cut into that many contiguous shares of near-equal count.
+    This process scores the first and each other share goes to one child,
+    which sends everything back as one message. Shares are checked in order,
+    so the failure raised is the first in input order.
     """
     count = min(jobs, len(pairs))
-    if count < 2:
-        return [_score_pair(t, r, policy) for t, r in pairs]
     shares = [
-        [(i, *pairs[i]) for i in share]
-        for share in _shares([os.path.getsize(t) for t, _ in pairs], count)
+        pairs[k * len(pairs) // count : (k + 1) * len(pairs) // count]
+        for k in range(count)
     ]
     children = []
     try:
@@ -448,7 +435,7 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
                 child = Process(target=_send_share, args=(sender, share, policy))
                 child.start()
             children.append((receiver, child))
-        own = _score_share(shares[0], policy)
+        results = [_score_pair(t, r, policy) for t, r in shares[0]]
     finally:
         # Read each message before joining its child: a child blocked writing
         # more than the pipe holds would never exit.
@@ -456,18 +443,13 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
     for share, (_receiver, child), message in zip(shares[1:], children, messages):
         if message is None:
             raise RuntimeError(
-                f"corpus: the process scoring {share[0][1]} and the rest of its "
+                f"corpus: the process scoring {share[0][0]} and the rest of its "
                 f"share exited with code {child.exitcode} without sending results"
             )
-    results: list = [None] * len(pairs)
-    failures = []
-    for share, (scored, failure) in zip(shares, [own, *messages]):
-        for (index, _truth, _report), result in zip(share, scored):
-            results[index] = result
+        scored, failure, trace = message
         if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+            raise failure from _ChildTraceback(trace)
+        results.extend(scored)
     return results
 
 

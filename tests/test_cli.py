@@ -576,13 +576,47 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 _SEVEN = ("listing1", "listing2", "scaffold", "padding-icc-vs-gcc", "highpc-twins") * 2
 
 
+class _InlineProcess:
+    """Stands in for ``cli.Process``: records each start and runs the target
+    there, so no process starts but each message still crosses a real pipe."""
+
+    started: list = []
+    exitcode = 0
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.started.append(self.args)
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+@pytest.fixture
+def inline_process(monkeypatch):
+    monkeypatch.setattr(_InlineProcess, "started", [])
+    monkeypatch.setattr(cli, "Process", _InlineProcess)
+    return _InlineProcess
+
+
+@pytest.fixture
+def fork_start():
+    """Start children by fork, so what a test patches in this process holds in them."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(method, force=True)
+
+
 @pytest.mark.parametrize(
-    ("pairs", "jobs", "children"),
-    [(7, "1", 0), (1, "8", 0), (2, "8", 1), (7, "3", 2)],
+    ("pairs", "jobs", "shares"),
+    [(7, "1", [7]), (1, "8", [1]), (2, "8", [1, 1]), (7, "3", [2, 2, 3])],
     ids=["7-pairs-jobs1", "1-pair-jobs8", "2-pairs-jobs8", "7-pairs-jobs3"],
 )
 def test_corpus_splits_the_pairs_into_shares(
-    tmp_path, capsys, preset_docs, monkeypatch, pairs, jobs, children
+    tmp_path, capsys, preset_docs, monkeypatch, inline_process, pairs, jobs, shares
 ):
     directory = tmp_path / "corpus"
     directory.mkdir()
@@ -590,48 +624,24 @@ def test_corpus_splits_the_pairs_into_shares(
         write_truth(directory, preset_docs[name], f"{i}-{name}")
         write_report(directory, preset_docs[name], f"{i}-{name}")
     _code, serial, _err = run(capsys, "corpus", str(directory))
-    started, scored = [], []
-    score_share = cli._score_share
+    scored = []
+    score_pair = cli._score_pair
 
-    class InlineProcess:  # records each start and runs the target there: no process
-        exitcode = 0
+    def recording_score_pair(truth, report, policy):
+        scored.append((truth, report))
+        return score_pair(truth, report, policy)
 
-        def __init__(self, target, args):
-            self.target, self.args = target, args
-
-        def start(self):
-            started.append(self.args)
-            self.target(*self.args)
-
-        def join(self):
-            pass
-
-    def recording_score_share(share, policy):
-        scored.append([index for index, _truth, _report in share])
-        return score_share(share, policy)
-
-    monkeypatch.setattr(cli, "Process", InlineProcess)
-    monkeypatch.setattr(cli, "_score_share", recording_score_share)
+    monkeypatch.setattr(cli, "_score_pair", recording_score_pair)
     code, out, _err = run(capsys, "corpus", str(directory), "--jobs", jobs)
     assert code == 0
     assert out == serial
-    assert len(started) == children
-    if children:
-        # Each child scores the share it was started with (inline, so before
-        # this process scores its own, the last).
-        assert [[i for i, _t, _r in share] for _sender, share, _policy in started] == scored[:-1]
-        assert sorted(i for share in scored for i in share) == list(range(pairs))
-        assert all(share == sorted(share) and share for share in scored)
-    else:
-        assert scored == []  # one process scores the pairs as it always did
-
-
-def test_shares_balance_truth_bytes_largest_first():
-    # A skewed corpus: one large truth file against many small ones.
-    assert cli._shares([1, 1, 100, 1, 1], 2) == [[2], [0, 1, 3, 4]]
-    assert cli._shares([3, 5, 2, 4, 1], 2) == [[1, 2, 4], [0, 3]]
-    # Equal sizes, even zero, still give every share a pair.
-    assert cli._shares([0, 0, 0, 0], 3) == [[0, 3], [1], [2]]
+    # Each child scores its share as it starts (inline here), and this
+    # process scores the first share last.
+    children = [share for _sender, share, _policy in inline_process.started]
+    own = scored[sum(map(len, children)) :]
+    assert [len(share) for share in [own, *children]] == shares
+    truths = sorted(str(t) for t in directory.glob("*.truth.json"))
+    assert [truth for share in [own, *children] for truth, _report in share] == truths
 
 
 def _damage_keeping_size(path):
@@ -640,20 +650,44 @@ def _damage_keeping_size(path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
-def test_corpus_names_the_lowest_failure_in_any_share(tmp_path, capsys, preset_docs, jobs):
-    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+def test_corpus_names_the_first_failure_in_any_share(tmp_path, capsys, preset_docs, jobs):
+    stems = ("listing1", "listing2", "padding-icc-vs-gcc", "scaffold")
+    directory = _corpus_dir(tmp_path, preset_docs, stems)
     truths = sorted(directory.glob("*.truth.json"))
-    for truth in truths[:2]:
+    # Shares: one at --jobs 1; [0, 1] [2, 3] at 2, so pair 1 fails in this
+    # process while pair 3 fails in a child; [0] [1] [2, 3] at 3, so each
+    # fails in its own child.
+    for truth in (truths[1], truths[3]):
         _damage_keeping_size(truth)
-    if jobs != "1":
-        shares = cli._shares([t.stat().st_size for t in truths], int(jobs))
-        # The lower failure is in a child's share, the higher in this process's.
-        assert 0 not in shares[0] and 1 in shares[0]
     code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"bintruth corpus: {truths[0]}: ")
+    assert err.startswith(f"bintruth corpus: {truths[1]}: ")
     assert multiprocessing.active_children() == []
+
+
+def _divide_by_zero(truth, report, policy):
+    return 1 // 0
+
+
+def test_a_bug_in_a_child_keeps_the_child_traceback(
+    tmp_path, preset_docs, monkeypatch, inline_process
+):
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2"))
+    score_pair = cli._score_pair
+
+    def fail_in_the_second_share(truth, report, policy):
+        if truth.endswith("listing2.truth.json"):
+            return _divide_by_zero(truth, report, policy)
+        return score_pair(truth, report, policy)
+
+    monkeypatch.setattr(cli, "_score_pair", fail_in_the_second_share)
+    with pytest.raises(ZeroDivisionError) as caught:
+        main(["corpus", str(directory), "--jobs", "2"])
+    assert len(inline_process.started) == 1
+    cause = caught.value.__cause__
+    assert isinstance(cause, cli._ChildTraceback)
+    assert 'in _divide_by_zero\n    return 1 // 0\n' in str(cause)
 
 
 def test_corpus_reads_a_large_message_after_failing_in_its_own_share(
@@ -661,18 +695,17 @@ def test_corpus_reads_a_large_message_after_failing_in_its_own_share(
 ):
     directory = tmp_path / "corpus"
     directory.mkdir()
-    doc = preset_docs["listing1"]
+    # This process's pair, the first: damaged.
+    damaged = write_truth(directory, preset_docs["scaffold"], "a")
+    write_report(directory, preset_docs["scaffold"], "a")
+    _damage_keeping_size(damaged)
     # The child's pair: 3,000 spurious predictions, each with a mismatch.
+    doc = preset_docs["listing1"]
     spurious = tuple((0x900000 + 16 * i, 16) for i in range(3000))
-    small = write_truth(directory, doc, "a")
-    write_report(directory, doc, "a", spurious)
-    result = cli._score_pair(str(small), str(directory / "a.report.json"), scoring.MatchPolicy())
-    assert len(pickle.dumps(([result], None))) > 1 << 16
-    # This process's pair: the larger truth file, damaged.
-    large = write_truth(directory, preset_docs["scaffold"], "b")
-    write_report(directory, preset_docs["scaffold"], "b")
-    _damage_keeping_size(large)
-    assert cli._shares([small.stat().st_size, large.stat().st_size], 2) == [[1], [0]]
+    truth = write_truth(directory, doc, "b")
+    write_report(directory, doc, "b", spurious)
+    result = cli._score_pair(str(truth), str(directory / "b.report.json"), scoring.MatchPolicy())
+    assert len(pickle.dumps(([result], None, None))) > 1 << 16
     src = str(Path(bintruth.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "bintruth.cli", "corpus", str(directory), "--jobs", "2"],
@@ -682,16 +715,14 @@ def test_corpus_reads_a_large_message_after_failing_in_its_own_share(
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"bintruth corpus: {large}: ")
+    assert proc.stderr.startswith(f"bintruth corpus: {damaged}: ")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_corpus_names_the_incomplete_truth_file(tmp_path, capsys, preset_docs, jobs):
+    # The incomplete truth is the second pair, so a child's share at --jobs 2 or 3.
     directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "stripped"))
     truth = directory / "stripped.truth.json"
-    if jobs != "1":  # the incomplete truth is in the child's share
-        sizes = [(directory / "listing1.truth.json").stat().st_size, truth.stat().st_size]
-        assert cli._shares(sizes, 2) == [[0], [1]]
     code, out, err = run(capsys, "corpus", str(directory), "--jobs", jobs)
     assert code == 3
     assert out == ""
@@ -715,13 +746,12 @@ def _exit_without_sending(_sender, _share, _policy):
 
 
 def test_a_child_that_sends_nothing_is_a_bug_not_invalid_input(
-    tmp_path, preset_docs, monkeypatch
+    tmp_path, preset_docs, monkeypatch, fork_start
 ):
     directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
     monkeypatch.setattr(cli, "_send_share", _exit_without_sending)
-    # listing2 is the largest truth file, so this process scores it; the
-    # child's share starts with listing1.
-    first = directory / "listing1.truth.json"
+    # This process scores listing1; the child's share starts with listing2.
+    first = directory / "listing2.truth.json"
     with pytest.raises(RuntimeError, match=f"scoring {re.escape(str(first))} .* code 7 "):
         main(["corpus", str(directory), "--jobs", "2"])
     assert multiprocessing.active_children() == []

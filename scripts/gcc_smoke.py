@@ -1,17 +1,33 @@
 #!/usr/bin/env python3
-"""Extract ground truth from binaries that gcc builds from a small C program.
+"""Extract ground truth from binaries that gcc builds from small C programs.
 
-The program has a ``static inline`` helper, which gcc inlines at -O2, and
-a ``__attribute__((cold))`` function. It is compiled at ``-O2 -g`` twice,
-once with the compiler's default DWARF version and once with
-``-gdwarf-4``. ``bintruth extract`` must exit 0 on each binary, and every
-function of the program that the document holds (a ``.cold`` part
+The first program has a ``static inline`` helper, which gcc inlines at
+-O2, and a ``__attribute__((cold))`` function. It is compiled at
+``-O2 -g`` twice, once with the compiler's default DWARF version and once
+with ``-gdwarf-4``. ``bintruth extract`` must exit 0 on each binary, and
+every function of the program that the document holds (a ``.cold`` part
 included) must have ``dwarf`` provenance, but one: gcc moves the cold
 call out of ``main`` into ``main.cold``, which lies below ``main``, and
 the reader takes the lowest address of a subprogram's ranges as its
 start. So the record goes to ``main.cold`` and ``main`` has only
-``symtab`` provenance. That known defect is pinned: the script fails
-when the hot part of a split function gains ``dwarf`` provenance, so that
+``symtab`` provenance.
+
+The second program has two files. ``a.c``'s ``main`` ends in a call to
+``die``, which ``b.c`` defines as ``noreturn``; nothing calls ``b.c``'s
+``unused_fn`` or ``dead_b``. It is compiled at ``-O2 -g``, and again with
+``-ffunction-sections -Wl,--gc-sections`` under GNU ld and under gold
+(skipped with a note when gcc cannot link with gold). ``die`` must be
+flagged ``noreturn`` in each build, and these known defects hold in each:
+
+- ``main``'s last instruction is the call, whose displacement ends in
+  ``00`` bytes, and the padding trim cuts them: ``end_trimmed`` lies
+  below ``end_raw``, inside the call.
+- With ``--gc-sections`` the linker drops ``unused_fn`` and ``dead_b`` but
+  keeps their DWARF at ``low_pc`` 0, so each gets ``GT_START_MISMATCH``
+  and ``GT_INCOMPLETE_EXCLUDED``, and extract exits 3 with an incomplete
+  document.
+
+Each known defect is pinned: the script fails when it is fixed, so that
 the fix removes the pin. Needs ``gcc`` on PATH and nothing else.
 
 Usage:
@@ -21,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,7 +45,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-PROGRAM = r"""
+SMOKE = {
+    "smoke.c": r"""
 #include <stdio.h>
 #include <stdlib.h>
 
@@ -56,19 +74,74 @@ int main(int argc, char **argv)
     return 0;
 }
 """
+}
 # The functions that keep code of their own; square is inlined into sum_squares.
 NOT_INLINED = {"fail", "sum_squares", "main"}
 DEFINED = NOT_INLINED | {"square"}
-BUILDS = {"default": [], "dwarf4": ["-gdwarf-4"]}
+
+TWO_FILES = {
+    "a.c": r"""
+__attribute__((noreturn)) void die(int code);
+
+int main(int argc, char **argv)
+{
+    (void)argv;
+    die(argc);
+}
+""",
+    "b.c": r"""
+#include <stdlib.h>
+
+__attribute__((noreturn)) void die(int code)
+{
+    exit(code);
+}
+
+int unused_fn(int x)
+{
+    return x * 3 + 1;
+}
+
+int dead_b(int x)
+{
+    return unused_fn(x) - 7;
+}
+""",
+}
+DISCARDED = {"unused_fn", "dead_b"}
+GC = ["-ffunction-sections", "-Wl,--gc-sections"]
+GOLD = "-fuse-ld=gold"
+
+# build -> (sources, extra gcc flags)
+BUILDS = {
+    "default": (SMOKE, []),
+    "dwarf4": (SMOKE, ["-gdwarf-4"]),
+    "noreturn": (TWO_FILES, []),
+    "gc-sections": (TWO_FILES, GC),
+    "gc-sections-gold": (TWO_FILES, [*GC, GOLD]),
+}
 
 
-def check(work: Path, build: str) -> list[str]:
-    """The problems of one build's extracted document."""
-    source, binary, truth = work / "smoke.c", work / f"{build}.bin", work / f"{build}.json"
-    source.write_text(PROGRAM)
-    subprocess.run(
-        ["gcc", "-O2", "-g", *BUILDS[build], "-o", str(binary), str(source)], check=True
+def extract(work: Path, build: str) -> tuple[int, dict] | None:
+    """Build ``build`` and extract it: the exit code and the document, or
+    None when gcc cannot link a gold build."""
+    sources, flags = BUILDS[build]
+    paths = []
+    for name, text in sources.items():
+        paths.append(work / name)
+        paths[-1].write_text(text)
+    binary, truth = work / f"{build}.bin", work / f"{build}.json"
+    done = subprocess.run(
+        ["gcc", "-O2", "-g", *flags, "-o", str(binary), *map(str, paths)],
+        capture_output=True,
+        text=True,
     )
+    if done.returncode != 0 and GOLD in flags:
+        print(f"{build}: skipped, gcc cannot link with gold: {done.stderr.strip()}")
+        return None
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        done.check_returncode()
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
@@ -77,10 +150,17 @@ def check(work: Path, build: str) -> list[str]:
         capture_output=True,
         text=True,
     )
-    if done.returncode != 0:
-        return [f"extract exited {done.returncode}: {done.stderr.strip()}"]
-    functions = json.loads(truth.read_text())["functions"]
-    ours = {f["name"]: f for f in functions if f["name"].split(".")[0] in DEFINED}
+    doc = json.loads(truth.read_text()) if truth.exists() else {}
+    if not doc:
+        print(f"{build}: extract exited {done.returncode}: {done.stderr.strip()}")
+    return done.returncode, doc
+
+
+def check_smoke(build: str, code: int, doc: dict) -> list[str]:
+    """The problems of one build of the first program."""
+    if code != 0:
+        return [f"extract exited {code}"]
+    ours = {f["name"]: f for f in doc["functions"] if f["name"].split(".")[0] in DEFINED}
     problems = [f"{name}: no function" for name in sorted(NOT_INLINED - set(ours))]
     for name, fn in sorted(ours.items()):
         split = f"{name}.cold" in ours  # the hot part of a split function
@@ -95,11 +175,57 @@ def check(work: Path, build: str) -> list[str]:
     return problems
 
 
+def check_two_files(build: str, code: int, doc: dict) -> list[str]:
+    """The problems of one build of the two-file program."""
+    if not doc:
+        return [f"extract exited {code} without a document"]
+    gc = build.startswith("gc-sections")
+    fns = {f["name"]: f for f in doc["functions"]}
+    problems = [f"{name}: no function" for name in ("main", "die") if name not in fns]
+    if problems:
+        return problems
+    if "noreturn" not in fns["die"]["flags"]:
+        problems.append(f"die: flags {fns['die']['flags']}, not noreturn")
+    main = fns["main"]
+    raw, trimmed = int(main["end_raw"], 16), int(main["end_trimmed"], 16)
+    if trimmed == raw:
+        problems.append("main: the trim keeps its last call; drop its pin")
+    # A discarded function names itself in its diagnostics' messages.
+    named = {
+        kind: sorted(
+            re.search(r"'([^']*)'", d["message"]).group(1)
+            for d in doc["diagnostics"]
+            if d["code"] == kind
+        )
+        for kind in ("GT_START_MISMATCH", "GT_INCOMPLETE_EXCLUDED")
+    }
+    want = sorted(DISCARDED) if gc else []
+    if (code, doc["complete"]) != ((3, False) if gc else (0, True)) or any(
+        names != want for names in named.values()
+    ):
+        problems.append(
+            f"exit {code}, complete {doc['complete']}, {named}"
+            + ("; if linker-discarded functions no longer make truth incomplete, "
+               "drop their pin" if gc else "")
+        )
+    print(
+        f"{build}: exit {code}, main end_raw {raw:#x} end_trimmed {trimmed:#x}, "
+        f"die {'+'.join(fns['die']['flags'])}, {named}"
+    )
+    return problems
+
+
 def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        for build in BUILDS:
-            problems += [f"{build}: {p}" for p in check(Path(tmp), build)]
+        for build, (sources, _flags) in BUILDS.items():
+            work = Path(tmp) / build
+            work.mkdir()
+            extracted = extract(work, build)
+            if extracted is None:
+                continue
+            check = check_smoke if sources is SMOKE else check_two_files
+            problems += [f"{build}: {p}" for p in check(build, *extracted)]
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -17,7 +17,7 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import replace
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, get_start_method
 from pathlib import Path
 
 from . import __version__, elf, forge, interchange, normalize, scoring
@@ -38,7 +38,6 @@ _INPUT_ERRORS = (
     normalize.CallEdgeError,
     scoring.DigestMismatchError,
     scoring.MissingSizesError,
-    scoring.DomainMismatchError,
     forge.UnknownPresetError,
 )
 
@@ -444,7 +443,9 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
         if message is None:
             raise RuntimeError(
                 f"corpus: the process scoring {share[0][0]} and the rest of its "
-                f"share exited with code {child.exitcode} without sending results"
+                f"share exited with code {child.exitcode} without sending results "
+                f"under the {get_start_method()!r} start method (with 'spawn', a "
+                "child re-imports the main script); --jobs 1 starts no child"
             )
         scored, failure, trace = message
         if failure is not None:

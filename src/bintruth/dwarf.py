@@ -318,8 +318,9 @@ class _Die:
 
 @dataclass(slots=True)
 class _Aux:
-    """Companion section blobs one .debug_info blob resolves against, and
-    the units of the blob that ref_addr links have reached."""
+    """Companion section blobs one .debug_info blob resolves against, the
+    blob's unit spans, and the units of the blob that ref_addr links have
+    reached."""
 
     abbrev: bytes
     debug_str: bytes
@@ -328,7 +329,7 @@ class _Aux:
     addr: bytes
     ranges: bytes
     rnglists: bytes
-    unit_starts: list[int] | None = None  # found on the first link out of a unit
+    units: list[tuple[int, int]] = field(default_factory=list)  # (start, end)
     linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
 
 
@@ -674,14 +675,29 @@ def _read_bases(unit: _Unit) -> None:
         )
 
 
-def _unit_end(blob: bytes, pos: int, little_endian: bool) -> int:
-    """Where the unit whose header starts at ``pos`` ends."""
-    length = _Cursor(blob, pos, little_endian).uint(4)
-    if length >= 0xFFFFFFF0:
-        raise MalformedDebugDataError("64-bit DWARF units are not supported")
-    if pos + 4 + length > len(blob):
-        raise MalformedDebugDataError("unit length extends past .debug_info")
-    return pos + 4 + length
+def _unit_spans(
+    blob: bytes, little_endian: bool
+) -> tuple[list[tuple[int, int]], tuple[int, MalformedDebugDataError] | None]:
+    """Each unit's (start, end) in ``blob``, up to the first damaged unit
+    length, and that damage as (where, error), or None.
+
+    Without a unit's length no later unit can be found. Zero padding may
+    follow the last unit.
+    """
+    spans: list[tuple[int, int]] = []
+    pos, data_end = 0, len(blob.rstrip(b"\0"))
+    while pos < data_end:
+        try:
+            length = _Cursor(blob, pos, little_endian).uint(4)
+            if length >= 0xFFFFFFF0:
+                raise MalformedDebugDataError("64-bit DWARF units are not supported")
+            if pos + 4 + length > len(blob):
+                raise MalformedDebugDataError("unit length extends past .debug_info")
+        except MalformedDebugDataError as exc:
+            return spans, (pos, exc)
+        spans.append((pos, pos + 4 + length))
+        pos += 4 + length
+    return spans, None
 
 
 def _parse_unit(
@@ -791,43 +807,25 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
     """The compile or partial unit of ``unit``'s blob that holds the
     .debug_info offset ``off``, or None.
 
-    Another unit is found by bisecting the unit starts, which one hop over
-    the unit lengths finds on the first link out of a unit, up to the
-    first unit whose length is damaged; it is parsed on first use, with
+    Another unit is found by bisecting the blob's unit spans, which end at
+    the first unit whose length is damaged; it is parsed on first use, with
     its bases, and kept for the rest of the blob.
     """
     if unit.cu_start <= off < unit.unit_end:
         return unit
     aux = unit.aux
-    if aux.unit_starts is None:
-        aux.unit_starts = _unit_starts(unit.info, unit.little_endian)
-    i = bisect.bisect_right(aux.unit_starts, off) - 1
+    i = bisect.bisect_right(aux.units, off, key=lambda span: span[0]) - 1
     if i < 0:
         return None
-    start = aux.unit_starts[i]
+    start, end = aux.units[i]
     other = aux.linked.get(start)
     if other is None:
-        end = _unit_end(unit.info, start, unit.little_endian)
         other = _parse_unit(unit.info, start, end, unit.little_endian, aux, _LINKED_UNITS)
         if other is None:
             return None
         _read_bases(other)
         aux.linked[start] = other
     return other
-
-
-def _unit_starts(blob: bytes, little_endian: bool) -> list[int]:
-    """Where each unit of ``blob`` starts, up to a damaged unit length."""
-    starts: list[int] = []
-    pos, data_end = 0, len(blob.rstrip(b"\0"))
-    while pos < data_end:
-        try:
-            end = _unit_end(blob, pos, little_endian)
-        except MalformedDebugDataError:
-            break
-        starts.append(pos)
-        pos = end
-    return starts
 
 
 def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
@@ -1130,6 +1128,7 @@ def extract_debug_functions(
     little = image.endianness == "little"
     records: list[DebugFunctionRecord] = []
     for i, blob in enumerate(info_blobs):
+        spans, damage = _unit_spans(blob, little)
         aux = _Aux(
             abbrev=_nth(abbrev_blobs, i),
             debug_str=_nth(str_blobs, i),
@@ -1138,24 +1137,19 @@ def extract_debug_functions(
             addr=_nth(addr_blobs, i),
             ranges=_nth(ranges_blobs, i),
             rnglists=_nth(rnglists_blobs, i),
+            units=spans,
         )
-        pos = 0
-        data_end = len(blob.rstrip(b"\0"))  # zero padding may follow the last unit
-        while pos < data_end:
-            try:
-                end = _unit_end(blob, pos, little)
-            except MalformedDebugDataError as exc:
-                diagnostics.append(_unreadable(pos, exc))
-                break  # without its length, no later unit can be found
+        for start, end in spans:
             unit_diagnostics: list[Diagnostic] = []
             try:
-                unit = _parse_unit(blob, pos, end, little, aux)
+                unit = _parse_unit(blob, start, end, little, aux)
                 if unit is not None:  # a unit of another type yields no records
                     records.extend(_unit_records(unit, image, unit_diagnostics))
                     diagnostics.extend(unit_diagnostics)
             except MalformedDebugDataError as exc:
-                diagnostics.append(_unreadable(pos, exc))
-            pos = end
+                diagnostics.append(_unreadable(start, exc))
+        if damage is not None:
+            diagnostics.append(_unreadable(*damage))
     return records, diagnostics
 
 

@@ -219,10 +219,6 @@ TOOL_REPORT_SCHEMA = {
                 "additionalProperties": False,
             },
         },
-        "byte_classes": {
-            "type": ["array", "null"],
-            "items": _BYTE_RUN,
-        },
     },
     "required": ["schema_version", "tool", "binary_digest_hex", "functions"],
     "additionalProperties": False,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .byteclass import ByteClassMap
 from .normalize import GroundTruthDocument
 
 START_RULES = ("any_entry", "primary_entry_only")
@@ -34,10 +33,6 @@ class IncompleteTruthRejectedError(ValueError):
 
 class MissingSizesError(ValueError):
     """Boundary checking needs sizes the report does not carry."""
-
-
-class DomainMismatchError(ValueError):
-    """Byte-class maps cover different address sets."""
 
 
 class EmptyCorpusError(ValueError):
@@ -122,19 +117,6 @@ class ScoreResult:
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "recall", recall)
         object.__setattr__(self, "f1", f1_score(precision, recall))
-
-
-def _finish(
-    tp: int,
-    fp: int,
-    fn: int,
-    mismatches: list[Mismatch],
-    policy: MatchPolicy | None,
-    warnings: list[str],
-) -> ScoreResult:
-    if tp == 0 and fp == 0 and fn == 0:
-        warnings.append("EMPTY_COMPARISON")
-    return ScoreResult(tp, fp, fn, tuple(mismatches), policy, tuple(warnings))
 
 
 def score_functions(
@@ -237,64 +219,9 @@ def score_functions(
     # A wrong boundary both spends the prediction and leaves the function
     # effectively unrecovered.
     fn_count += sum(1 for m in mismatches if m.kind == "wrong_boundary")
-    return _finish(tp, fp, fn_count, mismatches, policy, warnings)
-
-
-def _runs_to_intervals(byte_map: ByteClassMap) -> list[tuple[int, int, str]]:
-    return [(r.start, r.end, r.klass) for r in byte_map.runs]
-
-
-def _coverage(intervals: list[tuple[int, int, str]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for lo, hi, _cls in sorted(intervals):
-        if merged and merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def score_byte_classes(
-    truth_map: ByteClassMap, predicted_map: ByteClassMap
-) -> dict[str, ScoreResult]:
-    """Per-class byte-level scores; gap_unknown truth bytes are not scored."""
-    truth_iv = _runs_to_intervals(truth_map)
-    pred_iv = _runs_to_intervals(predicted_map)
-    if _coverage(truth_iv) != _coverage(pred_iv):
-        raise DomainMismatchError(
-            "byte-class maps cover different address ranges"
-        )
-
-    matrix: dict[tuple[str, str], int] = {}
-    ti = pi = 0
-    while ti < len(truth_iv) and pi < len(pred_iv):
-        t_lo, t_hi, t_cls = truth_iv[ti]
-        p_lo, p_hi, p_cls = pred_iv[pi]
-        lo = max(t_lo, p_lo)
-        hi = min(t_hi, p_hi)
-        if hi > lo:
-            key = (t_cls, p_cls)
-            matrix[key] = matrix.get(key, 0) + (hi - lo)
-        if t_hi <= p_hi:
-            ti += 1
-        if p_hi <= t_hi:
-            pi += 1
-
-    out: dict[str, ScoreResult] = {}
-    for klass in ("code", "padding", "data"):
-        tp = matrix.get((klass, klass), 0)
-        fp = sum(
-            n
-            for (t_cls, p_cls), n in matrix.items()
-            if p_cls == klass and t_cls not in (klass, "gap_unknown")
-        )
-        fn = sum(
-            n
-            for (t_cls, p_cls), n in matrix.items()
-            if t_cls == klass and p_cls != klass
-        )
-        out[klass] = _finish(tp, fp, fn, [], None, [])
-    return out
+    if tp == 0 and fp == 0 and fn_count == 0:
+        warnings.append("EMPTY_COMPARISON")
+    return ScoreResult(tp, fp, fn_count, tuple(mismatches), policy, tuple(warnings))
 
 
 @dataclass(frozen=True, slots=True)

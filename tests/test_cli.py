@@ -419,6 +419,22 @@ def test_score_names_the_file_it_cannot_load(tmp_path, capsys, preset_docs, dama
     assert err == f"bintruth score: {paths[damaged]}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["score", "corpus"])
+def test_a_report_may_not_carry_byte_classes(tmp_path, capsys, preset_docs, command):
+    doc = preset_docs["listing1"]
+    truth = write_truth(tmp_path, doc, "l1")
+    report = write_report(tmp_path, doc, "l1")
+    payload = json.loads(report.read_text())
+    byte_run = {"start": "0x1000", "length": 16, "class": "code", "confidence": "certain"}
+    payload["byte_classes"] = [byte_run]
+    report.write_text(json.dumps(payload))
+    argv = [str(tmp_path)] if command == "corpus" else [str(truth), str(report)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"bintruth {command}: {report}: $: unexpected key 'byte_classes'\n"
+
+
 def test_score_names_a_report_that_is_not_utf8(tmp_path, capsys, preset_docs):
     truth = write_truth(tmp_path, preset_docs["listing1"], "l1")
     report = tmp_path / "l1.report.json"
@@ -752,7 +768,8 @@ def test_a_child_that_sends_nothing_is_a_bug_not_invalid_input(
     monkeypatch.setattr(cli, "_send_share", _exit_without_sending)
     # This process scores listing1; the child's share starts with listing2.
     first = directory / "listing2.truth.json"
-    with pytest.raises(RuntimeError, match=f"scoring {re.escape(str(first))} .* code 7 "):
+    message = f"scoring {re.escape(str(first))} .* code 7 .* 'fork' start method .* --jobs 1 "
+    with pytest.raises(RuntimeError, match=message):
         main(["corpus", str(directory), "--jobs", "2"])
     assert multiprocessing.active_children() == []
 

@@ -41,9 +41,9 @@ from bintruth.interchange import (
 from bintruth.scoring import (
     POLICY_PRESETS,
     MatchPolicy,
+    ScoreResult,
     ToolReport,
     corpus_aggregate,
-    score_byte_classes,
     score_functions,
 )
 
@@ -94,11 +94,6 @@ def emitted() -> tuple[tuple[str, str, str], ...]:
     }
     for label, report in reports.items():
         out.append(("report", label, report_to_json(report)))
-    # No writer emits a report's byte classes, but the schema admits them.
-    classified = json.loads(report_to_json(reports["sizeless"]))
-    run = {"start": "0x1000", "length": 16, "class": "code", "confidence": "certain"}
-    classified["byte_classes"] = [run]
-    out.append(("report", "byte_classes", json.dumps(classified)))
 
     stripped = docs["stripped"]
     results = [
@@ -107,7 +102,7 @@ def emitted() -> tuple[tuple[str, str, str], ...]:
         score_functions(
             stripped, _report_for(stripped), MatchPolicy(reject_incomplete_truth=False)
         ),
-        score_byte_classes(listing2.byte_classes, listing2.byte_classes)["code"],
+        ScoreResult(5, 1, 2),  # no policy: written as "policy": null
     ]
     for i, result in enumerate(results):
         out.append(("score", f"score{i}", score_to_json(result)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bintruth.byteclass import ByteClassMap, ByteRun
+from bintruth.byteclass import ByteClassMap
 from bintruth.model import GT_INCOMPLETE_EXCLUDED, Diagnostic
 from bintruth.normalize import BinarySummary, GroundTruthDocument, GroundTruthFunction
 from bintruth.scoring import (
@@ -12,7 +12,6 @@ from bintruth.scoring import (
     POLICY_PRESETS,
     CorpusSummary,
     DigestMismatchError,
-    DomainMismatchError,
     EmptyCorpusError,
     IncompleteTruthRejectedError,
     MatchPolicy,
@@ -23,7 +22,6 @@ from bintruth.scoring import (
     canonical_threshold,
     corpus_aggregate,
     f1_score,
-    score_byte_classes,
     score_functions,
 )
 
@@ -275,44 +273,6 @@ def test_counts_agree_with_the_brute_force_matcher():
             result.false_negatives,
         )
         assert got == want, (start_rule, boundary_rule, preds)
-
-
-# --- byte-class scoring -------------------------------------------------------
-
-
-def _runs(*spec):
-    return ByteClassMap(
-        tuple(ByteRun(start, length, klass, "certain") for start, length, klass in spec)
-    )
-
-
-def test_identical_maps_score_perfectly():
-    byte_map = _runs((0, 10, "code"), (10, 2, "padding"), (12, 8, "data"))
-    scores = score_byte_classes(byte_map, byte_map)
-    for klass in ("code", "padding", "data"):
-        assert scores[klass].f1 == Fraction(1)
-
-
-def test_byte_class_confusion_is_counted_per_byte():
-    truth = _runs(
-        (0, 10, "code"), (10, 2, "padding"), (12, 8, "data"), (20, 4, "gap_unknown")
-    )
-    pred = _runs((0, 8, "code"), (8, 4, "padding"), (12, 10, "data"), (22, 2, "code"))
-    scores = score_byte_classes(truth, pred)
-    assert scores["code"].precision == Fraction(1)  # gap bytes are not penalized
-    assert scores["code"].recall == Fraction(8, 10)
-    assert scores["code"].f1 == Fraction(8, 9)
-    assert scores["padding"].precision == Fraction(1, 2)
-    assert scores["padding"].recall == Fraction(1)
-    assert scores["padding"].f1 == Fraction(2, 3)
-    assert scores["data"].f1 == Fraction(1)
-
-
-def test_byte_class_maps_must_cover_the_same_bytes():
-    truth = _runs((0, 10, "code"))
-    pred = _runs((0, 8, "code"))
-    with pytest.raises(DomainMismatchError):
-        score_byte_classes(truth, pred)
 
 
 @pytest.mark.parametrize(

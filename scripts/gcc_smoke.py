@@ -16,16 +16,16 @@ The second program has two files. ``a.c``'s ``main`` ends in a call to
 ``die``, which ``b.c`` defines as ``noreturn``; nothing calls ``b.c``'s
 ``unused_fn`` or ``dead_b``. It is compiled at ``-O2 -g``, and again with
 ``-ffunction-sections -Wl,--gc-sections`` under GNU ld and under gold
-(skipped with a note when gcc cannot link with gold). ``die`` must be
-flagged ``noreturn`` in each build, and these known defects hold in each:
-
-- ``main``'s last instruction is the call, whose displacement ends in
-  ``00`` bytes, and the padding trim cuts them: ``end_trimmed`` lies
-  below ``end_raw``, inside the call.
-- With ``--gc-sections`` the linker drops ``unused_fn`` and ``dead_b`` but
-  keeps their DWARF at ``low_pc`` 0, so each gets ``GT_START_MISMATCH``
-  and ``GT_INCOMPLETE_EXCLUDED``, and extract exits 3 with an incomplete
-  document.
+(skipped with a note when gcc cannot link with gold). In each build
+``die`` must be flagged ``noreturn`` and extract must exit 0 with a
+complete document. With ``--gc-sections`` the linker drops ``unused_fn``
+and ``dead_b`` but keeps their DWARF at ``low_pc`` 0, with the copy of
+``unused_fn`` inlined into ``dead_b``: the document must count those
+three in one ``GT_LINKER_DISCARDED`` diagnostic and give none of them a
+diagnostic of its own. One known defect holds in each build:
+``main``'s last instruction is the call, whose displacement ends in
+``00`` bytes, and the padding trim cuts them: ``end_trimmed`` lies below
+``end_raw``, inside the call.
 
 Each known defect is pinned: the script fails when it is fixed, so that
 the fix removes the pin. Needs ``gcc`` on PATH and nothing else.
@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,7 +108,8 @@ int dead_b(int x)
 }
 """,
 }
-DISCARDED = {"unused_fn", "dead_b"}
+# dead_b, unused_fn, and the copy of unused_fn inlined into dead_b.
+DISCARDED_DIES = 3
 GC = ["-ffunction-sections", "-Wl,--gc-sections"]
 GOLD = "-fuse-ld=gold"
 
@@ -190,27 +191,25 @@ def check_two_files(build: str, code: int, doc: dict) -> list[str]:
     raw, trimmed = int(main["end_raw"], 16), int(main["end_trimmed"], 16)
     if trimmed == raw:
         problems.append("main: the trim keeps its last call; drop its pin")
-    # A discarded function names itself in its diagnostics' messages.
-    named = {
-        kind: sorted(
-            re.search(r"'([^']*)'", d["message"]).group(1)
-            for d in doc["diagnostics"]
-            if d["code"] == kind
-        )
-        for kind in ("GT_START_MISMATCH", "GT_INCOMPLETE_EXCLUDED")
-    }
-    want = sorted(DISCARDED) if gc else []
-    if (code, doc["complete"]) != ((3, False) if gc else (0, True)) or any(
-        names != want for names in named.values()
-    ):
+    codes = Counter(d["code"] for d in doc["diagnostics"])
+    # The count leads the message.
+    discarded = [
+        int(d["message"].split()[0])
+        for d in doc["diagnostics"]
+        if d["code"] == "GT_LINKER_DISCARDED"
+    ]
+    want = [DISCARDED_DIES] if gc else []
+    if (code, doc["complete"], discarded) != (0, True, want):
         problems.append(
-            f"exit {code}, complete {doc['complete']}, {named}"
-            + ("; if linker-discarded functions no longer make truth incomplete, "
-               "drop their pin" if gc else "")
+            f"exit {code}, complete {doc['complete']}, linker-discarded "
+            f"counts {discarded} (want {want}), diagnostics {dict(codes)}"
         )
+    for kind in ("GT_DEBUG_OUTSIDE_EXEC", "GT_START_MISMATCH"):
+        if codes[kind]:
+            problems.append(f"{codes[kind]} {kind}")
     print(
         f"{build}: exit {code}, main end_raw {raw:#x} end_trimmed {trimmed:#x}, "
-        f"die {'+'.join(fns['die']['flags'])}, {named}"
+        f"die {'+'.join(fns['die']['flags'])}, linker-discarded {discarded}"
     )
     return problems
 

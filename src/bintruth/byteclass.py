@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
-
-from .model import BinaryImage
+from .model import BinaryImage, record
 
 CLASSES = ("code", "padding", "data", "gap_unknown")
 CONFIDENCES = ("certain", "heuristic")
@@ -21,7 +19,7 @@ class OverlapError(ValueError):
     """Function spans overlap or are not in start order."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ByteRun:
     start: int
     length: int
@@ -41,7 +39,7 @@ class ByteRun:
         return self.start + self.length
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ByteClassMap:
     runs: tuple[ByteRun, ...]
 

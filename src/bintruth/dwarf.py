@@ -66,11 +66,13 @@ from . import elf
 from .model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
+    GT_LINKER_DISCARDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_NO_DEBUG_INFO,
     GT_SUBPROGRAM_NO_ADDRESS,
     BinaryImage,
     Diagnostic,
+    record,
 )
 
 DW_TAG_compile_unit = 0x11
@@ -162,7 +164,7 @@ def sleb_decode(blob: bytes, pos: int) -> tuple[int, int]:
             return result, pos
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DebugFunctionRecord:
     """A function as debug info describes it.
 
@@ -991,11 +993,13 @@ def _unit_records(
             return (cu_name if owner is unit else _unit_name(owner)), decl_line
         return f"file#{file_idx}", decl_line
 
-    def extent(die: _Die) -> tuple[int, int | None] | None:
-        """(low_pc, end_exclusive) or None when the DIE has no addresses.
+    def extent(die: _Die) -> tuple[int, int | None, int] | None:
+        """(low_pc, end_exclusive, ranges) or None when the DIE has no
+        addresses.
 
         A low/high pair wins; otherwise a non-empty range list gives its
-        hull; otherwise a bare low_pc gives an open extent.
+        hull and its number of ranges; otherwise a bare low_pc gives an
+        open extent. ``ranges`` is 0 unless the extent is a hull.
         """
         low = read(die.attrs.get(DW_AT_low_pc))
         if not isinstance(low, int):
@@ -1008,13 +1012,13 @@ def _unit_records(
             if form in CONSTANT_FORMS:  # an offset from low_pc
                 end += low
                 bits = unit.addr_size * 8
-                if end > 1 << bits:
+                if end > 1 << bits and low != tombstone:
                     raise MalformedDebugDataError(
                         f"high pc {end:#x} exceeds {bits}-bit address space"
                     )
             elif form not in ADDRESS_FORMS:
                 raise MalformedDebugDataError(f"high pc form {form:#x}")
-            return low, end
+            return low, end, 0
         if DW_AT_ranges in die.attrs:
             pairs = _resolve_ranges(unit, die, cu_base)
             if any(hi < lo for lo, hi in pairs):
@@ -1022,22 +1026,14 @@ def _unit_records(
                     f"range list of {shown(die)} ends before it starts"
                 )
             if pairs:
-                lo = min(p[0] for p in pairs)
-                hi = max(p[1] for p in pairs)
-                diagnostics.append(
-                    Diagnostic(
-                        "warning",
-                        GT_DISCONTIGUOUS_RANGE,
-                        f"{shown(die)} at {lo:#x} spans "
-                        f"{len(pairs)} ranges; using the hull",
-                        span=(lo, hi - lo),
-                    )
-                )
-                return lo, hi
-        return None if low is None else (low, None)
+                return min(p[0] for p in pairs), max(p[1] for p in pairs), len(pairs)
+        return None if low is None else (low, None, 0)
 
+    # The address a linker writes for a function it discarded: 0 (GNU ld,
+    # gold) or all-ones (LLD 11 and later).
+    tombstone = (1 << unit.addr_size * 8) - 1
     records: list[DebugFunctionRecord] = []
-    no_address = 0
+    no_address = discarded = 0
     # Following a link may decode a skipped DIE into unit.dies.
     for die in list(unit.dies.values()):
         if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
@@ -1055,9 +1051,22 @@ def _unit_records(
             ):
                 no_address += 1
             continue
-        low, end = span
+        low, end, ranges = span
         sec = elf.section_of(image, low)
-        if sec is None or not sec.executable:
+        outside = sec is None or not sec.executable
+        if outside and low in (0, tombstone):
+            discarded += 1
+            continue
+        if ranges:
+            diagnostics.append(
+                Diagnostic(
+                    "warning",
+                    GT_DISCONTIGUOUS_RANGE,
+                    f"{shown(die)} at {low:#x} spans {ranges} ranges; using the hull",
+                    span=(low, end - low),
+                )
+            )
+        if outside:
             diagnostics.append(
                 Diagnostic(
                     "warning",
@@ -1088,6 +1097,17 @@ def _unit_records(
                 GT_SUBPROGRAM_NO_ADDRESS,
                 f"{no_address} concrete subprogram(s) of {cu_name or '<anonymous>'} "
                 f"(the unit at offset {unit.cu_start:#x}) carry no address; skipped",
+            )
+        )
+    if discarded:
+        diagnostics.append(
+            Diagnostic(
+                "info",
+                GT_LINKER_DISCARDED,
+                f"{discarded} subprogram(s) or inlined copies of "
+                f"{cu_name or '<anonymous>'} (the unit at offset {unit.cu_start:#x}) "
+                "sit at 0 or all-ones outside every executable section, where a "
+                "linker puts code it discarded; skipped",
             )
         )
     return records

@@ -20,6 +20,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .model import record
+
 DW_TAG_compile_unit = 0x11
 DW_TAG_subprogram = 0x2E
 DW_TAG_inlined_subroutine = 0x1D
@@ -84,7 +86,7 @@ class UnknownPresetError(KeyError):
     """No preset registered under that name."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TwinSpec:
     """Secondary entry point named ``<name>.`` inside the same body."""
 
@@ -92,13 +94,15 @@ class TwinSpec:
     size: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DwarfFuncSpec:
     """How one compile unit describes a function.
 
     ``highpc_form`` selects the attribute encoding ("addr" emits the end
     address, the data/udata forms emit an offset, "none" omits the
     attribute); ``ranges`` replaces high-pc with a range list.
+    ``low_pc`` overrides the function's address, as a linker does when it
+    discards the function's code: GNU ld writes 0, LLD all-ones.
     """
 
     unit: int = 0
@@ -108,9 +112,10 @@ class DwarfFuncSpec:
     params: tuple[tuple[str, bool], ...] = ()
     ranges: tuple[tuple[int, int], ...] | None = None
     name_via: str = "direct"  # or "specification" / "abstract_origin"
+    low_pc: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FunctionSpec:
     name: str
     offset: int
@@ -127,7 +132,7 @@ class FunctionSpec:
     dwarf: tuple[DwarfFuncSpec, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SectionSpec:
     name: str
     vaddr: int
@@ -140,7 +145,7 @@ class SectionSpec:
     tls: bool = False  # a "nobits" TLS section (.tbss) takes no address space
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtraSymbolSpec:
     name: str
     section: str
@@ -150,7 +155,7 @@ class ExtraSymbolSpec:
     binding: str = "global"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InlineSiteSpec:
     """An inlined copy of ``origin`` emitted inside ``host``'s DIE."""
 
@@ -161,7 +166,7 @@ class InlineSiteSpec:
     unit: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BinarySpec:
     sections: tuple[SectionSpec, ...]
     functions: tuple[FunctionSpec, ...] = ()
@@ -352,6 +357,10 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
                 raise InvalidSpecError(f"high pc form {d.highpc_form!r}")
             if d.name_via not in _NAME_VIA:
                 raise InvalidSpecError(f"name_via {d.name_via!r}")
+            if d.low_pc is not None:
+                high = d.low_pc + (len(fn.body) if d.highpc_form == "addr" else 0)
+                if d.low_pc < 0 or high >> spec.word_size:
+                    raise InvalidSpecError(f"{fn.name!r} low pc {d.low_pc:#x}")
             described.add((fn.name, d.unit))
             generated |= {".debug_info", ".debug_abbrev"}
             if d.ranges is not None:
@@ -406,7 +415,7 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
         )
         subprogram_of: dict[str, _WDie] = {}
         for fn, d in members[u]:
-            low = vaddr_of(fn)
+            low = vaddr_of(fn) if d.low_pc is None else d.low_pc
             via = _NAME_VIA[d.name_via]
             if via is None:
                 attrs = [(DW_AT_name, "string", fn.name)]
@@ -754,7 +763,7 @@ def preset(name: str) -> BinarySpec:
         raise UnknownPresetError(name) from None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExpectedFunction:
     """Ground truth a fixture's function must normalize to."""
 
@@ -770,7 +779,7 @@ class ExpectedFunction:
     source: tuple[str, int] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CorpusFixture:
     name: str
     data: bytes

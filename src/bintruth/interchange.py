@@ -23,9 +23,11 @@ schemas use; any other shape raises ``ValueError``, as a bug in the
 schema, not as bad input. A loaded ground-truth document must also
 satisfy the invariants :func:`build_ground_truth` guarantees, so
 malformed files fail loudly at the boundary instead of deep inside
-scoring. Dumps are not re-checked: the program builds them from objects
-whose inputs were checked where they entered, and the test suite holds
-emitted output to the schemas.
+scoring. They are checked in the pass that builds the document, each
+function and byte run as it is built, so the first fault of a list is
+the one named. Dumps are not re-checked: the program builds them from
+objects whose inputs were checked where they entered, and the test
+suite holds emitted output to the schemas.
 """
 from __future__ import annotations
 
@@ -737,15 +739,6 @@ def _metrics_payload(precision: Fraction, recall: Fraction, f1: Fraction) -> dic
     }
 
 
-def _byte_map(runs: list[dict]) -> ByteClassMap:
-    return ByteClassMap(
-        tuple([
-            ByteRun(int(r["start"], 16), r["length"], r["class"], r["confidence"])
-            for r in runs
-        ])
-    )
-
-
 # A document is written by one template per record kind instead of a
 # payload for dump_json: its record shapes are fixed, so each template
 # spells out dump_json's text (keys sorted, records two levels deep,
@@ -866,7 +859,6 @@ def document_from_json(text: str) -> GroundTruthDocument:
         raise
     except ValueError as exc:  # a model invariant the schema cannot state
         raise SchemaError(str(exc)) from exc
-    _check_document(doc)
     if payload["complete"] != doc.complete:  # doc.complete is derived
         raise SchemaError(
             "complete must be true exactly when no error-severity "
@@ -876,23 +868,29 @@ def document_from_json(text: str) -> GroundTruthDocument:
 
 
 def _document(payload: dict) -> GroundTruthDocument:
+    """The document ``payload`` holds, checked as it is built against the
+    invariants :func:`build_ground_truth` guarantees, so the first fault
+    of each list is the one named."""
     binary = payload["binary"]
     machine_code = _machine_from_label(binary["machine"])
     functions = []
     append = functions.append
+    end, name = 0, ""  # the end_raw and name of the function before
     for fn in payload["functions"]:
         entries = tuple([int(e, 16) for e in fn["entries"]])
-        if int(fn["start"], 16) != entries[0]:
+        start = fn["start"]
+        if start != fn["entries"][0] and int(start, 16) != entries[0]:
             raise SchemaError(
                 f"function {fn['name']!r}: start disagrees with entries[0]"
             )
+        raw, trimmed = int(fn["end_raw"], 16), int(fn["end_trimmed"], 16)
         source = fn["source"]
         append(
             GroundTruthFunction(
                 fn["name"],
                 entries,
-                int(fn["end_raw"], 16),
-                int(fn["end_trimmed"], 16),
+                raw,
+                trimmed,
                 tuple(fn["aliases"]),
                 fn["group"],
                 frozenset(fn["flags"]),
@@ -900,6 +898,16 @@ def _document(payload: dict) -> GroundTruthDocument:
                 None if source is None else (source["file"], source["line"]),
             )
         )
+        if not entries[-1] < trimmed <= raw:
+            raise SchemaError(
+                f"function {fn['name']!r}: needs every entry < end_trimmed <= end_raw"
+            )
+        if entries[0] < end:
+            raise SchemaError(
+                f"function {fn['name']!r} starts before the end_raw "
+                f"of function {name!r}"
+            )
+        end, name = raw, fn["name"]
     diagnostics = tuple([
         Diagnostic(
             d["severity"],
@@ -910,6 +918,15 @@ def _document(payload: dict) -> GroundTruthDocument:
         for d in payload["diagnostics"]
         for span in (d["span"],)
     ])
+    runs, end = [], 0
+    for r in payload["byte_classes"]:
+        start = int(r["start"], 16)
+        if start < end:
+            raise SchemaError(
+                f"byte run at {start:#x} overlaps or precedes the run before it"
+            )
+        end = start + r["length"]
+        runs.append(ByteRun(start, r["length"], r["class"], r["confidence"]))
     return GroundTruthDocument(
         BinarySummary(
             binary["path"],
@@ -918,32 +935,9 @@ def _document(payload: dict) -> GroundTruthDocument:
             machine_code,
         ),
         tuple(functions),
-        _byte_map(payload["byte_classes"]),
+        ByteClassMap(tuple(runs)),
         diagnostics,
     )
-
-
-def _check_document(doc: GroundTruthDocument) -> None:
-    """The invariants :func:`build_ground_truth` guarantees."""
-    for fn in doc.functions:
-        if not fn.entry_points[-1] < fn.end_exclusive_trimmed <= fn.end_exclusive_raw:
-            raise SchemaError(
-                f"function {fn.canonical_name!r}: needs every entry < "
-                "end_trimmed <= end_raw"
-            )
-    for before, fn in zip(doc.functions, doc.functions[1:]):
-        if fn.start < before.end_exclusive_raw:
-            raise SchemaError(
-                f"function {fn.canonical_name!r} starts before the end_raw "
-                f"of function {before.canonical_name!r}"
-            )
-    end = 0
-    for run in doc.byte_classes.runs:
-        if run.start < end:
-            raise SchemaError(
-                f"byte run at {run.start:#x} overlaps or precedes the run before it"
-            )
-        end = run.end
 
 
 def report_to_json(report: ToolReport) -> str:

@@ -3,11 +3,16 @@
 All types are immutable value objects: construct once, share freely across
 threads, compare structurally.  Addresses are virtual addresses throughout;
 file offsets appear only on :class:`SectionRecord`.
+
+Every record class is made by :func:`record`, a frozen, slotted dataclass
+with a cheaper ``__init__``: loading a truth document builds one record
+per function, byte run and diagnostic, and storing the fields through
+``object.__setattr__`` was most of what each record cost.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 SEVERITIES = ("info", "warning", "error")
 
@@ -29,6 +34,7 @@ GT_START_MISMATCH = "GT_START_MISMATCH"
 GT_SUBPROGRAM_NO_ADDRESS = "GT_SUBPROGRAM_NO_ADDRESS"
 GT_DEBUG_OUTSIDE_EXEC = "GT_DEBUG_OUTSIDE_EXEC"
 GT_MALFORMED_DEBUG_DATA = "GT_MALFORMED_DEBUG_DATA"
+GT_LINKER_DISCARDED = "GT_LINKER_DISCARDED"
 
 DIAGNOSTIC_CODES = frozenset({
     GT_MISSING_SIZE,
@@ -46,10 +52,43 @@ DIAGNOSTIC_CODES = frozenset({
     GT_SUBPROGRAM_NO_ADDRESS,
     GT_DEBUG_OUTSIDE_EXEC,
     GT_MALFORMED_DEBUG_DATA,
+    GT_LINKER_DISCARDED,
 })
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` with a cheaper ``__init__``.
+
+    The generated ``__init__`` has the dataclass one's signature and
+    defaults, but stores each field through its slot descriptor, not
+    ``object.__setattr__``, then calls ``__post_init__`` if there is one.
+    Its source holds only names: descriptors and defaults are bound in the
+    namespace it is compiled in. A ``default_factory``, an ``init=False``
+    default or a keyword-only field raises ``TypeError``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    namespace, params, body = {}, ["self"], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.kw_only or (
+            not f.init and f.default is not MISSING
+        ):
+            raise TypeError(f"record {cls.__name__} cannot build field {f.name!r}")
+        if f.init:  # __post_init__ sets the others
+            namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+            namespace[f"_default_{f.name}"] = f.default
+            required = f.default is MISSING
+            params.append(f.name if required else f"{f.name}=_default_{f.name}")
+            body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    text = f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+    exec(compile(text, f"<record {cls.__name__}>", "exec"), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@record
 class Diagnostic:
     """One auditable extraction or normalization event.
 
@@ -69,7 +108,7 @@ class Diagnostic:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SectionRecord:
     """One section of the binary.
 
@@ -106,7 +145,7 @@ class SectionRecord:
 SYMBOL_BINDINGS = ("local", "global", "weak")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymbolRecord:
     """One defined function symbol.  ``size == 0`` means unknown, never empty."""
 
@@ -130,7 +169,7 @@ def machine_label(code: int) -> str:
     return MACHINE_NAMES.get(code, f"other({code})")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BinaryImage:
     """A parsed binary: sections, symbols, and the raw bytes behind them.
 

@@ -33,6 +33,7 @@ from .model import (
     Diagnostic,
     SectionRecord,
     SymbolRecord,
+    record,
 )
 
 FUNCTION_FLAGS = frozenset(
@@ -111,7 +112,7 @@ def parse_call_edges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunConfig:
     """Knobs that change what the pipeline produces."""
 
@@ -143,7 +144,7 @@ class RunConfig:
         return self.noreturn_seeds
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundTruthFunction:
     """One normalized function.
 
@@ -182,7 +183,7 @@ class GroundTruthFunction:
         return self.entry_points[0]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BinarySummary:
     source_path: str
     content_digest: bytes
@@ -197,7 +198,7 @@ def is_complete(diagnostics: Iterable[Diagnostic]) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundTruthDocument:
     """``complete`` is derived from the diagnostics by :func:`is_complete`."""
 

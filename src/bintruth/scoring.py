@@ -7,9 +7,10 @@ counts as a correct boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 
+from .model import record
 from .normalize import GroundTruthDocument
 
 START_RULES = ("any_entry", "primary_entry_only")
@@ -39,7 +40,7 @@ class EmptyCorpusError(ValueError):
     """Nothing to aggregate."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MatchPolicy:
     start_rule: str = "any_entry"
     boundary_rule: str = "padding_tolerant"
@@ -63,7 +64,7 @@ POLICY_PRESETS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ToolReport:
     """What a function-recovery tool claims about one binary."""
 
@@ -73,7 +74,7 @@ class ToolReport:
     predicted_functions: tuple[tuple[int, int | None], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Mismatch:
     kind: str
     address: int
@@ -96,7 +97,7 @@ def f1_score(precision: Fraction, recall: Fraction) -> Fraction:
     return 2 * precision * recall / total
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScoreResult:
     """The counts of one comparison; the metrics are derived from them."""
 
@@ -224,7 +225,7 @@ def score_functions(
     return ScoreResult(tp, fp, fn_count, tuple(mismatches), policy, tuple(warnings))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CorpusSummary:
     n: int
     micro_precision: Fraction

@@ -29,6 +29,7 @@ from bintruth.model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
     GT_INCOMPLETE_EXCLUDED,
+    GT_LINKER_DISCARDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_NO_DEBUG_INFO,
     GT_SUBPROGRAM_NO_ADDRESS,
@@ -349,6 +350,81 @@ def test_debug_record_outside_executable_sections_is_flagged():
     records, diags = extract_debug_functions(moved)
     assert len(records) == 1  # still recorded, the flag is advisory
     assert any(d.code == GT_DEBUG_OUTSIDE_EXEC for d in diags)
+
+
+# --- linker tombstones -------------------------------------------------------
+
+
+def _tombstone_image(
+    low_pc: int, word_size: int = 64, inline_low: int | None = None, **dwarf
+) -> BinaryImage:
+    """``kept`` has code and a symbol. A linker discarded ``dead`` and
+    ``unused``: their subprograms sit at ``low_pc`` and, when ``inline_low``
+    is given, the copy of ``unused`` inlined into ``dead`` at that address."""
+    gone = DwarfFuncSpec(low_pc=low_pc, **dwarf)
+    spec = BinarySpec(
+        sections=(SectionSpec(".text", 0x401000, executable=True),),
+        functions=(
+            FunctionSpec("kept", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(),)),
+            FunctionSpec(
+                "dead", 16, forge._fixed_body(16), emit_symbol=False, dwarf=(gone,)
+            ),
+            FunctionSpec(
+                "unused", 32, forge._fixed_body(8), emit_symbol=False, dwarf=(gone,)
+            ),
+        ),
+        inline_sites=()
+        if inline_low is None
+        else (forge.InlineSiteSpec("dead", "unused", inline_low, inline_low + 8),),
+        word_size=word_size,
+        cu_names=("b.c",),
+    )
+    return elf.parse_image(emit(spec))
+
+
+@pytest.mark.parametrize(
+    ("image", "count"),
+    [
+        (lambda: _tombstone_image(0, inline_low=0), 3),  # GNU ld and gold
+        (lambda: _tombstone_image(2**64 - 1, highpc_form="data4"), 2),  # LLD
+        (lambda: _tombstone_image(2**32 - 1, 32, highpc_form="data4"), 2),
+    ],
+    ids=["zero", "all-ones-64", "all-ones-32"],
+)
+def test_linker_discarded_functions_are_counted_not_recorded(image, count):
+    image = image()
+    records, diags = extract_debug_functions(image)
+    assert [(r.name, r.low_pc) for r in records] == [("kept", 0x401000)]
+    assert [(d.severity, d.code, d.message) for d in diags] == [
+        (
+            "info",
+            GT_LINKER_DISCARDED,
+            f"{count} subprogram(s) or inlined copies of b.c (the unit at offset "
+            "0x0) sit at 0 or all-ones outside every executable section, where a "
+            "linker puts code it discarded; skipped",
+        )
+    ]
+    doc = normalize.build_ground_truth(image)
+    assert doc.complete
+    assert [f.canonical_name for f in doc.functions] == ["kept"]
+
+
+def test_address_zero_inside_code_is_a_function():
+    spec = BinarySpec(
+        sections=(SectionSpec(".text", 0, executable=True),),
+        functions=(
+            FunctionSpec("at_zero", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(),)),
+        ),
+    )
+    records, diags = extract_debug_functions(elf.parse_image(emit(spec)))
+    assert [(r.name, r.low_pc) for r in records] == [("at_zero", 0)]
+    assert diags == []
+
+
+@pytest.mark.parametrize("low_pc", [-1, 2**32 - 8], ids=["negative", "end-past-top"])
+def test_forge_refuses_a_low_pc_the_address_size_cannot_hold(low_pc):
+    with pytest.raises(forge.InvalidSpecError, match="low pc"):
+        _tombstone_image(low_pc, 32)
 
 
 # --- damage and duplication -------------------------------------------------

@@ -403,11 +403,18 @@ def test_overlapping_functions_are_refused(preset_docs):
         twin = dict(payload["functions"][0], name="ghost")
         payload["functions"].insert(1, twin)
 
-    with pytest.raises(SchemaError) as exc:
-        document_from_json(_mutate(text, ghost))
-    assert str(exc.value) == (
-        f"function 'ghost' starts before the end_raw of function {first!r}"
-    )
+    def ghost_then_repeat(payload):
+        """A model fault in the last function comes after the overlap."""
+        ghost(payload)
+        last = payload["functions"][-1]
+        last["entries"] = [last["start"], last["start"]]
+
+    for edit in (ghost, ghost_then_repeat):
+        with pytest.raises(SchemaError) as exc:
+            document_from_json(_mutate(text, edit))
+        assert str(exc.value) == (
+            f"function 'ghost' starts before the end_raw of function {first!r}"
+        )
 
 
 def test_a_repeated_entry_is_refused(preset_docs):

@@ -3,14 +3,19 @@
 
 The first program has a ``static inline`` helper, which gcc inlines at
 -O2, and a ``__attribute__((cold))`` function. It is compiled at
-``-O2 -g`` twice, once with the compiler's default DWARF version and once
-with ``-gdwarf-4``. ``bintruth extract`` must exit 0 on each binary, and
-every function of the program that the document holds (a ``.cold`` part
-included) must have ``dwarf`` provenance, but one: gcc moves the cold
-call out of ``main`` into ``main.cold``, which lies below ``main``, and
-the reader takes the lowest address of a subprogram's ranges as its
-start. So the record goes to ``main.cold`` and ``main`` has only
-``symtab`` provenance.
+``-O2 -g`` three times: with the compiler's default DWARF version, with
+``-gdwarf-4`` and with ``-flto``. ``bintruth extract`` must exit 0 on
+each binary, and every function of the program that the document holds
+(a ``.cold`` part or a ``.constprop.0`` clone included, matched by its
+name before the first ``.``) must have ``dwarf`` provenance, but one: gcc
+moves the cold call out of ``main`` into ``main.cold``, which lies below
+``main``, and the reader takes the lowest address of a subprogram's
+ranges as its start. So the record goes to ``main.cold`` and ``main`` has
+only ``symtab`` provenance. Each function with ``dwarf`` provenance must
+give ``smoke.c`` as its ``source.file``, but in the ``-flto`` build: its
+LTO unit names some other file, and the reader writes a ``decl_file``
+index other than 0 or 1 as ``file#N``, which such a build reads in every
+function.
 
 The second program has two files. ``a.c``'s ``main`` ends in a call to
 ``die``, which ``b.c`` defines as ``noreturn``; nothing calls ``b.c``'s
@@ -28,7 +33,9 @@ diagnostic of its own. One known defect holds in each build:
 ``end_raw``, inside the call.
 
 Each known defect is pinned: the script fails when it is fixed, so that
-the fix removes the pin. Needs ``gcc`` on PATH and nothing else.
+the fix removes the pin. Every program is compiled in its own directory
+from relative file names, so a unit's name is its file's. Needs ``gcc``
+on PATH and nothing else.
 
 Usage:
     python3 scripts/gcc_smoke.py
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -117,6 +125,7 @@ GOLD = "-fuse-ld=gold"
 BUILDS = {
     "default": (SMOKE, []),
     "dwarf4": (SMOKE, ["-gdwarf-4"]),
+    "lto": (SMOKE, ["-flto"]),
     "noreturn": (TWO_FILES, []),
     "gc-sections": (TWO_FILES, GC),
     "gc-sections-gold": (TWO_FILES, [*GC, GOLD]),
@@ -127,13 +136,12 @@ def extract(work: Path, build: str) -> tuple[int, dict] | None:
     """Build ``build`` and extract it: the exit code and the document, or
     None when gcc cannot link a gold build."""
     sources, flags = BUILDS[build]
-    paths = []
     for name, text in sources.items():
-        paths.append(work / name)
-        paths[-1].write_text(text)
+        (work / name).write_text(text)
     binary, truth = work / f"{build}.bin", work / f"{build}.json"
     done = subprocess.run(
-        ["gcc", "-O2", "-g", *flags, "-o", str(binary), *map(str, paths)],
+        ["gcc", "-O2", "-g", *flags, "-o", binary.name, *sources],
+        cwd=work,
         capture_output=True,
         text=True,
     )
@@ -162,7 +170,8 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
     if code != 0:
         return [f"extract exited {code}"]
     ours = {f["name"]: f for f in doc["functions"] if f["name"].split(".")[0] in DEFINED}
-    problems = [f"{name}: no function" for name in sorted(NOT_INLINED - set(ours))]
+    found = {name.split(".")[0] for name in ours}
+    problems = [f"{name}: no function" for name in sorted(NOT_INLINED - found)]
     for name, fn in sorted(ours.items()):
         split = f"{name}.cold" in ours  # the hot part of a split function
         if split == ("dwarf" in fn["provenance"]):
@@ -171,7 +180,19 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
                 if split
                 else f"{name}: provenance {fn['provenance']}"
             )
-    shown = ", ".join(f"{name} {'+'.join(fn['provenance'])}" for name, fn in sorted(ours.items()))
+        if split:
+            continue  # the pinned hot part has no record, so no source
+        file = (fn["source"] or {}).get("file")
+        if build != "lto" and file != "smoke.c":
+            problems.append(f"{name}: source.file {file!r}")
+        elif build == "lto" and file == "smoke.c":
+            problems.append(f"{name}: the lto build reads smoke.c; drop its pin")
+        elif build == "lto" and not re.fullmatch(r"file#\d+", file or ""):
+            problems.append(f"{name}: source.file {file!r}, not file#N")
+    shown = ", ".join(
+        f"{name} {'+'.join(fn['provenance'])} {(fn['source'] or {}).get('file')}"
+        for name, fn in sorted(ours.items())
+    )
     print(f"{build}: {shown}")
     return problems
 

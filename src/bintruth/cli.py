@@ -38,7 +38,6 @@ _INPUT_ERRORS = (
     normalize.CallEdgeError,
     scoring.DigestMismatchError,
     scoring.MissingSizesError,
-    forge.UnknownPresetError,
 )
 
 
@@ -147,6 +146,7 @@ def _build_parser() -> _Parser:
         "--preset",
         action="append",
         default=[],
+        choices=sorted(forge.PRESETS),
         metavar="NAME",
         help=f"one of: {', '.join(sorted(forge.PRESETS))} (repeatable)",
     )

@@ -27,11 +27,11 @@ abbrev's forms are all fixed. The source of a reader holds int literals
 and names only: structs, decoders and implicit_const values are bound in
 the namespace it is compiled in, never written into its text. Only the
 first DIE of a unit and the DIEs tagged compile_unit, subprogram or
-inlined_subroutine are decoded; every other DIE is stepped over by its
-skip reader. The walk records where each skipped DIE starts, in rising
-order in one array of 8-byte offsets that a link bisects, and a
-specification or abstract_origin link that lands on one decodes it then
-by its decode reader.
+inlined_subroutine are decoded and kept; every other DIE is stepped over
+by its skip reader. So a specification or abstract_origin link names only
+a decoded DIE: DWARF 5 points the one at the declaring subprogram
+(§2.13.2) and the other at the abstract subprogram (§3.3.8), and a link
+that lands on any other DIE names nothing.
 
 Readers check no bounds as they go. A DIE whose read fails, or ends past
 the section, is read again by the full decoder (``_read_attrs``), which
@@ -58,7 +58,6 @@ from __future__ import annotations
 import bisect
 import functools
 import struct
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -305,8 +304,8 @@ _ADDRX_FORMS = ADDRESS_FORMS - {0x01}
 # ref1, ref2, ref4, ref8 and ref_udata: offsets from the unit's start.
 _UNIT_REF_FORMS = frozenset({0x11, 0x12, 0x13, 0x14, 0x15})
 
-# The tags whose DIEs the walk decodes; any other DIE is stepped over and
-# decoded only when a specification or abstract_origin link lands on it.
+# The tags whose DIEs the walk decodes; any other DIE is stepped over, and a
+# link that lands on it names nothing.
 _DECODED_TAGS = frozenset(
     {DW_TAG_compile_unit, DW_TAG_subprogram, DW_TAG_inlined_subroutine}
 )
@@ -355,10 +354,8 @@ class _Unit:
     little_endian: bool
     aux: _Aux
     info: bytes
-    abbrevs: _Abbrevs
     widths: dict[int, int]
     dies: dict[int, _Die] = field(default_factory=dict)  # decoded, by offset
-    skipped: array = field(default_factory=lambda: array("Q"))  # the others, rising
     root: int = -1
     addr_base: int = 8
     str_base: int = 8
@@ -714,8 +711,8 @@ def _parse_unit(
 
     A DWARF 5 unit of a type not in ``unit_types`` is stepped over: the
     unit is None. Decodes the first DIE and every DIE of a tag in
-    _DECODED_TAGS; steps over the others by their skip plans and records
-    where they start.
+    _DECODED_TAGS; steps over the others by their skip plans, or by the
+    full decoder when they have none, and keeps nothing of them.
     """
     cur = _Cursor(blob, pos + 4, little_endian)
     version = cur.uint(2)
@@ -740,11 +737,8 @@ def _parse_unit(
 
     abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
     widths = _form_widths(version, addr_size)
-    unit = _Unit(
-        version, addr_size, pos, unit_end, little_endian, aux, blob, abbrevs, widths
-    )
+    unit = _Unit(version, addr_size, pos, unit_end, little_endian, aux, blob, widths)
     dies = unit.dies
-    mark_skipped = unit.skipped.append
     blob_end = len(blob)
     root = -1
     pos = cur.pos
@@ -767,16 +761,16 @@ def _parse_unit(
             decode = True
         if plan.__class__ is int:
             pos += plan  # type: ignore
-            mark_skipped(die_off)
-        elif decode or plan is None:
+        elif decode:
             attrs, pos = _decode(unit, pos, pairs, plan)
             dies[die_off] = _Die(tag, attrs)
+        elif plan is None:
+            pos = _decode(unit, pos, pairs, None)[1]
         else:
             try:
                 pos = plan(blob, pos)  # type: ignore
             except _PLAN_ERRORS:
                 pos = blob_end + 1
-            mark_skipped(die_off)
     if pos > blob_end:
         # Only the last DIE can have run past the data, and the full decoder
         # reads the same widths, so it raises what the plan hit.
@@ -785,24 +779,6 @@ def _parse_unit(
         raise MalformedDebugDataError("compile unit has no DIEs")
     unit.root = root
     return unit
-
-
-def _die_at(unit: _Unit, off: int) -> _Die | None:
-    """The DIE that starts at ``off``, decoded now if the walk skipped it."""
-    die = unit.dies.get(off)
-    if die is not None:
-        return die
-    skipped = unit.skipped
-    i = bisect.bisect_left(skipped, off)
-    if i == len(skipped) or skipped[i] != off:
-        return None
-    # The walk stepped over a skipped DIE inside the data, and its read
-    # plan steps over the same widths, so the read cannot run past it.
-    code, pos = uleb_decode(unit.info, off)
-    tag, pairs, _plan, _decoded = unit.abbrevs[code]
-    plan = _compile_plan(pairs, unit.version, unit.addr_size, unit.little_endian, True)
-    die = unit.dies[off] = _Die(tag, _decode(unit, pos, pairs, plan)[0])
-    return die
 
 
 def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
@@ -831,8 +807,8 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
 
 
 def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
-    """The unit and DIE a reference attribute names; None for any other
-    form, or where no DIE starts."""
+    """The unit and decoded DIE a reference attribute names; None for any
+    other form, or where no decoded DIE starts."""
     if form in _UNIT_REF_FORMS:
         off = unit.cu_start + raw  # type: ignore
     elif form == 0x10:  # ref_addr: an offset in the whole .debug_info blob
@@ -842,7 +818,7 @@ def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
             return None
     else:
         return None
-    die = _die_at(unit, off)
+    die = unit.dies.get(off)
     return None if die is None else (unit, die)
 
 
@@ -1034,8 +1010,7 @@ def _unit_records(
     tombstone = (1 << unit.addr_size * 8) - 1
     records: list[DebugFunctionRecord] = []
     no_address = discarded = 0
-    # Following a link may decode a skipped DIE into unit.dies.
-    for die in list(unit.dies.values()):
+    for die in unit.dies.values():
         if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
             continue
         inlined = die.tag == DW_TAG_inlined_subroutine

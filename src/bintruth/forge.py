@@ -82,10 +82,6 @@ class InvalidSpecError(ValueError):
     """The spec asks for an image that cannot be laid out."""
 
 
-class UnknownPresetError(KeyError):
-    """No preset registered under that name."""
-
-
 @record
 class TwinSpec:
     """Secondary entry point named ``<name>.`` inside the same body."""
@@ -378,6 +374,11 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
         if not {(site.host, site.unit), (site.origin, site.unit)} <= described:
             raise InvalidSpecError(
                 f"inline site {site.origin!r} in {site.host!r} has no DIEs"
+            )
+        if min(site.low, site.high) < 0 or max(site.low, site.high) >> spec.word_size:
+            raise InvalidSpecError(
+                f"inline site {site.origin!r} in {site.host!r} at "
+                f"{site.low:#x}-{site.high:#x} does not fit {spec.word_size} bits"
             )
     if spec.emit_symtab:
         for extra in spec.extra_symbols:
@@ -757,10 +758,8 @@ PRESETS = {
 
 
 def preset(name: str) -> BinarySpec:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise UnknownPresetError(name) from None
+    """The spec of the preset ``name``; KeyError if there is none."""
+    return PRESETS[name]()
 
 
 @record

@@ -360,9 +360,9 @@ def _check(value: object, schema: dict, where: str) -> None:
     :func:`_explain` name the first failure, and it alone writes schema
     messages. Only the node shapes the published schemas use are built
     (see :func:`_shape`), and on them the check matches JSON Schema; any
-    other shape, an object schema that allows other keys among them,
-    raises ``ValueError``, not ``SchemaError``, as a bug in the schema
-    rather than bad input. Three rules are stricter than jsonschema's: a
+    other shape, an object schema that allows other keys or leaves a key
+    optional among them, raises ``ValueError``, not ``SchemaError``, as a
+    bug in the schema rather than bad input. Three rules are stricter than jsonschema's: a
     float never counts as an integer; ``enum``/``const`` compare types as
     well as values (``32.0`` is not ``32``); and a pattern's ``$`` matches
     only at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
@@ -400,9 +400,9 @@ def _shape(schema: dict) -> tuple[str, frozenset, str]:
     ``type``, and a ``type`` with either a pattern (``string``), a minimum
     (``number``), array keywords (``array``) or object keywords
     (``object``), the last always closed by ``additionalProperties:
-    false``. Any other shape, a ``type`` JSON has not, or a keyword that no
-    declared type reads, raises ``ValueError``: it is a bug in the schema,
-    not bad input.
+    false`` and requiring every property it lists. Any other shape, a
+    ``type`` JSON has not, or a keyword that no declared type reads, raises
+    ``ValueError``: it is a bug in the schema, not bad input.
     """
     keys = schema.keys()
     if keys == {"const"}:
@@ -432,6 +432,10 @@ def _shape(schema: dict) -> tuple[str, frozenset, str]:
             if schema.get("additionalProperties") is not False:
                 raise ValueError(
                     "an object schema must set additionalProperties to false"
+                )
+            if set(schema.get("required", ())) != schema.get("properties", {}).keys():
+                raise ValueError(
+                    "no checker for an object schema with an optional property"
                 )
             return "object", types, expected
     raise ValueError(f"no checker for a schema node with keys {sorted(keys)}")
@@ -519,8 +523,7 @@ def _generate(schema: dict) -> _Acceptor:
 
     Its source is straight-line code for each node: the type test, the
     node's own tests, a loop over an array's items, and for an object one
-    key-set test (an equality when every property is required) followed
-    by each property's code. It calls no Python function per value (only
+    key-set equality followed by each property's code. It calls no Python function per value (only
     a pattern calls its regex) and keeps no JSON path; a ``False`` says
     only that :func:`_explain` will name a failure. The source holds
     nothing but names: every schema constant it tests against is bound in
@@ -631,25 +634,12 @@ class _AcceptorSource:
 
     def _object(self, schema: dict, x: str, depth: int) -> None:
         properties = schema.get("properties", {})
-        required = frozenset(schema.get("required", ()))
-        if required == properties.keys():
-            keys = self.constant(required)
-            self.line(depth, f"if {x}.keys() != {keys}: return False")
-        else:
-            if required:
-                needed = self.constant(required)
-                self.line(depth, f"if not {x}.keys() >= {needed}: return False")
-            known = self.constant(frozenset(properties))
-            self.line(depth, f"if not {x}.keys() <= {known}: return False")
+        keys = self.constant(frozenset(properties))
+        self.line(depth, f"if {x}.keys() != {keys}: return False")
         for key, sub in properties.items():
             item, name = self.local(), self.constant(key)
-            if key in required:
-                self.line(depth, f"{item} = {x}[{name}]")
-                self.emit(sub, item, depth)
-            else:
-                self.line(depth, f"if {name} in {x}:")
-                self.line(depth + 1, f"{item} = {x}[{name}]")
-                self.emit(sub, item, depth + 1)
+            self.line(depth, f"{item} = {x}[{name}]")
+            self.emit(sub, item, depth)
 
 
 def dump_json(payload: dict) -> str:

@@ -853,11 +853,14 @@ def test_fixtures_randomized_corpus(tmp_path, capsys):
 
 
 def test_fixtures_unknown_preset_is_an_input_error(tmp_path, capsys):
-    code, _out, err = run(
-        capsys, "fixtures", "-o", str(tmp_path), "--preset", "mystery"
-    )
-    assert code == 2
-    assert "mystery" in err
+    """A preset name is an option value: argparse refuses it as a usage
+    error, before the output directory is made."""
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "-o", str(out_dir), "--preset", "mystery"])
+    assert exc.value.code == 1
+    assert "argument --preset: invalid choice: 'mystery'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- the text form of every writer ---------------------------------------------

@@ -533,7 +533,7 @@ def test_records_hash_by_content():
     assert len({a, b}) == 1
 
 
-# --- hand-assembled units: skipped DIEs and lazy decoding --------------------
+# --- hand-assembled units: skipped DIEs and links ----------------------------
 
 TAG_CU, TAG_SUBPROGRAM, TAG_VARIABLE, AT_SIBLING = 0x11, 0x2E, 0x34, 0x01
 TAG_INLINED_SUBROUTINE = 0x1D
@@ -546,8 +546,9 @@ FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
 FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
 FORM_REF_ADDR, FORM_FLAG_PRESENT, AT_INLINE, AT_NORETURN = 0x10, 0x19, 0x20, 0x87
+AT_DECLARATION, FORM_LINE_STRP = 0x3C, 0x1F
 
-# Codes 1-3 are decoded tags, 4-8 are variables the walk steps over.
+# Codes 4-7, 9 and 22 are variables the walk steps over; the others are decoded tags.
 ABBREVS = {
     1: (TAG_CU, [(AT_NAME, FORM_STRING), (AT_STR_OFFSETS_BASE, FORM_SEC_OFFSET)]),
     2: (
@@ -572,7 +573,8 @@ ABBREVS = {
     5: (TAG_VARIABLE, [(AT_NAME, FORM_STRX1)]),
     6: (TAG_VARIABLE, [(AT_NAME, FORM_STRING)]),
     7: (TAG_VARIABLE, [(AT_NAME, FORM_INDIRECT)]),
-    8: (TAG_VARIABLE, [(AT_SPECIFICATION, FORM_REF4)]),
+    # An abstract instance that takes its name from its declaration.
+    8: (TAG_SUBPROGRAM, [(AT_SPECIFICATION, FORM_REF4), (AT_INLINE, FORM_DATA1)]),
     9: (TAG_VARIABLE, [(AT_NAME, 0x7F)]),  # no such form
     # Offsets in forms that cannot hold one.
     10: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_RANGES, FORM_STRING)]),
@@ -662,7 +664,15 @@ ABBREVS = {
     29: (TAG_CU, [(AT_NAME, FORM_STRX1), (AT_STR_OFFSETS_BASE, FORM_SEC_OFFSET)]),
     # A concrete subprogram without an address.
     30: (TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING)]),
+    # A DWARF 5 unit named in .debug_line_str, as gcc 12 writes it.
+    31: (TAG_CU, [(AT_NAME, FORM_LINE_STRP)]),
 }
+# 32-35: declaring subprograms named as the variables 4-7 are; the flag
+# takes no bytes, so a declaration's bytes are its variable's.
+for _code in (4, 5, 6, 7):
+    ABBREVS[_code + 28] = (
+        TAG_SUBPROGRAM, [*ABBREVS[_code][1], (AT_DECLARATION, FORM_FLAG_PRESENT)]
+    )
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
 STR_OFFSETS = struct.pack("<IHHI", 8, 5, 0, 1)
@@ -700,6 +710,13 @@ NAMED = {  # a skipped DIE named "target" in each of four ways
     "indirect": _die(7, uleb_encode(FORM_STRING), b"target\x00"),
 }
 BAD_STRP = _die(4, _ref(0x9999), _VARIABLE_TAIL)
+DECLARED = {  # a declaring subprogram named "target" in each of four ways
+    "strp": _die(32, _ref(1), _VARIABLE_TAIL),
+    "strx1": _die(33, b"\x00"),
+    "string": _die(34, b"target\x00"),
+    "indirect": _die(35, uleb_encode(FORM_STRING), b"target\x00"),
+}
+BAD_DECLARED = _die(32, _ref(0x9999), _VARIABLE_TAIL)
 
 
 def _offset(dies: list[bytes], index: int, version: int = 4) -> int:
@@ -740,10 +757,10 @@ def _only_error(diags: list[Diagnostic]) -> str:
     return error.message
 
 
-@pytest.mark.parametrize("form", sorted(NAMED))
-def test_specification_into_a_skipped_die_takes_its_name(form):
+@pytest.mark.parametrize("form", sorted(DECLARED))
+def test_specification_into_a_declaration_takes_its_name(form):
     version = 5 if form == "strx1" else 4
-    dies = [CU_DIE, NAMED[form]]
+    dies = [CU_DIE, DECLARED[form]]
     dies.append(_subprogram(2, _offset(dies, 1, version)))
     records, diags = extract_debug_functions(_unit_image(dies, version))
     assert diags == []
@@ -753,13 +770,25 @@ def test_specification_into_a_skipped_die_takes_its_name(form):
     assert (rec.decl_file, rec.decl_line) == (("t.c", 300) if form == "strp" else ("", 0))
 
 
-def test_abstract_origin_chain_through_skipped_dies_resolves():
-    dies = [CU_DIE, NAMED["strp"]]
-    dies.append(_die(8, _ref(_offset(dies, 1))))  # skipped, specification -> named
+def test_abstract_origin_chain_through_a_declaration_resolves():
+    dies = [CU_DIE, DECLARED["strp"]]
+    dies.append(_die(8, _ref(_offset(dies, 1)), b"\x01"))  # specification -> named
     dies.append(_subprogram(3, _offset(dies, 2)))  # abstract_origin -> the link
     records, diags = extract_debug_functions(_unit_image(dies))
     assert diags == []
     assert [r.name for r in records] == ["target"]
+
+
+@pytest.mark.parametrize("form", sorted(NAMED))
+def test_a_link_into_an_entry_the_walk_steps_over_names_nothing(form):
+    """A variable is not what a specification names: it is stepped over,
+    not kept, and the subprogram gets no name from it."""
+    version = 5 if form == "strx1" else 4
+    dies = [CU_DIE, NAMED[form]]
+    dies.append(_subprogram(2, _offset(dies, 1, version)))
+    records, diags = extract_debug_functions(_unit_image(dies, version))
+    assert diags == []
+    assert [(r.name, r.low_pc, r.decl_file) for r in records] == [("", 0x401000, "")]
 
 
 @pytest.mark.parametrize("delta", [1, 5, 0x900])
@@ -774,7 +803,7 @@ def test_reference_where_no_die_starts_names_nothing(delta):
 def test_damage_in_an_unread_skipped_die_keeps_the_unit():
     # A string offset is followed only when its attribute is read, and
     # nothing reads the skipped variable's name: the unit's record survives.
-    dies = [CU_DIE, BAD_STRP, NAMED["string"]]
+    dies = [CU_DIE, BAD_STRP, DECLARED["string"]]
     dies.append(_subprogram(2, _offset(dies, 2)))
     records, diags = extract_debug_functions(_unit_image(dies))
     assert diags == []
@@ -840,7 +869,7 @@ def test_a_damaged_unit_is_named_and_leaves_no_diagnostics():
 def test_a_ref_addr_link_in_a_later_unit_takes_its_name():
     """ref_addr offsets count from the start of .debug_info, not of the unit."""
     first = _unit([CU_DIE])
-    dies = [CU_DIE, NAMED["string"]]
+    dies = [CU_DIE, DECLARED["string"]]
     dies.append(_subprogram(26, len(first) + _offset(dies, 1)))
     records, diags = extract_debug_functions(_info_image(first + _unit(dies)))
     assert diags == []
@@ -964,8 +993,8 @@ def test_subprograms_without_an_address_are_counted_once_per_unit():
     ]
 
 
-def test_damage_in_a_referenced_skipped_die_is_malformed():
-    dies = [CU_DIE, BAD_STRP]
+def test_damage_in_a_referenced_declaration_is_malformed():
+    dies = [CU_DIE, BAD_DECLARED]
     dies.append(_subprogram(2, _offset(dies, 1)))
     records, diags = extract_debug_functions(_unit_image(dies))
     assert records == []
@@ -1007,6 +1036,24 @@ def test_decoded_die_reads_whole():
     ]
 
 
+def test_a_dwarf5_unit_named_in_line_str_names_its_source_file():
+    """decl_file 1 names the unit's primary file, which gcc 12 names by a
+    .debug_line_str offset in every DWARF 5 unit."""
+    info = _unit([_die(31, _ref(6)), DECODED], version=5)
+    image = _synthetic_image(
+        [
+            (".debug_info", info),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_line_str", b"\x00/tmp\x00b.c\x00"),
+        ]
+    )
+    records, diags = extract_debug_functions(image)
+    assert diags == []
+    assert [(r.low_pc, r.decl_file, r.decl_line) for r in records] == [
+        (0x401000, "b.c", 300)
+    ]
+
+
 @pytest.mark.parametrize(("kept", "message"), _DECODED_CUTS)
 def test_decoded_die_cut_at_the_section_end_is_malformed(kept, message):
     dies = [CU_DIE, DECODED[:kept]]
@@ -1041,7 +1088,7 @@ def test_an_attribute_given_twice_reads_its_last_value():
 # --- generated readers against the full decoder ----------------------------
 
 AT_DATA_LOCATION, FORM_BLOCK4, FORM_BLOCK, FORM_BLOCK1 = 0x50, 0x04, 0x09, 0x0A
-FORM_DATA16, FORM_IMPLICIT_CONST, FORM_ADDRX, AT_DECLARATION = 0x1E, 0x21, 0x1B, 0x3C
+FORM_DATA16, FORM_IMPLICIT_CONST, FORM_ADDRX = 0x1E, 0x21, 0x1B
 _LONG_EXPR = uleb_encode(200) + bytes(range(200))  # a length of two LEB bytes
 
 
@@ -1126,7 +1173,7 @@ def test_generated_readers_read_what_the_full_decoder_reads(case):
     little = order == "little"
     widths = dwarf._form_widths(version, addr_size)
     unit = dwarf._Unit(
-        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 7), blob, {}, widths
+        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 7), blob, widths
     )
     cur = dwarf._Cursor(blob, 0, little)
     full = dwarf._read_attrs(cur, pairs, unit)

@@ -13,7 +13,6 @@ from bintruth.forge import (
     InvalidSpecError,
     SectionSpec,
     TwinSpec,
-    UnknownPresetError,
     emit,
     generate_corpus,
     preset,
@@ -213,6 +212,17 @@ def _clash(name, **fields):
         _clash(".debug_abbrev", **_DESCRIBED),
         _clash(".debug_ranges", **_ranged(4)),
         _clash(".debug_rnglists", **_ranged(5)),
+        (
+            BinarySpec(
+                sections=(TEXT,),
+                functions=(
+                    FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),
+                    FunctionSpec("g", 1, b"\xc3", dwarf=(DwarfFuncSpec(),)),
+                ),
+                inline_sites=(InlineSiteSpec("f", "g", 2**32 - 1, 2**32 + 7),),
+            ),
+            "inline site 'g' in 'f' at 0xffffffff-0x100000007 does not fit 32 bits",
+        ),
     ],
 )
 def test_bad_specs_are_rejected(spec, message):
@@ -249,7 +259,7 @@ def test_word_size_must_be_32_or_64():
 
 
 def test_unknown_preset_name():
-    with pytest.raises(UnknownPresetError):
+    with pytest.raises(KeyError):
         preset("no-such-fixture")
 
 

@@ -338,6 +338,12 @@ def test_open_object_schemas_are_refused():
         {"type": "array", "items": {"type": "string"}, "format": "date"},
         {"type": "object", "additionalProperties": False, "format": "date"},
         {"type": "strnig"},  # no JSON type
+        {  # every published object schema requires all of its properties
+            "type": "object",
+            "properties": {"a": {"type": "integer"}},
+            "required": [],
+            "additionalProperties": False,
+        },
     ],
 )
 def test_unpublished_schema_shapes_are_refused(schema):

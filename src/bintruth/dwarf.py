@@ -41,6 +41,13 @@ form with no width in the catalog (indirect, or an unknown form, which it
 refuses) or more attributes than a reader may hold, so that a hostile
 .debug_abbrev cannot make a compile run long.
 
+Inlined copies of one function share its abstract origin (DWARF 5
+§3.3.8), and a diagnostic names each copy. A name reached through an
+abstract origin is resolved once per target per .debug_info blob, for
+every DIE that has neither a name nor a specification of its own. A
+record's name, declaration coordinates and noreturn flag come from one
+walk along its specification and abstract_origin links.
+
 Decoding keeps each attribute's raw value; ``_value`` gives it its meaning
 when the pipeline reads it, resolving string offsets and string and
 address indexes against their sections then. So what an attribute points
@@ -125,6 +132,8 @@ RLE_OFFSET_PAIR = 0x04
 RLE_BASE_ADDRESS = 0x05
 RLE_START_END = 0x06
 RLE_START_LENGTH = 0x07
+# The entries whose first operand is an address, not a ULEB128 number.
+_RLE_ADDRESS_FIRST = frozenset({RLE_BASE_ADDRESS, RLE_START_END, RLE_START_LENGTH})
 
 
 class MalformedDebugDataError(ValueError):
@@ -184,6 +193,12 @@ _UINT_READERS = {
         for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
     }
     for little in (True, False)
+}
+# (little endian?, address size) -> unpack_from of two addresses.
+_PAIR_READERS = {
+    (little, width): struct.Struct(("<" if little else ">") + code * 2).unpack_from
+    for little in (True, False)
+    for width, code in ((4, "I"), (8, "Q"))
 }
 
 
@@ -301,6 +316,10 @@ def _form_widths(version: int, addr_size: int) -> dict[int, int]:
 
 _STRX_FORMS = frozenset({0x1A, 0x25, 0x26, 0x27, 0x28})
 _ADDRX_FORMS = ADDRESS_FORMS - {0x01}
+# The forms whose raw value _value resolves: strp, line_strp, the string
+# and address indexes, flag and flag_present. Any other form means its
+# raw value.
+_RESOLVED_FORMS = _STRX_FORMS | _ADDRX_FORMS | {0x0E, 0x1F, 0x0C, 0x19}
 # ref1, ref2, ref4, ref8 and ref_udata: offsets from the unit's start.
 _UNIT_REF_FORMS = frozenset({0x11, 0x12, 0x13, 0x14, 0x15})
 
@@ -320,8 +339,8 @@ class _Die:
 @dataclass(slots=True)
 class _Aux:
     """Companion section blobs one .debug_info blob resolves against, the
-    blob's unit spans, and the units of the blob that ref_addr links have
-    reached."""
+    blob's unit spans and starts, the units of the blob that ref_addr links
+    have reached, and the names resolved through abstract origins."""
 
     abbrev: bytes
     debug_str: bytes
@@ -331,7 +350,11 @@ class _Aux:
     ranges: bytes
     rnglists: bytes
     units: list[tuple[int, int]] = field(default_factory=list)  # (start, end)
+    starts: list[int] = field(default_factory=list)  # each unit's start
     linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
+    # The .debug_info offset of an abstract origin -> how a diagnostic names
+    # a DIE that links to it and has neither a name nor a specification.
+    names: dict[int, str] = field(default_factory=dict)
 
 
 # A plan is None when a form has no width in the catalog, or when the abbrev
@@ -632,6 +655,8 @@ def _value(unit: _Unit, form: int, raw: object) -> object:
     unit's sections and bases, and raise MalformedDebugDataError when they
     land outside them; flags become bools; any other value is ``raw``.
     """
+    if form not in _RESOLVED_FORMS:
+        return raw
     if form == 0x0E:  # strp
         return _str_at(unit.aux.debug_str, raw, ".debug_str")  # type: ignore
     if form == 0x1F:  # line_strp
@@ -646,9 +671,7 @@ def _value(unit: _Unit, form: int, raw: object) -> object:
         return _indexed_addr(unit, raw)  # type: ignore
     if form == 0x0C:  # flag
         return bool(raw)
-    if form == 0x19:  # flag_present
-        return True
-    return raw
+    return True  # flag_present
 
 
 def _offset_value(value: object, what: str) -> int:
@@ -792,7 +815,7 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
     if unit.cu_start <= off < unit.unit_end:
         return unit
     aux = unit.aux
-    i = bisect.bisect_right(aux.units, off, key=lambda span: span[0]) - 1
+    i = bisect.bisect_right(aux.starts, off) - 1
     if i < 0:
         return None
     start, end = aux.units[i]
@@ -822,23 +845,93 @@ def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
     return None if die is None else (unit, die)
 
 
-def _inherited(unit: _Unit, die: _Die, attr: int) -> tuple[_Unit, int, object] | None:
-    """Attribute lookup following specification/abstract_origin chains:
-    (the unit that holds the attribute, form, raw value), or None."""
+def _inherited(
+    unit: _Unit, die: _Die, attrs: tuple[int, ...]
+) -> tuple[list[tuple[_Unit, int, object] | None], MalformedDebugDataError | None]:
+    """Attribute lookup following specification/abstract_origin chains, in
+    one walk for all of ``attrs``: for each, (the unit that holds it, form,
+    raw value) from the first DIE along the chain that has it, or None.
+
+    The walk stops once each attribute is found, at the end of the chain,
+    or where it comes back to a DIE it visited. A link whose unit does not
+    parse stops it too, and its error is returned with the lookups: it is
+    what each attribute not found before that link would raise, when read.
+    """
+    found: list[tuple[_Unit, int, object] | None] = [None] * len(attrs)
+    missing = len(attrs)
     seen: set[int] = set()
     while True:
-        got = die.attrs.get(attr)
-        if got is not None:
-            return unit, got[0], got[1]
-        nxt = None
-        for link in (DW_AT_specification, DW_AT_abstract_origin):
-            if link in die.attrs:
-                nxt = _deref(unit, *die.attrs[link])
-                break
+        here = die.attrs
+        for i, attr in enumerate(attrs):
+            got = here.get(attr)
+            if got is not None and found[i] is None:
+                found[i] = (unit, got[0], got[1])
+                missing -= 1
+        if not missing:
+            return found, None
+        link = here.get(DW_AT_specification) or here.get(DW_AT_abstract_origin)
+        if link is None:
+            return found, None
+        try:
+            nxt = _deref(unit, *link)
+        except MalformedDebugDataError as exc:
+            return found, exc
         if nxt is None or id(nxt[1]) in seen:
-            return None
+            return found, None
         unit, die = nxt
         seen.add(id(die))
+
+
+def _meaning(
+    found: list[tuple[_Unit, int, object] | None],
+    error: MalformedDebugDataError | None,
+    i: int,
+) -> object:
+    """The meaning of ``_inherited``'s ``i``-th lookup, read against the
+    unit that holds it, or None if absent; raises the walk's error if the
+    walk stopped at a broken link before finding it."""
+    got = found[i]
+    if got is None:
+        if error is not None:
+            raise error
+        return None
+    return _value(*got)
+
+
+_NAME = (DW_AT_name,)
+# What a record inherits, in the order it reads them.
+_RECORD_ATTRS = (DW_AT_noreturn, DW_AT_decl_file, DW_AT_decl_line, DW_AT_name)
+
+
+def _shown(unit: _Unit, die: _Die) -> str:
+    """How a diagnostic names ``die``: its name, looked up along its links,
+    or "<anonymous>".
+
+    A DIE with neither a name nor a specification takes its name along the
+    chain from its abstract origin, as every such DIE linked to that origin
+    does (DWARF 5 §3.3.8). So that name is resolved once per origin and
+    kept by the origin's .debug_info offset; a name that does not resolve
+    raises each time. A unit-relative link that points outside its unit
+    names nothing, and is not kept.
+    """
+    attrs = die.attrs
+    key = None
+    if DW_AT_name not in attrs and DW_AT_specification not in attrs:
+        origin = attrs.get(DW_AT_abstract_origin)
+        if origin is not None:
+            form, raw = origin
+            if form == 0x10:  # ref_addr
+                key = raw
+            elif form in _UNIT_REF_FORMS and raw < unit.unit_end - unit.cu_start:  # type: ignore
+                key = unit.cu_start + raw  # type: ignore
+    names = unit.aux.names
+    shown = None if key is None else names.get(key)
+    if shown is None:
+        value = _meaning(*_inherited(unit, die, _NAME), 0)
+        shown = value if isinstance(value, str) and value else "<anonymous>"
+        if key is not None:
+            names[key] = shown
+    return shown
 
 
 def _unit_name(unit: _Unit) -> str:
@@ -848,57 +941,106 @@ def _unit_name(unit: _Unit) -> str:
     return "" if name is None else str(name)
 
 
-def _ranges_v4(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
+# A range list read to its end: (lowest start, highest end, number of
+# ranges, whether some range ends before it starts). The first two are
+# 0 when the list holds no range.
+_Hull = tuple[int, int, int, bool]
+
+
+def _ranges_v4(unit: _Unit, offset: int, base: int) -> _Hull:
     blob = unit.aux.ranges
-    cur = _Cursor(blob, offset, unit.little_endian)
+    read_pair = _PAIR_READERS[unit.little_endian, unit.addr_size]
+    size = 2 * unit.addr_size
+    last = len(blob) - size  # the last position a pair can start at
     top = (1 << (unit.addr_size * 8)) - 1
-    pairs: list[tuple[int, int]] = []
+    lo = hi = count = 0
+    backwards = False
+    pos = offset
     while True:
-        start = cur.uint(unit.addr_size)
-        end = cur.uint(unit.addr_size)
+        if pos > last:
+            raise MalformedDebugDataError("fixed-width read past end of unit")
+        start, end = read_pair(blob, pos)
+        pos += size
         if start == top:
             base = end
             continue
         if start == 0 and end == 0:
-            return pairs
-        pairs.append((base + start, base + end))
+            return lo, hi, count, backwards
+        start += base
+        end += base
+        if end < start:
+            backwards = True
+        if not count or start < lo:
+            lo = start
+        if not count or end > hi:
+            hi = end
+        count += 1
 
 
-def _ranges_v5(unit: _Unit, offset: int, base: int) -> list[tuple[int, int]]:
+def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Hull:
+    """Reads each entry's first operand, then, unless the entry sets the
+    base, its second; an index operand is looked up as soon as it is read."""
     blob = unit.aux.rnglists
-    cur = _Cursor(blob, offset, unit.little_endian)
-    pairs: list[tuple[int, int]] = []
+    n = len(blob)
+    size = unit.addr_size
+    word = _UINT_READERS[unit.little_endian][size].unpack_from
+    lo = hi = count = 0
+    backwards = False
+    pos = offset
     while True:
-        kind = cur.uint(1)
+        if pos >= n:
+            raise MalformedDebugDataError("fixed-width read past end of unit")
+        kind = blob[pos]
+        pos += 1
         if kind == RLE_END_OF_LIST:
-            return pairs
-        if kind == RLE_BASE_ADDRESSX:
-            base = _indexed_addr(unit, cur.uleb())
-        elif kind == RLE_STARTX_ENDX:
-            s = _indexed_addr(unit, cur.uleb())
-            e = _indexed_addr(unit, cur.uleb())
-            pairs.append((s, e))
-        elif kind == RLE_STARTX_LENGTH:
-            s = _indexed_addr(unit, cur.uleb())
-            pairs.append((s, s + cur.uleb()))
-        elif kind == RLE_OFFSET_PAIR:
-            s = cur.uleb()
-            e = cur.uleb()
-            pairs.append((base + s, base + e))
-        elif kind == RLE_BASE_ADDRESS:
-            base = cur.uint(unit.addr_size)
-        elif kind == RLE_START_END:
-            s = cur.uint(unit.addr_size)
-            pairs.append((s, cur.uint(unit.addr_size)))
-        elif kind == RLE_START_LENGTH:
-            s = cur.uint(unit.addr_size)
-            pairs.append((s, s + cur.uleb()))
+            return lo, hi, count, backwards
+        if kind in _RLE_ADDRESS_FIRST:
+            if pos + size > n:
+                raise MalformedDebugDataError("fixed-width read past end of unit")
+            first = word(blob, pos)[0]
+            pos += size
+        elif kind <= RLE_OFFSET_PAIR:  # a ULEB128 offset or address index
+            if pos < n and blob[pos] < 0x80:
+                first = blob[pos]
+                pos += 1
+            else:
+                first, pos = uleb_decode(blob, pos)
+            if kind != RLE_OFFSET_PAIR:
+                first = _indexed_addr(unit, first)
         else:
             raise MalformedDebugDataError(f"range list entry kind {kind:#x}")
+        if kind == RLE_BASE_ADDRESS or kind == RLE_BASE_ADDRESSX:
+            base = first
+            continue
+        if kind == RLE_START_END:
+            if pos + size > n:
+                raise MalformedDebugDataError("fixed-width read past end of unit")
+            second = word(blob, pos)[0]
+            pos += size
+        else:  # a ULEB128 offset, length or address index
+            if pos < n and blob[pos] < 0x80:
+                second = blob[pos]
+                pos += 1
+            else:
+                second, pos = uleb_decode(blob, pos)
+            if kind == RLE_STARTX_ENDX:
+                second = _indexed_addr(unit, second)
+        if kind == RLE_OFFSET_PAIR:
+            start, end = base + first, base + second
+        elif kind == RLE_START_END or kind == RLE_STARTX_ENDX:
+            start, end = first, second
+        else:  # a start and a length
+            start, end = first, first + second
+        if end < start:
+            backwards = True
+        if not count or start < lo:
+            lo = start
+        if not count or end > hi:
+            hi = end
+        count += 1
 
 
-def _resolve_ranges(unit: _Unit, die: _Die, cu_base: int) -> list[tuple[int, int]]:
-    form, raw = die.attrs[DW_AT_ranges]
+def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Hull:
     value = _offset_value(_value(unit, form, raw), "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
@@ -928,117 +1070,81 @@ def _nth(blobs: list[bytes], i: int) -> bytes:
 def _unit_records(
     unit: _Unit, image: BinaryImage, diagnostics: list[Diagnostic]
 ) -> list[DebugFunctionRecord]:
-    def read(got: tuple[int, object] | None) -> object:
-        """The meaning of a looked-up (form, raw value), or None if absent."""
-        return None if got is None else _value(unit, *got)
-
-    def inherited(die: _Die, attr: int) -> object:
-        """The meaning of ``attr`` looked up along ``die``'s links, read
-        against the unit that holds it, or None if absent."""
-        got = _inherited(unit, die, attr)
-        return None if got is None else _value(*got)
-
     _read_bases(unit)
-    root = unit.dies[unit.root]
     cu_name = _unit_name(unit)
-    cu_base = read(root.attrs.get(DW_AT_low_pc))
+    got = unit.dies[unit.root].attrs.get(DW_AT_low_pc)
+    cu_base = None if got is None else _value(unit, *got)
     if not isinstance(cu_base, int):
         cu_base = 0
-
-    def resolved_name(die: _Die) -> str:
-        value = inherited(die, DW_AT_name)
-        return value if isinstance(value, str) else ""
-
-    def shown(die: _Die) -> str:
-        """How a diagnostic names ``die``."""
-        return resolved_name(die) or "<anonymous>"
-
-    def decl_coords(die: _Die) -> tuple[str, int]:
-        got = _inherited(unit, die, DW_AT_decl_file)
-        file_idx = None if got is None else _value(*got)
-        line = inherited(die, DW_AT_decl_line)
-        # sdata and implicit_const can be negative, flag forms decode to bool.
-        decl_line = line if type(line) is int and line >= 0 else 0
-        if not isinstance(file_idx, int):
-            return "", decl_line
-        # Indexes 0 and 1 name the primary source file of the unit that
-        # holds the index in every version this reader accepts; other
-        # entries would need the line program.
-        if file_idx in (0, 1):
-            owner = got[0]
-            return (cu_name if owner is unit else _unit_name(owner)), decl_line
-        return f"file#{file_idx}", decl_line
-
-    def extent(die: _Die) -> tuple[int, int | None, int] | None:
-        """(low_pc, end_exclusive, ranges) or None when the DIE has no
-        addresses.
-
-        A low/high pair wins; otherwise a non-empty range list gives its
-        hull and its number of ranges; otherwise a bare low_pc gives an
-        open extent. ``ranges`` is 0 unless the extent is a hull.
-        """
-        low = read(die.attrs.get(DW_AT_low_pc))
+    bits = unit.addr_size * 8
+    # The address a linker writes for a function it discarded: 0 (GNU ld,
+    # gold) or all-ones (LLD 11 and later).
+    tombstone = (1 << bits) - 1
+    records: list[DebugFunctionRecord] = []
+    no_address = discarded = 0
+    for die in unit.dies.values():
+        tag = die.tag
+        if tag != DW_TAG_subprogram and tag != DW_TAG_inlined_subroutine:
+            continue
+        inlined = tag == DW_TAG_inlined_subroutine
+        attrs = die.attrs
+        # The extent: a low/high pair wins; otherwise a non-empty range list
+        # gives its hull and its number of ranges; otherwise a bare low_pc
+        # gives an open extent. ``ranges`` is 0 unless the extent is a hull.
+        got = attrs.get(DW_AT_low_pc)
+        low = None if got is None else _value(unit, *got)
         if not isinstance(low, int):
             low = None
-        high = die.attrs.get(DW_AT_high_pc)
+        high = attrs.get(DW_AT_high_pc)
+        ranges = 0
         if low is not None and high is not None:
-            form, end = high[0], read(high)
+            form = high[0]
+            end = _value(unit, form, high[1])
             if not isinstance(end, int):
                 raise MalformedDebugDataError("non-integer high pc")
             if form in CONSTANT_FORMS:  # an offset from low_pc
                 end += low
-                bits = unit.addr_size * 8
                 if end > 1 << bits and low != tombstone:
                     raise MalformedDebugDataError(
                         f"high pc {end:#x} exceeds {bits}-bit address space"
                     )
             elif form not in ADDRESS_FORMS:
                 raise MalformedDebugDataError(f"high pc form {form:#x}")
-            return low, end, 0
-        if DW_AT_ranges in die.attrs:
-            pairs = _resolve_ranges(unit, die, cu_base)
-            if any(hi < lo for lo, hi in pairs):
-                raise MalformedDebugDataError(
-                    f"range list of {shown(die)} ends before it starts"
-                )
-            if pairs:
-                return min(p[0] for p in pairs), max(p[1] for p in pairs), len(pairs)
-        return None if low is None else (low, None, 0)
-
-    # The address a linker writes for a function it discarded: 0 (GNU ld,
-    # gold) or all-ones (LLD 11 and later).
-    tombstone = (1 << unit.addr_size * 8) - 1
-    records: list[DebugFunctionRecord] = []
-    no_address = discarded = 0
-    for die in unit.dies.values():
-        if die.tag not in (DW_TAG_subprogram, DW_TAG_inlined_subroutine):
-            continue
-        inlined = die.tag == DW_TAG_inlined_subroutine
-        # A name is resolved only for a record or a diagnostic that prints it.
-        span = extent(die)
-        if span is None:
-            # Declarations and abstract instances legitimately lack
-            # addresses; only concrete definitions are counted.
-            if not (
-                inlined
-                or read(die.attrs.get(DW_AT_declaration))
-                or DW_AT_inline in die.attrs
-            ):
-                no_address += 1
-            continue
-        low, end, ranges = span
+        else:
+            end = None
+            got = attrs.get(DW_AT_ranges)
+            if got is not None:
+                lo, hi, count, backwards = _resolve_ranges(unit, *got, cu_base)
+                if backwards:
+                    raise MalformedDebugDataError(
+                        f"range list of {_shown(unit, die)} ends before it starts"
+                    )
+                if count:
+                    low, end, ranges = lo, hi, count
+            if low is None:
+                # Declarations and abstract instances legitimately lack
+                # addresses; only concrete definitions are counted.
+                declared = attrs.get(DW_AT_declaration)
+                if not (
+                    inlined
+                    or (declared is not None and _value(unit, *declared))
+                    or DW_AT_inline in attrs
+                ):
+                    no_address += 1
+                continue
         sec = elf.section_of(image, low)
         outside = sec is None or not sec.executable
         if outside and low in (0, tombstone):
             discarded += 1
             continue
+        # A name is resolved only for a record or a diagnostic that prints it.
         if ranges:
             diagnostics.append(
                 Diagnostic(
                     "warning",
                     GT_DISCONTIGUOUS_RANGE,
-                    f"{shown(die)} at {low:#x} spans {ranges} ranges; using the hull",
-                    span=(low, end - low),
+                    f"{_shown(unit, die)} at {low:#x} spans {ranges} ranges; using the hull",
+                    span=(low, end - low),  # type: ignore
                 )
             )
         if outside:
@@ -1046,18 +1152,33 @@ def _unit_records(
                 Diagnostic(
                     "warning",
                     GT_DEBUG_OUTSIDE_EXEC,
-                    f"debug info places {shown(die)} at {low:#x}, "
+                    f"debug info places {_shown(unit, die)} at {low:#x}, "
                     "outside every executable section",
                     span=(low, 0),
                 )
             )
         if inlined:
             continue  # an inlined copy is never a function start of its own
-        noreturn = inherited(die, DW_AT_noreturn)
-        decl_file, decl_line = decl_coords(die)
+        found, error = _inherited(unit, die, _RECORD_ATTRS)
+        noreturn = _meaning(found, error, 0)
+        file_idx = _meaning(found, error, 1)
+        line = _meaning(found, error, 2)
+        # sdata and implicit_const can be negative, flag forms decode to bool.
+        decl_line = line if type(line) is int and line >= 0 else 0
+        if not isinstance(file_idx, int):
+            decl_file = ""
+        elif file_idx in (0, 1):
+            # Indexes 0 and 1 name the primary source file of the unit that
+            # holds the index in every version this reader accepts; other
+            # entries would need the line program.
+            owner = found[1][0]  # type: ignore
+            decl_file = cu_name if owner is unit else _unit_name(owner)
+        else:
+            decl_file = f"file#{file_idx}"
+        name = _meaning(found, error, 3)
         records.append(
             DebugFunctionRecord(
-                name=resolved_name(die),
+                name=name if isinstance(name, str) else "",
                 low_pc=low,
                 end_exclusive=end,
                 decl_file=decl_file,
@@ -1133,6 +1254,7 @@ def extract_debug_functions(
             ranges=_nth(ranges_blobs, i),
             rnglists=_nth(rnglists_blobs, i),
             units=spans,
+            starts=[start for start, _end in spans],
         )
         for start, end in spans:
             unit_diagnostics: list[Diagnostic] = []

@@ -38,6 +38,7 @@ DW_AT_decl_line = 0x3B
 DW_AT_declaration = 0x3C
 DW_AT_specification = 0x47
 DW_AT_ranges = 0x55
+DW_AT_rnglists_base = 0x74
 DW_AT_noreturn = 0x87
 
 # The forms the writer emits and their DW_FORM codes.
@@ -53,6 +54,7 @@ _FORM_CODES = {
     "exprloc": 0x18,
     "ref4": 0x13,
     "sec_offset": 0x17,
+    "rnglistx": 0x23,
 }
 
 # Fixed-width forms and their struct codes; "addr" follows the unit's
@@ -153,13 +155,19 @@ class ExtraSymbolSpec:
 
 @record
 class InlineSiteSpec:
-    """An inlined copy of ``origin`` emitted inside ``host``'s DIE."""
+    """An inlined copy of ``origin`` emitted inside ``host``'s DIE.
+
+    ``ranges`` replaces the ``low``/``high`` pair with a range list: in
+    ``.debug_ranges`` before DWARF 5, and named by a ``rnglistx`` index
+    in DWARF 5.
+    """
 
     host: str
     origin: str
     low: int
     high: int
     unit: int = 0
+    ranges: tuple[tuple[int, int], ...] | None = None
 
 
 @record
@@ -241,7 +249,7 @@ def _serialize_unit(
                 value = 0
             if form in fixed:
                 body.extend(struct.pack(fixed[form], value))
-            elif form == "udata":
+            elif form in ("udata", "rnglistx"):
                 body.extend(uleb_encode(value))
             elif form == "string":
                 body.extend(value.encode() + b"\x00")
@@ -367,19 +375,23 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
             raise InvalidSpecError(
                 "functions {!r} and {!r} overlap in {}".format(*overlap, sec_name)
             )
-    clash = sorted(generated.intersection(sections))
-    if clash:
-        raise InvalidSpecError(f"section {clash[0]!r} is one the forge writes itself")
     for site in spec.inline_sites:
         if not {(site.host, site.unit), (site.origin, site.unit)} <= described:
             raise InvalidSpecError(
                 f"inline site {site.origin!r} in {site.host!r} has no DIEs"
             )
-        if min(site.low, site.high) < 0 or max(site.low, site.high) >> spec.word_size:
-            raise InvalidSpecError(
-                f"inline site {site.origin!r} in {site.host!r} at "
-                f"{site.low:#x}-{site.high:#x} does not fit {spec.word_size} bits"
-            )
+        for low, high in ((site.low, site.high), *(site.ranges or ())):
+            if min(low, high) < 0 or max(low, high) >> spec.word_size:
+                raise InvalidSpecError(
+                    f"inline site {site.origin!r} in {site.host!r} at "
+                    f"{low:#x}-{high:#x} does not fit {spec.word_size} bits"
+                )
+        if site.ranges is not None:
+            v5 = spec.dwarf_versions[site.unit] >= 5
+            generated.add(".debug_rnglists" if v5 else ".debug_ranges")
+    clash = sorted(generated.intersection(sections))
+    if clash:
+        raise InvalidSpecError(f"section {clash[0]!r} is one the forge writes itself")
     if spec.emit_symtab:
         for extra in spec.extra_symbols:
             if extra.section not in sections:
@@ -397,6 +409,7 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
         return {}
     e = "<" if spec.endianness == "little" else ">"
     addr_size = spec.word_size // 8
+    word = struct.Struct(e + ("I" if addr_size == 4 else "Q"))
     pair = struct.Struct(e + ("II" if addr_size == 4 else "QQ"))
     top = (1 << spec.word_size) - 1
 
@@ -404,6 +417,18 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
     abbrev = bytearray()
     ranges = bytearray()
     rnglists = bytearray()
+
+    def range_list(version: int, pairs: tuple[tuple[int, int], ...]) -> tuple:
+        """The DW_AT_ranges attribute of a new .debug_ranges list."""
+        form = "sec_offset" if version >= 4 else "data4"
+        attr = (DW_AT_ranges, form, len(ranges))
+        # Base selector pinning the base to zero keeps the pairs absolute.
+        ranges.extend(pair.pack(top, 0))
+        for lo, hi in pairs:
+            ranges.extend(pair.pack(lo, hi))
+        ranges.extend(pair.pack(0, 0))
+        return attr
+
     for u in sorted(members):
         version = spec.dwarf_versions[u]
         cu_name = spec.cu_names[u] if u < len(spec.cu_names) else f"src{u}.c"
@@ -435,14 +460,7 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
                     rnglists += b"\x06" + pair.pack(lo, hi)  # DW_RLE_start_end
                 rnglists += b"\x00"
             elif d.ranges is not None:
-                form = "sec_offset" if version >= 4 else "data4"
-                attrs.append((DW_AT_ranges, form, len(ranges)))
-                # Base selector pinning the base to zero keeps the
-                # pairs absolute.
-                ranges += pair.pack(top, 0)
-                for lo, hi in d.ranges:
-                    ranges += pair.pack(lo, hi)
-                ranges += pair.pack(0, 0)
+                attrs.append(range_list(version, d.ranges))
             else:
                 attrs.append((DW_AT_low_pc, "addr", low))
                 if d.highpc_form == "addr":
@@ -464,18 +482,33 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
             subprogram_of[fn.name] = die
             root.children.append(die)
 
-        for site in spec.inline_sites:
-            if site.unit == u:
-                subprogram_of[site.host].children.append(
-                    _WDie(
-                        DW_TAG_inlined_subroutine,
-                        [
-                            (DW_AT_abstract_origin, "ref4", subprogram_of[site.origin]),
-                            (DW_AT_low_pc, "addr", site.low),
-                            (DW_AT_high_pc, "addr", site.high),
-                        ],
-                    )
-                )
+        sites = [site for site in spec.inline_sites if site.unit == u]
+        # DWARF 5 copies name their lists by index into an offset table of
+        # the unit's own .debug_rnglists contribution.
+        listed = sum(1 for site in sites if site.ranges is not None)
+        offsets, lists = bytearray(), bytearray()
+        for site in sites:
+            if site.ranges is None:
+                extent = [(DW_AT_low_pc, "addr", site.low), (DW_AT_high_pc, "addr", site.high)]
+            elif version >= 5:
+                extent = [(DW_AT_ranges, "rnglistx", len(offsets) // 4)]
+                offsets += struct.pack(e + "I", 4 * listed + len(lists))
+                base = min((min(p) for p in site.ranges), default=0)
+                lists += b"\x05" + word.pack(base)  # DW_RLE_base_address
+                for lo, hi in site.ranges:  # DW_RLE_offset_pair
+                    lists += b"\x04" + uleb_encode(lo - base) + uleb_encode(hi - base)
+                lists += b"\x00"
+            else:
+                extent = [range_list(version, site.ranges)]
+            origin = (DW_AT_abstract_origin, "ref4", subprogram_of[site.origin])
+            subprogram_of[site.host].children.append(
+                _WDie(DW_TAG_inlined_subroutine, [origin, *extent])
+            )
+        if offsets:
+            # The offset table follows the contribution's 12-byte header.
+            root.attrs.append((DW_AT_rnglists_base, "sec_offset", len(rnglists) + 12))
+            body = struct.pack(e + "HBBI", 5, addr_size, 0, listed) + offsets + lists
+            rnglists += struct.pack(e + "I", len(body)) + body
 
         unit, table = _serialize_unit(root, version, addr_size, e, len(abbrev))
         info += unit

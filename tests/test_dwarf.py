@@ -318,6 +318,24 @@ def test_inlined_copies_yield_no_record():
     assert diags == []
 
 
+@pytest.mark.parametrize("version", [3, 4, 5])
+def test_an_inlined_copy_with_a_range_list_warns_with_its_hull(version):
+    text = SectionSpec(".text", 0x401000, executable=True)
+    host = FunctionSpec("host", 0, forge._fixed_body(32), dwarf=(DwarfFuncSpec(),))
+    tiny = FunctionSpec("tiny", 32, forge._fixed_body(8), dwarf=(DwarfFuncSpec(),))
+    site = forge.InlineSiteSpec(
+        "host", "tiny", 0, 0, ranges=((0x401010, 0x401018), (0x401004, 0x401008))
+    )
+    spec = BinarySpec(
+        sections=(text,), functions=(host, tiny), inline_sites=(site,), dwarf_versions=(version,)
+    )
+    records, diags = extract_debug_functions(elf.parse_image(emit(spec)))
+    assert sorted(r.name for r in records) == ["host", "tiny"]
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        (GT_DISCONTIGUOUS_RANGE, "tiny at 0x401004 spans 2 ranges; using the hull", (0x401004, 20))
+    ]
+
+
 def test_inlined_copies_outside_code_still_warn():
     records, diags = extract_debug_functions(_inline_site_image(0x900000, 0x900008))
     assert {r.name for r in records} == {"host", "tiny"}
@@ -673,6 +691,28 @@ for _code in (4, 5, 6, 7):
     ABBREVS[_code + 28] = (
         TAG_SUBPROGRAM, [*ABBREVS[_code][1], (AT_DECLARATION, FORM_FLAG_PRESENT)]
     )
+# 36-38: inlined copies linked to their abstract origin by ref_addr, by
+# ref4, and by ref4 beside a specification; 39: an abstract instance
+# linked to another; 40: a unit with a base address.
+ABBREVS[36] = (
+    TAG_INLINED_SUBROUTINE,
+    [(AT_ABSTRACT_ORIGIN, FORM_REF_ADDR), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+)
+ABBREVS[37] = (
+    TAG_INLINED_SUBROUTINE,
+    [(AT_ABSTRACT_ORIGIN, FORM_REF4), (AT_LOW_PC, FORM_ADDR), (AT_HIGH_PC, FORM_DATA4)],
+)
+ABBREVS[38] = (
+    TAG_INLINED_SUBROUTINE,
+    [
+        (AT_SPECIFICATION, FORM_REF4),
+        (AT_ABSTRACT_ORIGIN, FORM_REF4),
+        (AT_LOW_PC, FORM_ADDR),
+        (AT_HIGH_PC, FORM_DATA4),
+    ],
+)
+ABBREVS[39] = (TAG_SUBPROGRAM, [(AT_ABSTRACT_ORIGIN, FORM_REF4), (AT_INLINE, FORM_DATA1)])
+ABBREVS[40] = (TAG_CU, [(AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDR)])
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
 STR_OFFSETS = struct.pack("<IHHI", 8, 5, 0, 1)
@@ -887,15 +927,7 @@ _TARGET_UNIT = [_die(29, b"\x01", _ref(24)), _ABSTRACT]
 _PARTIAL_DIES = [CU_DIE, _die(18, b"partial\x00", _ref(1), _IN_TEXT)]
 
 
-def _linked_image(between: bytes, target: int | None = None) -> BinaryImage:
-    """A DWARF 4 unit whose subprogram reaches, by a ref_addr abstract
-    origin, the abstract subprogram of a DWARF 5 unit after ``between``
-    (or the .debug_info offset ``target``)."""
-    if target is None:
-        target = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)])) + len(between)
-        target += _offset(_TARGET_UNIT, 1, version=5)
-    first = _unit([CU_DIE, _die(27, _ref(target), _IN_TEXT)])
-    info = first + between + _unit(_TARGET_UNIT, version=5)
+def _linked_info_image(info: bytes) -> BinaryImage:
     return _synthetic_image(
         [
             (".debug_info", info),
@@ -904,6 +936,17 @@ def _linked_image(between: bytes, target: int | None = None) -> BinaryImage:
             (".debug_str_offsets", _LINKED_STR_OFFSETS),
         ]
     )
+
+
+def _linked_image(between: bytes, target: int | None = None) -> BinaryImage:
+    """A DWARF 4 unit whose subprogram reaches, by a ref_addr abstract
+    origin, the abstract subprogram of a DWARF 5 unit after ``between``
+    (or the .debug_info offset ``target``)."""
+    if target is None:
+        target = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)])) + len(between)
+        target += _offset(_TARGET_UNIT, 1, version=5)
+    first = _unit([CU_DIE, _die(27, _ref(target), _IN_TEXT)])
+    return _linked_info_image(first + between + _unit(_TARGET_UNIT, version=5))
 
 
 @pytest.mark.parametrize("unit_type", [2, 3, 4, 5, 6])
@@ -941,6 +984,102 @@ def test_a_ref_addr_link_past_a_damaged_unit_length_names_nothing():
     records, diags = extract_debug_functions(_linked_image(damaged))
     assert [r.name for r in records] == [""]
     assert _only_error(diags).endswith("unit length extends past .debug_info")
+
+
+# --- inlined copies named through their abstract origin ------------------
+# Each copy sits outside every section, so a diagnostic prints its name.
+
+_OUTSIDE = struct.pack("<QI", 0x900000, 4)  # low_pc, then a 4-byte high_pc
+
+
+def _placed(names: list[str]) -> list[tuple[str, str]]:
+    message = "debug info places {} at 0x900000, outside every executable section"
+    return [(GT_DEBUG_OUTSIDE_EXEC, message.format(name)) for name in names]
+
+
+def test_copies_of_one_origin_in_three_units_take_its_name():
+    """Copies in three units reach one abstract origin, by ref_addr from
+    two units and by ref4 from its own. Each is named from the origin, read
+    against the origin's unit, whose string offsets differ from the others'.
+    A ref4 link of the first unit to the same offset lands outside its own
+    unit, and names nothing."""
+    copy_size = len(_die(36, _ref(0), _OUTSIDE))
+    first_size = len(_unit([CU_DIE])) + 3 * copy_size
+    origin = _offset(_TARGET_UNIT, 1, version=5)
+    copy = _die(36, _ref(first_size + origin), _OUTSIDE)
+    first = _unit([CU_DIE, copy, copy, _die(37, _ref(first_size + origin), _OUTSIDE)])
+    second = _unit([*_TARGET_UNIT, _die(37, _ref(origin), _OUTSIDE)], version=5)
+    third = _unit([CU_DIE, copy])
+    records, diags = extract_debug_functions(_linked_info_image(first + second + third))
+    assert records == []
+    names = ["target", "target", "<anonymous>", "target", "target"]
+    assert [(d.code, d.message) for d in diags] == _placed(names)
+
+
+def test_a_copy_with_a_specification_is_named_through_it():
+    """A specification is followed before an abstract origin: a copy that
+    has both does not take the name its origin gives the other copies."""
+    dies = [CU_DIE, _die(34, b"other\x00"), DECLARED["string"]]
+    origin, declared = _offset(dies, 1), _offset(dies, 2)
+    dies += [
+        _die(37, _ref(origin), _OUTSIDE),
+        _die(38, _ref(declared), _ref(origin), _OUTSIDE),
+        _die(37, _ref(origin), _OUTSIDE),
+    ]
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert records == []
+    assert [(d.code, d.message) for d in diags] == _placed(["other", "target", "other"])
+
+
+def test_an_origin_chain_that_loops_names_nothing():
+    """Two abstract instances name each other, and a copy names itself."""
+    link_size = len(_die(39, _ref(0), b"\x01"))
+    first = _offset([CU_DIE], 1)
+    dies = [CU_DIE, _die(39, _ref(first + link_size), b"\x01"), _die(39, _ref(first), b"\x01")]
+    own = _offset(dies, 3) + 2 * len(_die(37, _ref(0), _OUTSIDE))
+    dies += [
+        _die(37, _ref(first), _OUTSIDE),
+        _die(37, _ref(first + link_size), _OUTSIDE),
+        _die(37, _ref(own), _OUTSIDE),
+        _die(37, _ref(first), _OUTSIDE),
+    ]
+    records, diags = extract_debug_functions(_unit_image(dies))
+    assert records == []
+    assert [(d.code, d.message) for d in diags] == _placed(["<anonymous>"] * 4)
+
+
+def test_a_link_into_a_unit_that_does_not_parse_drops_the_linking_unit():
+    first = _unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)])
+    bad = _unit([CU_DIE, _die(42)])
+    first = _unit([CU_DIE, _die(27, _ref(len(first) + _offset([CU_DIE], 1)), _IN_TEXT)])
+    records, diags = extract_debug_functions(_info_image(first + bad))
+    assert records == []
+    assert [(d.code, d.message) for d in diags] == [
+        (
+            GT_MALFORMED_DEBUG_DATA,
+            f"debug info unreadable from the unit at offset {start:#x}: "
+            "abbrev code 42 not in table",
+        )
+        for start in (0, len(first))
+    ]
+
+
+def test_an_origin_with_a_bad_name_drops_each_unit_that_prints_it():
+    """A failed name is not kept: a later unit whose copy links to the same
+    origin fails the same way."""
+    origin = _offset([CU_DIE], 1)
+    first = _unit([CU_DIE, BAD_DECLARED, _die(37, _ref(origin), _OUTSIDE)])
+    second = _unit([CU_DIE, _die(36, _ref(origin), _OUTSIDE)])
+    records, diags = extract_debug_functions(_info_image(first + second))
+    assert records == []
+    assert [(d.code, d.message) for d in diags] == [
+        (
+            GT_MALFORMED_DEBUG_DATA,
+            f"debug info unreadable from the unit at offset {start:#x}: "
+            ".debug_str offset 0x9999 out of range",
+        )
+        for start in (0, len(first))
+    ]
 
 
 def _headed_unit(header: bytes, dies: list[bytes]) -> bytes:
@@ -1389,7 +1528,16 @@ _RLE_LISTS = {
         [(0x401010, 0x401014), (0x401018, 0x40101C)],
     ),
     "start_length": (b"\x07" + struct.pack("<Q", 0x401008) + b"\x08", [(0x401008, 0x401010)]),
-    "unknown_kind": (b"\x08", None),
+    "one_byte_offsets": (
+        b"\x05" + struct.pack("<Q", 0x400FC0) + b"\x04\x40\x7f",
+        [(0x401000, 0x40103F)],
+    ),
+    # Lists that do not read: the message each gives.
+    "unknown_kind": (b"\x08", "range list entry kind 0x8"),
+    "backwards": (b"\x04\x08\x04", "range list of f ends before it starts"),
+    "offset_pair_cut": (b"\x04\x80", "uleb128 runs past end of data"),
+    "start_end_cut": (b"\x06" + struct.pack("<Q", 0x401000) + bytes(6), "fixed-width read"),
+    "unterminated": (b"\x05" + bytes(7), "fixed-width read"),  # the base takes the end
 }
 
 
@@ -1406,9 +1554,9 @@ def test_range_list_entries_decode(kind, form):
         subprogram = _die(17, b"f\x00", b"\x00")
     image = _indexed_unit_image(subprogram, rnglists=rnglists)
     records, diags = extract_debug_functions(image)
-    if pairs is None:
+    if isinstance(pairs, str):
         assert records == []
-        assert _only_error(diags).endswith(": range list entry kind 0x8")
+        assert f": {pairs}" in _only_error(diags)
         return
     low, high = min(lo for lo, _ in pairs), max(hi for _, hi in pairs)
     assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [("f", low, high)]
@@ -1418,9 +1566,52 @@ def test_range_list_entries_decode(kind, form):
     assert diag.span == (low, high - low)
 
 
+# DWARF 4 .debug_ranges lists at offset 0 and the (low, high) pairs they
+# give; the unit's base address is 0x401000.
+_V4_LISTS = {
+    "unit_base": (
+        struct.pack("<4Q", 4, 8, 0x10, 0x20) + bytes(16),
+        [(0x401004, 0x401008), (0x401010, 0x401020)],
+    ),
+    "base_selector": (
+        struct.pack("<6Q", 2**64 - 1, 0x401030, 0, 4, 8, 12) + bytes(16),
+        [(0x401030, 0x401034), (0x401038, 0x40103C)],
+    ),
+    "empty": (bytes(16), []),
+    # Lists that do not read: the message each gives.
+    "backwards": (struct.pack("<2Q", 8, 4) + bytes(16), "range list of f ends before it starts"),
+    "unterminated": (struct.pack("<2Q", 4, 8), "fixed-width read past end of unit"),
+    "cut_pair": (struct.pack("<2Q", 4, 8) + bytes(12), "fixed-width read past end of unit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_V4_LISTS))
+def test_debug_ranges_lists_decode(case):
+    blob, pairs = _V4_LISTS[case]
+    cu = _die(40, b"r.c\x00", struct.pack("<Q", 0x401000))
+    info = _unit([cu, _die(25, b"f\x00", _ref(0))])
+    image = _synthetic_image(
+        [(".debug_info", info), (".debug_abbrev", _abbrev_blob()), (".debug_ranges", blob)]
+    )
+    records, diags = extract_debug_functions(image)
+    if isinstance(pairs, str):
+        assert records == []
+        assert _only_error(diags).endswith(f": {pairs}")
+    elif not pairs:  # no range: no address
+        assert records == []
+        assert [d.code for d in diags] == [GT_SUBPROGRAM_NO_ADDRESS]
+    else:
+        low, high = min(lo for lo, _ in pairs), max(hi for _, hi in pairs)
+        assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [("f", low, high)]
+        assert [(d.code, d.span) for d in diags] == [(GT_DISCONTIGUOUS_RANGE, (low, high - low))]
+
+
 @functools.cache
 def _fuzz_base(version: int) -> tuple[BinaryImage, dict[str, tuple[int, int]]]:
-    """A forged image whose DWARF has skipped DIEs, links, ranges and an inline site."""
+    """A forged image whose DWARF has skipped DIEs, links, ranges and two
+    inline sites, one of them with a range list. In DWARF 5 a hand-assembled
+    unit follows, which reads a name through .debug_str_offsets and an
+    address through .debug_addr."""
     text = SectionSpec(".text", 0x401000, executable=True)
     functions = (
         FunctionSpec(
@@ -1450,27 +1641,71 @@ def _fuzz_base(version: int) -> tuple[BinaryImage, dict[str, tuple[int, int]]]:
     spec = BinarySpec(
         sections=(text,),
         functions=functions,
-        inline_sites=(forge.InlineSiteSpec("host", "tiny", 0x401008, 0x401010),),
+        inline_sites=(
+            forge.InlineSiteSpec("host", "tiny", 0x401008, 0x401010),
+            forge.InlineSiteSpec(
+                "host", "split", 0, 0, ranges=((0x401010, 0x401014), (0x401018, 0x40101C))
+            ),
+        ),
         word_size=64,
         dwarf_versions=(version,),
         cu_names=("fuzz.c",),
     )
     image = elf.parse_image(emit(spec))
+    if version == 5:
+        image = _with_indexed_unit(image)
     spans = {s.name: (s.file_offset, s.size) for s in image.sections}
     return image, spans
+
+
+def _with_indexed_unit(image: BinaryImage) -> BinaryImage:
+    """``image``'s debug sections, with a DWARF 5 unit after its own whose
+    subprograms are named "indexed" by strx3 and placed at 0x401030 by
+    addrx3, each through entry 0 of its table."""
+    blobs = {
+        s.name: image.raw[s.file_offset : s.file_offset + s.size]
+        for s in image.sections
+        if s.name.startswith(".debug_")
+    }
+    abbrev = blobs[".debug_abbrev"]
+    dies = [
+        _die(12, struct.pack("<II", 8, 8)),  # str_offsets_base, addr_base
+        _die(13, bytes(3), struct.pack("<QI", 0x401000, 16)),
+        _die(14, b"addressed\x00", bytes(3), struct.pack("<I", 16)),
+    ]
+    blobs[".debug_info"] += _headed_unit(struct.pack("<HBBI", 5, 1, 8, len(abbrev)), dies)
+    blobs[".debug_abbrev"] = abbrev + _abbrev_blob()
+    blobs[".debug_str"] = b"\x00indexed\x00"
+    blobs[".debug_str_offsets"] = struct.pack("<IHHI", 8, 5, 0, 1)
+    blobs[".debug_addr"] = struct.pack("<IHBBQ", 12, 5, 8, 0, 0x401030)
+    return _synthetic_image(list(blobs.items()))
 
 
 @pytest.mark.parametrize("version", [4, 5])
 def test_fuzz_base_images_read_cleanly(version):
     image, _spans = _fuzz_base(version)
     records, diags = extract_debug_functions(image)
-    assert sorted(r.name for r in records) == ["host", "split", "tiny"]
-    assert [d.code for d in diags] == [GT_DISCONTIGUOUS_RANGE]
+    names = ["host", "split", "tiny"] + (["addressed", "indexed"] if version == 5 else [])
+    assert sorted(r.name for r in records) == sorted(names)
+    # The split subprogram and the copy of it inlined into host.
+    assert [d.code for d in diags] == [GT_DISCONTIGUOUS_RANGE] * 2
 
 
+# The sections a flip lands in, by DWARF version; each base image has them.
+_FLIP_SECTIONS = {
+    4: [".debug_info", ".debug_abbrev", ".debug_ranges"],
+    5: [
+        ".debug_info",
+        ".debug_abbrev",
+        ".debug_rnglists",
+        ".debug_addr",
+        ".debug_str_offsets",
+    ],
+}
 _FLIPS = dict(
-    version=st.sampled_from([4, 5]),
-    section=st.sampled_from([".debug_info", ".debug_abbrev"]),
+    target=st.sampled_from(
+        [(version, section) for version, names in _FLIP_SECTIONS.items() for section in names]
+    ),
     flips=st.lists(
         st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
         min_size=1,
@@ -1479,7 +1714,8 @@ _FLIPS = dict(
 )
 
 
-def _flipped(version: int, section: str, flips) -> BinaryImage:
+def _flipped(target: tuple[int, str], flips) -> BinaryImage:
+    version, section = target
     image, spans = _fuzz_base(version)
     offset, size = spans[section]
     raw = bytearray(image.raw)
@@ -1490,18 +1726,18 @@ def _flipped(version: int, section: str, flips) -> BinaryImage:
 
 @settings(max_examples=400)
 @given(**_FLIPS)
-def test_flipped_debug_bytes_yield_only_records_and_diagnostics(version, section, flips):
-    records, diags = extract_debug_functions(_flipped(version, section, flips))
+def test_flipped_debug_bytes_yield_only_records_and_diagnostics(target, flips):
+    records, diags = extract_debug_functions(_flipped(target, flips))
     assert all(isinstance(r, DebugFunctionRecord) for r in records)
     assert all(isinstance(d, Diagnostic) for d in diags)
 
 
 @settings(max_examples=400)
 @given(**_FLIPS)
-def test_plans_read_what_the_full_decoder_reads(version, section, flips):
+def test_plans_read_what_the_full_decoder_reads(target, flips):
     """With no plan, every DIE goes through the full decoder; the records
     and diagnostics, error messages included, must not change."""
-    image = _flipped(version, section, flips)
+    image = _flipped(target, flips)
     planned = extract_debug_functions(image)
     with mock.patch.object(dwarf, "_compile_plan", lambda *args: None):
         full = extract_debug_functions(image)

@@ -36,6 +36,16 @@ def _ranged(version):
     return {"functions": (fn,), "dwarf_versions": (version,)}
 
 
+def _ranged_site(version):
+    """A spec whose only range list is an inlined copy's."""
+    functions = tuple(
+        FunctionSpec(name, offset, b"\xc3", dwarf=(DwarfFuncSpec(),))
+        for name, offset in (("f", 0), ("g", 1))
+    )
+    site = InlineSiteSpec("f", "g", 0, 0, ranges=((0x401000, 0x401001),))
+    return {"functions": functions, "inline_sites": (site,), "dwarf_versions": (version,)}
+
+
 _DESCRIBED = {"functions": (FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),)}
 
 
@@ -223,6 +233,23 @@ def _clash(name, **fields):
             ),
             "inline site 'g' in 'f' at 0xffffffff-0x100000007 does not fit 32 bits",
         ),
+        (
+            BinarySpec(
+                sections=(TEXT,),
+                functions=(
+                    FunctionSpec("f", 0, b"\xc3", dwarf=(DwarfFuncSpec(),)),
+                    FunctionSpec("g", 1, b"\xc3", dwarf=(DwarfFuncSpec(),)),
+                ),
+                inline_sites=(
+                    InlineSiteSpec(
+                        "f", "g", 0, 0, ranges=((0x401000, 0x401001), (0x401002, 2**32))
+                    ),
+                ),
+            ),
+            "inline site 'g' in 'f' at 0x401002-0x100000000 does not fit 32 bits",
+        ),
+        _clash(".debug_ranges", **_ranged_site(4)),
+        _clash(".debug_rnglists", **_ranged_site(5)),
     ],
 )
 def test_bad_specs_are_rejected(spec, message):

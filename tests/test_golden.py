@@ -48,6 +48,34 @@ def _solo_spec(dwarf_spec: DwarfFuncSpec, version: int) -> BinarySpec:
     )
 
 
+def _inline_ranges_spec(version: int) -> BinarySpec:
+    """Three inlined copies of one origin, which is named through its
+    abstract origin: two take range lists, one inside code and one
+    outside it, and one takes a low/high pair outside code, so that a
+    diagnostic names each copy."""
+    text = SectionSpec(".text", 0x401000, executable=True)
+    host = FunctionSpec("host", 0, forge._fixed_body(48), dwarf=(DwarfFuncSpec(),))
+    tiny = FunctionSpec(
+        "tiny", 48, forge._fixed_body(8), dwarf=(DwarfFuncSpec(name_via="abstract_origin"),)
+    )
+    return BinarySpec(
+        sections=(text,),
+        functions=(host, tiny),
+        inline_sites=(
+            forge.InlineSiteSpec(
+                "host", "tiny", 0, 0, ranges=((0x401004, 0x401008), (0x40100C, 0x401010))
+            ),
+            forge.InlineSiteSpec(
+                "host", "tiny", 0, 0, ranges=((0x900000, 0x900004), (0x900110, 0x900118))
+            ),
+            forge.InlineSiteSpec("host", "tiny", 0x900200, 0x900208),
+        ),
+        word_size=64,
+        dwarf_versions=(version,),
+        cu_names=("inline.c",),
+    )
+
+
 _RANGES = ((0x401000, 0x401008), (0x40100C, 0x401010))
 _PARAMS = (("argc", True), ("argv", True), ("unused", False))
 
@@ -61,6 +89,8 @@ GOLDEN_PRESETS = {
 }
 GOLDEN_SPECS = {
     "inline-site": "cf92e70183322f99f8d29ba9eb9253514b8f9090413864ea61221a76ddd92f05",
+    "inline-ranges-v4": "d7cf4dfcde633c01db1f3da9c289eeb87c631d18cc0576de94cb115677c2f4bd",
+    "inline-ranges-v5": "6bc294dab55cbc8eb8a0f367f473dd5e6ce10e4b0294b860b2c1790f2f17c858",
     "params-v4": "ea7e3a2c07394f669dbe07fef88f5f668364d92d7318a224c3d834657e71f873",
     "ranges-v4": "103f7c14717caaa716859825e16eef327c23c9b5aa5a357e83007ebb3c50a311",
     "ranges-v5": "1adb21fbc688bf9baca2de9061e0622281edda3502acaf748a794e57672401ee",
@@ -82,6 +112,8 @@ def test_preset_documents_are_byte_identical(name):
 
 _SPECS = {
     "inline-site": _inline_site_spec,
+    "inline-ranges-v4": lambda: _inline_ranges_spec(4),
+    "inline-ranges-v5": lambda: _inline_ranges_spec(5),
     "params-v4": lambda: _solo_spec(DwarfFuncSpec(params=_PARAMS), 4),
     "ranges-v4": lambda: _solo_spec(DwarfFuncSpec(ranges=_RANGES), 4),
     "ranges-v5": lambda: _solo_spec(DwarfFuncSpec(ranges=_RANGES), 5),

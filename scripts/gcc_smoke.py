@@ -27,10 +27,10 @@ complete document. With ``--gc-sections`` the linker drops ``unused_fn``
 and ``dead_b`` but keeps their DWARF at ``low_pc`` 0, with the copy of
 ``unused_fn`` inlined into ``dead_b``: the document must count those
 three in one ``GT_LINKER_DISCARDED`` diagnostic and give none of them a
-diagnostic of its own. One known defect holds in each build:
-``main``'s last instruction is the call, whose displacement ends in
-``00`` bytes, and the padding trim cuts them: ``end_trimmed`` lies below
-``end_raw``, inside the call.
+diagnostic of its own. ``main``'s last instruction is the call, whose
+displacement ends in ``00`` bytes. Its DWARF record starts at its start
+and ends at its raw end, so the padding trim must keep the call whole:
+``end_trimmed`` must equal ``end_raw``.
 
 Each known defect is pinned: the script fails when it is fixed, so that
 the fix removes the pin. Every program is compiled in its own directory
@@ -210,8 +210,8 @@ def check_two_files(build: str, code: int, doc: dict) -> list[str]:
         problems.append(f"die: flags {fns['die']['flags']}, not noreturn")
     main = fns["main"]
     raw, trimmed = int(main["end_raw"], 16), int(main["end_trimmed"], 16)
-    if trimmed == raw:
-        problems.append("main: the trim keeps its last call; drop its pin")
+    if trimmed != raw:
+        problems.append(f"main: the trim cuts its last call at {trimmed:#x}")
     codes = Counter(d["code"] for d in doc["diagnostics"])
     # The count leads the message.
     discarded = [

@@ -88,16 +88,17 @@ def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
     floor = len(blob.rstrip(unit_bytes))
     if floor == n:
         return n
-    ok = bytearray(n + 1)
-    ok[n] = 1
+    # ok[i - floor]: blob[i:] tiles. Nothing below the floor is ever set.
+    ok = bytearray(n - floor + 1)
+    ok[n - floor] = 1
     lowest = n
     for i in range(n - 1, floor - 1, -1):
         if lowest > i + longest:
             break
         for unit in by_first.get(blob[i], ()):
             j = i + len(unit)
-            if j <= n and ok[j] and blob.startswith(unit, i):
-                ok[i] = 1
+            if j <= n and ok[j - floor] and blob.startswith(unit, i):
+                ok[i - floor] = 1
                 lowest = i
                 break
     return lowest
@@ -106,20 +107,6 @@ def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
 def parses_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
     """True when ``blob`` tiles completely with padding units."""
     return padding_suffix_start(blob, alphabet) == 0
-
-
-def _append(
-    runs: list[ByteRun], start: int, end: int, klass: str, confidence: str
-) -> None:
-    """Add ``[start, end)`` to ``runs``, extending the last run if it continues it."""
-    if end <= start:
-        return
-    if runs:
-        last = runs[-1]
-        if last.end == start and last.klass == klass and last.confidence == confidence:
-            runs[-1] = ByteRun(last.start, end - last.start, klass, confidence)
-            return
-    runs.append(ByteRun(start, end - start, klass, confidence))
 
 
 def classify_bytes(
@@ -143,11 +130,25 @@ def classify_bytes(
                 f"span at {b_start:#x} starts before the span at {a_start:#x} ends"
             )
 
-    runs: list[ByteRun] = []
+    # Runs stay plain [start, end, class, confidence] lists while they
+    # grow; each becomes a ByteRun once, at the end.
+    runs: list[list] = []
+    last: list = [None, None, None, None]
+
+    def add(start: int, end: int, klass: str, confidence: str) -> None:
+        nonlocal last
+        if end <= start:
+            return
+        if last[1] == start and last[2] == klass and last[3] == confidence:
+            last[1] = end
+        else:
+            last = [start, end, klass, confidence]
+            runs.append(last)
+
     i = 0
     for sec in image.mapped_sections:
         if not sec.executable:
-            _append(runs, sec.vaddr, sec.end, "data", "certain")
+            add(sec.vaddr, sec.end, "data", "certain")
             continue
         i = bisect.bisect_left(spans, (sec.vaddr,), lo=i)
         j = bisect.bisect_left(spans, (sec.end,), lo=i)
@@ -158,9 +159,9 @@ def classify_bytes(
                 blob = image.section_bytes(sec, cursor, start)
                 padding = blob is not None and parses_as_padding(blob, alphabet)
                 klass = "padding" if padding else "gap_unknown"
-                _append(runs, cursor, start, klass, "heuristic")
-            _append(runs, start, trimmed, "code", "certain")
-            _append(runs, trimmed, raw, "padding", "certain")
+                add(cursor, start, klass, "heuristic")
+            add(start, trimmed, "code", "certain")
+            add(trimmed, raw, "padding", "certain")
             cursor = max(cursor, raw)
         i = j
-    return ByteClassMap(runs=tuple(runs))
+    return ByteClassMap(runs=tuple([ByteRun(a, b - a, k, c) for a, b, k, c in runs]))

@@ -87,13 +87,8 @@ class MalformedElfError(ElfFormatError):
     """Structurally inconsistent ELF (bad entry sizes, overlapping sections)."""
 
 
-def _binding_name(bind: int) -> str:
-    if bind == STB_GLOBAL:
-        return "global"
-    if bind == STB_WEAK:
-        return "weak"
-    # Local and any OS/processor-specific binding rank lowest.
-    return "local"
+# Local and any OS/processor-specific binding rank lowest: "local".
+_BINDING_NAMES = {STB_GLOBAL: "global", STB_WEAK: "weak"}
 
 
 def _cstr(blob: bytes, off: int) -> str | None:
@@ -255,13 +250,13 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 if st_off + st_size > len(data):
                     raise TruncatedError("symbol string table extends past input")
                 strtab = data[st_off : st_off + st_size]
-            count = sh_size // sym_entsize
-            for n in range(1, count):  # index 0 is the reserved null symbol
-                entry = struct.unpack_from(sym_fmt, data, sh_off + n * sym_entsize)
-                if is64:
-                    st_name, st_info, _st_other, st_shndx, st_value, st_size = entry
-                else:
-                    st_name, st_value, st_size, st_info, _st_other, st_shndx = entry
+            # Row 0 is the reserved null symbol; an empty table has no rows.
+            rows = struct.iter_unpack(
+                sym_fmt, memoryview(data)[sh_off + sym_entsize : sh_off + sh_size]
+            )
+            if not is64:
+                rows = ((nm, info, other, ndx, val, sz) for nm, val, sz, info, other, ndx in rows)
+            for st_name, st_info, _st_other, st_shndx, st_value, st_size in rows:
                 name = _cstr(strtab, st_name)
                 if name is None:
                     name = f"<bad-strtab:{st_name}>"
@@ -282,7 +277,9 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                     imports += 1
                     continue
                 symbols.append(
-                    SymbolRecord(name, st_value, st_size, _binding_name(st_info >> 4))
+                    SymbolRecord(
+                        name, st_value, st_size, _BINDING_NAMES.get(st_info >> 4, "local")
+                    )
                 )
     if imports:
         diagnostics.append(

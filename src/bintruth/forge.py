@@ -440,6 +440,7 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
             ],
         )
         subprogram_of: dict[str, _WDie] = {}
+        shared = None  # where the unit's subprogram range lists' header starts
         for fn, d in members[u]:
             low = vaddr_of(fn) if d.low_pc is None else d.low_pc
             via = _NAME_VIA[d.name_via]
@@ -453,7 +454,8 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
                 attrs = [(ref_attr, "ref4", named)]
 
             if d.ranges is not None and version >= 5:
-                if not rnglists:  # the section's one header
+                if shared is None:  # unit_length is patched once the lists are in
+                    shared = len(rnglists)
                     rnglists += struct.pack(e + "IHBBI", 0, 5, addr_size, 0, 0)
                 attrs.append((DW_AT_ranges, "sec_offset", len(rnglists)))
                 for lo, hi in d.ranges:
@@ -481,6 +483,8 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
                 die.children.append(_WDie(DW_TAG_formal_parameter, p_attrs))
             subprogram_of[fn.name] = die
             root.children.append(die)
+        if shared is not None:
+            struct.pack_into(e + "I", rnglists, shared, len(rnglists) - shared - 4)
 
         sites = [site for site in spec.inline_sites if site.unit == u]
         # DWARF 5 copies name their lists by index into an offset table of
@@ -733,6 +737,31 @@ def _preset_padding_icc_vs_gcc() -> BinarySpec:
     return BinarySpec(sections=(text,), functions=(icc, gcc), word_size=64)
 
 
+def _preset_call_at_end() -> BinarySpec:
+    """Bodies whose last instruction is a rel32 ``call`` or ``jmp`` with a
+    displacement whose high bytes are ``00``, as gcc ends a function that
+    calls a noreturn one. Each is forged with and without a DWARF extent,
+    and each is followed by three nop bytes outside its symbol size."""
+    text = SectionSpec(".text", 0x401000, executable=True)
+    tails = {
+        "ends_in_call": b"\xe8\x20\x01\x00\x00",  # call, rel32 0x120
+        "ends_in_jmp": b"\xe9\x78\x56\x34\x00",  # jmp, rel32 0x345678
+    }
+    functions = []
+    for debug in (True, False):
+        for name, tail in tails.items():
+            functions.append(
+                FunctionSpec(
+                    name=name if debug else f"{name}_symtab_only",
+                    offset=16 * len(functions),
+                    body=_FILLER[:8] + tail,
+                    pad_after=b"\x90" * 3,
+                    dwarf=(DwarfFuncSpec(),) if debug else (),
+                )
+            )
+    return BinarySpec(sections=(text,), functions=tuple(functions), word_size=64)
+
+
 def _preset_highpc_twins() -> BinarySpec:
     text = SectionSpec(".text", 0x401000, executable=True)
     fn = FunctionSpec(
@@ -784,6 +813,7 @@ PRESETS = {
     "listing1": _preset_listing1,
     "listing2": _preset_listing2,
     "padding-icc-vs-gcc": _preset_padding_icc_vs_gcc,
+    "call-at-end": _preset_call_at_end,
     "highpc-twins": _preset_highpc_twins,
     "scaffold": _preset_scaffold,
     "stripped": _preset_stripped,

@@ -1,10 +1,11 @@
 """Normalization pipeline: raw symbols plus debug records to ground truth.
 
 Stage order is fixed: alias dedup, fall-through entry merging, boundary
-resolution, padding trim, specialization clustering, debug matching,
-noreturn and compiler-inserted annotation, call-edge liveness, byte
-classification, completeness check. Every stage communicates problems
-through diagnostics; nothing raises past :func:`build_ground_truth`.
+resolution, debug matching, padding trim (floored by the matched debug
+extents), specialization clustering, noreturn and compiler-inserted
+annotation, call-edge liveness, byte classification, completeness check.
+Every stage communicates problems through diagnostics; nothing raises
+past :func:`build_ground_truth`.
 
 Start order is decided once, by :func:`elf.function_symbols`, which also
 pairs each symbol with its section. Every stage takes its functions in
@@ -17,7 +18,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
-from itertools import groupby
 
 from . import byteclass, dwarf, elf
 from .byteclass import ByteClassMap
@@ -226,6 +226,8 @@ class _Working:
     noreturn: bool = False
     end_raw: int = 0
     end_trimmed: int = 0
+    # End of the debug record that starts at this function's start; 0: none
+    debug_end: int = 0
     # (name, start, size) of the last merged entry, for cascade merging
     tail: tuple[str, int, int] = ("", 0, 0)
 
@@ -245,11 +247,20 @@ def dedupe_aliases(
     """
     works: list[_Working] = []
     diagnostics: list[Diagnostic] = []
-    for value, group in groupby(symbols, key=lambda pair: pair[0].value):
-        pairs = list(group)
-        section = pairs[0][1]
+    i, count = 0, len(symbols)
+    while i < count:
+        sym, section = symbols[i]
+        value = sym.value
+        first, i = i, i + 1
+        while i < count and symbols[i][0].value == value:
+            i += 1
+        if i == first + 1:  # most starts hold one symbol: nothing to rank
+            works.append(
+                _Working(sym.name, [value], sym.size, section, tail=(sym.name, value, sym.size))
+            )
+            continue
         members = sorted(
-            (sym for sym, _section in pairs),
+            (member for member, _section in symbols[first:i]),
             key=lambda s: (-_BINDING_RANK.get(s.binding, 0), s.name),
         )
         canonical = members[0]
@@ -263,19 +274,18 @@ def dedupe_aliases(
             size=size,
             section=section,
             aliases=aliases,
+            flags={"merged_alias"},
             tail=(canonical.name, value, size),
         )
-        if aliases:
-            work.flags.add("merged_alias")
-            diagnostics.append(
-                Diagnostic(
-                    "info",
-                    GT_ALIAS_MERGED,
-                    f"{len(aliases)} alias(es) of {canonical.name!r} at "
-                    f"{value:#x} merged: {', '.join(aliases)}",
-                    span=(value, size),
-                )
+        diagnostics.append(
+            Diagnostic(
+                "info",
+                GT_ALIAS_MERGED,
+                f"{len(aliases)} alias(es) of {canonical.name!r} at "
+                f"{value:#x} merged: {', '.join(aliases)}",
+                span=(value, size),
             )
+        )
         works.append(work)
     return works, diagnostics
 
@@ -365,40 +375,48 @@ def trim_padding(
 ) -> list[Diagnostic]:
     """Shave trailing padding units off each raw boundary.
 
-    The trimmed end never cuts an entry point and always keeps at least
-    one byte. Functions whose bytes are not in the file (nobits regions)
-    make the ground truth incomplete rather than guessing.
+    The trimmed end never cuts an entry point, always keeps at least one
+    byte, and never cuts below the end of a debug record that starts at
+    the function's start (``debug_end``, set by
+    :func:`match_debug_records`): the compiler's own extent outranks the
+    padding alphabet. Functions whose bytes are not in the file (nobits
+    regions) make the ground truth incomplete rather than guessing.
     """
     diagnostics: list[Diagnostic] = []
+    if not alphabet:
+        return diagnostics
     for work in works:
-        if not alphabet:
-            continue
-        region = image.section_bytes(work.section, work.start, work.end_raw)
+        start, end_raw = work.start, work.end_raw
+        region = image.section_bytes(work.section, start, end_raw)
         if region is None:
             diagnostics.append(
                 Diagnostic(
                     "error",
                     GT_INCOMPLETE_EXCLUDED,
-                    f"bytes of {work.canonical!r} at {work.start:#x} are not "
+                    f"bytes of {work.canonical!r} at {start:#x} are not "
                     "in the file; padding cannot be inspected",
-                    span=(work.start, work.end_raw - work.start),
+                    span=(start, end_raw - start),
                 )
             )
             continue
-        n = len(region)
+        # Entries strictly increase: the last one bounds the trim.
+        floor = work.entries[-1] - start + 1
+        debug_floor = min(work.debug_end, end_raw) - start
+        if debug_floor >= end_raw - start:
+            continue
         lowest = byteclass.padding_suffix_start(region, alphabet)
-        # Never trim an entry point away, and keep at least one byte.
-        floor = max(max(e - work.start for e in work.entries) + 1, 1)
-        trimmed = work.start + min(max(lowest, floor), n)
-        if trimmed < work.end_raw:
+        trimmed = start + max(lowest, floor, debug_floor)
+        if trimmed < end_raw:
             work.end_trimmed = trimmed
+            message = f"{end_raw - trimmed} padding byte(s) trimmed off {work.canonical!r}"
+            if debug_floor > max(lowest, floor):
+                message += ", down to the end of its DWARF record"
             diagnostics.append(
                 Diagnostic(
                     "info",
                     GT_PADDING_TRIMMED,
-                    f"{work.end_raw - trimmed} padding byte(s) trimmed off "
-                    f"{work.canonical!r}",
-                    span=(trimmed, work.end_raw - trimmed),
+                    message,
+                    span=(trimmed, end_raw - trimmed),
                 )
             )
     return diagnostics
@@ -423,7 +441,11 @@ def match_debug_records(
     records: list[dwarf.DebugFunctionRecord],
     tolerance: int,
 ) -> list[Diagnostic]:
-    """Attach out-of-line debug records to their symbol-table functions."""
+    """Attach out-of-line debug records to their symbol-table functions.
+
+    A record that starts exactly at a function's start also raises its
+    ``debug_end``, the floor of :func:`trim_padding`, to the record's end.
+    """
     diagnostics: list[Diagnostic] = []
     by_entry: dict[int, _Working] = {}
     for work in works:
@@ -449,6 +471,10 @@ def match_debug_records(
             target.noreturn = target.noreturn or record.noreturn
             if target.source is None and record.decl_file:
                 target.source = (record.decl_file, record.decl_line)
+            # A match at a secondary entry or through the tolerance starts
+            # elsewhere, and gives no floor.
+            if record.low_pc == target.start and record.end_exclusive is not None:
+                target.debug_end = max(target.debug_end, record.end_exclusive)
             continue
         named = names.get(record.name)
         if named is not None:
@@ -519,7 +545,7 @@ def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
                 entry_points=tuple(work.entries),
                 end_exclusive_raw=work.end_raw,
                 end_exclusive_trimmed=work.end_trimmed,
-                aliases=tuple(sorted(work.aliases)),
+                aliases=tuple(sorted(work.aliases)) if work.aliases else (),
                 specialization_group=work.group,
                 flags=frozenset(work.flags),
                 provenance=frozenset(work.provenance),
@@ -567,13 +593,14 @@ def build_ground_truth(
 
     diagnostics.extend(resolve_boundaries(works))
 
+    # Matching runs before the trim, which a matched record's extent
+    # floors; its diagnostics still follow the trim's.
+    matched = match_debug_records(works, debug_records, config.start_mismatch_tolerance)
     alphabet = padding_alphabet(image.machine)
     diagnostics.extend(trim_padding(works, image, alphabet))
 
     cluster_specializations(works)
-    diagnostics.extend(
-        match_debug_records(works, debug_records, config.start_mismatch_tolerance)
-    )
+    diagnostics.extend(matched)
     annotate_noreturn(works, config.seeds())
     tag_compiler_inserted(works, default_scaffold_names(), debug_unreadable)
     if config.call_edges is not None:

@@ -270,3 +270,31 @@ def test_adjacent_runs_of_one_kind_merge():
     )
     # classify_bytes merges; constructing directly does not.
     assert len(runs.runs) == 2
+
+
+def test_a_merged_run_is_built_once(monkeypatch):
+    """Four functions that abut, each without padding: one code run that
+    grows three times is built as one ByteRun, which the per-byte oracle
+    agrees with."""
+    from bintruth.model import BinaryImage, SectionRecord, digest_binary
+
+    raw = bytes(range(0x40))
+    sec = SectionRecord(".text", 0x401000, 0x40, True, True, 0)
+    image = BinaryImage(
+        source_path="mem",
+        content_digest=digest_binary(raw),
+        word_size=64,
+        endianness="little",
+        machine_code=62,
+        sections=(sec,),
+        symbols=(),
+        raw=raw,
+    )
+    spans = [(0x401000 + k, 0x401010 + k, 0x401010 + k) for k in range(0, 0x40, 0x10)]
+    built = []
+    checks = ByteRun.__post_init__
+    monkeypatch.setattr(ByteRun, "__post_init__", lambda run: built.append(checks(run)))
+    byte_map = classify_bytes(image, spans, ALPHABET)
+    assert byte_map.runs == (ByteRun(0x401000, 0x40, "code", "certain"),)
+    assert len(built) == 2  # the run, and the one this test compared it with
+    assert _classes_by_byte(byte_map) == oracles.classify_per_byte(image, spans, ALPHABET)

@@ -275,6 +275,51 @@ def test_unknown_binding_ranks_as_local():
     assert image.symbols[0].binding == "local"
 
 
+@pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "null-row-only"])
+def test_a_symbol_table_without_symbol_rows_gives_no_symbols(rows):
+    base = emit(_two_section_spec())
+    data = bytearray(base)
+    shoff, entsize = _shoff_and_entsize(data)
+    idx = _section_header_index(base, ".symtab")
+    # sh_size is the sixth field of a 64-bit section header, at byte 32.
+    struct.pack_into("<Q", data, shoff + idx * entsize + 32, rows * 24)
+    image = elf.parse_image(bytes(data))
+    assert image.symbols == ()
+    assert image.parse_diagnostics == ()
+
+
+def test_32_and_64_bit_symbol_tables_decode_the_same_functions():
+    """The two word sizes order a symbol row's fields differently."""
+    text = SectionSpec(".text", 0x401000, executable=True)
+    data = SectionSpec(".data", 0x402000, content=b"\xaa" * 16, writable=True)
+    functions = (
+        FunctionSpec("main", 0, forge._fixed_body(16), binding="global"),
+        FunctionSpec("weak_one", 16, forge._fixed_body(8), binding="weak"),
+        FunctionSpec("local_one", 32, forge._fixed_body(24), symbol_size=0),
+    )
+    extras = (
+        ExtraSymbolSpec("table", ".data", offset=0, size=8, kind="object"),
+        ExtraSymbolSpec("marker", ".text", offset=4, kind="other"),
+        ExtraSymbolSpec("in_data", ".data", offset=8, size=4, kind="function"),
+    )
+    decoded = []
+    for word_size in (32, 64):
+        spec = BinarySpec(
+            sections=(text, data),
+            functions=functions,
+            extra_symbols=extras,
+            word_size=word_size,
+        )
+        decoded.append(elf.parse_image(emit(spec)).symbols)
+    assert decoded[0] == decoded[1]
+    assert sorted((s.name, s.value, s.size, s.binding) for s in decoded[0]) == [
+        ("in_data", 0x402008, 4, "global"),
+        ("local_one", 0x401020, 0, "local"),
+        ("main", 0x401000, 16, "global"),
+        ("weak_one", 0x401010, 8, "weak"),
+    ]
+
+
 # --- function_symbols filtering -------------------------------------------
 
 

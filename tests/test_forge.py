@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import pytest
 
@@ -313,6 +314,7 @@ def test_corpus_generation_is_deterministic():
 # Pinned so fixture bytes cannot drift silently; expectations elsewhere in the
 # suite were frozen against exactly these images.
 _PINNED = {
+    "call-at-end": "e5812ea50817af593110e08a935803e5cfe4cf7e8138269f090c0e9fbbce0377",
     "highpc-twins": "325656f1a844a63c86c7d638dc12d2ceabc49469eb72205c3889b0e8fc60ef2f",
     "listing1": "28b69eff2c0817073d74ab5ee194083830c9bf632f90eb8d37ff40e47ecd7ca1",
     "listing2": "18f225d0257bb8d7689e115f35ee88a6a27bb5c5b909dc2ee873669171642e6a",
@@ -334,6 +336,7 @@ def test_preset_bytes_match_pinned_digest(name, preset_bytes):
 # --- preset semantics ---------------------------------------------------------
 
 _FUNC_COUNTS = {
+    "call-at-end": 4,
     "listing1": 1,
     "listing2": 9,
     "padding-icc-vs-gcc": 2,
@@ -377,3 +380,43 @@ def test_corpus_count_and_naming():
         codes = [code for code, _count in fixture.diagnostic_codes]
         assert codes == sorted(codes)
         assert all(count > 0 for _code, count in fixture.diagnostic_codes)
+
+
+# --- DWARF 5 range-list contributions -----------------------------------------
+
+
+@pytest.mark.parametrize(("word_size", "endianness"), [(64, "little"), (32, "big")])
+def test_rnglists_contributions_each_give_their_length(word_size, endianness):
+    """Each unit's subprogram lists share one contribution header, whose
+    unit_length reaches the next contribution, so the section walks
+    from header to header to its end; an inlined copy's offset table is a
+    contribution between them."""
+    base = 0x401000
+
+    def ranged(name, offset, unit):
+        lists = ((base + offset, base + offset + 4), (base + offset + 8, base + offset + 12))
+        return FunctionSpec(
+            name, offset, forge._fixed_body(16), dwarf=(DwarfFuncSpec(ranges=lists, unit=unit),)
+        )
+
+    tiny = FunctionSpec("tiny", 48, forge._fixed_body(8), dwarf=(DwarfFuncSpec(),))
+    spec = BinarySpec(
+        sections=(TEXT,),
+        functions=(ranged("a", 0, 0), ranged("b", 16, 0), ranged("c", 32, 1), tiny),
+        inline_sites=(InlineSiteSpec("a", "tiny", 0, 0, ranges=((base + 4, base + 8),)),),
+        word_size=word_size,
+        endianness=endianness,
+        dwarf_versions=(5, 5),
+    )
+    image = parse_image(emit(spec))
+    (sec,) = [s for s in image.sections if s.name == ".debug_rnglists"]
+    blob = image.section_bytes(sec, sec.vaddr, sec.end)
+    order = "<" if endianness == "little" else ">"
+    pos, headers = 0, []
+    while pos < len(blob):
+        length, version, addr_size = struct.unpack_from(order + "IHB", blob, pos)
+        assert (version, addr_size) == (5, word_size // 8)
+        headers.append(pos)
+        pos += 4 + length
+    assert pos == len(blob)
+    assert len(headers) == 3  # unit 0's subprograms, its inlined copy, unit 1's subprograms

@@ -37,8 +37,8 @@ def _smoke_doc(file: str = "smoke.c") -> dict:
 
 
 def _two_files_doc(gc: bool) -> dict:
-    """The two-file program: ``main``'s trim cuts into its last call."""
-    diagnostics = [{"code": "GT_PADDING_TRIMMED", "message": "main: trimmed"}]
+    """The two-file program: ``main`` keeps its last call whole."""
+    diagnostics = []
     if gc:
         diagnostics.append(
             {"code": "GT_LINKER_DISCARDED", "message": "3 subprogram(s) or inlined copies"}
@@ -46,7 +46,7 @@ def _two_files_doc(gc: bool) -> dict:
     return {
         "complete": True,
         "functions": [
-            {"name": "main", "flags": [], "end_raw": "0x1094", "end_trimmed": "0x1091"},
+            {"name": "main", "flags": [], "end_raw": "0x1094", "end_trimmed": "0x1094"},
             {"name": "die", "flags": ["noreturn"], "end_raw": "0x10a0", "end_trimmed": "0x10a0"},
         ],
         "diagnostics": diagnostics,
@@ -80,11 +80,11 @@ def test_the_cold_pin_fires_when_the_hot_part_has_dwarf():
     ]
 
 
-def test_the_trim_pin_fires_when_main_keeps_its_last_call():
+def test_a_trim_into_mains_last_call_is_a_problem():
     doc = _two_files_doc(gc=False)
-    _named(doc, "main")["end_trimmed"] = "0x1094"
+    _named(doc, "main")["end_trimmed"] = "0x1091"
     assert smoke.check_two_files("noreturn", 0, doc) == [
-        "main: the trim keeps its last call; drop its pin"
+        "main: the trim cuts its last call at 0x1091"
     ]
 
 

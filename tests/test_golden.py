@@ -80,6 +80,7 @@ _RANGES = ((0x401000, 0x401008), (0x40100C, 0x401010))
 _PARAMS = (("argc", True), ("argv", True), ("unused", False))
 
 GOLDEN_PRESETS = {
+    "call-at-end": "d04ee3377c1c6196ad9b90e61fa306ce812aa2a331eaff0a3e80f91c8eb1a9fe",
     "highpc-twins": "95c13636868ed6c7b864d96dbfe3348d4ae0113b1dd6631071fc7ddc0aa1ff8a",
     "listing1": "53af77db7b9391f956be1ffa1cff02426357e79f4c81dec8ce145673ae23acc4",
     "listing2": "2fb2dd51ec3055d05f2ead1efa72eaf4e453d0a60de0694d4b7d02518cfc6ec3",
@@ -93,7 +94,7 @@ GOLDEN_SPECS = {
     "inline-ranges-v5": "6bc294dab55cbc8eb8a0f367f473dd5e6ce10e4b0294b860b2c1790f2f17c858",
     "params-v4": "ea7e3a2c07394f669dbe07fef88f5f668364d92d7318a224c3d834657e71f873",
     "ranges-v4": "103f7c14717caaa716859825e16eef327c23c9b5aa5a357e83007ebb3c50a311",
-    "ranges-v5": "1adb21fbc688bf9baca2de9061e0622281edda3502acaf748a794e57672401ee",
+    "ranges-v5": "10065d7f0819421a1c77135ec447b18507c3196a0a50f9ee7b0f7310c3de361e",
 }
 GOLDEN_CORPUS = {
     "fixture_7_0": "ce147137e48a7f704c9d2688e1be49629e35a6fe81ff96f4d71ea4edadc1883c",

@@ -222,6 +222,14 @@ def test_dedupe_without_duplicates_is_quiet():
     assert all(not w.flags for w in works)
 
 
+def test_dedupe_keeps_a_lone_sizeless_symbol_at_size_zero():
+    works, diags = _dedupe([_func("f", 0x401000, 0)])
+    (work,) = works
+    assert (work.size, work.aliases, work.flags) == (0, [], set())
+    assert work.tail == ("f", 0x401000, 0)
+    assert diags == []
+
+
 # --- fall-through merging -----------------------------------------------------
 
 
@@ -437,6 +445,50 @@ def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
     assert diags[0].severity == "error"
 
 
+def test_a_debug_extent_keeps_a_last_call_whole(preset_docs):
+    """A body that ends in a call or jmp whose displacement ends in 00 keeps
+    it when its DWARF record starts at its start; without a record the
+    alphabet alone decides and cuts the 00 bytes."""
+    doc = preset_docs["call-at-end"]
+    cut = {f.canonical_name: f.end_exclusive_raw - f.end_exclusive_trimmed for f in doc.functions}
+    assert cut == {
+        "ends_in_call": 0,
+        "ends_in_jmp": 0,
+        "ends_in_call_symtab_only": 2,
+        "ends_in_jmp_symtab_only": 1,
+    }
+    assert [d.message for d in doc.diagnostics if d.code == GT_PADDING_TRIMMED] == [
+        "2 padding byte(s) trimmed off 'ends_in_call_symtab_only'",
+        "1 padding byte(s) trimmed off 'ends_in_jmp_symtab_only'",
+    ]
+
+
+@pytest.mark.parametrize(
+    ("debug_end", "kept", "suffix"),
+    [
+        (None, 3, ""),
+        (2, 3, ""),  # below the padding: the alphabet bounds the trim
+        (3, 3, ""),
+        (5, 5, ", down to the end of its DWARF record"),
+        (8, 8, None),  # at end_raw: nothing is trimmed
+        (20, 8, None),  # past end_raw
+    ],
+)
+def test_a_debug_extent_floors_the_trim(debug_end, kept, suffix):
+    body = b"\x31\xc0\xc3" + b"\x90" * 5
+    works = _works(("f", TEXT.vaddr, len(body)))
+    resolve_boundaries(works)
+    works[0].debug_end = TEXT.vaddr + debug_end if debug_end is not None else 0
+    diags = trim_padding(works, _trimmable_image(body), normalize.padding_alphabet("x86_64"))
+    assert works[0].end_trimmed == TEXT.vaddr + kept
+    if suffix is None:
+        assert diags == []
+    else:
+        (diag,) = diags
+        assert diag.message == f"{8 - kept} padding byte(s) trimmed off 'f'{suffix}"
+        assert diag.span == (TEXT.vaddr + kept, 8 - kept)
+
+
 # --- specialization clusters --------------------------------------------------
 
 
@@ -512,6 +564,24 @@ def test_matching_tolerance_bridges_small_offsets():
     relaxed = match_debug_records(works, [_record("f", 0x401002)], 2)
     assert relaxed == []
     assert works[0].provenance == {"symtab", "dwarf"}
+
+
+def test_only_a_record_at_the_start_floors_the_trim():
+    """A record at the start gives the largest of its ends; one at a
+    secondary entry, one without an extent and one matched only through
+    the tolerance give none."""
+    works = _works(("f", 0x401000, 8), ("f.", 0x401008, 8), ("g", 0x401020, 8))
+    works, _ = merge_fallthrough_entries(works)
+    records = [
+        _record("f", 0x401000, end_exclusive=0x40100C),
+        _record("f", 0x401000, end_exclusive=0x40100E),
+        _record("f", 0x401000),
+        _record("f", 0x401008, end_exclusive=0x401010),
+        _record("g", 0x401021, end_exclusive=0x401028),
+    ]
+    assert match_debug_records(works, records, 1) == []
+    assert [w.debug_end for w in works] == [0x40100E, 0]
+    assert all("dwarf" in w.provenance for w in works)
 
 
 def test_unmatched_record_marks_the_truth_incomplete():

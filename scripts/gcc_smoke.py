@@ -7,15 +7,16 @@ The first program has a ``static inline`` helper, which gcc inlines at
 ``-gdwarf-4`` and with ``-flto``. ``bintruth extract`` must exit 0 on
 each binary, and every function of the program that the document holds
 (a ``.cold`` part or a ``.constprop.0`` clone included, matched by its
-name before the first ``.``) must have ``dwarf`` provenance, but one: gcc
-moves the cold call out of ``main`` into ``main.cold``, which lies below
-``main``, and the reader takes the lowest address of a subprogram's
-ranges as its start. So the record goes to ``main.cold`` and ``main`` has
-only ``symtab`` provenance. Each function with ``dwarf`` provenance must
-give ``smoke.c`` as its ``source.file``, but in the ``-flto`` build: its
-LTO unit names some other file, and the reader writes a ``decl_file``
-index other than 0 or 1 as ``file#N``, which such a build reads in every
-function.
+name before the first ``.``) must have ``dwarf`` provenance. gcc moves
+the cold call out of ``main`` into ``main.cold``, which lies below
+``main``; ``main``'s subprogram lists ``main``'s range first, and the
+reader takes that range, its entry's, as the record's extent. So the
+record goes to ``main``, and ``main.cold``, at another of its ranges, is
+a cold part of it: a function must carry the ``cold_part`` flag exactly
+when its name ends in ``.cold``. Each function must give ``smoke.c`` as
+its ``source.file``, but in the ``-flto`` build: its LTO unit names some
+other file, and the reader writes a ``decl_file`` index other than 0 or
+1 as ``file#N``, which such a build reads in every function.
 
 The second program has two files. ``a.c``'s ``main`` ends in a call to
 ``die``, which ``b.c`` defines as ``noreturn``; nothing calls ``b.c``'s
@@ -32,8 +33,8 @@ displacement ends in ``00`` bytes. Its DWARF record starts at its start
 and ends at its raw end, so the padding trim must keep the call whole:
 ``end_trimmed`` must equal ``end_raw``.
 
-Each known defect is pinned: the script fails when it is fixed, so that
-the fix removes the pin. Every program is compiled in its own directory
+The one known defect left, the ``-flto`` build's ``file#N``, is pinned:
+the script fails when it is fixed, so that the fix removes the pin. Every program is compiled in its own directory
 from relative file names, so a unit's name is its file's. Needs ``gcc``
 on PATH and nothing else.
 
@@ -173,15 +174,10 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
     found = {name.split(".")[0] for name in ours}
     problems = [f"{name}: no function" for name in sorted(NOT_INLINED - found)]
     for name, fn in sorted(ours.items()):
-        split = f"{name}.cold" in ours  # the hot part of a split function
-        if split == ("dwarf" in fn["provenance"]):
-            problems.append(
-                f"{name}: the hot part of a split function has dwarf provenance; drop its pin"
-                if split
-                else f"{name}: provenance {fn['provenance']}"
-            )
-        if split:
-            continue  # the pinned hot part has no record, so no source
+        if "dwarf" not in fn["provenance"]:
+            problems.append(f"{name}: provenance {fn['provenance']}")
+        if name.endswith(".cold") != ("cold_part" in fn["flags"]):
+            problems.append(f"{name}: flags {fn['flags']}")
         file = (fn["source"] or {}).get("file")
         if build != "lto" and file != "smoke.c":
             problems.append(f"{name}: source.file {file!r}")
@@ -191,6 +187,7 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
             problems.append(f"{name}: source.file {file!r}, not file#N")
     shown = ", ".join(
         f"{name} {'+'.join(fn['provenance'])} {(fn['source'] or {}).get('file')}"
+        + "".join(f" {flag}" for flag in fn["flags"] if flag == "cold_part")
         for name, fn in sorted(ours.items())
     )
     print(f"{build}: {shown}")

@@ -5,6 +5,16 @@ Subcommands: ``extract`` builds ground-truth documents from binaries,
 compares two documents, ``corpus`` aggregates scores over a directory,
 and ``fixtures`` materializes the bundled test binaries.
 
+One table, ``_COMMANDS``, gives each command its help, its argument setup
+and its handler. An invocation whose first argument names a command
+registers that command's parser only; any other (no argument, ``-h``,
+``--version``, an unknown command) registers all five, so each help,
+usage and error text is the same either way. ``forge`` is imported only
+where ``fixtures`` is registered or run, ``multiprocessing`` only when
+``corpus`` starts a child, and ``traceback`` only when a child fails:
+``extract``, ``score``, ``diff`` and ``corpus --jobs 1`` import none of
+them.
+
 Exit codes: 0 success, 1 usage error (including a bad option value), 2
 unreadable or invalid input (parse, schema, digest), 3 incomplete ground
 truth, 4 documents differ (``diff`` only). Any other exception is a bug
@@ -14,13 +24,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import replace
-from multiprocessing import Pipe, Process, get_start_method
 from pathlib import Path
+from typing import NamedTuple
 
-from . import __version__, elf, forge, interchange, normalize, scoring
+from . import __version__, elf, interchange, normalize, scoring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,15 +80,7 @@ def _threshold(text: str) -> str:
     return text
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="bintruth",
-        description="Function ground truth for binary analysis tools.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="derive ground truth from binaries")
+def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("binaries", nargs="+", metavar="BINARY")
     p.add_argument("-o", "--out", metavar="PATH", help="output file or directory")
     p.add_argument(
@@ -104,18 +106,21 @@ def _build_parser() -> _Parser:
         help="bytes of slack when matching debug info to symbols",
     )
 
-    p = sub.add_parser("score", help="score a tool report against ground truth")
+
+def _score_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("truth", metavar="TRUTH.json")
     p.add_argument("report", metavar="REPORT.json")
     _add_policy_args(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("diff", help="compare two ground-truth documents")
+
+def _diff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("left", metavar="A.json")
     p.add_argument("right", metavar="B.json")
     p.add_argument("--format", choices=("json", "table"), default="table")
 
-    p = sub.add_parser("corpus", help="aggregate scores over a directory")
+
+def _corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "directory",
         metavar="DIR",
@@ -140,7 +145,10 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("fixtures", help="write bundled test binaries")
+
+def _fixtures_args(p: argparse.ArgumentParser) -> None:
+    from . import forge
+
     p.add_argument("-o", "--out", required=True, metavar="DIR")
     p.add_argument(
         "--preset",
@@ -152,7 +160,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--seed", type=int, metavar="N", help="randomized corpus seed")
     p.add_argument("--count", type=_positive_int, default=10, metavar="K")
-    return parser
 
 
 def _add_policy_args(p: argparse.ArgumentParser) -> None:
@@ -397,6 +404,8 @@ def _send_share(sender, share, policy) -> None:
     try:
         message = ([_score_pair(t, r, policy) for t, r in share], None, None)
     except Exception as exc:
+        import traceback
+
         message = (None, exc, traceback.format_exc())
     sender.send(message)
 
@@ -422,6 +431,8 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
     so the failure raised is the first in input order.
     """
     count = min(jobs, len(pairs))
+    if count > 1:  # only starting a child needs it
+        import multiprocessing
     shares = [
         pairs[k * len(pairs) // count : (k + 1) * len(pairs) // count]
         for k in range(count)
@@ -429,9 +440,11 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
     children = []
     try:
         for share in shares[1:]:
-            receiver, sender = Pipe(duplex=False)
+            receiver, sender = multiprocessing.Pipe(duplex=False)
             with sender:  # the child's copy is then the pipe's only writer
-                child = Process(target=_send_share, args=(sender, share, policy))
+                child = multiprocessing.Process(
+                    target=_send_share, args=(sender, share, policy)
+                )
                 child.start()
             children.append((receiver, child))
         results = [_score_pair(t, r, policy) for t, r in shares[0]]
@@ -444,8 +457,9 @@ def _score_pairs(pairs, policy, jobs: int) -> list[scoring.ScoreResult]:
             raise RuntimeError(
                 f"corpus: the process scoring {share[0][0]} and the rest of its "
                 f"share exited with code {child.exitcode} without sending results "
-                f"under the {get_start_method()!r} start method (with 'spawn', a "
-                "child re-imports the main script); --jobs 1 starts no child"
+                f"under the {multiprocessing.get_start_method()!r} start method "
+                "(with 'spawn', a child re-imports the main script); --jobs 1 "
+                "starts no child"
             )
         scored, failure, trace = message
         if failure is not None:
@@ -480,6 +494,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
+    from . import forge
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = args.preset or (sorted(forge.PRESETS) if args.seed is None else [])
@@ -494,19 +510,50 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    help: str
+    setup: Callable[[argparse.ArgumentParser], None]  # adds the arguments
+    run: Callable[[argparse.Namespace], int]
+
+
 _COMMANDS = {
-    "extract": _cmd_extract,
-    "score": _cmd_score,
-    "diff": _cmd_diff,
-    "corpus": _cmd_corpus,
-    "fixtures": _cmd_fixtures,
+    "extract": _Command("derive ground truth from binaries", _extract_args, _cmd_extract),
+    "score": _Command("score a tool report against ground truth", _score_args, _cmd_score),
+    "diff": _Command("compare two ground-truth documents", _diff_args, _cmd_diff),
+    "corpus": _Command("aggregate scores over a directory", _corpus_args, _cmd_corpus),
+    "fixtures": _Command("write bundled test binaries", _fixtures_args, _cmd_fixtures),
 }
 
 
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone.
+
+    A parser of one command prints the same usage as the full one: the
+    only text of the top-level parser that a known command can reach is
+    its usage line, on an unrecognized argument.
+    """
+    parser = _Parser(
+        prog="bintruth",
+        description="Function ground truth for binary analysis tools.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # None lets argparse list the registered choices, here all five.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        entry = _COMMANDS[name]
+        entry.setup(sub.add_parser(name, help=entry.help))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A leading command name is the command: the top-level options take no
+    # value that could claim it.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except _INPUT_ERRORS as exc:
         print(f"bintruth {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT

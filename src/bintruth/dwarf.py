@@ -3,9 +3,14 @@
 Walks compile units in .debug_info, resolving only what the pipeline
 consumes: subprogram names (through specification/abstract_origin chains),
 entry addresses, high-pc in both its address and constant flavors,
-discontiguous ranges, declaration coordinates and noreturn flags. Inlined
-copies yield diagnostics but never records; the concrete subprograms of a
-unit that carry no address are counted in one diagnostic per unit.
+discontiguous ranges, declaration coordinates and noreturn flags. A
+subprogram with a range list takes as its extent the range that holds its
+entry (DW_AT_entry_pc, else low_pc, else the first range; DWARF 5 §2.18),
+and its record keeps the other ranges: gcc lists a split function's hot
+range first and its ``.cold`` part, often lower, after it. Inlined copies
+yield diagnostics, with the hull of a range list, but never records; the
+concrete subprograms of a unit that carry no address are counted in one
+diagnostic per unit.
 
 Only DWARF 5 compile units (and every unit of an earlier version) yield
 records; partial, type, skeleton and split units are stepped over by
@@ -18,7 +23,8 @@ One compiler, ``_compile_plan``, turns each abbrev into a plan from one
 form catalog, which gives each form's width. A plan is one straight-line
 Python function, generated for the abbrev and compiled with ``exec``. A
 decode reader ``(blob, pos) -> (attrs, pos)`` reads only the kinds in
-``_READ_ATTRS``, the 14 ``DW_AT_*`` constants below: the read members of
+``_READ_ATTRS``, the ``DW_AT_*`` constants below but ``DW_AT_entry_pc``,
+which only a subprogram's reader also reads: the read members of
 a run of fixed-width forms are one ``struct`` read whose unread members
 are pad bytes, a variable-width form nothing reads is stepped over in
 place, and flag_present and implicit_const read as constants. A skip
@@ -94,6 +100,7 @@ DW_AT_decl_file = 0x3A
 DW_AT_decl_line = 0x3B
 DW_AT_declaration = 0x3C
 DW_AT_specification = 0x47
+DW_AT_entry_pc = 0x52
 DW_AT_ranges = 0x55
 DW_AT_str_offsets_base = 0x72
 DW_AT_addr_base = 0x73
@@ -110,6 +117,9 @@ _READ_ATTRS = frozenset(
         DW_AT_noreturn,
     }
 )
+# A subprogram's DIE also keeps its entry address, which picks the entry's
+# range out of a range list.
+_SUBPROGRAM_READS = _READ_ATTRS | {DW_AT_entry_pc}
 
 DW_UT_compile = 0x01
 DW_UT_partial = 0x03
@@ -185,6 +195,9 @@ class DebugFunctionRecord:
     decl_file: str
     decl_line: int
     noreturn: bool
+    # A range-list subprogram's ranges other than the one at its entry
+    # (``low_pc``), which gives its extent: the parts of a split function.
+    other_ranges: tuple[tuple[int, int], ...] = ()
 
 
 _UINT_READERS = {
@@ -393,11 +406,16 @@ _MAX_PLAN_ATTRS = 64
 
 @functools.lru_cache(maxsize=4096)
 def _compile_plan(
-    pairs: tuple, version: int, addr_size: int, little_endian: bool, decode: bool
+    pairs: tuple,
+    version: int,
+    addr_size: int,
+    little_endian: bool,
+    decode: bool,
+    reads: frozenset[int] = _READ_ATTRS,
 ) -> _Plan:
     """The plan for DIEs of an abbrev whose attributes are ``pairs``.
 
-    A decode plan reads the attributes in _READ_ATTRS; one listed twice is
+    A decode plan reads the attributes in ``reads``; one listed twice is
     read at its last place, whose value the full decoder keeps. A skip plan
     (``decode`` false) reads nothing.
     """
@@ -410,7 +428,7 @@ def _compile_plan(
         width = widths.get(form)
         if width is None:
             return None
-        read = decode and attr in _READ_ATTRS and last[attr] == i
+        read = decode and attr in reads and last[attr] == i
         if width == 0:  # flag_present and implicit_const
             if read:
                 value = (form, implicit if form == 0x21 else b"")
@@ -566,7 +584,8 @@ def _parse_abbrev_table(
             pairs.append((attr, form, implicit))
         frozen = tuple(pairs)
         decode = tag in _DECODED_TAGS
-        plan = _compile_plan(frozen, version, addr_size, little_endian, decode)
+        reads = _SUBPROGRAM_READS if tag == DW_TAG_subprogram else _READ_ATTRS
+        plan = _compile_plan(frozen, version, addr_size, little_endian, decode, reads)
         table[code] = (tag, frozen, plan, decode)
 
 
@@ -780,7 +799,8 @@ def _parse_unit(
         tag, pairs, plan, decode = entry
         if root < 0:  # the unit's first DIE is decoded whatever its tag
             root = die_off
-            plan = _compile_plan(pairs, version, addr_size, little_endian, True)
+            reads = _SUBPROGRAM_READS if tag == DW_TAG_subprogram else _READ_ATTRS
+            plan = _compile_plan(pairs, version, addr_size, little_endian, True, reads)
             decode = True
         if plan.__class__ is int:
             pos += plan  # type: ignore
@@ -941,20 +961,17 @@ def _unit_name(unit: _Unit) -> str:
     return "" if name is None else str(name)
 
 
-# A range list read to its end: (lowest start, highest end, number of
-# ranges, whether some range ends before it starts). The first two are
-# 0 when the list holds no range.
-_Hull = tuple[int, int, int, bool]
+# A range list read to its end: its (start, end) pairs in list order.
+_Ranges = list[tuple[int, int]]
 
 
-def _ranges_v4(unit: _Unit, offset: int, base: int) -> _Hull:
+def _ranges_v4(unit: _Unit, offset: int, base: int) -> _Ranges:
     blob = unit.aux.ranges
     read_pair = _PAIR_READERS[unit.little_endian, unit.addr_size]
     size = 2 * unit.addr_size
     last = len(blob) - size  # the last position a pair can start at
     top = (1 << (unit.addr_size * 8)) - 1
-    lo = hi = count = 0
-    backwards = False
+    pairs: _Ranges = []
     pos = offset
     while True:
         if pos > last:
@@ -965,27 +982,18 @@ def _ranges_v4(unit: _Unit, offset: int, base: int) -> _Hull:
             base = end
             continue
         if start == 0 and end == 0:
-            return lo, hi, count, backwards
-        start += base
-        end += base
-        if end < start:
-            backwards = True
-        if not count or start < lo:
-            lo = start
-        if not count or end > hi:
-            hi = end
-        count += 1
+            return pairs
+        pairs.append((start + base, end + base))
 
 
-def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Hull:
+def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Ranges:
     """Reads each entry's first operand, then, unless the entry sets the
     base, its second; an index operand is looked up as soon as it is read."""
     blob = unit.aux.rnglists
     n = len(blob)
     size = unit.addr_size
     word = _UINT_READERS[unit.little_endian][size].unpack_from
-    lo = hi = count = 0
-    backwards = False
+    pairs: _Ranges = []
     pos = offset
     while True:
         if pos >= n:
@@ -993,7 +1001,7 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Hull:
         kind = blob[pos]
         pos += 1
         if kind == RLE_END_OF_LIST:
-            return lo, hi, count, backwards
+            return pairs
         if kind in _RLE_ADDRESS_FIRST:
             if pos + size > n:
                 raise MalformedDebugDataError("fixed-width read past end of unit")
@@ -1026,21 +1034,14 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Hull:
             if kind == RLE_STARTX_ENDX:
                 second = _indexed_addr(unit, second)
         if kind == RLE_OFFSET_PAIR:
-            start, end = base + first, base + second
+            pairs.append((base + first, base + second))
         elif kind == RLE_START_END or kind == RLE_STARTX_ENDX:
-            start, end = first, second
+            pairs.append((first, second))
         else:  # a start and a length
-            start, end = first, first + second
-        if end < start:
-            backwards = True
-        if not count or start < lo:
-            lo = start
-        if not count or end > hi:
-            hi = end
-        count += 1
+            pairs.append((first, first + second))
 
 
-def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Hull:
+def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Ranges:
     value = _offset_value(_value(unit, form, raw), "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
@@ -1051,6 +1052,36 @@ def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Hull:
             return _ranges_v5(unit, unit.rnglists_base + rel, cu_base)
         return _ranges_v5(unit, value, cu_base)
     return _ranges_v4(unit, value, cu_base)
+
+
+def _entry_range(
+    unit: _Unit, attrs: dict, low: int | None, pairs: _Ranges
+) -> tuple[int, int | None, tuple[tuple[int, int], ...]]:
+    """A range-list subprogram's entry, the end of the range that holds
+    it, and its other ranges in list order.
+
+    The entry is DW_AT_entry_pc, else low_pc, else the first range's start
+    (DWARF 5 §2.18); a constant entry_pc is an offset from low_pc, else
+    from the first range's start. An entry that no range holds has an open
+    extent (end None), and every range is another range.
+    """
+    base = pairs[0][0] if low is None else low
+    got = attrs.get(DW_AT_entry_pc)
+    if got is None:
+        entry = base
+    else:
+        form = got[0]
+        entry = _value(unit, *got)
+        if not isinstance(entry, int):
+            raise MalformedDebugDataError("non-integer entry pc")
+        if form in CONSTANT_FORMS:
+            entry += base
+        elif form not in ADDRESS_FORMS:
+            raise MalformedDebugDataError(f"entry pc form {form:#x}")
+    for i, (start, end) in enumerate(pairs):
+        if start <= entry < end:
+            return entry, end, tuple(pairs[:i] + pairs[i + 1 :])
+    return entry, None, tuple(pairs)
 
 
 def _section_blobs(image: BinaryImage, name: str) -> list[bytes]:
@@ -1089,14 +1120,17 @@ def _unit_records(
         inlined = tag == DW_TAG_inlined_subroutine
         attrs = die.attrs
         # The extent: a low/high pair wins; otherwise a non-empty range list
-        # gives its hull and its number of ranges; otherwise a bare low_pc
-        # gives an open extent. ``ranges`` is 0 unless the extent is a hull.
+        # gives it (the hull of an inlined copy, the entry's range of a
+        # subprogram); otherwise a bare low_pc gives an open extent.
+        # ``ranges`` is 0 unless the extent comes from a range list, whose
+        # hull is ``lo``..``hi``; ``other`` holds a subprogram's other ranges.
         got = attrs.get(DW_AT_low_pc)
         low = None if got is None else _value(unit, *got)
         if not isinstance(low, int):
             low = None
         high = attrs.get(DW_AT_high_pc)
         ranges = 0
+        other = ()
         if low is not None and high is not None:
             form = high[0]
             end = _value(unit, form, high[1])
@@ -1114,13 +1148,23 @@ def _unit_records(
             end = None
             got = attrs.get(DW_AT_ranges)
             if got is not None:
-                lo, hi, count, backwards = _resolve_ranges(unit, *got, cu_base)
-                if backwards:
-                    raise MalformedDebugDataError(
-                        f"range list of {_shown(unit, die)} ends before it starts"
-                    )
-                if count:
-                    low, end, ranges = lo, hi, count
+                pairs = _resolve_ranges(unit, *got, cu_base)
+                if pairs:
+                    lo, hi = pairs[0]
+                    for start, stop in pairs:
+                        if stop < start:
+                            raise MalformedDebugDataError(
+                                f"range list of {_shown(unit, die)} ends before it starts"
+                            )
+                        if start < lo:
+                            lo = start
+                        if stop > hi:
+                            hi = stop
+                    ranges = len(pairs)
+                    if inlined:
+                        low, end = lo, hi
+                    else:
+                        low, end, other = _entry_range(unit, attrs, low, pairs)
             if low is None:
                 # Declarations and abstract instances legitimately lack
                 # addresses; only concrete definitions are counted.
@@ -1139,12 +1183,18 @@ def _unit_records(
             continue
         # A name is resolved only for a record or a diagnostic that prints it.
         if ranges:
+            if inlined:
+                extent = "using the hull"
+            elif end is None:
+                extent = "no range holds its entry"
+            else:
+                extent = "its extent is the range at its entry"
             diagnostics.append(
                 Diagnostic(
                     "warning",
                     GT_DISCONTIGUOUS_RANGE,
-                    f"{_shown(unit, die)} at {low:#x} spans {ranges} ranges; using the hull",
-                    span=(low, end - low),  # type: ignore
+                    f"{_shown(unit, die)} at {low:#x} spans {ranges} ranges; {extent}",
+                    span=(lo, hi - lo),
                 )
             )
         if outside:
@@ -1184,6 +1234,7 @@ def _unit_records(
                 decl_file=decl_file,
                 decl_line=decl_line,
                 noreturn=bool(noreturn),
+                other_ranges=other,
             )
         )
     if no_address:

@@ -44,6 +44,7 @@ FUNCTION_FLAGS = frozenset(
         "noreturn",
         "uncalled",
         "specialized",
+        "cold_part",
     }
 )
 
@@ -445,6 +446,10 @@ def match_debug_records(
 
     A record that starts exactly at a function's start also raises its
     ``debug_end``, the floor of :func:`trim_padding`, to the record's end.
+    The function at each of a record's other ranges (the ``.cold`` part of
+    a split function) is a ``cold_part`` of it: it gets ``dwarf``
+    provenance, the record's source, and, when the range starts at its
+    start, a floor at the range's end; not the record's noreturn flag.
     """
     diagnostics: list[Diagnostic] = []
     by_entry: dict[int, _Working] = {}
@@ -458,6 +463,8 @@ def match_debug_records(
             names.setdefault(alias, work)
 
     for record in records:
+        if record.other_ranges:
+            _link_parts(record, by_entry)
         target = by_entry.get(record.low_pc)
         if target is None and tolerance > 0:
             for delta in range(1, tolerance + 1):
@@ -500,6 +507,20 @@ def match_debug_records(
             )
         )
     return diagnostics
+
+
+def _link_parts(record: dwarf.DebugFunctionRecord, by_entry: dict[int, _Working]) -> None:
+    """Mark the function at each of ``record``'s other ranges a cold part of it."""
+    for start, end in record.other_ranges:
+        part = by_entry.get(start)
+        if part is None:
+            continue
+        part.flags.add("cold_part")
+        part.provenance.add("dwarf")
+        if part.source is None and record.decl_file:
+            part.source = (record.decl_file, record.decl_line)
+        if start == part.start:  # not at a secondary entry
+            part.debug_end = max(part.debug_end, end)
 
 
 def annotate_noreturn(works: list[_Working], seeds: tuple[str, ...]) -> None:

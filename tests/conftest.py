@@ -69,6 +69,49 @@ def build_doc():
     return _build_doc
 
 
+def _cold_split_spec() -> forge.BinarySpec:
+    """Two functions split as gcc splits a function with a cold path: the
+    part ``NAME.cold`` lies below ``NAME``, whose DWARF subprogram lists
+    ``NAME``'s range first and the cold part's second, with no high pc.
+    ``main`` is described in a DWARF 4 unit (``.debug_ranges``) and the
+    noreturn ``die`` in a DWARF 5 unit (``.debug_rnglists``). Every part
+    ends in a rel32 ``call`` whose displacement ends in ``00`` and is
+    followed by three nop bytes outside its symbol size."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    body = forge._FILLER[:8] + b"\xe8\x20\x01\x00\x00"  # call, rel32 0x120
+    functions = []
+    for unit, name in enumerate(("main", "die")):
+        cold = 32 * unit
+        hot = cold + 16
+        ranges = tuple(
+            (text.vaddr + offset, text.vaddr + offset + len(body)) for offset in (hot, cold)
+        )
+        functions.append(forge.FunctionSpec(f"{name}.cold", cold, body, pad_after=b"\x90" * 3))
+        functions.append(
+            forge.FunctionSpec(
+                name,
+                hot,
+                body,
+                binding="global",
+                pad_after=b"\x90" * 3,
+                dwarf=(forge.DwarfFuncSpec(unit=unit, ranges=ranges, noreturn=name == "die"),),
+            )
+        )
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=tuple(functions),
+        word_size=64,
+        dwarf_versions=(4, 5),
+        cu_names=("split.c", "die.c"),
+    )
+
+
+@pytest.fixture(scope="session")
+def cold_split_bytes():
+    """The bytes of :func:`_cold_split_spec`."""
+    return forge.emit(_cold_split_spec())
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """25 randomized fixtures shared by the unit tests."""

@@ -124,6 +124,110 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert '"fraction_perfect"' in proc.stdout
 
 
+# --- one command's parser -------------------------------------------------------
+
+# Positional arguments that satisfy each command's parser.
+_POSITIONALS = {
+    "extract": ["a.bin"],
+    "score": ["t.json", "r.json"],
+    "diff": ["a.json", "b.json"],
+    "corpus": ["dir"],
+    "fixtures": ["-o", "dir"],
+}
+# An option value each command's parser refuses: a bad choice, or for
+# extract, which has no choice, a bad number.
+_BAD_VALUES = {
+    "extract": ["--start-mismatch-tolerance", "-1"],
+    "score": ["--policy", "vibes"],
+    "diff": ["--format", "xml"],
+    "corpus": ["--policy", "vibes"],
+    "fixtures": ["--preset", "vibes"],
+}
+_PARSER_CASES = [
+    *[[command, "--help"] for command in cli._COMMANDS],
+    *[[command, *_POSITIONALS[command], "--bogus"] for command in cli._COMMANDS],
+    *[[command] for command in cli._COMMANDS],
+    *[[command, *_POSITIONALS[command], *_BAD_VALUES[command]] for command in cli._COMMANDS],
+    [],
+    ["--help"],
+    ["bogus"],
+    ["--version"],
+]
+
+
+def _exit_and_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_each_invocation_prints_what_the_full_parser_prints(capsys, argv):
+    """A command's own parser gives the help, usage and error text and the
+    exit code of the parser of all five: the top-level usage an
+    unrecognized argument prints still names every command."""
+    full = _exit_and_text(capsys, cli._build_parser().parse_args, argv)
+    assert _exit_and_text(capsys, main, argv) == full
+    assert full[0] == (0 if "--help" in argv or "--version" in argv else 1)
+    if "--bogus" in argv or not argv or argv == ["bogus"]:
+        assert "{extract,score,diff,corpus,fixtures}" in full[2]
+
+
+def test_a_command_registers_only_its_own_parser():
+    (sub,) = [a for a in cli._build_parser("score")._actions if a.dest == "command"]
+    assert list(sub.choices) == ["score"]
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert list(sub.choices) == list(cli._COMMANDS)
+
+
+# Runs one command in a fresh interpreter, then names the deferred modules it imported.
+_IMPORTS = """
+import sys
+from bintruth import cli
+
+code = cli.main(sys.argv[1:])
+deferred = ("bintruth.forge", "multiprocessing")
+print("imported:", *[name for name in deferred if name in sys.modules])
+sys.exit(code)
+"""
+
+
+def _fresh_run(*argv):
+    """(exit code, stdout lines, the deferred modules imported) of one
+    command run in a fresh interpreter."""
+    src = str(Path(bintruth.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("imported:"), proc.stderr
+    return proc.returncode, lines[:-1], lines[-1].split()[1:]
+
+
+def test_a_cold_process_imports_only_what_its_command_runs(tmp_path, preset_docs):
+    binary = write_binary(tmp_path, "listing2")
+    directory = _corpus_dir(tmp_path, preset_docs, ("listing1", "listing2", "scaffold"))
+    truth, report = directory / "listing2.truth.json", directory / "listing2.report.json"
+    for argv in (
+        ["extract", binary],
+        ["score", truth, report],
+        ["diff", truth, truth],
+        ["corpus", directory, "--jobs", "1"],
+    ):
+        code, _out, imported = _fresh_run(*argv)
+        assert (code, imported) == (0, []), argv
+    _code, serial, _imported = _fresh_run("corpus", directory)
+    code, parallel, imported = _fresh_run("corpus", directory, "--jobs", "2")
+    assert (code, parallel, imported) == (0, serial, ["multiprocessing"])
+    size = len(forge.emit(forge.preset("listing1")))
+    code, out, imported = _fresh_run("fixtures", "-o", tmp_path / "fx", "--preset", "listing1")
+    assert (code, out, imported) == (0, [f"wrote listing1.bin ({size} bytes)"], ["bintruth.forge"])
+
+
 # --- extract ----------------------------------------------------------------
 
 
@@ -593,7 +697,8 @@ _SEVEN = ("listing1", "listing2", "scaffold", "padding-icc-vs-gcc", "highpc-twin
 
 
 class _InlineProcess:
-    """Stands in for ``cli.Process``: records each start and runs the target
+    """Stands in for ``multiprocessing.Process``, which the CLI looks up each
+    time ``corpus`` starts a child: records each start and runs the target
     there, so no process starts but each message still crosses a real pipe."""
 
     started: list = []
@@ -613,7 +718,7 @@ class _InlineProcess:
 @pytest.fixture
 def inline_process(monkeypatch):
     monkeypatch.setattr(_InlineProcess, "started", [])
-    monkeypatch.setattr(cli, "Process", _InlineProcess)
+    monkeypatch.setattr(multiprocessing, "Process", _InlineProcess)
     return _InlineProcess
 
 

@@ -199,18 +199,35 @@ def test_constant_high_pc_needs_version_four(version):
 
 
 @pytest.mark.parametrize("version", [3, 4, 5])
-def test_range_lists_collapse_to_their_hull(version):
+def test_a_range_list_record_takes_the_range_at_its_entry(version):
+    """Without entry_pc or low_pc the first range is the entry's; the
+    record keeps the others, and its warning spans the hull."""
     ranges = ((0x401000, 0x401008), (0x40100C, 0x401010))
     spec = _single_fn_spec(DwarfFuncSpec(ranges=ranges), version)
     image = elf.parse_image(emit(spec))
     records, diags = extract_debug_functions(image)
     (rec,) = records
     assert rec.low_pc == 0x401000
-    assert rec.end_exclusive == 0x401010
+    assert rec.end_exclusive == 0x401008
+    assert rec.other_ranges == ((0x40100C, 0x401010),)
     hull = [d for d in diags if d.code == GT_DISCONTIGUOUS_RANGE]
     assert len(hull) == 1
     assert hull[0].severity == "warning"
     assert hull[0].span == (0x401000, 0x10)
+    assert hull[0].message == "solo at 0x401000 spans 2 ranges; its extent is the range at its entry"
+
+
+@pytest.mark.parametrize("version", [3, 4, 5])
+def test_a_cold_range_below_the_entry_is_another_range(version):
+    """gcc lists a split function's hot range first and its cold part,
+    which lies below, second: the entry is the hot range, not the hull low."""
+    ranges = ((0x401008, 0x401010), (0x401000, 0x401004))
+    spec = _single_fn_spec(DwarfFuncSpec(ranges=ranges), version)
+    records, diags = extract_debug_functions(elf.parse_image(emit(spec)))
+    assert [(r.low_pc, r.end_exclusive, r.other_ranges) for r in records] == [
+        (0x401008, 0x401010, ((0x401000, 0x401004),))
+    ]
+    assert [(d.code, d.span) for d in diags] == [(GT_DISCONTIGUOUS_RANGE, (0x401000, 0x10))]
 
 
 def _assert_document_validates(image: BinaryImage) -> None:
@@ -564,7 +581,7 @@ FORM_SEC_OFFSET, FORM_EXPRLOC, FORM_STRX1 = 0x17, 0x18, 0x25
 AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
 FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
 FORM_REF_ADDR, FORM_FLAG_PRESENT, AT_INLINE, AT_NORETURN = 0x10, 0x19, 0x20, 0x87
-AT_DECLARATION, FORM_LINE_STRP = 0x3C, 0x1F
+AT_DECLARATION, FORM_LINE_STRP, AT_ENTRY_PC = 0x3C, 0x1F, 0x52
 
 # Codes 4-7, 9 and 22 are variables the walk steps over; the others are decoded tags.
 ABBREVS = {
@@ -713,6 +730,30 @@ ABBREVS[38] = (
 )
 ABBREVS[39] = (TAG_SUBPROGRAM, [(AT_ABSTRACT_ORIGIN, FORM_REF4), (AT_INLINE, FORM_DATA1)])
 ABBREVS[40] = (TAG_CU, [(AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDR)])
+# 51-55: range-list subprograms with an entry_pc address, an entry_pc
+# offset, an entry_pc offset and a low_pc, a low_pc alone, and an entry_pc
+# in a string form.
+ABBREVS[51] = (
+    TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_ENTRY_PC, FORM_ADDR), (AT_RANGES, FORM_SEC_OFFSET)]
+)
+ABBREVS[52] = (
+    TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_ENTRY_PC, FORM_DATA1), (AT_RANGES, FORM_SEC_OFFSET)]
+)
+ABBREVS[53] = (
+    TAG_SUBPROGRAM,
+    [
+        (AT_NAME, FORM_STRING),
+        (AT_ENTRY_PC, FORM_DATA1),
+        (AT_LOW_PC, FORM_ADDR),
+        (AT_RANGES, FORM_SEC_OFFSET),
+    ],
+)
+ABBREVS[54] = (
+    TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDR), (AT_RANGES, FORM_SEC_OFFSET)]
+)
+ABBREVS[55] = (
+    TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_ENTRY_PC, FORM_STRING), (AT_RANGES, FORM_SEC_OFFSET)]
+)
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
 STR_OFFSETS = struct.pack("<IHHI", 8, 5, 0, 1)
@@ -1558,8 +1599,11 @@ def test_range_list_entries_decode(kind, form):
         assert records == []
         assert f": {pairs}" in _only_error(diags)
         return
+    # The first range is the entry's; the warning spans the hull.
     low, high = min(lo for lo, _ in pairs), max(hi for _, hi in pairs)
-    assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [("f", low, high)]
+    assert [(r.name, r.low_pc, r.end_exclusive, r.other_ranges) for r in records] == [
+        ("f", *pairs[0], tuple(pairs[1:]))
+    ]
     (diag,) = diags
     assert diag.code == GT_DISCONTIGUOUS_RANGE
     assert f"spans {len(pairs)} ranges" in diag.message
@@ -1600,10 +1644,87 @@ def test_debug_ranges_lists_decode(case):
     elif not pairs:  # no range: no address
         assert records == []
         assert [d.code for d in diags] == [GT_SUBPROGRAM_NO_ADDRESS]
-    else:
+    else:  # the first range is the entry's; the warning spans the hull
         low, high = min(lo for lo, _ in pairs), max(hi for _, hi in pairs)
-        assert [(r.name, r.low_pc, r.end_exclusive) for r in records] == [("f", low, high)]
+        assert [(r.name, r.low_pc, r.end_exclusive, r.other_ranges) for r in records] == [
+            ("f", *pairs[0], tuple(pairs[1:]))
+        ]
         assert [(d.code, d.span) for d in diags] == [(GT_DISCONTIGUOUS_RANGE, (low, high - low))]
+
+
+# A .debug_ranges list at offset 0 of two ranges, the cold one second and
+# below: (0x401020, 0x401030) and (0x401000, 0x401010).
+_SPLIT_LIST = struct.pack("<4Q", 0x20, 0x30, 0, 0x10) + bytes(16)
+
+
+@pytest.mark.parametrize(
+    ("subprogram", "entry", "end", "others"),
+    [
+        (_die(25, b"f\x00", _ref(0)), 0x401020, 0x401030, [(0x401000, 0x401010)]),
+        (  # entry_pc as an address
+            _die(51, b"f\x00", struct.pack("<Q", 0x401004), _ref(0)),
+            0x401004, 0x401010, [(0x401020, 0x401030)],
+        ),
+        (  # entry_pc as an offset from the first range's start
+            _die(52, b"f\x00", b"\x04", _ref(0)),
+            0x401024, 0x401030, [(0x401000, 0x401010)],
+        ),
+        (  # entry_pc as an offset from low_pc
+            _die(53, b"f\x00", b"\x04", struct.pack("<Q", 0x401000), _ref(0)),
+            0x401004, 0x401010, [(0x401020, 0x401030)],
+        ),
+        (  # low_pc without entry_pc
+            _die(54, b"f\x00", struct.pack("<Q", 0x401000), _ref(0)),
+            0x401000, 0x401010, [(0x401020, 0x401030)],
+        ),
+        (  # an entry no range holds: an open extent
+            _die(51, b"f\x00", struct.pack("<Q", 0x401018), _ref(0)),
+            0x401018, None, [(0x401020, 0x401030), (0x401000, 0x401010)],
+        ),
+    ],
+    ids=["first-range", "entry-pc-addr", "entry-pc-offset", "entry-pc-low-pc", "low-pc", "outside"],
+)
+def test_a_subprograms_entry_picks_its_range(subprogram, entry, end, others):
+    cu = _die(40, b"r.c\x00", struct.pack("<Q", 0x401000))
+    image = _synthetic_image(
+        [
+            (".debug_info", _unit([cu, subprogram])),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_ranges", _SPLIT_LIST),
+        ]
+    )
+    records, diags = extract_debug_functions(image)
+    assert [(r.low_pc, r.end_exclusive, r.other_ranges) for r in records] == [
+        (entry, end, tuple(others))
+    ]
+    extent = "its extent is the range at its entry" if end else "no range holds its entry"
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        (GT_DISCONTIGUOUS_RANGE, f"f at {entry:#x} spans 2 ranges; {extent}", (0x401000, 0x30))
+    ]
+
+
+def test_an_entry_pc_of_another_form_is_malformed():
+    cu = _die(40, b"r.c\x00", struct.pack("<Q", 0x401000))
+    image = _synthetic_image(
+        [
+            (".debug_info", _unit([cu, _die(55, b"f\x00", b"x\x00", _ref(0))])),
+            (".debug_abbrev", _abbrev_blob()),
+            (".debug_ranges", _SPLIT_LIST),
+        ]
+    )
+    records, diags = extract_debug_functions(image)
+    assert records == []
+    assert _only_error(diags).endswith(": non-integer entry pc")
+
+
+def test_only_a_subprogram_decodes_its_entry_pc():
+    """An inlined copy's entry_pc is stepped over: its extent is the hull."""
+    pairs = ((AT_ENTRY_PC, FORM_ADDR, None), (AT_LOW_PC, FORM_ADDR, None))
+    blob = struct.pack("<QQ", 0x401004, 0x401000)
+    subprogram = dwarf._compile_plan(pairs, 4, 8, True, True, dwarf._SUBPROGRAM_READS)
+    assert subprogram(blob, 0) == ({AT_ENTRY_PC: (FORM_ADDR, 0x401004), AT_LOW_PC: (FORM_ADDR, 0x401000)}, 16)
+    inlined = dwarf._compile_plan(pairs, 4, 8, True, True)
+    assert inlined(blob, 0) == ({AT_LOW_PC: (FORM_ADDR, 0x401000)}, 16)
 
 
 @functools.cache
@@ -1748,5 +1869,6 @@ def test_the_read_set_is_every_attribute_the_reader_names():
     """A lookup of an attribute left out of the read set would find it
     missing from every planned DIE."""
     named = {value for name, value in vars(dwarf).items() if name.startswith("DW_AT_")}
-    assert len(named) == 14
-    assert dwarf._READ_ATTRS == named
+    assert len(named) == 15
+    assert dwarf._SUBPROGRAM_READS == named
+    assert dwarf._READ_ATTRS == named - {dwarf.DW_AT_entry_pc}

@@ -18,20 +18,22 @@ smoke = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(smoke)
 
 
-def _fn(name: str, provenance: list[str], file: str | None = "smoke.c") -> dict:
-    return {"name": name, "provenance": provenance, "source": {"file": file}}
+def _fn(
+    name: str, provenance: list[str], file: str | None = "smoke.c", flags: tuple = ()
+) -> dict:
+    return {"name": name, "provenance": provenance, "source": {"file": file}, "flags": list(flags)}
 
 
 def _smoke_doc(file: str = "smoke.c") -> dict:
-    """The first program as gcc 12 builds it: ``main``'s hot part is only a
-    symbol, and its record went to ``main.cold``."""
+    """The first program as gcc 12 builds it: ``main``'s record starts at
+    ``main``, and ``main.cold`` is a cold part of it."""
     return {
         "functions": [
             _fn("fail", ["dwarf", "symtab"], file),
             _fn("sum_squares", ["dwarf", "symtab"], file),
-            _fn("main", ["symtab"], None),
-            _fn("main.cold", ["dwarf", "symtab"], file),
-            _fn("_start", ["symtab"], None),
+            _fn("main", ["dwarf", "symtab"], file),
+            _fn("main.cold", ["dwarf", "symtab"], file, ["cold_part"]),
+            _fn("_start", ["symtab"], None, ["compiler_inserted"]),
         ]
     }
 
@@ -71,13 +73,24 @@ def test_a_two_file_build_as_gcc_makes_it_passes(build):
     assert smoke.check_two_files(build, 0, _two_files_doc(build.startswith("gc"))) == []
 
 
-def test_the_cold_pin_fires_when_the_hot_part_has_dwarf():
+def test_a_hot_part_without_dwarf_is_a_problem():
+    """As the reader had it when a record's extent was the hull of its
+    ranges: the record went to ``main.cold``, below ``main``."""
     doc = _smoke_doc()
-    _named(doc, "main")["provenance"] = ["dwarf", "symtab"]
-    _named(doc, "main")["source"] = {"file": "smoke.c"}
+    _named(doc, "main")["provenance"] = ["symtab"]
+    _named(doc, "main")["source"] = None
+    _named(doc, "main.cold")["flags"] = []
     assert smoke.check_smoke("default", 0, doc) == [
-        "main: the hot part of a split function has dwarf provenance; drop its pin"
+        "main: provenance ['symtab']",
+        "main: source.file None",
+        "main.cold: flags []",
     ]
+
+
+def test_a_cold_part_flag_off_a_cold_part_is_a_problem():
+    doc = _smoke_doc()
+    _named(doc, "main")["flags"] = ["cold_part"]
+    assert smoke.check_smoke("dwarf4", 0, doc) == ["main: flags ['cold_part']"]
 
 
 def test_a_trim_into_mains_last_call_is_a_problem():
@@ -92,13 +105,14 @@ def test_the_lto_pin_fires_when_the_build_reads_its_file():
     problems = smoke.check_smoke("lto", 0, _smoke_doc())
     assert problems == [
         f"{name}: the lto build reads smoke.c; drop its pin"
-        for name in ("fail", "main.cold", "sum_squares")
+        for name in ("fail", "main", "main.cold", "sum_squares")
     ]
 
 
 def test_an_lto_file_that_is_not_an_index_is_a_problem():
     assert smoke.check_smoke("lto", 0, _smoke_doc("a.c")) == [
-        f"{name}: source.file 'a.c', not file#N" for name in ("fail", "main.cold", "sum_squares")
+        f"{name}: source.file 'a.c', not file#N"
+        for name in ("fail", "main", "main.cold", "sum_squares")
     ]
 
 

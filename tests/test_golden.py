@@ -93,8 +93,8 @@ GOLDEN_SPECS = {
     "inline-ranges-v4": "d7cf4dfcde633c01db1f3da9c289eeb87c631d18cc0576de94cb115677c2f4bd",
     "inline-ranges-v5": "6bc294dab55cbc8eb8a0f367f473dd5e6ce10e4b0294b860b2c1790f2f17c858",
     "params-v4": "ea7e3a2c07394f669dbe07fef88f5f668364d92d7318a224c3d834657e71f873",
-    "ranges-v4": "103f7c14717caaa716859825e16eef327c23c9b5aa5a357e83007ebb3c50a311",
-    "ranges-v5": "10065d7f0819421a1c77135ec447b18507c3196a0a50f9ee7b0f7310c3de361e",
+    "ranges-v4": "13fe965a27edd52ca5acfb6249471a054b0ed911df36fd4af29bd86bb00f96dc",
+    "ranges-v5": "bfe3477aaaad27510e0c55d15ddb49c6fa15dd71c27bfdc96082c16191fd1fee",
 }
 GOLDEN_CORPUS = {
     "fixture_7_0": "ce147137e48a7f704c9d2688e1be49629e35a6fe81ff96f4d71ea4edadc1883c",
@@ -124,6 +124,11 @@ _SPECS = {
 @pytest.mark.parametrize("name", sorted(_SPECS))
 def test_debug_info_documents_are_byte_identical(name):
     assert _document_digest(forge.emit(_SPECS[name]())) == GOLDEN_SPECS[name]
+
+
+def test_the_cold_split_document_is_byte_identical(cold_split_bytes):
+    digest = "329649a02434a2b0262d5b2b6c827c8e13579af223c07e7afc6aa5c2add982a0"
+    assert _document_digest(cold_split_bytes) == digest
 
 
 def test_generated_corpus_documents_are_byte_identical():

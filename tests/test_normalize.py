@@ -584,6 +584,50 @@ def test_only_a_record_at_the_start_floors_the_trim():
     assert all("dwarf" in w.provenance for w in works)
 
 
+def test_the_function_at_another_range_is_a_cold_part():
+    """A split record's entry goes to the function at its entry; the
+    function at each other range gets dwarf provenance, the record's
+    source, a floor at its range's end when the range starts at its start,
+    and the cold_part flag, but not the record's noreturn flag."""
+    works = _works(("f.cold", 0x401000, 16), ("f", 0x401010, 16), ("g", 0x401020, 16))
+    works, _ = merge_fallthrough_entries(works)
+    record = _record(
+        "f",
+        0x401010,
+        end_exclusive=0x40101C,
+        noreturn=True,
+        other_ranges=((0x401000, 0x40100D), (0x401024, 0x401028), (0x401080, 0x401090)),
+    )
+    assert match_debug_records(works, [record], 0) == []
+    cold, hot, g = works
+    assert (hot.provenance, hot.noreturn, hot.source) == ({"symtab", "dwarf"}, True, ("src.c", 3))
+    assert (cold.provenance, cold.noreturn, cold.source) == ({"symtab", "dwarf"}, False, ("src.c", 3))
+    assert [w.debug_end for w in works] == [0x40100D, 0x40101C, 0]
+    assert [w.flags for w in works] == [{"cold_part"}, set(), set()]
+    # A range that starts inside g, or at no function, links nothing.
+    assert g.provenance == {"symtab"}
+
+
+def test_a_split_function_keeps_both_parts_described(cold_split_bytes):
+    """Each part ends in a call whose displacement ends in 00. Both parts
+    have dwarf provenance and the unit's source file, keep their last
+    call, and are not compiler_inserted; noreturn stays on the entry, and
+    only the part below it is a cold part."""
+    _image, doc = corpuscheck.build_document(cold_split_bytes)
+    shown = {
+        f.canonical_name: (sorted(f.flags), sorted(f.provenance), f.source, f.end_exclusive_trimmed == f.end_exclusive_raw)
+        for f in doc.functions
+    }
+    dwarf = ["dwarf", "symtab"]
+    assert shown == {
+        "main.cold": (["cold_part"], dwarf, ("split.c", 1), True),
+        "main": ([], dwarf, ("split.c", 1), True),
+        "die.cold": (["cold_part"], dwarf, ("die.c", 1), True),
+        "die": (["noreturn"], dwarf, ("die.c", 1), True),
+    }
+    assert doc.complete
+
+
 def test_unmatched_record_marks_the_truth_incomplete():
     spec = BinarySpec(
         sections=(SectionSpec(".text", 0x401000, executable=True),),

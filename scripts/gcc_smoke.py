@@ -16,7 +16,11 @@ a cold part of it: a function must carry the ``cold_part`` flag exactly
 when its name ends in ``.cold``. Each function must give ``smoke.c`` as
 its ``source.file``, but in the ``-flto`` build: its LTO unit names some
 other file, and the reader writes a ``decl_file`` index other than 0 or
-1 as ``file#N``, which such a build reads in every function.
+1 as ``file#N``, which such a build reads in every function. A gcc clone
+(a ``.constprop.N``, ``.isra.N`` or ``.part.N`` name, as gcc 12 makes
+``fail.constprop.0`` in the ``-flto`` build) must be in the
+specialization group of its base name, and so must the base function if
+the document holds it; every other function must be in no group.
 
 The second program has two files. ``a.c``'s ``main`` ends in a call to
 ``die``, which ``b.c`` defines as ``noreturn``; nothing calls ``b.c``'s
@@ -87,6 +91,8 @@ int main(int argc, char **argv)
 # The functions that keep code of their own; square is inlined into sum_squares.
 NOT_INLINED = {"fail", "sum_squares", "main"}
 DEFINED = NOT_INLINED | {"square"}
+# What gcc appends to a clone's name, after the base name.
+CLONE_SUFFIX = re.compile(r"(?:\.(?:constprop|isra|part)\.\d+(?:\.lto_priv\.\d+|\.cold)?)+")
 
 TWO_FILES = {
     "a.c": r"""
@@ -173,7 +179,12 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
     ours = {f["name"]: f for f in doc["functions"] if f["name"].split(".")[0] in DEFINED}
     found = {name.split(".")[0] for name in ours}
     problems = [f"{name}: no function" for name in sorted(NOT_INLINED - found)]
+    bases = {name: name.split(".")[0] for name in ours}
+    clones = {name: base for name, base in bases.items() if CLONE_SUFFIX.fullmatch(name, len(base))}
     for name, fn in sorted(ours.items()):
+        group = clones.get(name, name if name in clones.values() else None)
+        if fn.get("group") != group:
+            problems.append(f"{name}: group {fn.get('group')!r}, not {group!r}")
         if "dwarf" not in fn["provenance"]:
             problems.append(f"{name}: provenance {fn['provenance']}")
         if name.endswith(".cold") != ("cold_part" in fn["flags"]):
@@ -188,6 +199,7 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
     shown = ", ".join(
         f"{name} {'+'.join(fn['provenance'])} {(fn['source'] or {}).get('file')}"
         + "".join(f" {flag}" for flag in fn["flags"] if flag == "cold_part")
+        + (f" group {fn['group']}" if fn.get("group") else "")
         for name, fn in sorted(ours.items())
     )
     print(f"{build}: {shown}")

@@ -101,6 +101,8 @@ class DwarfFuncSpec:
     attribute); ``ranges`` replaces high-pc with a range list.
     ``low_pc`` overrides the function's address, as a linker does when it
     discards the function's code: GNU ld writes 0, LLD all-ones.
+    ``name`` overrides the name the DIE gives, as a gcc clone
+    (``f.constprop.0``) names its base ``f`` through its abstract origin.
     """
 
     unit: int = 0
@@ -111,6 +113,7 @@ class DwarfFuncSpec:
     ranges: tuple[tuple[int, int], ...] | None = None
     name_via: str = "direct"  # or "specification" / "abstract_origin"
     low_pc: int | None = None
+    name: str | None = None  # None names the function's symbol
 
 
 @record
@@ -444,11 +447,12 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
         for fn, d in members[u]:
             low = vaddr_of(fn) if d.low_pc is None else d.low_pc
             via = _NAME_VIA[d.name_via]
+            name = fn.name if d.name is None else d.name
             if via is None:
-                attrs = [(DW_AT_name, "string", fn.name)]
+                attrs = [(DW_AT_name, "string", name)]
             else:
                 ref_attr, marker = via
-                named = _WDie(DW_TAG_subprogram, [(DW_AT_name, "string", fn.name)])
+                named = _WDie(DW_TAG_subprogram, [(DW_AT_name, "string", name)])
                 named.attrs.append(marker)
                 root.children.append(named)
                 attrs = [(ref_attr, "ref4", named)]

@@ -204,16 +204,6 @@ class BinaryImage:
         """``x86``, ``x86_64`` or ``other``, named from ``machine_code``."""
         return MACHINE_NAMES.get(self.machine_code, "other")
 
-    def section_bytes(self, sec: SectionRecord, start: int, end: int) -> bytes | None:
-        """The file bytes of ``[start, end)``, a range inside ``sec``.
-
-        ``None`` when the section has no bytes in the file (NOBITS).
-        """
-        if sec.file_offset is None:
-            return None
-        base = sec.file_offset - sec.vaddr
-        return self.raw[base + start : base + end]
-
 
 def digest_binary(data: bytes) -> bytes:
     """Deterministic 32-byte content digest (SHA-256) of a binary."""

@@ -14,6 +14,7 @@ that order and keeps it; none sorts again, and
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -229,6 +230,8 @@ class _Working:
     end_trimmed: int = 0
     # End of the debug record that starts at this function's start; 0: none
     debug_end: int = 0
+    # Name of the first named debug record that starts at this function's start
+    record_name: str | None = None
     # (name, start, size) of the last merged entry, for cascade merging
     tail: tuple[str, int, int] = ("", 0, 0)
 
@@ -381,15 +384,19 @@ def trim_padding(
     the function's start (``debug_end``, set by
     :func:`match_debug_records`): the compiler's own extent outranks the
     padding alphabet. Functions whose bytes are not in the file (nobits
-    regions) make the ground truth incomplete rather than guessing.
+    regions) make the ground truth incomplete rather than guessing. The
+    lowest tiling start comes from :func:`byteclass.padding_suffix_finder`
+    over the file's bytes in place: no body is copied.
     """
     diagnostics: list[Diagnostic] = []
     if not alphabet:
         return diagnostics
+    suffix_start = byteclass.padding_suffix_finder(alphabet)
+    data = image.raw
     for work in works:
         start, end_raw = work.start, work.end_raw
-        region = image.section_bytes(work.section, start, end_raw)
-        if region is None:
+        sec = work.section
+        if sec.file_offset is None:
             diagnostics.append(
                 Diagnostic(
                     "error",
@@ -405,7 +412,8 @@ def trim_padding(
         debug_floor = min(work.debug_end, end_raw) - start
         if debug_floor >= end_raw - start:
             continue
-        lowest = byteclass.padding_suffix_start(region, alphabet)
+        offset = sec.file_offset - sec.vaddr + start
+        lowest = suffix_start(data, offset, offset + end_raw - start) - offset
         trimmed = start + max(lowest, floor, debug_floor)
         if trimmed < end_raw:
             work.end_trimmed = trimmed
@@ -423,15 +431,33 @@ def trim_padding(
     return diagnostics
 
 
+# What gcc appends to a clone's name: one or more of .constprop.N, .isra.N
+# and .part.N, each perhaps followed by .lto_priv.N or .cold.
+_GCC_CLONE_SUFFIX = re.compile(r"(?:\.(?:constprop|isra|part)\.\d+(?:\.lto_priv\.\d+|\.cold)?)+")
+
+
 def cluster_specializations(works: list[_Working]) -> None:
-    """Group ``base..N`` clones with each other and with their base."""
+    """Group clones with each other and with their base, if it is present.
+
+    A clone is named ``base..N``, or is a gcc clone: a function whose
+    matched debug record starts at its start and names ``base``, where its
+    own name is ``base`` and a gcc clone suffix. A ``.lto_priv.N`` suffix
+    alone is a rename, not a clone.
+    """
     bases: set[str] = set()
     for work in works:
         base, sep, suffix = work.canonical.rpartition("..")
-        if sep and suffix.isdigit():
-            work.group = base
-            work.flags.add("specialized")
-            bases.add(base)
+        if not (sep and suffix.isdigit()):
+            base = work.record_name
+            if not (
+                base
+                and work.canonical.startswith(base)
+                and _GCC_CLONE_SUFFIX.fullmatch(work.canonical, len(base))
+            ):
+                continue
+        work.group = base
+        work.flags.add("specialized")
+        bases.add(base)
     for work in works:
         if work.canonical in bases:
             work.group = work.canonical
@@ -479,9 +505,12 @@ def match_debug_records(
             if target.source is None and record.decl_file:
                 target.source = (record.decl_file, record.decl_line)
             # A match at a secondary entry or through the tolerance starts
-            # elsewhere, and gives no floor.
-            if record.low_pc == target.start and record.end_exclusive is not None:
-                target.debug_end = max(target.debug_end, record.end_exclusive)
+            # elsewhere, and gives neither a floor nor a clone's base name.
+            if record.low_pc == target.start:
+                if not target.record_name:
+                    target.record_name = record.name
+                if record.end_exclusive is not None:
+                    target.debug_end = max(target.debug_end, record.end_exclusive)
             continue
         named = names.get(record.name)
         if named is not None:

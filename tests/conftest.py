@@ -112,6 +112,42 @@ def cold_split_bytes():
     return forge.emit(_cold_split_spec())
 
 
+def _gcc_clone_spec() -> forge.BinarySpec:
+    """Functions named as gcc names its clones, each described by a DWARF
+    concrete instance whose abstract origin names its base: ``fail`` and
+    its clone ``fail.constprop.0``; ``scale.isra.0.lto_priv.0``, a clone
+    whose base was inlined everywhere and has no symbol; and
+    ``helper.lto_priv.0``, only renamed by LTO. ``fold..0`` is a clone
+    named the other way, with no debug record."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+
+    def fn(name: str, offset: int, *dwarf: forge.DwarfFuncSpec) -> forge.FunctionSpec:
+        return forge.FunctionSpec(name, offset, forge._fixed_body(16), dwarf=dwarf)
+
+    def clone_of(base: str) -> forge.DwarfFuncSpec:
+        return forge.DwarfFuncSpec(name_via="abstract_origin", name=base)
+
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=(
+            fn("fail", 0, forge.DwarfFuncSpec()),
+            fn("fail.constprop.0", 16, clone_of("fail")),
+            fn("scale.isra.0.lto_priv.0", 32, clone_of("scale")),
+            fn("helper.lto_priv.0", 48, clone_of("helper")),
+            fn("fold..0", 64),
+        ),
+        word_size=64,
+        dwarf_versions=(5,),
+        cu_names=("clones.c",),
+    )
+
+
+@pytest.fixture(scope="session")
+def gcc_clone_bytes():
+    """The bytes of :func:`_gcc_clone_spec`."""
+    return forge.emit(_gcc_clone_spec())
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """25 randomized fixtures shared by the unit tests."""

@@ -11,9 +11,12 @@ from bintruth.byteclass import (
     ByteRun,
     OverlapError,
     classify_bytes,
+    padding_matcher,
+    padding_suffix_finder,
     padding_suffix_start,
     parses_as_padding,
 )
+from bintruth.model import BinaryImage, SectionRecord, digest_binary
 
 ALPHABET = normalize.padding_alphabet("x86_64")
 
@@ -100,6 +103,121 @@ def test_padding_parse_agrees_with_the_recursive_oracle(parts):
     assert parses_as_padding(blob, ALPHABET) == oracles.tiles_as_padding(
         blob, ALPHABET
     )
+
+
+def test_the_packaged_alphabet_is_prefix_free():
+    units = sorted(set(ALPHABET))
+    assert len(units) == len(ALPHABET)
+    assert not [(a, b) for a in units for b in units if a != b and b.startswith(a)]
+    assert padding_matcher(ALPHABET)(b"\x66\x0f\x1f\x44\x00\x00")
+
+
+@pytest.mark.parametrize(
+    ("alphabet", "shorter", "longer"),
+    [
+        ((b"\x00", b"\x00\x00"), "00", "0000"),
+        ((b"\x0f\x1f\x00", b"\x90", b"\x0f\x1f"), "0f1f", "0f1f00"),
+        ((*ALPHABET, b"\x66"), "66", "660f1f440000"),
+    ],
+)
+def test_an_alphabet_that_is_not_prefix_free_is_refused(alphabet, shorter, longer):
+    with pytest.raises(ValueError, match=f"unit {shorter} is a prefix of {longer}"):
+        padding_matcher(alphabet)
+
+
+def test_empty_and_repeated_units_change_no_match():
+    tiles = padding_matcher((b"", b"\x90", b"\x90", b"\x0f\x1f\x00"))
+    assert tiles(b"\x90\x0f\x1f\x00")
+    assert not tiles(b"\x0f\x1f")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(ALPHABET), st.binary(min_size=1, max_size=3)),
+        max_size=8,
+    ),
+    st.lists(st.sampled_from(b"\x00\x0f\x1f\x66\x90\xc3"), max_size=12).map(bytes),
+    st.lists(st.sampled_from(b"\x00\x0f\x1f\x66\x90\xc3"), max_size=12).map(bytes),
+)
+def test_the_matcher_agrees_with_the_dp_and_the_oracle_in_place(parts, before, after):
+    """The blob sits inside a larger buffer: ``pos`` and ``endpos`` alone
+    delimit it, and the bytes around it change nothing, for the matcher
+    and for the dynamic program alike."""
+    blob = b"".join(parts)
+    buf = before + blob + after
+    lo, hi = len(before), len(before) + len(blob)
+    tiles = padding_matcher(ALPHABET)(buf, lo, hi)
+    start = padding_suffix_start(blob, ALPHABET)
+    assert padding_suffix_finder(ALPHABET)(buf, lo, hi) == lo + start
+    assert tiles == (start == 0)
+    assert tiles == oracles.tiles_as_padding(blob, ALPHABET)
+
+
+def test_the_matcher_reads_ranges_longer_than_one_call_parses():
+    """A range of many more units than one regular-expression call takes."""
+    units = b"\x0f\x1f\x00" * 20_000
+    tiles = padding_matcher(ALPHABET)
+    assert tiles(b"\xc3" + units + b"\xc3", 1, 1 + len(units))
+    assert not tiles(b"\xc3" + units + b"\x0f\x1f", 1, 3 + len(units))
+    assert not tiles(units + b"\xc3" + units)
+
+
+def _one_section_image(raw: bytes, machine_code: int = 62) -> BinaryImage:
+    """``raw`` as the bytes of one executable section at 0x401000."""
+    sec = SectionRecord(".text", 0x401000, len(raw), True, True, 0)
+    return BinaryImage(
+        source_path="mem",
+        content_digest=digest_binary(raw),
+        word_size=64,
+        endianness="little",
+        machine_code=machine_code,
+        sections=(sec,),
+        symbols=(),
+        raw=raw,
+    )
+
+
+@pytest.mark.parametrize(("tail", "klass"), [(b"", "padding"), (b"\x0f\x1f", "gap_unknown")])
+def test_a_megabyte_gap_of_nops_classifies_in_place(tail, klass):
+    """1 MB of ``0f 1f 00`` units between two functions is padding; the
+    same units followed by ``0f 1f``, a unit's prefix, are not."""
+    gap = b"\x0f\x1f\x00" * 349_526 + tail
+    assert len(gap) >= 1 << 20
+    code = b"\x31\xc0\xc3"
+    image = _one_section_image(code + gap + code)
+    end = 0x401000 + len(code) + len(gap)
+    spans = [(0x401000, 0x401003, 0x401003), (end, end + 3, end + 3)]
+    runs = classify_bytes(image, spans, ALPHABET).runs
+    assert [(r.start, r.length, r.klass) for r in runs] == [
+        (0x401000, 3, "code"),
+        (0x401003, len(gap), klass),
+        (end, 3, "code"),
+    ]
+    assert (padding_suffix_start(gap, ALPHABET) == 0) == (klass == "padding")
+
+
+def test_without_an_alphabet_every_gap_is_unknown():
+    """An ARM binary (machine code 40) has no padding alphabet: a gap of
+    x86 nops is as unknown as any other."""
+    from bintruth.forge import BinarySpec, FunctionSpec, SectionSpec, emit
+
+    spec = BinarySpec(
+        sections=(SectionSpec(".text", 0x401000, executable=True),),
+        functions=(
+            FunctionSpec("a", 0, b"\x31\xc0\xc3", pad_after=b"\x90" * 5),
+            FunctionSpec("b", 8, b"\x31\xc0\xc3", pad_after=b"\x00" * 5),
+            FunctionSpec("c", 16, b"\x31\xc0\xc3"),
+        ),
+        machine_code=40,
+    )
+    image, doc = corpuscheck.build_document(emit(spec))
+    assert normalize.padding_alphabet(image.machine) == ()
+    gaps = [r for r in doc.byte_classes.runs if r.confidence == "heuristic"]
+    assert [(r.start, r.length) for r in gaps] == [(0x401003, 5), (0x40100B, 5)]
+    assert {r.klass for r in gaps} == {"gap_unknown"}
+    tiles = padding_matcher(())
+    assert tiles(b"") and not tiles(b"\x90")
 
 
 # A small pool, so that units share first bytes and some bytes occur

@@ -410,7 +410,7 @@ def test_rnglists_contributions_each_give_their_length(word_size, endianness):
     )
     image = parse_image(emit(spec))
     (sec,) = [s for s in image.sections if s.name == ".debug_rnglists"]
-    blob = image.section_bytes(sec, sec.vaddr, sec.end)
+    blob = image.raw[sec.file_offset : sec.file_offset + sec.size]
     order = "<" if endianness == "little" else ">"
     pos, headers = 0, []
     while pos < len(blob):

@@ -73,6 +73,39 @@ def test_a_two_file_build_as_gcc_makes_it_passes(build):
     assert smoke.check_two_files(build, 0, _two_files_doc(build.startswith("gc"))) == []
 
 
+def _lto_doc(base_too: bool, group: str | None = "fail") -> dict:
+    """The ``-flto`` build as gcc 12 makes it: ``fail`` is only present as
+    its clone ``fail.constprop.0``, in ``fail``'s group."""
+    doc = _smoke_doc("file#7")
+    clone = {**_named(doc, "fail"), "name": "fail.constprop.0", "group": group}
+    if base_too:
+        _named(doc, "fail")["group"] = "fail"
+        doc["functions"].append(clone)
+    else:
+        doc["functions"] = [clone if fn["name"] == "fail" else fn for fn in doc["functions"]]
+    return doc
+
+
+@pytest.mark.parametrize("base_too", [False, True])
+def test_a_clone_in_its_base_group_passes(base_too):
+    assert smoke.check_smoke("lto", 0, _lto_doc(base_too)) == []
+
+
+def test_a_clone_out_of_its_base_group_is_a_problem():
+    assert smoke.check_smoke("lto", 0, _lto_doc(False, None)) == [
+        "fail.constprop.0: group None, not 'fail'"
+    ]
+    doc = _lto_doc(True)
+    _named(doc, "fail")["group"] = None
+    assert smoke.check_smoke("lto", 0, doc) == ["fail: group None, not 'fail'"]
+
+
+def test_a_group_on_a_function_without_clones_is_a_problem():
+    doc = _smoke_doc()
+    _named(doc, "main")["group"] = "main"
+    assert smoke.check_smoke("default", 0, doc) == ["main: group 'main', not None"]
+
+
 def test_a_hot_part_without_dwarf_is_a_problem():
     """As the reader had it when a record's extent was the hull of its
     ranges: the record went to ``main.cold``, below ``main``."""

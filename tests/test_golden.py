@@ -131,6 +131,11 @@ def test_the_cold_split_document_is_byte_identical(cold_split_bytes):
     assert _document_digest(cold_split_bytes) == digest
 
 
+def test_the_gcc_clone_document_is_byte_identical(gcc_clone_bytes):
+    digest = "7acf1790dc44a2a7fa961d6c3fd08454dd10ebaa75452e053624b37bc10d1cb1"
+    assert _document_digest(gcc_clone_bytes) == digest
+
+
 def test_generated_corpus_documents_are_byte_identical():
     fixtures = forge.generate_corpus(seed=7, count=6)
     got = {fx.name: _document_digest(fx.data) for fx in fixtures}

@@ -83,16 +83,6 @@ def _image(sections, raw, machine_code=62):
     )
 
 
-def test_section_bytes_slice_the_file_or_are_none():
-    raw = bytes(range(64))
-    text = SectionRecord(".text", 0x1000, 16, True, True, file_offset=8)
-    bss = SectionRecord(".bss", 0x2000, 32, False, True, file_offset=None)
-    img = _image((text, bss), raw)
-    assert img.section_bytes(text, 0x1000, 0x1004) == bytes([8, 9, 10, 11])
-    assert img.section_bytes(text, 0x100C, 0x1010) == bytes([20, 21, 22, 23])
-    assert img.section_bytes(bss, 0x2000, 0x2004) is None
-
-
 def test_digest_binary_is_sha256():
     data = b"some binary"
     assert digest_binary(data) == hashlib.sha256(data).digest()

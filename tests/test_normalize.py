@@ -434,6 +434,31 @@ def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
     assert works[0].end_trimmed == TEXT.vaddr + kept
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"\x31\xc0\xc3" + b"\x00" * 4096,
+        b"\x90" * 4096,  # only unit bytes: the first byte stays
+        b"\x66" * 4096 + b"\x90",  # only unit bytes; only the last two tile
+    ],
+    ids=["zeros-after-ret", "all-nops", "prefix-run"],
+)
+def test_trim_reads_long_bodies_in_place(body):
+    """Each body lies between 16 cc bytes and 16 nops, which tile too:
+    the trim reads only the body's bytes, and cuts what the per-cut
+    oracle cuts."""
+    start = TEXT.vaddr + 16
+    raw = b"\xcc" * 16 + body + b"\x90" * 16
+    text = SectionRecord(".text", TEXT.vaddr, len(raw), True, True, 0)
+    syms = [_func("f", start, len(body))]
+    works, _ = _dedupe(syms, (text,))
+    resolve_boundaries(works)
+    trim_padding(works, _image_with(syms, (text,), raw), normalize.padding_alphabet("x86_64"))
+    kept = oracles.suffix_trim(body, normalize.padding_alphabet("x86_64"), (0,))
+    assert works[0].end_trimmed == start + kept
+    assert kept == {0x31: 3, 0x90: 1, 0x66: 4095}[body[0]]
+
+
 def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
     bss = SectionRecord(".bss", 0x402000, 0x100, True, True, None)
     syms = [_func("ghost", 0x402000, 16)]
@@ -521,6 +546,72 @@ def test_clusters_without_a_base_still_group(preset_docs):
     ]
     assert sorted(groups["operand"]) == ["operand", "operand..0"]
     assert sorted(groups["expr"]) == ["expr..0", "expr..1"]
+
+
+@pytest.mark.parametrize(
+    ("name", "record", "group"),
+    [
+        ("f.constprop.0", "f", "f"),
+        ("f.isra.1", "f", "f"),
+        ("f.part.12", "f", "f"),
+        ("f.constprop.0.isra.0", "f", "f"),
+        ("f.part.0.lto_priv.3", "f", "f"),
+        ("f.isra.0.cold", "f", "f"),
+        ("f.lto_priv.0.isra.0", "f.lto_priv.0", "f.lto_priv.0"),
+        ("f.lto_priv.0", "f", None),  # a rename alone is no clone
+        ("f.constprop.0", "g", None),  # the record names another function
+        ("f.constprop.0", "f.constprop.0", None),  # not a proper prefix
+        ("f.constprop", "f", None),  # no number
+        ("f.constprop.0x", "f", None),
+        ("f.cold", "f", None),
+        ("ff.constprop.0", "f", None),
+        ("f.constprop.0", None, None),  # no record at its start
+    ],
+)
+def test_gcc_clones_group_by_their_records_base_name(name, record, group):
+    works = _works(("f", 0x401000, 8), (name, 0x401010, 8))
+    records = [_record("f", 0x401000)]
+    if record is not None:
+        records.append(_record(record, 0x401010))
+    match_debug_records(works, records, 0)
+    cluster_specializations(works)
+    base, clone = works
+    assert clone.group == group
+    assert ("specialized" in clone.flags) == (group is not None)
+    # The base joins its clone's group, and is not itself specialized.
+    assert base.group == ("f" if group == "f" else None)
+    assert "specialized" not in base.flags
+
+
+def test_a_clone_record_matched_off_its_start_names_no_base():
+    """Matches at a secondary entry or through the start tolerance give
+    no base name."""
+    works = _works(("f.constprop.0", 0x401000, 8), ("f.constprop.0.", 0x401008, 8))
+    merged, _ = merge_fallthrough_entries(works)
+    match_debug_records(merged, [_record("f", 0x401008)], 0)
+    works = _works(("g.isra.0", 0x401000, 8))
+    match_debug_records(works, [_record("g", 0x401002)], 4)
+    cluster_specializations(merged + works)
+    assert "dwarf" in merged[0].provenance and "dwarf" in works[0].provenance
+    assert merged[0].group is None and works[0].group is None
+
+
+def test_the_forged_gcc_clones_group(gcc_clone_bytes):
+    """Each clone's concrete instance names its base through its abstract
+    origin; ``.lto_priv.N`` alone is a rename, and ``..N`` still groups."""
+    _image, doc = corpuscheck.build_document(gcc_clone_bytes)
+    shown = {
+        f.canonical_name: (f.specialization_group, "specialized" in f.flags)
+        for f in doc.functions
+    }
+    assert shown == {
+        "fail": ("fail", False),
+        "fail.constprop.0": ("fail", True),
+        "scale.isra.0.lto_priv.0": ("scale", True),
+        "helper.lto_priv.0": (None, False),
+        "fold..0": ("fold", True),
+    }
+    assert doc.complete
 
 
 # --- debug record matching ----------------------------------------------------

@@ -5,12 +5,11 @@ Every mapped byte (allocated, outside ``.tbss``) lands in exactly one run:
 bytes between functions are only ever labeled heuristically, and honestly
 stay ``gap_unknown`` when they do not parse as padding.
 
-Padding is decided in place over the file's bytes, never on copies. A gap
-is padding when :func:`padding_matcher`, one compiled regular expression
-per alphabet, matches all of it; that needs a prefix-free alphabet, in
-which a range parses in at most one way, so the match is exact and
-linear. A body's trailing padding is the lowest tiling start that
-:func:`padding_suffix_finder`'s dynamic program finds, for any alphabet.
+Padding is decided in place over the file's bytes, never on copies, by
+one primitive for any alphabet: :func:`padding_suffix_finder` gives the
+lowest start from which a range tiles with padding units. A body's
+trailing padding starts there, and a gap is padding when that start is
+the gap's own.
 """
 from __future__ import annotations
 
@@ -56,48 +55,9 @@ class ByteClassMap:
 
 # Units one regular-expression call parses at most. CPython's engine keeps
 # about 115 bytes of state per repeat of a group (3.11), so an unbounded
-# repeat over a 1 MB gap of 00 bytes would hold some 115 MB; chunks bound
+# repeat over a 1 MB run of 00 bytes would hold some 115 MB; chunks bound
 # that.
 _CHUNK_UNITS = 4096
-
-
-@functools.lru_cache(maxsize=64)
-def padding_matcher(alphabet: tuple[bytes, ...]) -> Callable[..., bool]:
-    """``tiles(buf, pos=0, endpos=len(buf))``: whether ``buf[pos:endpos]``
-    is a concatenation of padding units, read in place.
-
-    Empty units tile nothing and are dropped; a repeated unit counts once.
-    The alphabet must be prefix-free: a unit that is a prefix of another
-    raises :class:`ValueError`, naming both. In a prefix-free alphabet at
-    most one unit matches at any position, so a range parses in at most
-    one way, and a greedy left-to-right match finds that parse without
-    ever backtracking: one compiled ``(?:u1|u2|...){0,N}`` takes up to
-    ``N`` units per call, and the range tiles when the calls reach its
-    end. That is exact and linear in the range, and needs neither a
-    possessive quantifier nor an atomic group (Python 3.11 and later).
-    """
-    units = sorted({unit for unit in alphabet if unit})
-    # Sorted, a unit's longer extensions follow it directly.
-    for shorter, longer in zip(units, units[1:]):
-        if longer.startswith(shorter):
-            raise ValueError(
-                f"padding unit {shorter.hex()} is a prefix of {longer.hex()}; "
-                "the alphabet must be prefix-free"
-            )
-    alternatives = b"|".join(map(re.escape, units))
-    chunk = re.compile(b"(?:%s){0,%d}" % (alternatives, _CHUNK_UNITS) if units else b"").match
-
-    def tiles(buf: bytes, pos: int = 0, endpos: int | None = None) -> bool:
-        if endpos is None:
-            endpos = len(buf)
-        end = chunk(buf, pos, endpos).end()
-        # A call that stops short of the end after some progress may have
-        # stopped at its unit limit, not at a byte no unit starts with.
-        while end != endpos and end != pos:
-            pos, end = end, chunk(buf, end, endpos).end()
-        return end == endpos
-
-    return tiles
 
 
 @functools.lru_cache(maxsize=64)
@@ -105,34 +65,40 @@ def padding_suffix_finder(alphabet: tuple[bytes, ...]) -> Callable[[bytes, int, 
     """``find(buf, lo, hi)``: the lowest ``i`` in ``[lo, hi]`` such that
     ``buf[i:hi]`` tiles completely with padding units.
 
-    The units are indexed once, here; ``find`` reads ``buf`` in place. A
-    dynamic program scans back from ``hi``: ``buf[i:hi]`` tiles when some
-    unit starts at ``i`` and what follows it tiles. Two facts bound the
-    work. Each skips only tries that cannot succeed, so the answer is the
-    one a scan trying every unit at every position gives:
+    The units are indexed once, here; ``find`` reads ``buf`` in place and
+    takes any alphabet. Empty units tile nothing and are dropped; a
+    repeated unit counts once. Three steps, each exact:
 
     - A tiling suffix holds only bytes that occur in some unit, so the
       answer is at least the start of the run of such bytes that ends at
-      ``hi``. The scan stops at that floor, and a range that does not end
-      in a unit byte returns at once. The run is found by stripping
-      windows of doubling width off the end, so a long run is still read
-      in linear time and no byte before it is copied.
-    - Only the units that start with ``buf[i]`` can start a tiling at
-      ``i``, so only they are tried there.
+      ``hi``: the floor. The run is found by stripping windows of
+      doubling width off the end, so a long run is still read in linear
+      time and no byte before it is copied. A range that does not end in
+      a unit byte returns ``hi`` at once.
+    - When the run tiles whole, the floor is the answer. One compiled
+      ``(?:u1|u2|...){0,N}`` takes up to ``N`` units per call, greedily,
+      and the run tiles when the calls reach ``hi``: a parse that gets
+      there is a tiling, whatever the alphabet. Only a parse that stops
+      short proves nothing when a unit is a prefix of another, so that
+      case, and any run that does not tile, goes on to the third step.
+    - A dynamic program scans back from ``hi``: ``buf[i:hi]`` tiles when
+      some unit that starts with ``buf[i]`` starts at ``i`` and what
+      follows it tiles. Whether it tiles depends only on the next ``L``
+      positions (``L`` the longest unit), so once ``L`` positions in a
+      row fail, no earlier one can succeed and the scan stops there.
 
-    Whether ``buf[i:hi]`` tiles depends only on the next ``L`` positions
-    (``L`` the longest unit), so once ``L`` positions in a row fail, no
-    earlier one can succeed and the scan stops there too. The cost is
-    linear in the trailing unit bytes, not in ``hi - lo``. Unlike
-    :func:`padding_matcher`, this takes any alphabet, prefix-free or not.
+    Both the match and the scan are linear in the trailing unit bytes, not
+    in ``hi - lo``.
     """
-    units = [unit for unit in alphabet if unit]
+    units = sorted({unit for unit in alphabet if unit})
     unit_bytes = bytes(set(b"".join(units)))
     longest = max(map(len, units), default=0)
     grouped: dict[int, list[bytes]] = {}
     for unit in units:
         grouped.setdefault(unit[0], []).append(unit)
     by_first = {first: tuple(group) for first, group in grouped.items()}
+    alternatives = b"|".join(map(re.escape, units))
+    chunk = re.compile(b"(?:%s){0,%d}" % (alternatives, _CHUNK_UNITS)).match
 
     def find(buf: bytes, lo: int, hi: int) -> int:
         width = 32
@@ -144,6 +110,13 @@ def padding_suffix_finder(alphabet: tuple[bytes, ...]) -> Callable[[bytes, int, 
             width *= 2
         if floor == hi:
             return hi
+        pos, end = floor, chunk(buf, floor, hi).end()
+        # A call that stops short of hi after some progress may have
+        # stopped at its unit limit, not at a byte no unit starts with.
+        while end != hi and end != pos:
+            pos, end = end, chunk(buf, end, hi).end()
+        if end == hi:
+            return floor
         # ok[i - floor]: buf[i:hi] tiles. Nothing below the floor is ever set.
         ok = bytearray(hi - floor + 1)
         ok[hi - floor] = 1
@@ -162,18 +135,6 @@ def padding_suffix_finder(alphabet: tuple[bytes, ...]) -> Callable[[bytes, int, 
     return find
 
 
-def padding_suffix_start(blob: bytes, alphabet: tuple[bytes, ...]) -> int:
-    """Lowest ``i`` such that ``blob[i:]`` tiles completely with padding
-    units: :func:`padding_suffix_finder` over all of ``blob``."""
-    return padding_suffix_finder(alphabet)(blob, 0, len(blob))
-
-
-def parses_as_padding(blob: bytes, alphabet: tuple[bytes, ...]) -> bool:
-    """True when ``blob`` tiles completely with padding units: the
-    :func:`padding_matcher` of the (prefix-free) alphabet over all of it."""
-    return padding_matcher(alphabet)(blob)
-
-
 def classify_bytes(
     image: BinaryImage,
     spans: list[tuple[int, int, int]],
@@ -187,9 +148,10 @@ def classify_bytes(
     :class:`OverlapError`, since either is an upstream bug. One pass walks
     the mapped sections in address order and appends runs already merged.
     Spans landing outside executable sections are ignored here; the
-    pipeline reports those separately. Each gap between spans is decided
-    by the alphabet's :func:`padding_matcher` over the file's bytes in
-    place; a gap with no bytes in the file (NOBITS) stays ``gap_unknown``.
+    pipeline reports those separately. A gap between spans is padding when
+    the alphabet's :func:`padding_suffix_finder` finds that all of it
+    tiles, over the file's bytes in place; a gap with no bytes in the file
+    (NOBITS) stays ``gap_unknown``.
     """
     for (a_start, _a_t, a_raw), (b_start, _b_t, _b_raw) in zip(spans, spans[1:]):
         if b_start < a_raw:
@@ -212,7 +174,7 @@ def classify_bytes(
             last = [start, end, klass, confidence]
             runs.append(last)
 
-    tiles = padding_matcher(alphabet)
+    find = padding_suffix_finder(alphabet)
     data = image.raw
     i = 0
     for sec in image.mapped_sections:
@@ -227,7 +189,8 @@ def classify_bytes(
         # An empty span at the section end closes the trailing gap.
         for start, trimmed, raw in (*spans[i:j], (sec.end, sec.end, sec.end)):
             if start > cursor:
-                padding = delta is not None and tiles(data, delta + cursor, delta + start)
+                gap = None if delta is None else delta + cursor
+                padding = gap is not None and find(data, gap, delta + start) == gap
                 klass = "padding" if padding else "gap_unknown"
                 add(cursor, start, klass, "heuristic")
             add(start, trimmed, "code", "certain")

@@ -385,8 +385,9 @@ def trim_padding(
     :func:`match_debug_records`): the compiler's own extent outranks the
     padding alphabet. Functions whose bytes are not in the file (nobits
     regions) make the ground truth incomplete rather than guessing. The
-    lowest tiling start comes from :func:`byteclass.padding_suffix_finder`
-    over the file's bytes in place: no body is copied.
+    lowest tiling start comes from :func:`byteclass.padding_suffix_finder`,
+    exact for any alphabet, over the file's bytes in place: no body is
+    copied.
     """
     diagnostics: list[Diagnostic] = []
     if not alphabet:

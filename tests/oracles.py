@@ -82,15 +82,20 @@ def suffix_trim(
 ) -> int:
     """Smallest kept length after shaving a pure-padding suffix.
 
-    Scans every cut point explicitly. The cut never removes an entry
-    point and never empties the region.
+    Decides every cut point explicitly, from the end back, trying every
+    unit at each: ``region[k:]`` tiles when some unit starts at ``k`` and
+    what follows it tiles. That is linear in the region, so a megabyte
+    body is checked too. The cut never removes an entry point and never
+    empties the region.
     """
     n = len(region)
-    lowest = n
-    for k in range(n + 1):
-        if tiles_as_padding(region[k:], alphabet):
-            lowest = k
-            break
+    tiles = [False] * n + [True]
+    for k in range(n - 1, -1, -1):
+        for unit in alphabet:
+            if unit and region.startswith(unit, k) and tiles[k + len(unit)]:
+                tiles[k] = True
+                break
+    lowest = tiles.index(True)
     floor = max(max(off for off in entry_offsets) + 1, 1)
     return min(max(lowest, floor), n)
 

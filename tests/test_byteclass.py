@@ -11,14 +11,17 @@ from bintruth.byteclass import (
     ByteRun,
     OverlapError,
     classify_bytes,
-    padding_matcher,
     padding_suffix_finder,
-    padding_suffix_start,
-    parses_as_padding,
 )
-from bintruth.model import BinaryImage, SectionRecord, digest_binary
+from bintruth.model import BinaryImage, SectionRecord, SymbolRecord, digest_binary
 
 ALPHABET = normalize.padding_alphabet("x86_64")
+
+
+def _suffix_start(blob: bytes, alphabet: tuple[bytes, ...] = ALPHABET) -> int:
+    """The lowest ``i`` from which ``blob[i:]`` tiles: the finder over all
+    of ``blob``. All of it tiles when that is 0."""
+    return padding_suffix_finder(alphabet)(blob, 0, len(blob))
 
 
 def test_byte_run_validates_fields():
@@ -66,7 +69,7 @@ def test_coverage_stats_of_an_empty_map_are_zero():
     ],
 )
 def test_padding_parse_known_cases(blob, expected):
-    assert parses_as_padding(blob, ALPHABET) is expected
+    assert (_suffix_start(blob) == 0) is expected
     assert oracles.tiles_as_padding(blob, ALPHABET) is expected
 
 
@@ -80,12 +83,12 @@ def test_padding_parse_known_cases(blob, expected):
     ],
 )
 def test_padding_suffix_known_cases(blob, start):
-    assert padding_suffix_start(blob, ALPHABET) == start
+    assert _suffix_start(blob) == start
 
 
 def test_padding_parse_with_no_alphabet_never_matches():
-    assert not parses_as_padding(b"\x90", ())
-    assert parses_as_padding(b"", ())
+    assert _suffix_start(b"\x90", ()) == 1
+    assert _suffix_start(b"", ()) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,35 +103,78 @@ def test_padding_parse_with_no_alphabet_never_matches():
 )
 def test_padding_parse_agrees_with_the_recursive_oracle(parts):
     blob = b"".join(parts)
-    assert parses_as_padding(blob, ALPHABET) == oracles.tiles_as_padding(
-        blob, ALPHABET
+    assert (_suffix_start(blob) == 0) == oracles.tiles_as_padding(blob, ALPHABET)
+
+
+# Alphabets in which a unit is a prefix of another, so that a range may
+# parse in more than one way and a greedy parse may stop short of a tiling.
+_OVERLAPPING_ALPHABETS = [
+    (b"\x00", b"\x00\x00"),
+    (b"\x0f\x1f\x00", b"\x90", b"\x0f\x1f"),
+    (*ALPHABET, b"\x66"),
+]
+_GAPS = [
+    b"\x00" * 5,
+    b"\x0f\x1f\x0f\x1f\x00",
+    b"\x0f\x1f\x00\x0f\x1f",
+    b"\x90\x0f\x1f\x1f",
+    b"\x66\x66\x90",
+    b"\x66\x0f\x1f\x44\x00\x00\x66",
+    b"\x66\x0f\x1f\x44\x00",
+    b"\x0f\x1f\x00\x00\x90",
+    b"\xea\xea\x00",
+]
+
+
+@pytest.mark.parametrize("alphabet", _OVERLAPPING_ALPHABETS, ids=["00-0000", "0f1f-0f1f00", "66"])
+def test_alphabets_with_overlapping_units_decide_gaps_and_trims_exactly(alphabet):
+    """Every gap of a forged image is padding exactly when the recursive
+    oracle tiles it, and each body keeps what the oracle's trim keeps,
+    whether or not a greedy left-to-right parse of it finds a tiling."""
+    from bintruth.forge import BinarySpec, FunctionSpec, SectionSpec, emit
+
+    code = b"\x31\xc0\xc3"
+    functions, offset = [], 0
+    for k, gap in enumerate(_GAPS):
+        functions.append(FunctionSpec(f"f{k}", offset, code, pad_after=gap))
+        offset += len(code) + len(gap)
+    functions.append(FunctionSpec("last", offset, code))
+    spec = BinarySpec(
+        sections=(SectionSpec(".text", 0x401000, executable=True),),
+        functions=tuple(functions),
+    )
+    image = elf.parse_image(emit(spec))
+    spans = [
+        (0x401000 + f.offset, 0x401000 + f.offset + 3, 0x401000 + f.offset + 3)
+        for f in functions
+    ]
+    runs = classify_bytes(image, spans, alphabet).runs
+    gaps = {r.start: r.klass for r in runs if r.confidence == "heuristic"}
+    assert [gaps[end] for _start, _trimmed, end in spans[:-1]] == [
+        "padding" if oracles.tiles_as_padding(gap, alphabet) else "gap_unknown"
+        for gap in _GAPS
+    ]
+    assert _classes_by_byte(ByteClassMap(runs)) == oracles.classify_per_byte(
+        image, spans, alphabet
     )
 
-
-def test_the_packaged_alphabet_is_prefix_free():
-    units = sorted(set(ALPHABET))
-    assert len(units) == len(ALPHABET)
-    assert not [(a, b) for a in units for b in units if a != b and b.startswith(a)]
-    assert padding_matcher(ALPHABET)(b"\x66\x0f\x1f\x44\x00\x00")
-
-
-@pytest.mark.parametrize(
-    ("alphabet", "shorter", "longer"),
-    [
-        ((b"\x00", b"\x00\x00"), "00", "0000"),
-        ((b"\x0f\x1f\x00", b"\x90", b"\x0f\x1f"), "0f1f", "0f1f00"),
-        ((*ALPHABET, b"\x66"), "66", "660f1f440000"),
-    ],
-)
-def test_an_alphabet_that_is_not_prefix_free_is_refused(alphabet, shorter, longer):
-    with pytest.raises(ValueError, match=f"unit {shorter} is a prefix of {longer}"):
-        padding_matcher(alphabet)
+    # Each gap as a body's trailing bytes: the trim keeps what the oracle keeps.
+    syms = [
+        SymbolRecord(f"f{k}", 0x401000 + f.offset, len(code) + len(f.pad_after), "global")
+        for k, f in enumerate(functions[:-1])
+    ]
+    works, _ = normalize.dedupe_aliases([(s, elf.section_of(image, s.value)) for s in syms])
+    normalize.resolve_boundaries(works)
+    normalize.trim_padding(works, image, alphabet)
+    assert [w.end_trimmed - w.start for w in works] == [
+        oracles.suffix_trim(code + gap, alphabet, (0,)) for gap in _GAPS
+    ]
 
 
 def test_empty_and_repeated_units_change_no_match():
-    tiles = padding_matcher((b"", b"\x90", b"\x90", b"\x0f\x1f\x00"))
-    assert tiles(b"\x90\x0f\x1f\x00")
-    assert not tiles(b"\x0f\x1f")
+    alphabet = (b"", b"\x90", b"\x90", b"\x0f\x1f\x00")
+    assert _suffix_start(b"\x90\x0f\x1f\x00", alphabet) == 0
+    assert _suffix_start(b"\x0f\x1f", alphabet) == 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,26 +187,24 @@ def test_empty_and_repeated_units_change_no_match():
     st.lists(st.sampled_from(b"\x00\x0f\x1f\x66\x90\xc3"), max_size=12).map(bytes),
 )
 def test_the_matcher_agrees_with_the_dp_and_the_oracle_in_place(parts, before, after):
-    """The blob sits inside a larger buffer: ``pos`` and ``endpos`` alone
-    delimit it, and the bytes around it change nothing, for the matcher
-    and for the dynamic program alike."""
+    """The blob sits inside a larger buffer: ``lo`` and ``hi`` alone
+    delimit it, and the bytes around it change nothing, whether the
+    matcher or the dynamic program gives the answer."""
     blob = b"".join(parts)
     buf = before + blob + after
     lo, hi = len(before), len(before) + len(blob)
-    tiles = padding_matcher(ALPHABET)(buf, lo, hi)
-    start = padding_suffix_start(blob, ALPHABET)
+    start = _suffix_start(blob)
     assert padding_suffix_finder(ALPHABET)(buf, lo, hi) == lo + start
-    assert tiles == (start == 0)
-    assert tiles == oracles.tiles_as_padding(blob, ALPHABET)
+    assert (start == 0) == oracles.tiles_as_padding(blob, ALPHABET)
 
 
 def test_the_matcher_reads_ranges_longer_than_one_call_parses():
     """A range of many more units than one regular-expression call takes."""
     units = b"\x0f\x1f\x00" * 20_000
-    tiles = padding_matcher(ALPHABET)
-    assert tiles(b"\xc3" + units + b"\xc3", 1, 1 + len(units))
-    assert not tiles(b"\xc3" + units + b"\x0f\x1f", 1, 3 + len(units))
-    assert not tiles(units + b"\xc3" + units)
+    find = padding_suffix_finder(ALPHABET)
+    assert find(b"\xc3" + units + b"\xc3", 1, 1 + len(units)) == 1
+    assert find(b"\xc3" + units + b"\x0f\x1f", 1, 3 + len(units)) == 3 + len(units)
+    assert find(units + b"\xc3" + units, 0, 2 * len(units) + 1) == len(units) + 1
 
 
 def _one_section_image(raw: bytes, machine_code: int = 62) -> BinaryImage:
@@ -194,7 +238,7 @@ def test_a_megabyte_gap_of_nops_classifies_in_place(tail, klass):
         (0x401003, len(gap), klass),
         (end, 3, "code"),
     ]
-    assert (padding_suffix_start(gap, ALPHABET) == 0) == (klass == "padding")
+    assert (_suffix_start(gap) == 0) == (klass == "padding")
 
 
 def test_without_an_alphabet_every_gap_is_unknown():
@@ -216,8 +260,8 @@ def test_without_an_alphabet_every_gap_is_unknown():
     gaps = [r for r in doc.byte_classes.runs if r.confidence == "heuristic"]
     assert [(r.start, r.length) for r in gaps] == [(0x401003, 5), (0x40100B, 5)]
     assert {r.klass for r in gaps} == {"gap_unknown"}
-    tiles = padding_matcher(())
-    assert tiles(b"") and not tiles(b"\x90")
+    find = padding_suffix_finder(())
+    assert find(b"", 0, 0) == 0 and find(b"\x90", 0, 1) == 1
 
 
 # A small pool, so that units share first bytes and some bytes occur
@@ -228,23 +272,32 @@ _UNIT = st.lists(st.sampled_from(_POOL), min_size=1, max_size=4).map(bytes)
 
 @st.composite
 def _alphabet_and_blob(draw):
+    """An alphabet, and a blob that ends either in a run of unit bytes
+    that tiles whole after a ``c3`` (``whole``: the matcher's answer) or
+    in arbitrary pool bytes (mostly the dynamic program's)."""
     units = tuple(draw(st.lists(_UNIT, max_size=5)))
     part = st.one_of(
         st.lists(st.sampled_from(_POOL + b"\xc3"), min_size=1, max_size=3).map(bytes),
         *([st.sampled_from(units)] if units else []),
     )
-    return units, b"".join(draw(st.lists(part, max_size=8)))
+    blob = b"".join(draw(st.lists(part, max_size=8)))
+    whole = bool(units) and draw(st.booleans())
+    if whole:
+        blob += b"\xc3" + b"".join(draw(st.lists(st.sampled_from(units), min_size=1)))
+    return units, blob, whole
 
 
 @settings(max_examples=300, deadline=None)
 @given(_alphabet_and_blob(), st.integers(min_value=0))
 def test_padding_suffix_agrees_with_the_oracle_on_random_alphabets(drawn, at):
-    units, blob = drawn
+    units, blob, whole = drawn
     # An empty unit tiles nothing: anywhere in the alphabet, it changes nothing.
     cut = at % (len(units) + 1)
     alphabet = units[:cut] + (b"",) + units[cut:]
-    start = padding_suffix_start(blob, alphabet)
-    assert start == padding_suffix_start(blob, units)
+    start = _suffix_start(blob, alphabet)
+    assert start == _suffix_start(blob, units)
+    if whole:
+        assert start == blob.rindex(b"\xc3") + 1
     assert (start == 0) == oracles.tiles_as_padding(blob, alphabet)
     assert oracles.tiles_as_padding(blob[start:], alphabet)
     assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, alphabet, (0,))
@@ -265,7 +318,7 @@ def _large_body() -> tuple[bytes, int]:
 )
 def test_padding_suffix_agrees_with_the_oracle_on_large_bodies(blob, start):
     assert len(blob) >= 4096
-    assert padding_suffix_start(blob, ALPHABET) == start
+    assert _suffix_start(blob) == start
     assert not oracles.tiles_as_padding(blob, ALPHABET)
     assert oracles.tiles_as_padding(blob[start:], ALPHABET)
     assert oracles.suffix_trim(blob, ALPHABET, (0,)) == start

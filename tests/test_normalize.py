@@ -418,7 +418,7 @@ _JUNK_RUNS = st.lists(
 def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
     alphabet = normalize.padding_alphabet("x86_64")
     blob = b"".join(parts)
-    start = byteclass.padding_suffix_start(blob, alphabet)
+    start = byteclass.padding_suffix_finder(alphabet)(blob, 0, len(blob))
     assert (start == 0) == oracles.tiles_as_padding(blob, alphabet)
     assert oracles.tiles_as_padding(blob[start:], alphabet)
     assert min(max(start, 1), len(blob)) == oracles.suffix_trim(blob, alphabet, (0,))
@@ -457,6 +457,27 @@ def test_trim_reads_long_bodies_in_place(body):
     kept = oracles.suffix_trim(body, normalize.padding_alphabet("x86_64"), (0,))
     assert works[0].end_trimmed == start + kept
     assert kept == {0x31: 3, 0x90: 1, 0x66: 4095}[body[0]]
+
+
+@pytest.mark.parametrize(
+    ("body", "kept"),
+    [
+        (b"\x00" * (1 << 20), 1),  # tiles whole: the first byte stays
+        (b"\xc3" + b"\x00" * (1 << 20) + b"\x0f\x1f", (1 << 20) + 3),  # nothing tiles
+    ],
+    ids=["zeros", "ret-zeros-unit-prefix"],
+)
+def test_trim_of_a_megabyte_body_agrees_with_the_oracle(body, kept):
+    """A megabyte of unit bytes that tiles whole, and one that does not
+    because it ends in ``0f 1f``, a unit's prefix."""
+    alphabet = normalize.padding_alphabet("x86_64")
+    text = SectionRecord(".text", TEXT.vaddr, len(body), True, True, 0)
+    syms = [_func("f", TEXT.vaddr, len(body))]
+    works, _ = _dedupe(syms, (text,))
+    resolve_boundaries(works)
+    trim_padding(works, _image_with(syms, (text,), body), alphabet)
+    assert works[0].end_trimmed - TEXT.vaddr == kept
+    assert oracles.suffix_trim(body, alphabet, (0,)) == kept
 
 
 def test_trim_on_fileless_bytes_marks_the_truth_incomplete():

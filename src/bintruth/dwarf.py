@@ -78,6 +78,7 @@ from . import elf
 from .model import (
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
+    GT_BAD_LINE_TABLE,
     GT_LINKER_DISCARDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_NO_DEBUG_INFO,
@@ -92,6 +93,7 @@ DW_TAG_subprogram = 0x2E
 DW_TAG_inlined_subroutine = 0x1D
 
 DW_AT_name = 0x03
+DW_AT_stmt_list = 0x10
 DW_AT_low_pc = 0x11
 DW_AT_high_pc = 0x12
 DW_AT_inline = 0x20
@@ -114,7 +116,7 @@ _READ_ATTRS = frozenset(
         DW_AT_abstract_origin, DW_AT_decl_file, DW_AT_decl_line,
         DW_AT_declaration, DW_AT_specification, DW_AT_ranges,
         DW_AT_str_offsets_base, DW_AT_addr_base, DW_AT_rnglists_base,
-        DW_AT_noreturn,
+        DW_AT_noreturn, DW_AT_stmt_list,
     }
 )
 # A subprogram's DIE also keeps its entry address, which picks the entry's
@@ -128,6 +130,10 @@ DW_UT_partial = 0x03
 # land in a partial unit. The others are stepped over by their length.
 _UNIT_TYPES = range(0x01, 0x07)
 _LINKED_UNITS = (DW_UT_compile, DW_UT_partial)
+
+# The content types of a DWARF 5 line header entry that name a file.
+DW_LNCT_path = 0x1
+DW_LNCT_directory_index = 0x2
 
 # Forms whose value is already the end address, vs. an offset from low_pc.
 ADDRESS_FORMS = frozenset({0x01, 0x1B, 0x29, 0x2A, 0x2B, 0x2C})
@@ -353,7 +359,8 @@ class _Die:
 class _Aux:
     """Companion section blobs one .debug_info blob resolves against, the
     blob's unit spans and starts, the units of the blob that ref_addr links
-    have reached, and the names resolved through abstract origins."""
+    have reached, the names resolved through abstract origins, and each
+    unit's source file names."""
 
     abbrev: bytes
     debug_str: bytes
@@ -362,12 +369,15 @@ class _Aux:
     addr: bytes
     ranges: bytes
     rnglists: bytes
+    line: bytes
     units: list[tuple[int, int]] = field(default_factory=list)  # (start, end)
     starts: list[int] = field(default_factory=list)  # each unit's start
     linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
     # The .debug_info offset of an abstract origin -> how a diagnostic names
     # a DIE that links to it and has neither a name nor a specification.
     names: dict[int, str] = field(default_factory=dict)
+    # A unit's start -> _file_names of the unit.
+    files: dict[int, tuple[tuple[str, ...] | None, str | None]] = field(default_factory=dict)
 
 
 # A plan is None when a form has no width in the catalog, or when the abbrev
@@ -961,6 +971,115 @@ def _unit_name(unit: _Unit) -> str:
     return "" if name is None else str(name)
 
 
+def _file_names(unit: _Unit) -> tuple[tuple[str, ...] | None, str | None]:
+    """The names that ``unit``'s line table gives each decl_file index,
+    and the problem that kept it from being read; (None, None) when the
+    unit names no table. Read once per unit, however often the unit is
+    parsed.
+    """
+    files = unit.aux.files.get(unit.cu_start)
+    if files is None:
+        got = unit.dies[unit.root].attrs.get(DW_AT_stmt_list)
+        files = (None, None)
+        if got is not None:
+            try:
+                offset = _offset_value(_value(unit, *got), "stmt_list")
+                files = (_read_file_names(unit, offset), None)
+            except MalformedDebugDataError as exc:
+                files = (None, f"it is unreadable: {exc}")
+        unit.aux.files[unit.cu_start] = files
+    return files
+
+
+def _read_file_names(unit: _Unit, offset: int) -> tuple[str, ...]:
+    """The file names of the line header at ``offset`` of .debug_line, by
+    decl_file index: in DWARF 5 index N names entry N; before it entry
+    N - 1, and 0 names no file (""). Reads the header's tables only, never
+    the line program. A file's path stands alone when it is absolute or its
+    directory index is 0 (the unit's directory); otherwise its directory
+    leads it.
+    """
+    blob = unit.aux.line
+    cur = _Cursor(blob, offset, unit.little_endian)
+    length = cur.uint(4)
+    if length >= 0xFFFFFFF0:
+        raise MalformedDebugDataError("64-bit line tables are not supported")
+    if cur.pos + length > len(blob):
+        raise MalformedDebugDataError("line table extends past .debug_line")
+    version = cur.uint(2)
+    if not 2 <= version <= 5:
+        raise MalformedDebugDataError(f"line table version {version}")
+    if version == 5:
+        cur.pos += 2  # address and segment selector sizes
+    header_length = cur.uint(4)
+    header_end = cur.pos + header_length
+    # Minimum instruction length, maximum operations per instruction (from
+    # DWARF 4), default is_stmt, line base and line range.
+    cur.pos += 5 if version >= 4 else 4
+    opcode_base = cur.uint(1)
+    cur.pos += max(opcode_base - 1, 0)  # the standard opcodes' operand counts
+    if version == 5:
+        directories = [path for path, _index in _line_entries(unit, cur, header_end)]
+        files = _line_entries(unit, cur, header_end)
+        first = 0
+    else:
+        directories = [""]  # the unit's directory
+        while name := cur.cstr():
+            directories.append(name)
+        files = [("", 0)]  # index 0 names no file
+        while path := cur.cstr():
+            files.append((path, cur.uleb()))
+            cur.uleb()  # modification time
+            cur.uleb()  # length
+        first = 1
+    if cur.pos > header_end:
+        raise MalformedDebugDataError("file names run past the line header")
+    names = [path for path, _index in files[:first]]
+    for path, index in files[first:]:
+        if path.startswith("/") or index == 0:
+            names.append(path)
+        elif index < len(directories):
+            names.append(f"{directories[index]}/{path}")
+        else:
+            raise MalformedDebugDataError(f"directory index {index} out of range")
+    return tuple(names)
+
+
+def _line_entries(unit: _Unit, cur: _Cursor, header_end: int) -> list[tuple[str, int]]:
+    """The (path, directory index) of each entry of a DWARF 5 line header's
+    directory or file name table, read through the checked form decoder;
+    content types other than the path and the directory index are read and
+    dropped."""
+    formats = [(cur.uleb(), cur.uleb()) for _ in range(cur.uint(1))]
+    count = cur.uleb()
+    if count > header_end - cur.pos:  # every entry takes a byte
+        raise MalformedDebugDataError(f"{count} line header entries")
+    entries = []
+    for _ in range(count):
+        path, index = "", 0
+        for kind, form in formats:
+            value = _value(unit, *_read_form(cur, form, unit, None))
+            if kind == DW_LNCT_path:
+                path = value
+            elif kind == DW_LNCT_directory_index:
+                index = value
+        if not isinstance(path, str) or type(index) is not int:
+            raise MalformedDebugDataError("line header entry of the wrong form")
+        entries.append((path, index))
+    return entries
+
+
+def _source_file(owner: _Unit, index: int) -> tuple[str | None, str | None]:
+    """The name ``owner``'s line table gives source file ``index``, or
+    None, and why a table could not give it, or None."""
+    names, problem = _file_names(owner)
+    if names is None:
+        return None, problem
+    if 0 <= index < len(names):
+        return names[index], None
+    return None, f"index {index} is past its end"
+
+
 # A range list read to its end: its (start, end) pairs in list order.
 _Ranges = list[tuple[int, int]]
 
@@ -1113,6 +1232,8 @@ def _unit_records(
     tombstone = (1 << bits) - 1
     records: list[DebugFunctionRecord] = []
     no_address = discarded = 0
+    # The first source file the line tables could not name, and where.
+    unnamed: tuple[_Unit, str] | None = None
     for die in unit.dies.values():
         tag = die.tag
         if tag != DW_TAG_subprogram and tag != DW_TAG_inlined_subroutine:
@@ -1217,14 +1338,19 @@ def _unit_records(
         decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
             decl_file = ""
-        elif file_idx in (0, 1):
-            # Indexes 0 and 1 name the primary source file of the unit that
-            # holds the index in every version this reader accepts; other
-            # entries would need the line program.
-            owner = found[1][0]  # type: ignore
-            decl_file = cu_name if owner is unit else _unit_name(owner)
         else:
-            decl_file = f"file#{file_idx}"
+            # The index names a file of the unit that holds it.
+            owner = found[1][0]  # type: ignore
+            decl_file, problem = _source_file(owner, file_idx)
+            if problem is not None and unnamed is None:
+                unnamed = (owner, problem)
+            if decl_file is None:
+                # Without a line table, 0 and 1 name the unit and any other
+                # index is file#N.
+                if file_idx not in (0, 1):
+                    decl_file = f"file#{file_idx}"
+                else:
+                    decl_file = cu_name if owner is unit else _unit_name(owner)
         name = _meaning(found, error, 3)
         records.append(
             DebugFunctionRecord(
@@ -1244,6 +1370,17 @@ def _unit_records(
                 GT_SUBPROGRAM_NO_ADDRESS,
                 f"{no_address} concrete subprogram(s) of {cu_name or '<anonymous>'} "
                 f"(the unit at offset {unit.cu_start:#x}) carry no address; skipped",
+            )
+        )
+    if unnamed is not None:
+        owner, problem = unnamed
+        diagnostics.append(
+            Diagnostic(
+                "warning",
+                GT_BAD_LINE_TABLE,
+                f"the line table of the unit at offset {owner.cu_start:#x} names no "
+                f"source file for {cu_name or '<anonymous>'} (the unit at offset "
+                f"{unit.cu_start:#x}): {problem}; the unit's name or file#N stands in",
             )
         )
     if discarded:
@@ -1291,6 +1428,7 @@ def extract_debug_functions(
     addr_blobs = _section_blobs(image, ".debug_addr")
     ranges_blobs = _section_blobs(image, ".debug_ranges")
     rnglists_blobs = _section_blobs(image, ".debug_rnglists")
+    line_blobs = _section_blobs(image, ".debug_line")
 
     little = image.endianness == "little"
     records: list[DebugFunctionRecord] = []
@@ -1304,6 +1442,7 @@ def extract_debug_functions(
             addr=_nth(addr_blobs, i),
             ranges=_nth(ranges_blobs, i),
             rnglists=_nth(rnglists_blobs, i),
+            line=_nth(line_blobs, i),
             units=spans,
             starts=[start for start, _end in spans],
         )

@@ -29,6 +29,7 @@ DW_TAG_formal_parameter = 0x05
 
 DW_AT_location = 0x02
 DW_AT_name = 0x03
+DW_AT_stmt_list = 0x10
 DW_AT_low_pc = 0x11
 DW_AT_high_pc = 0x12
 DW_AT_inline = 0x20
@@ -40,6 +41,10 @@ DW_AT_specification = 0x47
 DW_AT_ranges = 0x55
 DW_AT_rnglists_base = 0x74
 DW_AT_noreturn = 0x87
+
+DW_LNCT_path = 0x1
+DW_LNCT_directory_index = 0x2
+DW_LNCT_MD5 = 0x5
 
 # The forms the writer emits and their DW_FORM codes.
 _FORM_CODES = {
@@ -53,7 +58,9 @@ _FORM_CODES = {
     "flag_present": 0x19,
     "exprloc": 0x18,
     "ref4": 0x13,
+    "ref_addr": 0x10,
     "sec_offset": 0x17,
+    "line_strp": 0x1F,
     "rnglistx": 0x23,
 }
 
@@ -65,6 +72,7 @@ _FIXED_FORMS = {
     "data4": "I",
     "data8": "Q",
     "ref4": "I",
+    "ref_addr": "I",
     "sec_offset": "I",
 }
 
@@ -103,6 +111,10 @@ class DwarfFuncSpec:
     discards the function's code: GNU ld writes 0, LLD all-ones.
     ``name`` overrides the name the DIE gives, as a gcc clone
     (``f.constprop.0``) names its base ``f`` through its abstract origin.
+    ``decl_file`` is the file index written. ``origin_unit`` puts the
+    abstract origin of an ``abstract_origin`` DIE in that other unit,
+    linked by ``ref_addr``; the origin then carries the declaration
+    coordinates, as gcc writes an inline function defined in a header.
     """
 
     unit: int = 0
@@ -114,6 +126,25 @@ class DwarfFuncSpec:
     name_via: str = "direct"  # or "specification" / "abstract_origin"
     low_pc: int | None = None
     name: str | None = None  # None names the function's symbol
+    decl_file: int = 1
+    origin_unit: int | None = None
+
+
+@record
+class LineTableSpec:
+    """The file name table of one unit's ``.debug_line`` header, written
+    as given: ``directories`` and ``files`` ((path, directory index), ...)
+    in header order. Before DWARF 5 they are the include directories and
+    file names, each 1-based; in DWARF 5 entry 0 of each is the unit's
+    own. ``path_form`` is "string" or, in DWARF 5, "line_strp"; ``md5``
+    gives each DWARF 5 file entry an MD5 (data16) too. The line program
+    is one end of sequence.
+    """
+
+    files: tuple[tuple[str, int], ...]
+    directories: tuple[str, ...] = ()
+    path_form: str = "string"
+    md5: bool = False
 
 
 @record
@@ -185,6 +216,7 @@ class BinarySpec:
     emit_symtab: bool = True
     dwarf_versions: tuple[int, ...] = (4,)
     cu_names: tuple[str, ...] = ()
+    line_tables: tuple[LineTableSpec | None, ...] = ()  # by unit; None: none
 
 
 def uleb_encode(value: int) -> bytes:
@@ -225,11 +257,14 @@ class _WDie:
 
 def _serialize_unit(
     root: _WDie, version: int, addr_size: int, end: str, abbrev_offset: int
-) -> tuple[bytes, bytes]:
-    """(.debug_info unit bytes, .debug_abbrev table bytes) for one unit.
+) -> tuple[bytes, bytes, dict[int, int], list[tuple[int, _WDie]]]:
+    """(.debug_info unit bytes, .debug_abbrev table bytes, each DIE's offset
+    in the unit by ``id``, the ``ref_addr`` values to patch) for one unit.
 
     Abbrev codes are given out in the order the DIE walk first meets each
-    shape (tag, children, attribute forms).
+    shape (tag, children, attribute forms). A ``ref_addr`` is written as 0
+    and listed, with its offset in the unit and its target DIE, since its
+    value is an offset in all of .debug_info.
     """
     fixed = {form: end + code for form, code in _FIXED_FORMS.items()}
     fixed["addr"] = end + ("I" if addr_size == 4 else "Q")
@@ -241,14 +276,16 @@ def _serialize_unit(
     codes: dict[tuple, int] = {}
     offsets: dict[int, int] = {}
     fixups: list[tuple[int, _WDie]] = []
+    refs: list[tuple[int, _WDie]] = []
 
     def walk(die: _WDie) -> None:
         offsets[id(die)] = len(body)
         key = (die.tag, bool(die.children), tuple((a, f) for a, f, _ in die.attrs))
         body.extend(uleb_encode(codes.setdefault(key, len(codes) + 1)))
         for _attr, form, value in die.attrs:
-            if form == "ref4":
-                fixups.append((len(body), value))  # value is the target _WDie
+            if form in ("ref4", "ref_addr"):
+                # value is the target _WDie
+                (fixups if form == "ref4" else refs).append((len(body), value))
                 value = 0
             if form in fixed:
                 body.extend(struct.pack(fixed[form], value))
@@ -277,7 +314,52 @@ def _serialize_unit(
             abbrev += uleb_encode(attr) + uleb_encode(_FORM_CODES[form])
         abbrev += b"\x00\x00"
     abbrev += b"\x00"
-    return struct.pack(end + "I", len(body)) + bytes(body), bytes(abbrev)
+    # Offsets in the unit count its 4-byte length prefix.
+    where = {key: offset + 4 for key, offset in offsets.items()}
+    refs = [(pos + 4, target) for pos, target in refs]
+    return struct.pack(end + "I", len(body)) + bytes(body), bytes(abbrev), where, refs
+
+
+def _line_table(
+    table: LineTableSpec, version: int, addr_size: int, end: str, line_str: bytearray
+) -> bytes:
+    """One unit's ``.debug_line`` contribution: a header whose file name
+    table is ``table``, in ``version``'s layout, then a line program of
+    one end of sequence. A "line_strp" path goes into ``line_str``."""
+
+    def path(text: str) -> bytes:
+        if table.path_form == "string":
+            return text.encode() + b"\x00"
+        offset = len(line_str)
+        line_str.extend(text.encode() + b"\x00")
+        return struct.pack(end + "I", offset)
+
+    if version >= 5:
+        form = uleb_encode(_FORM_CODES[table.path_form])
+        formats = [uleb_encode(DW_LNCT_path) + form, bytes([DW_LNCT_directory_index, 0x0F])]
+        if table.md5:
+            formats.append(bytes([DW_LNCT_MD5, 0x1E]))
+        tables = b"\x01" + uleb_encode(DW_LNCT_path) + form
+        tables += uleb_encode(len(table.directories))
+        tables += b"".join(path(d) for d in table.directories)
+        tables += bytes([len(formats)]) + b"".join(formats) + uleb_encode(len(table.files))
+        for name, index in table.files:
+            tables += path(name) + uleb_encode(index) + (bytes(16) if table.md5 else b"")
+        head = struct.pack(end + "HBB", version, addr_size, 0)
+    else:
+        tables = b"".join(d.encode() + b"\x00" for d in table.directories) + b"\x00"
+        for name, index in table.files:  # then a modification time and a length
+            tables += path(name) + uleb_encode(index) + b"\x00\x00"
+        tables += b"\x00"
+        head = struct.pack(end + "H", version)
+    # Minimum instruction length, maximum operations per instruction (from
+    # DWARF 4), default is_stmt, line base, line range, opcode base and the
+    # standard opcodes' operand counts.
+    params = bytes([1, 1] if version >= 4 else [1]) + bytes([1, 0xFB, 14, 13])
+    params += bytes([0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1])
+    body = head + struct.pack(end + "I", len(params) + len(tables)) + params + tables
+    body += b"\x00\x01\x01"  # DW_LNE_end_sequence
+    return struct.pack(end + "I", len(body)) + body
 
 
 def _symbol_size(fn: FunctionSpec) -> int:
@@ -368,6 +450,18 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
                 high = d.low_pc + (len(fn.body) if d.highpc_form == "addr" else 0)
                 if d.low_pc < 0 or high >> spec.word_size:
                     raise InvalidSpecError(f"{fn.name!r} low pc {d.low_pc:#x}")
+            if not 0 <= d.decl_file <= 0xFF:
+                raise InvalidSpecError(f"{fn.name!r} decl file {d.decl_file}")
+            if d.origin_unit is not None and not (
+                d.name_via == "abstract_origin"
+                and d.origin_unit != d.unit
+                and d.origin_unit < len(spec.dwarf_versions)
+                and version >= 3
+            ):
+                raise InvalidSpecError(
+                    f"{fn.name!r} origin unit {d.origin_unit} must be another "
+                    "unit, linked by an abstract origin from DWARF 3 or later"
+                )
             described.add((fn.name, d.unit))
             generated |= {".debug_info", ".debug_abbrev"}
             if d.ranges is not None:
@@ -392,6 +486,20 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
         if site.ranges is not None:
             v5 = spec.dwarf_versions[site.unit] >= 5
             generated.add(".debug_rnglists" if v5 else ".debug_ranges")
+    if len(spec.line_tables) > len(spec.dwarf_versions):
+        raise InvalidSpecError("more line tables than units")
+    for version, table in zip(spec.dwarf_versions, spec.line_tables):
+        if table is None:
+            continue
+        if table.path_form not in ("string", "line_strp"):
+            raise InvalidSpecError(f"path form {table.path_form!r}")
+        if version < 5 and (table.path_form != "string" or table.md5):
+            raise InvalidSpecError(f"a DWARF {version} line table has string paths only")
+        if min((index for _path, index in table.files), default=0) < 0:
+            raise InvalidSpecError("negative directory index")
+        generated.add(".debug_line")
+        if table.path_form == "line_strp":
+            generated.add(".debug_line_str")
     clash = sorted(generated.intersection(sections))
     if clash:
         raise InvalidSpecError(f"section {clash[0]!r} is one the forge writes itself")
@@ -420,6 +528,8 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
     abbrev = bytearray()
     ranges = bytearray()
     rnglists = bytearray()
+    line = bytearray()
+    line_str = bytearray()
 
     def range_list(version: int, pairs: tuple[tuple[int, int], ...]) -> tuple:
         """The DW_AT_ranges attribute of a new .debug_ranges list."""
@@ -432,30 +542,46 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
         ranges.extend(pair.pack(0, 0))
         return attr
 
+    # A unit is written when it describes a function or holds the abstract
+    # origin another unit links to.
+    origins = {d.origin_unit for group in members.values() for _fn, d in group}
+    roots: dict[int, _WDie] = {}
+    for u in sorted(set(members) | origins - {None}):
+        cu_name = spec.cu_names[u] if u < len(spec.cu_names) else f"src{u}.c"
+        root = roots[u] = _WDie(DW_TAG_compile_unit, [(DW_AT_name, "string", cu_name)])
+        if u in members:
+            root.attrs.append((DW_AT_low_pc, "addr", min(vaddr_of(fn) for fn, _ in members[u])))
+        table = spec.line_tables[u] if u < len(spec.line_tables) else None
+        if table is not None:
+            version = spec.dwarf_versions[u]
+            form = "sec_offset" if version >= 4 else "data4"
+            root.attrs.append((DW_AT_stmt_list, form, len(line)))
+            line += _line_table(table, version, addr_size, e, line_str)
+
     for u in sorted(members):
         version = spec.dwarf_versions[u]
-        cu_name = spec.cu_names[u] if u < len(spec.cu_names) else f"src{u}.c"
-        root = _WDie(
-            DW_TAG_compile_unit,
-            [
-                (DW_AT_name, "string", cu_name),
-                (DW_AT_low_pc, "addr", min(vaddr_of(fn) for fn, _ in members[u])),
-            ],
-        )
+        root = roots[u]
         subprogram_of: dict[str, _WDie] = {}
         shared = None  # where the unit's subprogram range lists' header starts
         for fn, d in members[u]:
             low = vaddr_of(fn) if d.low_pc is None else d.low_pc
             via = _NAME_VIA[d.name_via]
             name = fn.name if d.name is None else d.name
+            coords = [(DW_AT_decl_file, "data1", d.decl_file), (DW_AT_decl_line, "udata", d.decl_line)]
             if via is None:
                 attrs = [(DW_AT_name, "string", name)]
             else:
                 ref_attr, marker = via
                 named = _WDie(DW_TAG_subprogram, [(DW_AT_name, "string", name)])
                 named.attrs.append(marker)
-                root.children.append(named)
-                attrs = [(ref_attr, "ref4", named)]
+                if d.origin_unit is None:
+                    root.children.append(named)
+                    attrs = [(ref_attr, "ref4", named)]
+                else:
+                    named.attrs += coords
+                    coords = []
+                    roots[d.origin_unit].children.append(named)
+                    attrs = [(ref_attr, "ref_addr", named)]
 
             if d.ranges is not None and version >= 5:
                 if shared is None:  # unit_length is patched once the lists are in
@@ -475,8 +601,7 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
                     attrs.append((DW_AT_high_pc, d.highpc_form, len(fn.body)))
             if d.noreturn:
                 attrs.append((DW_AT_noreturn, "flag_present", True))
-            attrs.append((DW_AT_decl_file, "data1", 1))
-            attrs.append((DW_AT_decl_line, "udata", d.decl_line))
+            attrs += coords
 
             die = _WDie(DW_TAG_subprogram, attrs)
             for pname, has_loc in d.params:
@@ -518,15 +643,31 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
             body = struct.pack(e + "HBBI", 5, addr_size, 0, listed) + offsets + lists
             rnglists += struct.pack(e + "I", len(body)) + body
 
-        unit, table = _serialize_unit(root, version, addr_size, e, len(abbrev))
+
+    # Units are written once all are built: a unit may gain an abstract
+    # origin from a later one.
+    where: dict[int, int] = {}  # DIE id -> offset in .debug_info
+    refs: list[tuple[int, _WDie]] = []
+    for u, root in roots.items():
+        unit, table, offsets, unit_refs = _serialize_unit(
+            root, spec.dwarf_versions[u], addr_size, e, len(abbrev)
+        )
+        where.update((key, len(info) + offset) for key, offset in offsets.items())
+        refs += [(len(info) + pos, target) for pos, target in unit_refs]
         info += unit
         abbrev += table
+    for pos, target in refs:
+        struct.pack_into(e + "I", info, pos, where[id(target)])
 
     out = {".debug_info": bytes(info), ".debug_abbrev": bytes(abbrev)}
     if ranges:
         out[".debug_ranges"] = bytes(ranges)
     if rnglists:
         out[".debug_rnglists"] = bytes(rnglists)
+    if line:
+        out[".debug_line"] = bytes(line)
+    if line_str:
+        out[".debug_line_str"] = bytes(line_str)
     return out
 
 

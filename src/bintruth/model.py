@@ -35,6 +35,7 @@ GT_SUBPROGRAM_NO_ADDRESS = "GT_SUBPROGRAM_NO_ADDRESS"
 GT_DEBUG_OUTSIDE_EXEC = "GT_DEBUG_OUTSIDE_EXEC"
 GT_MALFORMED_DEBUG_DATA = "GT_MALFORMED_DEBUG_DATA"
 GT_LINKER_DISCARDED = "GT_LINKER_DISCARDED"
+GT_BAD_LINE_TABLE = "GT_BAD_LINE_TABLE"
 
 DIAGNOSTIC_CODES = frozenset({
     GT_MISSING_SIZE,
@@ -53,6 +54,7 @@ DIAGNOSTIC_CODES = frozenset({
     GT_DEBUG_OUTSIDE_EXEC,
     GT_MALFORMED_DEBUG_DATA,
     GT_LINKER_DISCARDED,
+    GT_BAD_LINE_TABLE,
 })
 
 

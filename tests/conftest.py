@@ -148,6 +148,97 @@ def gcc_clone_bytes():
     return forge.emit(_gcc_clone_spec())
 
 
+def _line_table_spec(version: int) -> forge.BinarySpec:
+    """One unit whose subprograms name their source files by decl_file
+    index through its line table: in DWARF 4 the 1-based file names of
+    ``lines.c`` (in the unit's directory), ``stdlib.h`` (in include
+    directory 1) and an absolute path, index 0 naming no file; in DWARF 5,
+    with line_strp paths, gcc 12's order: entry 0 is ``lines.c``, a header
+    ``lines.h`` comes next, at index 1, and ``lines.c`` again at 2. The
+    last two functions name indexes past the table."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    if version == 5:
+        table = forge.LineTableSpec(
+            files=(
+                ("lines.c", 0), ("lines.h", 0), ("lines.c", 0),
+                ("stdlib.h", 1), ("/opt/abs.h", 1),
+            ),
+            directories=("/src", "/usr/include"),
+            path_form="line_strp",
+        )
+    else:
+        table = forge.LineTableSpec(
+            files=(("lines.c", 0), ("stdlib.h", 1), ("/opt/abs.h", 1)),
+            directories=("/usr/include",),
+        )
+    functions = tuple(
+        forge.FunctionSpec(
+            f"f{index}", 16 * index, forge._fixed_body(16),
+            dwarf=(forge.DwarfFuncSpec(decl_file=index, decl_line=10 + index),),
+        )
+        for index in range(len(table.files) + 2)
+    )
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=functions,
+        word_size=64,
+        dwarf_versions=(version,),
+        cu_names=("lines.c",),
+        line_tables=(table,),
+    )
+
+
+@pytest.fixture(scope="session")
+def line_table_bytes():
+    """The bytes of :func:`_line_table_spec`, by DWARF version."""
+    return {version: forge.emit(_line_table_spec(version)) for version in (2, 3, 4, 5)}
+
+
+def _cross_unit_lines_spec() -> forge.BinarySpec:
+    """Two units, each with a line table, whose abstract origins lie in the
+    other unit, as gcc writes header-defined inline functions: ``fa`` in
+    ``a.cc`` (DWARF 4) is declared in its file 1; ``sq`` is defined in
+    ``a.cc`` but its origin, in ``b.cc`` (DWARF 5), holds index 1 of
+    ``b.cc``'s table; ``main`` in ``b.cc`` names its file 2; ``twice`` is
+    defined in ``b.cc`` with its origin in ``a.cc``, at index 2 of
+    ``a.cc``'s table."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+
+    def fn(name: str, offset: int, dwarf: forge.DwarfFuncSpec) -> forge.FunctionSpec:
+        return forge.FunctionSpec(name, offset, forge._fixed_body(16), dwarf=(dwarf,))
+
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=(
+            fn("fa", 0, forge.DwarfFuncSpec(decl_file=1, decl_line=2)),
+            fn("sq", 16, forge.DwarfFuncSpec(
+                name_via="abstract_origin", origin_unit=1, decl_file=1, decl_line=3
+            )),
+            fn("main", 32, forge.DwarfFuncSpec(unit=1, decl_file=2, decl_line=4)),
+            fn("twice", 48, forge.DwarfFuncSpec(
+                unit=1, name_via="abstract_origin", origin_unit=0, decl_file=2, decl_line=5
+            )),
+        ),
+        word_size=64,
+        dwarf_versions=(4, 5),
+        cu_names=("a.cc", "b.cc"),
+        line_tables=(
+            forge.LineTableSpec(files=(("a.cc", 0), ("h.h", 0))),
+            forge.LineTableSpec(
+                files=(("b.cc", 0), ("util.h", 1), ("b.cc", 0)),
+                directories=("/src", "/src/include"),
+                md5=True,
+            ),
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
+def cross_unit_lines_bytes():
+    """The bytes of :func:`_cross_unit_lines_spec`."""
+    return forge.emit(_cross_unit_lines_spec())
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """25 randomized fixtures shared by the unit tests."""

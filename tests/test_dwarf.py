@@ -26,6 +26,7 @@ from bintruth.forge import (
 )
 from bintruth.interchange import GROUND_TRUTH_SCHEMA, document_to_json
 from bintruth.model import (
+    GT_BAD_LINE_TABLE,
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
     GT_INCOMPLETE_EXCLUDED,
@@ -460,6 +461,115 @@ def test_address_zero_inside_code_is_a_function():
 def test_forge_refuses_a_low_pc_the_address_size_cannot_hold(low_pc):
     with pytest.raises(forge.InvalidSpecError, match="low pc"):
         _tombstone_image(low_pc, 32)
+
+
+# --- source files from the line table -----------------------------------------
+
+# The decl_file of the subprograms of conftest's line-table spec, which
+# name indexes 0, 1, 2, ... in turn. Before DWARF 5, index N names file
+# N - 1 and 0 names none.
+_LINE_NAMES = {
+    4: ["", "lines.c", "/usr/include/stdlib.h", "/opt/abs.h", "file#4"],
+    5: [
+        "lines.c", "lines.h", "lines.c", "/usr/include/stdlib.h", "/opt/abs.h",
+        "file#5", "file#6",
+    ],
+}
+
+
+def _decl_files(image: BinaryImage) -> tuple[dict[str, str], list[Diagnostic]]:
+    records, diags = extract_debug_functions(image)
+    return {r.name: r.decl_file for r in records}, diags
+
+
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
+def test_decl_file_names_the_line_table_entry(line_table_bytes, version):
+    """An index past the table falls back to file#N, with one warning for
+    the unit however many records it names."""
+    names, diags = _decl_files(elf.parse_image(line_table_bytes[version]))
+    want = _LINE_NAMES[5 if version == 5 else 4]
+    assert names == {f"f{i}": name for i, name in enumerate(want)}
+    assert [(d.severity, d.code) for d in diags] == [("warning", GT_BAD_LINE_TABLE)]
+    first_past = 4 if version < 5 else 5
+    assert f"index {first_past} is past its end" in diags[0].message
+
+
+def test_decl_file_is_read_against_the_unit_that_holds_it(cross_unit_lines_bytes):
+    """An abstract origin in another unit, of another DWARF version, holds
+    the index: the index names an entry of that unit's table."""
+    names, diags = _decl_files(elf.parse_image(cross_unit_lines_bytes))
+    assert names == {"fa": "a.cc", "sq": "/src/include/util.h", "main": "b.cc", "twice": "h.h"}
+    assert diags == []
+
+
+def test_each_unit_reads_its_line_table_once(cross_unit_lines_bytes):
+    """Each unit's records read both tables, and a unit a link reaches is
+    parsed again; each header is still read once."""
+    image = elf.parse_image(cross_unit_lines_bytes)
+    with mock.patch.object(dwarf, "_read_file_names", wraps=dwarf._read_file_names) as read:
+        extract_debug_functions(image)
+    assert sorted(call.args[1] for call in read.call_args_list) == [0, 0x30]
+
+
+def _edited_line_table(data: bytes, edit) -> BinaryImage:
+    """``data``'s image with its .debug_line bytes replaced by ``edit`` of
+    them, of the same length."""
+    image = elf.parse_image(data)
+    sec = next(s for s in image.sections if s.name == ".debug_line")
+    start, end = sec.file_offset, sec.file_offset + sec.size
+    blob = edit(image.raw[start:end])
+    assert len(blob) == sec.size and blob != image.raw[start:end]
+    return dataclasses.replace(image, raw=image.raw[:start] + blob + image.raw[end:])
+
+
+_LINE_DAMAGE = {
+    "past-the-section": (
+        4, lambda b: struct.pack("<I", len(b)) + b[4:], "line table extends past .debug_line"
+    ),
+    "version": (4, lambda b: b[:4] + struct.pack("<H", 6) + b[6:], "line table version 6"),
+    "header-length": (
+        4, lambda b: b[:6] + struct.pack("<I", 20) + b[10:], "file names run past the line header"
+    ),
+    "directory-index": (
+        4, lambda b: b.replace(b"stdlib.h\x00\x01", b"stdlib.h\x00\x09"), "directory index 9 out of range"
+    ),
+    "unknown-form": (
+        5, lambda b: b.replace(b"\x02\x01\x1f\x02\x0f", b"\x02\x01\x1f\x02\x7f"), "unknown form 0x7f"
+    ),
+    "wrong-form": (
+        # The path's form becomes udata: a number, not a string.
+        5, lambda b: b.replace(b"\x02\x01\x1f\x02\x0f", b"\x02\x01\x0f\x02\x0f"), "line header entry of the wrong form"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_DAMAGE))
+def test_a_damaged_line_table_falls_back_with_one_warning(line_table_bytes, case):
+    """Damage leaves every record, names source files as without a table
+    and keeps the truth complete."""
+    version, edit, problem = _LINE_DAMAGE[case]
+    image = _edited_line_table(line_table_bytes[version], edit)
+    names, diags = _decl_files(image)
+    fallback = ["lines.c", "lines.c"] + [f"file#{i}" for i in range(2, len(names))]
+    assert names == {f"f{i}": name for i, name in enumerate(fallback)}
+    assert [(d.severity, d.code) for d in diags] == [("warning", GT_BAD_LINE_TABLE)]
+    assert f"unreadable: {problem}" in diags[0].message
+    assert normalize.build_ground_truth(image).complete
+
+
+def test_forge_refuses_line_tables_it_cannot_write():
+    text = SectionSpec(".text", 0x401000, executable=True)
+    fn = FunctionSpec("f", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(),))
+    table = forge.LineTableSpec((("f.c", 0),), path_form="line_strp")
+    with pytest.raises(forge.InvalidSpecError, match="string paths only"):
+        emit(BinarySpec(sections=(text,), functions=(fn,), line_tables=(table,)))
+    with pytest.raises(forge.InvalidSpecError, match="more line tables than units"):
+        emit(BinarySpec(sections=(text,), functions=(fn,), line_tables=(None, None)))
+    far = FunctionSpec(
+        "f", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(name_via="abstract_origin", origin_unit=0),)
+    )
+    with pytest.raises(forge.InvalidSpecError, match="origin unit 0"):
+        emit(BinarySpec(sections=(text,), functions=(far,)))
 
 
 # --- damage and duplication -------------------------------------------------
@@ -1353,7 +1463,7 @@ def test_generated_readers_read_what_the_full_decoder_reads(case):
     little = order == "little"
     widths = dwarf._form_widths(version, addr_size)
     unit = dwarf._Unit(
-        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 7), blob, widths
+        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 8), blob, widths
     )
     cur = dwarf._Cursor(blob, 0, little)
     full = dwarf._read_attrs(cur, pairs, unit)
@@ -1729,8 +1839,9 @@ def test_only_a_subprogram_decodes_its_entry_pc():
 
 @functools.cache
 def _fuzz_base(version: int) -> tuple[BinaryImage, dict[str, tuple[int, int]]]:
-    """A forged image whose DWARF has skipped DIEs, links, ranges and two
-    inline sites, one of them with a range list. In DWARF 5 a hand-assembled
+    """A forged image whose DWARF has skipped DIEs, links, ranges, two
+    inline sites, one of them with a range list, and a line table (in
+    DWARF 5 with line_strp paths and MD5s). In DWARF 5 a hand-assembled
     unit follows, which reads a name through .debug_str_offsets and an
     address through .debug_addr."""
     text = SectionSpec(".text", 0x401000, executable=True)
@@ -1771,6 +1882,14 @@ def _fuzz_base(version: int) -> tuple[BinaryImage, dict[str, tuple[int, int]]]:
         word_size=64,
         dwarf_versions=(version,),
         cu_names=("fuzz.c",),
+        line_tables=(
+            forge.LineTableSpec(
+                files=(("fuzz.c", 0), ("fuzz.h", 1)),
+                directories=("/src", "/inc")[version < 5 :],
+                path_form="line_strp" if version == 5 else "string",
+                md5=version == 5,
+            ),
+        ),
     )
     image = elf.parse_image(emit(spec))
     if version == 5:
@@ -1814,13 +1933,15 @@ def test_fuzz_base_images_read_cleanly(version):
 
 # The sections a flip lands in, by DWARF version; each base image has them.
 _FLIP_SECTIONS = {
-    4: [".debug_info", ".debug_abbrev", ".debug_ranges"],
+    4: [".debug_info", ".debug_abbrev", ".debug_ranges", ".debug_line"],
     5: [
         ".debug_info",
         ".debug_abbrev",
         ".debug_rnglists",
         ".debug_addr",
         ".debug_str_offsets",
+        ".debug_line",
+        ".debug_line_str",
     ],
 }
 _FLIPS = dict(
@@ -1853,6 +1974,23 @@ def test_flipped_debug_bytes_yield_only_records_and_diagnostics(target, flips):
     assert all(isinstance(d, Diagnostic) for d in diags)
 
 
+@settings(max_examples=200)
+@given(
+    target=st.sampled_from([(4, ".debug_line"), (5, ".debug_line"), (5, ".debug_line_str")]),
+    flips=_FLIPS["flips"],
+)
+def test_flipped_line_table_bytes_change_only_source_files(target, flips):
+    """Damage to the line table or its strings keeps every record but its
+    source file, and adds at most one warning per unit."""
+    base_records, base_diags = extract_debug_functions(_fuzz_base(target[0])[0])
+    records, diags = extract_debug_functions(_flipped(target, flips))
+    assert [dataclasses.replace(r, decl_file="") for r in records] == [
+        dataclasses.replace(r, decl_file="") for r in base_records
+    ]
+    extra = [d for d in diags if d not in base_diags]
+    assert [(d.severity, d.code) for d in extra] in ([], [("warning", GT_BAD_LINE_TABLE)])
+
+
 @settings(max_examples=400)
 @given(**_FLIPS)
 def test_plans_read_what_the_full_decoder_reads(target, flips):
@@ -1869,6 +2007,6 @@ def test_the_read_set_is_every_attribute_the_reader_names():
     """A lookup of an attribute left out of the read set would find it
     missing from every planned DIE."""
     named = {value for name, value in vars(dwarf).items() if name.startswith("DW_AT_")}
-    assert len(named) == 15
+    assert len(named) == 16
     assert dwarf._SUBPROGRAM_READS == named
     assert dwarf._READ_ATTRS == named - {dwarf.DW_AT_entry_pc}

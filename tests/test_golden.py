@@ -140,3 +140,19 @@ def test_generated_corpus_documents_are_byte_identical():
     fixtures = forge.generate_corpus(seed=7, count=6)
     got = {fx.name: _document_digest(fx.data) for fx in fixtures}
     assert got == GOLDEN_CORPUS
+
+
+@pytest.mark.parametrize(
+    ("version", "digest"),
+    [
+        (4, "f1771a525bfc13ac91d42becb7bd18db6d118f68f23bde95626a16b304e70111"),
+        (5, "5a491fbf684ecaa64f8152f1f1f9785ea5e4be1c464077ab950cfde5298b27ba"),
+    ],
+)
+def test_the_line_table_documents_are_byte_identical(line_table_bytes, version, digest):
+    assert _document_digest(line_table_bytes[version]) == digest
+
+
+def test_the_cross_unit_line_table_document_is_byte_identical(cross_unit_lines_bytes):
+    digest = "7a4d1f6a82ae6c7fdbdd9238e40be338de46b243e00e726e264e271e137239d7"
+    assert _document_digest(cross_unit_lines_bytes) == digest

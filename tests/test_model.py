@@ -24,7 +24,7 @@ from bintruth.model import (
 
 
 def test_diagnostic_codes_are_a_closed_set():
-    assert len(DIAGNOSTIC_CODES) == 16
+    assert len(DIAGNOSTIC_CODES) == 17
     assert all(code.startswith("GT_") for code in DIAGNOSTIC_CODES)
 
 
@@ -134,6 +134,7 @@ def record_instances() -> dict[type, object]:
         ),
         extra_symbols=(forge.ExtraSymbolSpec("table", ".data", 0, 8),),
         inline_sites=(forge.InlineSiteSpec("host", "leaf", 0x401000, 0x401004),),
+        line_tables=(forge.LineTableSpec((("leaf.c", 0),)),),
     )
     image = elf.parse_image(forge.emit(spec))
     doc = normalize.build_ground_truth(image)

@@ -14,9 +14,8 @@ reader takes that range, its entry's, as the record's extent. So the
 record goes to ``main``, and ``main.cold``, at another of its ranges, is
 a cold part of it: a function must carry the ``cold_part`` flag exactly
 when its name ends in ``.cold``. Each function must give ``smoke.c`` as
-its ``source.file``, but in the ``-flto`` build: its LTO unit names some
-other file, and the reader writes a ``decl_file`` index other than 0 or
-1 as ``file#N``, which such a build reads in every function. A gcc clone
+its ``source.file``, which the ``-flto`` build's LTO unit names only
+through its line table. A gcc clone
 (a ``.constprop.N``, ``.isra.N`` or ``.part.N`` name, as gcc 12 makes
 ``fail.constprop.0`` in the ``-flto`` build) must be in the
 specialization group of its base name, and so must the base function if
@@ -37,10 +36,23 @@ displacement ends in ``00`` bytes. Its DWARF record starts at its start
 and ends at its raw end, so the padding trim must keep the call whole:
 ``end_trimmed`` must equal ``end_raw``.
 
-The one known defect left, the ``-flto`` build's ``file#N``, is pinned:
-the script fails when it is fixed, so that the fix removes the pin. Every program is compiled in its own directory
-from relative file names, so a unit's name is its file's. Needs ``gcc``
-on PATH and nothing else.
+The third program is C++ in two translation units. ``h.h`` defines the
+inline function ``sq`` and the function template ``twice``, both
+``noinline``; ``a.cc`` defines ``fa`` and calls ``sq`` and ``twice<int>``,
+and ``b.cc`` defines ``main`` and calls ``sq`` and ``twice<double>``. So
+each unit has its own COMDAT copy of ``sq``, and gcc 12 lists ``h.h`` in
+each unit's line table at index 1, ahead of the unit's own file. It is
+compiled with g++ at ``-O2 -g`` and again with ``-gdwarf-4`` (skipped
+with a note when ``g++`` is not on PATH). Extract must exit 0 with a
+complete document and no ``GT_START_MISMATCH``; ``_Z2sqi``,
+``_Z5twiceIiET_S0_``, ``_Z5twiceIdET_S0_``, ``_Z2fai`` and ``main`` must
+each be one function with ``dwarf`` provenance, whose ``source.file`` is
+``h.h`` for the first three, ``a.cc`` for ``fa`` and ``b.cc`` for
+``main``.
+
+No defect is pinned. Every program is compiled in its own directory from
+relative file names, so a unit's name is its file's. Needs ``gcc`` on
+PATH, and ``g++`` for the C++ builds.
 
 Usage:
     python3 scripts/gcc_smoke.py
@@ -50,6 +62,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -123,6 +136,34 @@ int dead_b(int x)
 }
 """,
 }
+CXX = {
+    "h.h": r"""
+__attribute__((noinline)) inline int sq(int x) { return x * x; }
+
+template <typename T> __attribute__((noinline)) T twice(T x) { return x + x; }
+""",
+    "a.cc": r"""
+#include "h.h"
+
+int fa(int x) { return sq(x) + twice<int>(x); }
+""",
+    "b.cc": r"""
+#include "h.h"
+
+int fa(int x);
+
+int main(int argc, char **) { return fa(argc) + sq(argc) + (int)twice<double>(argc); }
+""",
+}
+# Each function of the C++ program, by its symbol, and the file it is in.
+CXX_FILES = {
+    "_Z2sqi": "h.h",
+    "_Z5twiceIiET_S0_": "h.h",
+    "_Z5twiceIdET_S0_": "h.h",
+    "_Z2fai": "a.cc",
+    "main": "b.cc",
+}
+
 # dead_b, unused_fn, and the copy of unused_fn inlined into dead_b.
 DISCARDED_DIES = 3
 GC = ["-ffunction-sections", "-Wl,--gc-sections"]
@@ -136,18 +177,26 @@ BUILDS = {
     "noreturn": (TWO_FILES, []),
     "gc-sections": (TWO_FILES, GC),
     "gc-sections-gold": (TWO_FILES, [*GC, GOLD]),
+    "cxx": (CXX, []),
+    "cxx-dwarf4": (CXX, ["-gdwarf-4"]),
 }
 
 
 def extract(work: Path, build: str) -> tuple[int, dict] | None:
     """Build ``build`` and extract it: the exit code and the document, or
-    None when gcc cannot link a gold build."""
+    None when its compiler is not on PATH or gcc cannot link a gold
+    build."""
     sources, flags = BUILDS[build]
+    compiler = "g++" if sources is CXX else "gcc"
+    if shutil.which(compiler) is None:
+        print(f"{build}: skipped, no {compiler} on PATH")
+        return None
     for name, text in sources.items():
         (work / name).write_text(text)
     binary, truth = work / f"{build}.bin", work / f"{build}.json"
+    units = [name for name in sources if not name.endswith(".h")]
     done = subprocess.run(
-        ["gcc", "-O2", "-g", *flags, "-o", binary.name, *sources],
+        [compiler, "-O2", "-g", *flags, "-o", binary.name, *units],
         cwd=work,
         capture_output=True,
         text=True,
@@ -190,12 +239,8 @@ def check_smoke(build: str, code: int, doc: dict) -> list[str]:
         if name.endswith(".cold") != ("cold_part" in fn["flags"]):
             problems.append(f"{name}: flags {fn['flags']}")
         file = (fn["source"] or {}).get("file")
-        if build != "lto" and file != "smoke.c":
+        if file != "smoke.c":
             problems.append(f"{name}: source.file {file!r}")
-        elif build == "lto" and file == "smoke.c":
-            problems.append(f"{name}: the lto build reads smoke.c; drop its pin")
-        elif build == "lto" and not re.fullmatch(r"file#\d+", file or ""):
-            problems.append(f"{name}: source.file {file!r}, not file#N")
     shown = ", ".join(
         f"{name} {'+'.join(fn['provenance'])} {(fn['source'] or {}).get('file')}"
         + "".join(f" {flag}" for flag in fn["flags"] if flag == "cold_part")
@@ -244,6 +289,36 @@ def check_two_files(build: str, code: int, doc: dict) -> list[str]:
     return problems
 
 
+def check_cxx(build: str, code: int, doc: dict) -> list[str]:
+    """The problems of one build of the C++ program."""
+    if not doc:
+        return [f"extract exited {code} without a document"]
+    problems = []
+    if (code, doc["complete"]) != (0, True):
+        problems.append(f"exit {code}, complete {doc['complete']}")
+    count = Counter(fn["name"] for fn in doc["functions"])
+    fns = {fn["name"]: fn for fn in doc["functions"] if fn["name"] in CXX_FILES}
+    for name, want in CXX_FILES.items():
+        if count[name] != 1:
+            problems.append(f"{name}: {count[name]} functions")
+            continue
+        fn = fns[name]
+        if "dwarf" not in fn["provenance"]:
+            problems.append(f"{name}: provenance {fn['provenance']}")
+        file = (fn["source"] or {}).get("file")
+        if file != want:
+            problems.append(f"{name}: source.file {file!r}, not {want!r}")
+    mismatches = sum(d["code"] == "GT_START_MISMATCH" for d in doc["diagnostics"])
+    if mismatches:
+        problems.append(f"{mismatches} GT_START_MISMATCH")
+    shown = ", ".join(
+        f"{name} {'+'.join(fn['provenance'])} {(fn['source'] or {}).get('file')}"
+        for name, fn in fns.items()
+    )
+    print(f"{build}: exit {code}, {shown}")
+    return problems
+
+
 def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -253,7 +328,10 @@ def main() -> int:
             extracted = extract(work, build)
             if extracted is None:
                 continue
-            check = check_smoke if sources is SMOKE else check_two_files
+            if sources is SMOKE:
+                check = check_smoke
+            else:
+                check = check_cxx if sources is CXX else check_two_files
             problems += [f"{build}: {p}" for p in check(build, *extracted)]
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -76,9 +76,9 @@ from dataclasses import dataclass, field
 
 from . import elf
 from .model import (
+    GT_BAD_LINE_TABLE,
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
-    GT_BAD_LINE_TABLE,
     GT_LINKER_DISCARDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_NO_DEBUG_INFO,

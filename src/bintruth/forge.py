@@ -455,7 +455,8 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
             if d.origin_unit is not None and not (
                 d.name_via == "abstract_origin"
                 and d.origin_unit != d.unit
-                and d.origin_unit < len(spec.dwarf_versions)
+                and 0 <= d.origin_unit < len(spec.dwarf_versions)
+                and 2 <= spec.dwarf_versions[d.origin_unit] <= 5
                 and version >= 3
             ):
                 raise InvalidSpecError(
@@ -550,7 +551,8 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
         cu_name = spec.cu_names[u] if u < len(spec.cu_names) else f"src{u}.c"
         root = roots[u] = _WDie(DW_TAG_compile_unit, [(DW_AT_name, "string", cu_name)])
         if u in members:
-            root.attrs.append((DW_AT_low_pc, "addr", min(vaddr_of(fn) for fn, _ in members[u])))
+            low = min(vaddr_of(fn) for fn, _ in members[u])
+            root.attrs.append((DW_AT_low_pc, "addr", low))
         table = spec.line_tables[u] if u < len(spec.line_tables) else None
         if table is not None:
             version = spec.dwarf_versions[u]
@@ -567,7 +569,10 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
             low = vaddr_of(fn) if d.low_pc is None else d.low_pc
             via = _NAME_VIA[d.name_via]
             name = fn.name if d.name is None else d.name
-            coords = [(DW_AT_decl_file, "data1", d.decl_file), (DW_AT_decl_line, "udata", d.decl_line)]
+            coords = [
+                (DW_AT_decl_file, "data1", d.decl_file),
+                (DW_AT_decl_line, "udata", d.decl_line),
+            ]
             if via is None:
                 attrs = [(DW_AT_name, "string", name)]
             else:

@@ -974,14 +974,14 @@ def _unit_name(unit: _Unit) -> str:
 def _file_names(unit: _Unit) -> tuple[tuple[str, ...] | None, str | None]:
     """The names that ``unit``'s line table gives each decl_file index,
     and the problem that kept it from being read; (None, None) when the
-    unit names no table. Read once per unit, however often the unit is
-    parsed.
+    unit names no table, or the image has no .debug_line for it to name.
+    Read once per unit, however often the unit is parsed.
     """
     files = unit.aux.files.get(unit.cu_start)
     if files is None:
         got = unit.dies[unit.root].attrs.get(DW_AT_stmt_list)
         files = (None, None)
-        if got is not None:
+        if got is not None and unit.aux.line:
             try:
                 offset = _offset_value(_value(unit, *got), "stmt_list")
                 files = (_read_file_names(unit, offset), None)

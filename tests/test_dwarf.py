@@ -557,6 +557,19 @@ def test_a_damaged_line_table_falls_back_with_one_warning(line_table_bytes, case
     assert normalize.build_ground_truth(image).complete
 
 
+def test_without_a_line_section_files_are_named_as_without_a_table(line_table_bytes):
+    """Units may point at a .debug_line the image does not have (a
+    generator that writes DW_AT_stmt_list alone, or a tool that dropped the
+    section): that is no table, not a damaged one."""
+    image = elf.parse_image(line_table_bytes[5])
+    image = dataclasses.replace(
+        image, sections=tuple(s for s in image.sections if s.name != ".debug_line")
+    )
+    names, diags = _decl_files(image)
+    assert names == {f"f{i}": "lines.c" if i < 2 else f"file#{i}" for i in range(len(names))}
+    assert diags == []
+
+
 def test_forge_refuses_line_tables_it_cannot_write():
     text = SectionSpec(".text", 0x401000, executable=True)
     fn = FunctionSpec("f", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(),))

@@ -40,8 +40,9 @@ The third program is C++ in two translation units. ``h.h`` defines the
 inline function ``sq`` and the function template ``twice``, both
 ``noinline``; ``a.cc`` defines ``fa`` and calls ``sq`` and ``twice<int>``,
 and ``b.cc`` defines ``main`` and calls ``sq`` and ``twice<double>``. So
-each unit has its own COMDAT copy of ``sq``, and gcc 12 lists ``h.h`` in
-each unit's line table at index 1, ahead of the unit's own file. It is
+each unit has its own COMDAT copy of ``sq``. In DWARF 5, gcc 12 lists
+``h.h`` in each unit's line table at index 1, ahead of the unit's own
+file at 2; in DWARF 4 it names ``h.h`` by index 2. It is
 compiled with g++ at ``-O2 -g`` and again with ``-gdwarf-4`` (skipped
 with a note when ``g++`` is not on PATH). Extract must exit 0 with a
 complete document and no ``GT_START_MISMATCH``; ``_Z2sqi``,

@@ -150,7 +150,7 @@ def gcc_clone_bytes():
 
 def _line_table_spec(version: int) -> forge.BinarySpec:
     """One unit whose subprograms name their source files by decl_file
-    index through its line table: in DWARF 4 the 1-based file names of
+    index through its line table: before DWARF 5 the 1-based file names of
     ``lines.c`` (in the unit's directory), ``stdlib.h`` (in include
     directory 1) and an absolute path, index 0 naming no file; in DWARF 5,
     with line_strp paths, gcc 12's order: entry 0 is ``lines.c``, a header
@@ -161,14 +161,14 @@ def _line_table_spec(version: int) -> forge.BinarySpec:
         table = forge.LineTableSpec(
             files=(
                 ("lines.c", 0), ("lines.h", 0), ("lines.c", 0),
-                ("stdlib.h", 1), ("/opt/abs.h", 1),
+                ("stdlib.h", 1), ("/lib/abs.h", 1),
             ),
             directories=("/src", "/usr/include"),
             path_form="line_strp",
         )
     else:
         table = forge.LineTableSpec(
-            files=(("lines.c", 0), ("stdlib.h", 1), ("/opt/abs.h", 1)),
+            files=(("lines.c", 0), ("stdlib.h", 1), ("/lib/abs.h", 1)),
             directories=("/usr/include",),
         )
     functions = tuple(

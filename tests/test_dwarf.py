@@ -469,9 +469,9 @@ def test_forge_refuses_a_low_pc_the_address_size_cannot_hold(low_pc):
 # name indexes 0, 1, 2, ... in turn. Before DWARF 5, index N names file
 # N - 1 and 0 names none.
 _LINE_NAMES = {
-    4: ["", "lines.c", "/usr/include/stdlib.h", "/opt/abs.h", "file#4"],
+    4: ["", "lines.c", "/usr/include/stdlib.h", "/lib/abs.h", "file#4"],
     5: [
-        "lines.c", "lines.h", "lines.c", "/usr/include/stdlib.h", "/opt/abs.h",
+        "lines.c", "lines.h", "lines.c", "/usr/include/stdlib.h", "/lib/abs.h",
         "file#5", "file#6",
     ],
 }
@@ -522,23 +522,40 @@ def _edited_line_table(data: bytes, edit) -> BinaryImage:
     return dataclasses.replace(image, raw=image.raw[:start] + blob + image.raw[end:])
 
 
+# The DWARF 5 file name formats: a line_strp path and a udata directory index.
+_V5_FILE_FORMATS = b"\x02\x01\x1f\x02\x0f"
+
+# case -> (DWARF version, edit of .debug_line, the problem it names)
 _LINE_DAMAGE = {
     "past-the-section": (
-        4, lambda b: struct.pack("<I", len(b)) + b[4:], "line table extends past .debug_line"
+        4,
+        lambda b: struct.pack("<I", len(b)) + b[4:],
+        "line table extends past .debug_line",
     ),
-    "version": (4, lambda b: b[:4] + struct.pack("<H", 6) + b[6:], "line table version 6"),
+    "version": (
+        4,
+        lambda b: b[:4] + struct.pack("<H", 6) + b[6:],
+        "line table version 6",
+    ),
     "header-length": (
-        4, lambda b: b[:6] + struct.pack("<I", 20) + b[10:], "file names run past the line header"
+        4,
+        lambda b: b[:6] + struct.pack("<I", 20) + b[10:],
+        "file names run past the line header",
     ),
     "directory-index": (
-        4, lambda b: b.replace(b"stdlib.h\x00\x01", b"stdlib.h\x00\x09"), "directory index 9 out of range"
+        4,
+        lambda b: b.replace(b"stdlib.h\x00\x01", b"stdlib.h\x00\x09"),
+        "directory index 9 out of range",
     ),
     "unknown-form": (
-        5, lambda b: b.replace(b"\x02\x01\x1f\x02\x0f", b"\x02\x01\x1f\x02\x7f"), "unknown form 0x7f"
+        5,
+        lambda b: b.replace(_V5_FILE_FORMATS, b"\x02\x01\x1f\x02\x7f"),
+        "unknown form 0x7f",
     ),
-    "wrong-form": (
-        # The path's form becomes udata: a number, not a string.
-        5, lambda b: b.replace(b"\x02\x01\x1f\x02\x0f", b"\x02\x01\x0f\x02\x0f"), "line header entry of the wrong form"
+    "wrong-form": (  # the path's form becomes udata: a number, not a string
+        5,
+        lambda b: b.replace(_V5_FILE_FORMATS, b"\x02\x01\x0f\x02\x0f"),
+        "line header entry of the wrong form",
     ),
 }
 
@@ -578,9 +595,8 @@ def test_forge_refuses_line_tables_it_cannot_write():
         emit(BinarySpec(sections=(text,), functions=(fn,), line_tables=(table,)))
     with pytest.raises(forge.InvalidSpecError, match="more line tables than units"):
         emit(BinarySpec(sections=(text,), functions=(fn,), line_tables=(None, None)))
-    far = FunctionSpec(
-        "f", 0, forge._fixed_body(16), dwarf=(DwarfFuncSpec(name_via="abstract_origin", origin_unit=0),)
-    )
+    own_unit = DwarfFuncSpec(name_via="abstract_origin", origin_unit=0)
+    far = FunctionSpec("f", 0, forge._fixed_body(16), dwarf=(own_unit,))
     with pytest.raises(forge.InvalidSpecError, match="origin unit 0"):
         emit(BinarySpec(sections=(text,), functions=(far,)))
 

@@ -145,8 +145,8 @@ def test_generated_corpus_documents_are_byte_identical():
 @pytest.mark.parametrize(
     ("version", "digest"),
     [
-        (4, "f1771a525bfc13ac91d42becb7bd18db6d118f68f23bde95626a16b304e70111"),
-        (5, "5a491fbf684ecaa64f8152f1f1f9785ea5e4be1c464077ab950cfde5298b27ba"),
+        (4, "a25fc3ff904748b010346b594b23e180def8055e3e2acc3b94972a6e1fc65ea2"),
+        (5, "9cb85a789720a2dbfc4a6027f4951b6b839b0fc93a1b7794d8205fd66389eaa5"),
     ],
 )
 def test_the_line_table_documents_are_byte_identical(line_table_bytes, version, digest):

@@ -1,11 +1,12 @@
 """Normalization pipeline: raw symbols plus debug records to ground truth.
 
 Stage order is fixed: alias dedup, fall-through entry merging, boundary
-resolution, debug matching, padding trim (floored by the matched debug
-extents), specialization clustering, noreturn and compiler-inserted
-annotation, call-edge liveness, byte classification, completeness check.
-Every stage communicates problems through diagnostics; nothing raises
-past :func:`build_ground_truth`.
+resolution, padding trim, specialization clustering, debug matching,
+noreturn and compiler-inserted annotation, call-edge liveness, byte
+classification, completeness check. Every stage communicates problems
+through diagnostics, appended as it runs; nothing raises past
+:func:`build_ground_truth`. Stages read what the debug records say of a
+function by its start, from :func:`facts_by_start`.
 
 Start order is decided once, by :func:`elf.function_symbols`, which also
 pairs each symbol with its section. Every stage takes its functions in
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
@@ -222,18 +223,11 @@ class _Working:
     section: SectionRecord
     aliases: list[str] = field(default_factory=list)
     flags: set[str] = field(default_factory=set)
-    provenance: set[str] = field(default_factory=lambda: {"symtab"})
+    dwarf: bool = False  # a debug record describes it: provenance symtab and dwarf
     group: str | None = None
     source: tuple[str, int] | None = None
-    noreturn: bool = False
     end_raw: int = 0
     end_trimmed: int = 0
-    # End of the debug record that starts at this function's start; 0: none
-    debug_end: int = 0
-    # Name of the first named debug record that starts at this function's start
-    record_name: str | None = None
-    # (name, start, size) of the last merged entry, for cascade merging
-    tail: tuple[str, int, int] = ("", 0, 0)
 
     @property
     def start(self) -> int:
@@ -259,9 +253,7 @@ def dedupe_aliases(
         while i < count and symbols[i][0].value == value:
             i += 1
         if i == first + 1:  # most starts hold one symbol: nothing to rank
-            works.append(
-                _Working(sym.name, [value], sym.size, section, tail=(sym.name, value, sym.size))
-            )
+            works.append(_Working(sym.name, [value], sym.size, section))
             continue
         members = sorted(
             (member for member, _section in symbols[first:i]),
@@ -279,7 +271,6 @@ def dedupe_aliases(
             section=section,
             aliases=aliases,
             flags={"merged_alias"},
-            tail=(canonical.name, value, size),
         )
         diagnostics.append(
             Diagnostic(
@@ -300,41 +291,38 @@ def merge_fallthrough_entries(
     """Fold ``name.`` continuation symbols into their parent function.
 
     ``works`` must be in start order, which the result keeps. A
-    continuation must sit exactly at the parent's declared end within the
-    same section; chains of continuations cascade left to right.
+    continuation must sit exactly at the declared end of the work before
+    it, in the same section, so chains of continuations cascade.
     """
-    merged: list[_Working] = []
+    merged = works[:1]
     diagnostics: list[Diagnostic] = []
-    for work in works:
-        if merged:
-            head = merged[-1]
-            tail_name, tail_start, tail_size = head.tail
-            if (
-                work.canonical == tail_name + "."
-                and tail_size > 0
-                and work.start == tail_start + tail_size
-                and work.section is head.section
-            ):
-                head.entries.extend(work.entries)
-                head.aliases.extend([work.canonical] + work.aliases)
-                if work.size > 0:
-                    head.size = (work.start + work.size) - head.start
-                else:
-                    head.size = 0
-                head.flags.add("multi_entry")
-                head.flags |= work.flags
-                head.tail = (work.canonical, work.start, work.size)
-                diagnostics.append(
-                    Diagnostic(
-                        "info",
-                        GT_MULTI_ENTRY_MERGED,
-                        f"{work.canonical!r} at {work.start:#x} is a "
-                        f"fall-through continuation of {head.canonical!r}",
-                        span=(head.start, max(head.size, 0)),
-                    )
-                )
-                continue
-        merged.append(work)
+    for prev, work in zip(works, works[1:]):
+        if not (
+            work.canonical == prev.canonical + "."
+            and prev.size > 0
+            and work.start == prev.start + prev.size
+            and work.section is prev.section
+        ):
+            merged.append(work)
+            continue
+        head = merged[-1]
+        head.entries.extend(work.entries)
+        head.aliases.extend([work.canonical] + work.aliases)
+        if work.size > 0:
+            head.size = (work.start + work.size) - head.start
+        else:
+            head.size = 0
+        head.flags.add("multi_entry")
+        head.flags |= work.flags
+        diagnostics.append(
+            Diagnostic(
+                "info",
+                GT_MULTI_ENTRY_MERGED,
+                f"{work.canonical!r} at {work.start:#x} is a "
+                f"fall-through continuation of {head.canonical!r}",
+                span=(head.start, max(head.size, 0)),
+            )
+        )
     return merged, diagnostics
 
 
@@ -372,17 +360,36 @@ def resolve_boundaries(works: list[_Working]) -> list[Diagnostic]:
     return diagnostics
 
 
+def facts_by_start(
+    records: list[dwarf.DebugFunctionRecord],
+) -> tuple[dict[int, int], dict[int, str]]:
+    """Start -> the largest end a record, or one of its other ranges,
+    gives there (the trim's floor); start -> the first non-empty record
+    name there (a gcc clone's base)."""
+    ends: dict[int, int] = {}
+    names: dict[int, str] = {}
+    for record in records:
+        if record.end_exclusive is not None:
+            low = record.low_pc
+            ends[low] = max(ends.get(low, 0), record.end_exclusive)
+        for start, end in record.other_ranges:
+            ends[start] = max(ends.get(start, 0), end)
+        if record.name:
+            names.setdefault(record.low_pc, record.name)
+    return ends, names
+
+
 def trim_padding(
     works: list[_Working],
     image: BinaryImage,
     alphabet: tuple[bytes, ...],
+    ends: dict[int, int],
 ) -> list[Diagnostic]:
     """Shave trailing padding units off each raw boundary.
 
     The trimmed end never cuts an entry point, always keeps at least one
-    byte, and never cuts below the end of a debug record that starts at
-    the function's start (``debug_end``, set by
-    :func:`match_debug_records`): the compiler's own extent outranks the
+    byte, and never cuts below ``ends[start]``, the end a debug record
+    gives at the function's start: the compiler's own extent outranks the
     padding alphabet. Functions whose bytes are not in the file (nobits
     regions) make the ground truth incomplete rather than guessing. The
     lowest tiling start comes from :func:`byteclass.padding_suffix_finder`,
@@ -410,7 +417,7 @@ def trim_padding(
             continue
         # Entries strictly increase: the last one bounds the trim.
         floor = work.entries[-1] - start + 1
-        debug_floor = min(work.debug_end, end_raw) - start
+        debug_floor = min(ends.get(start, 0), end_raw) - start
         if debug_floor >= end_raw - start:
             continue
         offset = sec.file_offset - sec.vaddr + start
@@ -437,19 +444,19 @@ def trim_padding(
 _GCC_CLONE_SUFFIX = re.compile(r"(?:\.(?:constprop|isra|part)\.\d+(?:\.lto_priv\.\d+|\.cold)?)+")
 
 
-def cluster_specializations(works: list[_Working]) -> None:
+def cluster_specializations(works: list[_Working], names: dict[int, str]) -> None:
     """Group clones with each other and with their base, if it is present.
 
     A clone is named ``base..N``, or is a gcc clone: a function whose
-    matched debug record starts at its start and names ``base``, where its
-    own name is ``base`` and a gcc clone suffix. A ``.lto_priv.N`` suffix
-    alone is a rename, not a clone.
+    start a debug record names ``base`` (``names``, see
+    :func:`facts_by_start`), where its own name is ``base`` and a gcc
+    clone suffix. A ``.lto_priv.N`` suffix alone is a rename, not a clone.
     """
     bases: set[str] = set()
     for work in works:
         base, sep, suffix = work.canonical.rpartition("..")
         if not (sep and suffix.isdigit()):
-            base = work.record_name
+            base = names.get(work.start)
             if not (
                 base
                 and work.canonical.startswith(base)
@@ -471,12 +478,11 @@ def match_debug_records(
 ) -> list[Diagnostic]:
     """Attach out-of-line debug records to their symbol-table functions.
 
-    A record that starts exactly at a function's start also raises its
-    ``debug_end``, the floor of :func:`trim_padding`, to the record's end.
-    The function at each of a record's other ranges (the ``.cold`` part of
-    a split function) is a ``cold_part`` of it: it gets ``dwarf``
-    provenance, the record's source, and, when the range starts at its
-    start, a floor at the range's end; not the record's noreturn flag.
+    A matched function gets ``dwarf`` provenance, the record's source and
+    its ``noreturn`` flag. The function at each of a record's other ranges
+    (the ``.cold`` part of a split function) is a ``cold_part`` of it: it
+    gets ``dwarf`` provenance and the record's source, not the record's
+    noreturn flag. A record that matches no function is a start mismatch.
     """
     diagnostics: list[Diagnostic] = []
     by_entry: dict[int, _Working] = {}
@@ -501,17 +507,11 @@ def match_debug_records(
                 if target is not None:
                     break
         if target is not None:
-            target.provenance.add("dwarf")
-            target.noreturn = target.noreturn or record.noreturn
+            target.dwarf = True
+            if record.noreturn:
+                target.flags.add("noreturn")
             if target.source is None and record.decl_file:
                 target.source = (record.decl_file, record.decl_line)
-            # A match at a secondary entry or through the tolerance starts
-            # elsewhere, and gives neither a floor nor a clone's base name.
-            if record.low_pc == target.start:
-                if not target.record_name:
-                    target.record_name = record.name
-                if record.end_exclusive is not None:
-                    target.debug_end = max(target.debug_end, record.end_exclusive)
             continue
         named = names.get(record.name)
         if named is not None:
@@ -541,22 +541,20 @@ def match_debug_records(
 
 def _link_parts(record: dwarf.DebugFunctionRecord, by_entry: dict[int, _Working]) -> None:
     """Mark the function at each of ``record``'s other ranges a cold part of it."""
-    for start, end in record.other_ranges:
+    for start, _end in record.other_ranges:
         part = by_entry.get(start)
         if part is None:
             continue
         part.flags.add("cold_part")
-        part.provenance.add("dwarf")
+        part.dwarf = True
         if part.source is None and record.decl_file:
             part.source = (record.decl_file, record.decl_line)
-        if start == part.start:  # not at a secondary entry
-            part.debug_end = max(part.debug_end, end)
 
 
 def annotate_noreturn(works: list[_Working], seeds: tuple[str, ...]) -> None:
     seed_set = set(seeds)
     for work in works:
-        if work.noreturn or work.canonical in seed_set or seed_set & set(work.aliases):
+        if work.canonical in seed_set or seed_set & set(work.aliases):
             work.flags.add("noreturn")
 
 
@@ -574,7 +572,7 @@ def tag_compiler_inserted(
     """
     scaffold_set = set(scaffold)
     for work in works:
-        unmentioned = not debug_unreadable and "dwarf" not in work.provenance
+        unmentioned = not debug_unreadable and not work.dwarf
         if unmentioned or work.canonical in scaffold_set:
             work.flags.add("compiler_inserted")
 
@@ -599,7 +597,7 @@ def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
                 aliases=tuple(sorted(work.aliases)) if work.aliases else (),
                 specialization_group=work.group,
                 flags=frozenset(work.flags),
-                provenance=frozenset(work.provenance),
+                provenance=frozenset({"symtab", "dwarf"} if work.dwarf else {"symtab"}),
                 source=work.source,
             )
         )
@@ -643,15 +641,12 @@ def build_ground_truth(
         diagnostics.extend(diags)
 
     diagnostics.extend(resolve_boundaries(works))
-
-    # Matching runs before the trim, which a matched record's extent
-    # floors; its diagnostics still follow the trim's.
-    matched = match_debug_records(works, debug_records, config.start_mismatch_tolerance)
+    ends, names = facts_by_start(debug_records)
     alphabet = padding_alphabet(image.machine)
-    diagnostics.extend(trim_padding(works, image, alphabet))
-
-    cluster_specializations(works)
-    diagnostics.extend(matched)
+    diagnostics.extend(trim_padding(works, image, alphabet, ends))
+    cluster_specializations(works, names)
+    tolerance = config.start_mismatch_tolerance
+    diagnostics.extend(match_debug_records(works, debug_records, tolerance))
     annotate_noreturn(works, config.seeds())
     tag_compiler_inserted(works, default_scaffold_names(), debug_unreadable)
     if config.call_edges is not None:

@@ -165,7 +165,7 @@ def test_alphabets_with_overlapping_units_decide_gaps_and_trims_exactly(alphabet
     ]
     works, _ = normalize.dedupe_aliases([(s, elf.section_of(image, s.value)) for s in syms])
     normalize.resolve_boundaries(works)
-    normalize.trim_padding(works, image, alphabet)
+    normalize.trim_padding(works, image, alphabet, {})
     assert [w.end_trimmed - w.start for w in works] == [
         oracles.suffix_trim(code + gap, alphabet, (0,)) for gap in _GAPS
     ]

@@ -226,7 +226,6 @@ def test_dedupe_keeps_a_lone_sizeless_symbol_at_size_zero():
     works, diags = _dedupe([_func("f", 0x401000, 0)])
     (work,) = works
     assert (work.size, work.aliases, work.flags) == (0, [], set())
-    assert work.tail == ("f", 0x401000, 0)
     assert diags == []
 
 
@@ -429,7 +428,7 @@ def test_padding_suffix_and_trim_agree_with_the_oracle(parts, entry_pick):
     works, _ = _dedupe(syms)
     works[0].entries = sorted({TEXT.vaddr, TEXT.vaddr + second})
     resolve_boundaries(works)
-    trim_padding(works, image, alphabet)
+    trim_padding(works, image, alphabet, {})
     kept = oracles.suffix_trim(blob, alphabet, (0, second))
     assert works[0].end_trimmed == TEXT.vaddr + kept
 
@@ -453,7 +452,7 @@ def test_trim_reads_long_bodies_in_place(body):
     syms = [_func("f", start, len(body))]
     works, _ = _dedupe(syms, (text,))
     resolve_boundaries(works)
-    trim_padding(works, _image_with(syms, (text,), raw), normalize.padding_alphabet("x86_64"))
+    trim_padding(works, _image_with(syms, (text,), raw), normalize.padding_alphabet("x86_64"), {})
     kept = oracles.suffix_trim(body, normalize.padding_alphabet("x86_64"), (0,))
     assert works[0].end_trimmed == start + kept
     assert kept == {0x31: 3, 0x90: 1, 0x66: 4095}[body[0]]
@@ -475,7 +474,7 @@ def test_trim_of_a_megabyte_body_agrees_with_the_oracle(body, kept):
     syms = [_func("f", TEXT.vaddr, len(body))]
     works, _ = _dedupe(syms, (text,))
     resolve_boundaries(works)
-    trim_padding(works, _image_with(syms, (text,), body), alphabet)
+    trim_padding(works, _image_with(syms, (text,), body), alphabet, {})
     assert works[0].end_trimmed - TEXT.vaddr == kept
     assert oracles.suffix_trim(body, alphabet, (0,)) == kept
 
@@ -486,7 +485,7 @@ def test_trim_on_fileless_bytes_marks_the_truth_incomplete():
     image = _image_with(syms, (TEXT, bss))
     works, _ = _dedupe(syms, (TEXT, bss))
     resolve_boundaries(works)
-    diags = trim_padding(works, image, normalize.padding_alphabet("x86_64"))
+    diags = trim_padding(works, image, normalize.padding_alphabet("x86_64"), {})
     assert [d.code for d in diags] == [GT_INCOMPLETE_EXCLUDED]
     assert diags[0].severity == "error"
 
@@ -524,8 +523,8 @@ def test_a_debug_extent_floors_the_trim(debug_end, kept, suffix):
     body = b"\x31\xc0\xc3" + b"\x90" * 5
     works = _works(("f", TEXT.vaddr, len(body)))
     resolve_boundaries(works)
-    works[0].debug_end = TEXT.vaddr + debug_end if debug_end is not None else 0
-    diags = trim_padding(works, _trimmable_image(body), normalize.padding_alphabet("x86_64"))
+    ends = {} if debug_end is None else {TEXT.vaddr: TEXT.vaddr + debug_end}
+    diags = trim_padding(works, _trimmable_image(body), normalize.padding_alphabet("x86_64"), ends)
     assert works[0].end_trimmed == TEXT.vaddr + kept
     if suffix is None:
         assert diags == []
@@ -546,7 +545,7 @@ def test_clusters_group_numbered_clones_with_their_base():
         ("other..x", 0x401030, 8),
         ("plain", 0x401040, 8),
     )
-    cluster_specializations(works)
+    cluster_specializations(works, {})
     by_name = {w.canonical: w for w in works}
     assert by_name["fold"].group == "fold"
     assert by_name["fold..0"].group == "fold"
@@ -594,8 +593,7 @@ def test_gcc_clones_group_by_their_records_base_name(name, record, group):
     records = [_record("f", 0x401000)]
     if record is not None:
         records.append(_record(record, 0x401010))
-    match_debug_records(works, records, 0)
-    cluster_specializations(works)
+    cluster_specializations(works, normalize.facts_by_start(records)[1])
     base, clone = works
     assert clone.group == group
     assert ("specialized" in clone.flags) == (group is not None)
@@ -609,11 +607,14 @@ def test_a_clone_record_matched_off_its_start_names_no_base():
     no base name."""
     works = _works(("f.constprop.0", 0x401000, 8), ("f.constprop.0.", 0x401008, 8))
     merged, _ = merge_fallthrough_entries(works)
-    match_debug_records(merged, [_record("f", 0x401008)], 0)
+    records = [_record("f", 0x401008)]
+    match_debug_records(merged, records, 0)
+    cluster_specializations(merged, normalize.facts_by_start(records)[1])
     works = _works(("g.isra.0", 0x401000, 8))
-    match_debug_records(works, [_record("g", 0x401002)], 4)
-    cluster_specializations(merged + works)
-    assert "dwarf" in merged[0].provenance and "dwarf" in works[0].provenance
+    records = [_record("g", 0x401002)]
+    match_debug_records(works, records, 4)
+    cluster_specializations(works, normalize.facts_by_start(records)[1])
+    assert merged[0].dwarf and works[0].dwarf
     assert merged[0].group is None and works[0].group is None
 
 
@@ -655,8 +656,8 @@ def test_matching_attaches_provenance_and_source():
     works = _works(("f", 0x401000, 8))
     diags = match_debug_records(works, [_record("f", 0x401000, noreturn=True)], 0)
     assert diags == []
-    assert works[0].provenance == {"symtab", "dwarf"}
-    assert works[0].noreturn
+    assert works[0].dwarf
+    assert works[0].flags == {"noreturn"}
     assert works[0].source == ("src.c", 3)
 
 
@@ -665,7 +666,7 @@ def test_matching_accepts_secondary_entries():
     merged, _ = merge_fallthrough_entries(works)
     diags = match_debug_records(merged, [_record("f", 0x401008)], 0)
     assert diags == []
-    assert merged[0].provenance == {"symtab", "dwarf"}
+    assert merged[0].dwarf
 
 
 def test_matching_tolerance_bridges_small_offsets():
@@ -675,7 +676,7 @@ def test_matching_tolerance_bridges_small_offsets():
     works = _works(("f", 0x401000, 8))
     relaxed = match_debug_records(works, [_record("f", 0x401002)], 2)
     assert relaxed == []
-    assert works[0].provenance == {"symtab", "dwarf"}
+    assert works[0].dwarf
 
 
 def test_only_a_record_at_the_start_floors_the_trim():
@@ -692,8 +693,9 @@ def test_only_a_record_at_the_start_floors_the_trim():
         _record("g", 0x401021, end_exclusive=0x401028),
     ]
     assert match_debug_records(works, records, 1) == []
-    assert [w.debug_end for w in works] == [0x40100E, 0]
-    assert all("dwarf" in w.provenance for w in works)
+    ends, _names = normalize.facts_by_start(records)
+    assert [ends.get(w.start, 0) for w in works] == [0x40100E, 0]
+    assert all(w.dwarf for w in works)
 
 
 def test_the_function_at_another_range_is_a_cold_part():
@@ -712,12 +714,13 @@ def test_the_function_at_another_range_is_a_cold_part():
     )
     assert match_debug_records(works, [record], 0) == []
     cold, hot, g = works
-    assert (hot.provenance, hot.noreturn, hot.source) == ({"symtab", "dwarf"}, True, ("src.c", 3))
-    assert (cold.provenance, cold.noreturn, cold.source) == ({"symtab", "dwarf"}, False, ("src.c", 3))
-    assert [w.debug_end for w in works] == [0x40100D, 0x40101C, 0]
-    assert [w.flags for w in works] == [{"cold_part"}, set(), set()]
+    assert (hot.dwarf, hot.source) == (True, ("src.c", 3))
+    assert (cold.dwarf, cold.source) == (True, ("src.c", 3))
+    ends, _names = normalize.facts_by_start([record])
+    assert [ends.get(w.start, 0) for w in works] == [0x40100D, 0x40101C, 0]
+    assert [w.flags for w in works] == [{"cold_part"}, {"noreturn"}, set()]
     # A range that starts inside g, or at no function, links nothing.
-    assert g.provenance == {"symtab"}
+    assert not g.dwarf
 
 
 def test_a_split_function_keeps_both_parts_described(cold_split_bytes):

@@ -65,6 +65,9 @@ drops that unit's records and diagnostics and reports an error naming
 where the unit starts; the reader then goes on with the next unit, which
 starts where the unit's length says. Only a damaged unit length stops the
 reader, with the same error.
+
+:func:`eh_frame_ranges` reads the pc range of each ``.eh_frame`` FDE with
+the same cursor and LEB128 decoders, and no CFA instruction.
 """
 from __future__ import annotations
 
@@ -76,6 +79,7 @@ from dataclasses import dataclass, field
 
 from . import elf
 from .model import (
+    GT_BAD_EH_FRAME,
     GT_BAD_LINE_TABLE,
     GT_DEBUG_OUTSIDE_EXEC,
     GT_DISCONTIGUOUS_RANGE,
@@ -1303,13 +1307,10 @@ def _unit_records(
             discarded += 1
             continue
         # A name is resolved only for a record or a diagnostic that prints it.
-        if ranges:
-            if inlined:
-                extent = "using the hull"
-            elif end is None:
-                extent = "no range holds its entry"
-            else:
-                extent = "its extent is the range at its entry"
+        # A subprogram whose entry a range holds is warned of by matching,
+        # and only if another of its ranges starts at no function.
+        if ranges and (inlined or end is None):
+            extent = "using the hull" if inlined else "no range holds its entry"
             diagnostics.append(
                 Diagnostic(
                     "warning",
@@ -1466,3 +1467,167 @@ def _unreadable(unit_start: int, exc: MalformedDebugDataError) -> Diagnostic:
         GT_MALFORMED_DEBUG_DATA,
         f"debug info unreadable from the unit at offset {unit_start:#x}: {exc}",
     )
+
+
+# DW_EH_PE_* pointer encodings (LSB Core, "DWARF Exception Header
+# Encoding"): the low nibble gives the value's format, the high bits what
+# it is relative to.
+DW_EH_PE_indirect = 0x80
+DW_EH_PE_pcrel = 0x10
+DW_EH_PE_datarel = 0x30
+# format -> struct code of its value; "" is a LEB128 number and "a" the
+# address size's unsigned word.
+_EH_FORMATS = {
+    0x00: "a",  # absptr
+    0x01: "",  # uleb128
+    0x02: "H",
+    0x03: "I",
+    0x04: "Q",
+    0x09: "",  # sleb128
+    0x0A: "h",
+    0x0B: "i",
+    0x0C: "q",
+}
+
+
+def _eh_code(encoding: int, addr_size: int) -> str:
+    """The struct code of a pointer in ``encoding``; "" for a LEB128."""
+    code = _EH_FORMATS.get(encoding & 0x0F)
+    if code is None or encoding & 0xF0 not in (0, DW_EH_PE_pcrel, DW_EH_PE_datarel):
+        raise MalformedDebugDataError(f"pointer encoding {encoding:#x}")
+    return ("I" if addr_size == 4 else "Q") if code == "a" else code
+
+
+def _eh_value(cur: _Cursor, encoding: int, addr_size: int) -> int:
+    """The value of a pointer in ``encoding``'s format, not yet applied."""
+    code = _eh_code(encoding, addr_size)
+    if not code:
+        return cur.sleb() if encoding & 0x0F == 0x09 else cur.uleb()
+    width = struct.calcsize(code)
+    value = cur.uint(width)
+    if code.islower() and value >> (8 * width - 1):
+        value -= 1 << (8 * width)
+    return value
+
+
+def _cie_encoding(cur: _Cursor, end: int, addr_size: int) -> int:
+    """The FDE pointer encoding of the CIE whose version byte is at the
+    cursor: what its ``R`` augmentation gives, else absptr."""
+    version = cur.uint(1)
+    if version not in (1, 3):
+        raise MalformedDebugDataError(f"CIE version {version}")
+    augmentation = cur.cstr()
+    cur.uleb()  # code alignment factor
+    cur.sleb()  # data alignment factor
+    if version == 1:
+        cur.uint(1)  # return address register
+    else:
+        cur.uleb()
+    encoding = 0
+    if augmentation and augmentation[0] != "z":
+        raise MalformedDebugDataError(f"CIE augmentation {augmentation!r}")
+    if augmentation:
+        data_end = cur.uleb() + cur.pos
+        for letter in augmentation[1:]:
+            if letter == "R":
+                encoding = cur.uint(1)
+            elif letter == "L":
+                cur.uint(1)  # the FDEs' LSDA pointer encoding
+            elif letter == "P":
+                _eh_value(cur, cur.uint(1) & ~DW_EH_PE_indirect, addr_size)
+            elif letter != "S":  # S, a signal frame, has no data
+                raise MalformedDebugDataError(f"CIE augmentation {augmentation!r}")
+        if cur.pos > data_end:
+            raise MalformedDebugDataError("CIE augmentation data overruns its length")
+    if cur.pos > end:
+        raise MalformedDebugDataError("CIE runs past its length")
+    return encoding
+
+
+def _fde_ranges(
+    blob: bytes, vaddr: int, little: bool, addr_size: int, data_base: int | None
+) -> list[tuple[int, int]]:
+    """The (pc_begin, pc_end) of each FDE in one .eh_frame section."""
+    cur = _Cursor(blob, 0, little)
+    order = "<" if little else ">"
+    mask = (1 << (8 * addr_size)) - 1
+    # CIE offset -> its FDE pointer encoding, and the struct that reads an
+    # FDE's pc_begin and pc_range at once (None for LEB128 pointers).
+    cies: dict[int, tuple[int, struct.Struct | None]] = {}
+    ranges = []
+    while cur.pos < len(blob):
+        length = cur.uint(4)
+        if length == 0:  # the terminator (LSB Core)
+            break
+        id_size = 4
+        if length == 0xFFFFFFFF:
+            length, id_size = cur.uint(8), 8
+        end = cur.pos + length
+        if end > len(blob):
+            raise MalformedDebugDataError(f"entry at {cur.pos - 4:#x} runs past the section")
+        id_pos = cur.pos
+        cie_pointer = cur.uint(id_size)
+        if cie_pointer == 0:
+            encoding = _cie_encoding(cur, end, addr_size)
+            code = _eh_code(encoding, addr_size)
+            pair = struct.Struct(order + code * 2) if code else None
+            cies[id_pos - (4 if id_size == 4 else 12)] = (encoding, pair)
+            cur.pos = end
+            continue
+        cie = cies.get(id_pos - cie_pointer)
+        if cie is None:
+            raise MalformedDebugDataError(f"FDE at {id_pos:#x} names no CIE")
+        encoding, pair = cie
+        field_pos = cur.pos
+        if pair is None:
+            begin = _eh_value(cur, encoding, addr_size)
+            size = _eh_value(cur, encoding & 0x0F, addr_size)
+        else:
+            cur.pos += pair.size
+            if cur.pos <= end:
+                begin, size = pair.unpack_from(blob, field_pos)
+        if cur.pos > end:
+            raise MalformedDebugDataError(f"FDE at {id_pos:#x} runs past its length")
+        if encoding & 0x70 == DW_EH_PE_pcrel:
+            begin += vaddr + field_pos
+        elif encoding & 0x70 == DW_EH_PE_datarel:
+            if data_base is None:
+                raise MalformedDebugDataError("a datarel pointer, but no .eh_frame_hdr")
+            begin += data_base
+        begin &= mask
+        if size < 0 or begin + size > mask + 1:
+            raise MalformedDebugDataError(f"FDE at {id_pos:#x} leaves the address space")
+        ranges.append((begin, begin + size))
+        cur.pos = end
+    return ranges
+
+
+def eh_frame_ranges(image: BinaryImage) -> tuple[list[tuple[int, int]], list[Diagnostic]]:
+    """The sorted ``(pc_begin, pc_end)`` of each FDE in ``.eh_frame``.
+
+    Walks the CIEs and FDEs (LSB Core; DWARF 5 §6.4.1 for the shared
+    layout): a CIE's ``z``, ``R``, ``P``, ``L`` and ``S`` augmentations,
+    absptr, udata and sdata pointers, plain or relative to the pointer
+    (pcrel) or to ``.eh_frame_hdr`` (datarel), and 64-bit lengths. It
+    reads no CFA instruction and no ``.eh_frame_hdr`` content. A zero
+    length ends the section. Damage gives one GT_BAD_EH_FRAME warning and
+    no range at all: no FDE of a damaged section floors a trim.
+    """
+    little = image.endianness == "little"
+    addr_size = image.word_size // 8
+    data_base = None
+    for sec in image.sections:
+        if sec.name == ".eh_frame_hdr":
+            data_base = sec.vaddr
+    ranges: list[tuple[int, int]] = []
+    for sec in image.sections:
+        if sec.name != ".eh_frame" or sec.file_offset is None:
+            continue
+        blob = image.raw[sec.file_offset : sec.file_offset + sec.size]
+        try:
+            ranges += _fde_ranges(blob, sec.vaddr, little, addr_size, data_base)
+        except MalformedDebugDataError as exc:
+            message = f".eh_frame at {sec.vaddr:#x} is unreadable: {exc}; no FDE is used"
+            return [], [Diagnostic("warning", GT_BAD_EH_FRAME, message)]
+    ranges.sort()
+    return ranges, []

@@ -221,11 +221,12 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                 f"allocated sections {a_name!r} and {b_name!r} overlap"
             )
 
-    # Symbol tables: .symtab first, then .dynsym rows not already present
-    # under the same (name, value); .symtab sizes are the more reliable ones.
-    # Every row's name is read, and checked, but only defined function symbols
-    # are kept. Undefined ones (imports) name no byte of this image: they are
-    # counted in one diagnostic.
+    # Symbol tables: .symtab first, then .dynsym function rows not already
+    # present as function rows under the same (name, value); .symtab sizes
+    # are the more reliable ones. Every row's name offset is checked, but a
+    # name is decoded only for a function row, and only defined function
+    # symbols are kept. Undefined ones (imports) name no byte of this image:
+    # they are counted in one diagnostic.
     sym_fmt = end + ("IBBHQQ" if is64 else "IIIBBH")
     sym_entsize = struct.calcsize(sym_fmt)
     symbols: list[SymbolRecord] = []
@@ -257,9 +258,8 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
             if not is64:
                 rows = ((nm, info, other, ndx, val, sz) for nm, val, sz, info, other, ndx in rows)
             for st_name, st_info, _st_other, st_shndx, st_value, st_size in rows:
-                name = _cstr(strtab, st_name)
-                if name is None:
-                    name = f"<bad-strtab:{st_name}>"
+                bad_name = st_name >= len(strtab)
+                if bad_name:
                     diagnostics.append(
                         Diagnostic(
                             "error",
@@ -268,11 +268,12 @@ def parse_image(data: bytes, source_path: str = "") -> BinaryImage:
                             span=(st_value, 0),
                         )
                     )
+                if st_info & 0xF != STT_FUNC:
+                    continue
+                name = f"<bad-strtab:{st_name}>" if bad_name else _cstr(strtab, st_name)
                 if table_type == SHT_DYNSYM and (name, st_value) in seen:
                     continue
                 seen.add((name, st_value))
-                if st_info & 0xF != STT_FUNC:
-                    continue
                 if st_shndx == SHN_UNDEF:
                     imports += 1
                     continue

@@ -217,6 +217,15 @@ class BinarySpec:
     dwarf_versions: tuple[int, ...] = (4,)
     cu_names: tuple[str, ...] = ()
     line_tables: tuple[LineTableSpec | None, ...] = ()  # by unit; None: none
+    # An .eh_frame with one FDE per function, over its body: None writes
+    # none; otherwise one of EH_FRAME_ENCODINGS.
+    eh_frame: str | None = None
+
+
+# The .eh_frame encodings the forge writes: gcc's "zR" CIE with pcrel|sdata4
+# pointers, and a "zPLR" CIE with absptr pointers and personality and LSDA
+# pointers of 0.
+EH_FRAME_ENCODINGS = ("pcrel-sdata4", "absptr")
 
 
 def uleb_encode(value: int) -> bytes:
@@ -501,6 +510,10 @@ def _validate(spec: BinarySpec) -> dict[str, int]:
         generated.add(".debug_line")
         if table.path_form == "line_strp":
             generated.add(".debug_line_str")
+    if spec.eh_frame is not None:
+        if spec.eh_frame not in EH_FRAME_ENCODINGS:
+            raise InvalidSpecError(f"eh_frame encoding {spec.eh_frame!r}")
+        generated.add(".eh_frame")
     clash = sorted(generated.intersection(sections))
     if clash:
         raise InvalidSpecError(f"section {clash[0]!r} is one the forge writes itself")
@@ -676,6 +689,41 @@ def _build_dwarf(spec: BinarySpec, vaddr_of) -> dict[str, bytes]:
     return out
 
 
+def _eh_frame(spec: BinarySpec, vaddr: int, extents: list[tuple[int, int]]) -> bytes:
+    """An .eh_frame at ``vaddr``: one CIE, one FDE per (start, size) in
+    ``extents`` with no CFA instruction past the CIE's, and a zero
+    terminator."""
+    e = "<" if spec.endianness == "little" else ">"
+    word = spec.word_size // 8
+    addr = "Q" if word == 8 else "I"
+    # x86-64: data alignment -8, return address r16, CFA = rsp + 8, r16 at
+    # CFA - 8; i386: -4, r8, CFA = esp + 4, r8 at CFA - 4.
+    tail = b"\x78\x10" if word == 8 else b"\x7c\x08"
+    initial = b"\x0c\x07\x08\x90\x01" if word == 8 else b"\x0c\x04\x04\x88\x01"
+    if spec.eh_frame == "pcrel-sdata4":
+        augmentation, data = b"zR", b"\x1b"
+    else:  # absptr: P and L say absptr and the personality pointer is 0
+        augmentation, data = b"zPLR", b"\x00" + bytes(word) + b"\x00\x00"
+    out = bytearray()
+
+    def entry(body: bytes) -> None:
+        body += bytes(-(len(body) + 4) % word)  # DW_CFA_nop up to a word
+        out.extend(struct.pack(e + "I", len(body)) + body)
+
+    entry(
+        struct.pack(e + "I", 0) + b"\x01" + augmentation + b"\x00\x01" + tail
+        + uleb_encode(len(data)) + data + initial
+    )
+    for start, size in extents:
+        pointer_pos = len(out) + 4  # the CIE pointer, back to offset 0
+        if spec.eh_frame == "pcrel-sdata4":
+            pc = struct.pack(e + "iI", start - (vaddr + pointer_pos + 4), size) + b"\x00"
+        else:  # the LSDA pointer, 0, is the FDE's augmentation data
+            pc = struct.pack(e + addr * 2, start, size) + uleb_encode(word) + bytes(word)
+        entry(struct.pack(e + "I", pointer_pos) + pc)
+    return bytes(out + bytes(4))
+
+
 _BIND_CODES = {"local": 0, "global": 1, "weak": 2}
 _KIND_CODES = {"other": 0, "object": 1, "function": 2}
 
@@ -703,9 +751,18 @@ def emit(spec: BinarySpec) -> bytes:
 
     debug = _build_dwarf(spec, vaddr_of)
 
-    # Section list: null, user sections, symbol tables, debug, .shstrtab.
+    # Section list: null, user sections, .eh_frame, symbol tables, debug,
+    # .shstrtab.
     order = [s.name for s in spec.sections]
     user_index = {name: i + 1 for i, name in enumerate(order)}
+    eh_vaddr = 0
+    if spec.eh_frame is not None:
+        # After every allocated section, at an 8-byte boundary.
+        ends = [s.vaddr + sizes[s.name] for s in spec.sections if s.allocated]
+        eh_vaddr = -(-max(ends, default=0) // 8) * 8
+        extents = [(vaddr_of(fn), len(fn.body)) for fn in spec.functions]
+        contents[".eh_frame"] = _eh_frame(spec, eh_vaddr, extents)
+        order.append(".eh_frame")
     if spec.emit_symtab:
         # Rows of (name, value, size, kind, binding, section).
         rows = []
@@ -778,6 +835,8 @@ def emit(spec: BinarySpec) -> bytes:
             )
             sh_type = 8 if sec.kind == "nobits" else 1
             row = (sh_type, flags, sec.vaddr, sizes[name], 0, 0, 16, 0)
+        elif name == ".eh_frame":
+            row = (1, 0x2, eh_vaddr, len(contents[name]), 0, 0, 8, 0)
         elif name == ".symtab":
             link = section_index[".strtab"]
             align, entsize = (8, 24) if is64 else (4, 16)

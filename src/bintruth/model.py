@@ -36,6 +36,7 @@ GT_DEBUG_OUTSIDE_EXEC = "GT_DEBUG_OUTSIDE_EXEC"
 GT_MALFORMED_DEBUG_DATA = "GT_MALFORMED_DEBUG_DATA"
 GT_LINKER_DISCARDED = "GT_LINKER_DISCARDED"
 GT_BAD_LINE_TABLE = "GT_BAD_LINE_TABLE"
+GT_BAD_EH_FRAME = "GT_BAD_EH_FRAME"
 
 DIAGNOSTIC_CODES = frozenset({
     GT_MISSING_SIZE,
@@ -55,6 +56,7 @@ DIAGNOSTIC_CODES = frozenset({
     GT_MALFORMED_DEBUG_DATA,
     GT_LINKER_DISCARDED,
     GT_BAD_LINE_TABLE,
+    GT_BAD_EH_FRAME,
 })
 
 

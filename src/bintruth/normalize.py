@@ -25,6 +25,7 @@ from . import byteclass, dwarf, elf
 from .byteclass import ByteClassMap
 from .model import (
     GT_ALIAS_MERGED,
+    GT_DISCONTIGUOUS_RANGE,
     GT_INCOMPLETE_EXCLUDED,
     GT_MALFORMED_DEBUG_DATA,
     GT_MULTI_ENTRY_MERGED,
@@ -361,11 +362,15 @@ def resolve_boundaries(works: list[_Working]) -> list[Diagnostic]:
 
 
 def facts_by_start(
-    records: list[dwarf.DebugFunctionRecord],
-) -> tuple[dict[int, int], dict[int, str]]:
-    """Start -> the largest end a record, or one of its other ranges,
-    gives there (the trim's floor); start -> the first non-empty record
-    name there (a gcc clone's base)."""
+    records: list[dwarf.DebugFunctionRecord], fdes: list[tuple[int, int]]
+) -> tuple[dict[int, tuple[int, str]], dict[int, str]]:
+    """Start -> (the trim's floor, its source); start -> the first
+    non-empty record name there (a gcc clone's base).
+
+    The floor is the largest end that a record, or one of a record's other
+    ranges, gives at the start; where none does, the largest end of an FDE
+    (``fdes``, sorted ``(pc_begin, pc_end)`` pairs) that starts there.
+    """
     ends: dict[int, int] = {}
     names: dict[int, str] = {}
     for record in records:
@@ -376,25 +381,29 @@ def facts_by_start(
             ends[start] = max(ends.get(start, 0), end)
         if record.name:
             names.setdefault(record.low_pc, record.name)
-    return ends, names
+    floors = {begin: (end, "FDE") for begin, end in fdes}
+    floors.update((start, (end, "DWARF record")) for start, end in ends.items())
+    return floors, names
 
 
 def trim_padding(
     works: list[_Working],
     image: BinaryImage,
     alphabet: tuple[bytes, ...],
-    ends: dict[int, int],
+    ends: dict[int, tuple[int, str]],
 ) -> list[Diagnostic]:
     """Shave trailing padding units off each raw boundary.
 
     The trimmed end never cuts an entry point, always keeps at least one
-    byte, and never cuts below ``ends[start]``, the end a debug record
-    gives at the function's start: the compiler's own extent outranks the
-    padding alphabet. Functions whose bytes are not in the file (nobits
-    regions) make the ground truth incomplete rather than guessing. The
-    lowest tiling start comes from :func:`byteclass.padding_suffix_finder`,
-    exact for any alphabet, over the file's bytes in place: no body is
-    copied.
+    byte, and never cuts below ``ends[start]``, the end that a DWARF
+    record or else an FDE gives at the function's start, whose source the
+    diagnostic names: the compiler's own extent outranks the padding
+    alphabet. Without either, the alphabet alone decides, and the
+    diagnostic calls the trim a heuristic. Functions whose bytes are not
+    in the file (nobits regions) make the ground truth incomplete rather
+    than guessing. The lowest tiling start comes from
+    :func:`byteclass.padding_suffix_finder`, exact for any alphabet, over
+    the file's bytes in place: no body is copied.
     """
     diagnostics: list[Diagnostic] = []
     if not alphabet:
@@ -417,17 +426,22 @@ def trim_padding(
             continue
         # Entries strictly increase: the last one bounds the trim.
         floor = work.entries[-1] - start + 1
-        debug_floor = min(ends.get(start, 0), end_raw) - start
-        if debug_floor >= end_raw - start:
+        stated_end, source = ends.get(start, (0, ""))
+        stated = min(stated_end, end_raw) - start
+        if stated >= end_raw - start:
             continue
         offset = sec.file_offset - sec.vaddr + start
         lowest = suffix_start(data, offset, offset + end_raw - start) - offset
-        trimmed = start + max(lowest, floor, debug_floor)
+        trimmed = start + max(lowest, floor, stated)
         if trimmed < end_raw:
             work.end_trimmed = trimmed
             message = f"{end_raw - trimmed} padding byte(s) trimmed off {work.canonical!r}"
-            if debug_floor > max(lowest, floor):
-                message += ", down to the end of its DWARF record"
+            if not source:
+                message += "; a heuristic: no DWARF record or FDE gives its end"
+            elif stated >= max(lowest, floor):
+                message += f", down to the end of its {source}"
+            else:
+                message += f", not below the end of its {source}"
             diagnostics.append(
                 Diagnostic(
                     "info",
@@ -497,7 +511,7 @@ def match_debug_records(
 
     for record in records:
         if record.other_ranges:
-            _link_parts(record, by_entry)
+            diagnostics += _link_parts(record, by_entry)
         target = by_entry.get(record.low_pc)
         if target is None and tolerance > 0:
             for delta in range(1, tolerance + 1):
@@ -539,16 +553,37 @@ def match_debug_records(
     return diagnostics
 
 
-def _link_parts(record: dwarf.DebugFunctionRecord, by_entry: dict[int, _Working]) -> None:
-    """Mark the function at each of ``record``'s other ranges a cold part of it."""
+def _link_parts(
+    record: dwarf.DebugFunctionRecord, by_entry: dict[int, _Working]
+) -> list[Diagnostic]:
+    """Mark the function at each of ``record``'s other ranges a cold part
+    of it; one GT_DISCONTIGUOUS_RANGE warning if some range starts at no
+    function entry. A record without an extent has no range at its entry,
+    of which the reader has already warned."""
+    unlinked = 0
     for start, _end in record.other_ranges:
         part = by_entry.get(start)
         if part is None:
+            unlinked += 1
             continue
         part.flags.add("cold_part")
         part.dwarf = True
         if part.source is None and record.decl_file:
             part.source = (record.decl_file, record.decl_line)
+    if not unlinked or record.end_exclusive is None:
+        return []
+    ranges = ((record.low_pc, record.end_exclusive), *record.other_ranges)
+    low = min(start for start, _end in ranges)
+    high = max(end for _start, end in ranges)
+    return [
+        Diagnostic(
+            "warning",
+            GT_DISCONTIGUOUS_RANGE,
+            f"debug info splits {record.name or '<anonymous>'!r} at {record.low_pc:#x} "
+            f"into {len(ranges)} ranges, and no function starts at {unlinked} of them",
+            span=(low, high - low),
+        )
+    ]
 
 
 def annotate_noreturn(works: list[_Working], seeds: tuple[str, ...]) -> None:
@@ -628,6 +663,8 @@ def build_ground_truth(
                     "debug info is partly unreadable; truth is incomplete",
                 )
             )
+    fdes, diags = dwarf.eh_frame_ranges(image)
+    diagnostics.extend(diags)
     diagnostics.extend(image.parse_diagnostics)
 
     symbols, diags = elf.function_symbols(image)
@@ -641,7 +678,7 @@ def build_ground_truth(
         diagnostics.extend(diags)
 
     diagnostics.extend(resolve_boundaries(works))
-    ends, names = facts_by_start(debug_records)
+    ends, names = facts_by_start(debug_records, fdes)
     alphabet = padding_alphabet(image.machine)
     diagnostics.extend(trim_padding(works, image, alphabet, ends))
     cluster_specializations(works, names)

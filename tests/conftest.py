@@ -112,6 +112,33 @@ def cold_split_bytes():
     return forge.emit(_cold_split_spec())
 
 
+def _unnamed_cold_spec() -> forge.BinarySpec:
+    """``main`` split in three: its DWARF 4 subprogram lists its own range
+    first, then a cold range whose bytes no symbol names, then
+    ``main.cold``. Each part is a 13-byte body ending in a call."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    body = forge._FILLER[:8] + b"\xe8\x20\x01\x00\x00"  # call, rel32 0x120
+    ranges = tuple((text.vaddr + at, text.vaddr + at + len(body)) for at in (32, 0, 16))
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=(
+            forge.FunctionSpec("main.cold.unnamed", 0, body, emit_symbol=False),
+            forge.FunctionSpec("main.cold", 16, body),
+            forge.FunctionSpec(
+                "main", 32, body, binding="global", dwarf=(forge.DwarfFuncSpec(ranges=ranges),)
+            ),
+        ),
+        word_size=64,
+        cu_names=("split.c",),
+    )
+
+
+@pytest.fixture(scope="session")
+def unnamed_cold_bytes():
+    """The bytes of :func:`_unnamed_cold_spec`."""
+    return forge.emit(_unnamed_cold_spec())
+
+
 def _gcc_clone_spec() -> forge.BinarySpec:
     """Functions named as gcc names its clones, each described by a DWARF
     concrete instance whose abstract origin names its base: ``fail`` and

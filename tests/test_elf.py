@@ -267,6 +267,64 @@ def test_dynsym_duplicates_of_symtab_rows_are_dropped():
     assert len(image.symbols) == len(plain.symbols)
 
 
+def test_a_dynsym_function_row_beside_a_symtab_object_of_its_name_is_kept():
+    """.dynsym rows are deduplicated against .symtab function rows only:
+    ``main`` typed as an object in .symtab and as a function in .dynsym is
+    one function."""
+    base = emit(_two_section_spec())
+    data = bytearray(base)
+    shoff, entsize = _shoff_and_entsize(data)
+    symtab_idx = _section_header_index(base, ".symtab")
+    header = list(struct.unpack_from("<IIQQQQIIQQ", data, shoff + symtab_idx * entsize))
+    row_at = header[4] + 24  # main's row, after the null one
+    row = bytes(data[row_at : row_at + 24])
+    data[row_at + 4] = (data[row_at + 4] & 0xF0) | 1  # STT_OBJECT
+    # The .shstrtab header slot becomes a .dynsym of the null row and main's
+    # function row, appended to the file, with the same string table.
+    header[1], header[4], header[5] = elf.SHT_DYNSYM, len(data), 48
+    data += bytes(24) + row
+    spare_idx = _section_header_index(base, ".shstrtab")
+    struct.pack_into("<IIQQQQIIQQ", data, shoff + spare_idx * entsize, *header)
+    image = elf.parse_image(bytes(data))
+    assert image.symbols == elf.parse_image(base).symbols
+    assert [s.name for s in image.symbols] == ["main"]
+
+
+def test_a_bad_name_offset_of_a_non_function_row_is_still_reported():
+    """A name is decoded only for a function row, but every row's name
+    offset is checked."""
+    spec = dataclasses.replace(
+        _two_section_spec(), extra_symbols=(ExtraSymbolSpec("blob", ".data", 0, 8),)
+    )
+    base = emit(spec)
+    data = bytearray(base)
+    (row_at,) = [
+        _first_symbol_entry_offset(base) + 24 * i
+        for i, sym in enumerate(_symtab_names(base))
+        if sym == "blob"
+    ]
+    struct.pack_into("<I", data, row_at, 0xFFFF)
+    image = elf.parse_image(bytes(data))
+    assert [s.name for s in image.symbols] == ["main"]
+    (diag,) = image.parse_diagnostics
+    assert (diag.code, diag.message) == (
+        GT_BAD_STRING_OFFSET, "symbol name offset 65535 outside string table"
+    )
+
+
+def _symtab_names(data: bytes) -> list[str]:
+    """The names of the .symtab rows after the null one, in table order."""
+    image = elf.parse_image(data)
+    symtab = next(s for s in image.sections if s.name == ".symtab")
+    strtab = next(s for s in image.sections if s.name == ".strtab")
+    names = []
+    for at in range(symtab.file_offset + 24, symtab.file_offset + symtab.size, 24):
+        (offset,) = struct.unpack_from("<I", data, at)
+        end = data.index(b"\x00", strtab.file_offset + offset)
+        names.append(data[strtab.file_offset + offset : end].decode())
+    return names
+
+
 def test_unknown_binding_ranks_as_local():
     data = bytearray(emit(_two_section_spec()))
     off = _first_symbol_entry_offset(bytes(data))

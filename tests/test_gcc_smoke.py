@@ -67,7 +67,7 @@ def test_the_lto_build_passes_naming_smoke_c():
     assert smoke.check_smoke("lto", 0, _smoke_doc()) == []
 
 
-@pytest.mark.parametrize("build", ["noreturn", "gc-sections", "gc-sections-gold"])
+@pytest.mark.parametrize("build", ["noreturn", "noreturn-g0", "gc-sections", "gc-sections-gold"])
 def test_a_two_file_build_as_gcc_makes_it_passes(build):
     assert smoke.check_two_files(build, 0, _two_files_doc(build.startswith("gc"))) == []
 
@@ -129,6 +129,18 @@ def test_a_trim_into_mains_last_call_is_a_problem():
     doc = _two_files_doc(gc=False)
     _named(doc, "main")["end_trimmed"] = "0x1091"
     assert smoke.check_two_files("noreturn", 0, doc) == [
+        "main: the trim cuts its last call at 0x1091"
+    ]
+
+
+def test_the_g0_build_keeps_mains_last_call_by_its_fde():
+    """Without DWARF, die need not be noreturn, but a trim into main's last
+    call is still a problem: main's FDE must keep it whole."""
+    doc = _two_files_doc(gc=False)
+    _named(doc, "die")["flags"] = ["compiler_inserted"]
+    assert smoke.check_two_files("noreturn-g0", 0, doc) == []
+    _named(doc, "main")["end_trimmed"] = "0x1091"
+    assert smoke.check_two_files("noreturn-g0", 0, doc) == [
         "main: the trim cuts its last call at 0x1091"
     ]
 

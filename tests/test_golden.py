@@ -80,11 +80,11 @@ _RANGES = ((0x401000, 0x401008), (0x40100C, 0x401010))
 _PARAMS = (("argc", True), ("argv", True), ("unused", False))
 
 GOLDEN_PRESETS = {
-    "call-at-end": "d04ee3377c1c6196ad9b90e61fa306ce812aa2a331eaff0a3e80f91c8eb1a9fe",
+    "call-at-end": "1a7554b8069478f4d6c23b48a5a94471f7824c7f249bfc1c656a6a5a3e220dc4",
     "highpc-twins": "95c13636868ed6c7b864d96dbfe3348d4ae0113b1dd6631071fc7ddc0aa1ff8a",
     "listing1": "53af77db7b9391f956be1ffa1cff02426357e79f4c81dec8ce145673ae23acc4",
     "listing2": "2fb2dd51ec3055d05f2ead1efa72eaf4e453d0a60de0694d4b7d02518cfc6ec3",
-    "padding-icc-vs-gcc": "4b7d1b9b9b51d033ef18adef4416835fd1e9a5410fd1a6961b81c1ef162a91a7",
+    "padding-icc-vs-gcc": "88002987fb903565e67760f51a71cd1b6ca14e1f5426c6d3586cbee793828eed",
     "scaffold": "d9074cc4b889f313df3a817ebc121533c8ddd7c1831d88f9029a69931e7e60e3",
     "stripped": "906f688a0485ae7cb7fdac721710e5ec8298dcbe6b522d1d5a1cb008ac2a794d",
 }
@@ -93,15 +93,15 @@ GOLDEN_SPECS = {
     "inline-ranges-v4": "d7cf4dfcde633c01db1f3da9c289eeb87c631d18cc0576de94cb115677c2f4bd",
     "inline-ranges-v5": "6bc294dab55cbc8eb8a0f367f473dd5e6ce10e4b0294b860b2c1790f2f17c858",
     "params-v4": "ea7e3a2c07394f669dbe07fef88f5f668364d92d7318a224c3d834657e71f873",
-    "ranges-v4": "13fe965a27edd52ca5acfb6249471a054b0ed911df36fd4af29bd86bb00f96dc",
-    "ranges-v5": "bfe3477aaaad27510e0c55d15ddb49c6fa15dd71c27bfdc96082c16191fd1fee",
+    "ranges-v4": "446cbe8a9407f7ddf14870e2fe3ba9aa41c297ed2aa268a0716372050ed63b0c",
+    "ranges-v5": "5692874f57691d8d9e9a9f1f0109c0ef27a6ef7bae8a0a4ec31dc79cf8e5172f",
 }
 GOLDEN_CORPUS = {
     "fixture_7_0": "ce147137e48a7f704c9d2688e1be49629e35a6fe81ff96f4d71ea4edadc1883c",
-    "fixture_7_1": "98b76b99781736e9d1f7fd146b4db4f4eb083cc3313f5b2a92da617c16272b9a",
+    "fixture_7_1": "48d96a9fed8296d0c2b9b4d454de00e1f116e3fa88d61f39ab1ea44da27f2bb4",
     "fixture_7_2": "9375d23a200a0a138eea8c0236008e2c632ab8918bcebc9d07ec83b98191a29d",
-    "fixture_7_3": "afa180b62bb2ee6195f170d693022e5a1bdc5ad0b6dac4c8d91929309243de8a",
-    "fixture_7_4": "6830173d7b143791a7dae06cf0870f03b38241609778e9dc61ce0b330f13379f",
+    "fixture_7_3": "443e8f5c287da0a64bb4737cf1edf2aa0e944926b9e707e428f3770fac4c1ecb",
+    "fixture_7_4": "e365d73f83bf65285b43609a6ad53eb40699cf59c530b649cc9ebfada3563a80",
     "fixture_7_5": "a38af4fff3028f82522cc56edc1beca9edbb2394c70f016e5e0c41fb39ee5bbf",
 }
 
@@ -127,8 +127,13 @@ def test_debug_info_documents_are_byte_identical(name):
 
 
 def test_the_cold_split_document_is_byte_identical(cold_split_bytes):
-    digest = "329649a02434a2b0262d5b2b6c827c8e13579af223c07e7afc6aa5c2add982a0"
+    digest = "5600275d03764b4119caf1983a736afc99aaab63786ed489ade82533792d9ba8"
     assert _document_digest(cold_split_bytes) == digest
+
+
+def test_the_unnamed_cold_range_document_is_byte_identical(unnamed_cold_bytes):
+    digest = "d56e083c4ead5d0b530f8f7cc85881a6728bee99cb3a92e7ab0bd941f304061d"
+    assert _document_digest(unnamed_cold_bytes) == digest
 
 
 def test_the_gcc_clone_document_is_byte_identical(gcc_clone_bytes):

@@ -24,7 +24,7 @@ from bintruth.model import (
 
 
 def test_diagnostic_codes_are_a_closed_set():
-    assert len(DIAGNOSTIC_CODES) == 17
+    assert len(DIAGNOSTIC_CODES) == 18
     assert all(code.startswith("GT_") for code in DIAGNOSTIC_CODES)
 
 

@@ -18,6 +18,7 @@ from bintruth.forge import (
 from bintruth.model import (
     DIAGNOSTIC_CODES,
     GT_ALIAS_MERGED,
+    GT_DISCONTIGUOUS_RANGE,
     GT_INCOMPLETE_EXCLUDED,
     GT_MULTI_ENTRY_MERGED,
     GT_PADDING_TRIMMED,
@@ -502,28 +503,30 @@ def test_a_debug_extent_keeps_a_last_call_whole(preset_docs):
         "ends_in_call_symtab_only": 2,
         "ends_in_jmp_symtab_only": 1,
     }
+    heuristic = "; a heuristic: no DWARF record or FDE gives its end"
     assert [d.message for d in doc.diagnostics if d.code == GT_PADDING_TRIMMED] == [
-        "2 padding byte(s) trimmed off 'ends_in_call_symtab_only'",
-        "1 padding byte(s) trimmed off 'ends_in_jmp_symtab_only'",
+        f"2 padding byte(s) trimmed off 'ends_in_call_symtab_only'{heuristic}",
+        f"1 padding byte(s) trimmed off 'ends_in_jmp_symtab_only'{heuristic}",
     ]
 
 
 @pytest.mark.parametrize(
     ("debug_end", "kept", "suffix"),
     [
-        (None, 3, ""),
-        (2, 3, ""),  # below the padding: the alphabet bounds the trim
-        (3, 3, ""),
+        (None, 3, "; a heuristic: no DWARF record or FDE gives its end"),
+        (2, 3, ", not below the end of its DWARF record"),  # the alphabet bounds the trim
+        (3, 3, ", down to the end of its DWARF record"),
         (5, 5, ", down to the end of its DWARF record"),
         (8, 8, None),  # at end_raw: nothing is trimmed
         (20, 8, None),  # past end_raw
     ],
+    ids=["None-3-", "2-3-", "3-3-", "5-5-, down to the end of its DWARF record", "8-8-None", "20-8-None"],
 )
 def test_a_debug_extent_floors_the_trim(debug_end, kept, suffix):
     body = b"\x31\xc0\xc3" + b"\x90" * 5
     works = _works(("f", TEXT.vaddr, len(body)))
     resolve_boundaries(works)
-    ends = {} if debug_end is None else {TEXT.vaddr: TEXT.vaddr + debug_end}
+    ends = {} if debug_end is None else {TEXT.vaddr: (TEXT.vaddr + debug_end, "DWARF record")}
     diags = trim_padding(works, _trimmable_image(body), normalize.padding_alphabet("x86_64"), ends)
     assert works[0].end_trimmed == TEXT.vaddr + kept
     if suffix is None:
@@ -593,7 +596,7 @@ def test_gcc_clones_group_by_their_records_base_name(name, record, group):
     records = [_record("f", 0x401000)]
     if record is not None:
         records.append(_record(record, 0x401010))
-    cluster_specializations(works, normalize.facts_by_start(records)[1])
+    cluster_specializations(works, normalize.facts_by_start(records, [])[1])
     base, clone = works
     assert clone.group == group
     assert ("specialized" in clone.flags) == (group is not None)
@@ -609,11 +612,11 @@ def test_a_clone_record_matched_off_its_start_names_no_base():
     merged, _ = merge_fallthrough_entries(works)
     records = [_record("f", 0x401008)]
     match_debug_records(merged, records, 0)
-    cluster_specializations(merged, normalize.facts_by_start(records)[1])
+    cluster_specializations(merged, normalize.facts_by_start(records, [])[1])
     works = _works(("g.isra.0", 0x401000, 8))
     records = [_record("g", 0x401002)]
     match_debug_records(works, records, 4)
-    cluster_specializations(works, normalize.facts_by_start(records)[1])
+    cluster_specializations(works, normalize.facts_by_start(records, [])[1])
     assert merged[0].dwarf and works[0].dwarf
     assert merged[0].group is None and works[0].group is None
 
@@ -693,8 +696,8 @@ def test_only_a_record_at_the_start_floors_the_trim():
         _record("g", 0x401021, end_exclusive=0x401028),
     ]
     assert match_debug_records(works, records, 1) == []
-    ends, _names = normalize.facts_by_start(records)
-    assert [ends.get(w.start, 0) for w in works] == [0x40100E, 0]
+    ends, _names = normalize.facts_by_start(records, [])
+    assert [ends.get(w.start) for w in works] == [(0x40100E, "DWARF record"), None]
     assert all(w.dwarf for w in works)
 
 
@@ -712,15 +715,38 @@ def test_the_function_at_another_range_is_a_cold_part():
         noreturn=True,
         other_ranges=((0x401000, 0x40100D), (0x401024, 0x401028), (0x401080, 0x401090)),
     )
-    assert match_debug_records(works, [record], 0) == []
+    (warning,) = match_debug_records(works, [record], 0)
     cold, hot, g = works
     assert (hot.dwarf, hot.source) == (True, ("src.c", 3))
     assert (cold.dwarf, cold.source) == (True, ("src.c", 3))
-    ends, _names = normalize.facts_by_start([record])
-    assert [ends.get(w.start, 0) for w in works] == [0x40100D, 0x40101C, 0]
+    ends, _names = normalize.facts_by_start([record], [])
+    floors = [(0x40100D, "DWARF record"), (0x40101C, "DWARF record"), None]
+    assert [ends.get(w.start) for w in works] == floors
     assert [w.flags for w in works] == [{"cold_part"}, {"noreturn"}, set()]
-    # A range that starts inside g, or at no function, links nothing.
+    # A range that starts inside g, or at no function, links nothing, and
+    # the record gives one warning for the two over its hull.
     assert not g.dwarf
+    assert (warning.severity, warning.code, warning.span) == (
+        "warning", GT_DISCONTIGUOUS_RANGE, (0x401000, 0x90)
+    )
+    assert warning.message.endswith("into 4 ranges, and no function starts at 2 of them")
+
+
+def test_a_range_at_no_function_warns_once(unnamed_cold_bytes, cold_split_bytes):
+    """A subprogram's range list warns only when some range starts at no
+    function, once for the record; the cold-split spec, whose every range
+    starts at a function, gives no such warning."""
+    _image, doc = corpuscheck.build_document(unnamed_cold_bytes)
+    (warning,) = [d for d in doc.diagnostics if d.code == GT_DISCONTIGUOUS_RANGE]
+    assert (warning.severity, warning.span) == ("warning", (0x401000, 0x2D))
+    assert warning.message == (
+        "debug info splits 'main' at 0x401020 into 3 ranges, and no function starts at 1 of them"
+    )
+    flags = {f.canonical_name: sorted(f.flags) for f in doc.functions}
+    assert flags == {"main.cold": ["cold_part"], "main": []}
+    assert doc.complete
+    _image, doc = corpuscheck.build_document(cold_split_bytes)
+    assert GT_DISCONTIGUOUS_RANGE not in {d.code for d in doc.diagnostics}
 
 
 def test_a_split_function_keeps_both_parts_described(cold_split_bytes):

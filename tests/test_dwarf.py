@@ -1836,8 +1836,9 @@ def test_a_subprograms_entry_picks_its_range(subprogram, entry, end, others):
         (entry, end, tuple(others))
     ]
     # Only an entry that no range holds warns, over the hull.
+    message = f"f at {entry:#x} spans 2 ranges; no range holds its entry"
     assert [(d.code, d.message, d.span) for d in diags] == [
-        (GT_DISCONTIGUOUS_RANGE, f"f at {entry:#x} spans 2 ranges; no range holds its entry", (0x401000, 0x30))
+        (GT_DISCONTIGUOUS_RANGE, message, (0x401000, 0x30))
     ][: end is None]
 
 

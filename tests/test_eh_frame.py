@@ -174,7 +174,8 @@ def test_forged_fdes_round_trip(encoding, word_size, endianness):
         forge.preset("call-at-end"), eh_frame=encoding, word_size=word_size, endianness=endianness
     )
     image = elf.parse_image(emit(spec))
-    want = sorted((0x401000 + fn.offset, 0x401000 + fn.offset + len(fn.body)) for fn in spec.functions)
+    starts = [(0x401000 + fn.offset, len(fn.body)) for fn in spec.functions]
+    want = sorted((start, start + size) for start, size in starts)
     assert dwarf.eh_frame_ranges(image) == (want, [])
 
 

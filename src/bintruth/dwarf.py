@@ -1475,37 +1475,38 @@ def _unreadable(unit_start: int, exc: MalformedDebugDataError) -> Diagnostic:
 DW_EH_PE_indirect = 0x80
 DW_EH_PE_pcrel = 0x10
 DW_EH_PE_datarel = 0x30
-# format -> struct code of its value; "" is a LEB128 number and "a" the
-# address size's unsigned word.
+# format -> (width in bytes, signed); width 0 is a LEB128 number and None
+# the address size.
 _EH_FORMATS = {
-    0x00: "a",  # absptr
-    0x01: "",  # uleb128
-    0x02: "H",
-    0x03: "I",
-    0x04: "Q",
-    0x09: "",  # sleb128
-    0x0A: "h",
-    0x0B: "i",
-    0x0C: "q",
+    0x00: (None, False),  # absptr
+    0x01: (0, False),  # uleb128
+    0x02: (2, False),
+    0x03: (4, False),
+    0x04: (8, False),
+    0x09: (0, True),  # sleb128
+    0x0A: (2, True),
+    0x0B: (4, True),
+    0x0C: (8, True),
 }
 
 
-def _eh_code(encoding: int, addr_size: int) -> str:
-    """The struct code of a pointer in ``encoding``; "" for a LEB128."""
-    code = _EH_FORMATS.get(encoding & 0x0F)
-    if code is None or encoding & 0xF0 not in (0, DW_EH_PE_pcrel, DW_EH_PE_datarel):
+def _eh_form(encoding: int) -> tuple[int | None, bool]:
+    """The (width, signed) of a pointer in ``encoding``, if it is one this
+    reader applies."""
+    form = _EH_FORMATS.get(encoding & 0x0F)
+    if form is None or encoding & 0xF0 not in (0, DW_EH_PE_pcrel, DW_EH_PE_datarel):
         raise MalformedDebugDataError(f"pointer encoding {encoding:#x}")
-    return ("I" if addr_size == 4 else "Q") if code == "a" else code
+    return form
 
 
 def _eh_value(cur: _Cursor, encoding: int, addr_size: int) -> int:
     """The value of a pointer in ``encoding``'s format, not yet applied."""
-    code = _eh_code(encoding, addr_size)
-    if not code:
-        return cur.sleb() if encoding & 0x0F == 0x09 else cur.uleb()
-    width = struct.calcsize(code)
+    width, signed = _eh_form(encoding)
+    if width == 0:
+        return cur.sleb() if signed else cur.uleb()
+    width = width or addr_size
     value = cur.uint(width)
-    if code.islower() and value >> (8 * width - 1):
+    if signed and value >> (8 * width - 1):
         value -= 1 << (8 * width)
     return value
 
@@ -1531,6 +1532,7 @@ def _cie_encoding(cur: _Cursor, end: int, addr_size: int) -> int:
         for letter in augmentation[1:]:
             if letter == "R":
                 encoding = cur.uint(1)
+                _eh_form(encoding)
             elif letter == "L":
                 cur.uint(1)  # the FDEs' LSDA pointer encoding
             elif letter == "P":
@@ -1549,45 +1551,33 @@ def _fde_ranges(
 ) -> list[tuple[int, int]]:
     """The (pc_begin, pc_end) of each FDE in one .eh_frame section."""
     cur = _Cursor(blob, 0, little)
-    order = "<" if little else ">"
     mask = (1 << (8 * addr_size)) - 1
-    # CIE offset -> its FDE pointer encoding, and the struct that reads an
-    # FDE's pc_begin and pc_range at once (None for LEB128 pointers).
-    cies: dict[int, tuple[int, struct.Struct | None]] = {}
+    cies: dict[int, int] = {}  # CIE entry offset -> its FDE pointer encoding
     ranges = []
     while cur.pos < len(blob):
+        start = cur.pos
         length = cur.uint(4)
         if length == 0:  # the terminator (LSB Core)
             break
-        id_size = 4
         if length == 0xFFFFFFFF:
-            length, id_size = cur.uint(8), 8
+            length = cur.uint(8)
         end = cur.pos + length
         if end > len(blob):
-            raise MalformedDebugDataError(f"entry at {cur.pos - 4:#x} runs past the section")
+            raise MalformedDebugDataError(f"entry at {start:#x} runs past the section")
         id_pos = cur.pos
-        cie_pointer = cur.uint(id_size)
+        cie_pointer = cur.uint(4)  # 4 bytes even after a 64-bit length (LSB Core)
         if cie_pointer == 0:
-            encoding = _cie_encoding(cur, end, addr_size)
-            code = _eh_code(encoding, addr_size)
-            pair = struct.Struct(order + code * 2) if code else None
-            cies[id_pos - (4 if id_size == 4 else 12)] = (encoding, pair)
+            cies[start] = _cie_encoding(cur, end, addr_size)
             cur.pos = end
             continue
-        cie = cies.get(id_pos - cie_pointer)
-        if cie is None:
-            raise MalformedDebugDataError(f"FDE at {id_pos:#x} names no CIE")
-        encoding, pair = cie
+        encoding = cies.get(id_pos - cie_pointer)
+        if encoding is None:
+            raise MalformedDebugDataError(f"FDE at {start:#x} names no CIE")
         field_pos = cur.pos
-        if pair is None:
-            begin = _eh_value(cur, encoding, addr_size)
-            size = _eh_value(cur, encoding & 0x0F, addr_size)
-        else:
-            cur.pos += pair.size
-            if cur.pos <= end:
-                begin, size = pair.unpack_from(blob, field_pos)
+        begin = _eh_value(cur, encoding, addr_size)
+        size = _eh_value(cur, encoding & 0x0F, addr_size)
         if cur.pos > end:
-            raise MalformedDebugDataError(f"FDE at {id_pos:#x} runs past its length")
+            raise MalformedDebugDataError(f"FDE at {start:#x} runs past its length")
         if encoding & 0x70 == DW_EH_PE_pcrel:
             begin += vaddr + field_pos
         elif encoding & 0x70 == DW_EH_PE_datarel:
@@ -1596,7 +1586,7 @@ def _fde_ranges(
             begin += data_base
         begin &= mask
         if size < 0 or begin + size > mask + 1:
-            raise MalformedDebugDataError(f"FDE at {id_pos:#x} leaves the address space")
+            raise MalformedDebugDataError(f"FDE at {start:#x} leaves the address space")
         ranges.append((begin, begin + size))
         cur.pos = end
     return ranges

@@ -55,16 +55,16 @@ def _section(
     fde_data: bytes = b"",
 ) -> bytes:
     """One CIE and one FDE, whose pc fields ``pc_of(their address)`` gives,
-    then a zero terminator."""
-    id_code = "<Q" if wide else "<I"
-    cie = struct.pack(id_code, 0) + bytes([version]) + augmentation + b"\x00"
+    then a zero terminator. The CIE ID and CIE pointer take 4 bytes even
+    after a 64-bit length (LSB Core)."""
+    cie = struct.pack("<I", 0) + bytes([version]) + augmentation + b"\x00"
     cie += b"\x01\x78\x10"  # code alignment 1, data alignment -8, return address r16
     if augmentation[:1] == b"z":
         cie += uleb_encode(len(data)) + data
     out = _entry(cie, wide)
     pointer_pos = len(out) + (12 if wide else 4)
-    field = EH_VADDR + pointer_pos + struct.calcsize(id_code)
-    fde = struct.pack(id_code, pointer_pos) + pc_of(field)
+    field = EH_VADDR + pointer_pos + 4
+    fde = struct.pack("<I", pointer_pos) + pc_of(field)
     if augmentation[:1] == b"z":
         fde += uleb_encode(len(fde_data)) + fde_data
     return out + _entry(fde, wide) + bytes(4)

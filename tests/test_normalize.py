@@ -520,7 +520,7 @@ def test_a_debug_extent_keeps_a_last_call_whole(preset_docs):
         (8, 8, None),  # at end_raw: nothing is trimmed
         (20, 8, None),  # past end_raw
     ],
-    # The ids the cases had when each suffix was the whole message's tail.
+    # Fixed ids, so that rewording a message does not rename its case.
     ids=[
         "None-3-",
         "2-3-",

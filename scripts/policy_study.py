@@ -75,7 +75,7 @@ def build_truths(seed: int, count: int):
     docs = []
     for fixture in forge.generate_corpus(seed, count):
         image = elf.parse_image(fixture.data, source_path=fixture.name)
-        doc = normalize.build_ground_truth(image)
+        doc = normalize.build_ground_truth(normalize.read_evidence(image))
         assert doc.complete, fixture.name
         docs.append(doc)
     return docs

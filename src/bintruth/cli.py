@@ -221,7 +221,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     for path_str in args.binaries:
         path = Path(path_str)
         image = elf.parse_image(path.read_bytes(), source_path=str(path))
-        doc = normalize.build_ground_truth(image, config)
+        doc = normalize.build_ground_truth(normalize.read_evidence(image), config)
         text = interchange.document_to_json(doc, config)
         if out is None:
             sys.stdout.write(text)

@@ -1,12 +1,14 @@
 """Normalization pipeline: raw symbols plus debug records to ground truth.
 
-Stage order is fixed: alias dedup, fall-through entry merging, boundary
+:func:`read_evidence` runs every reader once; :func:`build_ground_truth`
+decides one truth from that :class:`Evidence`, as often as asked. Stage
+order is fixed: alias dedup, fall-through entry merging, boundary
 resolution, padding trim, specialization clustering, debug matching,
 noreturn and compiler-inserted annotation, call-edge liveness, byte
-classification, completeness check. Every stage communicates problems
-through diagnostics, appended as it runs; nothing raises past
-:func:`build_ground_truth`. Stages read what the debug records say of a
-function by its start, from :func:`facts_by_start`.
+classification, completeness check. Every stage reports problems through
+diagnostics, appended as it runs; nothing raises past either function.
+Stages read what the debug records say of a function by its start, from
+:func:`facts_by_start`.
 
 Start order is decided once, by :func:`elf.function_symbols`, which also
 pairs each symbol with its section. Every stage takes its functions in
@@ -16,7 +18,7 @@ that order and keeps it; none sorts again, and
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -236,7 +238,7 @@ class _Working:
 
 
 def dedupe_aliases(
-    symbols: list[tuple[SymbolRecord, SectionRecord]],
+    symbols: Sequence[tuple[SymbolRecord, SectionRecord]],
 ) -> tuple[list[_Working], list[Diagnostic]]:
     """Collapse same-address symbols into one record with aliases.
 
@@ -362,7 +364,7 @@ def resolve_boundaries(works: list[_Working]) -> list[Diagnostic]:
 
 
 def facts_by_start(
-    records: list[dwarf.DebugFunctionRecord], fdes: list[tuple[int, int]]
+    records: Sequence[dwarf.DebugFunctionRecord], fdes: Sequence[tuple[int, int]]
 ) -> tuple[dict[int, tuple[int, str]], dict[int, str]]:
     """Start -> (the trim's floor, its source); start -> the first
     non-empty record name there (a gcc clone's base).
@@ -487,7 +489,7 @@ def cluster_specializations(works: list[_Working], names: dict[int, str]) -> Non
 
 def match_debug_records(
     works: list[_Working],
-    records: list[dwarf.DebugFunctionRecord],
+    records: Sequence[dwarf.DebugFunctionRecord],
     tolerance: int,
 ) -> list[Diagnostic]:
     """Attach out-of-line debug records to their symbol-table functions.
@@ -639,20 +641,49 @@ def _freeze(works: list[_Working]) -> tuple[GroundTruthFunction, ...]:
     return tuple(out)
 
 
-def build_ground_truth(
-    image: BinaryImage, config: RunConfig | None = None
-) -> GroundTruthDocument:
-    """Run the whole pipeline, debug info reader included, over one binary.
+@record
+class Evidence:
+    """What a binary's readers say, read once; any number of truths can be
+    decided from it.
 
-    A GT_MALFORMED_DEBUG_DATA from the reader makes the truth incomplete:
-    the functions the unread units describe go unmatched, and none is
-    flagged compiler_inserted for lacking a debug record.
+    ``symbols`` are the (symbol, section) pairs of
+    :func:`elf.function_symbols`, in its start order, and ``fdes`` the
+    sorted pc ranges of :func:`dwarf.eh_frame_ranges`. ``diagnostics`` are
+    every reader's, in reading order: DWARF, ``.eh_frame``, the image's
+    parse, then function symbols.
+    """
+
+    image: BinaryImage
+    symbols: tuple[tuple[SymbolRecord, SectionRecord], ...]
+    debug_records: tuple[dwarf.DebugFunctionRecord, ...]
+    fdes: tuple[tuple[int, int], ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def read_evidence(image: BinaryImage) -> Evidence:
+    """Run every reader over ``image`` once, each through its module attribute."""
+    records, debug_diags = dwarf.extract_debug_functions(image)
+    fdes, fde_diags = dwarf.eh_frame_ranges(image)
+    symbols, symbol_diags = elf.function_symbols(image)
+    diagnostics = (*debug_diags, *fde_diags, *image.parse_diagnostics, *symbol_diags)
+    return Evidence(image, tuple(symbols), tuple(records), tuple(fdes), diagnostics)
+
+
+def build_ground_truth(
+    evidence: Evidence, config: RunConfig | None = None
+) -> GroundTruthDocument:
+    """Decide one truth from ``evidence``: the stages run, no reader does.
+
+    A GT_MALFORMED_DEBUG_DATA from the DWARF reader makes the truth
+    incomplete: an error GT_INCOMPLETE_EXCLUDED follows it, the functions
+    the unread units describe go unmatched, and none is flagged
+    compiler_inserted for lacking a debug record.
     """
     config = config or RunConfig()
-    debug_records, debug_diagnostics = dwarf.extract_debug_functions(image)
+    image = evidence.image
     diagnostics: list[Diagnostic] = []
     debug_unreadable = False
-    for diag in debug_diagnostics:
+    for diag in evidence.diagnostics:
         diagnostics.append(diag)
         if diag.code == GT_MALFORMED_DEBUG_DATA:
             debug_unreadable = True
@@ -663,14 +694,8 @@ def build_ground_truth(
                     "debug info is partly unreadable; truth is incomplete",
                 )
             )
-    fdes, diags = dwarf.eh_frame_ranges(image)
-    diagnostics.extend(diags)
-    diagnostics.extend(image.parse_diagnostics)
 
-    symbols, diags = elf.function_symbols(image)
-    diagnostics.extend(diags)
-
-    works, diags = dedupe_aliases(symbols)
+    works, diags = dedupe_aliases(evidence.symbols)
     diagnostics.extend(diags)
 
     if config.merge_multi_entry:
@@ -678,12 +703,12 @@ def build_ground_truth(
         diagnostics.extend(diags)
 
     diagnostics.extend(resolve_boundaries(works))
-    ends, names = facts_by_start(debug_records, fdes)
+    ends, names = facts_by_start(evidence.debug_records, evidence.fdes)
     alphabet = padding_alphabet(image.machine)
     diagnostics.extend(trim_padding(works, image, alphabet, ends))
     cluster_specializations(works, names)
     tolerance = config.start_mismatch_tolerance
-    diagnostics.extend(match_debug_records(works, debug_records, tolerance))
+    diagnostics.extend(match_debug_records(works, evidence.debug_records, tolerance))
     annotate_noreturn(works, config.seeds())
     tag_compiler_inserted(works, default_scaffold_names(), debug_unreadable)
     if config.call_edges is not None:

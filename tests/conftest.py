@@ -9,7 +9,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from bintruth import elf, forge, normalize
+import corpuscheck
+from bintruth import elf, forge
 
 # Every run draws the same examples, and none of them has a deadline.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -44,11 +45,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {num:2d} [{verdict}] {title}")
 
 
-def _build_doc(data: bytes, config=None):
-    image = elf.parse_image(data)
-    return normalize.build_ground_truth(image, config)
-
-
 @pytest.fixture(scope="session")
 def preset_bytes():
     return {name: forge.emit(forge.preset(name)) for name in forge.PRESETS}
@@ -61,12 +57,9 @@ def preset_images(preset_bytes):
 
 @pytest.fixture(scope="session")
 def preset_docs(preset_bytes):
-    return {name: _build_doc(data) for name, data in preset_bytes.items()}
-
-
-@pytest.fixture(scope="session")
-def build_doc():
-    return _build_doc
+    return {
+        name: corpuscheck.build_document(data)[1] for name, data in preset_bytes.items()
+    }
 
 
 def _cold_split_spec() -> forge.BinarySpec:

@@ -13,9 +13,10 @@ from bintruth import elf, normalize
 from oracles import NoBytesError, bytes_at, tiles_as_padding
 
 
-def build_document(data: bytes, config=None):
-    image = elf.parse_image(data)
-    doc = normalize.build_ground_truth(image, config)
+def build_document(data: bytes, config=None, source_path: str = ""):
+    """Parse ``data``, read its evidence once and decide one truth."""
+    image = elf.parse_image(data, source_path)
+    doc = normalize.build_ground_truth(normalize.read_evidence(image), config)
     return image, doc
 
 
@@ -105,7 +106,7 @@ def order_independence_failures(data: bytes, shuffle_seed: int) -> list[str]:
     shuffled = list(image.symbols)
     random.Random(shuffle_seed).shuffle(shuffled)
     reordered = dataclasses.replace(image, symbols=tuple(shuffled))
-    redone = normalize.build_ground_truth(reordered)
+    redone = normalize.build_ground_truth(normalize.read_evidence(reordered))
     if redone != doc:
         return ["document changed under symbol reordering"]
     return []

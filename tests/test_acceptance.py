@@ -26,11 +26,6 @@ from bintruth.scoring import MatchPolicy, ToolReport, score_functions
 DIGEST = b"\x11" * 32
 
 
-def _pipeline(data, config=None):
-    image = elf.parse_image(data, source_path="mem")
-    return normalize.build_ground_truth(image, config)
-
-
 def _truth(functions):
     return GroundTruthDocument(
         binary=BinarySummary("mem", DIGEST, 64, 62),
@@ -58,8 +53,10 @@ def _report(predictions, digest=DIGEST):
 def test_multi_entry_symbols_merge_into_one_function():
     started = time.perf_counter()
     data = forge.emit(forge.preset("listing1"))
-    merged = _pipeline(data)
-    split = _pipeline(data, RunConfig(merge_multi_entry=False))
+    _image, merged = corpuscheck.build_document(data, source_path="mem")
+    _image, split = corpuscheck.build_document(
+        data, RunConfig(merge_multi_entry=False), "mem"
+    )
     elapsed = time.perf_counter() - started
 
     base = 0x080B41C0
@@ -76,7 +73,9 @@ def test_multi_entry_symbols_merge_into_one_function():
 
 @pytest.mark.criterion(2, "specialization grouping on the clone fixture")
 def test_specialization_clones_group_by_base_name():
-    doc = _pipeline(forge.emit(forge.preset("listing2")))
+    _image, doc = corpuscheck.build_document(
+        forge.emit(forge.preset("listing2")), source_path="mem"
+    )
     rows = {
         "operand..0": (0x08055750, 0xC30),
         "integer_constant..1": (0x08056380, 0x1A0),
@@ -107,7 +106,9 @@ def test_specialization_clones_group_by_base_name():
 
 @pytest.mark.criterion(3, "padding reconciliation across compiler styles")
 def test_padding_styles_trim_to_the_same_end():
-    doc = _pipeline(forge.emit(forge.preset("padding-icc-vs-gcc")))
+    _image, doc = corpuscheck.build_document(
+        forge.emit(forge.preset("padding-icc-vs-gcc")), source_path="mem"
+    )
     by_name = {fn.canonical_name: fn for fn in doc.functions}
     icc = by_name["icc_style"]
     gcc = by_name["gcc_style"]

@@ -14,6 +14,7 @@ import pytest
 import bintruth
 import oracles
 from bintruth import byteclass, cli, elf, forge, interchange, scoring
+from corpuscheck import build_document
 from bintruth.cli import main
 from bintruth.normalize import GroundTruthFunction
 from bintruth.scoring import ToolReport
@@ -589,11 +590,13 @@ def test_diff_identical_documents(tmp_path, capsys, preset_docs):
     assert "identical" in out
 
 
-def test_diff_reports_what_changed(tmp_path, capsys, preset_bytes, build_doc):
+def test_diff_reports_what_changed(tmp_path, capsys, preset_bytes):
     from bintruth.normalize import RunConfig
 
-    merged = build_doc(preset_bytes["listing1"])
-    split = build_doc(preset_bytes["listing1"], RunConfig(merge_multi_entry=False))
+    _image, merged = build_document(preset_bytes["listing1"])
+    _image, split = build_document(
+        preset_bytes["listing1"], RunConfig(merge_multi_entry=False)
+    )
     left = write_truth(tmp_path, merged, "a")
     right = write_truth(tmp_path, split, "b")
     code, out, _err = run(capsys, "diff", str(left), str(right))
@@ -622,14 +625,14 @@ def test_diff_compares_every_function_field_in_schema_order():
     assert attrs == {f.name for f in dataclasses.fields(GroundTruthFunction)}
 
 
-def test_diff_names_a_machine_change(tmp_path, capsys, build_doc):
+def test_diff_names_a_machine_change(tmp_path, capsys):
     def doc_for(machine_code):
         spec = forge.BinarySpec(
             sections=(forge.SectionSpec(".text", 0x401000, executable=True),),
             functions=(forge.FunctionSpec("f", 0, b"\x89\xc8\xc3"),),
             machine_code=machine_code,
         )
-        return build_doc(forge.emit(spec))
+        return build_document(forge.emit(spec))[1]
 
     left = write_truth(tmp_path, doc_for(40), "a")
     right = write_truth(tmp_path, doc_for(183), "b")
@@ -972,7 +975,7 @@ def test_fixtures_unknown_preset_is_an_input_error(tmp_path, capsys):
 
 
 def test_every_json_writer_prints_the_published_text(
-    tmp_path, capsys, preset_bytes, preset_docs, build_doc
+    tmp_path, capsys, preset_bytes, preset_docs
 ):
     from bintruth.normalize import RunConfig
 
@@ -1002,12 +1005,11 @@ def test_every_json_writer_prints_the_published_text(
         capsys, "corpus", str(directory), "--threshold", "0.96"
     )
 
-    merged = write_truth(tmp_path, build_doc(preset_bytes["listing1"]), "a")
-    split = write_truth(
-        tmp_path,
-        build_doc(preset_bytes["listing1"], RunConfig(merge_multi_entry=False)),
-        "b",
+    merged = write_truth(tmp_path, preset_docs["listing1"], "a")
+    _image, split_doc = build_document(
+        preset_bytes["listing1"], RunConfig(merge_multi_entry=False)
     )
+    split = write_truth(tmp_path, split_doc, "b")
     _code, outputs["diff"], _err = run(
         capsys, "diff", str(merged), str(split), "--format", "json"
     )

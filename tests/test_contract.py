@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import oracles
-from bintruth import cli, elf, forge, interchange, normalize
+from bintruth import cli, forge, interchange, normalize
+from corpuscheck import build_document
 from bintruth.interchange import (
     CORPUS_SCHEMA,
     GROUND_TRUTH_SCHEMA,
@@ -57,11 +58,6 @@ LOADERS = {"document": document_from_json, "report": report_from_json}
 VALIDATORS = {kind: Draft202012Validator(schema) for kind, schema in SCHEMAS.items()}
 
 
-def _build(data: bytes):
-    image = elf.parse_image(data)
-    return normalize.build_ground_truth(image)
-
-
 def _report_for(doc, stub: bool = False) -> ToolReport:
     preds = [(fn.start, fn.end_exclusive_trimmed - fn.start) for fn in doc.functions]
     if stub and preds:
@@ -73,11 +69,15 @@ def _report_for(doc, stub: bool = False) -> ToolReport:
 def emitted() -> tuple[tuple[str, str, str], ...]:
     """(kind, label, text) for every payload kind the program writes or reads."""
     out = []
-    docs = {name: _build(forge.emit(forge.preset(name))) for name in forge.PRESETS}
+    docs = {
+        name: build_document(forge.emit(forge.preset(name)))[1]
+        for name in forge.PRESETS
+    }
     for name, doc in docs.items():
         out.append(("document", name, document_to_json(doc)))
     for fixture in forge.generate_corpus(seed=7, count=6):
-        out.append(("document", fixture.name, document_to_json(_build(fixture.data))))
+        _image, doc = build_document(fixture.data)
+        out.append(("document", fixture.name, document_to_json(doc)))
     config = normalize.RunConfig(
         merge_multi_entry=False,
         start_mismatch_tolerance=3,
@@ -333,7 +333,7 @@ def test_acceptor_source_holds_no_schema_text(kind):
 
 
 def test_a_disagreement_is_a_bug_not_bad_input(monkeypatch, tmp_path):
-    doc = _build(forge.emit(forge.preset("listing2")))
+    _image, doc = build_document(forge.emit(forge.preset("listing2")))
     truth, report = tmp_path / "t.json", tmp_path / "r.json"
     truth.write_text(document_to_json(doc))
     report.write_text(report_to_json(_report_for(doc)))

@@ -206,14 +206,13 @@ def test_a_range_list_record_takes_the_range_at_its_entry(version):
     over the hull, because the other range starts at no function."""
     ranges = ((0x401000, 0x401008), (0x40100C, 0x401010))
     spec = _single_fn_spec(DwarfFuncSpec(ranges=ranges), version)
-    image = elf.parse_image(emit(spec))
-    records, diags = extract_debug_functions(image)
-    (rec,) = records
+    evidence = normalize.read_evidence(elf.parse_image(emit(spec)))
+    (rec,) = evidence.debug_records
     assert rec.low_pc == 0x401000
     assert rec.end_exclusive == 0x401008
     assert rec.other_ranges == ((0x40100C, 0x401010),)
-    assert diags == []
-    doc = normalize.build_ground_truth(image)
+    assert evidence.diagnostics == ()
+    doc = normalize.build_ground_truth(evidence)
     (warning,) = [d for d in doc.diagnostics if d.code == GT_DISCONTIGUOUS_RANGE]
     assert warning.severity == "warning"
     assert warning.span == (0x401000, 0x10)
@@ -235,8 +234,8 @@ def test_a_cold_range_below_the_entry_is_another_range(version):
     assert diags == []
 
 
-def _assert_document_validates(image: BinaryImage) -> None:
-    doc = normalize.build_ground_truth(image)
+def _assert_document_validates(evidence: normalize.Evidence) -> None:
+    doc = normalize.build_ground_truth(evidence)
     payload = json.loads(document_to_json(doc))
     Draft202012Validator(GROUND_TRUTH_SCHEMA).validate(payload)
 
@@ -244,20 +243,19 @@ def _assert_document_validates(image: BinaryImage) -> None:
 @pytest.mark.parametrize("version", [3, 4, 5])
 def test_inverted_range_pair_is_malformed_debug_data(version):
     spec = _single_fn_spec(DwarfFuncSpec(ranges=((0x401008, 0x401000),)), version)
-    image = elf.parse_image(emit(spec))
-    records, diags = extract_debug_functions(image)
-    assert records == []
-    (error,) = diags  # no hull warning with a negative length
+    evidence = normalize.read_evidence(elf.parse_image(emit(spec)))
+    assert evidence.debug_records == ()
+    (error,) = evidence.diagnostics  # no hull warning with a negative length
     assert error.code == GT_MALFORMED_DEBUG_DATA
     assert error.severity == "error"
     assert "ends before it starts" in error.message
-    _assert_document_validates(image)
+    _assert_document_validates(evidence)
 
 
 def test_unreadable_debug_info_makes_truth_incomplete():
     spec = _single_fn_spec(DwarfFuncSpec(ranges=((0x401008, 0x401000),)), 4)
     image = elf.parse_image(emit(spec))
-    doc = normalize.build_ground_truth(image)
+    doc = normalize.build_ground_truth(normalize.read_evidence(image))
     assert not doc.complete
     assert [(d.severity, d.code) for d in doc.diagnostics[:2]] == [
         ("error", GT_MALFORMED_DEBUG_DATA),
@@ -284,11 +282,11 @@ def _decl_line_image(form: int) -> BinaryImage:
 # sdata reads 0x7b as -5; flag reads it as True.
 @pytest.mark.parametrize("form", [0x0D, 0x0C], ids=["sdata", "flag"])
 def test_decl_line_that_is_negative_or_boolean_reads_as_zero(form):
-    image = _decl_line_image(form)
-    (rec,), _diags = extract_debug_functions(image)
+    evidence = normalize.read_evidence(_decl_line_image(form))
+    (rec,) = evidence.debug_records
     assert type(rec.decl_line) is int
     assert rec.decl_line == 0
-    _assert_document_validates(image)
+    _assert_document_validates(evidence)
 
 
 @pytest.mark.parametrize("via", ["specification", "abstract_origin"])
@@ -432,10 +430,9 @@ def _tombstone_image(
     ids=["zero", "all-ones-64", "all-ones-32"],
 )
 def test_linker_discarded_functions_are_counted_not_recorded(image, count):
-    image = image()
-    records, diags = extract_debug_functions(image)
-    assert [(r.name, r.low_pc) for r in records] == [("kept", 0x401000)]
-    assert [(d.severity, d.code, d.message) for d in diags] == [
+    evidence = normalize.read_evidence(image())
+    assert [(r.name, r.low_pc) for r in evidence.debug_records] == [("kept", 0x401000)]
+    assert [(d.severity, d.code, d.message) for d in evidence.diagnostics] == [
         (
             "info",
             GT_LINKER_DISCARDED,
@@ -444,7 +441,7 @@ def test_linker_discarded_functions_are_counted_not_recorded(image, count):
             "linker puts code it discarded; skipped",
         )
     ]
-    doc = normalize.build_ground_truth(image)
+    doc = normalize.build_ground_truth(evidence)
     assert doc.complete
     assert [f.canonical_name for f in doc.functions] == ["kept"]
 
@@ -481,29 +478,32 @@ _LINE_NAMES = {
 }
 
 
-def _decl_files(image: BinaryImage) -> tuple[dict[str, str], list[Diagnostic]]:
-    records, diags = extract_debug_functions(image)
-    return {r.name: r.decl_file for r in records}, diags
+def _decl_files(image: BinaryImage) -> tuple[dict[str, str], normalize.Evidence]:
+    """Each record's decl_file by name, and the evidence read for them."""
+    evidence = normalize.read_evidence(image)
+    return {r.name: r.decl_file for r in evidence.debug_records}, evidence
 
 
 @pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_decl_file_names_the_line_table_entry(line_table_bytes, version):
     """An index past the table falls back to file#N, with one warning for
     the unit however many records it names."""
-    names, diags = _decl_files(elf.parse_image(line_table_bytes[version]))
+    names, evidence = _decl_files(elf.parse_image(line_table_bytes[version]))
     want = _LINE_NAMES[5 if version == 5 else 4]
     assert names == {f"f{i}": name for i, name in enumerate(want)}
-    assert [(d.severity, d.code) for d in diags] == [("warning", GT_BAD_LINE_TABLE)]
+    assert [(d.severity, d.code) for d in evidence.diagnostics] == [
+        ("warning", GT_BAD_LINE_TABLE)
+    ]
     first_past = 4 if version < 5 else 5
-    assert f"index {first_past} is past its end" in diags[0].message
+    assert f"index {first_past} is past its end" in evidence.diagnostics[0].message
 
 
 def test_decl_file_is_read_against_the_unit_that_holds_it(cross_unit_lines_bytes):
     """An abstract origin in another unit, of another DWARF version, holds
     the index: the index names an entry of that unit's table."""
-    names, diags = _decl_files(elf.parse_image(cross_unit_lines_bytes))
+    names, evidence = _decl_files(elf.parse_image(cross_unit_lines_bytes))
     assert names == {"fa": "a.cc", "sq": "/src/include/util.h", "main": "b.cc", "twice": "h.h"}
-    assert diags == []
+    assert evidence.diagnostics == ()
 
 
 def test_each_unit_reads_its_line_table_once(cross_unit_lines_bytes):
@@ -570,12 +570,14 @@ def test_a_damaged_line_table_falls_back_with_one_warning(line_table_bytes, case
     and keeps the truth complete."""
     version, edit, problem = _LINE_DAMAGE[case]
     image = _edited_line_table(line_table_bytes[version], edit)
-    names, diags = _decl_files(image)
+    names, evidence = _decl_files(image)
     fallback = ["lines.c", "lines.c"] + [f"file#{i}" for i in range(2, len(names))]
     assert names == {f"f{i}": name for i, name in enumerate(fallback)}
-    assert [(d.severity, d.code) for d in diags] == [("warning", GT_BAD_LINE_TABLE)]
-    assert f"unreadable: {problem}" in diags[0].message
-    assert normalize.build_ground_truth(image).complete
+    assert [(d.severity, d.code) for d in evidence.diagnostics] == [
+        ("warning", GT_BAD_LINE_TABLE)
+    ]
+    assert f"unreadable: {problem}" in evidence.diagnostics[0].message
+    assert normalize.build_ground_truth(evidence).complete
 
 
 def test_without_a_line_section_files_are_named_as_without_a_table(line_table_bytes):
@@ -586,9 +588,9 @@ def test_without_a_line_section_files_are_named_as_without_a_table(line_table_by
     image = dataclasses.replace(
         image, sections=tuple(s for s in image.sections if s.name != ".debug_line")
     )
-    names, diags = _decl_files(image)
+    names, evidence = _decl_files(image)
     assert names == {f"f{i}": "lines.c" if i < 2 else f"file#{i}" for i in range(len(names))}
-    assert diags == []
+    assert evidence.diagnostics == ()
 
 
 def test_forge_refuses_line_tables_it_cannot_write():

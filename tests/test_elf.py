@@ -5,6 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpuscheck
 from bintruth import elf, forge, interchange, normalize
 from bintruth.forge import (
     BinarySpec,
@@ -517,16 +518,14 @@ def _tls_spec(tbss_tls=True):
     )
 
 
-def test_tbss_takes_no_address_space(build_doc):
-    data = emit(_tls_spec())
-    image = elf.parse_image(data)
+def test_tbss_takes_no_address_space():
+    image, doc = corpuscheck.build_document(emit(_tls_spec()))
     by_name = {s.name: s for s in image.sections}
     tbss, tdata = by_name[".tbss"], by_name[".tdata"]
     assert tbss.tls and tbss.allocated and tbss.file_offset is None
     assert not tbss.mapped
     assert tdata.tls and tdata.mapped  # .tdata holds the initial image
     assert elf.section_of(image, 0x403008).name == ".init_array"
-    doc = build_doc(data)
     assert doc.complete
     data_runs = [
         (r.start, r.length) for r in doc.byte_classes.runs if r.klass == "data"
@@ -663,5 +662,5 @@ def test_mutated_headers_fail_typed_or_load(data):
         image = elf.parse_image(data)
     except elf.ElfFormatError:
         return
-    doc = normalize.build_ground_truth(image)
+    doc = normalize.build_ground_truth(normalize.read_evidence(image))
     assert interchange.document_from_json(interchange.document_to_json(doc)) == doc

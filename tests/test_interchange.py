@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bintruth import forge, interchange
+from corpuscheck import build_document
 from bintruth.byteclass import CLASSES, CONFIDENCES, ByteClassMap, ByteRun
 from bintruth.interchange import (
     GENERATOR,
@@ -80,14 +81,14 @@ def test_config_is_recorded_in_meta(preset_docs):
     assert recorded["call_edges"] is None
 
 
-def test_unusual_machine_codes_survive_the_trip(build_doc):
+def test_unusual_machine_codes_survive_the_trip():
     spec = forge.BinarySpec(
         sections=(forge.SectionSpec(".text", 0x401000, executable=True),),
         functions=(forge.FunctionSpec("f", 0, b"\x89\xc8\xc3"),),
         word_size=64,
         machine_code=40,
     )
-    doc = build_doc(forge.emit(spec))
+    _image, doc = build_document(forge.emit(spec))
     payload = json.loads(document_to_json(doc))
     assert payload["binary"]["machine"] == "other(40)"
     assert document_from_json(document_to_json(doc)) == doc

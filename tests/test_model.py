@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import bintruth
-from bintruth import dwarf, elf, forge, normalize, scoring
+from bintruth import elf, forge, normalize, scoring
 from bintruth.elf import section_of
 from bintruth.model import (
     DIAGNOSTIC_CODES,
@@ -136,8 +136,8 @@ def record_instances() -> dict[type, object]:
         inline_sites=(forge.InlineSiteSpec("host", "leaf", 0x401000, 0x401004),),
         line_tables=(forge.LineTableSpec((("leaf.c", 0),)),),
     )
-    image = elf.parse_image(forge.emit(spec))
-    doc = normalize.build_ground_truth(image)
+    evidence = normalize.read_evidence(elf.parse_image(forge.emit(spec)))
+    doc = normalize.build_ground_truth(evidence)
     start = doc.functions[0].start
     report = scoring.ToolReport(
         "t", "1", doc.binary.content_digest, ((start, 16), (start + 1, 4))
@@ -145,8 +145,7 @@ def record_instances() -> dict[type, object]:
     result = scoring.score_functions(doc, report)
     roots = [
         spec,
-        image,
-        dwarf.extract_debug_functions(image),
+        evidence,
         doc,
         report,
         result,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpuscheck
 import oracles
-from bintruth import byteclass, elf, forge, normalize
+from bintruth import byteclass, dwarf, elf, forge, normalize
 from bintruth.dwarf import DebugFunctionRecord
 from bintruth.forge import (
     BinarySpec,
@@ -952,3 +952,42 @@ def test_entry_points_are_a_strictly_increasing_tuple():
         GroundTruthFunction("f", (0x10, 0x18, 0x18), 0x20, 0x20)
     with pytest.raises(ValueError, match="must be a tuple, not a list"):
         GroundTruthFunction("f", [0x10], 0x20, 0x20)
+
+
+def _evidence_spec() -> BinarySpec:
+    """listing1's two-entry function, with a DWARF record and an FDE."""
+    return dataclasses.replace(forge.preset("listing1"), eh_frame="pcrel-sdata4")
+
+
+def test_one_read_of_the_evidence_serves_every_config(monkeypatch):
+    data = emit(_evidence_spec())
+    image = elf.parse_image(data)
+    reads = []
+    read = dwarf.extract_debug_functions
+    monkeypatch.setattr(
+        dwarf, "extract_debug_functions", lambda img: reads.append(img) or read(img)
+    )
+    evidence = normalize.read_evidence(image)
+    configs = (RunConfig(), RunConfig(merge_multi_entry=False))
+    docs = [build_ground_truth(evidence, config) for config in configs]
+    assert reads == [image]
+    assert docs[0] != docs[1]
+    assert evidence.debug_records and evidence.fdes
+    for config, doc in zip(configs, docs):
+        assert doc == corpuscheck.build_document(data, config)[1]
+
+
+def test_a_truth_is_decided_without_running_a_reader(monkeypatch):
+    evidence = normalize.read_evidence(elf.parse_image(emit(_evidence_spec())))
+    want = build_ground_truth(evidence)
+
+    def refuse(_image):
+        raise AssertionError("a reader ran")
+
+    for owner, name in (
+        (dwarf, "extract_debug_functions"),
+        (dwarf, "eh_frame_ranges"),
+        (elf, "function_symbols"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert build_ground_truth(evidence) == want

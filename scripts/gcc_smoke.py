@@ -54,9 +54,15 @@ each be one function with ``dwarf`` provenance, whose ``source.file`` is
 ``h.h`` for the first three, ``a.cc`` for ``fa`` and ``b.cc`` for
 ``main``.
 
+Last, ``as --64`` assembles ``.nops 1`` to ``.nops 64`` in one unit, and
+each fill, cut from the object's ``.text`` in order, must parse as
+padding with bintruth's x86-64 alphabet. So a later GNU as that fills
+with a new nop is caught here, not labelled ``gap_unknown``. One line
+gives the count.
+
 No defect is pinned. Every program is compiled in its own directory from
 relative file names, so a unit's name is its file's. Needs ``gcc`` on
-PATH, and ``g++`` for the C++ builds.
+PATH, ``g++`` for the C++ builds and ``as`` for the fills.
 
 Usage:
     python3 scripts/gcc_smoke.py
@@ -74,6 +80,9 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from bintruth import byteclass, elf, normalize  # noqa: E402
 
 SMOKE = {
     "smoke.c": r"""
@@ -172,6 +181,9 @@ CXX_FILES = {
 DISCARDED_DIES = 3
 GC = ["-ffunction-sections", "-Wl,--gc-sections"]
 GOLD = "-fuse-ld=gold"
+
+# The .nops lengths whose fills must be padding.
+NOPS = range(1, 65)
 
 # build -> (sources, extra gcc flags)
 BUILDS = {
@@ -325,6 +337,31 @@ def check_cxx(build: str, code: int, doc: dict) -> list[str]:
     return problems
 
 
+def assemble_nops(work: Path) -> list[bytes] | None:
+    """GNU as's fill for ``.nops N``, N = 1..64, at index ``N - 1``; None
+    when ``as`` is not on PATH."""
+    if shutil.which("as") is None:
+        print("nops: skipped, no as on PATH")
+        return None
+    (work / "nops.s").write_text("".join(f".nops {n}\n" for n in NOPS))
+    subprocess.run(["as", "--64", "-o", "nops.o", "nops.s"], cwd=work, check=True)
+    image = elf.parse_image((work / "nops.o").read_bytes())
+    text = next(s for s in image.sections if s.name == ".text")
+    blob = image.raw[text.file_offset : text.file_offset + text.size]
+    starts = [n * (n - 1) // 2 for n in NOPS]  # each .nops N writes N bytes
+    return [blob[start : start + n] for start, n in zip(starts, NOPS)]
+
+
+def check_nops(fills: list[bytes]) -> list[str]:
+    """The fills that are not the length asked for or do not parse as padding."""
+    find = byteclass.padding_suffix_finder(normalize.padding_alphabet("x86_64"))
+    bad = [
+        (n, fill) for n, fill in zip(NOPS, fills) if len(fill) != n or find(fill, 0, n)
+    ]
+    print(f"nops: {len(fills) - len(bad)} of {len(NOPS)} .nops fills parse as padding")
+    return [f".nops {n}: {fill.hex()} is not padding" for n, fill in bad]
+
+
 def main() -> int:
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -339,6 +376,9 @@ def main() -> int:
             else:
                 check = check_cxx if sources is CXX else check_two_files
             problems += [f"{build}: {p}" for p in check(build, *extracted)]
+        fills = assemble_nops(Path(tmp))
+        if fills is not None:
+            problems += check_nops(fills)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -6,11 +6,13 @@ printed as one line each at the end of the run.
 """
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 import corpuscheck
-from bintruth import elf, forge
+from bintruth import elf, forge, normalize
 
 # Every run draws the same examples, and none of them has a deadline.
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -257,6 +259,41 @@ def _cross_unit_lines_spec() -> forge.BinarySpec:
 def cross_unit_lines_bytes():
     """The bytes of :func:`_cross_unit_lines_spec`."""
     return forge.emit(_cross_unit_lines_spec())
+
+
+@pytest.fixture(scope="session")
+def gas_nop_fills() -> tuple[bytes, ...]:
+    """GNU as's x86-64 fill for ``.nops N``, at index ``N - 1`` for N = 1..64."""
+    text = (Path(__file__).parent / "data" / "gas-nops-x86_64.txt").read_text()
+    return tuple(bytes.fromhex(fill) for fill in normalize.parse_name_list(text))
+
+
+def _gas_nops_spec(fills: tuple[bytes, ...]) -> forge.BinarySpec:
+    """gas's padding style: for each fill, a function followed by it outside
+    its symbol (a gap) and one whose symbol size counts it, as icc sizes a
+    function (a trim). No DWARF or FDE floors the trims."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    body = forge._fixed_body(16)
+    functions, offset = [], 0
+    for fill in fills:
+        for style, icc in (("gap", False), ("trim", True)):
+            functions.append(
+                forge.FunctionSpec(
+                    f"{style}_{len(fill)}",
+                    offset,
+                    body,
+                    pad_after=fill,
+                    icc_size_includes_padding=icc,
+                )
+            )
+            offset += len(body) + len(fill)
+    return forge.BinarySpec(sections=(text,), functions=tuple(functions), word_size=64)
+
+
+@pytest.fixture(scope="session")
+def gas_nops_bytes(gas_nop_fills):
+    """The bytes of :func:`_gas_nops_spec` over every fill."""
+    return forge.emit(_gas_nops_spec(gas_nop_fills))
 
 
 @pytest.fixture(scope="session")

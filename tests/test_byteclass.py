@@ -86,6 +86,26 @@ def test_padding_suffix_known_cases(blob, start):
     assert _suffix_start(blob) == start
 
 
+def test_every_gas_nops_fill_is_padding(gas_nop_fills):
+    """Each fill GNU as writes for ``.nops 1`` to ``.nops 64`` tiles whole,
+    its 10-byte ``nopw %cs:0x0(%rax,%rax,1)`` included."""
+    assert [len(fill) for fill in gas_nop_fills] == list(range(1, 65))
+    assert [n for n, fill in enumerate(gas_nop_fills, 1) if _suffix_start(fill)] == []
+    assert all(oracles.tiles_as_padding(fill, ALPHABET) for fill in gas_nop_fills)
+
+
+def test_gas_fills_are_padding_between_and_inside_functions(gas_nops_bytes):
+    """Every gap of gas fill is padding, and every fill a symbol counts is
+    trimmed off whole: the trim is the alphabet's alone, with no floor."""
+    image, doc = corpuscheck.build_document(gas_nops_bytes)
+    assert "gap_unknown" not in {r.klass for r in doc.byte_classes.runs}
+    for fn in doc.functions:
+        style, length = fn.canonical_name.split("_")
+        assert fn.end_exclusive_trimmed - fn.start == 16
+        assert fn.end_exclusive_raw - fn.start == 16 + int(length) * (style == "trim")
+    assert corpuscheck.invariant_failures(image, doc) == []
+
+
 def test_padding_parse_with_no_alphabet_never_matches():
     assert _suffix_start(b"\x90", ()) == 1
     assert _suffix_start(b"", ()) == 0

@@ -267,3 +267,16 @@ def test_a_start_mismatch_or_an_incomplete_cxx_document_is_a_problem():
         "1 GT_START_MISMATCH",
     ]
     assert smoke.check_cxx("cxx", 1, {}) == ["extract exited 1 without a document"]
+
+
+def test_gas_nops_fills_pass_and_a_new_filler_is_a_problem(gas_nop_fills, capsys):
+    assert smoke.check_nops(list(gas_nop_fills)) == []
+    assert capsys.readouterr().out == "nops: 64 of 64 .nops fills parse as padding\n"
+    fills = list(gas_nop_fills)
+    fills[2] = bytes.fromhex("8d7600")  # lea 0x0(%esi),%esi: as --32's 3-byte fill
+    fills[63] = fills[63][:-1]
+    assert smoke.check_nops(fills) == [
+        ".nops 3: 8d7600 is not padding",
+        f".nops 64: {fills[63].hex()} is not padding",
+    ]
+    assert capsys.readouterr().out == "nops: 62 of 64 .nops fills parse as padding\n"

@@ -141,6 +141,11 @@ def test_the_gcc_clone_document_is_byte_identical(gcc_clone_bytes):
     assert _document_digest(gcc_clone_bytes) == digest
 
 
+def test_the_gas_nops_document_is_byte_identical(gas_nops_bytes):
+    digest = "031f673c9d0b33238c5c06ea5914c438514a00c5b8fc3e2c2c298b530f26d916"
+    assert _document_digest(gas_nops_bytes) == digest
+
+
 def test_generated_corpus_documents_are_byte_identical():
     fixtures = forge.generate_corpus(seed=7, count=6)
     got = {fx.name: _document_digest(fx.data) for fx in fixtures}

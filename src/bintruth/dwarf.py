@@ -1554,41 +1554,45 @@ def _fde_ranges(
     mask = (1 << (8 * addr_size)) - 1
     cies: dict[int, int] = {}  # CIE entry offset -> its FDE pointer encoding
     ranges = []
-    while cur.pos < len(blob):
-        start = cur.pos
-        length = cur.uint(4)
-        if length == 0:  # the terminator (LSB Core)
-            break
-        if length == 0xFFFFFFFF:
-            length = cur.uint(8)
-        end = cur.pos + length
-        if end > len(blob):
-            raise MalformedDebugDataError(f"entry at {start:#x} runs past the section")
-        id_pos = cur.pos
-        cie_pointer = cur.uint(4)  # 4 bytes even after a 64-bit length (LSB Core)
-        if cie_pointer == 0:
-            cies[start] = _cie_encoding(cur, end, addr_size)
+    start = 0
+    try:
+        while cur.pos < len(blob):
+            start = cur.pos
+            length = cur.uint(4)
+            if length == 0:  # the terminator (LSB Core)
+                break
+            if length == 0xFFFFFFFF:
+                length = cur.uint(8)
+            end = cur.pos + length
+            if end > len(blob):
+                raise MalformedDebugDataError("runs past the section")
+            id_pos = cur.pos
+            cie_pointer = cur.uint(4)  # 4 bytes even after a 64-bit length (LSB Core)
+            if cie_pointer == 0:
+                cies[start] = _cie_encoding(cur, end, addr_size)
+                cur.pos = end
+                continue
+            encoding = cies.get(id_pos - cie_pointer)
+            if encoding is None:
+                raise MalformedDebugDataError("FDE names no CIE")
+            field_pos = cur.pos
+            begin = _eh_value(cur, encoding, addr_size)
+            size = _eh_value(cur, encoding & 0x0F, addr_size)
+            if cur.pos > end:
+                raise MalformedDebugDataError("FDE runs past its length")
+            if encoding & 0x70 == DW_EH_PE_pcrel:
+                begin += vaddr + field_pos
+            elif encoding & 0x70 == DW_EH_PE_datarel:
+                if data_base is None:
+                    raise MalformedDebugDataError("a datarel pointer, but no .eh_frame_hdr")
+                begin += data_base
+            begin &= mask
+            if size < 0 or begin + size > mask + 1:
+                raise MalformedDebugDataError("FDE leaves the address space")
+            ranges.append((begin, begin + size))
             cur.pos = end
-            continue
-        encoding = cies.get(id_pos - cie_pointer)
-        if encoding is None:
-            raise MalformedDebugDataError(f"FDE at {start:#x} names no CIE")
-        field_pos = cur.pos
-        begin = _eh_value(cur, encoding, addr_size)
-        size = _eh_value(cur, encoding & 0x0F, addr_size)
-        if cur.pos > end:
-            raise MalformedDebugDataError(f"FDE at {start:#x} runs past its length")
-        if encoding & 0x70 == DW_EH_PE_pcrel:
-            begin += vaddr + field_pos
-        elif encoding & 0x70 == DW_EH_PE_datarel:
-            if data_base is None:
-                raise MalformedDebugDataError("a datarel pointer, but no .eh_frame_hdr")
-            begin += data_base
-        begin &= mask
-        if size < 0 or begin + size > mask + 1:
-            raise MalformedDebugDataError(f"FDE at {start:#x} leaves the address space")
-        ranges.append((begin, begin + size))
-        cur.pos = end
+    except MalformedDebugDataError as exc:
+        raise MalformedDebugDataError(f"entry at {start:#x}: {exc}") from None
     return ranges
 
 

@@ -129,26 +129,44 @@ def _cie_only(version: int = 1, augmentation: bytes = b"zR", data: bytes = b"\x1
 
 
 _DAMAGE = {
-    "length-past-section": (b"\x40\x00\x00\x00" + bytes(8), "runs past the section"),
-    "cie-version": (_cie_only(version=2), "CIE version 2"),
-    "unknown-augmentation": (_cie_only(augmentation=b"zX"), "CIE augmentation 'zX'"),
-    "augmentation-without-z": (_cie_only(augmentation=b"eh"), "CIE augmentation 'eh'"),
-    "aligned-encoding": (_cie_only(data=b"\x50"), "pointer encoding 0x50"),
-    "indirect-fde-pointer": (_cie_only(data=b"\x9b"), "pointer encoding 0x9b"),
-    "augmentation-overrun": (_cie_only(augmentation=b"zRL") + bytes(8), "overruns its length"),
-    "fde-without-cie": (struct.pack("<III", 12, 4, 0) + bytes(4), "names no CIE"),
+    "length-past-section": (b"\x40\x00\x00\x00" + bytes(8), "entry at 0x0: runs past the section"),
+    "cie-version": (_cie_only(version=2), "entry at 0x0: CIE version 2"),
+    "unknown-augmentation": (_cie_only(augmentation=b"zX"), "entry at 0x0: CIE augmentation 'zX'"),
+    "augmentation-without-z": (
+        _cie_only(augmentation=b"eh"),
+        "entry at 0x0: CIE augmentation 'eh'",
+    ),
+    "aligned-encoding": (_cie_only(data=b"\x50"), "entry at 0x0: pointer encoding 0x50"),
+    "indirect-fde-pointer": (_cie_only(data=b"\x9b"), "entry at 0x0: pointer encoding 0x9b"),
+    "augmentation-overrun": (
+        _cie_only(augmentation=b"zRL") + bytes(8),
+        "entry at 0x0: CIE augmentation data overruns its length",
+    ),
+    # The same CIE after a good one, with no bytes after it: the cursor
+    # reads past the section, and the message still names the entry.
+    "augmentation-overrun-unpadded": (
+        _cie_only() + _cie_only(augmentation=b"zRL"),
+        f"entry at {len(_cie_only()):#x}: fixed-width read past end of unit",
+    ),
+    "fde-without-cie": (struct.pack("<III", 12, 4, 0) + bytes(4), "entry at 0x0: FDE names no CIE"),
     # pc_begin, but no pc_range, inside the FDE's length.
     "fde-too-short": (
         _cie_only() + struct.pack("<II", 8, len(_cie_only()) + 4) + bytes(12),
-        "runs past its length",
+        f"entry at {len(_cie_only()):#x}: FDE runs past its length",
     ),
-    "datarel-without-hdr": (_section(**_READ["datarel-sdata4"]), "no .eh_frame_hdr"),
+    "datarel-without-hdr": (
+        _section(**_READ["datarel-sdata4"]),
+        "entry at 0x11: a datarel pointer, but no .eh_frame_hdr",
+    ),
     "past-the-address-space": (
         _section(b"zR", b"\x04", lambda at: struct.pack("<QQ", 2**64 - 16, SIZE)),
-        "leaves the address space",
+        "entry at 0x11: FDE leaves the address space",
     ),
     # A code alignment factor whose LEB128 runs to the end of the section.
-    "runaway-leb": (_entry(bytes(4) + b"\x01zR\x00" + b"\x80" * 4, False), "uleb128 runs past"),
+    "runaway-leb": (
+        _entry(bytes(4) + b"\x01zR\x00" + b"\x80" * 4, False),
+        "entry at 0x0: uleb128 runs past end of data",
+    ),
 }
 
 

@@ -520,15 +520,6 @@ def test_a_debug_extent_keeps_a_last_call_whole(preset_docs):
         (8, 8, None),  # at end_raw: nothing is trimmed
         (20, 8, None),  # past end_raw
     ],
-    # Fixed ids, so that rewording a message does not rename its case.
-    ids=[
-        "None-3-",
-        "2-3-",
-        "3-3-",
-        "5-5-, down to the end of its DWARF record",
-        "8-8-None",
-        "20-8-None",
-    ],
 )
 def test_a_debug_extent_floors_the_trim(debug_end, kept, suffix):
     body = b"\x31\xc0\xc3" + b"\x90" * 5

@@ -14,6 +14,7 @@ from bintruth.model import (
     GT_BAD_EH_FRAME,
     GT_INCOMPLETE_EXCLUDED,
     GT_MALFORMED_DEBUG_DATA,
+    GT_NO_DEBUG_INFO,
     GT_PADDING_TRIMMED,
     BinaryImage,
 )
@@ -175,8 +176,9 @@ def test_damage_gives_one_warning_and_no_floor(case):
     blob, message = _DAMAGE[case]
     evidence = normalize.read_evidence(_image(blob))
     assert evidence.fdes == ()
-    (diag,) = [d for d in evidence.diagnostics if d.code == GT_BAD_EH_FRAME]
-    assert diag.severity == "warning"
+    no_dwarf, diag = evidence.diagnostics  # the image has no DWARF
+    assert no_dwarf.code == GT_NO_DEBUG_INFO
+    assert (diag.severity, diag.code) == ("warning", GT_BAD_EH_FRAME)
     assert message in diag.message
     doc = normalize.build_ground_truth(evidence)
     assert doc.complete
@@ -289,11 +291,10 @@ def test_flipped_eh_frame_bytes_yield_only_fdes_and_one_warning(encoding, flips)
     for at, mask in flips:
         raw[offset + at % size] ^= mask
     evidence = normalize.read_evidence(dataclasses.replace(image, raw=bytes(raw)))
-    ranges = evidence.fdes
-    diags = [d for d in evidence.diagnostics if d.code == GT_BAD_EH_FRAME]
+    ranges, diags = evidence.fdes, evidence.diagnostics  # the DWARF is intact
     assert list(ranges) == sorted(ranges)
     assert all(0 <= begin <= end <= 2**64 for begin, end in ranges)
-    assert [d.severity for d in diags] in ([], ["warning"])
+    assert [(d.severity, d.code) for d in diags] in ([], [("warning", GT_BAD_EH_FRAME)])
     assert not (ranges and diags)
     doc = normalize.build_ground_truth(evidence)
     assert doc.complete

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import bintruth
+import corpuscheck
 import oracles
 from bintruth import byteclass, cli, elf, forge, interchange, scoring
-from corpuscheck import build_document
 from bintruth.cli import main
 from bintruth.normalize import GroundTruthFunction
 from bintruth.scoring import ToolReport
@@ -593,8 +593,8 @@ def test_diff_identical_documents(tmp_path, capsys, preset_docs):
 def test_diff_reports_what_changed(tmp_path, capsys, preset_bytes):
     from bintruth.normalize import RunConfig
 
-    _image, merged = build_document(preset_bytes["listing1"])
-    _image, split = build_document(
+    _image, merged = corpuscheck.build_document(preset_bytes["listing1"])
+    _image, split = corpuscheck.build_document(
         preset_bytes["listing1"], RunConfig(merge_multi_entry=False)
     )
     left = write_truth(tmp_path, merged, "a")
@@ -632,7 +632,7 @@ def test_diff_names_a_machine_change(tmp_path, capsys):
             functions=(forge.FunctionSpec("f", 0, b"\x89\xc8\xc3"),),
             machine_code=machine_code,
         )
-        return build_document(forge.emit(spec))[1]
+        return corpuscheck.build_document(forge.emit(spec))[1]
 
     left = write_truth(tmp_path, doc_for(40), "a")
     right = write_truth(tmp_path, doc_for(183), "b")
@@ -1006,7 +1006,7 @@ def test_every_json_writer_prints_the_published_text(
     )
 
     merged = write_truth(tmp_path, preset_docs["listing1"], "a")
-    _image, split_doc = build_document(
+    _image, split_doc = corpuscheck.build_document(
         preset_bytes["listing1"], RunConfig(merge_multi_entry=False)
     )
     split = write_truth(tmp_path, split_doc, "b")

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+import corpuscheck
 import oracles
 from bintruth import cli, forge, interchange, normalize
-from corpuscheck import build_document
 from bintruth.interchange import (
     CORPUS_SCHEMA,
     GROUND_TRUTH_SCHEMA,
@@ -70,13 +70,13 @@ def emitted() -> tuple[tuple[str, str, str], ...]:
     """(kind, label, text) for every payload kind the program writes or reads."""
     out = []
     docs = {
-        name: build_document(forge.emit(forge.preset(name)))[1]
+        name: corpuscheck.build_document(forge.emit(forge.preset(name)))[1]
         for name in forge.PRESETS
     }
     for name, doc in docs.items():
         out.append(("document", name, document_to_json(doc)))
     for fixture in forge.generate_corpus(seed=7, count=6):
-        _image, doc = build_document(fixture.data)
+        _image, doc = corpuscheck.build_document(fixture.data)
         out.append(("document", fixture.name, document_to_json(doc)))
     config = normalize.RunConfig(
         merge_multi_entry=False,
@@ -333,7 +333,7 @@ def test_acceptor_source_holds_no_schema_text(kind):
 
 
 def test_a_disagreement_is_a_bug_not_bad_input(monkeypatch, tmp_path):
-    _image, doc = build_document(forge.emit(forge.preset("listing2")))
+    _image, doc = corpuscheck.build_document(forge.emit(forge.preset("listing2")))
     truth, report = tmp_path / "t.json", tmp_path / "r.json"
     truth.write_text(document_to_json(doc))
     report.write_text(report_to_json(_report_for(doc)))

@@ -11,15 +11,15 @@ import hashlib
 
 import pytest
 
+import corpuscheck
 from bintruth import forge, interchange
-from corpuscheck import build_document
 from bintruth.forge import BinarySpec, DwarfFuncSpec, FunctionSpec, SectionSpec
 
 SOURCE_PATH = "golden/input.elf"
 
 
 def _document_digest(data: bytes) -> str:
-    _image, doc = build_document(data, source_path=SOURCE_PATH)
+    _image, doc = corpuscheck.build_document(data, source_path=SOURCE_PATH)
     return hashlib.sha256(interchange.document_to_json(doc).encode()).hexdigest()
 
 

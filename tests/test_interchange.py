@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpuscheck
 import oracles
 from bintruth import forge, interchange
-from corpuscheck import build_document
 from bintruth.byteclass import CLASSES, CONFIDENCES, ByteClassMap, ByteRun
 from bintruth.interchange import (
     GENERATOR,
@@ -88,7 +88,7 @@ def test_unusual_machine_codes_survive_the_trip():
         word_size=64,
         machine_code=40,
     )
-    _image, doc = build_document(forge.emit(spec))
+    _image, doc = corpuscheck.build_document(forge.emit(spec))
     payload = json.loads(document_to_json(doc))
     assert payload["binary"]["machine"] == "other(40)"
     assert document_from_json(document_to_json(doc)) == doc

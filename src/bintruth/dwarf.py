@@ -16,7 +16,7 @@ Only DWARF 5 compile units (and every unit of an earlier version) yield
 records; partial, type, skeleton and split units are stepped over by
 their length. A ``DW_FORM_ref_addr`` link may land in another compile or
 partial unit of the same blob: that unit is found by bisecting the unit
-starts, parsed when a link first needs it, and its attributes are read
+spans, parsed when a link first needs it, and its attributes are read
 against its own bases and string tables.
 
 One compiler, ``_compile_plan``, turns each abbrev into a plan from one
@@ -362,9 +362,9 @@ class _Die:
 @dataclass(slots=True)
 class _Aux:
     """Companion section blobs one .debug_info blob resolves against, the
-    blob's unit spans and starts, the units of the blob that ref_addr links
-    have reached, the names resolved through abstract origins, and each
-    unit's source file names."""
+    blob's unit spans, the units of the blob that ref_addr links have
+    reached, the names resolved through abstract origins, and each unit's
+    source file names."""
 
     abbrev: bytes
     debug_str: bytes
@@ -375,7 +375,6 @@ class _Aux:
     rnglists: bytes
     line: bytes
     units: list[tuple[int, int]] = field(default_factory=list)  # (start, end)
-    starts: list[int] = field(default_factory=list)  # each unit's start
     linked: dict[int, _Unit] = field(default_factory=dict)  # by unit start
     # The .debug_info offset of an abstract origin -> how a diagnostic names
     # a DIE that links to it and has neither a name nor a specification.
@@ -840,19 +839,17 @@ def _parse_unit(
 
 def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
     """The compile or partial unit of ``unit``'s blob that holds the
-    .debug_info offset ``off``, or None.
+    .debug_info offset ``off``, or None when that unit is of another type.
 
-    Another unit is found by bisecting the blob's unit spans, which end at
-    the first unit whose length is damaged; it is parsed on first use, with
-    its bases, and kept for the rest of the blob.
+    Another unit is found by bisecting the blob's unit spans, which start
+    at 0 and end at the first unit whose length is damaged; it is parsed
+    on first use, with its bases, and kept for the rest of the blob. A
+    unit that does not parse raises here.
     """
     if unit.cu_start <= off < unit.unit_end:
         return unit
     aux = unit.aux
-    i = bisect.bisect_right(aux.starts, off) - 1
-    if i < 0:
-        return None
-    start, end = aux.units[i]
+    start, end = aux.units[bisect.bisect_right(aux.units, off, key=lambda span: span[0]) - 1]
     other = aux.linked.get(start)
     if other is None:
         other = _parse_unit(unit.info, start, end, unit.little_endian, aux, _LINKED_UNITS)
@@ -863,33 +860,37 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
     return other
 
 
+def _link_offset(unit: _Unit, form: int, raw: object) -> int | None:
+    """The .debug_info offset a reference attribute names: a ref_addr's
+    value, or a unit-relative reference's inside its unit; None for a
+    reference past its unit's end, or any other form."""
+    if form == 0x10:  # ref_addr: an offset in the whole .debug_info blob
+        return raw  # type: ignore
+    if form in _UNIT_REF_FORMS and raw < unit.unit_end - unit.cu_start:  # type: ignore
+        return unit.cu_start + raw  # type: ignore
+    return None
+
+
 def _deref(unit: _Unit, form: int, raw: object) -> tuple[_Unit, _Die] | None:
-    """The unit and decoded DIE a reference attribute names; None for any
-    other form, or where no decoded DIE starts."""
-    if form in _UNIT_REF_FORMS:
-        off = unit.cu_start + raw  # type: ignore
-    elif form == 0x10:  # ref_addr: an offset in the whole .debug_info blob
-        off = raw  # type: ignore
-        unit = _linked_unit(unit, off)  # type: ignore
-        if unit is None:
-            return None
-    else:
-        return None
-    die = unit.dies.get(off)
-    return None if die is None else (unit, die)
+    """The unit and decoded DIE a reference attribute names; None where
+    ``_link_offset`` names no offset or no decoded DIE starts. A linked
+    unit that does not parse raises."""
+    off = _link_offset(unit, form, raw)
+    linked = None if off is None else _linked_unit(unit, off)
+    die = None if linked is None else linked.dies.get(off)  # type: ignore
+    return None if die is None else (linked, die)  # type: ignore
 
 
 def _inherited(
     unit: _Unit, die: _Die, attrs: tuple[int, ...]
-) -> tuple[list[tuple[_Unit, int, object] | None], MalformedDebugDataError | None]:
+) -> list[tuple[_Unit, int, object] | None]:
     """Attribute lookup following specification/abstract_origin chains, in
     one walk for all of ``attrs``: for each, (the unit that holds it, form,
     raw value) from the first DIE along the chain that has it, or None.
 
     The walk stops once each attribute is found, at the end of the chain,
     or where it comes back to a DIE it visited. A link whose unit does not
-    parse stops it too, and its error is returned with the lookups: it is
-    what each attribute not found before that link would raise, when read.
+    parse raises where the walk meets it.
     """
     found: list[tuple[_Unit, int, object] | None] = [None] * len(attrs)
     missing = len(attrs)
@@ -902,34 +903,13 @@ def _inherited(
                 found[i] = (unit, got[0], got[1])
                 missing -= 1
         if not missing:
-            return found, None
+            return found
         link = here.get(DW_AT_specification) or here.get(DW_AT_abstract_origin)
-        if link is None:
-            return found, None
-        try:
-            nxt = _deref(unit, *link)
-        except MalformedDebugDataError as exc:
-            return found, exc
+        nxt = None if link is None else _deref(unit, *link)
         if nxt is None or id(nxt[1]) in seen:
-            return found, None
+            return found
         unit, die = nxt
         seen.add(id(die))
-
-
-def _meaning(
-    found: list[tuple[_Unit, int, object] | None],
-    error: MalformedDebugDataError | None,
-    i: int,
-) -> object:
-    """The meaning of ``_inherited``'s ``i``-th lookup, read against the
-    unit that holds it, or None if absent; raises the walk's error if the
-    walk stopped at a broken link before finding it."""
-    got = found[i]
-    if got is None:
-        if error is not None:
-            raise error
-        return None
-    return _value(*got)
 
 
 _NAME = (DW_AT_name,)
@@ -944,24 +924,19 @@ def _shown(unit: _Unit, die: _Die) -> str:
     A DIE with neither a name nor a specification takes its name along the
     chain from its abstract origin, as every such DIE linked to that origin
     does (DWARF 5 §3.3.8). So that name is resolved once per origin and
-    kept by the origin's .debug_info offset; a name that does not resolve
-    raises each time. A unit-relative link that points outside its unit
-    names nothing, and is not kept.
+    kept by the offset ``_link_offset`` gives the origin; a name that does
+    not resolve raises each time. A link that names no offset is not kept.
     """
     attrs = die.attrs
     key = None
-    if DW_AT_name not in attrs and DW_AT_specification not in attrs:
-        origin = attrs.get(DW_AT_abstract_origin)
-        if origin is not None:
-            form, raw = origin
-            if form == 0x10:  # ref_addr
-                key = raw
-            elif form in _UNIT_REF_FORMS and raw < unit.unit_end - unit.cu_start:  # type: ignore
-                key = unit.cu_start + raw  # type: ignore
+    origin = attrs.get(DW_AT_abstract_origin)
+    if origin is not None and DW_AT_name not in attrs and DW_AT_specification not in attrs:
+        key = _link_offset(unit, *origin)
     names = unit.aux.names
     shown = None if key is None else names.get(key)
     if shown is None:
-        value = _meaning(*_inherited(unit, die, _NAME), 0)
+        got = _inherited(unit, die, _NAME)[0]
+        value = got and _value(*got)
         shown = value if isinstance(value, str) and value else "<anonymous>"
         if key is not None:
             names[key] = shown
@@ -1331,10 +1306,10 @@ def _unit_records(
             )
         if inlined:
             continue  # an inlined copy is never a function start of its own
-        found, error = _inherited(unit, die, _RECORD_ATTRS)
-        noreturn = _meaning(found, error, 0)
-        file_idx = _meaning(found, error, 1)
-        line = _meaning(found, error, 2)
+        # A found lookup means what _value reads against the unit that holds
+        # it, in this order: noreturn, decl_file, decl_line, the file, the name.
+        found = _inherited(unit, die, _RECORD_ATTRS)
+        noreturn, file_idx, line = (got and _value(*got) for got in found[:3])
         # sdata and implicit_const can be negative, flag forms decode to bool.
         decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
@@ -1352,7 +1327,7 @@ def _unit_records(
                     decl_file = f"file#{file_idx}"
                 else:
                     decl_file = cu_name if owner is unit else _unit_name(owner)
-        name = _meaning(found, error, 3)
+        name = found[3] and _value(*found[3])
         records.append(
             DebugFunctionRecord(
                 name=name if isinstance(name, str) else "",
@@ -1445,7 +1420,6 @@ def extract_debug_functions(
             rnglists=_nth(rnglists_blobs, i),
             line=_nth(line_blobs, i),
             units=spans,
-            starts=[start for start, _end in spans],
         )
         for start, end in spans:
             unit_diagnostics: list[Diagnostic] = []

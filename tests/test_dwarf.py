@@ -875,6 +875,18 @@ ABBREVS[38] = (
 )
 ABBREVS[39] = (TAG_SUBPROGRAM, [(AT_ABSTRACT_ORIGIN, FORM_REF4), (AT_INLINE, FORM_DATA1)])
 ABBREVS[40] = (TAG_CU, [(AT_NAME, FORM_STRING), (AT_LOW_PC, FORM_ADDR)])
+# 41: a noreturn subprogram with a decl_file string and no name, specified
+# by ref_addr.
+ABBREVS[41] = (
+    TAG_SUBPROGRAM,
+    [
+        (AT_NORETURN, FORM_FLAG_PRESENT),
+        (AT_DECL_FILE, FORM_STRP),
+        (AT_SPECIFICATION, FORM_REF_ADDR),
+        (AT_LOW_PC, FORM_ADDR),
+        (AT_HIGH_PC, FORM_DATA4),
+    ],
+)
 # 51-55: range-list subprograms with an entry_pc address, an entry_pc
 # offset, an entry_pc offset and a low_pc, a low_pc alone, and an entry_pc
 # in a string form.
@@ -1238,6 +1250,26 @@ def test_a_link_into_a_unit_that_does_not_parse_drops_the_linking_unit():
     first = _unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)])
     bad = _unit([CU_DIE, _die(42)])
     first = _unit([CU_DIE, _die(27, _ref(len(first) + _offset([CU_DIE], 1)), _IN_TEXT)])
+    records, diags = extract_debug_functions(_info_image(first + bad))
+    assert records == []
+    assert [(d.code, d.message) for d in diags] == [
+        (
+            GT_MALFORMED_DEBUG_DATA,
+            f"debug info unreadable from the unit at offset {start:#x}: "
+            "abbrev code 42 not in table",
+        )
+        for start in (0, len(first))
+    ]
+
+
+def test_a_broken_link_is_named_before_an_attribute_found_ahead_of_it():
+    """The walk raises at the link into a unit that does not parse, before
+    any lookup it found is read: the decl_file string offset out of range
+    is never reached."""
+    first = _unit([CU_DIE, _die(41, _ref(0x9999), _ref(0), _IN_TEXT)])
+    bad = _unit([CU_DIE, _die(42)])
+    link = _ref(len(first) + _offset([CU_DIE], 1))
+    first = _unit([CU_DIE, _die(41, _ref(0x9999), link, _IN_TEXT)])
     records, diags = extract_debug_functions(_info_image(first + bad))
     assert records == []
     assert [(d.code, d.message) for d in diags] == [

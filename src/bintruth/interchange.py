@@ -40,15 +40,16 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
-from .byteclass import ByteClassMap, ByteRun
-from .model import MACHINE_NAMES, Diagnostic, machine_label
+from .byteclass import CLASSES, CONFIDENCES, ByteClassMap, ByteRun
+from .model import MACHINE_NAMES, SEVERITIES, Diagnostic, machine_label
 from .normalize import (
+    PROVENANCE_KINDS,
     BinarySummary,
     GroundTruthDocument,
     GroundTruthFunction,
     RunConfig,
 )
-from .scoring import CorpusSummary, ScoreResult, ToolReport
+from .scoring import MISMATCH_KINDS, CorpusSummary, ScoreResult, ToolReport
 
 SCHEMA_VERSION = 1
 
@@ -69,7 +70,7 @@ _SPAN = {
 _DIAGNOSTIC = {
     "type": "object",
     "properties": {
-        "severity": {"enum": ["info", "warning", "error"]},
+        "severity": {"enum": list(SEVERITIES)},
         "code": {"type": "string", "pattern": "^GT_[A-Z_]+$"},
         "message": {"type": "string"},
         "span": _SPAN,
@@ -82,8 +83,8 @@ _BYTE_RUN = {
     "properties": {
         "start": _HEX,
         "length": {"type": "integer", "minimum": 1},
-        "class": {"enum": ["code", "padding", "data", "gap_unknown"]},
-        "confidence": {"enum": ["certain", "heuristic"]},
+        "class": {"enum": list(CLASSES)},
+        "confidence": {"enum": list(CONFIDENCES)},
     },
     "required": ["start", "length", "class", "confidence"],
     "additionalProperties": False,
@@ -99,7 +100,7 @@ _FUNCTION = {
         "aliases": {"type": "array", "items": {"type": "string"}},
         "group": {"type": ["string", "null"]},
         "flags": {"type": "array", "items": {"type": "string"}},
-        "provenance": {"type": "array", "items": {"enum": ["symtab", "dwarf"]}},
+        "provenance": {"type": "array", "items": {"enum": list(PROVENANCE_KINDS)}},
         "source": {
             "type": ["object", "null"],
             "properties": {
@@ -272,9 +273,7 @@ SCORE_SCHEMA = {
             "items": {
                 "type": "object",
                 "properties": {
-                    "kind": {
-                        "enum": ["spurious_start", "missed_start", "wrong_boundary"]
-                    },
+                    "kind": {"enum": list(MISMATCH_KINDS)},
                     "address": _HEX,
                     "detail": {"type": "string"},
                 },

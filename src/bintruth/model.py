@@ -38,26 +38,7 @@ GT_LINKER_DISCARDED = "GT_LINKER_DISCARDED"
 GT_BAD_LINE_TABLE = "GT_BAD_LINE_TABLE"
 GT_BAD_EH_FRAME = "GT_BAD_EH_FRAME"
 
-DIAGNOSTIC_CODES = frozenset({
-    GT_MISSING_SIZE,
-    GT_ALIAS_MERGED,
-    GT_MULTI_ENTRY_MERGED,
-    GT_PADDING_TRIMMED,
-    GT_SIZE_OVERLAP,
-    GT_INCOMPLETE_EXCLUDED,
-    GT_NO_DEBUG_INFO,
-    GT_DISCONTIGUOUS_RANGE,
-    GT_SYMBOL_OUTSIDE_SECTIONS,
-    GT_FUNCTION_NOT_EXECUTABLE,
-    GT_BAD_STRING_OFFSET,
-    GT_START_MISMATCH,
-    GT_SUBPROGRAM_NO_ADDRESS,
-    GT_DEBUG_OUTSIDE_EXEC,
-    GT_MALFORMED_DEBUG_DATA,
-    GT_LINKER_DISCARDED,
-    GT_BAD_LINE_TABLE,
-    GT_BAD_EH_FRAME,
-})
+DIAGNOSTIC_CODES = frozenset(code for name, code in globals().items() if name.startswith("GT_"))
 
 
 def record(cls: type) -> type:

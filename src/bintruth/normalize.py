@@ -53,7 +53,7 @@ FUNCTION_FLAGS = frozenset(
     }
 )
 
-PROVENANCE_KINDS = frozenset({"symtab", "dwarf"})
+PROVENANCE_KINDS = ("symtab", "dwarf")
 
 _BINDING_RANK = {"global": 2, "weak": 1, "local": 0}
 
@@ -181,7 +181,7 @@ class GroundTruthFunction:
             raise ValueError("entry points must be sorted, without repeats")
         if not self.flags <= FUNCTION_FLAGS:
             raise ValueError(f"unknown flags {sorted(self.flags - FUNCTION_FLAGS)}")
-        if not self.provenance <= PROVENANCE_KINDS:
+        if not self.provenance.issubset(PROVENANCE_KINDS):
             raise ValueError("unknown provenance kind")
 
     @property

@@ -54,6 +54,16 @@ each be one function with ``dwarf`` provenance, whose ``source.file`` is
 ``h.h`` for the first three, ``a.cc`` for ``fa`` and ``b.cc`` for
 ``main``.
 
+The fourth program has a ``cold`` function ``warn`` that returns, and a
+``static`` ``noinline`` ``scale(x, k)`` that calls it when ``x < 0``;
+``main`` calls ``scale(n, 3)`` twice. At ``-O2 -g`` (the ``clone-cold``
+build) gcc 12 specializes ``scale`` for ``k = 3`` as
+``scale.constprop.0`` and moves the call to ``warn`` into
+``scale.constprop.0.cold``. The clone's record names ``scale`` and lists
+the ``.cold`` part's range after its own, so both functions must be in
+group ``scale`` with ``dwarf`` provenance, only the ``.cold`` one a
+``cold_part``, in a complete document. One line shows the two.
+
 Last, ``as --64`` assembles ``.nops 1`` to ``.nops 64`` in one unit, and
 each fill, cut from the object's ``.text`` in order, must parse as
 padding with bintruth's x86-64 alphabet. So a later GNU as that fills
@@ -177,6 +187,33 @@ CXX_FILES = {
     "main": "b.cc",
 }
 
+CLONE_COLD = {
+    "clone.c": r"""
+#include <stdio.h>
+#include <stdlib.h>
+
+__attribute__((cold)) void warn(const char *what, int x)
+{
+    fprintf(stderr, "%s: %d\n", what, x);
+}
+
+static __attribute__((noinline)) int scale(int x, int k)
+{
+    if (x < 0)
+        warn("negative", x);
+    return x * k;
+}
+
+int main(int argc, char **argv)
+{
+    int n = argc > 1 ? atoi(argv[1]) : -1;
+    return scale(n, 3) + scale(n, 3);
+}
+"""
+}
+# scale's clone for k = 3, and the part of it that gcc splits off.
+SCALE_PARTS = ("scale.constprop.0", "scale.constprop.0.cold")
+
 # dead_b, unused_fn, and the copy of unused_fn inlined into dead_b.
 DISCARDED_DIES = 3
 GC = ["-ffunction-sections", "-Wl,--gc-sections"]
@@ -196,6 +233,7 @@ BUILDS = {
     "gc-sections-gold": (TWO_FILES, [*GC, GOLD]),
     "cxx": (CXX, []),
     "cxx-dwarf4": (CXX, ["-gdwarf-4"]),
+    "clone-cold": (CLONE_COLD, []),
 }
 
 
@@ -337,6 +375,32 @@ def check_cxx(build: str, code: int, doc: dict) -> list[str]:
     return problems
 
 
+def check_clone_cold(build: str, code: int, doc: dict) -> list[str]:
+    """The problems of the clone-cold build."""
+    if not doc:
+        return [f"extract exited {code} without a document"]
+    problems = []
+    if (code, doc["complete"]) != (0, True):
+        problems.append(f"exit {code}, complete {doc['complete']}")
+    fns = {fn["name"]: fn for fn in doc["functions"] if fn["name"] in SCALE_PARTS}
+    for name in SCALE_PARTS:
+        fn = fns.get(name)
+        if fn is None:
+            problems.append(f"{name}: no function")
+            continue
+        if fn.get("group") != "scale":
+            problems.append(f"{name}: group {fn.get('group')!r}, not 'scale'")
+        if "dwarf" not in fn["provenance"]:
+            problems.append(f"{name}: provenance {fn['provenance']}")
+        if name.endswith(".cold") != ("cold_part" in fn["flags"]):
+            problems.append(f"{name}: flags {fn['flags']}")
+    shown = ", ".join(
+        f"{name} group {fn.get('group')} {'+'.join(fn['flags'])}" for name, fn in fns.items()
+    )
+    print(f"{build}: exit {code}, {shown}")
+    return problems
+
+
 def assemble_nops(work: Path) -> list[bytes] | None:
     """GNU as's fill for ``.nops N``, N = 1..64, at index ``N - 1``; None
     when ``as`` is not on PATH."""
@@ -373,6 +437,8 @@ def main() -> int:
                 continue
             if sources is SMOKE:
                 check = check_smoke
+            elif sources is CLONE_COLD:
+                check = check_clone_cold
             else:
                 check = check_cxx if sources is CXX else check_two_files
             problems += [f"{build}: {p}" for p in check(build, *extracted)]

@@ -367,7 +367,8 @@ def facts_by_start(
     records: Sequence[dwarf.DebugFunctionRecord], fdes: Sequence[tuple[int, int]]
 ) -> tuple[dict[int, tuple[int, str]], dict[int, str]]:
     """Start -> (the trim's floor, its source); start -> the first
-    non-empty record name there (a gcc clone's base).
+    non-empty name of a record that lists a range there (a gcc clone's
+    base, also at its ``.cold`` part).
 
     The floor is the largest end that a record, or one of a record's other
     ranges, gives at the start; where none does, the largest end of an FDE
@@ -379,10 +380,12 @@ def facts_by_start(
         if record.end_exclusive is not None:
             low = record.low_pc
             ends[low] = max(ends.get(low, 0), record.end_exclusive)
-        for start, end in record.other_ranges:
-            ends[start] = max(ends.get(start, 0), end)
         if record.name:
             names.setdefault(record.low_pc, record.name)
+        for start, end in record.other_ranges:
+            ends[start] = max(ends.get(start, 0), end)
+            if record.name:
+                names.setdefault(start, record.name)
     floors = {begin: (end, "FDE") for begin, end in fdes}
     floors.update((start, (end, "DWARF record")) for start, end in ends.items())
     return floors, names
@@ -456,8 +459,10 @@ def trim_padding(
 
 
 # What gcc appends to a clone's name: one or more of .constprop.N, .isra.N
-# and .part.N, each perhaps followed by .lto_priv.N or .cold.
-_GCC_CLONE_SUFFIX = re.compile(r"(?:\.(?:constprop|isra|part)\.\d+(?:\.lto_priv\.\d+|\.cold)?)+")
+# and .part.N, with .lto_priv.N anywhere among them, and .cold once, last.
+_GCC_CLONE_SUFFIX = re.compile(
+    r"(?:\.lto_priv\.\d+)*(?:\.(?:constprop|isra|part)\.\d+(?:\.lto_priv\.\d+)*)+(?:\.cold)?"
+)
 
 
 def cluster_specializations(works: list[_Working], names: dict[int, str]) -> None:

@@ -170,6 +170,33 @@ def gcc_clone_bytes():
     return forge.emit(_gcc_clone_spec())
 
 
+def _gcc_cold_clone_spec() -> forge.BinarySpec:
+    """A gcc clone split as gcc splits a function with a cold path:
+    ``f.constprop.0``'s concrete instance names its base ``f`` through its
+    abstract origin, and its range list holds its own range first, then
+    that of its part ``f.constprop.0.cold``, which lies below it."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    body = forge._fixed_body(16)
+    ranges = ((text.vaddr + 16, text.vaddr + 32), (text.vaddr, text.vaddr + 16))
+    clone = forge.DwarfFuncSpec(ranges=ranges, name_via="abstract_origin", name="f")
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=(
+            forge.FunctionSpec("f.constprop.0.cold", 0, body),
+            forge.FunctionSpec("f.constprop.0", 16, body, dwarf=(clone,)),
+        ),
+        word_size=64,
+        dwarf_versions=(5,),
+        cu_names=("clones.c",),
+    )
+
+
+@pytest.fixture(scope="session")
+def gcc_cold_clone_bytes():
+    """The bytes of :func:`_gcc_cold_clone_spec`."""
+    return forge.emit(_gcc_cold_clone_spec())
+
+
 def _line_table_spec(version: int) -> forge.BinarySpec:
     """One unit whose subprograms name their source files by decl_file
     index through its line table: before DWARF 5 the 1-based file names of

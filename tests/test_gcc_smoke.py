@@ -269,6 +269,62 @@ def test_a_start_mismatch_or_an_incomplete_cxx_document_is_a_problem():
     assert smoke.check_cxx("cxx", 1, {}) == ["extract exited 1 without a document"]
 
 
+def _clone_cold_doc() -> dict:
+    """The clone-cold build as gcc 12 makes it: scale's clone and its
+    ``.cold`` part are both in ``scale``'s group."""
+    functions = [
+        {"name": "warn", "provenance": ["dwarf", "symtab"], "flags": [], "group": None},
+        {
+            "name": "scale.constprop.0.cold",
+            "provenance": ["dwarf", "symtab"],
+            "flags": ["cold_part", "specialized"],
+            "group": "scale",
+        },
+        {"name": "main", "provenance": ["dwarf", "symtab"], "flags": [], "group": None},
+        {
+            "name": "scale.constprop.0",
+            "provenance": ["dwarf", "symtab"],
+            "flags": ["specialized"],
+            "group": "scale",
+        },
+    ]
+    return {"complete": True, "functions": functions, "diagnostics": []}
+
+
+def test_the_clone_cold_build_as_gcc_makes_it_passes(capsys):
+    assert smoke.check_clone_cold("clone-cold", 0, _clone_cold_doc()) == []
+    assert capsys.readouterr().out == (
+        "clone-cold: exit 0, scale.constprop.0.cold group scale cold_part+specialized, "
+        "scale.constprop.0 group scale specialized\n"
+    )
+
+
+def test_a_cold_part_out_of_its_clones_group_is_a_problem():
+    """As the name map had it when it held a record's name only at its entry."""
+    doc = _clone_cold_doc()
+    cold = _named(doc, "scale.constprop.0.cold")
+    cold["group"], cold["flags"] = None, ["cold_part"]
+    assert smoke.check_clone_cold("clone-cold", 0, doc) == [
+        "scale.constprop.0.cold: group None, not 'scale'"
+    ]
+
+
+def test_a_wrong_clone_cold_flag_provenance_or_document_is_a_problem():
+    doc = _clone_cold_doc()
+    doc["complete"] = False
+    _named(doc, "scale.constprop.0")["flags"].append("cold_part")
+    _named(doc, "scale.constprop.0.cold")["provenance"] = ["symtab"]
+    assert smoke.check_clone_cold("clone-cold", 0, doc) == [
+        "exit 0, complete False",
+        "scale.constprop.0: flags ['specialized', 'cold_part']",
+        "scale.constprop.0.cold: provenance ['symtab']",
+    ]
+    doc = _clone_cold_doc()
+    doc["functions"] = [fn for fn in doc["functions"] if not fn["name"].endswith(".cold")]
+    assert smoke.check_clone_cold("clone-cold", 0, doc) == ["scale.constprop.0.cold: no function"]
+    assert smoke.check_clone_cold("clone-cold", 1, {}) == ["extract exited 1 without a document"]
+
+
 def test_gas_nops_fills_pass_and_a_new_filler_is_a_problem(gas_nop_fills, capsys):
     assert smoke.check_nops(list(gas_nop_fills)) == []
     assert capsys.readouterr().out == "nops: 64 of 64 .nops fills parse as padding\n"

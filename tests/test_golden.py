@@ -141,6 +141,11 @@ def test_the_gcc_clone_document_is_byte_identical(gcc_clone_bytes):
     assert _document_digest(gcc_clone_bytes) == digest
 
 
+def test_the_gcc_cold_clone_document_is_byte_identical(gcc_cold_clone_bytes):
+    digest = "f95d6d7ab43ba39c0722d6c30b89d28dcc8eb1923d89fd1ed8572850f69a3d04"
+    assert _document_digest(gcc_cold_clone_bytes) == digest
+
+
 def test_the_gas_nops_document_is_byte_identical(gas_nops_bytes):
     digest = "031f673c9d0b33238c5c06ea5914c438514a00c5b8fc3e2c2c298b530f26d916"
     assert _document_digest(gas_nops_bytes) == digest

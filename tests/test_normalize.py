@@ -580,7 +580,12 @@ def test_clusters_without_a_base_still_group(preset_docs):
         ("f.part.0.lto_priv.3", "f", "f"),
         ("f.isra.0.cold", "f", "f"),
         ("f.lto_priv.0.isra.0", "f.lto_priv.0", "f.lto_priv.0"),
+        # .lto_priv.N may come anywhere among the clone suffixes
+        ("null_error.lto_priv.0.isra.0", "null_error", "null_error"),
+        ("Py_XDECREF.part.0.lto_priv.17.cold", "Py_XDECREF", "Py_XDECREF"),
         ("f.lto_priv.0", "f", None),  # a rename alone is no clone
+        ("helper.lto_priv.0", "helper", None),
+        ("f.isra.0.cold.part.1", "f", None),  # .cold comes once, at the end
         ("f.constprop.0", "g", None),  # the record names another function
         ("f.constprop.0", "f.constprop.0", None),  # not a proper prefix
         ("f.constprop", "f", None),  # no number
@@ -634,6 +639,21 @@ def test_the_forged_gcc_clones_group(gcc_clone_bytes):
         "scale.isra.0.lto_priv.0": ("scale", True),
         "helper.lto_priv.0": (None, False),
         "fold..0": ("fold", True),
+    }
+    assert doc.complete
+
+
+def test_a_clones_cold_part_joins_its_group(gcc_cold_clone_bytes):
+    """The clone's record names its base at each range it lists, so its
+    ``.cold`` part, linked as a cold part, is specialized in that group."""
+    _image, doc = corpuscheck.build_document(gcc_cold_clone_bytes)
+    shown = {
+        f.canonical_name: (f.specialization_group, sorted(f.flags), sorted(f.provenance))
+        for f in doc.functions
+    }
+    assert shown == {
+        "f.constprop.0.cold": ("f", ["cold_part", "specialized"], ["dwarf", "symtab"]),
+        "f.constprop.0": ("f", ["specialized"], ["dwarf", "symtab"]),
     }
     assert doc.complete
 

@@ -52,7 +52,8 @@ Inlined copies of one function share its abstract origin (DWARF 5
 abstract origin is resolved once per target per .debug_info blob, for
 every DIE that has neither a name nor a specification of its own. A
 record's name, declaration coordinates and noreturn flag come from one
-walk along its specification and abstract_origin links.
+walk along its specification and abstract_origin links; a link whose
+unit does not parse raises where the walk meets it.
 
 Decoding keeps each attribute's raw value; ``_value`` gives it its meaning
 when the pipeline reads it, resolving string offsets and string and
@@ -1306,8 +1307,9 @@ def _unit_records(
             )
         if inlined:
             continue  # an inlined copy is never a function start of its own
-        # A found lookup means what _value reads against the unit that holds
-        # it, in this order: noreturn, decl_file, decl_line, the file, the name.
+        # Each found lookup is read against the unit that holds it, in this
+        # order, which decides the fault a damaged unit names: noreturn,
+        # decl_file, decl_line, the file, the name.
         found = _inherited(unit, die, _RECORD_ATTRS)
         noreturn, file_idx, line = (got and _value(*got) for got in found[:3])
         # sdata and implicit_const can be negative, flag forms decode to bool.

@@ -1310,15 +1310,17 @@ def _unit_records(
         # Each found lookup is read against the unit that holds it, in this
         # order, which decides the fault a damaged unit names: noreturn,
         # decl_file, decl_line, the file, the name.
-        found = _inherited(unit, die, _RECORD_ATTRS)
-        noreturn, file_idx, line = (got and _value(*got) for got in found[:3])
+        got_noreturn, got_file, got_line, got_name = _inherited(unit, die, _RECORD_ATTRS)
+        noreturn = got_noreturn and _value(*got_noreturn)
+        file_idx = got_file and _value(*got_file)
+        line = got_line and _value(*got_line)
         # sdata and implicit_const can be negative, flag forms decode to bool.
         decl_line = line if type(line) is int and line >= 0 else 0
         if not isinstance(file_idx, int):
             decl_file = ""
         else:
             # The index names a file of the unit that holds it.
-            owner = found[1][0]  # type: ignore
+            owner = got_file[0]  # type: ignore
             decl_file, problem = _source_file(owner, file_idx)
             if problem is not None and unnamed is None:
                 unnamed = (owner, problem)
@@ -1329,7 +1331,7 @@ def _unit_records(
                     decl_file = f"file#{file_idx}"
                 else:
                     decl_file = cu_name if owner is unit else _unit_name(owner)
-        name = found[3] and _value(*found[3])
+        name = got_name and _value(*got_name)
         records.append(
             DebugFunctionRecord(
                 name=name if isinstance(name, str) else "",

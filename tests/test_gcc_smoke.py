@@ -288,7 +288,7 @@ def _clone_cold_doc() -> dict:
             "group": "scale",
         },
     ]
-    return {"complete": True, "functions": functions, "diagnostics": []}
+    return {"complete": True, "functions": functions}
 
 
 def test_the_clone_cold_build_as_gcc_makes_it_passes(capsys):

@@ -64,6 +64,14 @@ the ``.cold`` part's range after its own, so both functions must be in
 group ``scale`` with ``dwarf`` provenance, only the ``.cold`` one a
 ``cold_part``, in a complete document. One line shows the two.
 
+The ``lto`` build is extracted once more in this process, with the
+cyclic collector disabled and ``gc.DEBUG_SAVEALL`` set, so that every
+object the extraction leaves for the collector alone is kept. gcc's
+LTO output links across units, and the DWARF reader keeps each linked
+unit while it reads the blob. One line counts those objects by type,
+and a ``_Unit`` among them is a problem: ``bintruth extract`` runs with
+the collector paused, so nothing it builds may need the collector.
+
 Last, ``as --64`` assembles ``.nops 1`` to ``.nops 64`` in one unit, and
 each fill, cut from the object's ``.text`` in order, must parse as
 padding with bintruth's x86-64 alphabet. So a later GNU as that fills
@@ -79,6 +87,7 @@ Usage:
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -92,7 +101,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from bintruth import byteclass, elf, normalize  # noqa: E402
+from bintruth import byteclass, elf, interchange, normalize  # noqa: E402
 
 SMOKE = {
     "smoke.c": r"""
@@ -401,6 +410,32 @@ def check_clone_cold(build: str, code: int, doc: dict) -> list[str]:
     return problems
 
 
+def cyclic_garbage(binary: Path) -> Counter:
+    """The objects, counted by type name, that extracting ``binary`` as
+    ``bintruth extract`` does leaves for the cyclic collector alone."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it would free
+    try:
+        image = elf.parse_image(binary.read_bytes(), str(binary))
+        doc = normalize.build_ground_truth(normalize.read_evidence(image))
+        interchange.document_to_json(doc)
+        del image, doc
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def check_garbage(build: str, counts: Counter) -> list[str]:
+    """A problem when the extraction left a DWARF unit in a cycle."""
+    shown = ", ".join(f"{n} {name}" for name, n in sorted(counts.items())) or "none"
+    print(f"{build}: cyclic garbage after extract: {shown}")
+    return [f"{counts['_Unit']} _Unit(s) left as cyclic garbage"] if counts["_Unit"] else []
+
+
 def assemble_nops(work: Path) -> list[bytes] | None:
     """GNU as's fill for ``.nops N``, N = 1..64, at index ``N - 1``; None
     when ``as`` is not on PATH."""
@@ -442,6 +477,9 @@ def main() -> int:
             else:
                 check = check_cxx if sources is CXX else check_two_files
             problems += [f"{build}: {p}" for p in check(build, *extracted)]
+            if build == "lto":
+                counts = cyclic_garbage(work / f"{build}.bin")
+                problems += [f"{build}: {p}" for p in check_garbage(build, counts)]
         fills = assemble_nops(Path(tmp))
         if fills is not None:
             problems += check_nops(fills)

@@ -15,6 +15,11 @@ where ``fixtures`` is registered or run, ``multiprocessing`` only when
 ``extract``, ``score``, ``diff`` and ``corpus --jobs 1`` import none of
 them.
 
+The cyclic garbage collector is paused while a command runs and restored
+as it was found on every exit: nothing a command builds holds a reference
+cycle, so the collector would only rescan the acyclic objects that
+``extract`` and a truth load allocate in bulk.
+
 Exit codes: 0 success, 1 usage error (including a bad option value), 2
 unreadable or invalid input (parse, schema, digest), 3 incomplete ground
 truth, 4 documents differ (``diff`` only). Any other exception is a bug
@@ -23,6 +28,7 @@ and propagates.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from collections.abc import Callable
@@ -552,6 +558,8 @@ def main(argv: list[str] | None = None) -> int:
     # value that could claim it.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command].run(args)
     except _INPUT_ERRORS as exc:
@@ -560,6 +568,9 @@ def main(argv: list[str] | None = None) -> int:
     except scoring.IncompleteTruthRejectedError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -563,7 +563,9 @@ class _ReaderSource:
         body = [*self.lines, f"return {result}"]
         text = "def reader(blob, pos):\n" + "\n".join(f"    {line}" for line in body)
         exec(compile(text, "<dwarf reader>", "exec"), self.namespace)
-        return self.namespace["reader"]
+        # Popped, so that the namespace, the reader's globals, does not hold
+        # the reader: a plan the cache evicts is then freed by its count.
+        return self.namespace.pop("reader")
 
 
 def _parse_abbrev_table(
@@ -1436,6 +1438,9 @@ def extract_debug_functions(
                 diagnostics.append(_unreadable(start, exc))
         if damage is not None:
             diagnostics.append(_unreadable(*damage))
+        # Each linked unit holds this aux: drop them, so the blob's units
+        # are freed by their counts, not left for the cyclic collector.
+        aux.linked.clear()
     return records, diagnostics
 
 

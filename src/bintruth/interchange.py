@@ -348,6 +348,10 @@ _KINDS = {
     type(None): "null",
 }
 
+# The value types of a published enum: one, so that an exact type test and
+# a set of values decide it.
+_ENUM_TYPES = (frozenset({str}), frozenset({int}))
+
 _Acceptor = Callable[[object], bool]
 
 
@@ -395,9 +399,10 @@ def _shape(schema: dict) -> tuple[str, frozenset, str]:
     """The node shape of ``schema``, the Python types its ``type`` admits,
     and their names as a message gives them.
 
-    The published schemas use seven shapes: ``const``, ``enum``, a bare
-    ``type``, and a ``type`` with either a pattern (``string``), a minimum
-    (``number``), array keywords (``array``) or object keywords
+    The published schemas use seven shapes: ``const``, ``enum`` (of
+    strings or of integers, never mixed: its type is that of its values),
+    a bare ``type``, and a ``type`` with either a pattern (``string``), a
+    minimum (``number``), array keywords (``array``) or object keywords
     (``object``), the last always closed by ``additionalProperties:
     false`` and requiring every property it lists. Any other shape, a
     ``type`` JSON has not, or a keyword that no declared type reads, raises
@@ -407,7 +412,13 @@ def _shape(schema: dict) -> tuple[str, frozenset, str]:
     if keys == {"const"}:
         return "const", frozenset(), ""
     if keys == {"enum"}:
-        return "enum", frozenset(), ""
+        types = frozenset(type(option) for option in schema["enum"])
+        if types not in _ENUM_TYPES:
+            raise ValueError(
+                f"no checker for an enum of values {schema['enum']!r}: all "
+                "must be strings or all integers"
+            )
+        return "enum", types, ""
     if "type" in keys:
         kinds = schema["type"]
         if isinstance(kinds, str):
@@ -459,7 +470,7 @@ def _explain(value: object, schema: dict) -> str | None:
         return None
     if shape == "enum":
         options = schema["enum"]
-        if not any(kind is type(option) and value == option for option in options):
+        if kind not in types or value not in options:
             return f": {value!r} is not one of {options!r}"
         return None
     if shape == "string" and kind is str:
@@ -576,10 +587,8 @@ class _AcceptorSource:
             kind, value = self.constant(type(const)), self.constant(const)
             test = f"type({x}) is not {kind} or {x} != {value}"
         elif shape == "enum":
-            options = schema["enum"]
-            kinds = self.not_type(x, frozenset(type(o) for o in options))
-            members = self.constant(frozenset((type(o), o) for o in options))
-            test = f"{kinds} or (type({x}), {x}) not in {members}"
+            members = self.constant(frozenset(schema["enum"]))
+            test = f"{self.not_type(x, types)} or {x} not in {members}"
         elif shape == "type":
             test = self.not_type(x, types)
         else:
@@ -864,15 +873,29 @@ def _document(payload: dict) -> GroundTruthDocument:
     machine_code = _machine_from_label(binary["machine"])
     functions = []
     append = functions.append
+    # One frozenset per distinct flags or provenance list, by its items.
+    sets: dict[tuple[str, ...], frozenset[str]] = {}
     end, name = 0, ""  # the end_raw and name of the function before
     for fn in payload["functions"]:
-        entries = tuple([int(e, 16) for e in fn["entries"]])
+        hexes = fn["entries"]
+        if len(hexes) == 1:
+            entries = (int(hexes[0], 16),)
+        else:
+            entries = tuple([int(e, 16) for e in hexes])
         start = fn["start"]
-        if start != fn["entries"][0] and int(start, 16) != entries[0]:
+        if start != hexes[0] and int(start, 16) != entries[0]:
             raise SchemaError(
                 f"function {fn['name']!r}: start disagrees with entries[0]"
             )
         raw, trimmed = int(fn["end_raw"], 16), int(fn["end_trimmed"], 16)
+        key = tuple(fn["flags"])
+        flags = sets.get(key)
+        if flags is None:
+            flags = sets[key] = frozenset(key)
+        key = tuple(fn["provenance"])
+        provenance = sets.get(key)
+        if provenance is None:
+            provenance = sets[key] = frozenset(key)
         source = fn["source"]
         append(
             GroundTruthFunction(
@@ -882,8 +905,8 @@ def _document(payload: dict) -> GroundTruthDocument:
                 trimmed,
                 tuple(fn["aliases"]),
                 fn["group"],
-                frozenset(fn["flags"]),
-                frozenset(fn["provenance"]),
+                flags,
+                provenance,
                 None if source is None else (source["file"], source["line"]),
             )
         )

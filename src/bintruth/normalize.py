@@ -53,7 +53,8 @@ FUNCTION_FLAGS = frozenset(
     }
 )
 
-PROVENANCE_KINDS = ("symtab", "dwarf")
+PROVENANCE_KINDS = ("symtab", "dwarf")  # in the order the schema lists them
+_PROVENANCE_SET = frozenset(PROVENANCE_KINDS)
 
 _BINDING_RANK = {"global": 2, "weak": 1, "local": 0}
 
@@ -181,7 +182,7 @@ class GroundTruthFunction:
             raise ValueError("entry points must be sorted, without repeats")
         if not self.flags <= FUNCTION_FLAGS:
             raise ValueError(f"unknown flags {sorted(self.flags - FUNCTION_FLAGS)}")
-        if not self.provenance.issubset(PROVENANCE_KINDS):
+        if not self.provenance <= _PROVENANCE_SET:
             raise ValueError("unknown provenance kind")
 
     @property

@@ -6,6 +6,7 @@ printed as one line each at the end of the run.
 """
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,18 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_CRITERIA):
         title, verdict = _CRITERIA[num]
         terminalreporter.write_line(f"criterion {num:2d} [{verdict}] {title}")
+
+
+@pytest.fixture
+def collector():
+    """Sets the cyclic collector on or off for a test, and puts it back as
+    it was whatever the test leaves."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,11 @@ can aggregate across a whole corpus before failing.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 
-from bintruth import elf, normalize
+from bintruth import cli, elf, normalize
 from oracles import NoBytesError, bytes_at, tiles_as_padding
 
 
@@ -18,6 +19,26 @@ def build_document(data: bytes, config=None, source_path: str = ""):
     image = elf.parse_image(data, source_path)
     doc = normalize.build_ground_truth(normalize.read_evidence(image), config)
     return image, doc
+
+
+def cyclic_garbage(argv: list[str]) -> int:
+    """The objects that the command ``argv`` leaves for the cyclic collector
+    alone to free, run by its command function with the collector paused.
+
+    The parser is built and dropped, with its own cycles, before the count
+    starts. The collector is left as it was found.
+    """
+    name = argv[0]
+    args = cli._build_parser(name).parse_args(argv)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._COMMANDS[name].run(args)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def invariant_failures(image, doc) -> list[str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -85,6 +86,88 @@ def test_internal_failures_are_not_reported_as_invalid_input(tmp_path, monkeypat
     monkeypatch.setattr(byteclass, "classify_bytes", overlapping)
     with pytest.raises(byteclass.OverlapError):
         main(["extract", str(write_binary(tmp_path, "listing1"))])
+
+
+# --- the cyclic collector -------------------------------------------------
+
+
+def _outcome(argv):
+    """What ``main(argv)`` returns, or the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return f"SystemExit({exc.code})"
+
+
+def _extract(tmp, preset):
+    return ["extract", str(write_binary(tmp, preset)), "-o", str(tmp / "t")]
+
+
+# (argv of a temporary directory, what main returns or raises)
+_EXIT_PATHS = {
+    "exit 0": (lambda tmp: _extract(tmp, "listing1"), 0),
+    "exit 2 (refused input)": (lambda tmp: ["diff", str(tmp / "a"), str(tmp / "b")], 2),
+    "exit 3 (incomplete truth)": (lambda tmp: _extract(tmp, "stripped"), 3),
+    "--help": (lambda tmp: ["--help"], "SystemExit(0)"),
+    "bad arguments": (lambda tmp: ["score", "a", "b", "--policy", "vibes"], "SystemExit(1)"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", list(_EXIT_PATHS))
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collector, path, enabled):
+    argv, expected = _EXIT_PATHS[path]
+    collector(enabled)
+    assert _outcome(argv(tmp_path)) == expected
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_command_runs_with_the_collector_paused_even_when_it_raises(
+    monkeypatch, collector, enabled
+):
+    seen = []
+
+    def failing(_args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "diff", cli._COMMANDS["diff"]._replace(run=failing))
+    collector(enabled)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["diff", "a.json", "b.json"])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name", sorted(forge.PRESETS))
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys, preset_docs, name):
+    """The collector is paused while a command runs, so nothing a command
+    builds may need it: every object is freed by its reference count."""
+    truth = tmp_path / f"{name}.truth.json"
+    binary = write_binary(tmp_path, name)
+    assert corpuscheck.cyclic_garbage(["extract", str(binary), "-o", str(truth)]) == 0
+    doc = interchange.document_from_json(truth.read_text())
+    report = write_report(tmp_path, doc, name, [
+        (fn.start, fn.end_exclusive_trimmed - fn.start) for fn in doc.functions[::2]
+    ])
+    (tmp_path / "other").mkdir()  # out of the corpus, which has its pair only
+    other = write_truth(tmp_path / "other", preset_docs["listing1"], "other")
+    for argv in (
+        ["score", str(truth), str(report), "--accept-incomplete"],
+        ["diff", str(truth), str(other)],
+    ):
+        assert corpuscheck.cyclic_garbage(argv) == 0, argv[0]
+    capsys.readouterr()
+    corpus = ["corpus", str(tmp_path), "--jobs", "1", "--accept-incomplete"]
+    assert corpuscheck.cyclic_garbage(corpus) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
+
+
+def test_fixtures_leaves_no_cyclic_garbage(tmp_path, capsys):
+    for argv in (["--seed", "3", "--count", "3"], []):
+        assert corpuscheck.cyclic_garbage(["fixtures", "-o", str(tmp_path), *argv]) == 0
+    assert len(list(tmp_path.glob("*.bin"))) == 3 + len(forge.PRESETS)
 
 
 # Runs the CLI in a fresh interpreter in which importing jsonschema fails.

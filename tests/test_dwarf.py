@@ -2,12 +2,14 @@ import dataclasses
 import functools
 import json
 import struct
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+import corpuscheck
 from oracles import sleb_encode
 from bintruth import dwarf, elf, forge, normalize
 from bintruth.dwarf import (
@@ -1159,13 +1161,47 @@ def test_a_ref_addr_link_reads_the_target_against_its_own_unit(unit_type):
     assert rec == DebugFunctionRecord("target", 0x401000, 0x401010, "b.c", 300, True)
 
 
-def test_a_ref_addr_link_into_a_partial_unit_takes_its_name():
+def _partial_link_image() -> BinaryImage:
+    """A DWARF 4 unit whose subprogram reaches, by a ref_addr abstract
+    origin, a subprogram of a partial unit after it."""
     between = _unit(_PARTIAL_DIES, version=5, unit_type=3)
     first_size = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)]))
-    target = first_size + _offset(_PARTIAL_DIES, 1, version=5)
-    records, diags = extract_debug_functions(_linked_image(between, target))
+    return _linked_image(between, first_size + _offset(_PARTIAL_DIES, 1, version=5))
+
+
+def test_a_ref_addr_link_into_a_partial_unit_takes_its_name():
+    records, diags = extract_debug_functions(_partial_link_image())
     assert diags == []
     assert [(r.name, r.decl_file) for r in records] == [("partial", "")]
+
+
+def test_a_link_into_a_partial_unit_leaves_no_cyclic_garbage(tmp_path):
+    """A linked unit holds its blob's aux, and the aux the linked units
+    while the blob is read; extract frees them all by their counts."""
+    image = _partial_link_image()
+    sections = [SectionSpec(".text", 0x401000, content=b"\x90" * 0x40, executable=True)]
+    for s in image.sections[2:]:  # the debug sections, after the null one and .text
+        blob = image.raw[s.file_offset : s.file_offset + s.size]
+        sections.append(SectionSpec(s.name, 0, content=blob, allocated=False))
+    body = FunctionSpec("partial", 0, b"\x90" * 15 + b"\xc3")
+    binary, truth = tmp_path / "linked.bin", tmp_path / "linked.json"
+    binary.write_bytes(emit(BinarySpec(tuple(sections), (body,), word_size=64)))
+    assert corpuscheck.cyclic_garbage(["extract", str(binary), "-o", str(truth)]) == 0
+    (fn,) = json.loads(truth.read_text())["functions"]
+    assert (fn["name"], fn["provenance"]) == ("partial", ["dwarf", "symtab"])
+
+
+def test_a_reader_dropped_from_the_plan_cache_is_freed_by_its_count(collector):
+    """A reader's globals do not hold the reader, so an evicted plan is no
+    cycle for the collector to find."""
+    dwarf._compile_plan.cache_clear()
+    plan = dwarf._compile_plan(((AT_NAME, FORM_STRING, None),), 4, 8, True, True)
+    reader = weakref.ref(plan)
+    del plan
+    collector(False)
+    assert reader() is not None
+    dwarf._compile_plan.cache_clear()
+    assert reader() is None
 
 
 @pytest.mark.parametrize("target", [5, 0x900, 2**32 - 1], ids=["mid-die", "past", "top"])

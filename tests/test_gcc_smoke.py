@@ -7,6 +7,7 @@ without a compiler. Each expectation must fire when it is violated.
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -336,3 +337,18 @@ def test_gas_nops_fills_pass_and_a_new_filler_is_a_problem(gas_nop_fills, capsys
         f".nops 64: {fills[63].hex()} is not padding",
     ]
     assert capsys.readouterr().out == "nops: 62 of 64 .nops fills parse as padding\n"
+
+
+def test_an_extraction_without_cycles_passes_and_a_unit_in_one_is_a_problem(
+    tmp_path, preset_bytes, capsys
+):
+    binary = tmp_path / "listing1.bin"
+    binary.write_bytes(preset_bytes["listing1"])
+    counts = smoke.cyclic_garbage(binary)
+    assert counts == Counter()
+    assert smoke.check_garbage("lto", counts) == []
+    assert capsys.readouterr().out == "lto: cyclic garbage after extract: none\n"
+    counts = Counter({"_Unit": 1, "_Die": 10, "_Aux": 1})
+    assert smoke.check_garbage("lto", counts) == ["1 _Unit(s) left as cyclic garbage"]
+    shown = "lto: cyclic garbage after extract: 1 _Aux, 10 _Die, 1 _Unit\n"
+    assert capsys.readouterr().out == shown

@@ -215,6 +215,56 @@ def test_schema_rejects_damage(preset_docs):
             document_from_json(_mutate(text, edit))
 
 
+# A fault of each kind that only the checks past the schema find, in the
+# order they find them: the machine label, the functions, the diagnostics,
+# the byte runs, then the completeness flag. (label, edit, message start)
+_SEMANTIC_FAULTS = [
+    ("machine", lambda p: p["binary"].update(machine="other(x)"), "unrecognized machine label"),
+    ("function", lambda p: p["functions"][-1].update(start="0x999"), "function 'fix_syms': "),
+    ("diagnostic", lambda p: p["diagnostics"][-1].update(code="GT_PUFFIN"), "unknown diagnostic"),
+    ("byte run", lambda p: p["byte_classes"][-1].update(start="0x0"), "byte run at 0x0 "),
+    ("complete", lambda p: p.update(complete=False), "complete must be true"),
+]
+# Faults the schema finds, from the first key of the document to its last.
+_SCHEMA_FAULTS = [
+    ("word size", lambda p: p["binary"].update(word_size=True), "$.binary.word_size: "),
+    ("last run", lambda p: p["byte_classes"][-1].update(confidence="sure"), "$.byte_classes[1]."),
+    ("entry", lambda p: p["functions"][-1]["entries"].append("0X1"), "$.functions[0].entries[2]: "),
+    ("version", lambda p: p.update(schema_version=2), "$.schema_version: "),
+]
+
+
+def _refusal(text, *faults) -> str:
+    """The message that refuses ``text`` with each fault's edit made."""
+    payload = json.loads(text)
+    for _label, edit, _message in faults:
+        edit(payload)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(json.dumps(payload))
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("schema_fault", _SCHEMA_FAULTS, ids=lambda f: f[0])
+@pytest.mark.parametrize("semantic_fault", _SEMANTIC_FAULTS, ids=lambda f: f[0])
+def test_a_schema_fault_is_named_before_any_semantic_fault(
+    preset_docs, schema_fault, semantic_fault
+):
+    text = document_to_json(preset_docs["listing1"])
+    assert _refusal(text, semantic_fault).startswith(semantic_fault[2])
+    assert _refusal(text, schema_fault, semantic_fault).startswith(schema_fault[2])
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [(a, b) for i, a in enumerate(_SEMANTIC_FAULTS) for b in _SEMANTIC_FAULTS[i + 1 :]],
+    ids=lambda f: f[0],
+)
+def test_semantic_faults_are_named_in_the_order_they_are_checked(preset_docs, first, second):
+    text = document_to_json(preset_docs["listing1"])
+    assert _refusal(text, second).startswith(second[2])  # each fault alone is found
+    assert _refusal(text, first, second).startswith(first[2])
+
+
 @pytest.mark.parametrize(
     ("path", "value", "message"),
     [
@@ -328,11 +378,25 @@ def test_open_object_schemas_are_refused():
         _generate(schema)
 
 
+@pytest.mark.parametrize("value", [32.0, True, "32", None, [32]])
+def test_an_enum_compares_types_as_well_as_values(value):
+    """An enum's values are all of one type, and a value of another type
+    fails however it compares: 32.0 == 32 and True == 1 in Python."""
+    schema = {"enum": [1, 32, 64]}
+    _check(32, schema, "$")
+    with pytest.raises(SchemaError, match=r"is not one of \[1, 32, 64\]"):
+        _check(value, schema, "$")
+    assert not _generate(schema)(value)
+
+
 @pytest.mark.parametrize(
     "schema",
     [
         {"type": "string", "format": "date"},  # would go unenforced
         {"type": "string", "enum": ["a"]},
+        {"enum": [1, "1"]},  # no published enum mixes the types of its values
+        {"enum": []},
+        {"enum": [[1]]},
         {"minimum": 0},
         {"type": "integer", "minimum": 0, "pattern": "^1$"},
         {"type": "integer", "pattern": "^1$"},  # no declared type reads it

@@ -69,8 +69,8 @@ cyclic collector disabled and ``gc.DEBUG_SAVEALL`` set, so that every
 object the extraction leaves for the collector alone is kept. gcc's
 LTO output links across units, and the DWARF reader keeps each linked
 unit while it reads the blob. One line counts those objects by type,
-and a ``_Unit`` among them is a problem: ``bintruth extract`` runs with
-the collector paused, so nothing it builds may need the collector.
+and any of them is a problem: ``bintruth extract`` runs with the
+collector paused, so nothing it builds may need the collector.
 
 Last, ``as --64`` assembles ``.nops 1`` to ``.nops 64`` in one unit, and
 each fill, cut from the object's ``.text`` in order, must parse as
@@ -430,10 +430,10 @@ def cyclic_garbage(binary: Path) -> Counter:
 
 
 def check_garbage(build: str, counts: Counter) -> list[str]:
-    """A problem when the extraction left a DWARF unit in a cycle."""
+    """A problem when the extraction left anything in a cycle."""
     shown = ", ".join(f"{n} {name}" for name, n in sorted(counts.items())) or "none"
     print(f"{build}: cyclic garbage after extract: {shown}")
-    return [f"{counts['_Unit']} _Unit(s) left as cyclic garbage"] if counts["_Unit"] else []
+    return [f"cyclic garbage: {shown}"] if counts else []
 
 
 def assemble_nops(work: Path) -> list[bytes] | None:

@@ -287,13 +287,7 @@ def _serialize_unit(
     fixups: list[tuple[int, _WDie]] = []
     refs: list[tuple[int, _WDie]] = []
 
-    # The DIEs in tree order; None ends a sibling chain.
-    pending: list[_WDie | None] = [root]
-    while pending:
-        die = pending.pop()
-        if die is None:
-            body.append(0)
-            continue
+    def walk(die: _WDie) -> None:
         offsets[id(die)] = len(body)
         key = (die.tag, bool(die.children), tuple((a, f) for a, f, _ in die.attrs))
         body.extend(uleb_encode(codes.setdefault(key, len(codes) + 1)))
@@ -312,8 +306,12 @@ def _serialize_unit(
                 body.extend(uleb_encode(len(value)) + value)
             # flag_present takes no bytes.
         if die.children:
-            pending.append(None)
-            pending.extend(reversed(die.children))
+            for child in die.children:
+                walk(child)
+            body.append(0)
+
+    walk(root)
+    del walk  # its cell held it: no cycle left for the collector
     for pos, target in fixups:
         # ref4 holds a unit-relative offset; the 4-byte length prefix
         # is part of the unit, hence the +4.

@@ -878,10 +878,7 @@ def _document(payload: dict) -> GroundTruthDocument:
     end, name = 0, ""  # the end_raw and name of the function before
     for fn in payload["functions"]:
         hexes = fn["entries"]
-        if len(hexes) == 1:
-            entries = (int(hexes[0], 16),)
-        else:
-            entries = tuple([int(e, 16) for e in hexes])
+        entries = tuple([int(e, 16) for e in hexes])
         start = fn["start"]
         if start != hexes[0] and int(start, 16) != entries[0]:
             raise SchemaError(

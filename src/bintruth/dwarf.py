@@ -10,42 +10,45 @@ and its record keeps the other ranges: gcc lists a split function's hot
 range first and its ``.cold`` part, often lower, after it. Inlined copies
 yield diagnostics, with the hull of a range list, but never records; the
 concrete subprograms of a unit that carry no address are counted in one
-diagnostic per unit.
+diagnostic per unit. A high pc or entry pc is an address, or an unsigned
+offset (DWARF 5 §2.17.2, §2.18) that stays in the address space (``_pc``);
+a high pc below its low pc is malformed.
 
 Only DWARF 5 compile units (and every unit of an earlier version) yield
-records; partial, type, skeleton and split units are stepped over by
-their length. A ``DW_FORM_ref_addr`` link may land in another compile or
-partial unit of the same blob: that unit is found by bisecting the unit
-spans, parsed when a link first needs it, and its attributes are read
-against its own bases and string tables.
+records; partial, type, skeleton and split units are stepped over by their
+length. A ``DW_FORM_ref_addr`` link may land in another compile or partial
+unit of the same blob: that unit is found by bisecting the unit spans,
+parsed when a link first needs it, and its attributes are read against its
+own bases and string tables. A unit must begin with its unit entry, a
+compile or partial unit (DWARF 5 §3.1, §7.5).
+
+One table, ``_READS``, names the tags whose DIEs are decoded and the
+``DW_AT_*`` kinds below that each keeps, ``DW_AT_entry_pc`` only for a
+subprogram. Any other DIE is stepped over and nothing of it is kept: a
+specification or abstract_origin link that lands on it names nothing.
+DWARF 5 points the one at the declaring subprogram (§2.13.2), the other at
+the abstract subprogram (§3.3.8).
 
 One compiler, ``_compile_plan``, turns each abbrev into a plan from one
 form catalog, which gives each form's width. A plan is one straight-line
 Python function, generated for the abbrev and compiled with ``exec``. A
-decode reader ``(blob, pos) -> (attrs, pos)`` reads only the kinds in
-``_READ_ATTRS``, the ``DW_AT_*`` constants below but ``DW_AT_entry_pc``,
-which only a subprogram's reader also reads: the read members of
-a run of fixed-width forms are one ``struct`` read whose unread members
-are pad bytes, a variable-width form nothing reads is stepped over in
-place, and flag_present and implicit_const read as constants. A skip
-reader ``(blob, pos) -> pos`` reads nothing, and is a plain int when the
-abbrev's forms are all fixed. The source of a reader holds int literals
-and names only: structs, decoders and implicit_const values are bound in
-the namespace it is compiled in, never written into its text. Only the
-first DIE of a unit and the DIEs tagged compile_unit, subprogram or
-inlined_subroutine are decoded and kept; every other DIE is stepped over
-by its skip reader. So a specification or abstract_origin link names only
-a decoded DIE: DWARF 5 points the one at the declaring subprogram
-(§2.13.2) and the other at the abstract subprogram (§3.3.8), and a link
-that lands on any other DIE names nothing.
+decode reader ``(blob, pos) -> (attrs, pos)`` reads what its tag keeps:
+the read members of a run of fixed-width forms are one ``struct`` read
+whose unread members are pad bytes, a variable-width form nothing reads
+is stepped over in place, and flag_present and implicit_const read as
+constants. A skip reader ``(blob, pos) -> pos`` reads nothing, and is a
+plain int when the abbrev's forms are all fixed. The source of a reader
+holds int literals and names only: structs, decoders and implicit_const
+values are bound in the namespace it is compiled in, never written into
+its text.
 
 Readers check no bounds as they go. A DIE whose read fails, or ends past
 the section, is read again by the full decoder (``_read_attrs``), which
-raises what it hit: a read past the section end, an unterminated string
-or a runaway LEB128. That decoder also reads the DIEs whose abbrev has a
-form with no width in the catalog (indirect, or an unknown form, which it
-refuses) or more attributes than a reader may hold, so that a hostile
-.debug_abbrev cannot make a compile run long.
+keeps the same kinds and raises what it hit: a read past the section
+end, an unterminated string or a runaway LEB128. That decoder also reads
+the DIEs whose abbrev has a form with no width in the catalog (indirect,
+or an unknown form, which it refuses) or more attributes than a reader
+may hold, so that a hostile .debug_abbrev cannot make a compile run long.
 
 Inlined copies of one function share its abstract origin (DWARF 5
 §3.3.8), and a diagnostic names each copy. A name reached through an
@@ -94,6 +97,7 @@ from .model import (
 )
 
 DW_TAG_compile_unit = 0x11
+DW_TAG_partial_unit = 0x3C
 DW_TAG_subprogram = 0x2E
 DW_TAG_inlined_subroutine = 0x1D
 
@@ -114,8 +118,9 @@ DW_AT_addr_base = 0x73
 DW_AT_rnglists_base = 0x74
 DW_AT_noreturn = 0x87
 
-# The attributes a decoded DIE keeps: every one the pipeline looks up.
-_READ_ATTRS = frozenset(
+# The DIEs the walk decodes: tag -> the attributes a DIE of that tag keeps,
+# each one the pipeline looks up. Any other DIE is stepped over.
+_LOOKED_UP = frozenset(
     {
         DW_AT_name, DW_AT_low_pc, DW_AT_high_pc, DW_AT_inline,
         DW_AT_abstract_origin, DW_AT_decl_file, DW_AT_decl_line,
@@ -124,9 +129,13 @@ _READ_ATTRS = frozenset(
         DW_AT_noreturn, DW_AT_stmt_list,
     }
 )
-# A subprogram's DIE also keeps its entry address, which picks the entry's
-# range out of a range list.
-_SUBPROGRAM_READS = _READ_ATTRS | {DW_AT_entry_pc}
+_READS: dict[int, frozenset[int]] = {
+    DW_TAG_compile_unit: _LOOKED_UP,
+    DW_TAG_partial_unit: _LOOKED_UP,
+    # Its entry address picks the entry's range out of a range list.
+    DW_TAG_subprogram: _LOOKED_UP | {DW_AT_entry_pc},
+    DW_TAG_inlined_subroutine: _LOOKED_UP,
+}
 
 DW_UT_compile = 0x01
 DW_UT_partial = 0x03
@@ -347,12 +356,6 @@ _RESOLVED_FORMS = _STRX_FORMS | _ADDRX_FORMS | {0x0E, 0x1F, 0x0C, 0x19}
 # ref1, ref2, ref4, ref8 and ref_udata: offsets from the unit's start.
 _UNIT_REF_FORMS = frozenset({0x11, 0x12, 0x13, 0x14, 0x15})
 
-# The tags whose DIEs the walk decodes; any other DIE is stepped over, and a
-# link that lands on it names nothing.
-_DECODED_TAGS = frozenset(
-    {DW_TAG_compile_unit, DW_TAG_subprogram, DW_TAG_inlined_subroutine}
-)
-
 
 @dataclass(slots=True)
 class _Die:
@@ -384,15 +387,28 @@ class _Aux:
     files: dict[int, tuple[tuple[str, ...] | None, str | None]] = field(default_factory=dict)
 
 
+# The _Aux field that holds each companion section.
+_COMPANIONS = {
+    "abbrev": ".debug_abbrev",
+    "debug_str": ".debug_str",
+    "line_str": ".debug_line_str",
+    "str_offsets": ".debug_str_offsets",
+    "addr": ".debug_addr",
+    "ranges": ".debug_ranges",
+    "rnglists": ".debug_rnglists",
+    "line": ".debug_line",
+}
+
+
 # A plan is None when a form has no width in the catalog, or when the abbrev
 # lists more than _MAX_PLAN_ATTRS attributes: the full decoder reads such
 # DIEs. A skip plan is the DIEs' width when every form is fixed, else a
 # generated reader ``(blob, pos) -> next position``. A decode plan is a
 # generated reader ``(blob, pos) -> (attrs, next position)``, ``attrs``
-# holding (form, raw value) by attribute for the kinds in _READ_ATTRS.
+# holding (form, raw value) by attribute for the kinds its tag keeps.
 _Plan = int | Callable | None
-# abbrev code -> (tag, ((attr, form, implicit), ...), plan, decode plan?)
-_Abbrevs = dict[int, tuple[int, tuple, _Plan, bool]]
+# abbrev code -> (tag, ((attr, form, implicit), ...), plan, kept attributes)
+_Abbrevs = dict[int, tuple[int, tuple, _Plan, frozenset[int]]]
 
 
 @dataclass(slots=True)
@@ -404,7 +420,6 @@ class _Unit:
     little_endian: bool
     aux: _Aux
     info: bytes
-    widths: dict[int, int]
     dies: dict[int, _Die] = field(default_factory=dict)  # decoded, by offset
     root: int = -1
     addr_base: int = 8
@@ -420,18 +435,13 @@ _MAX_PLAN_ATTRS = 64
 
 @functools.lru_cache(maxsize=4096)
 def _compile_plan(
-    pairs: tuple,
-    version: int,
-    addr_size: int,
-    little_endian: bool,
-    decode: bool,
-    reads: frozenset[int] = _READ_ATTRS,
+    pairs: tuple, version: int, addr_size: int, little_endian: bool, reads: frozenset[int]
 ) -> _Plan:
     """The plan for DIEs of an abbrev whose attributes are ``pairs``.
 
-    A decode plan reads the attributes in ``reads``; one listed twice is
-    read at its last place, whose value the full decoder keeps. A skip plan
-    (``decode`` false) reads nothing.
+    With ``reads`` empty, a skip plan, which reads nothing; else a decode
+    plan, which reads the attributes in ``reads``: one listed twice is read
+    at its last place, whose value the full decoder keeps.
     """
     if len(pairs) > _MAX_PLAN_ATTRS:
         return None
@@ -442,7 +452,7 @@ def _compile_plan(
         width = widths.get(form)
         if width is None:
             return None
-        read = decode and attr in reads and last[attr] == i
+        read = attr in reads and last[attr] == i
         if width == 0:  # flag_present and implicit_const
             if read:
                 value = (form, implicit if form == 0x21 else b"")
@@ -451,9 +461,9 @@ def _compile_plan(
             source.fixed_form(width, attr, form, read)
         else:
             source.variable_form(width, attr, form, read)
-    if not decode and not source.lines:
+    if not reads and not source.lines:
         return source.offset
-    return source.function(decode)
+    return source.function(bool(reads))
 
 
 class _ReaderSource:
@@ -571,10 +581,10 @@ class _ReaderSource:
 def _parse_abbrev_table(
     blob: bytes, offset: int, version: int, addr_size: int, little_endian: bool
 ) -> _Abbrevs:
-    """abbrev code -> (tag, ((attr, form, implicit), ...), plan, decode).
+    """abbrev code -> (tag, ((attr, form, implicit), ...), plan, reads).
 
-    The plan decodes (``decode``) for the tags the walk decodes and skips
-    for the others.
+    ``reads`` is what ``_READS`` says a DIE of the tag keeps, empty for a
+    tag the walk steps over; the plan reads that.
     """
     if offset >= len(blob):
         raise MalformedDebugDataError(f"abbrev offset {offset:#x} out of range")
@@ -599,10 +609,9 @@ def _parse_abbrev_table(
                 implicit, pos = sleb_decode(blob, pos)
             pairs.append((attr, form, implicit))
         frozen = tuple(pairs)
-        decode = tag in _DECODED_TAGS
-        reads = _SUBPROGRAM_READS if tag == DW_TAG_subprogram else _READ_ATTRS
-        plan = _compile_plan(frozen, version, addr_size, little_endian, decode, reads)
-        table[code] = (tag, frozen, plan, decode)
+        reads = _READS.get(tag, frozenset())
+        plan = _compile_plan(frozen, version, addr_size, little_endian, reads)
+        table[code] = (tag, frozen, plan, reads)
 
 
 def _read_form(
@@ -611,7 +620,7 @@ def _read_form(
     """Decode one attribute's raw value; returns (effective form, value)."""
     while form == 0x16:  # indirect: the real form precedes the value
         form = cur.uleb()
-    width = unit.widths.get(form)
+    width = _form_widths(unit.version, unit.addr_size).get(form)
     if width is None:
         raise MalformedDebugDataError(f"unknown form {form:#x}")
     value: object
@@ -634,11 +643,14 @@ def _read_form(
     return form, value
 
 
-def _read_attrs(cur: _Cursor, pairs: tuple, unit: _Unit) -> dict[int, tuple]:
+def _read_attrs(
+    cur: _Cursor, pairs: tuple, unit: _Unit, reads: frozenset[int]
+) -> dict[int, tuple]:
+    """Decode every attribute of a DIE, keeping those in ``reads``."""
     attrs: dict[int, tuple[int, object]] = {}
     for attr, form, implicit in pairs:
         eff_form, value = _read_form(cur, form, unit, implicit)
-        if attr:
+        if attr in reads:
             attrs[attr] = (eff_form, value)
     return attrs
 
@@ -648,10 +660,12 @@ def _read_attrs(cur: _Cursor, pairs: tuple, unit: _Unit) -> dict[int, tuple]:
 _PLAN_ERRORS = (IndexError, ValueError, OverflowError, struct.error)
 
 
-def _decode(unit: _Unit, pos: int, pairs: tuple, plan: _Plan) -> tuple[dict, int]:
-    """The attributes of the DIE whose values start at ``pos``, read by its
-    decode ``plan``, and the position after them, which may lie past the
-    data (the walk checks that).
+def _decode(
+    unit: _Unit, pos: int, pairs: tuple, plan: _Plan, reads: frozenset[int]
+) -> tuple[dict, int]:
+    """The attributes in ``reads`` of the DIE whose values start at
+    ``pos``, read by its decode ``plan``, and the position after them,
+    which may lie past the data (the walk checks that).
 
     Without a plan, or when the planned read fails, the full decoder reads
     the DIE, and raises what it hit.
@@ -662,7 +676,7 @@ def _decode(unit: _Unit, pos: int, pairs: tuple, plan: _Plan) -> tuple[dict, int
         except _PLAN_ERRORS:
             pass
     cur = _Cursor(unit.info, pos, unit.little_endian)
-    return _read_attrs(cur, pairs, unit), cur.pos
+    return _read_attrs(cur, pairs, unit, reads), cur.pos
 
 
 def _table_entry(
@@ -709,9 +723,10 @@ def _value(unit: _Unit, form: int, raw: object) -> object:
     return True  # flag_present
 
 
-def _offset_value(value: object, what: str) -> int:
-    """A section offset from an attribute whose form may not hold one
+def _offset_value(unit: _Unit, form: int, raw: object, what: str) -> int:
+    """The section offset an attribute gives, whose form may not hold one
     (or whose sdata value is negative, which would index from the end)."""
+    value = _value(unit, form, raw)
     if not isinstance(value, int) or value < 0:
         raise MalformedDebugDataError(f"{what} is not an offset")
     return value
@@ -721,15 +736,11 @@ def _read_bases(unit: _Unit) -> None:
     """Read the unit's base offsets from its root DIE."""
     attrs = unit.dies[unit.root].attrs
     if DW_AT_addr_base in attrs:
-        unit.addr_base = _offset_value(_value(unit, *attrs[DW_AT_addr_base]), "addr_base")
+        unit.addr_base = _offset_value(unit, *attrs[DW_AT_addr_base], "addr_base")
     if DW_AT_str_offsets_base in attrs:
-        unit.str_base = _offset_value(
-            _value(unit, *attrs[DW_AT_str_offsets_base]), "str_offsets_base"
-        )
+        unit.str_base = _offset_value(unit, *attrs[DW_AT_str_offsets_base], "str_offsets_base")
     if DW_AT_rnglists_base in attrs:
-        unit.rnglists_base = _offset_value(
-            _value(unit, *attrs[DW_AT_rnglists_base]), "rnglists_base"
-        )
+        unit.rnglists_base = _offset_value(unit, *attrs[DW_AT_rnglists_base], "rnglists_base")
 
 
 def _unit_spans(
@@ -765,12 +776,15 @@ def _parse_unit(
     aux: _Aux,
     unit_types: tuple[int, ...] = (DW_UT_compile,),
 ) -> _Unit | None:
-    """Parse the unit that starts at ``pos`` and ends at ``unit_end``.
+    """Parse the unit that starts at ``pos`` and ends at ``unit_end``, and
+    read its bases from its unit entry.
 
     A DWARF 5 unit of a type not in ``unit_types`` is stepped over: the
-    unit is None. Decodes the first DIE and every DIE of a tag in
-    _DECODED_TAGS; steps over the others by their skip plans, or by the
-    full decoder when they have none, and keeps nothing of them.
+    unit is None. A unit begins with its unit entry (DWARF 5 §3.1, §7.5),
+    a compile or partial unit; a first DIE of any other tag is malformed.
+    Decodes every DIE of a tag in ``_READS``; steps over the others by
+    their skip plans, or by the full decoder when they have none, and
+    keeps nothing of them.
     """
     cur = _Cursor(blob, pos + 4, little_endian)
     version = cur.uint(2)
@@ -794,8 +808,7 @@ def _parse_unit(
         return linked
 
     abbrevs = _parse_abbrev_table(aux.abbrev, abbrev_off, version, addr_size, little_endian)
-    widths = _form_widths(version, addr_size)
-    unit = _Unit(version, addr_size, pos, unit_end, little_endian, aux, blob, widths)
+    unit = _Unit(version, addr_size, pos, unit_end, little_endian, aux, blob)
     dies = unit.dies
     blob_end = len(blob)
     root = -1
@@ -812,19 +825,18 @@ def _parse_unit(
         entry = abbrevs.get(code)
         if entry is None:
             raise MalformedDebugDataError(f"abbrev code {code} not in table")
-        tag, pairs, plan, decode = entry
-        if root < 0:  # the unit's first DIE is decoded whatever its tag
+        tag, pairs, plan, reads = entry
+        if root < 0:
+            if tag != DW_TAG_compile_unit and tag != DW_TAG_partial_unit:
+                raise MalformedDebugDataError(f"first entry of tag {tag:#x}, not a unit entry")
             root = die_off
-            reads = _SUBPROGRAM_READS if tag == DW_TAG_subprogram else _READ_ATTRS
-            plan = _compile_plan(pairs, version, addr_size, little_endian, True, reads)
-            decode = True
         if plan.__class__ is int:
             pos += plan  # type: ignore
-        elif decode:
-            attrs, pos = _decode(unit, pos, pairs, plan)
+        elif reads:
+            attrs, pos = _decode(unit, pos, pairs, plan, reads)
             dies[die_off] = _Die(tag, attrs)
         elif plan is None:
-            pos = _decode(unit, pos, pairs, None)[1]
+            pos = _decode(unit, pos, pairs, None, reads)[1]
         else:
             try:
                 pos = plan(blob, pos)  # type: ignore
@@ -833,10 +845,11 @@ def _parse_unit(
     if pos > blob_end:
         # Only the last DIE can have run past the data, and the full decoder
         # reads the same widths, so it raises what the plan hit.
-        _decode(unit, uleb_decode(blob, die_off)[1], pairs, None)
+        _decode(unit, uleb_decode(blob, die_off)[1], pairs, None, reads)
     if root < 0:
         raise MalformedDebugDataError("compile unit has no DIEs")
     unit.root = root
+    _read_bases(unit)
     return unit
 
 
@@ -846,8 +859,8 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
 
     Another unit is found by bisecting the blob's unit spans, which start
     at 0 and end at the first unit whose length is damaged; it is parsed
-    on first use, with its bases, and kept for the rest of the blob. A
-    unit that does not parse raises here.
+    on first use and kept for the rest of the blob. A unit that does not
+    parse raises here.
     """
     if unit.cu_start <= off < unit.unit_end:
         return unit
@@ -858,7 +871,6 @@ def _linked_unit(unit: _Unit, off: int) -> _Unit | None:
         other = _parse_unit(unit.info, start, end, unit.little_endian, aux, _LINKED_UNITS)
         if other is None:
             return None
-        _read_bases(other)
         aux.linked[start] = other
     return other
 
@@ -965,7 +977,7 @@ def _file_names(unit: _Unit) -> tuple[tuple[str, ...] | None, str | None]:
         files = (None, None)
         if got is not None and unit.aux.line:
             try:
-                offset = _offset_value(_value(unit, *got), "stmt_list")
+                offset = _offset_value(unit, *got, "stmt_list")
                 files = (_read_file_names(unit, offset), None)
             except MalformedDebugDataError as exc:
                 files = (None, f"it is unreadable: {exc}")
@@ -1143,7 +1155,7 @@ def _ranges_v5(unit: _Unit, offset: int, base: int) -> _Ranges:
 
 
 def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Ranges:
-    value = _offset_value(_value(unit, form, raw), "ranges")
+    value = _offset_value(unit, form, raw, "ranges")
     if unit.version >= 5:
         if form == 0x23:  # rnglistx: indirect through the offset table
             rel = _table_entry(
@@ -1153,6 +1165,29 @@ def _resolve_ranges(unit: _Unit, form: int, raw: object, cu_base: int) -> _Range
             return _ranges_v5(unit, unit.rnglists_base + rel, cu_base)
         return _ranges_v5(unit, value, cu_base)
     return _ranges_v4(unit, value, cu_base)
+
+
+def _pc(unit: _Unit, got: tuple[int, object], base: int, what: str) -> int:
+    """The address a high pc or entry pc ``got`` gives: an address form's
+    value, or ``base`` plus a constant's unsigned offset (DWARF 5 §2.17.2,
+    §2.18), which must not leave the unit's address space. An offset from
+    the all-ones tombstone of a discarded function stays there."""
+    form, raw = got
+    value = _value(unit, form, raw)
+    if not isinstance(value, int):
+        raise MalformedDebugDataError(f"non-integer {what}")
+    if form in CONSTANT_FORMS:
+        bits = unit.addr_size * 8
+        if value < 0:
+            raise MalformedDebugDataError(f"negative {what} offset {value}")
+        if base == (1 << bits) - 1:
+            return base
+        value += base
+        if value > 1 << bits:
+            raise MalformedDebugDataError(f"{what} {value:#x} exceeds {bits}-bit address space")
+    elif form not in ADDRESS_FORMS:
+        raise MalformedDebugDataError(f"{what} form {form:#x}")
+    return value
 
 
 def _entry_range(
@@ -1168,17 +1203,7 @@ def _entry_range(
     """
     base = pairs[0][0] if low is None else low
     got = attrs.get(DW_AT_entry_pc)
-    if got is None:
-        entry = base
-    else:
-        form = got[0]
-        entry = _value(unit, *got)
-        if not isinstance(entry, int):
-            raise MalformedDebugDataError("non-integer entry pc")
-        if form in CONSTANT_FORMS:
-            entry += base
-        elif form not in ADDRESS_FORMS:
-            raise MalformedDebugDataError(f"entry pc form {form:#x}")
+    entry = base if got is None else _pc(unit, got, base, "entry pc")
     for i, (start, end) in enumerate(pairs):
         if start <= entry < end:
             return entry, end, tuple(pairs[:i] + pairs[i + 1 :])
@@ -1202,16 +1227,14 @@ def _nth(blobs: list[bytes], i: int) -> bytes:
 def _unit_records(
     unit: _Unit, image: BinaryImage, diagnostics: list[Diagnostic]
 ) -> list[DebugFunctionRecord]:
-    _read_bases(unit)
     cu_name = _unit_name(unit)
     got = unit.dies[unit.root].attrs.get(DW_AT_low_pc)
     cu_base = None if got is None else _value(unit, *got)
     if not isinstance(cu_base, int):
         cu_base = 0
-    bits = unit.addr_size * 8
     # The address a linker writes for a function it discarded: 0 (GNU ld,
     # gold) or all-ones (LLD 11 and later).
-    tombstone = (1 << bits) - 1
+    tombstone = (1 << unit.addr_size * 8) - 1
     records: list[DebugFunctionRecord] = []
     no_address = discarded = 0
     # The first source file the line tables could not name, and where.
@@ -1235,18 +1258,9 @@ def _unit_records(
         ranges = 0
         other = ()
         if low is not None and high is not None:
-            form = high[0]
-            end = _value(unit, form, high[1])
-            if not isinstance(end, int):
-                raise MalformedDebugDataError("non-integer high pc")
-            if form in CONSTANT_FORMS:  # an offset from low_pc
-                end += low
-                if end > 1 << bits and low != tombstone:
-                    raise MalformedDebugDataError(
-                        f"high pc {end:#x} exceeds {bits}-bit address space"
-                    )
-            elif form not in ADDRESS_FORMS:
-                raise MalformedDebugDataError(f"high pc form {form:#x}")
+            end = _pc(unit, high, low, "high pc")
+            if end < low:
+                raise MalformedDebugDataError(f"high pc {end:#x} is below low pc {low:#x}")
         else:
             end = None
             got = attrs.get(DW_AT_ranges)
@@ -1403,30 +1417,13 @@ def extract_debug_functions(
         )
         return [], diagnostics
 
-    abbrev_blobs = _section_blobs(image, ".debug_abbrev")
-    str_blobs = _section_blobs(image, ".debug_str")
-    line_str_blobs = _section_blobs(image, ".debug_line_str")
-    str_off_blobs = _section_blobs(image, ".debug_str_offsets")
-    addr_blobs = _section_blobs(image, ".debug_addr")
-    ranges_blobs = _section_blobs(image, ".debug_ranges")
-    rnglists_blobs = _section_blobs(image, ".debug_rnglists")
-    line_blobs = _section_blobs(image, ".debug_line")
-
+    companions = {key: _section_blobs(image, name) for key, name in _COMPANIONS.items()}
     little = image.endianness == "little"
     records: list[DebugFunctionRecord] = []
     for i, blob in enumerate(info_blobs):
         spans, damage = _unit_spans(blob, little)
-        aux = _Aux(
-            abbrev=_nth(abbrev_blobs, i),
-            debug_str=_nth(str_blobs, i),
-            line_str=_nth(line_str_blobs, i),
-            str_offsets=_nth(str_off_blobs, i),
-            addr=_nth(addr_blobs, i),
-            ranges=_nth(ranges_blobs, i),
-            rnglists=_nth(rnglists_blobs, i),
-            line=_nth(line_blobs, i),
-            units=spans,
-        )
+        blobs = {key: _nth(companion, i) for key, companion in companions.items()}
+        aux = _Aux(**blobs, units=spans)
         for start, end in spans:
             unit_diagnostics: list[Diagnostic] = []
             try:

@@ -471,19 +471,22 @@ def cluster_specializations(works: list[_Working], names: dict[int, str]) -> Non
 
     A clone is named ``base..N``, or is a gcc clone: a function whose
     start a debug record names ``base`` (``names``, see
-    :func:`facts_by_start`), where its own name is ``base`` and a gcc
-    clone suffix. A ``.lto_priv.N`` suffix alone is a rename, not a clone.
+    :func:`facts_by_start`), where its canonical name or one of its
+    aliases is ``base`` and a gcc clone suffix. So identical clones that
+    the linker folded group under the record's base whichever of them is
+    canonical. A ``.lto_priv.N`` suffix alone is a rename, not a clone.
     """
     bases: set[str] = set()
     for work in works:
         base, sep, suffix = work.canonical.rpartition("..")
         if not (sep and suffix.isdigit()):
             base = names.get(work.start)
-            if not (
-                base
-                and work.canonical.startswith(base)
-                and _GCC_CLONE_SUFFIX.fullmatch(work.canonical, len(base))
-            ):
+            if not base:
+                continue
+            for name in (work.canonical, *work.aliases):
+                if name.startswith(base) and _GCC_CLONE_SUFFIX.fullmatch(name, len(base)):
+                    break
+            else:
                 continue
         work.group = base
         work.flags.add("specialized")

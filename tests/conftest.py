@@ -210,6 +210,34 @@ def gcc_cold_clone_bytes():
     return forge.emit(_gcc_cold_clone_spec())
 
 
+def _folded_clone_spec() -> forge.BinarySpec:
+    """Identical gcc clones that the linker folded into one body, as in
+    ``python3.13``: ``a.part.0`` is canonical by its name, and its alias
+    ``b.part.0`` is the clone whose concrete instance, at their start,
+    names its base ``b``, which has a symbol of its own."""
+    text = forge.SectionSpec(".text", 0x401000, executable=True)
+    body = forge._fixed_body(16)
+    clone = forge.DwarfFuncSpec(name_via="abstract_origin", name="b")
+    return forge.BinarySpec(
+        sections=(text,),
+        functions=(
+            forge.FunctionSpec("b", 0, body, dwarf=(forge.DwarfFuncSpec(),)),
+            forge.FunctionSpec(
+                "a.part.0", 16, body, aliases=(("b.part.0", "local"),), dwarf=(clone,)
+            ),
+        ),
+        word_size=64,
+        dwarf_versions=(5,),
+        cu_names=("folded.c",),
+    )
+
+
+@pytest.fixture(scope="session")
+def folded_clone_bytes():
+    """The bytes of :func:`_folded_clone_spec`."""
+    return forge.emit(_folded_clone_spec())
+
+
 def _line_table_spec(version: int) -> forge.BinarySpec:
     """One unit whose subprograms name their source files by decl_file
     index through its line table: before DWARF 5 the 1-based file names of

@@ -729,6 +729,8 @@ AT_ADDR_BASE, FORM_SDATA, FORM_STRX3, FORM_ADDRX3 = 0x73, 0x0D, 0x27, 0x2B
 FORM_RNGLISTX, AT_LINKAGE_NAME, FORM_STRP_SUP, FORM_BLOCK2 = 0x23, 0x6E, 0x1D, 0x03
 FORM_REF_ADDR, FORM_FLAG_PRESENT, AT_INLINE, AT_NORETURN = 0x10, 0x19, 0x20, 0x87
 AT_DECLARATION, FORM_LINE_STRP, AT_ENTRY_PC = 0x3C, 0x1F, 0x52
+TAG_PARTIAL_UNIT = 0x3C
+SUBPROGRAM_READS = dwarf._READS[TAG_SUBPROGRAM]
 
 # Codes 4-7, 9 and 22 are variables the walk steps over; the others are decoded tags.
 ABBREVS = {
@@ -913,6 +915,8 @@ ABBREVS[54] = (
 ABBREVS[55] = (
     TAG_SUBPROGRAM, [(AT_NAME, FORM_STRING), (AT_ENTRY_PC, FORM_STRING), (AT_RANGES, FORM_SEC_OFFSET)]
 )
+# 56: a partial unit entry named as unit 29 is.
+ABBREVS[56] = (TAG_PARTIAL_UNIT, ABBREVS[29][1])
 DEBUG_STR = b"\x00target\x00"  # "target" at offset 1
 # A DWARF 5 offsets table: 8-byte header, then entry 0 -> "target".
 STR_OFFSETS = struct.pack("<IHHI", 8, 5, 0, 1)
@@ -1175,6 +1179,39 @@ def test_a_ref_addr_link_into_a_partial_unit_takes_its_name():
     assert [(r.name, r.decl_file) for r in records] == [("partial", "")]
 
 
+def test_a_partial_unit_entry_is_read_by_its_own_abbrevs_reader():
+    """A link reaches a subprogram of a unit that begins with a partial
+    unit entry. That entry is decoded by the plan its abbrev compiled, like
+    every decoded DIE, and the unit's bases come from it: the target's
+    name, and its file, which is the unit's name, resolve through the
+    unit's str_offsets_base."""
+    target_unit = [_die(56, b"\x01", _ref(24)), _ABSTRACT]
+    first_size = len(_unit([CU_DIE, _die(27, _ref(0), _IN_TEXT)]))
+    target = first_size + _offset(target_unit, 1, version=5)
+    first = _unit([CU_DIE, _die(27, _ref(target), _IN_TEXT)])
+    image = _linked_info_image(first + _unit(target_unit, version=5, unit_type=3))
+    with mock.patch.object(dwarf, "_compile_plan", wraps=dwarf._compile_plan) as compile_plan:
+        records, diags = extract_debug_functions(image)
+    assert diags == []
+    assert records == [DebugFunctionRecord("target", 0x401000, 0x401010, "b.c", 300, True)]
+    # One plan for each abbrev of the two units' tables, and no other.
+    assert compile_plan.call_count == 2 * len(ABBREVS)
+
+
+@pytest.mark.parametrize(
+    ("first", "tag"), [(_die(30, b"f\x00"), 0x2E), (NAMED["string"], 0x34)],
+    ids=["decoded-tag", "skipped-tag"],
+)
+def test_a_unit_that_begins_with_another_entry_is_malformed(first, tag):
+    """A unit begins with its unit entry (DWARF 5 §3.1, §7.5)."""
+    records, diags = extract_debug_functions(_unit_image([first, CU_DIE]))
+    assert records == []
+    assert _only_error(diags) == (
+        "debug info unreadable from the unit at offset 0x0: "
+        f"first entry of tag {tag:#x}, not a unit entry"
+    )
+
+
 def test_a_link_into_a_partial_unit_leaves_no_cyclic_garbage(tmp_path):
     """A linked unit holds its blob's aux, and the aux the linked units
     while the blob is read; extract frees them all by their counts."""
@@ -1195,7 +1232,7 @@ def test_a_reader_dropped_from_the_plan_cache_is_freed_by_its_count(collector):
     """A reader's globals do not hold the reader, so an evicted plan is no
     cycle for the collector to find."""
     dwarf._compile_plan.cache_clear()
-    plan = dwarf._compile_plan(((AT_NAME, FORM_STRING, None),), 4, 8, True, True)
+    plan = dwarf._compile_plan(((AT_NAME, FORM_STRING, None),), 4, 8, True, SUBPROGRAM_READS)
     reader = weakref.ref(plan)
     del plan
     collector(False)
@@ -1564,21 +1601,17 @@ def test_generated_readers_read_what_the_full_decoder_reads(case):
     version, addr_size, order, pairs, values = _AGREEMENT[case]
     blob = values + b"\xee" * 4  # the next DIE's bytes must not be read
     little = order == "little"
-    widths = dwarf._form_widths(version, addr_size)
-    unit = dwarf._Unit(
-        version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 8), blob, widths
-    )
-    cur = dwarf._Cursor(blob, 0, little)
-    full = dwarf._read_attrs(cur, pairs, unit)
-    assert cur.pos == len(values)
-    decode = dwarf._compile_plan(pairs, version, addr_size, little, True)
-    assert callable(decode)
-    assert decode(blob, 0) == (
-        {attr: got for attr, got in full.items() if attr in dwarf._READ_ATTRS},
-        len(values),
-    )
-    skip = dwarf._compile_plan(pairs, version, addr_size, little, False)
+    unit = dwarf._Unit(version, addr_size, 0, len(blob), little, dwarf._Aux(*[b""] * 8), blob)
+    for reads in {*dwarf._READS.values(), frozenset(attr for attr, _form, _implicit in pairs)}:
+        cur = dwarf._Cursor(blob, 0, little)
+        full = dwarf._read_attrs(cur, pairs, unit, reads)
+        assert cur.pos == len(values)
+        decode = dwarf._compile_plan(pairs, version, addr_size, little, reads)
+        assert callable(decode)
+        assert decode(blob, 0) == (full, len(values))
+    skip = dwarf._compile_plan(pairs, version, addr_size, little, frozenset())
     assert (skip if isinstance(skip, int) else skip(blob, 0)) == len(values)
+    assert dwarf._read_attrs(dwarf._Cursor(blob, 0, little), pairs, unit, frozenset()) == {}
 
 
 def _code_constants(code):
@@ -1599,15 +1632,15 @@ def _readers():
         offset, size = spans[".debug_abbrev"]
         tables.append((image.raw[offset : offset + size], version, 8, True))
     for blob, version, addr_size, little in tables:
-        for _tag, pairs, _plan, _decode in dwarf._parse_abbrev_table(
+        for _tag, pairs, _plan, _reads in dwarf._parse_abbrev_table(
             blob, 0, version, addr_size, little
         ).values():
-            for decode in (True, False):
-                reader = dwarf._compile_plan(pairs, version, addr_size, little, decode)
+            for reads in (SUBPROGRAM_READS, frozenset()):
+                reader = dwarf._compile_plan(pairs, version, addr_size, little, reads)
                 if callable(reader):
                     yield reader
     for version, addr_size, order, pairs, _values in _AGREEMENT.values():
-        yield dwarf._compile_plan(pairs, version, addr_size, order == "little", True)
+        yield dwarf._compile_plan(pairs, version, addr_size, order == "little", SUBPROGRAM_READS)
 
 
 def test_reader_source_holds_only_int_literals_and_bound_names():
@@ -1621,11 +1654,11 @@ def test_reader_source_holds_only_int_literals_and_bound_names():
 
 def test_an_implicit_const_value_is_bound_not_rendered():
     pairs = _AGREEMENT["implicit_const"][3]
-    reader = dwarf._compile_plan(pairs, 5, 8, True, True)
+    reader = dwarf._compile_plan(pairs, 5, 8, True, SUBPROGRAM_READS)
     assert not {300, -7, 9} & set(_code_constants(reader.__code__))
     assert (FORM_IMPLICIT_CONST, -7) in reader.__globals__.values()
     huge = _pairs((AT_DECL_LINE, FORM_IMPLICIT_CONST, 10**5000))  # has no decimal text
-    assert dwarf._compile_plan(huge, 5, 8, True, True)(b"", 0) == (
+    assert dwarf._compile_plan(huge, 5, 8, True, SUBPROGRAM_READS)(b"", 0) == (
         {AT_DECL_LINE: (FORM_IMPLICIT_CONST, 10**5000)},
         0,
     )
@@ -1644,13 +1677,13 @@ def test_an_abbrev_past_the_size_bound_gets_no_reader(tag):
     dies = [_die(1, b"t.c\x00"), big, _die(2, b"small\x00", _IN_TEXT, b"\x01" * count)]
     info = _unit(dies)
     image = _synthetic_image([(".debug_info", info), (".debug_abbrev", abbrev)])
-    (_tag, pairs, plan, _decode), = [
+    (_tag, pairs, plan, _reads), = [
         entry for code, entry in dwarf._parse_abbrev_table(abbrev, 0, 4, 8, True).items()
         if code == 2
     ]
     assert len(pairs) == count + 3
     assert plan is None
-    assert dwarf._compile_plan(pairs, 4, 8, True, True) is None
+    assert dwarf._compile_plan(pairs, 4, 8, True, SUBPROGRAM_READS) is None
     with mock.patch.object(dwarf, "_compile_plan", lambda *args: None):
         full = extract_debug_functions(image)
     assert extract_debug_functions(image) == full
@@ -1926,13 +1959,73 @@ def test_an_entry_pc_of_another_form_is_malformed():
     assert _only_error(diags).endswith(": non-integer entry pc")
 
 
+def _pc_image(attr: int, form: int, value: bytes, low_pc: int = 0x401000) -> BinaryImage:
+    """A 64-bit unit whose subprogram has a low_pc, the range list
+    _SPLIT_LIST and ``attr`` (high pc or entry pc) of ``form``; a high pc
+    gives the extent, an entry pc picks a range."""
+    abbrev = uleb_encode(1) + uleb_encode(TAG_CU) + b"\x00\x00\x00"
+    abbrev += uleb_encode(2) + uleb_encode(TAG_SUBPROGRAM) + b"\x00"
+    abbrev += bytes([AT_LOW_PC, FORM_ADDR, AT_RANGES, FORM_SEC_OFFSET, attr, form])
+    abbrev += b"\x00\x00\x00"
+    subprogram = _die(2, struct.pack("<Q", low_pc), _ref(0), value)
+    return _synthetic_image(
+        [
+            (".debug_info", _unit([_die(1), subprogram])),
+            (".debug_abbrev", abbrev),
+            (".debug_ranges", _SPLIT_LIST),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    ("attr", "what"), [(AT_HIGH_PC, "high pc"), (AT_ENTRY_PC, "entry pc")], ids=["high", "entry"]
+)
+@pytest.mark.parametrize(
+    ("form", "value", "message"),
+    [
+        (FORM_STRING, b"x\x00", "non-integer {}"),
+        (FORM_REF4, _ref(4), "{} form 0x13"),
+        (0x07, struct.pack("<Q", 2**64 - 0x401000 + 1), "{} 0x10000000000000001 exceeds 64-bit address space"),
+        (FORM_SDATA, sleb_encode(-4), "negative {} offset -4"),
+    ],
+    ids=["non-integer", "form", "past-the-address-space", "negative"],
+)
+def test_one_rule_reads_both_pc_attributes(attr, what, form, value, message):
+    """A constant is an unsigned offset (DWARF 5 §2.17.2, §2.18) whose
+    address must fit the address space; any other form than an address or
+    a constant is malformed."""
+    records, diags = extract_debug_functions(_pc_image(attr, form, value))
+    assert records == []
+    assert _only_error(diags).endswith(": " + message.format(what))
+
+
+@pytest.mark.parametrize("attr", [AT_HIGH_PC, AT_ENTRY_PC], ids=["high", "entry"])
+def test_a_pc_offset_past_the_address_space_of_a_tombstone_is_discarded(attr):
+    """LLD writes all-ones where a discarded function's low_pc was: an
+    offset from it stays there, and the function is skipped as discarded."""
+    image = _pc_image(attr, 0x07, struct.pack("<Q", 16), low_pc=2**64 - 1)
+    records, diags = extract_debug_functions(image)
+    assert records == []
+    assert [d.code for d in diags] == [GT_LINKER_DISCARDED]
+
+
+def test_a_high_pc_below_its_low_pc_is_malformed():
+    """As a range that ends before it starts is; an entry pc below its
+    base is an address no range may hold, not an end."""
+    records, diags = extract_debug_functions(
+        _pc_image(AT_HIGH_PC, FORM_ADDR, struct.pack("<Q", 0x400FF0))
+    )
+    assert records == []
+    assert _only_error(diags).endswith(": high pc 0x400ff0 is below low pc 0x401000")
+
+
 def test_only_a_subprogram_decodes_its_entry_pc():
     """An inlined copy's entry_pc is stepped over: its extent is the hull."""
     pairs = ((AT_ENTRY_PC, FORM_ADDR, None), (AT_LOW_PC, FORM_ADDR, None))
     blob = struct.pack("<QQ", 0x401004, 0x401000)
-    subprogram = dwarf._compile_plan(pairs, 4, 8, True, True, dwarf._SUBPROGRAM_READS)
+    subprogram = dwarf._compile_plan(pairs, 4, 8, True, SUBPROGRAM_READS)
     assert subprogram(blob, 0) == ({AT_ENTRY_PC: (FORM_ADDR, 0x401004), AT_LOW_PC: (FORM_ADDR, 0x401000)}, 16)
-    inlined = dwarf._compile_plan(pairs, 4, 8, True, True)
+    inlined = dwarf._compile_plan(pairs, 4, 8, True, dwarf._READS[TAG_INLINED_SUBROUTINE])
     assert inlined(blob, 0) == ({AT_LOW_PC: (FORM_ADDR, 0x401000)}, 16)
 
 
@@ -2103,9 +2196,11 @@ def test_plans_read_what_the_full_decoder_reads(target, flips):
 
 
 def test_the_read_set_is_every_attribute_the_reader_names():
-    """A lookup of an attribute left out of the read set would find it
-    missing from every planned DIE."""
+    """A lookup of an attribute left out of the read sets would find it
+    missing from every planned DIE; only a subprogram keeps its entry pc."""
     named = {value for name, value in vars(dwarf).items() if name.startswith("DW_AT_")}
     assert len(named) == 16
-    assert dwarf._SUBPROGRAM_READS == named
-    assert dwarf._READ_ATTRS == named - {dwarf.DW_AT_entry_pc}
+    assert set().union(*dwarf._READS.values()) == named
+    assert [tag for tag, reads in dwarf._READS.items() if AT_ENTRY_PC in reads] == [
+        TAG_SUBPROGRAM
+    ]

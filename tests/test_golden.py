@@ -146,6 +146,11 @@ def test_the_gcc_cold_clone_document_is_byte_identical(gcc_cold_clone_bytes):
     assert _document_digest(gcc_cold_clone_bytes) == digest
 
 
+def test_the_folded_clone_document_is_byte_identical(folded_clone_bytes):
+    digest = "893d46811f71defbcb2f0e9efe325269e08a4b6efd8b0219936e68aaabe02a21"
+    assert _document_digest(folded_clone_bytes) == digest
+
+
 def test_the_gas_nops_document_is_byte_identical(gas_nops_bytes):
     digest = "031f673c9d0b33238c5c06ea5914c438514a00c5b8fc3e2c2c298b530f26d916"
     assert _document_digest(gas_nops_bytes) == digest

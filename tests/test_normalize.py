@@ -643,6 +643,21 @@ def test_the_forged_gcc_clones_group(gcc_clone_bytes):
     assert doc.complete
 
 
+def test_a_folded_clone_groups_by_any_of_its_names(folded_clone_bytes):
+    """The record at the folded clones' start names the base of an alias,
+    not of the canonical name: the clone still groups, and its base joins."""
+    _image, doc = corpuscheck.build_document(folded_clone_bytes)
+    shown = {
+        f.canonical_name: (f.aliases, f.specialization_group, "specialized" in f.flags)
+        for f in doc.functions
+    }
+    assert shown == {
+        "b": ((), "b", False),
+        "a.part.0": (("b.part.0",), "b", True),
+    }
+    assert doc.complete
+
+
 def test_a_clones_cold_part_joins_its_group(gcc_cold_clone_bytes):
     """The clone's record names its base at each range it lists, so its
     ``.cold`` part, linked as a cold part, is specialized in that group."""

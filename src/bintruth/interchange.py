@@ -14,7 +14,9 @@ same bytes.
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`. On first use in a process,
 a schema becomes the source of one Python function, its acceptor, that
-only returns whether a value passes, and it alone decides. Only after a
+only returns whether a value passes, and it alone decides. It decides an
+object by its size and a read of each key it lists, which is exact because
+every published object is closed and requires all of them. Only after a
 refusal does a short interpreter, :func:`_explain`, name the first
 failure by its JSON path (a pattern's ``$`` matches only at the end of
 the string, as in ECMA-262); it descends only into the child that the
@@ -532,18 +534,34 @@ def _generate(schema: dict) -> _Acceptor:
     """One Python function that returns whether a value satisfies ``schema``.
 
     Its source is straight-line code for each node: the type test, the
-    node's own tests, a loop over an array's items, and for an object one
-    key-set equality followed by each property's code. It calls no Python function per value (only
-    a pattern calls its regex) and keeps no JSON path; a ``False`` says
-    only that :func:`_explain` will name a failure. The source holds
+    node's own tests, a loop over an array's items, and for an object a
+    test of its size followed by a read of each property and that
+    property's code. The size test is exact because :func:`_shape` admits
+    only closed objects that require every property they list, and a dict
+    from ``json.loads`` has unique keys: one of that size from which every
+    listed key reads holds exactly those keys. A missing key raises
+    ``KeyError``, which the one ``try`` around the body turns into
+    ``False``. It calls no Python function per value (only a pattern calls
+    its regex) and keeps no JSON path; a ``False`` says only that
+    :func:`_explain` will name a failure. The source holds
     nothing but names: every schema constant it tests against is bound in
     the namespace it is compiled in, so no schema or input text reaches
     it. Nodes are classified by :func:`_shape`, as :func:`_explain`
     classifies them, so both refuse the same unpublished shapes.
     """
     source = _AcceptorSource()
-    source.emit(schema, "v0", 1)
-    text = "\n".join(["def accept(v0):", *source.lines, "    return True"])
+    source.emit(schema, "v0", 2)
+    missing = source.constant(KeyError)
+    text = "\n".join(
+        [
+            "def accept(v0):",
+            "    try:",
+            *source.lines,
+            f"    except {missing}:",
+            "        return False",
+            "    return True",
+        ]
+    )
     namespace = dict(source.constants)
     exec(compile(text, "<schema acceptor>", "exec"), namespace)
     return namespace["accept"]
@@ -642,8 +660,8 @@ class _AcceptorSource:
 
     def _object(self, schema: dict, x: str, depth: int) -> None:
         properties = schema.get("properties", {})
-        keys = self.constant(frozenset(properties))
-        self.line(depth, f"if {x}.keys() != {keys}: return False")
+        size = self.constant(len(properties))
+        self.line(depth, f"if len({x}) != {size}: return False")
         for key, sub in properties.items():
             item, name = self.local(), self.constant(key)
             self.line(depth, f"{item} = {x}[{name}]")

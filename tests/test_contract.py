@@ -103,6 +103,7 @@ def emitted() -> tuple[tuple[str, str, str], ...]:
             stripped, _report_for(stripped), MatchPolicy(reject_incomplete_truth=False)
         ),
         ScoreResult(5, 1, 2),  # no policy: written as "policy": null
+        score_functions(listing2, reports["stub"]),  # a wrong_boundary mismatch
     ]
     for i, result in enumerate(results):
         out.append(("score", f"score{i}", score_to_json(result)))
@@ -326,10 +327,87 @@ def test_acceptor_source_holds_no_schema_text(kind):
     """Every constant an acceptor tests against is bound in its namespace;
     its code holds no string or number from the schema."""
     acceptor = _acceptor(SCHEMAS[kind])
+    names = acceptor.__code__.co_names
     assert set(acceptor.__code__.co_consts) <= {None, True, False}
-    assert set(acceptor.__code__.co_names) - {"type", "len", "keys"} <= set(
-        acceptor.__globals__
-    )
+    # The only builtins it names are type and len: no .keys() call.
+    assert set(names) - {"type", "len"} <= set(acceptor.__globals__)
+    # A missing key ends the reads in KeyError, caught by a bound constant.
+    assert "KeyError" not in names
+    assert KeyError in [acceptor.__globals__.get(name) for name in names]
+
+
+def _object_paths(schema: dict, path=()):
+    """The path of every object node of ``schema``, ``None`` for an array's
+    items."""
+    if "properties" in schema:
+        yield path
+        for key, sub in schema["properties"].items():
+            yield from _object_paths(sub, (*path, key))
+    if "items" in schema:
+        yield from _object_paths(schema["items"], (*path, None))
+
+
+def _object_instances(value, path=(), pattern=()):
+    """(pattern, path) of every object in ``value``, as :func:`_object_paths`
+    writes the pattern."""
+    if isinstance(value, dict):
+        yield pattern, path
+        for key, item in value.items():
+            yield from _object_instances(item, (*path, key), (*pattern, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _object_instances(item, (*path, i), (*pattern, None))
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in path)
+
+
+def _closed_object_faults(node: dict):
+    """(faulty copy, message) for ``node`` with each key dropped, with one
+    unlisted key added, and with each key renamed, which keeps its size."""
+    for key in node:
+        dropped = {k: v for k, v in node.items() if k != key}
+        yield dropped, f": missing {key!r}"
+        renamed = {k + "_" if k == key else k: v for k, v in node.items()}
+        assert len(renamed) == len(node)
+        yield renamed, f": missing {key!r}"  # missing comes before unexpected
+    yield {**node, "puffin": 1}, ": unexpected key 'puffin'"
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_every_closed_object_refuses_a_dropped_an_extra_and_a_renamed_key(kind):
+    """The acceptor decides an object by its size and by reading each listed
+    key, so a renamed key (same size) is refused by its missing read. Each
+    fault is named at the object's JSON path, as the reference interpreter
+    names it."""
+    schema = SCHEMAS[kind]
+    first = {}
+    for _kind, _label, text in (e for e in emitted() if e[0] == kind):
+        payload = json.loads(text)
+        for pattern, path in _object_instances(payload):
+            first.setdefault(pattern, (payload, path))
+    patterns = list(_object_paths(schema))
+    assert set(patterns) <= set(first), "an object node has no emitted instance"
+    for pattern in patterns:
+        payload, path = first[pattern]
+        node = payload
+        for step in path:
+            node = node[step]
+        for fault, message in _closed_object_faults(node):
+            mutant = copy.deepcopy(payload)
+            parent = mutant
+            for step in path[:-1]:
+                parent = parent[step]
+            if path:
+                parent[path[-1]] = fault
+            else:
+                mutant = fault
+            assert _acceptor(schema)(mutant) is False, (pattern, fault)
+            with pytest.raises(SchemaError) as exc:
+                _check(mutant, schema, "$")
+            assert str(exc.value) == _json_path(path) + message
+            assert str(exc.value) == oracles.schema_failure(mutant, schema, "$")
 
 
 def test_a_disagreement_is_a_bug_not_bad_input(monkeypatch, tmp_path):

@@ -197,10 +197,12 @@ def _policy_from(args: argparse.Namespace) -> scoring.MatchPolicy:
 def _config_from(args: argparse.Namespace) -> normalize.RunConfig:
     seeds = None
     if args.noreturn_seeds:
-        seeds = normalize.parse_name_list(Path(args.noreturn_seeds).read_text())
+        text = Path(args.noreturn_seeds).read_text(encoding="utf-8")
+        seeds = normalize.parse_name_list(text)
     edges = None
     if args.call_edges:
-        edges = normalize.parse_call_edges(Path(args.call_edges).read_text())
+        text = Path(args.call_edges).read_text(encoding="utf-8")
+        edges = normalize.parse_call_edges(text)
     return normalize.RunConfig(
         merge_multi_entry=not args.no_merge_multi_entry,
         start_mismatch_tolerance=args.start_mismatch_tolerance,
@@ -232,9 +234,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if out is None:
             sys.stdout.write(text)
         elif out.is_dir():
-            (out / f"{path.stem}.truth.json").write_text(text)
+            (out / f"{path.stem}.truth.json").write_text(text, encoding="utf-8")
         else:
-            out.write_text(text)
+            out.write_text(text, encoding="utf-8")
         if not doc.complete:
             any_incomplete = True
             print(f"{path}: ground truth is incomplete", file=sys.stderr)
@@ -260,7 +262,7 @@ def _score_table(result: scoring.ScoreResult) -> str:
 def _load(loader, path: str):
     """``loader`` applied to the text of ``path``; a file it refuses is named."""
     try:
-        return loader(Path(path).read_text())
+        return loader(Path(path).read_text(encoding="utf-8"))
     except (interchange.SchemaError, UnicodeDecodeError) as exc:
         raise interchange.SchemaError(f"{path}: {exc}") from None
 

@@ -14,13 +14,14 @@ same bytes.
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`. On first use in a process,
 a schema becomes the source of one Python function, its acceptor, that
-only returns whether a value passes, and it alone decides. It decides an
-object by its size and a read of each key it lists, which is exact because
-every published object is closed and requires all of them. Only after a
-refusal does a short interpreter, :func:`_explain`, name the first
-failure by its JSON path (a pattern's ``$`` matches only at the end of
-the string, as in ECMA-262); it descends only into the child that the
-child's own acceptor refuses. Both know only the node shapes those
+alone decides, and returns a value that passes as tuples and integers
+that the loaders build the model from, reading no JSON key. It decides
+an object by its size and a read of each key it lists, which is exact
+because every published object is closed and requires all of them. Only
+after a refusal does a short interpreter, :func:`_explain`, name the
+first failure by its JSON path (a pattern's ``$`` matches only at the
+end of the string, as in ECMA-262); it descends only into the child that
+the child's own acceptor refuses. Both know only the node shapes those
 schemas use; any other shape raises ``ValueError``, as a bug in the
 schema, not as bad input. A loaded ground-truth document must also
 satisfy the invariants :func:`build_ground_truth` guarantees, so
@@ -354,21 +355,25 @@ _KINDS = {
 # a set of values decide it.
 _ENUM_TYPES = (frozenset({str}), frozenset({int}))
 
-_Acceptor = Callable[[object], bool]
+_Acceptor = Callable[[object], object]
+
+# What an acceptor returns for a value that fails its schema.
+_REFUSED = object()
 
 
-def _check(value: object, schema: dict, where: str) -> None:
-    """Raise SchemaError unless ``value`` satisfies ``schema``.
+def _check(value: object, schema: dict, where: str) -> object:
+    """``value`` as loaded if it satisfies ``schema``; else raise SchemaError.
 
     ``value`` is what ``json.loads`` returns. The schema's generated
-    acceptor decides (see :func:`_generate`); only after it refuses does
-    :func:`_explain` name the first failure, and it alone writes schema
-    messages. Only the node shapes the published schemas use are built
-    (see :func:`_shape`), and on them the check matches JSON Schema; any
-    other shape, an object schema that allows other keys or leaves a key
-    optional among them, raises ``ValueError``, not ``SchemaError``, as a
-    bug in the schema rather than bad input. Three rules are stricter than jsonschema's: a
-    float never counts as an integer; ``enum``/``const`` compare types as
+    acceptor decides and loads (see :func:`_generate`); only after it
+    refuses does :func:`_explain` name the first failure, and it alone
+    writes schema messages. Only the node shapes the published schemas
+    use are built (see :func:`_shape`), and on them the check matches
+    JSON Schema; any other shape, an object schema that allows other keys
+    or leaves a key optional among them, raises ``ValueError``, not
+    ``SchemaError``, as a bug in the schema rather than bad input. Three
+    rules are stricter than jsonschema's: a float never counts as an
+    integer; ``enum``/``const`` compare types as
     well as values (``32.0`` is not ``32``); and a pattern's ``$`` matches
     only at the end of the string, as in ECMA-262 (``"0x10\\n"`` is no
     address). The message starts with the failing node's JSON path below
@@ -377,8 +382,9 @@ def _check(value: object, schema: dict, where: str) -> None:
     wrong with, the two disagree: that raises ``RuntimeError``, a bug,
     never ``SchemaError``.
     """
-    if _acceptor(schema)(value):
-        return
+    loaded = _acceptor(schema)(value)
+    if loaded is not _REFUSED:
+        return loaded
     failure = _explain(value, schema)
     if failure is None:
         raise RuntimeError(f"{where}: the schema acceptor and checker disagree")
@@ -490,7 +496,7 @@ def _explain(value: object, schema: dict) -> str | None:
             sub = schema["items"]
             accept = _acceptor(sub)
             for i, item in enumerate(value):
-                if not accept(item):
+                if accept(item) is _REFUSED:
                     failure = _explain(item, sub)
                     return None if failure is None else f"[{i}]{failure}"
     elif shape == "object" and kind is dict:
@@ -502,7 +508,7 @@ def _explain(value: object, schema: dict) -> str | None:
             sub = properties.get(key)
             if sub is None:
                 return f": unexpected key {key!r}"
-            if not _acceptor(sub)(item):
+            if _acceptor(sub)(item) is _REFUSED:
                 failure = _explain(item, sub)
                 return None if failure is None else f".{key}{failure}"
     elif kind not in types:
@@ -531,7 +537,11 @@ def _ecma_regex(pattern: str) -> re.Pattern:
 
 
 def _generate(schema: dict) -> _Acceptor:
-    """One Python function that returns whether a value satisfies ``schema``.
+    """One Python function that returns a value that satisfies ``schema``
+    as loaded, else ``_REFUSED``: each object the tuple of its properties
+    in the schema's order, each array the tuple of its items, and each
+    ``_HEX`` address its ``int``, parsed only once the pattern has passed
+    it, as ``int`` also takes ``0X10``, ``0x_10``, ``+0x10`` and spaces.
 
     Its source is straight-line code for each node: the type test, the
     node's own tests, a loop over an array's items, and for an object a
@@ -541,13 +551,15 @@ def _generate(schema: dict) -> _Acceptor:
     from ``json.loads`` has unique keys: one of that size from which every
     listed key reads holds exactly those keys. A missing key raises
     ``KeyError``, which the one ``try`` around the body turns into
-    ``False``. It calls no Python function per value (only a pattern calls
-    its regex) and keeps no JSON path; a ``False`` says only that
-    :func:`_explain` will name a failure. The source holds
-    nothing but names: every schema constant it tests against is bound in
-    the namespace it is compiled in, so no schema or input text reaches
-    it. Nodes are classified by :func:`_shape`, as :func:`_explain`
-    classifies them, so both refuse the same unpublished shapes.
+    ``_REFUSED``. Per value it calls only C code (a pattern's regex,
+    ``int``, ``tuple``, ``append``) and keeps no JSON path; ``_REFUSED``
+    says only that :func:`_explain` will name a failure. The source holds
+    nothing but names: every schema constant it tests against, and
+    ``int``, ``tuple`` and ``_REFUSED``, is bound in the namespace it is
+    compiled in, so no schema or input text reaches it, and ``append`` is
+    the one attribute it reads. Nodes are classified by :func:`_shape`, as
+    :func:`_explain` classifies them, so both refuse the same unpublished
+    shapes.
     """
     source = _AcceptorSource()
     source.emit(schema, "v0", 2)
@@ -558,8 +570,8 @@ def _generate(schema: dict) -> _Acceptor:
             "    try:",
             *source.lines,
             f"    except {missing}:",
-            "        return False",
-            "    return True",
+            f"        return {source.refused}",
+            "    return v0",
         ]
     )
     namespace = dict(source.constants)
@@ -574,6 +586,7 @@ class _AcceptorSource:
         self.lines: list[str] = []
         self.constants: dict[str, object] = {}
         self.names = 0
+        self.refused = self.constant(_REFUSED)
 
     def constant(self, value: object) -> str:
         name = f"c{len(self.constants)}"
@@ -587,6 +600,9 @@ class _AcceptorSource:
     def line(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
+    def refuse_if(self, depth: int, test: str) -> None:
+        self.line(depth, f"if {test}: return {self.refused}")
+
     def is_type(self, x: str, types: frozenset) -> str:
         if len(types) == 1:
             return f"type({x}) is {self.constant(next(iter(types)))}"
@@ -598,7 +614,7 @@ class _AcceptorSource:
         return f"type({x}) not in {self.constant(types)}"
 
     def emit(self, schema: dict, x: str, depth: int) -> None:
-        """The lines that return False unless ``x`` satisfies ``schema``."""
+        """The lines that refuse ``x`` unless it satisfies ``schema``, then load it."""
         shape, types, _expected = _shape(schema)
         if shape == "const":
             const = schema["const"]
@@ -612,7 +628,7 @@ class _AcceptorSource:
         else:
             self._typed(shape, schema, types, x, depth)
             return
-        self.line(depth, f"if {test}: return False")
+        self.refuse_if(depth, test)
 
     def _typed(
         self, shape: str, schema: dict, types: frozenset, x: str, depth: int
@@ -629,43 +645,53 @@ class _AcceptorSource:
         inner = depth if own == types else depth + 1
         if shape == "string":
             search = self.constant(_ecma_regex(schema["pattern"]).search)
-            self.line(inner, f"if {search}({x}) is None: return False")
+            self.refuse_if(inner, f"{search}({x}) is None")
+            if schema == _HEX:
+                parse, base = self.constant(int), self.constant(16)
+                self.line(inner, f"{x} = {parse}({x}, {base})")
         elif shape == "number":
             minimum = self.constant(schema["minimum"])
-            self.line(inner, f"if {x} < {minimum}: return False")
+            self.refuse_if(inner, f"{x} < {minimum}")
         elif shape == "array":
             self._array(schema, x, inner)
         else:
             self._object(schema, x, inner)
         body, self.lines = self.lines, outer
         if own == types:
-            self.line(depth, f"if {self.not_type(x, types)}: return False")
+            self.refuse_if(depth, self.not_type(x, types))
             self.lines += body
         else:
             self.line(depth, f"if {self.is_type(x, own)}:")
             self.lines += body
-            self.line(depth, f"elif {self.not_type(x, types)}: return False")
+            self.line(depth, f"elif {self.not_type(x, types)}: return {self.refused}")
 
     def _array(self, schema: dict, x: str, depth: int) -> None:
         if "minItems" in schema:
             least = self.constant(schema["minItems"])
-            self.line(depth, f"if len({x}) < {least}: return False")
+            self.refuse_if(depth, f"len({x}) < {least}")
         if "maxItems" in schema:
             most = self.constant(schema["maxItems"])
-            self.line(depth, f"if len({x}) > {most}: return False")
+            self.refuse_if(depth, f"len({x}) > {most}")
+        items = x
         if "items" in schema:
-            item = self.local()
+            items, item = self.local(), self.local()
+            self.line(depth, f"{items} = []")
             self.line(depth, f"for {item} in {x}:")
             self.emit(schema["items"], item, depth + 1)
+            self.line(depth + 1, f"{items}.append({item})")
+        self.line(depth, f"{x} = {self.constant(tuple)}({items})")
 
     def _object(self, schema: dict, x: str, depth: int) -> None:
         properties = schema.get("properties", {})
         size = self.constant(len(properties))
-        self.line(depth, f"if len({x}) != {size}: return False")
+        self.refuse_if(depth, f"len({x}) != {size}")
+        values = ""  # each item ends in a comma, so one item still makes a tuple
         for key, sub in properties.items():
             item, name = self.local(), self.constant(key)
             self.line(depth, f"{item} = {x}[{name}]")
             self.emit(sub, item, depth)
+            values += f"{item}, "
+        self.line(depth, f"{x} = ({values})")
 
 
 def dump_json(payload: dict) -> str:
@@ -674,8 +700,10 @@ def dump_json(payload: dict) -> str:
     same bytes (:func:`document_to_json`).
 
     Byte for byte what the standard ``json`` encoder writes with
-    ``sort_keys=True, indent=2``, plus a newline, but without the
-    pure-Python encoder that any ``indent`` selects there. Only the exact
+    ``sort_keys=True, indent=2``, plus a newline. It is not that encoder
+    because any ``indent`` selects its pure-Python form, which on Python
+    3.10 to 3.12 leaves reference cycles that no command, run with the
+    cyclic collector paused, would free. Only the exact
     types ``json.loads`` gives back are written: a ``dict`` with ``str``
     keys, ``list``, ``str``, ``int``, finite ``float``, ``True``, ``False``
     and ``None``. NaN and infinity raise ``ValueError``; any other type,
@@ -702,11 +730,7 @@ def _encode(value, newline: str) -> str:
         ]
         return "{" + inner + ("," + inner).join(members) + newline + "}"
     if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _items([_encode(item, newline + "  ") for item in value], newline)
     if value is None:
         return "null"
     if value is True:
@@ -720,15 +744,14 @@ def _encode(value, newline: str) -> str:
     raise TypeError(f"object of type {kind.__name__} is not JSON serializable")
 
 
-def _load(text: str, schema: dict) -> dict:
+def _load(text: str, schema: dict) -> tuple:
     # A JSONDecodeError is a ValueError, and so is the refusal of an integer
     # literal too long to convert; a RecursionError is nesting too deep.
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    _check(payload, schema, "$")
-    return payload
+    return _check(payload, schema, "$")
 
 
 def _config_payload(config: RunConfig) -> dict:
@@ -868,103 +891,84 @@ def _machine_from_label(label: str) -> int:
 
 
 def document_from_json(text: str) -> GroundTruthDocument:
-    payload = _load(text, GROUND_TRUTH_SCHEMA)
+    loaded = _load(text, GROUND_TRUTH_SCHEMA)
     try:
-        doc = _document(payload)
+        return _document(loaded)
     except SchemaError:
         raise
     except ValueError as exc:  # a model invariant the schema cannot state
         raise SchemaError(str(exc)) from exc
-    if payload["complete"] != doc.complete:  # doc.complete is derived
+
+
+def _document(loaded: tuple) -> GroundTruthDocument:
+    """The document a ground truth loads as (see :func:`_generate`),
+    checked as it is built against the invariants :func:`build_ground_truth`
+    guarantees, so the first fault of each list is the one named."""
+    _version, _meta, binary, functions, runs, diagnostics, complete = loaded
+    path, digest_hex, word_size, machine = binary
+    machine_code = _machine_from_label(machine)
+    built = []
+    # One frozenset per distinct flags or provenance tuple.
+    sets: dict[tuple[str, ...], frozenset[str]] = {}
+    end, before = 0, ""  # the end_raw and name of the function before
+    for (
+        name, entries, start, raw, trimmed, aliases, group, flags, provenance, source
+    ) in functions:
+        if start != entries[0]:
+            raise SchemaError(f"function {name!r}: start disagrees with entries[0]")
+        flag_set = sets.get(flags)
+        if flag_set is None:
+            flag_set = sets[flags] = frozenset(flags)
+        provenance_set = sets.get(provenance)
+        if provenance_set is None:
+            provenance_set = sets[provenance] = frozenset(provenance)
+        built.append(
+            GroundTruthFunction(
+                name,
+                entries,
+                raw,
+                trimmed,
+                aliases,
+                group,
+                flag_set,
+                provenance_set,
+                source,
+            )
+        )
+        if not entries[-1] < trimmed <= raw:
+            raise SchemaError(
+                f"function {name!r}: needs every entry < end_trimmed <= end_raw"
+            )
+        if entries[0] < end:
+            raise SchemaError(
+                f"function {name!r} starts before the end_raw "
+                f"of function {before!r}"
+            )
+        end, before = raw, name
+    diagnostics = tuple([
+        Diagnostic(severity, code, message, span)
+        for severity, code, message, span in diagnostics
+    ])
+    byte_runs, end = [], 0
+    for start, length, klass, confidence in runs:
+        if start < end:
+            raise SchemaError(
+                f"byte run at {start:#x} overlaps or precedes the run before it"
+            )
+        end = start + length
+        byte_runs.append(ByteRun(start, length, klass, confidence))
+    doc = GroundTruthDocument(
+        BinarySummary(path, bytes.fromhex(digest_hex), word_size, machine_code),
+        tuple(built),
+        ByteClassMap(tuple(byte_runs)),
+        diagnostics,
+    )
+    if complete != doc.complete:  # doc.complete is derived
         raise SchemaError(
             "complete must be true exactly when no error-severity "
             "GT_INCOMPLETE_EXCLUDED diagnostic is present"
         )
     return doc
-
-
-def _document(payload: dict) -> GroundTruthDocument:
-    """The document ``payload`` holds, checked as it is built against the
-    invariants :func:`build_ground_truth` guarantees, so the first fault
-    of each list is the one named."""
-    binary = payload["binary"]
-    machine_code = _machine_from_label(binary["machine"])
-    functions = []
-    append = functions.append
-    # One frozenset per distinct flags or provenance list, by its items.
-    sets: dict[tuple[str, ...], frozenset[str]] = {}
-    end, name = 0, ""  # the end_raw and name of the function before
-    for fn in payload["functions"]:
-        hexes = fn["entries"]
-        entries = tuple([int(e, 16) for e in hexes])
-        start = fn["start"]
-        if start != hexes[0] and int(start, 16) != entries[0]:
-            raise SchemaError(
-                f"function {fn['name']!r}: start disagrees with entries[0]"
-            )
-        raw, trimmed = int(fn["end_raw"], 16), int(fn["end_trimmed"], 16)
-        key = tuple(fn["flags"])
-        flags = sets.get(key)
-        if flags is None:
-            flags = sets[key] = frozenset(key)
-        key = tuple(fn["provenance"])
-        provenance = sets.get(key)
-        if provenance is None:
-            provenance = sets[key] = frozenset(key)
-        source = fn["source"]
-        append(
-            GroundTruthFunction(
-                fn["name"],
-                entries,
-                raw,
-                trimmed,
-                tuple(fn["aliases"]),
-                fn["group"],
-                flags,
-                provenance,
-                None if source is None else (source["file"], source["line"]),
-            )
-        )
-        if not entries[-1] < trimmed <= raw:
-            raise SchemaError(
-                f"function {fn['name']!r}: needs every entry < end_trimmed <= end_raw"
-            )
-        if entries[0] < end:
-            raise SchemaError(
-                f"function {fn['name']!r} starts before the end_raw "
-                f"of function {name!r}"
-            )
-        end, name = raw, fn["name"]
-    diagnostics = tuple([
-        Diagnostic(
-            d["severity"],
-            d["code"],
-            d["message"],
-            None if span is None else (int(span["start"], 16), span["length"]),
-        )
-        for d in payload["diagnostics"]
-        for span in (d["span"],)
-    ])
-    runs, end = [], 0
-    for r in payload["byte_classes"]:
-        start = int(r["start"], 16)
-        if start < end:
-            raise SchemaError(
-                f"byte run at {start:#x} overlaps or precedes the run before it"
-            )
-        end = start + r["length"]
-        runs.append(ByteRun(start, r["length"], r["class"], r["confidence"]))
-    return GroundTruthDocument(
-        BinarySummary(
-            binary["path"],
-            bytes.fromhex(binary["digest_hex"]),
-            binary["word_size"],
-            machine_code,
-        ),
-        tuple(functions),
-        ByteClassMap(tuple(runs)),
-        diagnostics,
-    )
 
 
 def report_to_json(report: ToolReport) -> str:
@@ -981,14 +985,8 @@ def report_to_json(report: ToolReport) -> str:
 
 
 def report_from_json(text: str) -> ToolReport:
-    payload = _load(text, TOOL_REPORT_SCHEMA)
-    tool = payload["tool"]
-    return ToolReport(
-        tool["name"],
-        tool["version"],
-        bytes.fromhex(payload["binary_digest_hex"]),
-        tuple([(int(f["start"], 16), f["size"]) for f in payload["functions"]]),
-    )
+    _version, (name, version), digest_hex, functions = _load(text, TOOL_REPORT_SCHEMA)
+    return ToolReport(name, version, bytes.fromhex(digest_hex), functions)
 
 
 def score_to_json(result: ScoreResult) -> str:

@@ -70,10 +70,8 @@ def parse_name_list(text: str) -> tuple[str, ...]:
 
 
 def _load_name_list(filename: str) -> tuple[str, ...]:
-    text = (
-        resources.files("bintruth").joinpath("data").joinpath(filename).read_text()
-    )
-    return parse_name_list(text)
+    data = resources.files("bintruth").joinpath("data")
+    return parse_name_list(data.joinpath(filename).read_text(encoding="utf-8"))
 
 
 @cache

@@ -294,6 +294,24 @@ def schema_failure(value: object, schema: dict, where: str = "$") -> str | None:
     return where + "".join(reversed(path)) + ": " + failure
 
 
+_ADDRESS = {"type": "string", "pattern": "^0x[0-9a-f]+$"}
+
+
+def loaded(value: object, schema: dict) -> object:
+    """What loading gives for ``value``, which satisfies ``schema``: each
+    object the tuple of its properties in the schema's order, each array
+    the tuple of its items, and each address string its integer."""
+    if isinstance(value, dict):
+        return tuple(
+            loaded(value[key], sub) for key, sub in schema["properties"].items()
+        )
+    if isinstance(value, list):
+        return tuple(loaded(item, schema["items"]) for item in value)
+    if schema == _ADDRESS:
+        return int(value[2:], 16)
+    return value
+
+
 def reference_dump(payload: object) -> str:
     """The published text form of a JSON payload, by the standard encoder."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -208,6 +208,48 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert '"fraction_perfect"' in proc.stdout
 
 
+def test_every_command_reads_and_writes_utf8_whatever_the_locale(
+    tmp_path, preset_docs
+):
+    """Text files are UTF-8 (RFC 8259 section 8.1), not the locale's encoding:
+    under an ASCII locale, with a warning for every use of the default
+    encoding made an error, each command exits as it would, and a UTF-8
+    name reads back whole."""
+    src = str(Path(bintruth.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": src,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    binary = write_binary(tmp_path, "listing2")
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("abort\nsortie_\u00e9\n", encoding="utf-8")
+    directory = _corpus_dir(tmp_path, preset_docs)
+    truth, report = tmp_path / "l2.json", directory / "listing2.report.json"
+    for argv in (
+        ["extract", binary, "-o", truth, "--noreturn-seeds", seeds],
+        ["score", truth, report],
+        ["diff", truth, truth],
+        ["corpus", directory, "--jobs", "2"],
+        ["fixtures", "-o", tmp_path / "fx", "--preset", "listing2"],
+    ):
+        proc = subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding",
+                "-W", "error::EncodingWarning", "-m", "bintruth.cli", *map(str, argv),
+            ],
+            capture_output=True,
+            encoding="utf-8",
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    config = json.loads(truth.read_text(encoding="utf-8"))["meta"]["config"]
+    assert config["noreturn_seeds"] == ["abort", "sortie_\u00e9"]
+
+
 # --- one command's parser -------------------------------------------------------
 
 # Positional arguments that satisfy each command's parser.

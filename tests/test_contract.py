@@ -8,7 +8,8 @@ on mutated files the checker agrees with ``jsonschema`` while the
 loaders raise nothing but ``SchemaError``. On the same mutants the
 checker gives the message of the schema interpreter in
 ``oracles.schema_failure``, word for word, and the generated acceptor
-passes exactly what ``_explain`` finds nothing wrong with.
+passes exactly what ``_explain`` finds nothing wrong with, loaded as
+``oracles.loaded`` loads it.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from bintruth.interchange import (
     SCORE_SCHEMA,
     TOOL_REPORT_SCHEMA,
     SchemaError,
+    _REFUSED,
     _acceptor,
     _check,
     _explain,
@@ -309,15 +311,23 @@ def _checker_passes(payload, schema: dict) -> bool:
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(mutants().map(lambda m: (m[0], m[4])), compound_mutants()))
 def test_acceptor_agrees_with_the_checker(mutant):
+    """The acceptor refuses exactly what the checker names a fault in, and
+    returns anything else as the reference loads it."""
     kind, payload = mutant
     accepted = _acceptor(SCHEMAS[kind])(payload)
-    assert accepted is _checker_passes(payload, SCHEMAS[kind])
+    if _checker_passes(payload, SCHEMAS[kind]):
+        # repr tells True from 1 and 1.0 from 1, which == does not.
+        assert repr(accepted) == repr(oracles.loaded(payload, SCHEMAS[kind]))
+    else:
+        assert accepted is _REFUSED
 
 
 def test_acceptor_passes_every_emitted_payload():
     kinds = set()
     for kind, label, text in emitted():
-        assert _acceptor(SCHEMAS[kind])(json.loads(text)) is True, f"{kind} {label}"
+        payload = json.loads(text)
+        accepted = _acceptor(SCHEMAS[kind])(payload)
+        assert accepted == oracles.loaded(payload, SCHEMAS[kind]), f"{kind} {label}"
         kinds.add(kind)
     assert kinds == set(SCHEMAS)
 
@@ -329,8 +339,9 @@ def test_acceptor_source_holds_no_schema_text(kind):
     acceptor = _acceptor(SCHEMAS[kind])
     names = acceptor.__code__.co_names
     assert set(acceptor.__code__.co_consts) <= {None, True, False}
-    # The only builtins it names are type and len: no .keys() call.
-    assert set(names) - {"type", "len"} <= set(acceptor.__globals__)
+    # The only builtins it names are type and len, and the only attribute
+    # an array's append: no .keys() call.
+    assert set(names) - {"type", "len", "append"} <= set(acceptor.__globals__)
     # A missing key ends the reads in KeyError, caught by a bound constant.
     assert "KeyError" not in names
     assert KeyError in [acceptor.__globals__.get(name) for name in names]
@@ -403,7 +414,7 @@ def test_every_closed_object_refuses_a_dropped_an_extra_and_a_renamed_key(kind):
                 parent[path[-1]] = fault
             else:
                 mutant = fault
-            assert _acceptor(schema)(mutant) is False, (pattern, fault)
+            assert _acceptor(schema)(mutant) is _REFUSED, (pattern, fault)
             with pytest.raises(SchemaError) as exc:
                 _check(mutant, schema, "$")
             assert str(exc.value) == _json_path(path) + message
@@ -415,7 +426,9 @@ def test_a_disagreement_is_a_bug_not_bad_input(monkeypatch, tmp_path):
     truth, report = tmp_path / "t.json", tmp_path / "r.json"
     truth.write_text(document_to_json(doc))
     report.write_text(report_to_json(_report_for(doc)))
-    monkeypatch.setattr(interchange, "_acceptor", lambda schema: lambda value: False)
+    monkeypatch.setattr(
+        interchange, "_acceptor", lambda schema: lambda value: _REFUSED
+    )
     with pytest.raises(RuntimeError, match="disagree") as exc:
         _check(json.loads(truth.read_text()), GROUND_TRUTH_SCHEMA, "$")
     assert not isinstance(exc.value, SchemaError)

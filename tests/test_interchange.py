@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from bintruth.interchange import (
     GENERATOR,
     SCHEMA_VERSION,
     SchemaError,
+    _REFUSED,
     _check,
     _explain,
     _generate,
@@ -333,6 +335,44 @@ def test_pattern_dollar_matches_only_at_the_end(pattern, value, message):
         assert str(exc.value) == message
 
 
+def test_addresses_with_leading_zeros_load_as_their_value(preset_docs):
+    """The address pattern admits leading zeros, and an address loads as
+    the integer its digits spell, wherever it is in the file."""
+    text = document_to_json(preset_docs["listing2"])
+    padded = re.sub(r'"0x([0-9a-f]+)"', r'"0x00\1"', text)
+    assert padded.count('"0x00') >= 10
+    assert document_from_json(padded) == document_from_json(text)
+    report = report_to_json(ToolReport("t", "1", DIGEST, ((0x10, 4), (0x20, None))))
+    padded = report.replace('"0x10"', '"0x0010"').replace('"0x20"', '"0x000020"')
+    assert report_from_json(padded) == report_from_json(report)
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        "0X10", "0x_10", " 0x10", "0x10 ", "+0x10", "0x", "0xAB", "0x10\n",
+        "0x\uff11\uff10",  # fullwidth digits
+    ],
+)
+def test_an_address_is_refused_by_its_pattern_before_it_is_parsed(
+    preset_docs, spelling
+):
+    """``int(s, 16)`` parses all of these but ``0x``; each is refused at its
+    JSON path by the address pattern."""
+    if spelling != "0x":
+        assert int(spelling, 16) in (0x10, 0xAB)
+
+    def edit(payload):
+        payload["functions"][0]["end_raw"] = spelling
+
+    text = _mutate(document_to_json(preset_docs["listing1"]), edit)
+    with pytest.raises(SchemaError) as exc:
+        document_from_json(text)
+    assert str(exc.value) == (
+        f"$.functions[0].end_raw: {spelling!r} does not match '^0x[0-9a-f]+$'"
+    )
+
+
 def test_item_counts_are_checked_before_items(preset_docs):
     def edit(payload):
         payload["meta"]["config"]["call_edges"] = [["0X1", "0x2", "0x3"]]
@@ -389,7 +429,7 @@ def test_an_enum_compares_types_as_well_as_values(value):
     _check(32, schema, "$")
     with pytest.raises(SchemaError, match=r"is not one of \[1, 32, 64\]"):
         _check(value, schema, "$")
-    assert not _generate(schema)(value)
+    assert _generate(schema)(value) is _REFUSED
 
 
 @pytest.mark.parametrize(
@@ -686,6 +726,18 @@ def test_dump_refuses_what_is_not_json(value):
         dump_json(value)
     with pytest.raises((ValueError, TypeError)):
         dump_json({"nested": [{"deeper": value}]})
+
+
+def test_dump_leaves_no_cyclic_garbage(collector):
+    """A command runs with the collector paused, so its dumps must be freed
+    by their reference counts. ``json.dumps`` with an ``indent`` runs the
+    pure-Python encoder, which leaves cycles on Python 3.10 to 3.12."""
+    payload = {"a": [{"b": 1, "c": [1.5, None, {"d": "e"}]}, []], "f": {}}
+    collector(False)
+    gc.collect()
+    text = dump_json(payload)
+    assert gc.collect() == 0
+    assert text == oracles.reference_dump(payload)
 
 
 # --- the document writer ---------------------------------------------------------

@@ -327,11 +327,11 @@ def _diff_documents(left, right) -> dict:
     rights = {fn.start: fn for fn in right.functions}
     for start in sorted(rights.keys() - lefts.keys()):
         changes["functions"]["added"].append(
-            {"start": f"0x{start:x}", "name": rights[start].canonical_name}
+            {"start": interchange._hex(start), "name": rights[start].canonical_name}
         )
     for start in sorted(lefts.keys() - rights.keys()):
         changes["functions"]["removed"].append(
-            {"start": f"0x{start:x}", "name": lefts[start].canonical_name}
+            {"start": interchange._hex(start), "name": lefts[start].canonical_name}
         )
     for start in sorted(lefts.keys() & rights.keys()):
         a, b = lefts[start], rights[start]
@@ -340,7 +340,7 @@ def _diff_documents(left, right) -> dict:
         ]
         if fields:
             changes["functions"]["changed"].append(
-                {"start": f"0x{start:x}", "fields": fields}
+                {"start": interchange._hex(start), "fields": fields}
             )
     identical = (
         not changes["binary"]

@@ -1,15 +1,15 @@
 """Deterministic JSON interchange for documents, reports, and scores.
 
 The same input always serializes to byte-identical output: keys are
-sorted, indentation is fixed, addresses are lowercase ``0x`` hex,
-lengths and counts are decimal, and nothing carries a timestamp. Every
-text is byte for byte the standard ``json`` encoder's with
-``sort_keys=True, indent=2`` plus a newline. Reports, scores and corpus
-summaries are written by :func:`dump_json`, which refuses NaN and
-infinity, the non-JSON tokens that encoder would write. A ground-truth
-document is written by :func:`document_to_json` straight from the model,
-one template per record kind (function, byte run, diagnostic), with the
-same bytes.
+sorted, indentation is fixed, addresses are lowercase ``0x`` hex as
+:func:`hex` spells them, lengths and counts are decimal, and nothing
+carries a timestamp. Every text is byte for byte the standard ``json``
+encoder's with ``sort_keys=True, indent=2`` plus a newline. Reports,
+scores and corpus summaries are written by :func:`dump_json`, which
+refuses NaN and infinity, the non-JSON tokens that encoder would write.
+A ground-truth document is written by :func:`document_to_json` straight
+from the model, one template per record kind (function, byte run,
+diagnostic), with the same bytes.
 
 The four ``*_SCHEMA`` dicts are the published contract. Every load is
 checked against its schema by :func:`_check`. On first use in a process,
@@ -17,20 +17,23 @@ a schema becomes the source of one Python function, its acceptor, that
 alone decides, and returns a value that passes as tuples and integers
 that the loaders build the model from, reading no JSON key. It decides
 an object by its size and a read of each key it lists, which is exact
-because every published object is closed and requires all of them. Only
-after a refusal does a short interpreter, :func:`_explain`, name the
-first failure by its JSON path (a pattern's ``$`` matches only at the
-end of the string, as in ECMA-262); it descends only into the child that
-the child's own acceptor refuses. Both know only the node shapes those
-schemas use; any other shape raises ``ValueError``, as a bug in the
-schema, not as bad input. A loaded ground-truth document must also
-satisfy the invariants :func:`build_ground_truth` guarantees, so
-malformed files fail loudly at the boundary instead of deep inside
-scoring. They are checked in the pass that builds the document, each
-function and byte run as it is built, so the first fault of a list is
-the one named. Dumps are not re-checked: the program builds them from
-objects whose inputs were checked where they entered, and the test
-suite holds emitted output to the schemas.
+because every published object is closed and requires all of them. It
+parses an address with ``int(s, 16)`` and passes it when :func:`hex`
+spells the value back as ``s``; only another spelling, such as one with
+leading zeros, is tested with the address pattern. Only after a refusal
+does a short interpreter, :func:`_explain`, name the first failure by
+its JSON path (a pattern's ``$`` matches only at the end of the string,
+as in ECMA-262); it descends only into the child that the child's own
+acceptor refuses. Both know only the node shapes those schemas use; any
+other shape raises ``ValueError``, as a bug in the schema, not as bad
+input. A loaded ground-truth document must also satisfy the invariants
+:func:`build_ground_truth` guarantees, so malformed files fail loudly at
+the boundary instead of deep inside scoring. They are checked in the
+pass that builds the document, each function and byte run as it is
+built, so the first fault of a list is the one named. Dumps are not
+re-checked: the program builds them from objects whose inputs were
+checked where they entered, and the test suite holds emitted output to
+the schemas.
 """
 from __future__ import annotations
 
@@ -323,8 +326,9 @@ CORPUS_SCHEMA = {
 }
 
 
-def _hex(value: int) -> str:
-    return f"0x{value:x}"
+# Every address is written as hex spells it, lowercase 0x hex with no
+# leading zeros: for an int >= 0 the text of f"0x{value:x}", in one C call.
+_hex = hex
 
 
 _ARRAY_KEYWORDS = frozenset({"items", "minItems", "maxItems"})
@@ -540,8 +544,11 @@ def _generate(schema: dict) -> _Acceptor:
     """One Python function that returns a value that satisfies ``schema``
     as loaded, else ``_REFUSED``: each object the tuple of its properties
     in the schema's order, each array the tuple of its items, and each
-    ``_HEX`` address its ``int``, parsed only once the pattern has passed
-    it, as ``int`` also takes ``0X10``, ``0x_10``, ``+0x10`` and spaces.
+    ``_HEX`` address its ``int(s, 16)``. That value ``n`` stands without
+    the pattern when ``n >= 0`` and ``hex(n) == s``, since the pattern
+    passes ``hex(n)`` for every ``n >= 0``. Any other spelling goes to the
+    pattern: ``int`` also takes ``0X10``, ``0x_10``, ``+0x10``, ``-0x10``
+    and spaces, which it refuses, and leading zeros, which it passes.
 
     Its source is straight-line code for each node: the type test, the
     node's own tests, a loop over an array's items, and for an object a
@@ -550,26 +557,29 @@ def _generate(schema: dict) -> _Acceptor:
     only closed objects that require every property they list, and a dict
     from ``json.loads`` has unique keys: one of that size from which every
     listed key reads holds exactly those keys. A missing key raises
-    ``KeyError``, which the one ``try`` around the body turns into
-    ``_REFUSED``. Per value it calls only C code (a pattern's regex,
-    ``int``, ``tuple``, ``append``) and keeps no JSON path; ``_REFUSED``
-    says only that :func:`_explain` will name a failure. The source holds
-    nothing but names: every schema constant it tests against, and
-    ``int``, ``tuple`` and ``_REFUSED``, is bound in the namespace it is
-    compiled in, so no schema or input text reaches it, and ``append`` is
-    the one attribute it reads. Nodes are classified by :func:`_shape`, as
-    :func:`_explain` classifies them, so both refuse the same unpublished
-    shapes.
+    ``KeyError``, and a string ``int`` cannot parse (``0x``) ``ValueError``,
+    which the one ``try`` around the body turns into ``_REFUSED``; the
+    pattern refuses every such string too. Per value it calls only C code
+    (``int`` and ``hex`` on an address, a pattern's regex on any other
+    patterned string or an address ``hex`` does not spell back, ``tuple``,
+    ``append``) and keeps no JSON path; ``_REFUSED`` says only that
+    :func:`_explain` will name a failure. The source holds nothing but
+    names: every schema constant it tests against, and ``int``, ``hex``,
+    ``0``, ``tuple``, ``KeyError``, ``ValueError`` and ``_REFUSED``, is
+    bound in the namespace it is compiled in, so no schema or input text
+    reaches it, and ``append`` is the one attribute it reads. Nodes are
+    classified by :func:`_shape`, as :func:`_explain` classifies them, so
+    both refuse the same unpublished shapes.
     """
     source = _AcceptorSource()
     source.emit(schema, "v0", 2)
-    missing = source.constant(KeyError)
+    missing, malformed = source.constant(KeyError), source.constant(ValueError)
     text = "\n".join(
         [
             "def accept(v0):",
             "    try:",
             *source.lines,
-            f"    except {missing}:",
+            f"    except ({missing}, {malformed}):",
             f"        return {source.refused}",
             "    return v0",
         ]
@@ -645,10 +655,18 @@ class _AcceptorSource:
         inner = depth if own == types else depth + 1
         if shape == "string":
             search = self.constant(_ecma_regex(schema["pattern"]).search)
-            self.refuse_if(inner, f"{search}({x}) is None")
             if schema == _HEX:
+                # The pattern passes hex(n) for every n >= 0: it decides
+                # only a spelling that hex does not give back.
+                n = self.local()
                 parse, base = self.constant(int), self.constant(16)
-                self.line(inner, f"{x} = {parse}({x}, {base})")
+                spell, zero = self.constant(hex), self.constant(0)
+                self.line(inner, f"{n} = {parse}({x}, {base})")
+                self.line(inner, f"if {n} < {zero} or {spell}({n}) != {x}:")
+                self.refuse_if(inner + 1, f"{search}({x}) is None")
+                self.line(inner, f"{x} = {n}")
+            else:
+                self.refuse_if(inner, f"{search}({x}) is None")
         elif shape == "number":
             minimum = self.constant(schema["minimum"])
             self.refuse_if(inner, f"{x} < {minimum}")
@@ -781,7 +799,7 @@ def _metrics_payload(precision: Fraction, recall: Fraction, f1: Fraction) -> dic
 # A document is written by one template per record kind instead of a
 # payload for dump_json: its record shapes are fixed, so each template
 # spells out dump_json's text (keys sorted, records two levels deep,
-# addresses in hex, strings by _string, integers by int.__repr__).
+# addresses by _hex, strings by _string, integers by int.__repr__).
 _FIELD = "\n      "  # where a record's fields start
 
 
@@ -809,18 +827,18 @@ def _function_text(fn: GroundTruthFunction) -> str:
         )
     group = fn.specialization_group
     aliases = [_string(a) for a in fn.aliases]
-    entries = [f'"0x{e:x}"' for e in fn.entry_points]
+    entries = [f'"{_hex(e)}"' for e in fn.entry_points]
     return (
         f'{{\n      "aliases": {_items(aliases, _FIELD)},'
-        f'\n      "end_raw": "0x{fn.end_exclusive_raw:x}",'
-        f'\n      "end_trimmed": "0x{fn.end_exclusive_trimmed:x}",'
+        f'\n      "end_raw": "{_hex(fn.end_exclusive_raw)}",'
+        f'\n      "end_trimmed": "{_hex(fn.end_exclusive_trimmed)}",'
         f'\n      "entries": {_items(entries, _FIELD)},'
         f'\n      "flags": {_string_set(fn.flags)},'
         f'\n      "group": {"null" if group is None else _string(group)},'
         f'\n      "name": {_string(fn.canonical_name)},'
         f'\n      "provenance": {_string_set(fn.provenance)},'
         f'\n      "source": {"null" if source is None else source},'
-        f'\n      "start": "0x{fn.entry_points[0]:x}"\n    }}'
+        f'\n      "start": "{_hex(fn.entry_points[0])}"\n    }}'
     )
 
 
@@ -829,7 +847,7 @@ def _run_text(r: ByteRun) -> str:
         f'{{\n      "class": {_string(r.klass)},'
         f'\n      "confidence": {_string(r.confidence)},'
         f'\n      "length": {int.__repr__(r.length)},'
-        f'\n      "start": "0x{r.start:x}"\n    }}'
+        f'\n      "start": "{_hex(r.start)}"\n    }}'
     )
 
 
@@ -838,7 +856,7 @@ def _diagnostic_text(d: Diagnostic) -> str:
     if span is not None:
         span = (
             f'{{\n        "length": {int.__repr__(span[1])},'
-            f'\n        "start": "0x{span[0]:x}"\n      }}'
+            f'\n        "start": "{_hex(span[0])}"\n      }}'
         )
     return (
         f'{{\n      "code": {_string(d.code)},'

@@ -173,7 +173,7 @@ def _edits(path, node) -> list[str]:
     if isinstance(node, str):
         edits.append("off_enum")
         if node.startswith("0x"):
-            edits.append("upper")
+            edits += ["upper", "sign"]
     if type(node) in (int, float):
         edits.append("negate")
     if type(node) is int:
@@ -199,6 +199,8 @@ def _apply(payload, path, edit):
         new = _RETYPED[type(node)]
     elif edit == "upper":
         new = node.upper()
+    elif edit == "sign":  # hex(-n) for an address hex(n) wrote
+        new = "-" + node
     elif edit == "off_enum":
         new = "puffin" if isinstance(node, str) else 48
     elif edit == "negate":
@@ -342,9 +344,12 @@ def test_acceptor_source_holds_no_schema_text(kind):
     # The only builtins it names are type and len, and the only attribute
     # an array's append: no .keys() call.
     assert set(names) - {"type", "len", "append"} <= set(acceptor.__globals__)
-    # A missing key ends the reads in KeyError, caught by a bound constant.
-    assert "KeyError" not in names
-    assert KeyError in [acceptor.__globals__.get(name) for name in names]
+    # A missing key ends the reads in KeyError, and an address int cannot
+    # parse in ValueError, each caught by a bound constant.
+    bound = [acceptor.__globals__.get(name) for name in names]
+    for error in (KeyError, ValueError):
+        assert error.__name__ not in names
+        assert error in bound
 
 
 def _object_paths(schema: dict, path=()):

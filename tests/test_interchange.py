@@ -38,6 +38,8 @@ from bintruth.normalize import (
 )
 from bintruth.scoring import (
     MatchPolicy,
+    Mismatch,
+    ScoreResult,
     ToolReport,
     corpus_aggregate,
     score_functions,
@@ -349,18 +351,47 @@ def test_addresses_with_leading_zeros_load_as_their_value(preset_docs):
 
 @pytest.mark.parametrize(
     "spelling",
+    ["0x0", "0x00", "0x" + "f" * 5000, "0x000" + "1" * 4997],
+    ids=["zero", "zeros", "long", "long-padded"],
+)
+def test_an_address_loads_as_int_of_its_digits(preset_docs, spelling):
+    """Zero, with or without leading zeros, and addresses longer than
+    ``int``'s limit on decimal digits, from which base 16 is exempt, load
+    as ``int(s, 16)`` in a truth and in a report."""
+    value = int(spelling, 16)
+
+    def edit(payload):
+        payload["diagnostics"].append(
+            {
+                "severity": "warning",
+                "code": "GT_DISCONTIGUOUS_RANGE",
+                "message": "",
+                "span": {"start": spelling, "length": 1},
+            }
+        )
+
+    doc = document_from_json(_mutate(document_to_json(preset_docs["listing2"]), edit))
+    assert doc.diagnostics[-1].span == (value, 1)
+    report = report_to_json(ToolReport("t", "1", DIGEST, ((0x10, 4),)))
+    loaded = report_from_json(report.replace('"0x10"', f'"{spelling}"'))
+    assert loaded.predicted_functions == ((value, 4),)
+
+
+@pytest.mark.parametrize(
+    "spelling",
     [
         "0X10", "0x_10", " 0x10", "0x10 ", "+0x10", "0x", "0xAB", "0x10\n",
         "0x\uff11\uff10",  # fullwidth digits
+        "-0x10",  # how hex spells -16, which the pattern refuses
     ],
 )
 def test_an_address_is_refused_by_its_pattern_before_it_is_parsed(
     preset_docs, spelling
 ):
     """``int(s, 16)`` parses all of these but ``0x``; each is refused at its
-    JSON path by the address pattern."""
+    JSON path by the address pattern, in a truth and in a report."""
     if spelling != "0x":
-        assert int(spelling, 16) in (0x10, 0xAB)
+        assert abs(int(spelling, 16)) in (0x10, 0xAB)
 
     def edit(payload):
         payload["functions"][0]["end_raw"] = spelling
@@ -370,6 +401,13 @@ def test_an_address_is_refused_by_its_pattern_before_it_is_parsed(
         document_from_json(text)
     assert str(exc.value) == (
         f"$.functions[0].end_raw: {spelling!r} does not match '^0x[0-9a-f]+$'"
+    )
+    report = json.loads(report_to_json(ToolReport("t", "1", DIGEST, ((0x10, 4),))))
+    report["functions"][0]["start"] = spelling
+    with pytest.raises(SchemaError) as exc:
+        report_from_json(json.dumps(report))
+    assert str(exc.value) == (
+        f"$.functions[0].start: {spelling!r} does not match '^0x[0-9a-f]+$'"
     )
 
 
@@ -601,6 +639,23 @@ def test_reports_without_byte_classes_round_trip():
     assert report_from_json(text) == report
 
 
+_EDGE_ADDRESSES = [0, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(min_value=0), max_size=4))
+@example(_EDGE_ADDRESSES)
+def test_reports_are_the_reference_dump_of_their_payload(starts):
+    report = ToolReport("finder", "2.1", DIGEST, tuple((s, None) for s in starts))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "finder", "version": "2.1"},
+        "binary_digest_hex": DIGEST.hex(),
+        "functions": [{"start": f"0x{s:x}", "size": None} for s in starts],
+    }
+    assert report_to_json(report) == oracles.reference_dump(payload)
+
+
 def test_report_schema_rejects_extra_keys():
     report = ToolReport("finder", "2.1", DIGEST, ())
     text = report_to_json(report)
@@ -636,6 +691,37 @@ def test_score_serialization_keeps_exact_ratios(preset_docs):
     assert payload["metrics"]["f1"]["exact"] == "8/9"
     assert payload["policy"]["boundary_rule"] == "padding_tolerant"
     assert payload["mismatches"][0]["kind"] == "wrong_boundary"
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(min_value=0), max_size=4))
+@example(_EDGE_ADDRESSES)
+def test_scores_are_the_reference_dump_of_their_payload(addresses):
+    mismatches = tuple(Mismatch("missed_start", a, "d") for a in addresses)
+    result = ScoreResult(1, 0, len(addresses), mismatches)
+    exact = {"exact": "1", "approx": 1.0}
+    recall = Fraction(1, 1 + len(addresses))
+    f1 = 2 * recall / (1 + recall)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "policy": None,
+        "counts": {
+            "true_positives": 1,
+            "false_positives": 0,
+            "false_negatives": len(addresses),
+        },
+        "metrics": {
+            "precision": exact,
+            "recall": {"exact": str(recall), "approx": float(recall)},
+            "f1": {"exact": str(f1), "approx": float(f1)},
+        },
+        "mismatches": [
+            {"kind": "missed_start", "address": f"0x{a:x}", "detail": "d"}
+            for a in addresses
+        ],
+        "warnings": [],
+    }
+    assert score_to_json(result) == oracles.reference_dump(payload)
 
 
 def test_perfect_metrics_serialize_as_plain_integers(preset_docs):
